@@ -42,10 +42,8 @@ from .spectrum import (
     StepCheckResult,
     UncertifiedLevel,
     bands,
-    build_b0,
     dispersion_branch,
     exclusion_set,
-    extend_chain,
     forward_apply,
     full_spectrum,
     membership,

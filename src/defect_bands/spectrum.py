@@ -41,6 +41,15 @@ IMAG_DOMINANCE = 1e-6
 #: points per axis of the one local refinement pass around a sigma_min argmin
 REFINE_POINTS = 33
 
+#: first and largest points per axis of a bracket's n-doubling
+N_QUAD_START = 16
+N_QUAD_MAX = 4096
+
+#: complex node entries per chunk of the vectorised dispersion scan (256 KiB
+#: per array): larger chunks raised peak RSS by ~26 MB on the halved-grid
+#: line defect and ran no faster
+SCAN_CHUNK_ENTRIES = 1 << 14
+
 
 class UncertifiedLevel(RuntimeError):
     """A level matrix was requested before the ones below it were certified."""
@@ -67,10 +76,18 @@ class Chain:
     the points-per-axis that first converges is pinned per level and reused,
     and converged values are memoized per coordinate tuple, so repeated
     queries (step checks, local refinement, root polishing) stay cheap.
+
+    The level-0 factor B_0^{-1} of a bracket is the SVD-guarded `inverse`
+    of the bulk symbol at the bracket's nodes.  Inside `dispersion_branch`,
+    when the bulk is omega-linear and Hermitian (B_0 = H(k) - omega*I), the
+    chains take it instead from the lattice Green's function
+    U diag(1/(lambda - omega)) U^H over eigenpairs of H cached for that call
+    (`_GreenTable`), with the same rank guard applied to the singular values
+    |lambda_i - omega|.
     """
 
-    def __init__(self, spec, omega, quad_rel_tol=None, n_quad_start=16,
-                 n_quad_max=4096):
+    def __init__(self, spec, omega, quad_rel_tol=None,
+                 n_quad_start=N_QUAD_START, n_quad_max=N_QUAD_MAX):
         self.spec = spec
         self.omega = float(omega)
         self.quad_rel_tol = (spec.tolerances.quad_rel_tol
@@ -124,23 +141,19 @@ class Chain:
         if fixed is not None:
             return self._bracket_values(level, t_rows, fixed)
         n = self.n_quad_start
-        prev = self._bracket_values(level, t_rows, n)
+        try:
+            prev = self._bracket_values(level, t_rows, n)
+        except SingularMatrix as exc:
+            raise _singular_integrand(level, n, exc.min_sigma) from exc
         while True:
             if 2 * n > self.n_quad_max:
-                raise NonConvergence(
-                    f"level {level} quadrature stalled at n={n} per axis "
-                    f"(omega={self.omega!r} is too close to a lower-level "
-                    "spectrum projection)",
-                    n_reached=n, last_change=np.inf,
-                    witness_sigma_min=self._witness_sigma(level, t_rows))
+                raise _stalled(level, self.omega, n,
+                               self._witness_sigma(level, t_rows))
             n *= 2
             try:
                 curr = self._bracket_values(level, t_rows, n)
             except SingularMatrix as exc:
-                raise NonConvergence(
-                    f"level {level} integrand singular on the refinement grid",
-                    n_reached=n, last_change=np.inf,
-                    witness_sigma_min=exc.min_sigma) from exc
+                raise _singular_integrand(level, n, exc.min_sigma) from exc
             scale = max(1.0, float(np.max(np.abs(curr))))
             change = float(np.max(np.abs(curr - prev))) / scale
             if change < self.quad_rel_tol:
@@ -150,6 +163,16 @@ class Chain:
                 return curr
             prev = curr
 
+    def _level0_inverse(self, level, t_rows, n):
+        """B_0^{-1} at the level's n-grid nodes x t_rows, (n^level, m, M, M)."""
+        n_dim = self.spec.lattice_dim
+        kint = _product_nodes(grid_nodes(n), level)
+        k_full = np.empty((kint.shape[0], t_rows.shape[0], n_dim), dtype=float)
+        k_full[:, :, :level] = kint[:, None, :]
+        if n_dim > level:
+            k_full[:, :, level:] = t_rows[None, :, :]
+        return inverse(self.level0(k_full.reshape(-1, n_dim)))
+
     def _bracket_values(self, level, t_rows, n):
         """I + scaled integral of the inverse-product integrand, fixed n."""
         n_dim = self.spec.lattice_dim
@@ -157,12 +180,7 @@ class Chain:
         j = level
         m = t_rows.shape[0]
         nodes = grid_nodes(n)
-        kint = _product_nodes(nodes, j)
-        k_full = np.empty((kint.shape[0], m, n_dim), dtype=float)
-        k_full[:, :, :j] = kint[:, None, :]
-        if n_dim > j:
-            k_full[:, :, j:] = t_rows[None, :, :]
-        prod = inverse(self.level0(k_full.reshape(-1, n_dim)))
+        prod = self._level0_inverse(j, t_rows, n)
         prod = prod.reshape((n,) * j + (m, m_sz, m_sz))
         for i in range(1, j):
             if i not in self._layers:
@@ -180,15 +198,12 @@ class Chain:
         if n_dim > j:
             k_t[:, j:] = t_rows
         a_vals = self._layers[j].symbol.eval(self.omega, k_t)
-        prod = np.matmul(prod, a_vals.reshape((1,) * j + (m, m_sz, m_sz)))
-        weight = TWO_PI ** (-j / 2.0) * (TWO_PI / n) ** j
-        total = weight * prod.reshape(-1, m, m_sz, m_sz).sum(axis=0)
-        return np.eye(m_sz, dtype=complex) + total
+        return _close_bracket(prod.reshape(-1, m, m_sz, m_sz), a_vals, j, n)
 
     def _witness_sigma(self, level, t_rows):
         """Min sigma_min of the bulk level over the base integration mesh."""
         n_dim = self.spec.lattice_dim
-        nodes = grid_nodes(min(self.n_quad_start * 4, 256))
+        nodes = grid_nodes(_witness_points(self.n_quad_start))
         kint = _product_nodes(nodes, level)
         k_full = np.empty((kint.shape[0], t_rows.shape[0], n_dim), dtype=float)
         k_full[:, :, :level] = kint[:, None, :]
@@ -198,15 +213,260 @@ class Chain:
         return float(np.min(smallest_singular_value(vals)))
 
 
-def build_b0(spec, omega):
-    """The level-0 matrix as a callable of the full wavevector.
+def _close_bracket(prod, a_vals, level, n):
+    """I + (2 pi)^(-j/2) (2 pi / n)^j * sum over nodes of prod @ a_vals.
 
-    For a family linear in omega whose power-1 term is -I this is literally
-    the bulk symbol shifted by -omega on the diagonal.
+    `prod` holds the inverse product at the nodes, shape (nodes, m, M, M);
+    `a_vals` the defect symbol per row, shape (m, M, M).
     """
-    def fn(k_rows):
-        return spec.bulk.eval(float(omega), np.asarray(k_rows, dtype=float))
-    return fn
+    weight = TWO_PI ** (-level / 2.0) * (TWO_PI / n) ** level
+    total = weight * np.matmul(prod, a_vals).sum(axis=0)
+    return np.eye(a_vals.shape[-1], dtype=complex) + total
+
+
+def _witness_points(n_quad_start):
+    """Points per axis of the mesh a NonConvergence witness is taken on."""
+    return min(n_quad_start * 4, 256)
+
+
+def _stalled(level, omega, n, witness):
+    return NonConvergence(
+        f"level {level} quadrature stalled at n={n} per axis "
+        f"(omega={omega!r} is too close to a lower-level spectrum projection)",
+        n_reached=n, last_change=np.inf, witness_sigma_min=witness)
+
+
+def _singular_integrand(level, n, min_sigma):
+    return NonConvergence(
+        f"level {level} integrand singular on the n={n} grid",
+        n_reached=n, last_change=np.inf, witness_sigma_min=min_sigma)
+
+
+class _GreenTable:
+    """Eigenpairs of an omega-linear Hermitian bulk on one level's nodes.
+
+    When B_0(omega, k) = H(k) - omega*I with H Hermitian, the level-0
+    inverse is the lattice Green's function U diag(1/(lambda - omega)) U^H
+    (Koster-Slater for M = 1), so one `eigh` of H per node serves every
+    omega.  The table holds `eigh(H)` at the n^level integration nodes x the
+    level's remaining-coordinate rows, for each n the doubling reaches.  The
+    n-grid nodes are bit for bit the even nodes of the 2n grid, so doubling
+    copies them and diagonalises only the new odd-indexed nodes.
+
+    The singular values of H - omega*I are |lambda_i - omega|, so the rank
+    guard of `symbol.inverse` (sigma_min < 64 eps sigma_max) is evaluated on
+    the cached eigenvalues and raises the same `SingularMatrix`.
+
+    Given the scan grid and its admissible (row, omega) mask, the first
+    request for a scan cell set evaluates the whole scan at once (see
+    `_run_scan`).  `dispersion_branch` builds one table per call.
+    """
+
+    def __init__(self, spec, level, t_rows, scan=(), admissible=None):
+        self.spec = spec
+        self.level = int(level)
+        self.t_rows = np.asarray(t_rows, dtype=float)   # (rows, N - level)
+        self._row_of = {tuple(row): i for i, row in enumerate(self.t_rows)}
+        self._pairs = {}
+        self._scan_grid = np.asarray(scan, dtype=float)
+        self._admissible = admissible
+        # a present lower level puts per-omega level values inside the
+        # bracket, so such a scan runs omega by omega
+        lower = any(0 < c < self.level for c in spec.present_codims)
+        self._scan_index = {} if lower else {
+            float(w): i for i, w in enumerate(self._scan_grid)}
+        self._scan = None
+
+    def rows(self, t_rows):
+        """Table row indices of coordinate rows (each must be a table row)."""
+        return np.array([self._row_of[tuple(row)] for row in t_rows], dtype=int)
+
+    def eigenpairs(self, n):
+        """(lambda, U) at the n-grid nodes x rows.
+
+        Shapes (n^level, rows, M) and (n^level, rows, M, M); node order is
+        the lexicographic order of `_product_nodes`.
+        """
+        pairs = self._pairs.get(n)
+        if pairs is not None:
+            return pairs
+        j = self.level
+        n_dim, m_sz = self.spec.lattice_dim, self.spec.cell_size
+        kint = _product_nodes(grid_nodes(n), j)
+        lam = np.empty((kint.shape[0], self.t_rows.shape[0], m_sz))
+        vec = np.empty(lam.shape + (m_sz,), dtype=complex)
+        new = np.ones(kint.shape[0], dtype=bool)
+        coarse = self._pairs.get(n // 2)
+        if coarse is not None:
+            new = (np.indices((n,) * j).reshape(j, -1) % 2 == 1).any(axis=0)
+            lam[~new], vec[~new] = coarse
+        k_full = np.empty((int(new.sum()), self.t_rows.shape[0], n_dim))
+        k_full[:, :, :j] = kint[new][:, None, :]
+        k_full[:, :, j:] = self.t_rows[None, :, :]
+        w, u = np.linalg.eigh(
+            self.spec.bulk.terms[0].eval(k_full.reshape(-1, n_dim)))
+        lam[new] = w.reshape(k_full.shape[:2] + (m_sz,))
+        vec[new] = u.reshape(k_full.shape[:2] + (m_sz, m_sz))
+        self._pairs[n] = (lam, vec)
+        return lam, vec
+
+    def inverse(self, omega, n, t_rows):
+        """B_0^{-1} at the n-grid nodes x t_rows, as `symbol.inverse` gives it.
+
+        Raises `SingularMatrix` with the smallest failing sigma_min when
+        some node fails the rank guard.
+        """
+        green, worst = self._green(n, self.rows(t_rows), omega)
+        if np.any(np.isfinite(worst)):
+            min_sigma = float(np.min(worst))
+            raise SingularMatrix(
+                f"matrix singular to working precision (sigma_min={min_sigma:.3e})",
+                min_sigma)
+        return green
+
+    def scan_values(self, omega, t_rows):
+        """Converged values and pinned n of a scan omega's admissible rows.
+
+        Returns None unless `omega` is on the scan grid and `t_rows` are
+        exactly its admissible rows; raises the omega's `NonConvergence`.
+        """
+        w = self._scan_index.get(omega)
+        if w is None or not np.array_equal(
+                self.rows(t_rows), np.flatnonzero(self._admissible[:, w])):
+            return None
+        if self._scan is None:
+            self._scan = self._run_scan()
+        outcome = self._scan[w]
+        if isinstance(outcome, NonConvergence):
+            raise outcome
+        return outcome
+
+    # -- internals ----------------------------------------------------------
+
+    def _green(self, n, rows, omega):
+        """U diag(1/(lambda - omega)) U^H and the rank guard, per row.
+
+        `omega` is a scalar or one value per row.  Returns the inverses,
+        shape (n^level, m, M, M), and per row the smallest sigma_min among
+        the node matrices failing the guard (inf when none fails; the
+        inverses of failing nodes are not finite).
+        """
+        lam, vec = self.eigenpairs(n)
+        lam, vec = lam[:, rows], vec[:, rows]
+        shift = lam - np.asarray(omega, dtype=float)[..., None]
+        sigma = np.abs(shift)
+        s_min = sigma.min(axis=-1)
+        floor = 64.0 * np.finfo(float).eps * np.maximum(sigma.max(axis=-1), 1e-300)
+        worst = np.where(s_min < floor, s_min, np.inf).min(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            green = np.matmul(vec / shift[..., None, :],
+                              vec.conj().swapaxes(-1, -2))
+        return green, worst
+
+    def _run_scan(self):
+        """Converged level values of every admissible scan cell.
+
+        All omegas are evaluated together at each n, over flattened (omega,
+        row) cells in chunks of at most SCAN_CHUNK_ENTRIES node entries.
+        Per omega the semantics are those of `Chain._converged_values`:
+        n starts at N_QUAD_START, the omega pins its n at the first relative
+        change (over its own rows) below quad_rel_tol, a singular node makes
+        it fail, and reaching N_QUAD_MAX makes it stall.  Returns
+        {omega index: (values, n) or NonConvergence}.
+        """
+        j = self.level
+        n_dim = self.spec.lattice_dim
+        tol = self.spec.tolerances.quad_rel_tol
+        cell_w, cell_t = np.nonzero(self._admissible.T)   # omega-major
+        if cell_w.size == 0:
+            return {}
+        starts = np.flatnonzero(np.r_[True, cell_w[1:] != cell_w[:-1]])
+        groups = [(int(cell_w[s]), s, e)
+                  for s, e in zip(starts, np.r_[starts[1:], cell_w.size])]
+        k_t = np.zeros((self.t_rows.shape[0], n_dim))
+        k_t[:, j:] = self.t_rows
+        symbol = self.spec.defect_by_codim(j).symbol
+        cells = (cell_t, self._scan_grid[cell_w], np.concatenate(
+            [symbol.eval(float(self._scan_grid[w]), k_t[cell_t[s:e]])
+             for w, s, e in groups]))
+
+        m_sz = self.spec.cell_size
+        prev = np.zeros((cell_w.size, m_sz * m_sz), dtype=complex)
+        outcome = {}
+        live, n = groups, N_QUAD_START
+        while True:
+            idx = np.concatenate([np.arange(s, e) for _, s, e in live])
+            curr, worst = self._cell_brackets(n, cells, idx)
+            bounds = np.cumsum([0] + [e - s for _, s, e in live])[:-1]
+            flat = curr.reshape(idx.size, -1)
+            with np.errstate(invalid="ignore"):
+                diff = np.abs(flat - prev[idx]).max(axis=1)
+                change = np.maximum.reduceat(diff, bounds) / np.maximum(
+                    1.0, np.maximum.reduceat(np.abs(flat).max(axis=1), bounds))
+            worst = np.minimum.reduceat(worst, bounds)
+            prev[idx] = flat
+            still = []
+            for group, g_change, g_worst, b in zip(live, change, worst, bounds):
+                w, s, e = group
+                if np.isfinite(g_worst):
+                    outcome[w] = _singular_integrand(j, n, float(g_worst))
+                elif n > N_QUAD_START and g_change < tol:
+                    outcome[w] = (curr[b:b + e - s], n)
+                else:
+                    still.append(group)
+            live = still
+            if not live:
+                return outcome
+            if 2 * n > N_QUAD_MAX:
+                lam, _ = self.eigenpairs(_witness_points(N_QUAD_START))
+                for w, s, e in live:
+                    omega = float(self._scan_grid[w])
+                    witness = float(np.abs(lam[:, cell_t[s:e]] - omega).min())
+                    outcome[w] = _stalled(j, omega, n, witness)
+                return outcome
+            n *= 2
+
+    def _cell_brackets(self, n, cells, idx):
+        """Fixed-n bracket values and guard minima of the cells `idx`."""
+        cell_t, cell_omega, cell_a = cells
+        m_sz = self.spec.cell_size
+        nodes = n ** self.level
+        out = np.empty((idx.size, m_sz, m_sz), dtype=complex)
+        worst = np.empty(idx.size)
+        per = max(1, SCAN_CHUNK_ENTRIES // (nodes * m_sz * m_sz))
+        for lo in range(0, idx.size, per):
+            part = idx[lo:lo + per]
+            green, worst[lo:lo + per] = self._green(
+                n, cell_t[part], cell_omega[part])
+            with np.errstate(invalid="ignore", over="ignore"):
+                out[lo:lo + per] = _close_bracket(green, cell_a[part],
+                                                  self.level, n)
+        return out, worst
+
+
+class _GreenChain(Chain):
+    """Chain whose top-level brackets take B_0^{-1} from a `_GreenTable`.
+
+    Lower levels inside a higher bracket keep the direct path: their rows
+    are not on the table's mesh.
+    """
+
+    def __init__(self, spec, omega, table):
+        super().__init__(spec, omega)
+        self._table = table
+
+    def _converged_values(self, level, t_rows):
+        if level == self._table.level:
+            found = self._table.scan_values(self.omega, t_rows)
+            if found is not None:
+                vals, self._nquad[level] = found
+                return vals
+        return super()._converged_values(level, t_rows)
+
+    def _level0_inverse(self, level, t_rows, n):
+        if level == self._table.level:
+            return self._table.inverse(self.omega, n, t_rows)
+        return super()._level0_inverse(level, t_rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +659,6 @@ class BChain:
                 raise UncertifiedLevel(
                     f"level {level} requested but level {lower} is singular")
         return self.check_level(level)
-
-
-def extend_chain(bchain, spec, level):
-    """Grow a BChain by one level (spec kept for surface symmetry)."""
-    if spec is not bchain.spec:
-        raise InputError("extend_chain called with a different spec")
-    bchain.extend(level)
-    return bchain
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +942,9 @@ class Branch:
     codim: int
     samples: list      # (k_tail tuple, omega, annotation) triples
     k_points: int
+    #: scan cells left out because their bracket did not converge:
+    #: (k_tail tuple, omega, n_reached, witness_sigma_min)
+    skipped: list = field(default_factory=list)
 
     def omegas_at(self, t):
         t = tuple(np.asarray(t, dtype=float).ravel())
@@ -698,9 +953,9 @@ class Branch:
                       and np.allclose(k_tail, t, rtol=0.0, atol=1e-12))
 
 
-def _level_det(spec, level, t_row, omega):
-    ch = Chain(spec, omega)
-    vals = ch.level_values(level, np.asarray(t_row, dtype=float).reshape(1, -1))
+def _level_det(make_chain, level, t_row, omega):
+    vals = make_chain(omega).level_values(
+        level, np.asarray(t_row, dtype=float).reshape(1, -1))
     return complex(det(vals)[0])
 
 
@@ -741,7 +996,16 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
     be quadrature-noise small) or by |det| dropping below det_zero_tol, and
     refines each by bisection (golden-section on |det| as the fallback) to
     root_tol_omega.  Roots hugging the guard boundary are annotated
-    "near-band" rather than dropped.
+    "near-band" rather than dropped.  Scan cells whose bracket does not
+    converge are recorded in `Branch.skipped` and reported by one warning.
+
+    For an omega-linear Hermitian bulk, B_0 = H(k) - omega*I, the level-0
+    factor of every scan and polish bracket is the lattice Green's function
+    U diag(1/(lambda - omega)) U^H from one `eigh` of H per node, cached for
+    this call (`_GreenTable`), and the whole scan is evaluated over all
+    omegas at once.  The rank guard reads the same threshold off the
+    eigenvalues, since the singular values of H - omega*I are
+    |lambda - omega|.  Any other bulk inverts B_0 directly at every omega.
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     window = omega_window or spec.omega_window
@@ -763,17 +1027,28 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         admissible[t_idx] = [dist_to_intervals(w, ivs) >= tol.band_guard
                              for w in scan]
 
+    if _hermitian_linear_fast(spec):
+        table = _GreenTable(spec, codim, t_mesh, scan, admissible)
+        make_chain = lambda w: _GreenChain(spec, w, table)
+    else:
+        make_chain = lambda w: Chain(spec, w)
+
     det_tab = np.full((n_t, len(scan)), np.nan, dtype=complex)
+    skipped = []
     for w_idx, omega in enumerate(scan):
         mask = admissible[:, w_idx]
         if not np.any(mask):
             continue
-        ch = Chain(spec, omega)
         try:
-            vals = ch.level_values(codim, t_mesh[mask])
-        except NonConvergence:
-            continue  # annotated by the nan gap
+            vals = make_chain(omega).level_values(codim, t_mesh[mask])
+        except NonConvergence as exc:
+            skipped.extend((tuple(row), float(omega), exc.n_reached,
+                            exc.witness_sigma_min) for row in t_mesh[mask])
+            continue
         det_tab[mask, w_idx] = det(vals)
+    if skipped:
+        logger.warning("level %d: %d scan cells did not converge and were "
+                       "skipped (see Branch.skipped)", codim, len(skipped))
 
     samples = []
     for t_idx in range(n_t):
@@ -785,8 +1060,8 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         scale = float(np.max(finite)) + 1e-300
         real_ok = float(np.nanmax(np.abs(col[ok].imag))) <= IMAG_DOMINANCE * scale
         t_row = t_mesh[t_idx]
-        f_real = lambda w: _level_det(spec, codim, t_row, w).real
-        f_abs = lambda w: abs(_level_det(spec, codim, t_row, w))
+        f_real = lambda w: _level_det(make_chain, codim, t_row, w).real
+        f_abs = lambda w: abs(_level_det(make_chain, codim, t_row, w))
         roots = []
         for w in range(len(scan) - 1):
             if not (ok[w] and ok[w + 1]):
@@ -816,7 +1091,8 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
             dist = dist_to_intervals(r, exclusion.intervals[t_idx])
             annot = "ok" if dist >= tol.band_guard + step else "near-band"
             samples.append((tuple(t_row), float(r), annot))
-    return Branch(codim=codim, samples=samples, k_points=grids.k_points)
+    return Branch(codim=codim, samples=samples, k_points=grids.k_points,
+                  skipped=skipped)
 
 
 # ---------------------------------------------------------------------------

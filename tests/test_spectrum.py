@@ -1,26 +1,44 @@
+import logging
+
 import numpy as np
 import pytest
 
-from defect_bands.model import GridConfig
+from defect_bands import spectrum
+from defect_bands.model import (
+    DefectLayer,
+    GridConfig,
+    ProblemSpec,
+    Stencil,
+    stencil_to_symbol,
+)
+from defect_bands.quadrature import _product_nodes, grid_nodes
 from defect_bands.spectrum import (
     BChain,
     Chain,
+    ExclusionSet,
     UncertifiedLevel,
+    _GreenTable,
+    _hermitian_linear_fast,
     bands,
-    build_b0,
     dispersion_branch,
     exclusion_set,
-    extend_chain,
     forward_apply,
     full_mesh,
     full_spectrum,
     membership,
     merge_intervals,
+    remaining_mesh,
     resolvent_apply,
     step_check,
     trig_vector,
 )
-from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
+from defect_bands.symbol import (
+    InputError,
+    OmegaSymbol,
+    SingularMatrix,
+    TrigMatrixPolynomial,
+    inverse,
+)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -32,20 +50,19 @@ def coarse(spec, k_points=32, omega_points=257):
 class TestBuildB0:
     def test_adjacency_no_shift(self, chain_model):
         spec, _ = chain_model
-        fn = build_b0(spec, 0.0)
         rows = np.array([[0.0], [np.pi / 2], [np.pi]])
-        vals = fn(rows)
+        vals = spec.bulk.eval(0.0, rows)
         assert np.allclose(vals[:, 0, 0], 2 * np.cos(rows[:, 0]), atol=1e-14)
 
     def test_adjacency_shift(self, chain_model):
         spec, _ = chain_model
-        fn = build_b0(spec, 3.0)
-        assert fn(np.array([[0.0]]))[0, 0, 0] == pytest.approx(-1.0)
+        assert spec.bulk.eval(3.0, np.array([[0.0]]))[0, 0, 0] == \
+            pytest.approx(-1.0)
 
     def test_2d_origin(self, square_model):
         spec, _ = square_model
-        fn = build_b0(spec, 0.0)
-        assert fn(np.array([[0.0, 0.0]]))[0, 0, 0] == pytest.approx(4.0)
+        assert spec.bulk.eval(0.0, np.array([[0.0, 0.0]]))[0, 0, 0] == \
+            pytest.approx(4.0)
 
 
 class TestStepCheck:
@@ -89,7 +106,8 @@ class TestExtendChain:
         spec, grids = chain_defect_model
         bchain = BChain(spec, 3.0, grids)
         bchain.check_level(0)
-        res = extend_chain(bchain, spec, 1).checks[1]
+        bchain.extend(1)
+        res = bchain.checks[1]
         chain_val = bchain.chain.level_values(1, np.zeros((1, 0)))[0, 0, 0]
         assert chain_val.real == pytest.approx(1 - 1 / SQRT5, abs=1e-10)
         assert not res.detected
@@ -120,6 +138,65 @@ class TestExtendChain:
         bchain.check_level(0)
         with pytest.raises(UncertifiedLevel):
             bchain.extend(1)
+
+
+def _direct_level0_inverse(spec, level, t_rows, omega, n):
+    """symbol.inverse of B_0 in the eigen table's node x row layout."""
+    n_dim, m_sz = spec.lattice_dim, spec.cell_size
+    kint = _product_nodes(grid_nodes(n), level)
+    k_full = np.empty((kint.shape[0], t_rows.shape[0], n_dim))
+    k_full[:, :, :level] = kint[:, None, :]
+    k_full[:, :, level:] = t_rows[None, :, :]
+    vals = spec.bulk.eval(omega, k_full.reshape(-1, n_dim))
+    return inverse(vals).reshape(k_full.shape[:2] + (m_sz, m_sz))
+
+
+class TestGreenTable:
+    @pytest.mark.parametrize("model, omegas", [
+        ("square_line_model", (-5.3, 4.4, 6.0)),   # M = 1, band [-4, 4]
+        ("bipartite_model", (-2.6, 2.3, 3.0)),     # M = 2, bands in [-2, 2]
+    ])
+    def test_matches_direct_inverse(self, request, model, omegas):
+        spec, _ = request.getfixturevalue(model)
+        t_rows = remaining_mesh(spec.lattice_dim, 1, 16)
+        table = _GreenTable(spec, 1, t_rows)
+        for n in (16, 32, 64, 128, 256):
+            for omega in omegas:
+                want = _direct_level0_inverse(spec, 1, t_rows, omega, n)
+                got = table.inverse(omega, n, t_rows)
+                assert np.max(np.abs(got - want)) <= \
+                    1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("omega", [2.0, -2.0])
+    def test_exact_zero_raises_like_direct(self, chain_model, omega):
+        # 2 cos k - omega vanishes exactly at the k = 0 and k = -pi nodes
+        spec, _ = chain_model
+        t_rows = np.zeros((1, 0))
+        with pytest.raises(SingularMatrix) as direct:
+            _direct_level0_inverse(spec, 1, t_rows, omega, 16)
+        with pytest.raises(SingularMatrix) as cached:
+            _GreenTable(spec, 1, t_rows).inverse(omega, 16, t_rows)
+        assert direct.value.min_sigma == cached.value.min_sigma == 0.0
+
+    @pytest.mark.parametrize("model, level", [
+        ("square_line_model", 1), ("square_line_model", 2),
+        ("bipartite_model", 1)])
+    def test_doubling_reuses_coarse_nodes(self, request, model, level):
+        spec, _ = request.getfixturevalue(model)
+        t_rows = remaining_mesh(spec.lattice_dim, level, 8)
+        table = _GreenTable(spec, level, t_rows)
+        coarse = None
+        for n in (16, 32, 64, 128) if level == 1 else (16, 32, 64):
+            pairs = table.eigenpairs(n)
+            if coarse is not None:
+                for fine, old in zip(pairs, coarse):
+                    even = fine.reshape((n,) * level + fine.shape[1:])[
+                        (slice(None, None, 2),) * level]
+                    assert np.array_equal(even.reshape(old.shape), old)
+            coarse = pairs
+        fresh = _GreenTable(spec, level, t_rows).eigenpairs(n)
+        for got, want in zip(coarse, fresh):
+            assert np.array_equal(got, want)
 
 
 class TestMembership:
@@ -251,6 +328,66 @@ class TestDispersionBranch:
         branch = dispersion_branch(spec, 1, grids, spec.omega_window)
         assert len(branch.samples) == 1
         assert branch.samples[0][1] == pytest.approx(-SQRT5, abs=1e-8)
+
+    @pytest.mark.parametrize("eigen_table", [True, False])
+    def test_nonconverged_scan_cells_recorded(self, chain_defect_model, caplog,
+                                              monkeypatch, eigen_table):
+        # with no exclusion intervals the scan enters the band, where the
+        # level-1 integrand has poles on the integration axis; at omega = +-2
+        # they sit exactly on the k = 0 and k = -pi nodes of the first grid,
+        # which must be skipped, not raised, on both level-0 paths
+        spec, grids = chain_defect_model
+        if not eigen_table:
+            monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
+                                lambda spec: False)
+        real = exclusion_set(spec, 1, grids, spec.omega_window)
+        empty = ExclusionSet(codim=1, k_points=real.k_points,
+                             nodes=real.nodes, intervals=[[]])
+        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
+            branch = dispersion_branch(spec, 1, grids, spec.omega_window,
+                                       exclusion=empty)
+        scan = np.linspace(*spec.omega_window, grids.omega_points)
+        in_band = [float(w) for w in scan if abs(w) <= 2.0]
+        assert sorted(om for _, om, _, _ in branch.skipped) == in_band
+        for k_tail, _, n_reached, witness in branch.skipped:
+            assert k_tail == () and n_reached >= 16 and witness >= 0.0
+        assert [om for _, om, _ in branch.samples] == \
+            [pytest.approx(SQRT5, abs=1e-8)]
+        assert f"{len(in_band)} scan cells" in caplog.text
+
+    def test_squared_frequency_bulk_direct_path(self):
+        # (2 + 2 cos k) - omega^2 is not omega-linear, so B_0 is inverted
+        # directly; a unit point defect binds where 2 - omega^2 = -sqrt5
+        bulk = OmegaSymbol({
+            0: stencil_to_symbol(Stencil(1, {(0,): [[2.0]], (1,): [[1.0]],
+                                             (-1,): [[1.0]]})),
+            2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
+        })
+        layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
+        spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
+                           defects=(layer,), omega_window=(-3.0, 3.0))
+        assert not _hermitian_linear_fast(spec)
+        branch = dispersion_branch(spec, 1, GridConfig(), spec.omega_window)
+        want = np.sqrt(2.0 + SQRT5)
+        roots = sorted(om for _, om, _ in branch.samples)
+        assert len(roots) == 2
+        assert abs(roots[0] + want) <= spec.tolerances.root_tol_omega
+        assert abs(roots[1] - want) <= spec.tolerances.root_tol_omega
+
+    def test_eigen_table_matches_direct_path(self, monkeypatch):
+        # the per-omega direct inverse is the reference for the eigen table
+        # and the omega-vectorised scan
+        from tests_util import square_with_line_defect
+        spec, grids = square_with_line_defect(1.0, k_points=16,
+                                              omega_points=129)
+        cached = dispersion_branch(spec, 1, grids, spec.omega_window)
+        monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
+                            lambda spec: False)
+        direct = dispersion_branch(spec, 1, grids, spec.omega_window)
+        assert len(cached.samples) == len(direct.samples) == 16
+        for (ka, oa, na), (kb, ob, nb) in zip(cached.samples, direct.samples):
+            assert (ka, na) == (kb, nb)
+            assert abs(oa - ob) <= spec.tolerances.root_tol_omega
 
 
 class TestFullSpectrum:
