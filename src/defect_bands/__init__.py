@@ -23,14 +23,7 @@ from .oracle import (
     oracle_eigenvalues,
     periodic_box_check,
 )
-from .quadrature import (
-    AveragedFunction,
-    KGrid,
-    NonConvergence,
-    adaptive_bracket,
-    bracket,
-    grid_nodes,
-)
+from .quadrature import NonConvergence, grid_nodes
 from .spectrum import (
     BChain,
     Branch,
@@ -58,8 +51,6 @@ from .symbol import (
     TrigMatrixPolynomial,
     as_complex_matrix,
     det,
-    eval_k,
-    eval_omega_k,
     hermitian_eigenvalues,
     inverse,
     is_hermitian,

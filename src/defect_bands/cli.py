@@ -3,16 +3,14 @@
     defect-bands <validate|bands|membership|spectrum|oracle> --config PATH
                  [--omega F] [--L INT] [--bc periodic|open] [--k-points INT]
                  [--k-grid INT | --k-path SPEC] [--out PATH] [--json]
-                 [--threads INT]
 
 Exit codes: 0 ok, 1 domain violation, 2 I/O or parse error, 3 inconclusive
 verdict.  Set DEFECT_BANDS_LOG to error|warn|info|debug for diagnostics.
 
 Problem files are strict JSON (unknown keys rejected); matrices enter as
 separate `re`/`im` arrays.  Numeric output is CSV with shortest round-trip
-float formatting, so identical inputs give byte-identical files; `--threads`
-is accepted for interface stability and never changes output bytes (all
-reductions run in a fixed order).
+float formatting, and all reductions run in a fixed order, so identical
+inputs give byte-identical files.
 """
 
 import argparse
@@ -312,8 +310,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", required=True, help="problem JSON file")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; output bytes never depend on it")
 
     p_val = sub.add_parser("validate", help="check a problem file")
     common(p_val)

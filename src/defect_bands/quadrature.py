@@ -1,20 +1,21 @@
-"""Scaled integration of matrix functions over coordinate sub-tori.
+"""Nodes and the scaled trapezoid sum of the sub-torus average.
 
-The sublattice average of f over axes i1..ij is
+The sublattice average of f over the leading j axes is
 
-    <f>_{i1..ij} = (2*pi)^(-j/2) * integral over [-pi,pi]^j of f dk_{i1..ij}
+    <f>_{1..j} = (2*pi)^(-j/2) * integral over [-pi,pi]^j of f dk_{1..j}
 
 (a scaled integral: the bracket of a constant C over one axis is
-sqrt(2*pi)*C, not C).  Integrals use the periodic trapezoid rule on uniform
-nodes k_l = -pi + 2*pi*l/n, which is exact for trig polynomials below the
-grid Nyquist degree and exponentially convergent for analytic periodic
-integrands.  Summation runs in a fixed order over lexicographically ordered
-nodes, so results do not depend on thread count or scheduling.
+sqrt(2*pi)*C, not C).  It is computed by the periodic trapezoid rule on
+uniform nodes k_l = -pi + 2*pi*l/n, which is exact for trig polynomials
+below the grid Nyquist degree and exponentially convergent for analytic
+periodic integrands; callers double n until the result stops moving.
+Summation runs in a fixed order over lexicographically ordered nodes, so
+results are reproducible bit for bit.
 """
 
 import numpy as np
 
-from .symbol import TWO_PI, InputError, SingularMatrix, smallest_singular_value
+from .symbol import TWO_PI, InputError
 
 
 class NonConvergence(RuntimeError):
@@ -30,8 +31,9 @@ class NonConvergence(RuntimeError):
     last_change : float
         Relative change between the final two refinements.
     witness_sigma_min : float or None
-        Minimum sigma_min of the caller-supplied witness over the sampled
-        nodes (typically of the level-0 matrix), when a witness was given.
+        How singular the integrand is: the minimum sigma_min of the level-0
+        matrix over a witness mesh, or of the node matrices that failed the
+        rank guard.
     """
 
     def __init__(self, message, n_reached, last_change, witness_sigma_min=None):
@@ -50,21 +52,6 @@ def grid_nodes(n):
     return -np.pi + TWO_PI * np.arange(n) / n
 
 
-class KGrid:
-    """Uniform product grid over a set of integrated axes."""
-
-    def __init__(self, axes, points_per_axis):
-        axes = tuple(int(a) for a in axes)
-        if len(set(axes)) != len(axes):
-            raise InputError("integration axes must be distinct")
-        self.axes = axes
-        self.points_per_axis = int(points_per_axis)
-        self.nodes = grid_nodes(self.points_per_axis)  # validates
-
-    def __repr__(self):
-        return f"KGrid(axes={self.axes}, points_per_axis={self.points_per_axis})"
-
-
 def _product_nodes(nodes, j):
     """All j-tuples of nodes, lexicographic, shape (n^j, j)."""
     if j == 0:
@@ -73,174 +60,11 @@ def _product_nodes(nodes, j):
     return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
 
 
-class AveragedFunction:
-    """Result of a bracket: a matrix function of the remaining axes.
+def trapezoid_sum(values, j, n):
+    """(2 pi)^(-j/2) (2 pi / n)^j times the sum of `values` over axis 0.
 
-    Calling with an array of remaining-coordinate tuples, shape (m, r) or a
-    single tuple of length r, evaluates the underlying scaled integral at a
-    fixed points-per-axis.  Values are memoized per exact coordinate tuple.
+    `values` holds the integrand at the n^j nodes of j integrated axes along
+    its leading axis; the result is the scaled average over those axes.
     """
-
-    def __init__(self, remaining_axes, fn, provenance=""):
-        self.remaining_axes = tuple(remaining_axes)
-        self._fn = fn
-        self.provenance = provenance
-        self._memo = {}
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        single = (t.ndim <= 1)
-        rows = t.reshape(1, -1) if single else t
-        if rows.shape[1] != len(self.remaining_axes):
-            raise InputError(
-                f"expected {len(self.remaining_axes)} remaining coordinates, "
-                f"got {rows.shape[1]}")
-        keys = [tuple(row) for row in rows]
-        missing = [i for i, key in enumerate(keys) if key not in self._memo]
-        if missing:
-            vals = self._fn(rows[missing])
-            for slot, val in zip(missing, vals):
-                self._memo[keys[slot]] = val
-        out = np.stack([self._memo[key] for key in keys], axis=0)
-        return out[0] if single else out
-
-
-def _bracket_fn(f, axes, torus_dim, n):
-    """Raw evaluator for the scaled trapezoid integral at n points/axis."""
-    axes = tuple(sorted(int(a) for a in axes))
-    j = len(axes)
-    if j == 0:
-        raise InputError("bracket needs at least one axis")
-    if any(a < 0 or a >= torus_dim for a in axes):
-        raise InputError(f"axes {axes} outside 0..{torus_dim - 1}")
-    remaining = tuple(a for a in range(torus_dim) if a not in axes)
-    nodes = grid_nodes(n)
-    kint = _product_nodes(nodes, j)  # (n^j, j)
     weight = TWO_PI ** (-j / 2.0) * (TWO_PI / n) ** j
-
-    def value(t_rows):
-        m = t_rows.shape[0]
-        big = np.empty((kint.shape[0], m, torus_dim), dtype=float)
-        for col, axis in enumerate(axes):
-            big[:, :, axis] = kint[:, col][:, None]
-        for col, axis in enumerate(remaining):
-            big[:, :, axis] = t_rows[:, col][None, :]
-        vals = f(big.reshape(-1, torus_dim))
-        vals = vals.reshape(kint.shape[0], m, vals.shape[-2], vals.shape[-1])
-        return weight * vals.sum(axis=0)
-
-    return value, remaining
-
-
-def bracket(f, axes, grid, torus_dim=None):
-    """Sublattice average of a matrix function over the given axes.
-
-    Parameters
-    ----------
-    f : callable
-        Maps an (m, torus_dim) array of wavevectors to (m, M, M) matrices.
-    axes : iterable of int
-        Zero-based integrated axes.
-    grid : KGrid or int
-        Node count source; an int means points per axis.
-    torus_dim : int, optional
-        Total number of wavevector components; defaults to max(axes)+1 when
-        omitted (i.e. no remaining axes past the integrated ones).
-
-    Returns
-    -------
-    AveragedFunction of the remaining axes.
-    """
-    n = grid.points_per_axis if isinstance(grid, KGrid) else int(grid)
-    axes = tuple(sorted(int(a) for a in axes))
-    if torus_dim is None:
-        torus_dim = max(axes) + 1
-    value, remaining = _bracket_fn(f, axes, torus_dim, n)
-    return AveragedFunction(remaining, value,
-                            provenance=f"bracket(axes={axes}, n={n})")
-
-
-def _default_probes(remaining, n_base):
-    """Base grid plus midpoints on each remaining axis (product set)."""
-    if not remaining:
-        return np.zeros((1, 0))
-    base = grid_nodes(max(4, n_base))
-    probe_axis = np.sort(np.concatenate([base, base + (base[1] - base[0]) / 2.0]))
-    return _product_nodes(probe_axis, len(remaining))
-
-
-def adaptive_bracket(f, axes, torus_dim, tol_rel, n_start=16, n_max=4096,
-                     probes=None, probe_base=8, witness=None):
-    """Bracket with points-per-axis doubled until the result stops moving.
-
-    The Frobenius-norm relative change between successive refinements is
-    measured at probe points of the remaining axes (base grid plus midpoints
-    by default); once it drops below `tol_rel` everywhere the last refinement
-    is returned together with that final change as the error estimate.
-
-    Raises
-    ------
-    NonConvergence
-        When n_max is reached first.  If `witness` (a callable mapping
-        wavevector rows to matrices) is given, the exception carries the
-        minimum sigma_min of the witness over the last integration mesh,
-        which diagnoses how close the integrand is to a pole.
-    """
-    axes = tuple(sorted(int(a) for a in axes))
-    n_start = int(n_start)
-    if n_start < 4 or (n_start & (n_start - 1)):
-        raise InputError("n_start must be a power of two >= 4")
-    remaining = tuple(a for a in range(torus_dim) if a not in axes)
-    if probes is None:
-        probes = _default_probes(remaining, probe_base)
-    probes = np.asarray(probes, dtype=float)
-    if len(remaining) == 0:
-        probes = probes.reshape(max(1, probes.shape[0] if probes.ndim else 1), 0)
-    else:
-        probes = probes.reshape(-1, len(remaining))
-
-    def evaluate(n):
-        value, _ = _bracket_fn(f, axes, torus_dim, n)
-        return value(probes)
-
-    n = n_start
-    prev = evaluate(n)
-    change = np.inf
-    while True:
-        if 2 * n > n_max:
-            wit = None
-            if witness is not None:
-                mesh_nodes = _product_nodes(grid_nodes(min(n, 256)), len(axes))
-                m = probes.shape[0]
-                big = np.empty((mesh_nodes.shape[0], m, torus_dim), dtype=float)
-                for col, axis in enumerate(axes):
-                    big[:, :, axis] = mesh_nodes[:, col][:, None]
-                for col, axis in enumerate(remaining):
-                    big[:, :, axis] = probes[:, col][None, :]
-                try:
-                    wvals = witness(big.reshape(-1, torus_dim))
-                    wit = float(np.min(smallest_singular_value(wvals)))
-                except SingularMatrix as exc:
-                    wit = exc.min_sigma
-            raise NonConvergence(
-                f"bracket did not converge by n={n} per axis "
-                f"(last change {change:.3e}); integrand is near-singular",
-                n_reached=n, last_change=change, witness_sigma_min=wit)
-        n *= 2
-        try:
-            curr = evaluate(n)
-        except SingularMatrix as exc:
-            raise NonConvergence(
-                "integrand hit an exactly singular matrix on the refinement grid",
-                n_reached=n, last_change=np.inf,
-                witness_sigma_min=exc.min_sigma) from exc
-        with np.errstate(over="ignore"):  # a pole gives inf norms, then NonConvergence
-            scale = max(1.0, float(np.max(np.sqrt(np.sum(np.abs(curr) ** 2, axis=(-2, -1))))))
-            change = float(np.max(np.sqrt(np.sum(np.abs(curr - prev) ** 2, axis=(-2, -1))))) / scale
-        if change < tol_rel:
-            value, _ = _bracket_fn(f, axes, torus_dim, n)
-            avg = AveragedFunction(
-                remaining, value,
-                provenance=f"adaptive_bracket(axes={axes}, n={n}, err={change:.3e})")
-            return avg, change
-        prev = curr
+    return weight * values.sum(axis=0)

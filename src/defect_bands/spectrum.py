@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import GridConfig, validate
-from .quadrature import NonConvergence, _product_nodes, grid_nodes
+from .quadrature import NonConvergence, _product_nodes, grid_nodes, trapezoid_sum
 from .symbol import (
     TWO_PI,
     InputError,
@@ -45,6 +45,9 @@ REFINE_POINTS = 33
 N_QUAD_START = 16
 N_QUAD_MAX = 4096
 
+#: points per axis of the mesh a NonConvergence witness is taken on
+WITNESS_POINTS = 4 * N_QUAD_START
+
 #: complex node entries per chunk of the vectorised dispersion scan (256 KiB
 #: per array): larger chunks raised peak RSS by ~26 MB on the halved-grid
 #: line defect and ran no faster
@@ -60,9 +63,18 @@ def full_mesh(lattice_dim, n):
     return _product_nodes(grid_nodes(n), lattice_dim)
 
 
-def remaining_mesh(lattice_dim, level, n):
-    """Grid rows for the coordinates a level-`level` matrix depends on."""
-    return _product_nodes(grid_nodes(n), lattice_dim - level)
+def node_mesh(n, level, t_rows):
+    """Wavevectors of a bracket: n-grid nodes on the first `level` axes.
+
+    Integration nodes come first, in `_product_nodes` order, and the rows
+    `t_rows`, shape (m, r), of the remaining coordinates last; the result
+    has shape (n^level, m, level + r).
+    """
+    kint = _product_nodes(grid_nodes(n), level)
+    mesh = np.empty((kint.shape[0], t_rows.shape[0], level + t_rows.shape[1]))
+    mesh[:, :, :level] = kint[:, None, :]
+    mesh[:, :, level:] = t_rows[None, :, :]
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +84,14 @@ def remaining_mesh(lattice_dim, level, n):
 class Chain:
     """Lazy evaluator for the level matrices at one omega.
 
-    Level j values are produced by adaptive quadrature over the first j axes;
-    the points-per-axis that first converges is pinned per level and reused,
-    and converged values are memoized per coordinate tuple, so repeated
-    queries (step checks, local refinement, root polishing) stay cheap.
+    A level-j value is a bracket: I plus the scaled trapezoid sum
+    (`quadrature.trapezoid_sum`) of the inverse-product integrand over the
+    n^j nodes of the first j axes.  n starts at N_QUAD_START and doubles
+    until the relative change falls below the spec's quad_rel_tol; a
+    singular node matrix, or passing N_QUAD_MAX, raises `NonConvergence`.
+    The n that first converges is pinned per level and reused, and converged
+    values are memoized per coordinate tuple, so repeated queries (step
+    checks, local refinement, root polishing) stay cheap.
 
     The level-0 factor B_0^{-1} of a bracket is the SVD-guarded `inverse`
     of the bulk symbol at the bracket's nodes.  Inside `dispersion_branch`,
@@ -86,14 +102,9 @@ class Chain:
     |lambda_i - omega|.
     """
 
-    def __init__(self, spec, omega, quad_rel_tol=None,
-                 n_quad_start=N_QUAD_START, n_quad_max=N_QUAD_MAX):
+    def __init__(self, spec, omega):
         self.spec = spec
         self.omega = float(omega)
-        self.quad_rel_tol = (spec.tolerances.quad_rel_tol
-                             if quad_rel_tol is None else float(quad_rel_tol))
-        self.n_quad_start = int(n_quad_start)
-        self.n_quad_max = int(n_quad_max)
         self._layers = {layer.codim: layer for layer in spec.defects}
         self._memo = {}
         self._nquad = {}
@@ -140,13 +151,13 @@ class Chain:
         fixed = self._nquad.get(level)
         if fixed is not None:
             return self._bracket_values(level, t_rows, fixed)
-        n = self.n_quad_start
+        n = N_QUAD_START
         try:
             prev = self._bracket_values(level, t_rows, n)
         except SingularMatrix as exc:
             raise _singular_integrand(level, n, exc.min_sigma) from exc
         while True:
-            if 2 * n > self.n_quad_max:
+            if 2 * n > N_QUAD_MAX:
                 raise _stalled(level, self.omega, n,
                                self._witness_sigma(level, t_rows))
             n *= 2
@@ -156,7 +167,7 @@ class Chain:
                 raise _singular_integrand(level, n, exc.min_sigma) from exc
             scale = max(1.0, float(np.max(np.abs(curr))))
             change = float(np.max(np.abs(curr - prev))) / scale
-            if change < self.quad_rel_tol:
+            if change < self.spec.tolerances.quad_rel_tol:
                 self._nquad[level] = n
                 logger.debug("level %d converged at n=%d (change %.2e)",
                              level, n, change)
@@ -164,14 +175,9 @@ class Chain:
             prev = curr
 
     def _level0_inverse(self, level, t_rows, n):
-        """B_0^{-1} at the level's n-grid nodes x t_rows, (n^level, m, M, M)."""
-        n_dim = self.spec.lattice_dim
-        kint = _product_nodes(grid_nodes(n), level)
-        k_full = np.empty((kint.shape[0], t_rows.shape[0], n_dim), dtype=float)
-        k_full[:, :, :level] = kint[:, None, :]
-        if n_dim > level:
-            k_full[:, :, level:] = t_rows[None, :, :]
-        return inverse(self.level0(k_full.reshape(-1, n_dim)))
+        """B_0^{-1} at the level's n-grid nodes x t_rows, node-major."""
+        k_full = node_mesh(n, level, t_rows)
+        return inverse(self.level0(k_full.reshape(-1, self.spec.lattice_dim)))
 
     def _bracket_values(self, level, t_rows, n):
         """I + scaled integral of the inverse-product integrand, fixed n."""
@@ -179,17 +185,12 @@ class Chain:
         m_sz = self.spec.cell_size
         j = level
         m = t_rows.shape[0]
-        nodes = grid_nodes(n)
         prod = self._level0_inverse(j, t_rows, n)
         prod = prod.reshape((n,) * j + (m, m_sz, m_sz))
         for i in range(1, j):
             if i not in self._layers:
                 continue  # pass-through level, factor is the identity
-            sub = _product_nodes(nodes, j - i)
-            t_i = np.empty((sub.shape[0], m, n_dim - i), dtype=float)
-            t_i[:, :, :j - i] = sub[:, None, :]
-            if n_dim > j:
-                t_i[:, :, j - i:] = t_rows[None, :, :]
+            t_i = node_mesh(n, j - i, t_rows)
             vals_i = self.level_values(i, t_i.reshape(-1, n_dim - i))
             inv_i = inverse(vals_i).reshape((n,) * (j - i) + (m, m_sz, m_sz))
             inv_i = inv_i.reshape((1,) * i + inv_i.shape)
@@ -201,32 +202,20 @@ class Chain:
         return _close_bracket(prod.reshape(-1, m, m_sz, m_sz), a_vals, j, n)
 
     def _witness_sigma(self, level, t_rows):
-        """Min sigma_min of the bulk level over the base integration mesh."""
-        n_dim = self.spec.lattice_dim
-        nodes = grid_nodes(_witness_points(self.n_quad_start))
-        kint = _product_nodes(nodes, level)
-        k_full = np.empty((kint.shape[0], t_rows.shape[0], n_dim), dtype=float)
-        k_full[:, :, :level] = kint[:, None, :]
-        if n_dim > level:
-            k_full[:, :, level:] = t_rows[None, :, :]
-        vals = self.level0(k_full.reshape(-1, n_dim))
+        """Min sigma_min of the bulk level over the witness mesh."""
+        k_full = node_mesh(WITNESS_POINTS, level, t_rows)
+        vals = self.level0(k_full.reshape(-1, self.spec.lattice_dim))
         return float(np.min(smallest_singular_value(vals)))
 
 
 def _close_bracket(prod, a_vals, level, n):
-    """I + (2 pi)^(-j/2) (2 pi / n)^j * sum over nodes of prod @ a_vals.
+    """I + the scaled trapezoid sum of prod @ a_vals over the nodes.
 
     `prod` holds the inverse product at the nodes, shape (nodes, m, M, M);
     `a_vals` the defect symbol per row, shape (m, M, M).
     """
-    weight = TWO_PI ** (-level / 2.0) * (TWO_PI / n) ** level
-    total = weight * np.matmul(prod, a_vals).sum(axis=0)
+    total = trapezoid_sum(np.matmul(prod, a_vals), level, n)
     return np.eye(a_vals.shape[-1], dtype=complex) + total
-
-
-def _witness_points(n_quad_start):
-    """Points per axis of the mesh a NonConvergence witness is taken on."""
-    return min(n_quad_start * 4, 256)
 
 
 def _stalled(level, omega, n, witness):
@@ -292,17 +281,15 @@ class _GreenTable:
             return pairs
         j = self.level
         n_dim, m_sz = self.spec.lattice_dim, self.spec.cell_size
-        kint = _product_nodes(grid_nodes(n), j)
-        lam = np.empty((kint.shape[0], self.t_rows.shape[0], m_sz))
+        mesh = node_mesh(n, j, self.t_rows)
+        lam = np.empty(mesh.shape[:2] + (m_sz,))
         vec = np.empty(lam.shape + (m_sz,), dtype=complex)
-        new = np.ones(kint.shape[0], dtype=bool)
+        new = np.ones(mesh.shape[0], dtype=bool)
         coarse = self._pairs.get(n // 2)
         if coarse is not None:
             new = (np.indices((n,) * j).reshape(j, -1) % 2 == 1).any(axis=0)
             lam[~new], vec[~new] = coarse
-        k_full = np.empty((int(new.sum()), self.t_rows.shape[0], n_dim))
-        k_full[:, :, :j] = kint[new][:, None, :]
-        k_full[:, :, j:] = self.t_rows[None, :, :]
+        k_full = mesh[new]
         w, u = np.linalg.eigh(
             self.spec.bulk.terms[0].eval(k_full.reshape(-1, n_dim)))
         lam[new] = w.reshape(k_full.shape[:2] + (m_sz,))
@@ -418,7 +405,7 @@ class _GreenTable:
             if not live:
                 return outcome
             if 2 * n > N_QUAD_MAX:
-                lam, _ = self.eigenpairs(_witness_points(N_QUAD_START))
+                lam, _ = self.eigenpairs(WITNESS_POINTS)
                 for w, s, e in live:
                     omega = float(self._scan_grid[w])
                     witness = float(np.abs(lam[:, cell_t[s:e]] - omega).min())
@@ -518,7 +505,7 @@ def _patch_rows(center, n_axes, cell_width):
     return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
 
 
-def step_check(fn, n_axes, k_points, tolerances, mode="sigma", refine=True):
+def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
     """Decide whether det of a level matrix vanishes somewhere on its torus.
 
     Parameters
@@ -545,7 +532,7 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma", refine=True):
         return StepCheckResult(detected=bool(abs(d) <= tol), min_sigma=sig,
                                argmin_k=(), method="final-det")
 
-    rows = _product_nodes(grid_nodes(k_points), n_axes)
+    rows = full_mesh(n_axes, k_points)
     vals = fn(rows)
     shape = (k_points,) * n_axes
 
@@ -602,15 +589,14 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma", refine=True):
     if found:
         return StepCheckResult(True, min_sig, argmin, method)
 
-    if refine:
-        cell = TWO_PI / k_points
-        patch = _patch_rows(argmin, n_axes, cell)
-        pvals = fn(patch)
-        pfound, pmethod, pmin, pwhere = examine(patch, pvals, periodic=False)
-        if pmin < min_sig:
-            min_sig, argmin = pmin, tuple(patch[pwhere])
-        if pfound:
-            return StepCheckResult(True, min_sig, argmin, pmethod + "-refined")
+    cell = TWO_PI / k_points
+    patch = _patch_rows(argmin, n_axes, cell)
+    pvals = fn(patch)
+    pfound, pmethod, pmin, pwhere = examine(patch, pvals, periodic=False)
+    if pmin < min_sig:
+        min_sig, argmin = pmin, tuple(patch[pwhere])
+    if pfound:
+        return StepCheckResult(True, min_sig, argmin, pmethod + "-refined")
 
     return StepCheckResult(False, min_sig, argmin, method)
 
@@ -863,9 +849,6 @@ class ExclusionSet:
     nodes: np.ndarray                 # (m, N - codim) remaining coordinates
     intervals: list                   # per node: list of (lo, hi)
 
-    def intervals_at(self, idx):
-        return self.intervals[idx]
-
     def index_of(self, t):
         t = tuple(np.asarray(t, dtype=float).ravel())
         for i, row in enumerate(self.nodes):
@@ -889,20 +872,15 @@ def exclusion_set(spec, codim, grids=None, omega_window=None, branches=None):
     j = codim
     refine = 4 if n_dim <= 2 else 2
 
-    t_mesh = remaining_mesh(n_dim, j, n)
-    fine_nodes = grid_nodes(refine * n)
-    kint = _product_nodes(fine_nodes, j)
-    k_full = np.empty((kint.shape[0], t_mesh.shape[0], n_dim), dtype=float)
-    k_full[:, :, :j] = kint[:, None, :]
-    if n_dim > j:
-        k_full[:, :, j:] = t_mesh[None, :, :]
+    t_mesh = full_mesh(n_dim - j, n)
+    k_full = node_mesh(refine * n, j, t_mesh)
     band_vals = bands_grid(spec, k_full.reshape(-1, n_dim))
     gap = branch_link_gap(spec.tolerances, window, n)
 
     per_node = []
     if isinstance(band_vals, np.ndarray):
         nb = band_vals.shape[-1]
-        grid_e = band_vals.reshape(kint.shape[0], t_mesh.shape[0], nb)
+        grid_e = band_vals.reshape(k_full.shape[:2] + (nb,))
         lo = grid_e.min(axis=0)
         hi = grid_e.max(axis=0)
         for t_idx in range(t_mesh.shape[0]):
@@ -1016,7 +994,7 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         return Branch(codim=codim, samples=[], k_points=grids.k_points)
 
     n_dim = spec.lattice_dim
-    t_mesh = remaining_mesh(n_dim, codim, grids.k_points)
+    t_mesh = full_mesh(n_dim - codim, grids.k_points)
     n_t = t_mesh.shape[0]
     scan = np.linspace(window[0], window[1], grids.omega_points)
     step = scan[1] - scan[0] if len(scan) > 1 else 0.0
@@ -1230,12 +1208,6 @@ def trig_vector(torus_dim, coeffs):
     return fn
 
 
-def _axis_reduce(arr, n):
-    """One scaled-average reduction over the current leading grid axis."""
-    w = TWO_PI ** (-0.5) * (TWO_PI / n)
-    return w * arr.sum(axis=0)
-
-
 def _grid_tabs(spec, omega, n):
     """Level matrices and reduced defect symbols tabulated on one fixed grid.
 
@@ -1268,8 +1240,8 @@ def _grid_tabs(spec, omega, n):
         inv_tabs[level - 1] = inv_prev
         for codim in spec.present_codims:
             if codim >= level:
-                a_tabs[(level, codim)] = _axis_reduce(
-                    np.matmul(inv_prev, a_tabs[(level - 1, codim)]), n)
+                a_tabs[(level, codim)] = trapezoid_sum(
+                    np.matmul(inv_prev, a_tabs[(level - 1, codim)]), 1, n)
         if level in spec.present_codims:
             b_tabs[level] = (eye + a_tabs[(level, level)])
         else:
@@ -1298,7 +1270,7 @@ def forward_apply(spec, omega, f_tab, n):
     for layer in spec.defects:
         avg = f_tab
         for _ in range(layer.codim):
-            avg = _axis_reduce(avg, n)
+            avg = trapezoid_sum(avg, 1, n)
         a_vals = layer.symbol.eval(omega, mesh).reshape(grid_shape + (m_sz, m_sz))
         out = out + np.matmul(a_vals, np.broadcast_to(
             avg, grid_shape[:layer.codim] + avg.shape)[..., None])[..., 0]
@@ -1341,8 +1313,8 @@ def resolvent_apply(spec, omega, g, grids=None, n=None):
 
     g_levels = {0: g_tab}
     for level in range(1, n_dim + 1):
-        g_levels[level] = _axis_reduce(
-            np.matmul(inv_tabs[level - 1], g_levels[level - 1][..., None])[..., 0], n)
+        g_levels[level] = trapezoid_sum(
+            np.matmul(inv_tabs[level - 1], g_levels[level - 1][..., None])[..., 0], 1, n)
 
     u = {n_dim: np.matmul(inv_tabs[n_dim], g_levels[n_dim][..., None])[..., 0]}
     for level in range(n_dim - 1, -1, -1):

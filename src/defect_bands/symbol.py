@@ -117,14 +117,6 @@ class TrigMatrixPolynomial:
     def items(self):
         return self._items
 
-    def pruned(self, tol=0.0):
-        """Copy with coefficients of max-norm <= tol dropped (keeps >= 1)."""
-        kept = {off: m for off, m in self._items if np.max(np.abs(m)) > tol}
-        if not kept:
-            off0 = (0,) * self.torus_dim
-            kept = {off0: np.zeros((self.dim, self.dim), dtype=complex)}
-        return TrigMatrixPolynomial(self.torus_dim, kept)
-
     def is_hermitian_family(self, tol=HERMITIAN_TOL):
         """True when the coefficient at -n is the conjugate transpose at n.
 
@@ -137,10 +129,6 @@ class TrigMatrixPolynomial:
                                atol=tol * max(1.0, float(np.max(np.abs(m))))):
                 return False
         return True
-
-    def scaled(self, factor):
-        return TrigMatrixPolynomial(
-            self.torus_dim, {off: factor * m for off, m in self._items})
 
     def __add__(self, other):
         if not isinstance(other, TrigMatrixPolynomial):
@@ -241,16 +229,6 @@ class OmegaSymbol:
 
 # ----------------------------------------------------------------------------
 # operation surface
-
-
-def eval_k(poly, k):
-    """Evaluate a TrigMatrixPolynomial at wavevector k."""
-    return poly.eval(k)
-
-
-def eval_omega_k(symbol, omega, k):
-    """Evaluate an OmegaSymbol at (omega, k)."""
-    return symbol.eval(omega, k)
 
 
 def det(a):

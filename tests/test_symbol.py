@@ -7,8 +7,6 @@ from defect_bands.symbol import (
     SingularMatrix,
     TrigMatrixPolynomial,
     det,
-    eval_k,
-    eval_omega_k,
     hermitian_eigenvalues,
     inverse,
     is_hermitian,
@@ -32,24 +30,24 @@ class TestEvalK:
     def test_constant_symbol(self):
         p = TrigMatrixPolynomial(2, {(0, 0): np.eye(2)})
         for k in ([0.0, 0.0], [0.3, -1.2]):
-            assert np.allclose(eval_k(p, k), np.eye(2))
+            assert np.allclose(p.eval(k), np.eye(2))
 
     def test_adjacency_cosine(self):
         p = adjacency_1d()
-        assert np.allclose(eval_k(p, [0.0]), [[2.0]])
-        assert np.allclose(eval_k(p, [np.pi / 3]), [[1.0]], atol=1e-14)
+        assert np.allclose(p.eval([0.0]), [[2.0]])
+        assert np.allclose(p.eval([np.pi / 3]), [[1.0]], atol=1e-14)
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(0)
         p = random_poly(rng)
         ks = rng.uniform(-np.pi, np.pi, size=(7, 2))
-        batch = eval_k(p, ks)
+        batch = p.eval(ks)
         for i, k in enumerate(ks):
-            assert np.allclose(batch[i], eval_k(p, k))
+            assert np.allclose(batch[i], p.eval(k))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            eval_k(adjacency_1d(), [0.0, 0.0])
+            adjacency_1d().eval([0.0, 0.0])
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
@@ -57,8 +55,8 @@ class TestEvalK:
             p = random_poly(rng, n_offsets=rng.integers(1, 10))
             q = random_poly(rng, n_offsets=rng.integers(1, 10))
             k = rng.uniform(-np.pi, np.pi, size=2)
-            lhs = eval_k(p + q, k)
-            rhs = eval_k(p, k) + eval_k(q, k)
+            lhs = (p + q).eval(k)
+            rhs = p.eval(k) + q.eval(k)
             scale = max(1.0, np.max(np.abs(rhs)))
             assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
@@ -74,17 +72,17 @@ class TestEvalK:
             p = TrigMatrixPolynomial(2, coeffs)
             assert p.is_hermitian_family()
             k = rng.uniform(-np.pi, np.pi, size=2)
-            assert is_hermitian(eval_k(p, k), tol=1e-12)
+            assert is_hermitian(p.eval(k), tol=1e-12)
 
     def test_periodicity(self):
         rng = np.random.default_rng(3)
         p = random_poly(rng)
         k = rng.uniform(-np.pi, np.pi, size=2)
-        base = eval_k(p, k)
+        base = p.eval(k)
         for axis in range(2):
             shifted = k.copy()
             shifted[axis] += 2 * np.pi
-            assert np.max(np.abs(eval_k(p, shifted) - base)) <= 1e-12
+            assert np.max(np.abs(p.eval(shifted) - base)) <= 1e-12
 
 
 class TestOmegaSymbol:
@@ -94,14 +92,14 @@ class TestOmegaSymbol:
 
     def test_shift_family(self):
         s = self.shifted_adjacency()
-        assert np.allclose(eval_omega_k(s, 1.0, [0.0]), [[1.0]])
-        assert np.allclose(eval_omega_k(s, 2.0, [0.0]), [[0.0]])
+        assert np.allclose(s.eval(1.0, [0.0]), [[1.0]])
+        assert np.allclose(s.eval(2.0, [0.0]), [[0.0]])
 
     def test_quadratic_term(self):
         s = OmegaSymbol({0: adjacency_1d(),
                          2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
-        assert np.allclose(eval_omega_k(s, 0.0, [0.0]), [[2.0]])
-        assert np.allclose(eval_omega_k(s, 2.0, [np.pi]), [[-6.0]])
+        assert np.allclose(s.eval(0.0, [0.0]), [[2.0]])
+        assert np.allclose(s.eval(2.0, [np.pi]), [[-6.0]])
 
     def test_power_cap(self):
         with pytest.raises(InputError):
