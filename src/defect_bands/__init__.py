@@ -51,7 +51,6 @@ from .symbol import (
     TrigMatrixPolynomial,
     as_complex_matrix,
     det,
-    hermitian_eigenvalues,
     inverse,
     is_hermitian,
     smallest_singular_value,

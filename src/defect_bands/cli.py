@@ -30,6 +30,7 @@ from .model import (
     ToleranceSet,
     validate,
 )
+from .quadrature import _product_nodes
 from .spectrum import full_spectrum, membership
 from .spectrum import bands as bands_at
 from .symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
@@ -182,9 +183,7 @@ def _k_rows_for_bands(args, spec, grids):
         keep[1:] = np.any(np.abs(np.diff(rows, axis=0)) > 0, axis=1)
         return rows[keep]
     n = args.k_grid or args.k_points or grids.k_points
-    axis = -np.pi + 2.0 * np.pi * np.arange(n) / n
-    mesh = np.meshgrid(*([axis] * n_dim), indexing="ij")
-    return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
+    return _product_nodes(-np.pi + 2.0 * np.pi * np.arange(n) / n, n_dim)
 
 
 def cmd_validate(args):

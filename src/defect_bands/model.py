@@ -1,91 +1,33 @@
 """Problem description: bulk operator plus nested lower-dimensional defects.
 
-A model is entered as real-space hopping stencils.  The bulk stencil lives on
-Z^N; a defect of codimension j lives on the sublattice obtained by freezing
-the first j lattice coordinates to zero, so its own offsets have length N - j.
-``defect_stencil_to_symbol`` converts a defect stencil to its Floquet symbol,
-which acquires the factor (2*pi)^(-j/2) from the sublattice averaging
-convention; users always write physical hopping strengths and never see that
-constant.
+A model is entered as real-space hopping stencils.  A `Stencil` is the
+trig polynomial of its hoppings, so the bulk stencil on Z^N is already the
+bulk's Floquet symbol.  A defect of codimension j lives on the sublattice
+obtained by freezing the first j lattice coordinates to zero, so its own
+offsets have length N - j.  ``defect_stencil_to_symbol`` converts a defect
+stencil to its Floquet symbol on the N-torus, which acquires the factor
+(2*pi)^(-j/2) from the sublattice averaging convention; users always write
+physical hopping strengths and never see that constant.
 """
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .symbol import (
-    InputError,
-    OmegaSymbol,
-    TrigMatrixPolynomial,
-    TWO_PI,
-    as_complex_matrix,
-)
+from .symbol import InputError, OmegaSymbol, TrigMatrixPolynomial, TWO_PI
 
 
-class Stencil:
+class Stencil(TrigMatrixPolynomial):
     """Real-space hoppings: offset n -> block coupling cell 0 to cell n.
 
-    The operator's matrix element between cells m and m + n is hopping(n), so
-    self-adjointness reads hopping(-n) = hopping(n)^H.
+    ``Stencil(d, hoppings)`` is the trig polynomial of its hoppings on the
+    d-torus: the operator's matrix element between cells m and m + n is the
+    block at n, so the Floquet symbol is sum_n exp(i n.k) hopping(n), and
+    self-adjointness, hopping(-n) = hopping(n)^H, is `is_hermitian_family`.
     """
-
-    def __init__(self, dim, hoppings):
-        self.dim = int(dim)
-        items = []
-        seen = set()
-        size = None
-        for offset, block in hoppings.items():
-            off = tuple(int(c) for c in (offset if isinstance(offset, tuple)
-                                         else np.atleast_1d(offset)))
-            if len(off) != self.dim:
-                raise InputError(f"offset {off} has length {len(off)}, dim is {self.dim}")
-            if off in seen:
-                raise InputError(f"duplicate offset {off}")
-            seen.add(off)
-            m = as_complex_matrix(block)
-            if size is None:
-                size = m.shape[0]
-            elif m.shape[0] != size:
-                raise InputError("all hopping blocks must share one size")
-            items.append((off, m))
-        if size is None:
-            raise InputError("a stencil needs at least one hopping")
-        items.sort(key=lambda it: it[0])
-        self.cell_size = size
-        self._items = tuple(items)
-        self._lookup = dict(items)
-
-    def items(self):
-        return self._items
-
-    def hopping(self, offset):
-        off = tuple(int(c) for c in offset)
-        m = self._lookup.get(off)
-        if m is None:
-            return np.zeros((self.cell_size, self.cell_size), dtype=complex)
-        return m
-
-    def is_self_adjoint(self, tol=1e-12):
-        for off, m in self._items:
-            neg = tuple(-c for c in off)
-            partner = self._lookup.get(neg, np.zeros_like(m))
-            if not np.allclose(partner, m.conj().T, rtol=0.0,
-                               atol=tol * max(1.0, float(np.max(np.abs(m))))):
-                return False
-        return True
-
-    def __repr__(self):
-        return f"Stencil(dim={self.dim}, cell_size={self.cell_size}, n_hoppings={len(self._items)})"
 
 
 def stencil_to_symbol(stencil):
-    """Floquet symbol of a periodic hopping operator.
-
-    The coefficient at offset n is hopping(n); evaluation gives
-    sum_n exp(i n.k) hopping(n).
-    """
-    return TrigMatrixPolynomial(stencil.dim,
-                                {off: m for off, m in stencil.items()})
+    """Floquet symbol of a periodic hopping operator: the stencil itself."""
+    return stencil
 
 
 def defect_stencil_to_symbol(stencil, codim, lattice_dim):
@@ -101,9 +43,9 @@ def defect_stencil_to_symbol(stencil, codim, lattice_dim):
     n = int(lattice_dim)
     if not 1 <= codim <= n:
         raise InputError(f"codim must lie in 1..{n}, got {codim}")
-    if stencil.dim != n - codim:
+    if stencil.torus_dim != n - codim:
         raise InputError(
-            f"defect stencil dim {stencil.dim} != lattice_dim - codim = {n - codim}")
+            f"defect stencil dim {stencil.torus_dim} != lattice_dim - codim = {n - codim}")
     scale = TWO_PI ** (-codim / 2.0)
     pad = (0,) * codim
     coeffs = {pad + off: scale * m for off, m in stencil.items()}
@@ -119,11 +61,10 @@ class DefectLayer:
     must not appear.
     """
 
-    def __init__(self, codim, symbol, raw_stencils=None, normalization_applied=True):
+    def __init__(self, codim, symbol, raw_stencils=None):
         self.codim = int(codim)
         self.symbol = symbol
         self.raw_stencils = dict(raw_stencils) if raw_stencils else {}
-        self.normalization_applied = bool(normalization_applied)
 
     @classmethod
     def from_stencils(cls, codim, lattice_dim, stencils):
@@ -272,8 +213,6 @@ def validate(spec):
                 else:
                     continue
                 break
-        if not layer.normalization_applied:
-            violations.append(f"{tag}: symbol normalization not applied")
         info[tag] = {"hermitian_family": sym.is_hermitian_family(),
                      "max_omega_power": sym.max_power}
 

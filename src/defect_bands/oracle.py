@@ -2,10 +2,13 @@
 
 The truncated operator places the raw real-space hoppings (bulk everywhere,
 defect stack on the coordinate sublattices through the origin) on a finite
-box, with open or periodic boundaries per axis.  Two comparisons matter:
+box, with open or periodic boundaries per axis: each hopping offset lands on
+all its source cells at once, periodic coordinates wrapped and hoppings
+leaving an open axis dropped.  The bulk must be in eigenvalue form,
+H(k) - omega*I, so that the box matrix is H itself.  Two comparisons matter:
 
 * periodic boundaries, no defect: eigenvalues equal the bulk dispersion at
-  the discrete wavevectors exactly, so the deviation is pure eigensolver
+  the box's Bloch wavevectors exactly, so the deviation is pure eigensolver
   noise — the strongest available cross-check;
 * open boundaries with defects: localized and guided modes appear with
   exponentially small truncation error, while genuine edge artifacts are
@@ -17,6 +20,7 @@ normalization factor lives on the Fourier side only.
 
 import numpy as np
 
+from .quadrature import _product_nodes
 from .spectrum import bands, point_in_intervals
 from .symbol import InputError, TWO_PI, is_hermitian
 
@@ -49,13 +53,7 @@ def _axis_sites(half_width, bc):
 
 
 def _check_eigenproblem_form(spec):
-    bulk = spec.bulk
-    shift = bulk.terms.get(1)
-    ok = (bulk.max_power == 1 and shift is not None
-          and shift.offsets == ((0,) * spec.lattice_dim,)
-          and np.allclose(shift.coeff((0,) * spec.lattice_dim),
-                          -np.eye(spec.cell_size), atol=1e-12))
-    if not ok:
+    if not spec.bulk.is_eigenvalue_form():
         raise InputError(
             "truncated assembly needs an eigenvalue-form family (linear in "
             "omega with power-1 term -I); linearize quadratic families to "
@@ -103,48 +101,35 @@ def assemble_truncated(spec, half_width, bc="open"):
     if dim > MAX_DIMENSION:
         raise InputError(
             f"truncated dimension {dim} exceeds {MAX_DIMENSION}; reduce L")
-    index = {tuple(c): i for i, c in enumerate(cells)}
 
-    def locate(cell):
-        """Cell index after wrap/drop per axis; None when outside the box."""
-        out = []
-        for x, l, b in zip(cell, half_widths, bcs):
-            if b == "periodic":
-                out.append(int(x) % l)
-            else:
-                if not -l <= x <= l:
-                    return None
-                out.append(int(x))
-        return index[tuple(out)]
-
-    h = np.zeros((dim, dim), dtype=complex)
-
+    # one placement per (offset, block, source cells): the bulk on every
+    # cell, each defect on its sublattice; offsets are added in this fixed
+    # order, which fixes the sum where offsets alias on a small periodic box
     bulk_stencil = spec.bulk.terms.get(0)
-    bulk_items = bulk_stencil.items() if bulk_stencil is not None else ()
-    for offset, block in bulk_items:
-        off = np.asarray(offset, dtype=int)
-        for c_idx, cell in enumerate(cells):
-            t_idx = locate(cell + off)
-            if t_idx is None:
-                continue
-            h[t_idx * m_sz:(t_idx + 1) * m_sz,
-              c_idx * m_sz:(c_idx + 1) * m_sz] += block
-
+    every_cell = np.arange(n_cells)
+    placements = [(off, block, every_cell) for off, block in
+                  (bulk_stencil.items() if bulk_stencil is not None else ())]
     for layer in spec.defects:
         j = layer.codim
-        on_sub = np.all(cells[:, :j] == 0, axis=1)
-        sub_cells = cells[on_sub]
-        stencil = layer.raw_stencils[0]
-        for offset, block in stencil.items():
-            off = np.zeros(n_dim, dtype=int)
-            off[j:] = offset
-            for cell in sub_cells:
-                c_idx = index[tuple(cell)]
-                t_idx = locate(cell + off)
-                if t_idx is None:
-                    continue
-                h[t_idx * m_sz:(t_idx + 1) * m_sz,
-                  c_idx * m_sz:(c_idx + 1) * m_sz] += block
+        on_sub = np.flatnonzero(np.all(cells[:, :j] == 0, axis=1))
+        placements += [((0,) * j + off, block, on_sub)
+                       for off, block in layer.raw_stencils[0].items()]
+
+    widths = np.asarray(half_widths)
+    periodic = np.array([b == "periodic" for b in bcs])
+    sizes = [len(sites) for sites in axes_sites]
+    lowest = np.where(periodic, 0, -widths)
+    slot = np.arange(m_sz)
+    h = np.zeros((dim, dim), dtype=complex)
+    for offset, block, source in placements:
+        target = cells[source] + np.asarray(offset, dtype=int)
+        # wrapped periodic coordinates lie in 0..L-1, so only open axes drop
+        target[:, periodic] %= widths[periodic]
+        inside = np.all(np.abs(target) <= widths, axis=1)
+        t_idx = np.ravel_multi_index((target[inside] - lowest).T, sizes)
+        rows = (t_idx[:, None] * m_sz + slot)[:, :, None]
+        cols = (source[inside][:, None] * m_sz + slot)[:, None, :]
+        h[rows, cols] += block
 
     if spec.is_self_adjoint():
         asym = float(np.max(np.abs(h - h.conj().T)))
@@ -192,17 +177,17 @@ def periodic_box_check(spec, half_width):
 
     Requires a defect-free spec.  Returns the max absolute deviation between
     the sorted eigenvalues of the periodic truncation and the sorted multiset
-    of bands at k* = 2*pi*m/L - pi per axis; any deviation is eigensolver
-    noise.
+    of bands at the box's Bloch wavevectors k* = -pi + 2*pi*(m + s)/L per
+    axis, m = 0..L-1, with s = (L mod 2)/2 so that exp(i L k*) = 1 for odd L
+    too; any deviation is eigensolver noise.
     """
     if spec.defects:
         raise InputError("periodic_box_check requires a defect-free spec")
     l = int(half_width)
     trunc = assemble_truncated(spec, l, bc="periodic")
     eigs = oracle_eigenvalues(trunc)
-    axis_k = TWO_PI * np.arange(l) / l - np.pi
-    mesh = np.meshgrid(*([axis_k] * spec.lattice_dim), indexing="ij")
-    k_rows = np.stack([m.ravel(order="C") for m in mesh], axis=-1)
+    axis_k = TWO_PI * (np.arange(l) + (l % 2) / 2) / l - np.pi
+    k_rows = _product_nodes(axis_k, spec.lattice_dim)
     model = np.sort(np.concatenate([bands(spec, row) for row in k_rows]))
     return float(np.max(np.abs(np.sort(eigs) - model)))
 

@@ -467,42 +467,26 @@ class StepCheckResult:
     argmin_k: tuple
     method: str
 
-    @property
-    def certified_invertible(self):
-        return not self.detected
 
+def _sign_change(field, periodic):
+    """First strict sign change between adjacent nodes of a real field.
 
-def _crossing_detect(values_grid):
-    """Any strict sign change between periodically adjacent grid nodes.
-
-    `values_grid` is real, shape (n,)*d + (channels,).  Returns the flat
-    grid index of the smaller-|value| endpoint of a crossing pair, or None.
+    `field` has shape (n_1, ..., n_d, channels); along each axis the last
+    node is adjacent to the first only when `periodic`.  Returns the grid
+    index (a d-tuple) of the smaller-|value| endpoint of the first crossing
+    pair, in C order, on the lowest axis that has one, or None.
     """
-    d = values_grid.ndim - 1
-    best = None
-    for axis in range(d):
-        rolled = np.roll(values_grid, -1, axis=axis)
-        cross = (values_grid * rolled) < 0
+    for axis in range(field.ndim - 1):
+        cross = field * np.roll(field, -1, axis=axis) < 0
+        if not periodic:
+            cross[(slice(None),) * axis + (-1,)] = False
         if np.any(cross):
-            idx = np.argwhere(cross)[0]
-            here = tuple(idx[:-1])
+            *here, chan = np.argwhere(cross)[0]
             there = list(here)
-            there[axis] = (there[axis] + 1) % values_grid.shape[axis]
-            chan = idx[-1]
-            pick = here if abs(values_grid[here + (chan,)]) <= \
-                abs(values_grid[tuple(there) + (chan,)]) else tuple(there)
-            if best is None:
-                best = pick
-    return best
-
-
-def _patch_rows(center, n_axes, cell_width):
-    """Local refinement rows around a node: +-1 coarse cell, fine spacing."""
-    if n_axes == 0:
-        return np.zeros((1, 0))
-    axis_offsets = np.linspace(-cell_width, cell_width, REFINE_POINTS)
-    mesh = np.meshgrid(*[c + axis_offsets for c in center], indexing="ij")
-    return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
+            there[axis] = (there[axis] + 1) % field.shape[axis]
+            return tuple(here) if abs(field[tuple(here) + (chan,)]) <= \
+                abs(field[tuple(there) + (chan,)]) else tuple(there)
+    return None
 
 
 def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
@@ -534,65 +518,41 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
 
     rows = full_mesh(n_axes, k_points)
     vals = fn(rows)
-    shape = (k_points,) * n_axes
 
-    def examine(rows_, vals_, periodic):
+    def examine(vals_, periodic):
+        """(detected, method, sigma min, row index of the argmin_k)."""
         sig = smallest_singular_value(vals_)
         i_min = int(np.argmin(sig))
-        found, method, where = False, "sigma", i_min
         if sig[i_min] <= tol:
-            found, method = True, "sigma"
-        if not found and mode == "hermitian":
-            eigs = np.linalg.eigvalsh(vals_)
-            grid = eigs.reshape(shape + (eigs.shape[-1],)) if periodic else None
-            if periodic:
-                hit = _crossing_detect(grid)
-                if hit is not None:
-                    found, method = True, "crossing"
-                    where = int(np.ravel_multi_index(hit, shape))
-            else:  # refinement patch: open line of nodes per axis
-                patch_shape = (REFINE_POINTS,) * n_axes
-                grid = eigs.reshape(patch_shape + (eigs.shape[-1],))
-                for axis in range(n_axes):
-                    sl_a = [slice(None)] * (n_axes + 1)
-                    sl_b = [slice(None)] * (n_axes + 1)
-                    sl_a[axis] = slice(0, -1)
-                    sl_b[axis] = slice(1, None)
-                    if np.any(grid[tuple(sl_a)] * grid[tuple(sl_b)] < 0):
-                        found, method = True, "crossing"
-                        break
-        if not found and mode == "real-det":
+            return True, "sigma", float(sig[i_min]), i_min
+        field = None
+        if mode == "hermitian":
+            field, method = np.linalg.eigvalsh(vals_), "crossing"
+        elif mode == "real-det":
             dets = det(vals_)
             scale = float(np.max(np.abs(dets))) + 1e-300
             if float(np.max(np.abs(dets.imag))) <= IMAG_DOMINANCE * scale:
-                if periodic:
-                    grid = dets.real.reshape(shape + (1,))
-                    hit = _crossing_detect(grid)
-                    if hit is not None:
-                        found, method = True, "det-sign"
-                        where = int(np.ravel_multi_index(hit, shape))
-                else:
-                    patch_shape = (REFINE_POINTS,) * n_axes
-                    grid = dets.real.reshape(patch_shape)
-                    for axis in range(n_axes):
-                        sl_a = [slice(None)] * n_axes
-                        sl_b = [slice(None)] * n_axes
-                        sl_a[axis] = slice(0, -1)
-                        sl_b[axis] = slice(1, None)
-                        if np.any(grid[tuple(sl_a)] * grid[tuple(sl_b)] < 0):
-                            found, method = True, "det-sign"
-                            break
-        return found, method, float(sig[i_min]), where
+                field, method = dets.real[:, None], "det-sign"
+        shape = ((k_points if periodic else REFINE_POINTS),) * n_axes
+        hit = None if field is None else _sign_change(
+            field.reshape(shape + field.shape[-1:]), periodic)
+        if hit is None:
+            return False, "sigma", float(sig[i_min]), i_min
+        # on the patch, argmin_k stays the sigma argmin
+        where = int(np.ravel_multi_index(hit, shape)) if periodic else i_min
+        return True, method, float(sig[i_min]), where
 
-    found, method, min_sig, where = examine(rows, vals, periodic=True)
+    found, method, min_sig, where = examine(vals, periodic=True)
     argmin = tuple(rows[where])
     if found:
         return StepCheckResult(True, min_sig, argmin, method)
 
+    # local refinement rows: +-1 coarse cell around the argmin, fine spacing
     cell = TWO_PI / k_points
-    patch = _patch_rows(argmin, n_axes, cell)
+    patch = np.asarray(argmin) + _product_nodes(
+        np.linspace(-cell, cell, REFINE_POINTS), n_axes)
     pvals = fn(patch)
-    pfound, pmethod, pmin, pwhere = examine(patch, pvals, periodic=False)
+    pfound, pmethod, pmin, pwhere = examine(pvals, periodic=False)
     if pmin < min_sig:
         min_sig, argmin = pmin, tuple(patch[pwhere])
     if pfound:
@@ -727,13 +687,6 @@ def membership(spec, lam, grids=None):
 # bulk dispersion
 
 
-def _is_minus_identity(poly, m_sz):
-    if poly is None or poly.offsets != ((0,) * poly.torus_dim,):
-        return False
-    return bool(np.allclose(poly.coeff((0,) * poly.torus_dim),
-                            -np.eye(m_sz), rtol=0.0, atol=1e-12))
-
-
 def bands(spec, k):
     """Dispersion frequencies at one wavevector, ascending.
 
@@ -749,7 +702,7 @@ def bands(spec, k):
     m_sz = spec.cell_size
     if spec.bulk.max_power == 0:
         raise InputError("bulk family does not depend on omega; no dispersion")
-    if spec.bulk.max_power == 1 and _is_minus_identity(terms.get(1), m_sz):
+    if spec.bulk.is_eigenvalue_form():
         return np.linalg.eigvalsh(terms[0].eval(k))
     t0 = terms[0].eval(k) if 0 in terms else np.zeros((m_sz, m_sz), complex)
     t1 = terms[1].eval(k) if 1 in terms else np.zeros((m_sz, m_sz), complex)
@@ -769,9 +722,8 @@ def bands(spec, k):
 
 
 def _hermitian_linear_fast(spec):
-    return (spec.bulk.max_power == 1
-            and spec.bulk.is_hermitian_family()
-            and _is_minus_identity(spec.bulk.terms.get(1), spec.cell_size))
+    """B_0 = H(k) - omega*I with H Hermitian: bands are eigenvalues of H."""
+    return spec.bulk.is_eigenvalue_form() and spec.bulk.is_hermitian_family()
 
 
 def bands_grid(spec, k_rows):
@@ -857,6 +809,27 @@ class ExclusionSet:
         raise InputError(f"node {t} not on the exclusion grid")
 
 
+def _band_ranges(spec, mesh, gap):
+    """Per row of a (nodes, rows, N) wavevector mesh: the band ranges over
+    the row's nodes, as a list of (lo, hi) per row.
+
+    With one band count everywhere each band gives its [min, max]; ragged
+    real-root counts (quadratic families) cluster the row's pooled roots at
+    gaps larger than `gap`.
+    """
+    band_vals = bands_grid(spec, mesh.reshape(-1, spec.lattice_dim))
+    n_rows = mesh.shape[1]
+    if isinstance(band_vals, np.ndarray):
+        grid_e = band_vals.reshape(mesh.shape[:2] + band_vals.shape[-1:])
+        lo, hi = grid_e.min(axis=0).tolist(), grid_e.max(axis=0).tolist()
+        return [list(zip(lo[r], hi[r])) for r in range(n_rows)]
+    pooled = [[] for _ in range(n_rows)]
+    for flat_idx, roots in enumerate(band_vals):
+        pooled[flat_idx % n_rows].extend(roots)
+    return [[(c[0], c[-1]) for c in _cluster_sorted(sorted(samples), gap)]
+            for samples in pooled]
+
+
 def exclusion_set(spec, codim, grids=None, omega_window=None, branches=None):
     """Omega intervals where the level-`codim` dispersion is not evaluated.
 
@@ -873,26 +846,8 @@ def exclusion_set(spec, codim, grids=None, omega_window=None, branches=None):
     refine = 4 if n_dim <= 2 else 2
 
     t_mesh = full_mesh(n_dim - j, n)
-    k_full = node_mesh(refine * n, j, t_mesh)
-    band_vals = bands_grid(spec, k_full.reshape(-1, n_dim))
     gap = branch_link_gap(spec.tolerances, window, n)
-
-    per_node = []
-    if isinstance(band_vals, np.ndarray):
-        nb = band_vals.shape[-1]
-        grid_e = band_vals.reshape(k_full.shape[:2] + (nb,))
-        lo = grid_e.min(axis=0)
-        hi = grid_e.max(axis=0)
-        for t_idx in range(t_mesh.shape[0]):
-            per_node.append([(float(lo[t_idx, b]), float(hi[t_idx, b]))
-                             for b in range(nb)])
-    else:  # ragged real-root counts: cluster the pooled samples per node
-        pooled = [[] for _ in range(t_mesh.shape[0])]
-        for flat_idx, roots in enumerate(band_vals):
-            pooled[flat_idx % t_mesh.shape[0]].extend(roots)
-        for samples in pooled:
-            clusters = _cluster_sorted(sorted(samples), gap)
-            per_node.append([(c[0], c[-1]) for c in clusters])
+    per_node = _band_ranges(spec, node_mesh(refine * n, j, t_mesh), gap)
 
     trailing = n_dim - j
     for codim_lower, branch in branches.items():
@@ -1134,20 +1089,11 @@ def full_spectrum(spec, omega_window=None, grids=None, n_probes=32,
 
     n_dim = spec.lattice_dim
     refine = 4 if n_dim <= 2 else 1
-    mesh = full_mesh(n_dim, refine * grids.k_points)
-    band_vals = bands_grid(spec, mesh)
-    components = []
-    if isinstance(band_vals, np.ndarray):
-        for b in range(band_vals.shape[-1]):
-            components.append(OmegaComponent(
-                "band_interval", 0,
-                float(band_vals[:, b].min()), float(band_vals[:, b].max())))
-    else:
-        gap = branch_link_gap(spec.tolerances, window, grids.k_points)
-        pooled = sorted(v for roots in band_vals for v in roots)
-        for cluster in _cluster_sorted(pooled, gap):
-            components.append(OmegaComponent("band_interval", 0,
-                                             cluster[0], cluster[-1]))
+    gap = branch_link_gap(spec.tolerances, window, grids.k_points)
+    ranges, = _band_ranges(spec, node_mesh(refine * grids.k_points, n_dim,
+                                           np.zeros((1, 0))), gap)
+    components = [OmegaComponent("band_interval", 0, lo, hi)
+                  for lo, hi in ranges]
 
     exclusions, branches = {}, {}
     for codim in spec.present_codims:

@@ -130,16 +130,6 @@ class TrigMatrixPolynomial:
                 return False
         return True
 
-    def __add__(self, other):
-        if not isinstance(other, TrigMatrixPolynomial):
-            return NotImplemented
-        if other.torus_dim != self.torus_dim or other.dim != self.dim:
-            raise InputError("can only add polynomials of equal torus_dim and size")
-        coeffs = {off: m.copy() for off, m in self._items}
-        for off, m in other._items:
-            coeffs[off] = coeffs.get(off, 0) + m
-        return TrigMatrixPolynomial(self.torus_dim, coeffs)
-
     def eval(self, k):
         """Evaluate sum_n exp(i n.k) A^(n).
 
@@ -208,11 +198,20 @@ class OmegaSymbol:
         self.torus_dim = tds.pop()
         self.max_power = max(self.terms)
 
-    def term(self, p):
-        return self.terms.get(int(p))
-
     def is_hermitian_family(self, tol=HERMITIAN_TOL):
         return all(poly.is_hermitian_family(tol) for poly in self.terms.values())
+
+    def is_eigenvalue_form(self):
+        """True for H(k) - omega*I: linear in omega, power-1 term exactly -I.
+
+        "Exactly" means every entry within an absolute 1e-12, with no
+        relative slack: -(1 + 5e-6)*omega is not eigenvalue form.
+        """
+        shift = self.terms.get(1)
+        zero = (0,) * self.torus_dim
+        return (self.max_power == 1 and shift.offsets == (zero,)
+                and bool(np.allclose(shift.coeff(zero), -np.eye(self.dim),
+                                     rtol=0.0, atol=1e-12)))
 
     def eval(self, omega, k):
         """sum_p omega^p term_p(k); same shape conventions as poly.eval."""
@@ -267,14 +266,3 @@ def inverse(a):
         raise SingularMatrix(
             f"matrix singular to working precision (sigma_min={worst:.3e})", worst)
     return np.linalg.inv(a)
-
-
-def hermitian_eigenvalues(a, tol=HERMITIAN_TOL):
-    """Ascending real eigenvalues of a Hermitian matrix (or batch).
-
-    Raises InputError when the input fails the Hermitian check.
-    """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol):
-        raise InputError("matrix is not Hermitian to tolerance")
-    return np.linalg.eigvalsh(a)

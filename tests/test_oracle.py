@@ -9,8 +9,9 @@ from defect_bands.oracle import (
     oracle_eigenvalues,
     periodic_box_check,
 )
-from defect_bands.spectrum import full_spectrum
-from defect_bands.symbol import InputError
+from defect_bands.model import ProblemSpec, Stencil
+from defect_bands.spectrum import bands, full_spectrum
+from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
 from tests_util import chain_with_defect
 
 SQRT5 = np.sqrt(5.0)
@@ -51,13 +52,46 @@ class TestAssembly:
         assert np.max(np.abs(np.sort(eigs) - want)) <= 1e-12
 
     def test_quadratic_family_rejected(self):
-        from defect_bands.model import ProblemSpec
-        from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
         bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, {(0,): [[2.0]]}),
                             2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
         spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk)
         with pytest.raises(InputError, match="companion"):
             assemble_truncated(spec, 4, bc="open")
+
+    def test_eigenvalue_form_slack_rejected(self):
+        # -(1 + 5e-6) omega + 2 cos k is not H - omega*I: its bands are
+        # 2 cos k / (1 + 5e-6), and a box of H alone would read 2 cos k
+        bulk = OmegaSymbol({
+            0: Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]}),
+            1: TrigMatrixPolynomial(1, {(0,): [[-(1 + 5e-6)]]})})
+        spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk)
+        with pytest.raises(InputError, match="eigenvalue-form"):
+            assemble_truncated(spec, 4, bc="open")
+        assert bands(spec, [0.0])[0] == pytest.approx(2 / (1 + 5e-6),
+                                                      rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("half_widths", [(3, 4), (2, 2), (3, 1)],
+                             ids=["3x4", "2x2", "3x1"])
+    def test_line_defect_kronecker_reference(self, square_line_model,
+                                             half_widths):
+        # independent reference for open x periodic boxes:
+        # H = T_open (x) I + I (x) C_periodic + P (x) I, with T the path on
+        # 2 L1 + 1 sites, C the L2-cycle (both offsets land on one entry
+        # when L2 <= 2) and P the projector on the x1 = 0 row
+        spec, _ = square_line_model
+        l1, l2 = half_widths
+        n1 = 2 * l1 + 1
+        path = np.eye(n1, k=1) + np.eye(n1, k=-1)
+        cycle = np.zeros((l2, l2))
+        for x in range(l2):
+            cycle[(x + 1) % l2, x] += 1.0
+            cycle[(x - 1) % l2, x] += 1.0
+        proj = np.zeros((n1, n1))
+        proj[l1, l1] = 1.0
+        want = (np.kron(path, np.eye(l2)) + np.kron(np.eye(n1), cycle)
+                + np.kron(proj, np.eye(l2)))
+        trunc = assemble_truncated(spec, half_widths, ("open", "periodic"))
+        assert np.array_equal(trunc.matrix, want)
 
     def test_size_cap(self, square_model):
         spec, _ = square_model
@@ -74,17 +108,17 @@ class TestAssembly:
 
 
 class TestPeriodicBoxIdentity:
-    @pytest.mark.parametrize("half_width", [4, 8, 16])
+    @pytest.mark.parametrize("half_width", [1, 2, 3, 4, 5, 8, 16])
     def test_chain(self, chain_model, half_width):
         spec, _ = chain_model
         assert periodic_box_check(spec, half_width) <= 1e-10
 
-    @pytest.mark.parametrize("half_width", [4, 8, 16])
+    @pytest.mark.parametrize("half_width", [1, 2, 3, 4, 5, 8, 16])
     def test_square(self, square_model, half_width):
         spec, _ = square_model
         assert periodic_box_check(spec, half_width) <= 1e-10
 
-    @pytest.mark.parametrize("half_width", [4, 8, 16])
+    @pytest.mark.parametrize("half_width", [1, 2, 3, 4, 5, 8, 16])
     def test_bipartite(self, bipartite_model, half_width):
         spec, _ = bipartite_model
         assert periodic_box_check(spec, half_width) <= 1e-10

@@ -9,6 +9,7 @@ from defect_bands.model import (
     GridConfig,
     ProblemSpec,
     Stencil,
+    ToleranceSet,
     stencil_to_symbol,
 )
 from defect_bands.quadrature import NonConvergence
@@ -101,6 +102,63 @@ class TestStepCheck:
         res = step_check(self.fn_for(spec, lam), 1, 64, spec.tolerances,
                          mode="hermitian")
         assert res.detected
+
+
+def scalar_fn(f, factor=1.0):
+    """1x1 level-matrix callable with entry factor * f(k rows)."""
+    return lambda rows: (factor * f(rows))[:, None, None].astype(complex)
+
+
+class TestStepCheckSyntheticFields:
+    """step_check on closed-form level matrices, n = 16 nodes per axis."""
+
+    tols = ToleranceSet()
+
+    @pytest.mark.parametrize("factor", [1.0, 1 + 1e-9j])
+    def test_real_det_periodic_crossing(self, factor):
+        # zeros of cos k - 1/2 at +-pi/3; the first crossing pair on the
+        # grid is (-3pi/8, -pi/4) and -3pi/8 has the smaller |value|.  An
+        # imaginary part of relative size 1e-9 still counts as real.
+        fn = scalar_fn(lambda r: np.cos(r[:, 0]) - 0.5, factor)
+        res = step_check(fn, 1, 16, self.tols, mode="real-det")
+        assert res.detected
+        assert res.method == "det-sign"
+        assert res.argmin_k == pytest.approx((-3 * np.pi / 8,), abs=1e-15)
+        assert res.min_sigma == pytest.approx(0.5 - np.cos(3 * np.pi / 8),
+                                              rel=1e-12)
+
+    @pytest.mark.parametrize("mode, detected, method",
+                             [("real-det", True, "det-sign-refined"),
+                              ("sigma", False, "sigma")])
+    def test_zeros_between_two_nodes(self, mode, detected, method):
+        # both zeros, pi/16 -+ pi/50, fall between the nodes 0 and pi/8,
+        # where the field has one sign: only the refinement patch sees the
+        # sign change, and sigma thresholding never does
+        fn = scalar_fn(lambda r: np.cos(r[:, 0] - np.pi / 16) - np.cos(np.pi / 50))
+        res = step_check(fn, 1, 16, self.tols, mode=mode)
+        assert res.detected is detected
+        assert res.method == method
+        assert res.argmin_k == pytest.approx((5 * np.pi / 128,), abs=1e-12)
+        # the patch node 5pi/128 is 3pi/128 from the field's maximum
+        assert res.min_sigma == pytest.approx(
+            np.cos(np.pi / 50) - np.cos(3 * np.pi / 128), rel=1e-9)
+
+    def test_hermitian_2d_crossing(self):
+        # the lower band of diag(cos k1 + cos k2 - 0.3, 5) changes sign
+        # between nodes; the first crossing on axis 0 picks (-5pi/8, -pi/4)
+        def fn(rows):
+            out = np.zeros((rows.shape[0], 2, 2), dtype=complex)
+            out[:, 0, 0] = np.cos(rows[:, 0]) + np.cos(rows[:, 1]) - 0.3
+            out[:, 1, 1] = 5.0
+            return out
+
+        res = step_check(fn, 2, 16, self.tols, mode="hermitian")
+        assert res.detected
+        assert res.method == "crossing"
+        assert res.argmin_k == pytest.approx((-5 * np.pi / 8, -np.pi / 4),
+                                             abs=1e-15)
+        # min_sigma is the node minimum, 0.7 - cos(0) - cos(3pi/4)
+        assert res.min_sigma == pytest.approx(np.sqrt(0.5) - 0.7, rel=1e-12)
 
 
 class TestExtendChain:

@@ -7,7 +7,6 @@ from defect_bands.symbol import (
     SingularMatrix,
     TrigMatrixPolynomial,
     det,
-    hermitian_eigenvalues,
     inverse,
     is_hermitian,
     smallest_singular_value,
@@ -48,17 +47,6 @@ class TestEvalK:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             adjacency_1d().eval([0.0, 0.0])
-
-    def test_linearity(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            p = random_poly(rng, n_offsets=rng.integers(1, 10))
-            q = random_poly(rng, n_offsets=rng.integers(1, 10))
-            k = rng.uniform(-np.pi, np.pi, size=2)
-            lhs = (p + q).eval(k)
-            rhs = p.eval(k) + q.eval(k)
-            scale = max(1.0, np.max(np.abs(rhs)))
-            assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale
 
     def test_hermitian_symmetry(self):
         rng = np.random.default_rng(2)
@@ -151,11 +139,3 @@ class TestLinearAlgebra:
         assert smallest_singular_value(np.eye(2)) == pytest.approx(1.0)
         assert smallest_singular_value(np.diag([3.0, 1e-15])) == pytest.approx(1e-15, rel=1e-9)
         assert smallest_singular_value(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0)
-
-    def test_hermitian_eigenvalues(self):
-        assert np.allclose(hermitian_eigenvalues(np.diag([1.0, 2.0])), [1.0, 2.0])
-        assert np.allclose(hermitian_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                           [-1.0, 1.0])
-        assert np.allclose(hermitian_eigenvalues(np.eye(5)), np.ones(5))
-        with pytest.raises(InputError):
-            hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
