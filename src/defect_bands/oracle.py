@@ -45,11 +45,16 @@ class TruncatedOperator:
 
 
 def _axis_sites(half_width, bc):
+    if bc not in ("open", "periodic"):
+        raise InputError(
+            f"boundary condition must be open|periodic, got {bc!r}")
+    smallest = 0 if bc == "open" else 1
+    if half_width < smallest:
+        raise InputError(f"{bc} half-width must be at least {smallest}, "
+                         f"got {half_width}")
     if bc == "open":
         return np.arange(-half_width, half_width + 1)
-    if bc == "periodic":
-        return np.arange(half_width)
-    raise InputError(f"boundary condition must be open|periodic, got {bc!r}")
+    return np.arange(half_width)
 
 
 def _check_eigenproblem_form(spec):
@@ -74,8 +79,8 @@ def assemble_truncated(spec, half_width, bc="open"):
     Parameters
     ----------
     half_width : int or sequence of int
-        Box half-width per axis: open axes hold sites -L..L, periodic axes
-        L sites with wraparound.
+        Box half-width per axis: open axes hold sites -L..L (L >= 0),
+        periodic axes L sites with wraparound (L >= 1).
     bc : str or sequence of str
         "open" or "periodic", per axis or one value for all axes.
     """

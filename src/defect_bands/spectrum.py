@@ -48,9 +48,9 @@ N_QUAD_MAX = 4096
 #: points per axis of the mesh a NonConvergence witness is taken on
 WITNESS_POINTS = 4 * N_QUAD_START
 
-#: complex node entries per chunk of the vectorised dispersion scan (256 KiB
-#: per array): larger chunks raised peak RSS by ~26 MB on the halved-grid
-#: line defect and ran no faster
+#: complex node entries per chunk of a batched dispersion scan or polish step
+#: (256 KiB per array): larger chunks raised peak RSS by ~26 MB on the
+#: halved-grid line defect and ran no faster
 SCAN_CHUNK_ENTRIES = 1 << 14
 
 
@@ -91,7 +91,8 @@ class Chain:
     singular node matrix, or passing N_QUAD_MAX, raises `NonConvergence`.
     The n that first converges is pinned per level and reused, and converged
     values are memoized per coordinate tuple, so repeated queries (step
-    checks, local refinement, root polishing) stay cheap.
+    checks, local refinement, lower levels inside higher brackets) stay
+    cheap.
 
     The level-0 factor B_0^{-1} of a bracket is the SVD-guarded `inverse`
     of the bulk symbol at the bracket's nodes.  Inside `dispersion_branch`,
@@ -246,9 +247,11 @@ class _GreenTable:
     guard of `symbol.inverse` (sigma_min < 64 eps sigma_max) is evaluated on
     the cached eigenvalues and raises the same `SingularMatrix`.
 
-    Given the scan grid and its admissible (row, omega) mask, the first
-    request for a scan cell set evaluates the whole scan at once (see
-    `_run_scan`).  `dispersion_branch` builds one table per call.
+    Level values of (omega, row) cells converge in one loop, `_converge`:
+    given the scan grid and its admissible (row, omega) mask, the first
+    request for a scan cell set evaluates the whole scan at once, and
+    `cell_values` evaluates a polish step's cells at once.
+    `dispersion_branch` builds one table per call.
     """
 
     def __init__(self, spec, level, t_rows, scan=(), admissible=None):
@@ -260,10 +263,11 @@ class _GreenTable:
         self._scan_grid = np.asarray(scan, dtype=float)
         self._admissible = admissible
         # a present lower level puts per-omega level values inside the
-        # bracket, so such a scan runs omega by omega
-        lower = any(0 < c < self.level for c in spec.present_codims)
-        self._scan_index = {} if lower else {
-            float(w): i for i, w in enumerate(self._scan_grid)}
+        # bracket, so such a level is evaluated cell by cell through chains
+        # that take only their level-0 factor from this table
+        self.batched = not any(0 < c < self.level for c in spec.present_codims)
+        self._scan_index = {float(w): i for i, w in
+                            enumerate(self._scan_grid)} if self.batched else {}
         self._scan = None
 
     def rows(self, t_rows):
@@ -322,11 +326,24 @@ class _GreenTable:
                 self.rows(t_rows), np.flatnonzero(self._admissible[:, w])):
             return None
         if self._scan is None:
-            self._scan = self._run_scan()
+            cols = np.flatnonzero(self._admissible.any(axis=0))
+            self._scan = dict(zip(cols.tolist(), self._converge(
+                self._scan_grid[cols],
+                [np.flatnonzero(self._admissible[:, c]) for c in cols])))
         outcome = self._scan[w]
         if isinstance(outcome, NonConvergence):
             raise outcome
         return outcome
+
+    def cell_values(self, omegas, rows):
+        """Converged level values at (omega, table row) cells, all at once.
+
+        Each cell is its own group of `_converge`, so it doubles n from
+        N_QUAD_START as a fresh `Chain` would.  Returns one (M, M) value per
+        cell, or the cell's `NonConvergence` in its place.
+        """
+        return [out if isinstance(out, NonConvergence) else out[0][0]
+                for out in self._converge(omegas, np.asarray(rows)[:, None])]
 
     # -- internals ----------------------------------------------------------
 
@@ -350,37 +367,36 @@ class _GreenTable:
                               vec.conj().swapaxes(-1, -2))
         return green, worst
 
-    def _run_scan(self):
-        """Converged level values of every admissible scan cell.
+    def _converge(self, omegas, groups):
+        """Converged level values of groups of cells, evaluated together.
 
-        All omegas are evaluated together at each n, over flattened (omega,
-        row) cells in chunks of at most SCAN_CHUNK_ENTRIES node entries.
-        Per omega the semantics are those of `Chain._converged_values`:
-        n starts at N_QUAD_START, the omega pins its n at the first relative
-        change (over its own rows) below quad_rel_tol, a singular node makes
-        it fail, and reaching N_QUAD_MAX makes it stall.  Returns
-        {omega index: (values, n) or NonConvergence}.
+        Group g is the cells (omegas[g], row) for the table rows groups[g];
+        the scan makes one group per omega, the polish one group per cell.
+        At each n all live cells are evaluated at once, in chunks of at most
+        SCAN_CHUNK_ENTRIES node entries.  Per group the semantics are those
+        of `Chain._converged_values` over the group's rows: n starts at
+        N_QUAD_START, the group pins its n at the first relative change
+        below quad_rel_tol, a singular node makes it fail, and reaching
+        N_QUAD_MAX makes it stall.  Returns per group (values, n) or the
+        group's `NonConvergence`.
         """
         j = self.level
         n_dim = self.spec.lattice_dim
         tol = self.spec.tolerances.quad_rel_tol
-        cell_w, cell_t = np.nonzero(self._admissible.T)   # omega-major
-        if cell_w.size == 0:
-            return {}
-        starts = np.flatnonzero(np.r_[True, cell_w[1:] != cell_w[:-1]])
-        groups = [(int(cell_w[s]), s, e)
-                  for s, e in zip(starts, np.r_[starts[1:], cell_w.size])]
+        sizes = [len(rows) for rows in groups]
+        ends = np.cumsum(sizes)
+        live = list(zip(range(len(groups)), ends - sizes, ends))
         k_t = np.zeros((self.t_rows.shape[0], n_dim))
         k_t[:, j:] = self.t_rows
         symbol = self.spec.defect_by_codim(j).symbol
-        cells = (cell_t, self._scan_grid[cell_w], np.concatenate(
-            [symbol.eval(float(self._scan_grid[w]), k_t[cell_t[s:e]])
-             for w, s, e in groups]))
+        cell_t = np.concatenate(groups)
+        cells = (cell_t, np.repeat(omegas, sizes), np.concatenate(
+            [symbol.eval(float(w), k_t[rows]) for w, rows in zip(omegas, groups)]))
 
         m_sz = self.spec.cell_size
-        prev = np.zeros((cell_w.size, m_sz * m_sz), dtype=complex)
-        outcome = {}
-        live, n = groups, N_QUAD_START
+        prev = np.zeros((cell_t.size, m_sz * m_sz), dtype=complex)
+        outcome = [None] * len(groups)
+        n = N_QUAD_START
         while True:
             idx = np.concatenate([np.arange(s, e) for _, s, e in live])
             curr, worst = self._cell_brackets(n, cells, idx)
@@ -394,11 +410,11 @@ class _GreenTable:
             prev[idx] = flat
             still = []
             for group, g_change, g_worst, b in zip(live, change, worst, bounds):
-                w, s, e = group
+                g, s, e = group
                 if np.isfinite(g_worst):
-                    outcome[w] = _singular_integrand(j, n, float(g_worst))
+                    outcome[g] = _singular_integrand(j, n, float(g_worst))
                 elif n > N_QUAD_START and g_change < tol:
-                    outcome[w] = (curr[b:b + e - s], n)
+                    outcome[g] = (curr[b:b + e - s], n)
                 else:
                     still.append(group)
             live = still
@@ -406,10 +422,10 @@ class _GreenTable:
                 return outcome
             if 2 * n > N_QUAD_MAX:
                 lam, _ = self.eigenpairs(WITNESS_POINTS)
-                for w, s, e in live:
-                    omega = float(self._scan_grid[w])
+                for g, s, e in live:
+                    omega = float(omegas[g])
                     witness = float(np.abs(lam[:, cell_t[s:e]] - omega).min())
-                    outcome[w] = _stalled(j, omega, n, witness)
+                    outcome[g] = _stalled(j, omega, n, witness)
                 return outcome
             n *= 2
 
@@ -875,8 +891,8 @@ class Branch:
     codim: int
     samples: list      # (k_tail tuple, omega, annotation) triples
     k_points: int
-    #: scan cells left out because their bracket did not converge:
-    #: (k_tail tuple, omega, n_reached, witness_sigma_min)
+    #: scan cells and polish steps left out because their bracket did not
+    #: converge: (k_tail tuple, omega, n_reached, witness_sigma_min)
     skipped: list = field(default_factory=list)
 
     def omegas_at(self, t):
@@ -886,29 +902,53 @@ class Branch:
                       and np.allclose(k_tail, t, rtol=0.0, atol=1e-12))
 
 
-def _level_det(make_chain, level, t_row, omega):
-    vals = make_chain(omega).level_values(
-        level, np.asarray(t_row, dtype=float).reshape(1, -1))
-    return complex(det(vals)[0])
+def _chain_values(make_chain, level, omegas, t_rows):
+    """Level values at (omega, row) cells, one fresh chain per cell.
+
+    A cell whose bracket does not converge gives its `NonConvergence` in
+    place of the (M, M) value, as `_GreenTable.cell_values` does.
+    """
+    out = []
+    for omega, row in zip(omegas, t_rows):
+        try:
+            out.append(make_chain(omega).level_values(level, row[None])[0])
+        except NonConvergence as exc:
+            out.append(exc)
+    return out
 
 
-def _bisect_root(f, a, b, fa, fb, tol_omega):
-    while b - a > tol_omega:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if np.sign(fm) == np.sign(fa):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
+def _bisect_lockstep(level_dets, rows, a, b, fa, tol_omega):
+    """Bisect the sign-change brackets [a, b] of Re det on `rows` at once.
+
+    Each step halves every bracket still wider than `tol_omega` with one
+    `level_dets(midpoints, rows)` call; per bracket the midpoints and the
+    sign rule are those of a scalar bisection.  A bracket whose midpoint
+    gives NaN (its level value did not converge) ends there without a root.
+    Returns the rows and roots 0.5 (a + b) of the brackets that finished.
+    """
+    kept = np.ones(a.shape, dtype=bool)
+    while True:
+        live = np.flatnonzero(kept & (b - a > tol_omega))
+        if live.size == 0:
+            return rows[kept], 0.5 * (a[kept] + b[kept])
+        mid = 0.5 * (a[live] + b[live])
+        fm = level_dets(mid, rows[live]).real
+        failed = np.isnan(fm)
+        same = np.sign(fm) == np.sign(fa[live])
+        kept[live[failed]] = False
+        a[live[same]], fa[live[same]] = mid[same], fm[same]
+        b[live[~same & ~failed]] = mid[~same & ~failed]
 
 
 def _golden_min(f, a, b, tol_omega):
+    """Golden-section minimum of f on [a, b]; None once f gives NaN."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > tol_omega:
+        if np.isnan(fc) or np.isnan(fd):
+            return None
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -927,18 +967,22 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
     Scans a uniform omega grid outside the exclusion intervals dilated by
     band_guard, detects roots by sign change of Re(det) (imaginary part must
     be quadrature-noise small) or by |det| dropping below det_zero_tol, and
-    refines each by bisection (golden-section on |det| as the fallback) to
-    root_tol_omega.  Roots hugging the guard boundary are annotated
-    "near-band" rather than dropped.  Scan cells whose bracket does not
-    converge are recorded in `Branch.skipped` and reported by one warning.
+    refines each to root_tol_omega: by bisection, or golden-section on |det|
+    as the fallback.  Roots hugging the guard boundary are annotated
+    "near-band" rather than dropped.  Scan cells and polish steps whose
+    bracket does not converge are recorded in `Branch.skipped` and reported
+    by one warning; a root whose polish meets one is not reported.
 
-    For an omega-linear Hermitian bulk, B_0 = H(k) - omega*I, the level-0
-    factor of every scan and polish bracket is the lattice Green's function
-    U diag(1/(lambda - omega)) U^H from one `eigh` of H per node, cached for
-    this call (`_GreenTable`), and the whole scan is evaluated over all
-    omegas at once.  The rank guard reads the same threshold off the
-    eigenvalues, since the singular values of H - omega*I are
-    |lambda - omega|.  Any other bulk inverts B_0 directly at every omega.
+    The bisection runs in lockstep: each step evaluates the midpoints of all
+    live brackets, across all k nodes, in one call.  For an omega-linear
+    Hermitian bulk, B_0 = H(k) - omega*I, the level-0 factor of every bracket
+    is the lattice Green's function U diag(1/(lambda - omega)) U^H from one
+    `eigh` of H per node, cached for this call (`_GreenTable`), whose rank
+    guard reads the singular values |lambda - omega| off the eigenvalues.
+    Unless a lower defect level sits inside the bracket, the table converges
+    the whole scan, and each bisection step, as one batch of (omega, k)
+    cells.  Otherwise, and for any other bulk, the scan runs one `Chain` per
+    omega and a bisection step one `Chain` per cell.
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     window = omega_window or spec.omega_window
@@ -960,11 +1004,17 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         admissible[t_idx] = [dist_to_intervals(w, ivs) >= tol.band_guard
                              for w in scan]
 
+    table = None
     if _hermitian_linear_fast(spec):
         table = _GreenTable(spec, codim, t_mesh, scan, admissible)
         make_chain = lambda w: _GreenChain(spec, w, table)
     else:
         make_chain = lambda w: Chain(spec, w)
+    if table is not None and table.batched:
+        cell_values = table.cell_values
+    else:
+        cell_values = lambda omegas, rows: _chain_values(
+            make_chain, codim, omegas, t_mesh[rows])
 
     det_tab = np.full((n_t, len(scan)), np.nan, dtype=complex)
     skipped = []
@@ -979,41 +1029,50 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
                             exc.witness_sigma_min) for row in t_mesh[mask])
             continue
         det_tab[mask, w_idx] = det(vals)
-    if skipped:
-        logger.warning("level %d: %d scan cells did not converge and were "
-                       "skipped (see Branch.skipped)", codim, len(skipped))
+    n_scan_skipped = len(skipped)
+
+    def level_dets(omegas, rows):
+        """det B_codim at (omega, t_mesh row) cells; NaN, recorded on
+        `skipped`, where the bracket does not converge."""
+        values = cell_values(omegas, rows)
+        dets = np.full(len(values), np.nan, dtype=complex)
+        done = [i for i, v in enumerate(values)
+                if not isinstance(v, NonConvergence)]
+        if done:
+            dets[done] = det(np.stack([values[i] for i in done]))
+        skipped.extend((tuple(t_mesh[r]), float(w), v.n_reached,
+                        v.witness_sigma_min)
+                       for w, r, v in zip(omegas, rows, values)
+                       if isinstance(v, NonConvergence))
+        return dets
+
+    ok = admissible & np.isfinite(det_tab.real)
+    scale = np.where(ok, np.abs(det_tab), 0.0).max(axis=1) + 1e-300
+    real_ok = np.where(ok, np.abs(det_tab.imag), 0.0).max(axis=1) \
+        <= IMAG_DOMINANCE * scale
+    f_real = det_tab.real
+    with np.errstate(invalid="ignore"):
+        crossing = (ok[:, :-1] & ok[:, 1:] & real_ok[:, None]
+                    & (f_real[:, :-1] * f_real[:, 1:] < 0))
+    rows, w = np.nonzero(crossing)
+    root_rows, bisected = _bisect_lockstep(
+        level_dets, rows, scan[w], scan[w + 1], f_real[rows, w],
+        tol.root_tol_omega)
 
     samples = []
     for t_idx in range(n_t):
-        col = det_tab[t_idx]
-        ok = admissible[t_idx] & np.isfinite(col.real)
-        finite = np.abs(col[ok])
-        if finite.size == 0:
-            continue
-        scale = float(np.max(finite)) + 1e-300
-        real_ok = float(np.nanmax(np.abs(col[ok].imag))) <= IMAG_DOMINANCE * scale
-        t_row = t_mesh[t_idx]
-        f_real = lambda w: _level_det(make_chain, codim, t_row, w).real
-        f_abs = lambda w: abs(_level_det(make_chain, codim, t_row, w))
-        roots = []
-        for w in range(len(scan) - 1):
-            if not (ok[w] and ok[w + 1]):
-                continue
-            fa, fb = col[w].real, col[w + 1].real
-            if real_ok and fa * fb < 0:
-                roots.append(_bisect_root(f_real, scan[w], scan[w + 1],
-                                          fa, fb, tol.root_tol_omega))
-        absd = np.abs(col)
-        for w in range(len(scan)):
-            if not ok[w] or absd[w] > tol.det_zero_tol:
-                continue
-            left = scan[w] - step if w > 0 and ok[w - 1] else scan[w]
-            right = scan[w] + step if w + 1 < len(scan) and ok[w + 1] else scan[w]
+        f_abs = lambda x: abs(level_dets([x], [t_idx])[0])
+        roots = list(bisected[root_rows == t_idx])
+        for w in np.flatnonzero(ok[t_idx]
+                                & (np.abs(det_tab[t_idx]) <= tol.det_zero_tol)):
+            left = scan[w] - step if w > 0 and ok[t_idx, w - 1] else scan[w]
+            right = (scan[w] + step if w + 1 < len(scan) and ok[t_idx, w + 1]
+                     else scan[w])
             if right > left:
                 cand = _golden_min(f_abs, left, right, tol.root_tol_omega)
             else:
                 cand = scan[w]
-            if f_abs(cand) <= tol.det_zero_tol:
+            if cand is not None and f_abs(cand) <= tol.det_zero_tol:
                 roots.append(cand)
         roots = sorted(roots)
         kept = []
@@ -1023,7 +1082,11 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         for r in kept:
             dist = dist_to_intervals(r, exclusion.intervals[t_idx])
             annot = "ok" if dist >= tol.band_guard + step else "near-band"
-            samples.append((tuple(t_row), float(r), annot))
+            samples.append((tuple(t_mesh[t_idx]), float(r), annot))
+    if skipped:
+        logger.warning("level %d: %d scan cells and %d polish steps did not "
+                       "converge and were skipped (see Branch.skipped)",
+                       codim, n_scan_skipped, len(skipped) - n_scan_skipped)
     return Branch(codim=codim, samples=samples, k_points=grids.k_points,
                   skipped=skipped)
 

@@ -172,6 +172,15 @@ class TestOracleCommand:
         assert "comparison ok: True" in text
         assert "matched" in text
 
+    @pytest.mark.parametrize("half_width, bc", [("0", "periodic"),
+                                                ("-2", "open")])
+    def test_empty_box_clean_error(self, capsys, half_width, bc):
+        code = main(["oracle", "--config", config_path("chain.json"),
+                     "--L", half_width, "--bc", bc])
+        assert code == 1
+        assert "domain error: " + bc + " half-width must be at least" in \
+            capsys.readouterr().err
+
     def test_oversize_clean_error(self, capsys):
         code = main(["oracle", "--config", config_path("square.json"),
                      "--L", "200", "--bc", "open"])

@@ -98,6 +98,15 @@ class TestAssembly:
         with pytest.raises(InputError, match="reduce L"):
             assemble_truncated(spec, 200, bc="open")
 
+    @pytest.mark.parametrize("half_width, bc", [
+        (0, "periodic"), (-1, "periodic"), (-1, "open"), (-3, "open"),
+        ((2, 0), ("open", "periodic"))])
+    def test_empty_box_rejected(self, chain_model, square_model, half_width,
+                                bc):
+        spec, _ = square_model if isinstance(bc, tuple) else chain_model
+        with pytest.raises(InputError, match="half-width must be at least"):
+            assemble_truncated(spec, half_width, bc=bc)
+
     def test_single_site_box(self, chain_defect_model):
         # half-width 0 open box: one site, bulk hoppings dropped, only the
         # defect survives

@@ -448,20 +448,88 @@ class TestDispersionBranch:
         assert abs(roots[0] + want) <= spec.tolerances.root_tol_omega
         assert abs(roots[1] - want) <= spec.tolerances.root_tol_omega
 
+    @pytest.mark.parametrize("eigen_table", [True, False])
+    def test_nonconverged_polish_step_recorded(self, caplog, monkeypatch,
+                                               eigen_table):
+        # hopping a = 1e-3: band [-2a, 2a] lies between the admissible scan
+        # omegas -+0.0303, across which det changes sign, so the first
+        # bisection midpoint is omega = 0 inside the band; that polish step
+        # stalls and must end its root, not the run
+        from tests_util import chain_with_defect
+        a = 1e-3
+        spec, _ = chain_with_defect(1.0, hopping=a)
+        if not eigen_table:
+            monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
+                                lambda spec: False)
+        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
+            branch = dispersion_branch(spec, 1, GridConfig(omega_points=100),
+                                       (-3.0, 3.0))
+        assert [om for _, om, _ in branch.samples] == \
+            [pytest.approx(np.sqrt(1 + 4 * a * a), abs=1e-8)]
+        (k_tail, omega, n_reached, witness), = branch.skipped
+        assert (k_tail, omega, n_reached) == ((), 0.0, N_QUAD_MAX)
+        assert 0.0 <= witness <= 1e-12
+        assert "0 scan cells and 1 polish steps" in caplog.text
+
     def test_eigen_table_matches_direct_path(self, monkeypatch):
-        # the per-omega direct inverse is the reference for the eigen table
-        # and the omega-vectorised scan
-        from tests_util import square_with_line_defect
-        spec, grids = square_with_line_defect(1.0, k_points=16,
-                                              omega_points=129)
-        cached = dispersion_branch(spec, 1, grids, spec.omega_window)
+        # the per-cell direct inverse is the reference for the eigen table,
+        # the omega-vectorised scan and the lockstep polish; on the nested
+        # model the point level's polish runs one chain per cell
+        from tests_util import square_line_and_point, square_with_line_defect
+        models = [square_with_line_defect(1.0, k_points=16, omega_points=129),
+                  square_line_and_point(k_points=16, omega_points=129)]
+
+        def all_branches(spec, grids):
+            found = {}
+            for codim in spec.present_codims:
+                found[codim] = dispersion_branch(
+                    spec, codim, grids, spec.omega_window, branches=dict(found))
+            return found
+
+        cached = [all_branches(*model) for model in models]
         monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
                             lambda spec: False)
-        direct = dispersion_branch(spec, 1, grids, spec.omega_window)
-        assert len(cached.samples) == len(direct.samples) == 16
-        for (ka, oa, na), (kb, ob, nb) in zip(cached.samples, direct.samples):
-            assert (ka, na) == (kb, nb)
-            assert abs(oa - ob) <= spec.tolerances.root_tol_omega
+        direct = [all_branches(*model) for model in models]
+        for (spec, _), got, want in zip(models, cached, direct):
+            assert len(got[1].samples) == 16
+            for codim in spec.present_codims:
+                assert len(got[codim].samples) == len(want[codim].samples) > 0
+                for (ka, oa, na), (kb, ob, nb) in zip(got[codim].samples,
+                                                      want[codim].samples):
+                    assert (ka, na) == (kb, nb)
+                    assert abs(oa - ob) <= spec.tolerances.root_tol_omega
+
+    def test_lockstep_polish_work(self, square_line_model, monkeypatch):
+        # at 32 k nodes and 257 omegas every node has one root; bisecting a
+        # scan step of 12/256 to root_tol_omega takes 29 halvings, so the
+        # polish is 29 batched calls over 32 cells each, the work of 32
+        # scalar bisections
+        spec, _ = square_line_model
+        sizes = []
+        cell_values = _GreenTable.cell_values
+
+        def counted(table, omegas, rows):
+            sizes.append(len(rows))
+            return cell_values(table, omegas, rows)
+
+        monkeypatch.setattr(_GreenTable, "cell_values", counted)
+        branch = dispersion_branch(spec, 1, coarse(spec), spec.omega_window)
+        assert len(branch.samples) == 32
+        assert sizes == [32] * 29 and sum(sizes) == 928
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "root between band_guard and the first admissible scan omega is "
+        "never bracketed (CHANGES.md FOUND, dispersion_branch)"))
+    @pytest.mark.parametrize("eps", [0.25, 0.3, -0.3, 0.35])
+    def test_point_defect_root_near_guard(self, eps):
+        # sqrt(4 + eps^2) lies in [2 + band_guard, 2.03125), below the first
+        # admissible scan omega of the 513-point window [-4, 4]; the property
+        # in test_properties.py covers |eps| >= 0.36
+        from tests_util import chain_with_defect
+        spec, grids = chain_with_defect(eps)
+        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+        assert [om for _, om, _ in branch.samples] == \
+            [pytest.approx(np.sign(eps) * np.sqrt(4 + eps ** 2), abs=1e-8)]
 
 
 class TestFullSpectrum:
@@ -554,20 +622,10 @@ class TestNestedDefects:
         # codim 1 and codim 2 together: the final level integrates through
         # the intermediate inverse and its exclusion set carries the guided
         # branch projection; the truncated box is the independent check
-        from defect_bands.model import DefectLayer, ProblemSpec, Stencil, \
-            stencil_to_symbol
         from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
+        from tests_util import square_line_and_point
 
-        bulk = OmegaSymbol({
-            0: stencil_to_symbol(Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
-                                             (0, 1): [[1.0]], (0, -1): [[1.0]]})),
-            1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
-        })
-        line = DefectLayer.from_stencils(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
-        point = DefectLayer.from_stencils(2, 2, {0: Stencil(0, {(): [[3.0]]})})
-        spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
-                           defects=(line, point), omega_window=(-6.0, 8.0))
-        grids = GridConfig(k_points=32, omega_points=513)
+        spec, grids = square_line_and_point()
 
         result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
         by_kind = {c.kind: c for c in result.components}

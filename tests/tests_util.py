@@ -10,10 +10,11 @@ from defect_bands.model import (
 from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
 
 
-def chain_with_defect(eps, k_points=64, omega_points=513):
+def chain_with_defect(eps, k_points=64, omega_points=513, hopping=1.0):
     """1D nearest-neighbor chain with an on-site point defect of strength eps."""
     bulk = OmegaSymbol({
-        0: stencil_to_symbol(Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]})),
+        0: stencil_to_symbol(Stencil(1, {(1,): [[hopping]],
+                                         (-1,): [[hopping]]})),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
     layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[eps]]})})
@@ -22,14 +23,26 @@ def chain_with_defect(eps, k_points=64, omega_points=513):
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
 
 
-def square_with_line_defect(eps, k_points=64, omega_points=513):
-    """2D square lattice with an on-site line defect along the second axis."""
-    bulk = OmegaSymbol({
+def _square_bulk():
+    return OmegaSymbol({
         0: stencil_to_symbol(Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
                                          (0, 1): [[1.0]], (0, -1): [[1.0]]})),
         1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
     })
+
+
+def square_with_line_defect(eps, k_points=64, omega_points=513):
+    """2D square lattice with an on-site line defect along the second axis."""
     layer = DefectLayer.from_stencils(1, 2, {0: Stencil(1, {(0,): [[eps]]})})
-    spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
+    spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
                        defects=(layer,), omega_window=(-6.0, 6.0))
+    return spec, GridConfig(k_points=k_points, omega_points=omega_points)
+
+
+def square_line_and_point(k_points=32, omega_points=513):
+    """2D square lattice, unit line defect plus a point defect of 3 on it."""
+    line = DefectLayer.from_stencils(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
+    point = DefectLayer.from_stencils(2, 2, {0: Stencil(0, {(): [[3.0]]})})
+    spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
+                       defects=(line, point), omega_window=(-6.0, 8.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
