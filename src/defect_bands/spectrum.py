@@ -78,6 +78,52 @@ def node_mesh(n, level, t_rows):
 
 
 # ---------------------------------------------------------------------------
+# the level-0 inverse
+
+
+def lattice_green(lam, vec, omega):
+    """U diag(1/(lambda - omega)) U^H and its rank guard, per node.
+
+    `lam`, `vec` are eigenpairs of a Hermitian H at nodes, shapes (..., M)
+    and (..., M, M); `omega` broadcasts against the node axes.  This is
+    (H - omega*I)^{-1}, the lattice Green's function (Koster-Slater for
+    M = 1).  Its singular values are 1/|lambda_i - omega|, and a node fails
+    the guard when min |lambda_i - omega| < 64 eps max(1, max |lambda_i|),
+    the rounding floor of the eigenvalues themselves.  Returns the inverses
+    and per node the failing sigma_min, inf where the node passes (the
+    inverse of a failing node is not finite).
+    """
+    shift = lam - np.asarray(omega, dtype=float)[..., None]
+    s_min = np.abs(shift).min(axis=-1)
+    floor = 64.0 * np.finfo(float).eps * np.maximum(
+        1.0, np.abs(lam).max(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        green = np.matmul(vec / shift[..., None, :],
+                          vec.conj().swapaxes(-1, -2))
+    return green, np.where(s_min < floor, s_min, np.inf)
+
+
+def bulk_inverse(spec, omega, k_rows, hermitian_linear):
+    """B_0^{-1} at wavevector rows, shape (m, N) -> (m, M, M).
+
+    `hermitian_linear` is `_hermitian_linear_fast(spec)`, decided once by
+    the caller: an eigenvalue-form Hermitian bulk gets `lattice_green` from
+    one `eigh` of H per row, any other bulk the SVD-guarded `inverse`.  Both
+    raise `SingularMatrix` with the smallest failing sigma_min.
+    """
+    if not hermitian_linear:
+        return inverse(spec.bulk.eval(omega, k_rows))
+    green, worst = lattice_green(
+        *np.linalg.eigh(spec.bulk.terms[0].eval(k_rows)), omega)
+    if np.any(np.isfinite(worst)):
+        min_sigma = float(np.min(worst))
+        raise SingularMatrix(
+            f"matrix singular to working precision (sigma_min={min_sigma:.3e})",
+            min_sigma)
+    return green
+
+
+# ---------------------------------------------------------------------------
 # the chain of level matrices at fixed omega
 
 
@@ -94,19 +140,17 @@ class Chain:
     checks, local refinement, lower levels inside higher brackets) stay
     cheap.
 
-    The level-0 factor B_0^{-1} of a bracket is the SVD-guarded `inverse`
-    of the bulk symbol at the bracket's nodes.  Inside `dispersion_branch`,
-    when the bulk is omega-linear and Hermitian (B_0 = H(k) - omega*I), the
-    chains take it instead from the lattice Green's function
-    U diag(1/(lambda - omega)) U^H over eigenpairs of H cached for that call
-    (`_GreenTable`), with the same rank guard applied to the singular values
-    |lambda_i - omega|.
+    The level-0 factor B_0^{-1} of a bracket is `bulk_inverse` at the
+    bracket's nodes: the lattice Green's function for an eigenvalue-form
+    Hermitian bulk, the SVD-guarded `inverse` for any other.  Inverses of
+    lower levels inside a higher bracket always use `inverse`.
     """
 
     def __init__(self, spec, omega):
         self.spec = spec
         self.omega = float(omega)
         self._layers = {layer.codim: layer for layer in spec.defects}
+        self._hermitian_linear = _hermitian_linear_fast(spec)
         self._memo = {}
         self._nquad = {}
 
@@ -178,7 +222,9 @@ class Chain:
     def _level0_inverse(self, level, t_rows, n):
         """B_0^{-1} at the level's n-grid nodes x t_rows, node-major."""
         k_full = node_mesh(n, level, t_rows)
-        return inverse(self.level0(k_full.reshape(-1, self.spec.lattice_dim)))
+        return bulk_inverse(self.spec, self.omega,
+                            k_full.reshape(-1, self.spec.lattice_dim),
+                            self._hermitian_linear)
 
     def _bracket_values(self, level, t_rows, n):
         """I + scaled integral of the inverse-product integrand, fixed n."""
@@ -233,46 +279,26 @@ def _singular_integrand(level, n, min_sigma):
 
 
 class _GreenTable:
-    """Eigenpairs of an omega-linear Hermitian bulk on one level's nodes.
+    """Batched level values for an eigenvalue-form Hermitian bulk.
 
-    When B_0(omega, k) = H(k) - omega*I with H Hermitian, the level-0
-    inverse is the lattice Green's function U diag(1/(lambda - omega)) U^H
-    (Koster-Slater for M = 1), so one `eigh` of H per node serves every
-    omega.  The table holds `eigh(H)` at the n^level integration nodes x the
-    level's remaining-coordinate rows, for each n the doubling reaches.  The
-    n-grid nodes are bit for bit the even nodes of the 2n grid, so doubling
-    copies them and diagonalises only the new odd-indexed nodes.
+    For B_0(omega, k) = H(k) - omega*I with H Hermitian, one `eigh` of H per
+    node serves every omega: `lattice_green` turns the eigenpairs into
+    B_0^{-1}.  The table holds `eigh(H)` at the n^level integration nodes x
+    the level's remaining-coordinate rows, for each n the doubling reaches.
+    The n-grid nodes are bit for bit the even nodes of the 2n grid, so
+    doubling copies them and diagonalises only the new odd-indexed nodes.
 
-    The singular values of H - omega*I are |lambda_i - omega|, so the rank
-    guard of `symbol.inverse` (sigma_min < 64 eps sigma_max) is evaluated on
-    the cached eigenvalues and raises the same `SingularMatrix`.
-
-    Level values of (omega, row) cells converge in one loop, `_converge`:
-    given the scan grid and its admissible (row, omega) mask, the first
-    request for a scan cell set evaluates the whole scan at once, and
-    `cell_values` evaluates a polish step's cells at once.
-    `dispersion_branch` builds one table per call.
+    `_converge` evaluates groups of (omega, row) cells together.  Its
+    brackets hold no lower level values, so the table serves only a level
+    with no lower defect level present.  `dispersion_branch` builds one
+    table per call.
     """
 
-    def __init__(self, spec, level, t_rows, scan=(), admissible=None):
+    def __init__(self, spec, level, t_rows):
         self.spec = spec
         self.level = int(level)
         self.t_rows = np.asarray(t_rows, dtype=float)   # (rows, N - level)
-        self._row_of = {tuple(row): i for i, row in enumerate(self.t_rows)}
         self._pairs = {}
-        self._scan_grid = np.asarray(scan, dtype=float)
-        self._admissible = admissible
-        # a present lower level puts per-omega level values inside the
-        # bracket, so such a level is evaluated cell by cell through chains
-        # that take only their level-0 factor from this table
-        self.batched = not any(0 < c < self.level for c in spec.present_codims)
-        self._scan_index = {float(w): i for i, w in
-                            enumerate(self._scan_grid)} if self.batched else {}
-        self._scan = None
-
-    def rows(self, t_rows):
-        """Table row indices of coordinate rows (each must be a table row)."""
-        return np.array([self._row_of[tuple(row)] for row in t_rows], dtype=int)
 
     def eigenpairs(self, n):
         """(lambda, U) at the n-grid nodes x rows.
@@ -301,72 +327,6 @@ class _GreenTable:
         self._pairs[n] = (lam, vec)
         return lam, vec
 
-    def inverse(self, omega, n, t_rows):
-        """B_0^{-1} at the n-grid nodes x t_rows, as `symbol.inverse` gives it.
-
-        Raises `SingularMatrix` with the smallest failing sigma_min when
-        some node fails the rank guard.
-        """
-        green, worst = self._green(n, self.rows(t_rows), omega)
-        if np.any(np.isfinite(worst)):
-            min_sigma = float(np.min(worst))
-            raise SingularMatrix(
-                f"matrix singular to working precision (sigma_min={min_sigma:.3e})",
-                min_sigma)
-        return green
-
-    def scan_values(self, omega, t_rows):
-        """Converged values and pinned n of a scan omega's admissible rows.
-
-        Returns None unless `omega` is on the scan grid and `t_rows` are
-        exactly its admissible rows; raises the omega's `NonConvergence`.
-        """
-        w = self._scan_index.get(omega)
-        if w is None or not np.array_equal(
-                self.rows(t_rows), np.flatnonzero(self._admissible[:, w])):
-            return None
-        if self._scan is None:
-            cols = np.flatnonzero(self._admissible.any(axis=0))
-            self._scan = dict(zip(cols.tolist(), self._converge(
-                self._scan_grid[cols],
-                [np.flatnonzero(self._admissible[:, c]) for c in cols])))
-        outcome = self._scan[w]
-        if isinstance(outcome, NonConvergence):
-            raise outcome
-        return outcome
-
-    def cell_values(self, omegas, rows):
-        """Converged level values at (omega, table row) cells, all at once.
-
-        Each cell is its own group of `_converge`, so it doubles n from
-        N_QUAD_START as a fresh `Chain` would.  Returns one (M, M) value per
-        cell, or the cell's `NonConvergence` in its place.
-        """
-        return [out if isinstance(out, NonConvergence) else out[0][0]
-                for out in self._converge(omegas, np.asarray(rows)[:, None])]
-
-    # -- internals ----------------------------------------------------------
-
-    def _green(self, n, rows, omega):
-        """U diag(1/(lambda - omega)) U^H and the rank guard, per row.
-
-        `omega` is a scalar or one value per row.  Returns the inverses,
-        shape (n^level, m, M, M), and per row the smallest sigma_min among
-        the node matrices failing the guard (inf when none fails; the
-        inverses of failing nodes are not finite).
-        """
-        lam, vec = self.eigenpairs(n)
-        lam, vec = lam[:, rows], vec[:, rows]
-        shift = lam - np.asarray(omega, dtype=float)[..., None]
-        sigma = np.abs(shift)
-        s_min = sigma.min(axis=-1)
-        floor = 64.0 * np.finfo(float).eps * np.maximum(sigma.max(axis=-1), 1e-300)
-        worst = np.where(s_min < floor, s_min, np.inf).min(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            green = np.matmul(vec / shift[..., None, :],
-                              vec.conj().swapaxes(-1, -2))
-        return green, worst
-
     def _converge(self, omegas, groups):
         """Converged level values of groups of cells, evaluated together.
 
@@ -380,6 +340,8 @@ class _GreenTable:
         N_QUAD_MAX makes it stall.  Returns per group (values, n) or the
         group's `NonConvergence`.
         """
+        if len(groups) == 0:
+            return []
         j = self.level
         n_dim = self.spec.lattice_dim
         tol = self.spec.tolerances.quad_rel_tol
@@ -434,42 +396,20 @@ class _GreenTable:
         cell_t, cell_omega, cell_a = cells
         m_sz = self.spec.cell_size
         nodes = n ** self.level
+        lam, vec = self.eigenpairs(n)
         out = np.empty((idx.size, m_sz, m_sz), dtype=complex)
         worst = np.empty(idx.size)
         per = max(1, SCAN_CHUNK_ENTRIES // (nodes * m_sz * m_sz))
         for lo in range(0, idx.size, per):
             part = idx[lo:lo + per]
-            green, worst[lo:lo + per] = self._green(
-                n, cell_t[part], cell_omega[part])
+            rows = cell_t[part]
+            green, bad = lattice_green(lam[:, rows], vec[:, rows],
+                                       cell_omega[part])
+            worst[lo:lo + per] = bad.min(axis=0)
             with np.errstate(invalid="ignore", over="ignore"):
                 out[lo:lo + per] = _close_bracket(green, cell_a[part],
                                                   self.level, n)
         return out, worst
-
-
-class _GreenChain(Chain):
-    """Chain whose top-level brackets take B_0^{-1} from a `_GreenTable`.
-
-    Lower levels inside a higher bracket keep the direct path: their rows
-    are not on the table's mesh.
-    """
-
-    def __init__(self, spec, omega, table):
-        super().__init__(spec, omega)
-        self._table = table
-
-    def _converged_values(self, level, t_rows):
-        if level == self._table.level:
-            found = self._table.scan_values(self.omega, t_rows)
-            if found is not None:
-                vals, self._nquad[level] = found
-                return vals
-        return super()._converged_values(level, t_rows)
-
-    def _level0_inverse(self, level, t_rows, n):
-        if level == self._table.level:
-            return self._table.inverse(self.omega, n, t_rows)
-        return super()._level0_inverse(level, t_rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -902,21 +842,6 @@ class Branch:
                       and np.allclose(k_tail, t, rtol=0.0, atol=1e-12))
 
 
-def _chain_values(make_chain, level, omegas, t_rows):
-    """Level values at (omega, row) cells, one fresh chain per cell.
-
-    A cell whose bracket does not converge gives its `NonConvergence` in
-    place of the (M, M) value, as `_GreenTable.cell_values` does.
-    """
-    out = []
-    for omega, row in zip(omegas, t_rows):
-        try:
-            out.append(make_chain(omega).level_values(level, row[None])[0])
-        except NonConvergence as exc:
-            out.append(exc)
-    return out
-
-
 def _bisect_lockstep(level_dets, rows, a, b, fa, tol_omega):
     """Bisect the sign-change brackets [a, b] of Re det on `rows` at once.
 
@@ -974,15 +899,14 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
     by one warning; a root whose polish meets one is not reported.
 
     The bisection runs in lockstep: each step evaluates the midpoints of all
-    live brackets, across all k nodes, in one call.  For an omega-linear
-    Hermitian bulk, B_0 = H(k) - omega*I, the level-0 factor of every bracket
-    is the lattice Green's function U diag(1/(lambda - omega)) U^H from one
-    `eigh` of H per node, cached for this call (`_GreenTable`), whose rank
-    guard reads the singular values |lambda - omega| off the eigenvalues.
-    Unless a lower defect level sits inside the bracket, the table converges
-    the whole scan, and each bisection step, as one batch of (omega, k)
-    cells.  Otherwise, and for any other bulk, the scan runs one `Chain` per
-    omega and a bisection step one `Chain` per cell.
+    live brackets, across all k nodes, in one call.  Level values come from
+    one evaluator, `evaluate(omegas, groups)`, with the contract of
+    `_GreenTable._converge`: the scan calls it once with one group per
+    admissible omega, each bisection step and each golden-section probe
+    with one group per cell.  For an eigenvalue-form Hermitian bulk,
+    B_0 = H(k) - omega*I, with no lower defect level inside the bracket, it
+    is a `_GreenTable` built for this call; otherwise it runs one `Chain`
+    per group.
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     window = omega_window or spec.omega_window
@@ -1004,46 +928,50 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         admissible[t_idx] = [dist_to_intervals(w, ivs) >= tol.band_guard
                              for w in scan]
 
-    table = None
-    if _hermitian_linear_fast(spec):
-        table = _GreenTable(spec, codim, t_mesh, scan, admissible)
-        make_chain = lambda w: _GreenChain(spec, w, table)
+    if _hermitian_linear_fast(spec) and not any(
+            0 < c < codim for c in spec.present_codims):
+        evaluate = _GreenTable(spec, codim, t_mesh)._converge
     else:
-        make_chain = lambda w: Chain(spec, w)
-    if table is not None and table.batched:
-        cell_values = table.cell_values
-    else:
-        cell_values = lambda omegas, rows: _chain_values(
-            make_chain, codim, omegas, t_mesh[rows])
+        def evaluate(omegas, groups):
+            out = []
+            for omega, rows in zip(omegas, groups):
+                chain = Chain(spec, omega)
+                try:
+                    vals = chain.level_values(codim, t_mesh[rows])
+                except NonConvergence as exc:
+                    out.append(exc)
+                else:
+                    out.append((vals, chain._nquad[codim]))
+            return out
+
+    skipped = []
+
+    def record(omega, rows, exc):
+        skipped.extend((tuple(t_mesh[r]), float(omega), exc.n_reached,
+                        exc.witness_sigma_min) for r in rows)
 
     det_tab = np.full((n_t, len(scan)), np.nan, dtype=complex)
-    skipped = []
-    for w_idx, omega in enumerate(scan):
-        mask = admissible[:, w_idx]
-        if not np.any(mask):
-            continue
-        try:
-            vals = make_chain(omega).level_values(codim, t_mesh[mask])
-        except NonConvergence as exc:
-            skipped.extend((tuple(row), float(omega), exc.n_reached,
-                            exc.witness_sigma_min) for row in t_mesh[mask])
-            continue
-        det_tab[mask, w_idx] = det(vals)
+    cols = np.flatnonzero(admissible.any(axis=0))
+    groups = [np.flatnonzero(admissible[:, w]) for w in cols]
+    for w_idx, rows, out in zip(cols, groups, evaluate(scan[cols], groups)):
+        if isinstance(out, NonConvergence):
+            record(scan[w_idx], rows, out)
+        else:
+            det_tab[rows, w_idx] = det(out[0])
     n_scan_skipped = len(skipped)
 
     def level_dets(omegas, rows):
         """det B_codim at (omega, t_mesh row) cells; NaN, recorded on
         `skipped`, where the bracket does not converge."""
-        values = cell_values(omegas, rows)
-        dets = np.full(len(values), np.nan, dtype=complex)
-        done = [i for i, v in enumerate(values)
-                if not isinstance(v, NonConvergence)]
+        outs = evaluate(omegas, np.asarray(rows)[:, None])
+        dets = np.full(len(outs), np.nan, dtype=complex)
+        done = [i for i, out in enumerate(outs)
+                if not isinstance(out, NonConvergence)]
         if done:
-            dets[done] = det(np.stack([values[i] for i in done]))
-        skipped.extend((tuple(t_mesh[r]), float(w), v.n_reached,
-                        v.witness_sigma_min)
-                       for w, r, v in zip(omegas, rows, values)
-                       if isinstance(v, NonConvergence))
+            dets[done] = det(np.stack([outs[i][0][0] for i in done]))
+        for omega, row, out in zip(omegas, rows, outs):
+            if isinstance(out, NonConvergence):
+                record(omega, [row], out)
         return dets
 
     ok = admissible & np.isfinite(det_tab.real)
@@ -1245,7 +1173,12 @@ def _grid_tabs(spec, omega, n):
                 f"level {level - 1} is singular on the grid "
                 f"(min sigma {float(sig.min()):.3e}); omega is in or too "
                 "close to the spectrum")
-        inv_prev = inverse(prev.reshape(-1, m_sz, m_sz)).reshape(prev.shape)
+        if level == 1:
+            inv_prev = bulk_inverse(spec, omega, mesh,
+                                    _hermitian_linear_fast(spec))
+        else:
+            inv_prev = inverse(prev.reshape(-1, m_sz, m_sz))
+        inv_prev = inv_prev.reshape(prev.shape)
         inv_tabs[level - 1] = inv_prev
         for codim in spec.present_codims:
             if codim >= level:

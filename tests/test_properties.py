@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from defect_bands import spectrum
+from defect_bands.model import DefectLayer, ProblemSpec, Stencil
 from defect_bands.spectrum import dispersion_branch
+from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial, inverse
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -20,3 +25,50 @@ def test_point_defect_root_property(strength, sign):
     branch = dispersion_branch(spec, 1, grids, spec.omega_window)
     assert [om for _, om, _ in branch.samples] == \
         [pytest.approx(sign * np.sqrt(4 + strength ** 2), abs=1e-8)]
+
+
+def _hermitian(re, im):
+    """2 x 2 Hermitian matrix: diagonal re[0], re[1]; corner re[2] + i im."""
+    return np.array([[re[0], re[2] + 1j * im], [re[2] - 1j * im, re[1]]])
+
+
+entries = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(a=st.tuples(entries, entries, entries, entries),
+       b=st.tuples(*[entries] * 8),
+       d=st.tuples(entries, entries, entries, entries),
+       margin=st.floats(0.5, 2.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_green_function_matches_svd_path_m2(a, b, d, margin, sign):
+    # a random M = 2 Hermitian nearest-neighbour chain
+    # H(k) = A + B e^{ik} + B^H e^{-ik}, at an omega at least `margin`
+    # outside the bound |lambda| <= |A| + 2|B| on its bands
+    a_mat = _hermitian(a[:3], a[3])
+    b_mat = np.array(b[:4]).reshape(2, 2) + 1j * np.array(b[4:]).reshape(2, 2)
+    bulk = OmegaSymbol({
+        0: TrigMatrixPolynomial(1, {(0,): a_mat, (1,): b_mat,
+                                    (-1,): b_mat.conj().T}),
+        1: TrigMatrixPolynomial(1, {(0,): -np.eye(2)}),
+    })
+    layer = DefectLayer.from_stencils(
+        1, 1, {0: Stencil(0, {(): _hermitian(d[:3], d[3])})})
+    spec = ProblemSpec(lattice_dim=1, cell_size=2, bulk=bulk,
+                       defects=(layer,))
+    assert spectrum._hermitian_linear_fast(spec)
+    omega = sign * (np.linalg.norm(a_mat, 2) + 2 * np.linalg.norm(b_mat, 2)
+                    + margin)
+    t_rows = np.zeros((1, 0))
+
+    chain = spectrum.Chain(spec, omega)
+    for n in (16, 64):
+        want = inverse(bulk.eval(omega, spectrum.node_mesh(n, 1, t_rows)
+                                 .reshape(-1, 1)))
+        got = chain._level0_inverse(1, t_rows, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    got = spectrum.Chain(spec, omega).level_values(1, t_rows)
+    with mock.patch.object(spectrum, "_hermitian_linear_fast",
+                           lambda spec: False):
+        want = spectrum.Chain(spec, omega).level_values(1, t_rows)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

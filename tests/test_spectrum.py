@@ -15,11 +15,11 @@ from defect_bands.model import (
 from defect_bands.quadrature import NonConvergence
 from defect_bands.spectrum import (
     N_QUAD_MAX,
+    N_QUAD_START,
     BChain,
     Chain,
     ExclusionSet,
     UncertifiedLevel,
-    _GreenChain,
     _GreenTable,
     _hermitian_linear_fast,
     bands,
@@ -215,39 +215,56 @@ class TestGreenTable:
     def test_matches_direct_inverse(self, request, model, omegas):
         spec, _ = request.getfixturevalue(model)
         t_rows = full_mesh(spec.lattice_dim - 1, 16)
-        table = _GreenTable(spec, 1, t_rows)
         for n in (16, 32, 64, 128, 256):
             for omega in omegas:
                 want = _direct_level0_inverse(spec, 1, t_rows, omega, n)
-                got = table.inverse(omega, n, t_rows)
-                assert np.max(np.abs(got - want)) <= \
+                got = Chain(spec, omega)._level0_inverse(1, t_rows, n)
+                assert np.max(np.abs(got.reshape(want.shape) - want)) <= \
                     1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("omega", [2.0, -2.0])
-    def test_exact_zero_raises_like_direct(self, chain_model, omega):
+    def test_exact_zero_raises_like_direct(self, chain_defect_model, omega):
         # 2 cos k - omega vanishes exactly at the k = 0 and k = -pi nodes
-        spec, _ = chain_model
+        spec, _ = chain_defect_model
         t_rows = np.zeros((1, 0))
         with pytest.raises(SingularMatrix) as direct:
             _direct_level0_inverse(spec, 1, t_rows, omega, 16)
-        with pytest.raises(SingularMatrix) as cached:
-            _GreenTable(spec, 1, t_rows).inverse(omega, 16, t_rows)
-        assert direct.value.min_sigma == cached.value.min_sigma == 0.0
+        with pytest.raises(SingularMatrix) as green:
+            Chain(spec, omega)._level0_inverse(1, t_rows, 16)
+        table, = _GreenTable(spec, 1, t_rows)._converge([omega], [[0]])
+        assert isinstance(table, NonConvergence)
+        assert table.n_reached == N_QUAD_START
+        assert direct.value.min_sigma == green.value.min_sigma == \
+            table.witness_sigma_min == 0.0
+
+    def test_rank_guard_near_zero_m1(self, chain_defect_model):
+        # at omega = 0 the level-0 matrix 2 cos k is 1.2e-16 at the
+        # k = +-pi/2 nodes of the first grid: below 64 eps max(1, |lambda|),
+        # so both level-0 paths fail there instead of doubling n on values
+        # of 8e15
+        spec, _ = chain_defect_model
+        t_rows = np.zeros((1, 0))
+        with pytest.raises(NonConvergence) as err:
+            Chain(spec, 0.0).level_values(1, t_rows)
+        table, = _GreenTable(spec, 1, t_rows)._converge([0.0], [[0]])
+        for exc in (err.value, table):
+            assert isinstance(exc, NonConvergence)
+            assert exc.n_reached == N_QUAD_START
+            assert exc.witness_sigma_min == pytest.approx(
+                abs(2.0 * np.cos(np.pi / 2)), rel=1e-3)
 
     @pytest.mark.parametrize("delta", [1e-7, 1e-5])
     def test_stall_matches_direct(self, chain_defect_model, delta):
         # just above the band edge the level-1 integrand 1/(2 cos k - omega)
-        # is too sharp for N_QUAD_MAX nodes: the direct chain and the
-        # one-omega table scan must stall alike, with witness ~ delta
+        # is too sharp for N_QUAD_MAX nodes: the direct chain and a
+        # one-group table evaluation must stall alike, with witness ~ delta
         spec, _ = chain_defect_model
         omega, t_rows = 2.0 + delta, np.zeros((1, 0))
-        table = _GreenTable(spec, 1, t_rows, [omega], np.ones((1, 1), bool))
-        stalls = []
-        for chain in (Chain(spec, omega), _GreenChain(spec, omega, table)):
-            with pytest.raises(NonConvergence) as err:
-                chain.level_values(1, t_rows)
-            stalls.append(err.value)
-        direct, cached = stalls
+        with pytest.raises(NonConvergence) as err:
+            Chain(spec, omega).level_values(1, t_rows)
+        direct = err.value
+        cached, = _GreenTable(spec, 1, t_rows)._converge([omega], [[0]])
+        assert isinstance(cached, NonConvergence)
         assert direct.n_reached == cached.n_reached == N_QUAD_MAX
         assert direct.witness_sigma_min == cached.witness_sigma_min
         assert direct.witness_sigma_min == pytest.approx(delta, rel=1e-6)
@@ -271,6 +288,105 @@ class TestGreenTable:
         fresh = _GreenTable(spec, level, t_rows).eigenpairs(n)
         for got, want in zip(coarse, fresh):
             assert np.array_equal(got, want)
+
+
+def _svd_reference(monkeypatch):
+    """Route every level-0 inverse through the SVD-guarded `inverse`."""
+    monkeypatch.setattr(spectrum, "_hermitian_linear_fast", lambda spec: False)
+
+
+class TestGreenRouting:
+    """The Green's function paths against the SVD reference path."""
+
+    #: isolated eigenvalue of `tests_util.square_line_and_point` (mpmath)
+    NESTED_POINT = 5.180756781817904
+
+    @pytest.mark.parametrize("nested, omegas", [
+        (False, (-5.0, -4.5, 1.3, 4.1, 4.2, 4.3, 5.0, 6.5)),
+        (True, (-5.0, 1.3, 4.1, 4.2, 4.7, NESTED_POINT, 6.0, 7.5)),
+    ])
+    def test_membership_matches_reference(self, square_line_model,
+                                          monkeypatch, nested, omegas):
+        # gaps, the band, the guided branch up to 2 + sqrt5 and, on the
+        # nested model, its isolated point; sigma is compared relative to
+        # max(1, sigma) since a detected level's sigma is ~1e-16
+        from tests_util import square_line_and_point
+        spec = square_line_and_point()[0] if nested else square_line_model[0]
+        grids = GridConfig(k_points=32)
+        green = [membership(spec, om, grids) for om in omegas]
+        _svd_reference(monkeypatch)
+        for om, got in zip(omegas, green):
+            want = membership(spec, om, grids)
+            assert (got.status, got.detected_at_step) == \
+                (want.status, want.detected_at_step)
+            assert [lv for lv, _ in got.min_sigma_per_level] == \
+                [lv for lv, _ in want.min_sigma_per_level]
+            for (_, a), (_, b) in zip(got.min_sigma_per_level,
+                                      want.min_sigma_per_level):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+        assert {c.status for c in green} == {"in", "out"}
+        assert {c.detected_at_step for c in green} >= \
+            ({0, 1, 2} if nested else {0, 1})
+
+    @pytest.mark.parametrize("model, omega", [
+        ("chain", 3.0), ("line", 5.0), ("nested", 4.7), ("nested", 6.0)])
+    def test_resolvent_matches_reference(self, chain_defect_model,
+                                         square_line_model, monkeypatch,
+                                         model, omega):
+        from tests_util import square_line_and_point
+        spec = {"chain": chain_defect_model[0],
+                "line": square_line_model[0],
+                "nested": square_line_and_point()[0]}[model]
+        d = spec.lattice_dim
+        g = trig_vector(d, {(0,) * d: [1.0], (1,) * d: [0.5 - 0.25j],
+                            (-2,) + (0,) * (d - 1): [0.3j]})
+        grids = GridConfig(k_points=32)
+        got = resolvent_apply(spec, omega, g, grids).f_tab
+        _svd_reference(monkeypatch)
+        want = resolvent_apply(spec, omega, g, grids).f_tab
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("eigen_table", [True, False])
+    def test_golden_section_fallback(self, monkeypatch, eigen_table):
+        # the bound state 2.5 of eps = 1.5 is a scan omega, where |det| is
+        # below det_zero_tol with no sign change beside it: one golden
+        # section refines it
+        from tests_util import chain_with_defect
+        spec, grids = chain_with_defect(1.5)
+        if not eigen_table:
+            _svd_reference(monkeypatch)
+        calls = []
+        golden = spectrum._golden_min
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return golden(*args)
+
+        monkeypatch.setattr(spectrum, "_golden_min", counted)
+        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+        (_, root, _), = branch.samples
+        assert abs(root - 2.5) <= spec.tolerances.root_tol_omega
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", ["chain_defect_model",
+                                       "square_line_model"])
+    def test_full_spectrum_makes_no_svd_inverse(self, request, monkeypatch,
+                                                model):
+        spec, _ = request.getfixturevalue(model)
+        grids = GridConfig(k_points=16, omega_points=129)
+        calls = []
+        direct = spectrum.inverse
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return direct(a)
+
+        monkeypatch.setattr(spectrum, "inverse", counted)
+        full_spectrum(spec, spec.omega_window, grids, n_probes=8)
+        assert calls == []
+        _svd_reference(monkeypatch)
+        full_spectrum(spec, spec.omega_window, grids, n_probes=8)
+        assert calls  # the counting patch sees the reference path
 
 
 class TestMembership:
@@ -396,6 +512,16 @@ class TestDispersionBranch:
         branch = dispersion_branch(spec, 1, grids, spec.omega_window)
         assert branch.samples == []
 
+    @pytest.mark.parametrize("eigen_table", [True, False])
+    def test_window_inside_band_empty_branch(self, chain_defect_model,
+                                             monkeypatch, eigen_table):
+        # every scan omega lies in the band [-2, 2]: nothing is evaluated
+        spec, grids = chain_defect_model
+        if not eigen_table:
+            _svd_reference(monkeypatch)
+        branch = dispersion_branch(spec, 1, grids, (-1.5, 1.5))
+        assert branch.samples == [] and branch.skipped == []
+
     def test_negative_defect_negative_point(self):
         from tests_util import chain_with_defect
         spec, grids = chain_with_defect(-1.0)
@@ -466,8 +592,12 @@ class TestDispersionBranch:
                                        (-3.0, 3.0))
         assert [om for _, om, _ in branch.samples] == \
             [pytest.approx(np.sqrt(1 + 4 * a * a), abs=1e-8)]
+        # the Green's function's rank guard fails the omega = 0 step on the
+        # first grid, where a k = +-pi/2 node sits 1.2e-19 from the band;
+        # the SVD guard is relative, so for M = 1 the direct path stalls
         (k_tail, omega, n_reached, witness), = branch.skipped
-        assert (k_tail, omega, n_reached) == ((), 0.0, N_QUAD_MAX)
+        assert (k_tail, omega, n_reached) == \
+            ((), 0.0, N_QUAD_START if eigen_table else N_QUAD_MAX)
         assert 0.0 <= witness <= 1e-12
         assert "0 scan cells and 1 polish steps" in caplog.text
 
@@ -500,22 +630,29 @@ class TestDispersionBranch:
                     assert abs(oa - ob) <= spec.tolerances.root_tol_omega
 
     def test_lockstep_polish_work(self, square_line_model, monkeypatch):
-        # at 32 k nodes and 257 omegas every node has one root; bisecting a
-        # scan step of 12/256 to root_tol_omega takes 29 halvings, so the
-        # polish is 29 batched calls over 32 cells each, the work of 32
-        # scalar bisections
+        # at 32 k nodes and 257 omegas every node has one root; the scan is
+        # one batched call with one group per admissible omega, and
+        # bisecting a scan step of 12/256 to root_tol_omega takes 29
+        # halvings, so the polish is 29 batched calls over 32 cells each,
+        # the work of 32 scalar bisections
         spec, _ = square_line_model
-        sizes = []
-        cell_values = _GreenTable.cell_values
+        grids = coarse(spec)
+        calls = []
+        converge = _GreenTable._converge
 
-        def counted(table, omegas, rows):
-            sizes.append(len(rows))
-            return cell_values(table, omegas, rows)
+        def counted(table, omegas, groups):
+            calls.append((np.array(omegas), [len(g) for g in groups]))
+            return converge(table, omegas, groups)
 
-        monkeypatch.setattr(_GreenTable, "cell_values", counted)
-        branch = dispersion_branch(spec, 1, coarse(spec), spec.omega_window)
+        monkeypatch.setattr(_GreenTable, "_converge", counted)
+        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
         assert len(branch.samples) == 32
-        assert sizes == [32] * 29 and sum(sizes) == 928
+        (scan_omegas, _), *polish = calls
+        scan = np.linspace(*spec.omega_window, grids.omega_points)
+        assert np.all(np.isin(scan_omegas, scan))
+        assert len(np.unique(scan_omegas)) == len(scan_omegas)
+        assert [sizes for _, sizes in polish] == [[1] * 32] * 29
+        assert sum(len(sizes) for _, sizes in polish) == 928
 
     @pytest.mark.xfail(strict=True, reason=(
         "root between band_guard and the first admissible scan omega is "
