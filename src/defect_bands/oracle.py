@@ -5,7 +5,20 @@ defect stack on the coordinate sublattices through the origin) on a finite
 box, with open or periodic boundaries per axis: each hopping offset lands on
 all its source cells at once, periodic coordinates wrapped and hoppings
 leaving an open axis dropped.  The bulk must be in eigenvalue form,
-H(k) - omega*I, so that the box matrix is H itself.  Two comparisons matter:
+H(k) - omega*I, so that the box matrix is H itself.  The matrix is real
+whenever every placed block is, which holds on all bundled models, and
+complex otherwise.
+
+`oracle_eigenvalues` splits the box into Bloch blocks along its reducible
+axes: periodic axes that no defect pins (index >= every layer's codim), on
+which the matrix is block-circulant.  The blocks are the discrete Fourier
+transform of the assembled matrix's first block row, checked bit-exactly
+against every other block row, so they come from the real-space matrix and
+not from the engine's symbols.  A box with no reducible axis is one block.
+`oracle_eigenpairs` and `periodic_box_check` stay on the whole dense box: the
+first because `boundary_mass` needs real-space eigenvectors, the second
+because its identity is a statement about the whole box.  Two comparisons
+matter:
 
 * periodic boundaries, no defect: eigenvalues equal the bulk dispersion at
   the box's Bloch wavevectors exactly, so the deviation is pure eigensolver
@@ -21,7 +34,7 @@ normalization factor lives on the Fourier side only.
 import numpy as np
 
 from .quadrature import _product_nodes
-from .spectrum import bands, point_in_intervals
+from .spectrum import bands_grid, point_in_intervals
 from .symbol import InputError, TWO_PI, is_hermitian
 
 #: dense eigensolver size cap
@@ -29,7 +42,10 @@ MAX_DIMENSION = 20000
 
 
 class TruncatedOperator:
-    """Dense real-space truncation of the perturbed operator."""
+    """Dense real-space truncation of the perturbed operator.
+
+    `matrix` is float64 when every placed block is real, else complex128.
+    """
 
     def __init__(self, spec, half_widths, bcs, matrix, site_cells):
         self.spec = spec
@@ -125,7 +141,8 @@ def assemble_truncated(spec, half_width, bc="open"):
     sizes = [len(sites) for sites in axes_sites]
     lowest = np.where(periodic, 0, -widths)
     slot = np.arange(m_sz)
-    h = np.zeros((dim, dim), dtype=complex)
+    real = not any(np.any(block.imag) for _, block, _ in placements)
+    h = np.zeros((dim, dim), dtype=float if real else complex)
     for offset, block, source in placements:
         target = cells[source] + np.asarray(offset, dtype=int)
         # wrapped periodic coordinates lie in 0..L-1, so only open axes drop
@@ -134,7 +151,7 @@ def assemble_truncated(spec, half_width, bc="open"):
         t_idx = np.ravel_multi_index((target[inside] - lowest).T, sizes)
         rows = (t_idx[:, None] * m_sz + slot)[:, :, None]
         cols = (source[inside][:, None] * m_sz + slot)[:, None, :]
-        h[rows, cols] += block
+        h[rows, cols] += block.real if real else block
 
     if spec.is_self_adjoint():
         asym = float(np.max(np.abs(h - h.conj().T)))
@@ -145,21 +162,61 @@ def assemble_truncated(spec, half_width, bc="open"):
     return TruncatedOperator(spec, half_widths, bcs, h, cells)
 
 
-def oracle_eigenvalues(truncated):
-    """Ascending eigenvalues of the dense truncation (Hermitian path)."""
+def _checked_matrix(truncated):
     if truncated.dimension > MAX_DIMENSION:
         raise InputError(
             f"dimension {truncated.dimension} exceeds {MAX_DIMENSION}; reduce L")
     if not is_hermitian(truncated.matrix, tol=1e-12):
         raise InputError("truncated operator is not Hermitian")
-    return np.linalg.eigvalsh(truncated.matrix)
+    return truncated.matrix
+
+
+def _bloch_blocks(truncated):
+    """(n_q, D, D) Bloch blocks of the box along its reducible axes.
+
+    Reducible axes are periodic ones that every defect leaves free.  The box
+    matrix, viewed as (cells..., slot, cells..., slot), must then be
+    block-circulant on them: every block row along those axes is the first
+    one rolled, bit for bit.  The blocks are the Fourier transform of that
+    first row over the column axes; with no reducible axis the one block is
+    the whole matrix.
+    """
+    spec = truncated.spec
+    n_dim = spec.lattice_dim
+    pinned = max((layer.codim for layer in spec.defects), default=0)
+    reduced = [a for a in range(n_dim)
+               if truncated.bcs[a] == "periodic" and a >= pinned]
+    kept = [a for a in range(n_dim) if a not in reduced]
+    sizes = tuple(_axis_sites(l, b).size
+                  for l, b in zip(truncated.half_widths, truncated.bcs))
+    h = truncated.matrix.reshape(2 * (sizes + (spec.cell_size,)))
+    # rows ordered (reduced cells, kept cells, slot), columns likewise
+    order = reduced + kept + [n_dim]
+    h = h.transpose(order + [n_dim + 1 + a for a in order])
+    q_shape = h.shape[:len(reduced)]
+    first = h[(0,) * len(reduced)]
+    q_axes = tuple(range(len(order) - len(reduced), len(order)))
+    for shift in list(np.ndindex(*q_shape))[1:]:
+        if not np.array_equal(h[shift], np.roll(first, shift, axis=q_axes)):
+            raise AssertionError(
+                f"box is not translation-invariant along axes {reduced}")
+    blocks = np.moveaxis(np.fft.fftn(first, axes=q_axes), q_axes,
+                         range(len(reduced)))
+    size = truncated.dimension // int(np.prod(q_shape))
+    return blocks.reshape(-1, size, size)
+
+
+def oracle_eigenvalues(truncated):
+    """Ascending eigenvalues of the truncation, one batched Hermitian solve
+    over its Bloch blocks (the whole matrix when no axis is reducible)."""
+    _checked_matrix(truncated)
+    return np.sort(np.linalg.eigvalsh(_bloch_blocks(truncated)).ravel())
 
 
 def oracle_eigenpairs(truncated):
-    """Eigenvalues and eigenvectors of the dense truncation, ascending."""
-    if not is_hermitian(truncated.matrix, tol=1e-12):
-        raise InputError("truncated operator is not Hermitian")
-    return np.linalg.eigh(truncated.matrix)
+    """Eigenvalues and real-space eigenvectors of the dense truncation,
+    ascending."""
+    return np.linalg.eigh(_checked_matrix(truncated))
 
 
 def boundary_mass(truncated, vectors, margin=2):
@@ -189,12 +246,13 @@ def periodic_box_check(spec, half_width):
     if spec.defects:
         raise InputError("periodic_box_check requires a defect-free spec")
     l = int(half_width)
-    trunc = assemble_truncated(spec, l, bc="periodic")
-    eigs = oracle_eigenvalues(trunc)
+    eigs = np.linalg.eigvalsh(
+        _checked_matrix(assemble_truncated(spec, l, bc="periodic")))
     axis_k = TWO_PI * (np.arange(l) + (l % 2) / 2) / l - np.pi
     k_rows = _product_nodes(axis_k, spec.lattice_dim)
-    model = np.sort(np.concatenate([bands(spec, row) for row in k_rows]))
-    return float(np.max(np.abs(np.sort(eigs) - model)))
+    # one row of bands per wavevector, ragged (a list) or not
+    model = np.sort(np.concatenate(bands_grid(spec, k_rows)))
+    return float(np.max(np.abs(eigs - model)))
 
 
 def compare_spectra(result, eigenvalues, tol, boundary_fraction=None,

@@ -9,12 +9,39 @@ from defect_bands.oracle import (
     oracle_eigenvalues,
     periodic_box_check,
 )
-from defect_bands.model import ProblemSpec, Stencil
+from defect_bands.model import DefectLayer, ProblemSpec, Stencil
 from defect_bands.spectrum import bands, full_spectrum
 from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
-from tests_util import chain_with_defect
+from conftest import load_model
+from tests_util import chain_with_defect, square_line_and_point
 
 SQRT5 = np.sqrt(5.0)
+
+BUNDLED = ["chain.json", "chain_point_defect.json", "square.json",
+           "square_line_defect.json", "bipartite_chain.json"]
+
+
+def complex_hopping_chain(phi, eps=None):
+    """Unit chain with hopping e^{i phi}, optionally an on-site point defect.
+
+    Hermitian, with a complex box matrix unless phi is a multiple of pi.
+    """
+    hop = np.exp(1j * phi)
+    bulk = OmegaSymbol({
+        0: Stencil(1, {(1,): [[hop]], (-1,): [[np.conj(hop)]]}),
+        1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
+    defects = ()
+    if eps is not None:
+        defects = (DefectLayer.from_stencils(
+            1, 1, {0: Stencil(0, {(): [[eps]]})}),)
+    return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk, defects=defects)
+
+
+def assert_bloch_matches_dense(trunc):
+    got = oracle_eigenvalues(trunc)
+    want = np.linalg.eigvalsh(trunc.matrix)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 class TestAssembly:
@@ -114,6 +141,73 @@ class TestAssembly:
         trunc = assemble_truncated(spec, 0, bc="open")
         assert trunc.matrix.shape == (1, 1)
         assert oracle_eigenvalues(trunc)[0] == pytest.approx(1.0)
+
+
+class TestDtype:
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_models_are_real(self, name, bc):
+        spec, _ = load_model(name)
+        assert assemble_truncated(spec, 3, bc=bc).matrix.dtype == np.float64
+
+    def test_complex_hopping_is_complex(self):
+        trunc = assemble_truncated(complex_hopping_chain(0.7), 4, "periodic")
+        assert trunc.matrix.dtype == np.complex128
+        assert trunc.matrix[1, 0] == pytest.approx(np.exp(0.7j), abs=1e-15)
+
+
+class TestBlochBlocks:
+    """oracle_eigenvalues' Bloch blocks against the whole dense matrix."""
+
+    @pytest.mark.parametrize("l2", [1, 2, 3, 5])
+    def test_line_defect_strip(self, square_line_model, l2):
+        spec, _ = square_line_model
+        assert_bloch_matches_dense(
+            assemble_truncated(spec, (3, l2), ("open", "periodic")))
+
+    @pytest.mark.parametrize("half_widths", [(1, 2), (3, 4), (5, 5)])
+    def test_square_periodic_box(self, square_model, half_widths):
+        # no defect: both axes are reduced, blocks are 1 x 1
+        spec, _ = square_model
+        assert_bloch_matches_dense(
+            assemble_truncated(spec, half_widths, "periodic"))
+
+    def test_line_defect_periodic_box(self, square_line_model):
+        # axis 0 is pinned by the codim-1 defect, axis 1 is reduced
+        spec, _ = square_line_model
+        assert_bloch_matches_dense(assemble_truncated(spec, (4, 5), "periodic"))
+
+    def test_nested_periodic_box(self):
+        # the point defect pins both axes: one block, the whole matrix
+        spec, _ = square_line_and_point()
+        assert_bloch_matches_dense(assemble_truncated(spec, 5, "periodic"))
+
+    @pytest.mark.parametrize("half_width", [1, 2, 7])
+    def test_bipartite_periodic(self, bipartite_model, half_width):
+        spec, _ = bipartite_model
+        assert_bloch_matches_dense(
+            assemble_truncated(spec, half_width, "periodic"))
+
+    @pytest.mark.parametrize("eps", [None, 0.8])
+    @pytest.mark.parametrize("half_width", [1, 2, 7, 8])
+    def test_complex_hopping_chain(self, eps, half_width):
+        spec = complex_hopping_chain(0.7, eps)
+        assert_bloch_matches_dense(
+            assemble_truncated(spec, half_width, "periodic"))
+
+    def test_complex_hopping_box_identity(self):
+        assert periodic_box_check(complex_hopping_chain(0.7), 9) <= 1e-10
+
+    @pytest.mark.parametrize("tamper", [0.5, 1e-15])
+    def test_broken_translation_invariance_raises(self, square_line_model,
+                                                  tamper):
+        # a diagonal nudge keeps the matrix Hermitian, so only the exact
+        # translation check can see it, however small it is
+        spec, _ = square_line_model
+        trunc = assemble_truncated(spec, (2, 4), ("open", "periodic"))
+        trunc.matrix[0, 0] += tamper
+        with pytest.raises(AssertionError, match="translation-invariant"):
+            oracle_eigenvalues(trunc)
 
 
 class TestPeriodicBoxIdentity:

@@ -5,6 +5,7 @@ import pytest
 
 from defect_bands import spectrum
 from defect_bands.model import DefectLayer, ProblemSpec, Stencil
+from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
 from defect_bands.spectrum import dispersion_branch
 from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial, inverse
 
@@ -72,3 +73,24 @@ def test_green_function_matches_svd_path_m2(a, b, d, margin, sign):
                            lambda spec: False):
         want = spectrum.Chain(spec, omega).level_values(1, t_rows)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(half_widths=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+       bcs=st.tuples(*[st.sampled_from(["open", "periodic"])] * 2),
+       eps=st.floats(-3.0, 3.0),
+       defects=st.sampled_from(["none", "line", "line+point"]))
+def test_bloch_eigenvalues_match_dense(half_widths, bcs, eps, defects):
+    # every box of the 2D square lattice, bare, with a line defect, or with
+    # a point on the line: the Bloch blocks of the reducible axes give the
+    # dense spectrum
+    from tests_util import square_line_and_point, square_with_line_defect
+    spec, _ = square_line_and_point() if defects == "line+point" else \
+        square_with_line_defect(eps)
+    if defects == "none":
+        spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=spec.bulk)
+    trunc = assemble_truncated(spec, half_widths, bcs)
+    got = oracle_eigenvalues(trunc)
+    want = np.linalg.eigvalsh(trunc.matrix)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
