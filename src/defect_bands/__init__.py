@@ -11,7 +11,6 @@ from .model import (
     ToleranceSet,
     ValidationReport,
     defect_stencil_to_symbol,
-    stencil_to_symbol,
     validate,
 )
 from .oracle import (

@@ -25,11 +25,6 @@ class Stencil(TrigMatrixPolynomial):
     """
 
 
-def stencil_to_symbol(stencil):
-    """Floquet symbol of a periodic hopping operator: the stencil itself."""
-    return stencil
-
-
 def defect_stencil_to_symbol(stencil, codim, lattice_dim):
     """Floquet symbol of a codimension-`codim` defect operator.
 

@@ -48,6 +48,9 @@ N_QUAD_MAX = 4096
 #: points per axis of the mesh a NonConvergence witness is taken on
 WITNESS_POINTS = 4 * N_QUAD_START
 
+#: seed of the membership probe frequencies of `full_spectrum`
+PROBE_SEED = 20260808
+
 #: complex node entries per chunk of a batched dispersion scan or polish step
 #: (256 KiB per array): larger chunks raised peak RSS by ~26 MB on the
 #: halved-grid line defect and ran no faster
@@ -103,59 +106,31 @@ def lattice_green(lam, vec, omega):
     return green, np.where(s_min < floor, s_min, np.inf)
 
 
-def bulk_inverse(spec, omega, k_rows, hermitian_linear):
-    """B_0^{-1} at wavevector rows, shape (m, N) -> (m, M, M).
-
-    `hermitian_linear` is `_hermitian_linear_fast(spec)`, decided once by
-    the caller: an eigenvalue-form Hermitian bulk gets `lattice_green` from
-    one `eigh` of H per row, any other bulk the SVD-guarded `inverse`.  Both
-    raise `SingularMatrix` with the smallest failing sigma_min.
-    """
-    if not hermitian_linear:
-        return inverse(spec.bulk.eval(omega, k_rows))
-    green, worst = lattice_green(
-        *np.linalg.eigh(spec.bulk.terms[0].eval(k_rows)), omega)
-    if np.any(np.isfinite(worst)):
-        min_sigma = float(np.min(worst))
-        raise SingularMatrix(
-            f"matrix singular to working precision (sigma_min={min_sigma:.3e})",
-            min_sigma)
-    return green
-
-
 # ---------------------------------------------------------------------------
 # the chain of level matrices at fixed omega
 
 
 class Chain:
-    """Lazy evaluator for the level matrices at one omega.
+    """Memoized level matrices at one omega.
 
     A level-j value is a bracket: I plus the scaled trapezoid sum
     (`quadrature.trapezoid_sum`) of the inverse-product integrand over the
-    n^j nodes of the first j axes.  n starts at N_QUAD_START and doubles
-    until the relative change falls below the spec's quad_rel_tol; a
-    singular node matrix, or passing N_QUAD_MAX, raises `NonConvergence`.
-    The n that first converges is pinned per level and reused, and converged
-    values are memoized per coordinate tuple, so repeated queries (step
-    checks, local refinement, lower levels inside higher brackets) stay
-    cheap.
-
-    The level-0 factor B_0^{-1} of a bracket is `bulk_inverse` at the
-    bracket's nodes: the lattice Green's function for an eigenvalue-form
-    Hermitian bulk, the SVD-guarded `inverse` for any other.  Inverses of
-    lower levels inside a higher bracket always use `inverse`.
+    n^j nodes of the first j axes.  `level_values` evaluates the rows it has
+    not seen as one group of a `_GreenTable` built for them at this omega:
+    the first time at a level n doubles from N_QUAD_START until the relative
+    change falls below the spec's quad_rel_tol, and that n is pinned for the
+    level's later rows.  A singular node matrix, or passing N_QUAD_MAX,
+    raises `NonConvergence`.  Values are memoized per coordinate tuple, so
+    repeated queries (step checks, local refinement, lower levels inside
+    higher brackets) stay cheap; the lower-level factors of a bracket come
+    from this memo.
     """
 
     def __init__(self, spec, omega):
         self.spec = spec
         self.omega = float(omega)
-        self._layers = {layer.codim: layer for layer in spec.defects}
-        self._hermitian_linear = _hermitian_linear_fast(spec)
         self._memo = {}
         self._nquad = {}
-
-    def level0(self, k_rows):
-        return self.spec.bulk.eval(self.omega, np.asarray(k_rows, dtype=float))
 
     def level_values(self, level, t_rows):
         """Level matrices at rows of remaining coordinates.
@@ -177,127 +152,54 @@ class Chain:
         else:
             t_rows = t_rows.reshape(-1, n_dim - level)
         if level == 0:
-            return self.level0(t_rows)
-        if level not in self._layers:
+            return self.spec.bulk.eval(self.omega, t_rows)
+        if self.spec.defect_by_codim(level) is None:
             eye = np.eye(m_sz, dtype=complex)
             return np.broadcast_to(eye, (t_rows.shape[0], m_sz, m_sz)).copy()
         memo = self._memo.setdefault(level, {})
         keys = [tuple(row) for row in t_rows]
         missing = [i for i, key in enumerate(keys) if key not in memo]
         if missing:
-            vals = self._converged_values(level, t_rows[missing])
+            table = _GreenTable(self.spec, level, t_rows[missing], owner=self)
+            out, = table._converge([self.omega], [np.arange(len(missing))],
+                                   pinned=self._nquad.get(level))
+            if isinstance(out, NonConvergence):
+                raise out
+            vals, self._nquad[level] = out
             for slot, val in zip(missing, vals):
                 memo[keys[slot]] = val
         return np.stack([memo[key] for key in keys], axis=0)
 
-    # -- internals ----------------------------------------------------------
-
-    def _converged_values(self, level, t_rows):
-        fixed = self._nquad.get(level)
-        if fixed is not None:
-            return self._bracket_values(level, t_rows, fixed)
-        n = N_QUAD_START
-        try:
-            prev = self._bracket_values(level, t_rows, n)
-        except SingularMatrix as exc:
-            raise _singular_integrand(level, n, exc.min_sigma) from exc
-        while True:
-            if 2 * n > N_QUAD_MAX:
-                raise _stalled(level, self.omega, n,
-                               self._witness_sigma(level, t_rows))
-            n *= 2
-            try:
-                curr = self._bracket_values(level, t_rows, n)
-            except SingularMatrix as exc:
-                raise _singular_integrand(level, n, exc.min_sigma) from exc
-            scale = max(1.0, float(np.max(np.abs(curr))))
-            change = float(np.max(np.abs(curr - prev))) / scale
-            if change < self.spec.tolerances.quad_rel_tol:
-                self._nquad[level] = n
-                logger.debug("level %d converged at n=%d (change %.2e)",
-                             level, n, change)
-                return curr
-            prev = curr
-
-    def _level0_inverse(self, level, t_rows, n):
-        """B_0^{-1} at the level's n-grid nodes x t_rows, node-major."""
-        k_full = node_mesh(n, level, t_rows)
-        return bulk_inverse(self.spec, self.omega,
-                            k_full.reshape(-1, self.spec.lattice_dim),
-                            self._hermitian_linear)
-
-    def _bracket_values(self, level, t_rows, n):
-        """I + scaled integral of the inverse-product integrand, fixed n."""
-        n_dim = self.spec.lattice_dim
-        m_sz = self.spec.cell_size
-        j = level
-        m = t_rows.shape[0]
-        prod = self._level0_inverse(j, t_rows, n)
-        prod = prod.reshape((n,) * j + (m, m_sz, m_sz))
-        for i in range(1, j):
-            if i not in self._layers:
-                continue  # pass-through level, factor is the identity
-            t_i = node_mesh(n, j - i, t_rows)
-            vals_i = self.level_values(i, t_i.reshape(-1, n_dim - i))
-            inv_i = inverse(vals_i).reshape((n,) * (j - i) + (m, m_sz, m_sz))
-            inv_i = inv_i.reshape((1,) * i + inv_i.shape)
-            prod = np.matmul(inv_i, prod)
-        k_t = np.zeros((m, n_dim), dtype=float)
-        if n_dim > j:
-            k_t[:, j:] = t_rows
-        a_vals = self._layers[j].symbol.eval(self.omega, k_t)
-        return _close_bracket(prod.reshape(-1, m, m_sz, m_sz), a_vals, j, n)
-
-    def _witness_sigma(self, level, t_rows):
-        """Min sigma_min of the bulk level over the witness mesh."""
-        k_full = node_mesh(WITNESS_POINTS, level, t_rows)
-        vals = self.level0(k_full.reshape(-1, self.spec.lattice_dim))
-        return float(np.min(smallest_singular_value(vals)))
-
-
-def _close_bracket(prod, a_vals, level, n):
-    """I + the scaled trapezoid sum of prod @ a_vals over the nodes.
-
-    `prod` holds the inverse product at the nodes, shape (nodes, m, M, M);
-    `a_vals` the defect symbol per row, shape (m, M, M).
-    """
-    total = trapezoid_sum(np.matmul(prod, a_vals), level, n)
-    return np.eye(a_vals.shape[-1], dtype=complex) + total
-
-
-def _stalled(level, omega, n, witness):
-    return NonConvergence(
-        f"level {level} quadrature stalled at n={n} per axis "
-        f"(omega={omega!r} is too close to a lower-level spectrum projection)",
-        n_reached=n, last_change=np.inf, witness_sigma_min=witness)
-
-
-def _singular_integrand(level, n, min_sigma):
-    return NonConvergence(
-        f"level {level} integrand singular on the n={n} grid",
-        n_reached=n, last_change=np.inf, witness_sigma_min=min_sigma)
-
 
 class _GreenTable:
-    """Batched level values for an eigenvalue-form Hermitian bulk.
+    """Converged level values of groups of (omega, row) cells.
 
-    For B_0(omega, k) = H(k) - omega*I with H Hermitian, one `eigh` of H per
-    node serves every omega: `lattice_green` turns the eigenpairs into
-    B_0^{-1}.  The table holds `eigh(H)` at the n^level integration nodes x
-    the level's remaining-coordinate rows, for each n the doubling reaches.
-    The n-grid nodes are bit for bit the even nodes of the 2n grid, so
-    doubling copies them and diagonalises only the new odd-indexed nodes.
+    This is the one place where a bracket is built and n is doubled.  The
+    table serves one level and fixed rows of its remaining coordinates; a
+    bracket's factors are formed as follows.
+    - B_0^{-1}, by `level0_inverse`: for an eigenvalue-form Hermitian bulk,
+      B_0 = H(k) - omega*I, `lattice_green` from one `eigh` of H per node,
+      which serves every omega.  The table holds `eigh(H)` at the n^level
+      integration nodes x rows, for each n the doubling reaches; the n-grid
+      nodes are bit for bit the even nodes of the 2n grid, so doubling
+      copies them and diagonalises only the new odd-indexed nodes.  Any
+      other bulk takes the SVD-guarded `inverse`, one call per group.
+    - B_i^{-1} for each lower defect level i: the `inverse` of the level
+      values of the owning `Chain`, so a table at such a level needs an
+      owner and evaluates one group, at the owner's omega.
 
-    `_converge` evaluates groups of (omega, row) cells together.  Its
-    brackets hold no lower level values, so the table serves only a level
-    with no lower defect level present.  `dispersion_branch` builds one
-    table per call.
+    `Chain` builds one table per batch of rows it has not seen;
+    `dispersion_branch` builds one per call at a level with no lower defect
+    level.
     """
 
-    def __init__(self, spec, level, t_rows):
+    def __init__(self, spec, level, t_rows, owner=None):
         self.spec = spec
         self.level = int(level)
         self.t_rows = np.asarray(t_rows, dtype=float)   # (rows, N - level)
+        self.owner = owner
+        self._lower = [c for c in spec.present_codims if c < self.level]
+        self._eigen = _hermitian_linear_fast(spec)
         self._pairs = {}
 
     def eigenpairs(self, n):
@@ -327,18 +229,51 @@ class _GreenTable:
         self._pairs[n] = (lam, vec)
         return lam, vec
 
-    def _converge(self, omegas, groups):
+    def level0_inverse(self, n, rows, omegas):
+        """B_0^{-1} at the n-grid nodes x the table rows `rows`, node-major.
+
+        Cell c is (omegas[c], row rows[c]); the SVD path takes one omega,
+        omegas[0], for all cells.  Returns the inverses, shape
+        (n^level, cells, M, M), and per cell the smallest sigma_min of a
+        node that fails the rank guard, inf where every node passes; the
+        inverse is not finite where a node fails.
+        """
+        if self._eigen:
+            lam, vec = self.eigenpairs(n)
+            green, bad = lattice_green(lam[:, rows], vec[:, rows], omegas)
+            return green, bad.min(axis=0)
+        mesh = node_mesh(n, self.level, self.t_rows[rows])
+        shape = mesh.shape[:2] + (self.spec.cell_size,) * 2
+        try:
+            inv = inverse(self.spec.bulk.eval(
+                float(omegas[0]), mesh.reshape(-1, self.spec.lattice_dim)))
+        except SingularMatrix as exc:
+            return np.full(shape, np.nan), np.full(len(rows), exc.min_sigma)
+        return inv.reshape(shape), np.full(len(rows), np.inf)
+
+    def _witness(self, omega, rows):
+        """Min sigma_min of B_0 over the witness mesh x the table rows."""
+        if self._eigen:
+            lam, _ = self.eigenpairs(WITNESS_POINTS)
+            return float(np.abs(lam[:, rows] - omega).min())
+        mesh = node_mesh(WITNESS_POINTS, self.level, self.t_rows[rows])
+        return float(np.min(smallest_singular_value(self.spec.bulk.eval(
+            omega, mesh.reshape(-1, self.spec.lattice_dim)))))
+
+    def _converge(self, omegas, groups, pinned=None):
         """Converged level values of groups of cells, evaluated together.
 
         Group g is the cells (omegas[g], row) for the table rows groups[g];
-        the scan makes one group per omega, the polish one group per cell.
-        At each n all live cells are evaluated at once, in chunks of at most
-        SCAN_CHUNK_ENTRIES node entries.  Per group the semantics are those
-        of `Chain._converged_values` over the group's rows: n starts at
-        N_QUAD_START, the group pins its n at the first relative change
-        below quad_rel_tol, a singular node makes it fail, and reaching
-        N_QUAD_MAX makes it stall.  Returns per group (values, n) or the
-        group's `NonConvergence`.
+        the scan makes one group per omega, the polish one group per cell,
+        `Chain` one group.  At each n all live cells are evaluated at once:
+        for the eigen path without lower levels in chunks of at most
+        SCAN_CHUNK_ENTRIES node entries, otherwise one group at a time.  Per
+        group, n starts at N_QUAD_START and the group pins its n at the
+        first relative change below quad_rel_tol; a singular node makes it
+        fail, and reaching N_QUAD_MAX makes it stall.  With `pinned`, every
+        group is evaluated at that n alone and converges there unless a node
+        is singular.  Returns per group (values, n) or the group's
+        `NonConvergence`; a lower level's `NonConvergence` propagates.
         """
         if len(groups) == 0:
             return []
@@ -358,10 +293,16 @@ class _GreenTable:
         m_sz = self.spec.cell_size
         prev = np.zeros((cell_t.size, m_sz * m_sz), dtype=complex)
         outcome = [None] * len(groups)
-        n = N_QUAD_START
+        n = pinned or N_QUAD_START
         while True:
-            idx = np.concatenate([np.arange(s, e) for _, s, e in live])
-            curr, worst = self._cell_brackets(n, cells, idx)
+            if self._eigen and not self._lower:
+                idx = np.concatenate([np.arange(s, e) for _, s, e in live])
+                per = max(1, SCAN_CHUNK_ENTRIES // (n ** j * m_sz * m_sz))
+                chunks = [idx[lo:lo + per] for lo in range(0, idx.size, per)]
+            else:
+                chunks = [np.arange(s, e) for _, s, e in live]
+                idx = np.concatenate(chunks)
+            curr, worst = self._cell_brackets(n, cells, chunks)
             bounds = np.cumsum([0] + [e - s for _, s, e in live])[:-1]
             flat = curr.reshape(idx.size, -1)
             with np.errstate(invalid="ignore"):
@@ -374,8 +315,11 @@ class _GreenTable:
             for group, g_change, g_worst, b in zip(live, change, worst, bounds):
                 g, s, e = group
                 if np.isfinite(g_worst):
-                    outcome[g] = _singular_integrand(j, n, float(g_worst))
-                elif n > N_QUAD_START and g_change < tol:
+                    outcome[g] = NonConvergence(
+                        f"level {j} integrand singular on the n={n} grid",
+                        n_reached=n, last_change=np.inf,
+                        witness_sigma_min=float(g_worst))
+                elif pinned or (n > N_QUAD_START and g_change < tol):
                     outcome[g] = (curr[b:b + e - s], n)
                 else:
                     still.append(group)
@@ -383,33 +327,48 @@ class _GreenTable:
             if not live:
                 return outcome
             if 2 * n > N_QUAD_MAX:
-                lam, _ = self.eigenpairs(WITNESS_POINTS)
                 for g, s, e in live:
                     omega = float(omegas[g])
-                    witness = float(np.abs(lam[:, cell_t[s:e]] - omega).min())
-                    outcome[g] = _stalled(j, omega, n, witness)
+                    outcome[g] = NonConvergence(
+                        f"level {j} quadrature stalled at n={n} per axis "
+                        f"(omega={omega!r} is too close to a lower-level "
+                        "spectrum projection)", n_reached=n, last_change=np.inf,
+                        witness_sigma_min=self._witness(omega, cell_t[s:e]))
                 return outcome
             n *= 2
 
-    def _cell_brackets(self, n, cells, idx):
-        """Fixed-n bracket values and guard minima of the cells `idx`."""
+    def _cell_brackets(self, n, cells, chunks):
+        """Fixed-n bracket values and guard minima of the cells in `chunks`."""
         cell_t, cell_omega, cell_a = cells
-        m_sz = self.spec.cell_size
-        nodes = n ** self.level
-        lam, vec = self.eigenpairs(n)
-        out = np.empty((idx.size, m_sz, m_sz), dtype=complex)
-        worst = np.empty(idx.size)
-        per = max(1, SCAN_CHUNK_ENTRIES // (nodes * m_sz * m_sz))
-        for lo in range(0, idx.size, per):
-            part = idx[lo:lo + per]
-            rows = cell_t[part]
-            green, bad = lattice_green(lam[:, rows], vec[:, rows],
-                                       cell_omega[part])
-            worst[lo:lo + per] = bad.min(axis=0)
+        eye = np.eye(self.spec.cell_size, dtype=complex)
+        out, worst = [], []
+        for part in chunks:
+            prod, bad = self.level0_inverse(n, cell_t[part], cell_omega[part])
+            if self._lower and np.isinf(bad).all():
+                try:
+                    prod = self._lower_product(n, cell_t[part], prod)
+                except SingularMatrix as exc:
+                    bad[:] = exc.min_sigma
             with np.errstate(invalid="ignore", over="ignore"):
-                out[lo:lo + per] = _close_bracket(green, cell_a[part],
-                                                  self.level, n)
-        return out, worst
+                out.append(eye + trapezoid_sum(np.matmul(prod, cell_a[part]),
+                                               self.level, n))
+            worst.append(bad)
+        return np.concatenate(out), np.concatenate(worst)
+
+    def _lower_product(self, n, rows, prod):
+        """B_{j-1}^{-1} ... B_1^{-1} prod over the present lower levels i,
+        each the `inverse` of the owner's level-i values at the nodes."""
+        j, m_sz = self.level, self.spec.cell_size
+        t_rows = self.t_rows[rows]
+        m = t_rows.shape[0]
+        prod = prod.reshape((n,) * j + (m, m_sz, m_sz))
+        for i in self._lower:
+            t_i = node_mesh(n, j - i, t_rows)
+            vals_i = self.owner.level_values(
+                i, t_i.reshape(-1, self.spec.lattice_dim - i))
+            prod = np.matmul(inverse(vals_i).reshape(
+                (1,) * i + (n,) * (j - i) + (m, m_sz, m_sz)), prod)
+        return prod.reshape(-1, m, m_sz, m_sz)
 
 
 # ---------------------------------------------------------------------------
@@ -903,10 +862,10 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
     one evaluator, `evaluate(omegas, groups)`, with the contract of
     `_GreenTable._converge`: the scan calls it once with one group per
     admissible omega, each bisection step and each golden-section probe
-    with one group per cell.  For an eigenvalue-form Hermitian bulk,
-    B_0 = H(k) - omega*I, with no lower defect level inside the bracket, it
-    is a `_GreenTable` built for this call; otherwise it runs one `Chain`
-    per group.
+    with one group per cell.  With no lower defect level inside the
+    bracket it is a `_GreenTable` built for this call, whatever the bulk;
+    otherwise (the point level of a line+point model) it runs one `Chain`
+    per group, each a one-group table over that chain's lower levels.
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     window = omega_window or spec.omega_window
@@ -928,8 +887,7 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         admissible[t_idx] = [dist_to_intervals(w, ivs) >= tol.band_guard
                              for w in scan]
 
-    if _hermitian_linear_fast(spec) and not any(
-            0 < c < codim for c in spec.present_codims):
+    if not any(0 < c < codim for c in spec.present_codims):
         evaluate = _GreenTable(spec, codim, t_mesh)._converge
     else:
         def evaluate(omegas, groups):
@@ -1064,13 +1022,13 @@ def _branch_components(spec, branch, window, k_points):
     return out
 
 
-def full_spectrum(spec, omega_window=None, grids=None, n_probes=32,
-                  probe_seed=20260808):
+def full_spectrum(spec, omega_window=None, grids=None, n_probes=32):
     """Bands, every present defect branch, and the assembled spectrum.
 
-    Besides the components, runs `n_probes` membership tests at seeded
-    uniform probe frequencies and records agreement with the assembled set
-    (inconclusive verdicts are listed, not counted as disagreements).
+    Besides the components, runs `n_probes` membership tests at uniform
+    probe frequencies seeded with PROBE_SEED and records agreement with the
+    assembled set (inconclusive verdicts are listed, not counted as
+    disagreements).
     """
     report = validate(spec)
     if not report.ok:
@@ -1103,7 +1061,7 @@ def full_spectrum(spec, omega_window=None, grids=None, n_probes=32,
     result = SpectralResult(components=clipped, branches=branches,
                             exclusions=exclusions, omega_window=window,
                             probe_report={})
-    rng = np.random.default_rng(probe_seed)
+    rng = np.random.default_rng(PROBE_SEED)
     disagreements, inconclusive = [], []
     for lam in rng.uniform(window[0], window[1], size=int(n_probes)):
         cert = membership(spec, float(lam), grids)
@@ -1174,8 +1132,11 @@ def _grid_tabs(spec, omega, n):
                 f"(min sigma {float(sig.min()):.3e}); omega is in or too "
                 "close to the spectrum")
         if level == 1:
-            inv_prev = bulk_inverse(spec, omega, mesh,
-                                    _hermitian_linear_fast(spec))
+            table = _GreenTable(spec, n_dim, np.zeros((1, 0)))
+            inv_prev, (worst,) = table.level0_inverse(n, [0], [omega])
+            if np.isfinite(worst):
+                raise SingularMatrix("matrix singular to working precision "
+                                     f"(sigma_min={worst:.3e})", worst)
         else:
             inv_prev = inverse(prev.reshape(-1, m_sz, m_sz))
         inv_prev = inv_prev.reshape(prev.shape)

@@ -101,6 +101,11 @@ class TrigMatrixPolynomial:
         self.dim = dim
         self._items = tuple(items)
         self._lookup = {off: m for off, m in items}
+        self._hermitian = all(
+            np.allclose(self._lookup.get(tuple(-c for c in off), np.zeros_like(m)),
+                        m.conj().T, rtol=0.0,
+                        atol=HERMITIAN_TOL * max(1.0, float(np.max(np.abs(m)))))
+            for off, m in items)
 
     @property
     def offsets(self):
@@ -117,18 +122,13 @@ class TrigMatrixPolynomial:
     def items(self):
         return self._items
 
-    def is_hermitian_family(self, tol=HERMITIAN_TOL):
+    def is_hermitian_family(self):
         """True when the coefficient at -n is the conjugate transpose at n.
 
-        This makes eval(k) Hermitian for every real k.
+        This makes eval(k) Hermitian for every real k.  Decided once, when
+        the instance is built.
         """
-        for off, m in self._items:
-            neg = tuple(-c for c in off)
-            if not np.allclose(self._lookup.get(neg, np.zeros_like(m)),
-                               m.conj().T, rtol=0.0,
-                               atol=tol * max(1.0, float(np.max(np.abs(m))))):
-                return False
-        return True
+        return self._hermitian
 
     def eval(self, k):
         """Evaluate sum_n exp(i n.k) A^(n).
@@ -197,21 +197,26 @@ class OmegaSymbol:
         self.dim = dims.pop()
         self.torus_dim = tds.pop()
         self.max_power = max(self.terms)
+        self._hermitian = all(poly.is_hermitian_family()
+                              for poly in self.terms.values())
+        shift = self.terms.get(1)
+        zero = (0,) * self.torus_dim
+        self._eigenvalue_form = (
+            self.max_power == 1 and shift.offsets == (zero,)
+            and bool(np.allclose(shift.coeff(zero), -np.eye(self.dim),
+                                 rtol=0.0, atol=1e-12)))
 
-    def is_hermitian_family(self, tol=HERMITIAN_TOL):
-        return all(poly.is_hermitian_family(tol) for poly in self.terms.values())
+    def is_hermitian_family(self):
+        return self._hermitian
 
     def is_eigenvalue_form(self):
         """True for H(k) - omega*I: linear in omega, power-1 term exactly -I.
 
         "Exactly" means every entry within an absolute 1e-12, with no
-        relative slack: -(1 + 5e-6)*omega is not eigenvalue form.
+        relative slack: -(1 + 5e-6)*omega is not eigenvalue form.  Decided
+        once, when the instance is built.
         """
-        shift = self.terms.get(1)
-        zero = (0,) * self.torus_dim
-        return (self.max_power == 1 and shift.offsets == (zero,)
-                and bool(np.allclose(shift.coeff(zero), -np.eye(self.dim),
-                                     rtol=0.0, atol=1e-12)))
+        return self._eigenvalue_form
 
     def eval(self, omega, k):
         """sum_p omega^p term_p(k); same shape conventions as poly.eval."""

@@ -7,7 +7,6 @@ from defect_bands.model import (
     Stencil,
     ToleranceSet,
     defect_stencil_to_symbol,
-    stencil_to_symbol,
     validate,
 )
 from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
@@ -28,29 +27,26 @@ def fourier_transform(values, support, k_rows):
 class TestStencilToSymbol:
     def test_adjacency(self):
         st = Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]})
-        sym = stencil_to_symbol(st)
         for k in (0.0, 0.7, np.pi):
-            assert sym.eval([k])[0, 0] == pytest.approx(2 * np.cos(k))
+            assert st.eval([k])[0, 0] == pytest.approx(2 * np.cos(k))
 
     def test_2d_sum(self):
         st = Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
                          (0, 1): [[1.0]], (0, -1): [[1.0]]})
-        sym = stencil_to_symbol(st)
         k = np.array([0.4, -1.1])
-        assert sym.eval(k)[0, 0] == pytest.approx(2 * np.cos(k[0]) + 2 * np.cos(k[1]))
+        assert st.eval(k)[0, 0] == pytest.approx(2 * np.cos(k[0]) + 2 * np.cos(k[1]))
 
     def test_constant(self):
         st = Stencil(1, {(0,): [[2.5]]})
-        assert stencil_to_symbol(st).eval([0.9])[0, 0] == pytest.approx(2.5)
+        assert st.eval([0.9])[0, 0] == pytest.approx(2.5)
 
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         hoppings = {(int(a), int(b)): rng.normal(size=(3, 3))
                     for a, b in rng.integers(-2, 3, size=(4, 2))}
         st = Stencil(2, hoppings)
-        sym = stencil_to_symbol(st)
         for off, m in st.items():
-            assert np.array_equal(sym.coeff(off), m)
+            assert np.array_equal(st.coeff(off), m)
 
     def test_self_adjoint_implies_hermitian_family(self):
         rng = np.random.default_rng(11)
@@ -65,7 +61,7 @@ class TestStencilToSymbol:
                 neg = tuple(-c for c in off)
                 hoppings[neg] = hoppings.get(neg, 0) + block.conj().T
             st = Stencil(2, hoppings)
-            assert stencil_to_symbol(st).is_hermitian_family()
+            assert st.is_hermitian_family()
 
 
 class TestDefectNormalization:
@@ -145,7 +141,7 @@ class TestDefectNormalization:
 
 def make_spec(defects=()):
     bulk = OmegaSymbol({
-        0: stencil_to_symbol(Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]})),
+        0: Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
@@ -163,7 +159,7 @@ class TestValidate:
         bad_sym = OmegaSymbol({0: TrigMatrixPolynomial(2, {(1, 0): [[1.0]]})})
         layer = DefectLayer(1, bad_sym)
         bulk = OmegaSymbol({
-            0: stencil_to_symbol(Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]]})),
+            0: Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]]}),
             1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
         })
         spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk, defects=(layer,))

@@ -61,12 +61,14 @@ def test_green_function_matches_svd_path_m2(a, b, d, margin, sign):
                     + margin)
     t_rows = np.zeros((1, 0))
 
-    chain = spectrum.Chain(spec, omega)
+    table = spectrum._GreenTable(spec, 1, t_rows)
     for n in (16, 64):
         want = inverse(bulk.eval(omega, spectrum.node_mesh(n, 1, t_rows)
                                  .reshape(-1, 1)))
-        got = chain._level0_inverse(1, t_rows, n)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        got, worst = table.level0_inverse(n, [0], [omega])
+        assert np.isinf(worst[0])
+        assert np.max(np.abs(got.reshape(want.shape) - want)) <= \
+            1e-12 * np.max(np.abs(want))
 
     got = spectrum.Chain(spec, omega).level_values(1, t_rows)
     with mock.patch.object(spectrum, "_hermitian_linear_fast",

@@ -141,6 +141,21 @@ class TestAdaptiveBracket:
         assert err.value.n_reached == N_QUAD_START
         assert err.value.witness_sigma_min == pytest.approx(0.0, abs=1e-12)
 
+    def test_later_rows_use_pinned_n(self, square_line_model):
+        # the first call at a level pins its n; rows seen later are the
+        # trapezoid sum at that n alone, here built by hand for the line
+        # defect's 2 cos k1 + 2 cos k2 - omega bulk at n = 64
+        spec, _ = square_line_model
+        chain = Chain(spec, 2.0)
+        chain.level_values(1, [[np.pi]])
+        assert chain._nquad[1] == 64
+        got = chain.level_values(1, [[2.5]])[0, 0, 0]
+        assert chain._nquad[1] == 64
+        k1 = grid_nodes(64)
+        integrand = SQRT_TWO_PI ** -1 / (2 * np.cos(k1) + 2 * np.cos(2.5) - 2.0)
+        want = 1.0 + trapezoid_sum(integrand, 1, 64)
+        assert abs(got - want) <= 1e-12
+
     def test_constant_converges_immediately(self):
         # a flat band 2.5 - omega makes the level-1 integrand constant in k
         bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, {(0,): [[2.5]]}),

@@ -10,9 +10,8 @@ from defect_bands.model import (
     ProblemSpec,
     Stencil,
     ToleranceSet,
-    stencil_to_symbol,
 )
-from defect_bands.quadrature import NonConvergence
+from defect_bands.quadrature import NonConvergence, trapezoid_sum
 from defect_bands.spectrum import (
     N_QUAD_MAX,
     N_QUAD_START,
@@ -48,6 +47,17 @@ SQRT5 = np.sqrt(5.0)
 
 def coarse(spec, k_points=32, omega_points=257):
     return GridConfig(k_points=k_points, omega_points=omega_points)
+
+
+def squared_frequency_point_defect():
+    """(2 + 2 cos k) - omega^2 with a unit point defect: not eigenvalue form."""
+    bulk = OmegaSymbol({
+        0: Stencil(1, {(0,): [[2.0]], (1,): [[1.0]], (-1,): [[1.0]]}),
+        2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
+    })
+    layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
+    return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
+                       defects=(layer,), omega_window=(-3.0, 3.0))
 
 
 class TestBuildB0:
@@ -215,10 +225,14 @@ class TestGreenTable:
     def test_matches_direct_inverse(self, request, model, omegas):
         spec, _ = request.getfixturevalue(model)
         t_rows = full_mesh(spec.lattice_dim - 1, 16)
+        rows = np.arange(t_rows.shape[0])
+        table = _GreenTable(spec, 1, t_rows)
         for n in (16, 32, 64, 128, 256):
             for omega in omegas:
                 want = _direct_level0_inverse(spec, 1, t_rows, omega, n)
-                got = Chain(spec, omega)._level0_inverse(1, t_rows, n)
+                got, worst = table.level0_inverse(
+                    n, rows, np.full(rows.size, omega))
+                assert np.all(np.isinf(worst))
                 assert np.max(np.abs(got.reshape(want.shape) - want)) <= \
                     1e-12 * np.max(np.abs(want))
 
@@ -229,12 +243,12 @@ class TestGreenTable:
         t_rows = np.zeros((1, 0))
         with pytest.raises(SingularMatrix) as direct:
             _direct_level0_inverse(spec, 1, t_rows, omega, 16)
-        with pytest.raises(SingularMatrix) as green:
-            Chain(spec, omega)._level0_inverse(1, t_rows, 16)
+        _, (green,) = _GreenTable(spec, 1, t_rows).level0_inverse(
+            16, [0], [omega])
         table, = _GreenTable(spec, 1, t_rows)._converge([omega], [[0]])
         assert isinstance(table, NonConvergence)
         assert table.n_reached == N_QUAD_START
-        assert direct.value.min_sigma == green.value.min_sigma == \
+        assert direct.value.min_sigma == green == \
             table.witness_sigma_min == 0.0
 
     def test_rank_guard_near_zero_m1(self, chain_defect_model):
@@ -252,6 +266,62 @@ class TestGreenTable:
             assert exc.n_reached == N_QUAD_START
             assert exc.witness_sigma_min == pytest.approx(
                 abs(2.0 * np.cos(np.pi / 2)), rel=1e-3)
+
+    def test_singular_node_at_pinned_n(self, square_line_model):
+        # k2 = pi pins level 1 at n = 64 for omega = 2; at k2 = 0 the node
+        # k1 = -pi/2 of every grid gives 2 cos k1 + 2 cos k2 = 2.0 exactly,
+        # so the pinned evaluation fails the guard as the first grid does
+        spec, _ = square_line_model
+        chain = Chain(spec, 2.0)
+        chain.level_values(1, [[np.pi]])
+        assert chain._nquad[1] == 64
+        with pytest.raises(NonConvergence) as pinned:
+            chain.level_values(1, [[0.0]])
+        with pytest.raises(NonConvergence) as first:
+            Chain(spec, 2.0).level_values(1, [[0.0]])
+        assert (pinned.value.n_reached, pinned.value.witness_sigma_min) == \
+            (64, 0.0)
+        assert (first.value.n_reached, first.value.witness_sigma_min) == \
+            (N_QUAD_START, 0.0)
+
+    def test_singular_lower_level_fails_bracket(self, monkeypatch):
+        # a level-1 value that fails the rank guard of `inverse` inside a
+        # level-2 bracket fails that bracket as a singular bulk node does
+        from tests_util import square_line_and_point
+        spec, _ = square_line_and_point()
+
+        def singular(a):
+            raise SingularMatrix("forced", 0.5)
+
+        monkeypatch.setattr(spectrum, "inverse", singular)
+        with pytest.raises(NonConvergence) as err:
+            Chain(spec, 6.5).level_values(2, np.zeros((1, 0)))
+        assert (err.value.n_reached, err.value.witness_sigma_min) == \
+            (N_QUAD_START, 0.5)
+
+    def test_non_eigenform_groups_converge_together(self):
+        # one table evaluation over several omegas of a bulk that takes the
+        # SVD-guarded inverse, against brackets built by hand at the n each
+        # group pinned; at omega = 2 the k = 0 node is exactly on the
+        # spectrum, which fails that group alone on the first grid
+        spec = squared_frequency_point_defect()
+        assert not _hermitian_linear_fast(spec)
+        t_rows = np.zeros((1, 0))
+        omegas = [-3.5, -2.7, 2.0, 2.5, 3.0]
+        outs = _GreenTable(spec, 1, t_rows)._converge(
+            omegas, [[0]] * len(omegas))
+        for omega, out in zip(omegas, outs):
+            if omega == 2.0:
+                assert isinstance(out, NonConvergence)
+                assert out.n_reached == N_QUAD_START
+                assert out.witness_sigma_min == 0.0
+                continue
+            vals, n = out
+            k = node_mesh(n, 1, t_rows).reshape(-1, 1)
+            a_vals = spec.defects[0].symbol.eval(omega, np.zeros((1, 1)))
+            want = 1.0 + trapezoid_sum(
+                np.matmul(inverse(spec.bulk.eval(omega, k)), a_vals), 1, n)
+            assert np.max(np.abs(vals[0] - want[0])) <= 1e-12
 
     @pytest.mark.parametrize("delta", [1e-7, 1e-5])
     def test_stall_matches_direct(self, chain_defect_model, delta):
@@ -558,14 +628,7 @@ class TestDispersionBranch:
     def test_squared_frequency_bulk_direct_path(self):
         # (2 + 2 cos k) - omega^2 is not omega-linear, so B_0 is inverted
         # directly; a unit point defect binds where 2 - omega^2 = -sqrt5
-        bulk = OmegaSymbol({
-            0: stencil_to_symbol(Stencil(1, {(0,): [[2.0]], (1,): [[1.0]],
-                                             (-1,): [[1.0]]})),
-            2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
-        })
-        layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
-        spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
-                           defects=(layer,), omega_window=(-3.0, 3.0))
+        spec = squared_frequency_point_defect()
         assert not _hermitian_linear_fast(spec)
         branch = dispersion_branch(spec, 1, GridConfig(), spec.omega_window)
         want = np.sqrt(2.0 + SQRT5)

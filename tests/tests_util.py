@@ -5,7 +5,6 @@ from defect_bands.model import (
     GridConfig,
     ProblemSpec,
     Stencil,
-    stencil_to_symbol,
 )
 from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
 
@@ -13,8 +12,7 @@ from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
 def chain_with_defect(eps, k_points=64, omega_points=513, hopping=1.0):
     """1D nearest-neighbor chain with an on-site point defect of strength eps."""
     bulk = OmegaSymbol({
-        0: stencil_to_symbol(Stencil(1, {(1,): [[hopping]],
-                                         (-1,): [[hopping]]})),
+        0: Stencil(1, {(1,): [[hopping]], (-1,): [[hopping]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
     layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[eps]]})})
@@ -25,8 +23,8 @@ def chain_with_defect(eps, k_points=64, omega_points=513, hopping=1.0):
 
 def _square_bulk():
     return OmegaSymbol({
-        0: stencil_to_symbol(Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
-                                         (0, 1): [[1.0]], (0, -1): [[1.0]]})),
+        0: Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
+                       (0, 1): [[1.0]], (0, -1): [[1.0]]}),
         1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
     })
 
