@@ -24,7 +24,6 @@ from .oracle import (
 )
 from .quadrature import NonConvergence, grid_nodes
 from .spectrum import (
-    BChain,
     Branch,
     Chain,
     ExclusionSet,

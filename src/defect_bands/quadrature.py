@@ -9,8 +9,9 @@ sqrt(2*pi)*C, not C).  It is computed by the periodic trapezoid rule on
 uniform nodes k_l = -pi + 2*pi*l/n, which is exact for trig polynomials
 below the grid Nyquist degree and exponentially convergent for analytic
 periodic integrands; callers double n until the result stops moving.
-Summation runs in a fixed order over lexicographically ordered nodes, so
-results are reproducible bit for bit.
+Each sum runs pairwise over the lexicographically ordered nodes, whatever
+the memory layout of its input and however many other rows it is batched
+with, so results are reproducible bit for bit.
 """
 
 import numpy as np
@@ -65,6 +66,9 @@ def trapezoid_sum(values, j, n):
 
     `values` holds the integrand at the n^j nodes of j integrated axes along
     its leading axis; the result is the scaled average over those axes.
+    Nodes are summed pairwise along a contiguous axis, so the bits do not
+    depend on the layout of `values` (numpy adds a strided axis node by node).
     """
     weight = TWO_PI ** (-j / 2.0) * (TWO_PI / n) ** j
-    return weight * values.sum(axis=0)
+    nodes_last = np.ascontiguousarray(values.reshape(values.shape[0], -1).T)
+    return weight * nodes_last.sum(axis=-1).reshape(values.shape[1:])

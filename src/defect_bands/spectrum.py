@@ -58,7 +58,7 @@ SCAN_CHUNK_ENTRIES = 1 << 14
 
 
 class UncertifiedLevel(RuntimeError):
-    """A level matrix was requested before the ones below it were certified."""
+    """Level matrices not certified invertible at the requested omega."""
 
 
 def full_mesh(lattice_dim, n):
@@ -116,14 +116,16 @@ class Chain:
     A level-j value is a bracket: I plus the scaled trapezoid sum
     (`quadrature.trapezoid_sum`) of the inverse-product integrand over the
     n^j nodes of the first j axes.  `level_values` evaluates the rows it has
-    not seen as one group of a `_GreenTable` built for them at this omega:
-    the first time at a level n doubles from N_QUAD_START until the relative
-    change falls below the spec's quad_rel_tol, and that n is pinned for the
-    level's later rows.  A singular node matrix, or passing N_QUAD_MAX,
-    raises `NonConvergence`.  Values are memoized per coordinate tuple, so
-    repeated queries (step checks, local refinement, lower levels inside
-    higher brackets) stay cheap; the lower-level factors of a bracket come
-    from this memo.
+    not seen as one group of a `_GreenTable` built for them at this omega,
+    with this chain as its owner: the first time at a level n doubles from
+    N_QUAD_START until the relative change falls below the spec's
+    quad_rel_tol, and that n is pinned for the level's later rows.  A
+    singular node matrix, or passing N_QUAD_MAX, raises `NonConvergence`.
+    Values are memoized per coordinate tuple, so repeated queries (step
+    checks, local refinement, lower levels inside higher brackets) stay
+    cheap; the lower-level factors of a bracket come from this memo.
+    `membership` steps up one chain; `_GreenTable._converge` builds one per
+    group for a call at a level with lower defect levels and no owner.
     """
 
     def __init__(self, spec, omega):
@@ -184,13 +186,13 @@ class _GreenTable:
       nodes are bit for bit the even nodes of the 2n grid, so doubling
       copies them and diagonalises only the new odd-indexed nodes.  Any
       other bulk takes the SVD-guarded `inverse`, one call per group.
-    - B_i^{-1} for each lower defect level i: the `inverse` of the level
-      values of the owning `Chain`, so a table at such a level needs an
-      owner and evaluates one group, at the owner's omega.
+    - B_i^{-1} for each lower defect level i: the `inverse` of the level-i
+      values of a `Chain` at the group's omega.  With an `owner` that chain
+      is the owner, and the table evaluates one group at the owner's omega;
+      without one, `_converge` builds one chain per group for that call.
 
-    `Chain` builds one table per batch of rows it has not seen;
-    `dispersion_branch` builds one per call at a level with no lower defect
-    level.
+    `Chain` builds one table per batch of rows it has not seen, as owner;
+    `dispersion_branch` builds one per call, at every level.
     """
 
     def __init__(self, spec, level, t_rows, owner=None):
@@ -272,8 +274,10 @@ class _GreenTable:
         first relative change below quad_rel_tol; a singular node makes it
         fail, and reaching N_QUAD_MAX makes it stall.  With `pinned`, every
         group is evaluated at that n alone and converges there unless a node
-        is singular.  Returns per group (values, n) or the group's
-        `NonConvergence`; a lower level's `NonConvergence` propagates.
+        is singular.  With lower defect levels, group g takes its factors
+        B_i^{-1} from the owner, or else from a `Chain` at omegas[g] that
+        lives for this call only.  Returns per group (values, n) or the
+        group's `NonConvergence`, a lower level's included.
         """
         if len(groups) == 0:
             return []
@@ -293,6 +297,9 @@ class _GreenTable:
         m_sz = self.spec.cell_size
         prev = np.zeros((cell_t.size, m_sz * m_sz), dtype=complex)
         outcome = [None] * len(groups)
+        chains = ([Chain(self.spec, w) for w in omegas]
+                  if self._lower and self.owner is None
+                  else [self.owner] * len(groups))
         n = pinned or N_QUAD_START
         while True:
             if self._eigen and not self._lower:
@@ -302,7 +309,9 @@ class _GreenTable:
             else:
                 chunks = [np.arange(s, e) for _, s, e in live]
                 idx = np.concatenate(chunks)
-            curr, worst = self._cell_brackets(n, cells, chunks)
+            # with lower levels chunk i is the group live[i]
+            curr, worst, failed = self._cell_brackets(
+                n, cells, chunks, [chains[g] for g, _, _ in live])
             bounds = np.cumsum([0] + [e - s for _, s, e in live])[:-1]
             flat = curr.reshape(idx.size, -1)
             with np.errstate(invalid="ignore"):
@@ -312,9 +321,12 @@ class _GreenTable:
             worst = np.minimum.reduceat(worst, bounds)
             prev[idx] = flat
             still = []
-            for group, g_change, g_worst, b in zip(live, change, worst, bounds):
+            for i, (group, g_change, g_worst, b) in enumerate(
+                    zip(live, change, worst, bounds)):
                 g, s, e = group
-                if np.isfinite(g_worst):
+                if i in failed:
+                    outcome[g] = failed[i]
+                elif np.isfinite(g_worst):
                     outcome[g] = NonConvergence(
                         f"level {j} integrand singular on the n={n} grid",
                         n_reached=n, last_change=np.inf,
@@ -337,34 +349,40 @@ class _GreenTable:
                 return outcome
             n *= 2
 
-    def _cell_brackets(self, n, cells, chunks):
-        """Fixed-n bracket values and guard minima of the cells in `chunks`."""
+    def _cell_brackets(self, n, cells, chunks, chains):
+        """Fixed-n bracket values and guard minima of the cells in `chunks`,
+        and the lower level's `NonConvergence` per chunk index where one was
+        raised (that chunk's values are then meaningless).  With lower
+        levels chunk i takes their factors from chains[i]."""
         cell_t, cell_omega, cell_a = cells
         eye = np.eye(self.spec.cell_size, dtype=complex)
-        out, worst = [], []
-        for part in chunks:
+        out, worst, failed = [], [], {}
+        for i, part in enumerate(chunks):
             prod, bad = self.level0_inverse(n, cell_t[part], cell_omega[part])
             if self._lower and np.isinf(bad).all():
                 try:
-                    prod = self._lower_product(n, cell_t[part], prod)
+                    prod = self._lower_product(n, cell_t[part], prod,
+                                               chains[i])
                 except SingularMatrix as exc:
                     bad[:] = exc.min_sigma
+                except NonConvergence as exc:
+                    failed[i] = exc
             with np.errstate(invalid="ignore", over="ignore"):
                 out.append(eye + trapezoid_sum(np.matmul(prod, cell_a[part]),
                                                self.level, n))
             worst.append(bad)
-        return np.concatenate(out), np.concatenate(worst)
+        return np.concatenate(out), np.concatenate(worst), failed
 
-    def _lower_product(self, n, rows, prod):
+    def _lower_product(self, n, rows, prod, chain):
         """B_{j-1}^{-1} ... B_1^{-1} prod over the present lower levels i,
-        each the `inverse` of the owner's level-i values at the nodes."""
+        each the `inverse` of `chain`'s level-i values at the nodes."""
         j, m_sz = self.level, self.spec.cell_size
         t_rows = self.t_rows[rows]
         m = t_rows.shape[0]
         prod = prod.reshape((n,) * j + (m, m_sz, m_sz))
         for i in self._lower:
             t_i = node_mesh(n, j - i, t_rows)
-            vals_i = self.owner.level_values(
+            vals_i = chain.level_values(
                 i, t_i.reshape(-1, self.spec.lattice_dim - i))
             prod = np.matmul(inverse(vals_i).reshape(
                 (1,) * i + (n,) * (j - i) + (m, m_sz, m_sz)), prod)
@@ -477,52 +495,6 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
 
 
 # ---------------------------------------------------------------------------
-# the certified ladder
-
-
-class BChain:
-    """Level matrices at one omega together with their step-check records.
-
-    Levels must be certified bottom-up; `extend` refuses to compute a level
-    before every lower present level (and level 0) has been checked and
-    certified invertible.
-    """
-
-    def __init__(self, spec, omega, grids=None):
-        self.spec = spec
-        self.omega = float(omega)
-        self.grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
-        self.chain = Chain(spec, omega)
-        self.checks = {}
-
-    def _mode_for(self, level):
-        if level == 0:
-            return "hermitian" if self.spec.is_self_adjoint() else "sigma"
-        return "real-det"
-
-    def check_level(self, level):
-        n_dim = self.spec.lattice_dim
-        fn = lambda rows: self.chain.level_values(level, rows)
-        res = step_check(fn, n_dim - level, self.grids.k_points,
-                         self.spec.tolerances, mode=self._mode_for(level))
-        self.checks[level] = res
-        return res
-
-    def extend(self, level):
-        """Check-and-record level `level`; lower levels must be certified."""
-        required = [0] + [c for c in self.spec.present_codims if c < level]
-        for lower in required:
-            prev = self.checks.get(lower)
-            if prev is None:
-                raise UncertifiedLevel(
-                    f"level {level} requested before level {lower} was checked")
-            if prev.detected:
-                raise UncertifiedLevel(
-                    f"level {level} requested but level {lower} is singular")
-        return self.check_level(level)
-
-
-# ---------------------------------------------------------------------------
 # membership
 
 
@@ -565,10 +537,17 @@ def membership(spec, lam, grids=None):
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     guard = spec.tolerances.band_guard
-    bchain = BChain(spec, lam, grids)
+    chain = Chain(spec, lam)
     trace = []
 
-    res = bchain.check_level(0)
+    def check(level):
+        mode = ("real-det" if level else
+                "hermitian" if spec.is_self_adjoint() else "sigma")
+        return step_check(lambda rows: chain.level_values(level, rows),
+                          spec.lattice_dim - level, grids.k_points,
+                          spec.tolerances, mode=mode)
+
+    res = check(0)
     trace.append((0, res.min_sigma))
     if res.detected:
         return MembershipCertificate("in", detected_at_step=0,
@@ -582,7 +561,7 @@ def membership(spec, lam, grids=None):
                 reason=(f"lambda is within band_guard={guard} of a lower-level "
                         f"spectrum projection (min sigma {sigma_floor:.3e})"))
         try:
-            res = bchain.extend(codim)
+            res = check(codim)
         except NonConvergence as exc:
             return MembershipCertificate(
                 "inconclusive", min_sigma_per_level=trace,
@@ -859,13 +838,12 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
 
     The bisection runs in lockstep: each step evaluates the midpoints of all
     live brackets, across all k nodes, in one call.  Level values come from
-    one evaluator, `evaluate(omegas, groups)`, with the contract of
-    `_GreenTable._converge`: the scan calls it once with one group per
-    admissible omega, each bisection step and each golden-section probe
-    with one group per cell.  With no lower defect level inside the
-    bracket it is a `_GreenTable` built for this call, whatever the bulk;
-    otherwise (the point level of a line+point model) it runs one `Chain`
-    per group, each a one-group table over that chain's lower levels.
+    one evaluator, the `_converge` of a `_GreenTable` built for this call,
+    whatever the bulk: the scan calls it once with one group per admissible
+    omega, each bisection step and each golden-section probe with one group
+    per cell.  With lower defect levels inside the bracket (the point level
+    of a line+point model) each group takes them from a `Chain` of its own,
+    and a lower level's `NonConvergence` skips that group's cells.
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     window = omega_window or spec.omega_window
@@ -887,20 +865,7 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         admissible[t_idx] = [dist_to_intervals(w, ivs) >= tol.band_guard
                              for w in scan]
 
-    if not any(0 < c < codim for c in spec.present_codims):
-        evaluate = _GreenTable(spec, codim, t_mesh)._converge
-    else:
-        def evaluate(omegas, groups):
-            out = []
-            for omega, rows in zip(omegas, groups):
-                chain = Chain(spec, omega)
-                try:
-                    vals = chain.level_values(codim, t_mesh[rows])
-                except NonConvergence as exc:
-                    out.append(exc)
-                else:
-                    out.append((vals, chain._nquad[codim]))
-            return out
+    evaluate = _GreenTable(spec, codim, t_mesh)._converge
 
     skipped = []
 

@@ -122,6 +122,21 @@ class TestBracket:
         b = Chain(spec, 3.0).level_values(1, POINT)
         assert np.array_equal(a, b)
 
+    def test_bits_independent_of_layout_and_batch(self):
+        # a row's sum is the same in a C-ordered batch, a node-contiguous
+        # batch (the eigen table's layout) and alone
+        rng = np.random.default_rng(7)
+        vals = rng.standard_normal((256, 64, 1, 1)) \
+            + 1j * rng.standard_normal((256, 64, 1, 1))
+        node_major = np.moveaxis(
+            np.ascontiguousarray(np.moveaxis(vals, 0, -1)), -1, 0)
+        assert node_major.strides[0] == vals.itemsize
+        want = trapezoid_sum(vals, 1, 256)
+        assert np.array_equal(trapezoid_sum(node_major, 1, 256), want)
+        for r in range(vals.shape[1]):
+            assert np.array_equal(trapezoid_sum(vals[:, r:r + 1], 1, 256),
+                                  want[r:r + 1])
+
 
 class TestAdaptiveBracket:
     """The n-doubling `Chain` runs around the trapezoid sum."""

@@ -15,7 +15,6 @@ from defect_bands.quadrature import NonConvergence, trapezoid_sum
 from defect_bands.spectrum import (
     N_QUAD_MAX,
     N_QUAD_START,
-    BChain,
     Chain,
     ExclusionSet,
     UncertifiedLevel,
@@ -174,11 +173,10 @@ class TestStepCheckSyntheticFields:
 class TestExtendChain:
     def test_point_defect_value(self, chain_defect_model):
         spec, grids = chain_defect_model
-        bchain = BChain(spec, 3.0, grids)
-        bchain.check_level(0)
-        bchain.extend(1)
-        res = bchain.checks[1]
-        chain_val = bchain.chain.level_values(1, np.zeros((1, 0)))[0, 0, 0]
+        chain = Chain(spec, 3.0)
+        res = step_check(lambda rows: chain.level_values(1, rows), 0,
+                         grids.k_points, spec.tolerances, mode="real-det")
+        chain_val = chain.level_values(1, np.zeros((1, 0)))[0, 0, 0]
         assert chain_val.real == pytest.approx(1 - 1 / SQRT5, abs=1e-10)
         assert not res.detected
 
@@ -195,19 +193,6 @@ class TestExtendChain:
         chain = Chain(spec, lam)
         val = chain.level_values(1, np.array([[k2]]))[0, 0, 0]
         assert abs(val) <= 1e-8
-
-    def test_step_order_enforced(self, chain_defect_model):
-        spec, grids = chain_defect_model
-        bchain = BChain(spec, 3.0, grids)
-        with pytest.raises(UncertifiedLevel):
-            bchain.extend(1)
-
-    def test_extend_refused_after_detection(self, chain_defect_model):
-        spec, grids = chain_defect_model
-        bchain = BChain(spec, 1.0, grids)  # inside the band
-        bchain.check_level(0)
-        with pytest.raises(UncertifiedLevel):
-            bchain.extend(1)
 
 
 def _direct_level0_inverse(spec, level, t_rows, omega, n):
@@ -483,6 +468,28 @@ class TestMembership:
         assert cert.status == "inconclusive"
         assert "band_guard" in cert.reason
 
+    @pytest.mark.parametrize("guard_share, status", [(None, "in"),
+                                                      (0.5, "inconclusive")])
+    def test_no_level_above_zero_inside_band_or_guard(
+            self, chain_defect_model, monkeypatch, guard_share, status):
+        # inside the band (omega = 1) and inside the guard strip above it,
+        # level 0 decides and level 1 is never evaluated
+        spec, grids = chain_defect_model
+        omega = 1.0 if guard_share is None else \
+            2.0 + guard_share * spec.tolerances.band_guard
+        levels = []
+        level_values = Chain.level_values
+
+        def counted(chain, level, t_rows):
+            levels.append(level)
+            return level_values(chain, level, t_rows)
+
+        monkeypatch.setattr(Chain, "level_values", counted)
+        cert = membership(spec, omega, grids)
+        assert cert.status == status
+        assert [lv for lv, _ in cert.min_sigma_per_level] == [0]
+        assert levels and set(levels) == {0}
+
     def test_guided_branch_interior_2d(self, square_line_model):
         spec, grids = square_line_model
         cert = membership(spec, 4.1, grids)
@@ -667,7 +674,8 @@ class TestDispersionBranch:
     def test_eigen_table_matches_direct_path(self, monkeypatch):
         # the per-cell direct inverse is the reference for the eigen table,
         # the omega-vectorised scan and the lockstep polish; on the nested
-        # model the point level's polish runs one chain per cell
+        # model the point level's table takes its level-1 factors from one
+        # chain per group
         from tests_util import square_line_and_point, square_with_line_defect
         models = [square_with_line_defect(1.0, k_points=16, omega_points=129),
                   square_line_and_point(k_points=16, omega_points=129)]
@@ -691,6 +699,54 @@ class TestDispersionBranch:
                                                       want[codim].samples):
                     assert (ka, na) == (kb, nb)
                     assert abs(oa - ob) <= spec.tolerances.root_tol_omega
+
+    def test_nested_call_builds_one_point_level_table(self, monkeypatch):
+        # the point level's eigenpairs serve every omega of the scan and
+        # the polish: one level-2 table per call, level-1 tables per chain
+        from tests_util import square_line_and_point
+        spec, grids = square_line_and_point(k_points=16, omega_points=65)
+        line = dispersion_branch(spec, 1, grids, spec.omega_window)
+        levels = []
+        init = _GreenTable.__init__
+
+        def counted(table, spec, level, t_rows, owner=None):
+            levels.append(level)
+            init(table, spec, level, t_rows, owner)
+
+        monkeypatch.setattr(_GreenTable, "__init__", counted)
+        point = dispersion_branch(spec, 2, grids, spec.omega_window,
+                                  branches={1: line})
+        assert [om for _, om, _ in point.samples] == \
+            [pytest.approx(5.180756781817904, abs=1e-8)]
+        assert levels.count(2) == 1
+        assert levels.count(1) > 1
+
+    def test_lower_nonconvergence_skips_its_cells(self, monkeypatch):
+        # a level-1 NonConvergence inside the point level's brackets skips
+        # those scan cells with the lower exception's n and witness; the
+        # root elsewhere is still found, as without the failure
+        from tests_util import square_line_and_point
+        spec, grids = square_line_and_point(k_points=16, omega_points=65)
+        line = dispersion_branch(spec, 1, grids, spec.omega_window)
+        clean = dispersion_branch(spec, 2, grids, spec.omega_window,
+                                  branches={1: line})
+        level_values = Chain.level_values
+
+        def flaky(chain, level, t_rows):
+            if level == 1 and chain.omega > 6.5:
+                raise NonConvergence("forced", n_reached=1024,
+                                     last_change=np.inf,
+                                     witness_sigma_min=0.0625)
+            return level_values(chain, level, t_rows)
+
+        monkeypatch.setattr(Chain, "level_values", flaky)
+        point = dispersion_branch(spec, 2, grids, spec.omega_window,
+                                  branches={1: line})
+        assert clean.skipped == []
+        assert point.samples == clean.samples != []
+        scan = np.linspace(*spec.omega_window, grids.omega_points)
+        assert point.skipped == [((), float(w), 1024, 0.0625)
+                                 for w in scan if w > 6.5]
 
     def test_lockstep_polish_work(self, square_line_model, monkeypatch):
         # at 32 k nodes and 257 omegas every node has one root; the scan is

@@ -1,0 +1,108 @@
+"""Run the CLI of two checkouts on the same inputs and diff every output.
+
+    python tools/compare_cli.py OLD_CHECKOUT NEW_CHECKOUT
+
+Each run is a fresh `python -m defect_bands.cli` process with PYTHONPATH set
+to the checkout's `src`.  The runs are `spectrum --out` on the five bundled
+configs and `perfbench/nested_line_point.json`, and `membership --json` at
+each of OMEGAS on the same six models.  For every run the CSVs it wrote
+(the spectrum and one per branch), its stdout, its stderr and its exit code
+are compared byte for byte.  Prints one line per differing output and a
+summary; exits 0 when every output is identical, 1 otherwise.
+"""
+
+import argparse
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+CONFIGS = ["src/defect_bands/configs/bipartite_chain.json",
+           "src/defect_bands/configs/chain.json",
+           "src/defect_bands/configs/chain_point_defect.json",
+           "src/defect_bands/configs/square.json",
+           "src/defect_bands/configs/square_line_defect.json",
+           "perfbench/nested_line_point.json"]
+
+OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
+          5.180756781817904]
+
+#: CLI processes run at once per checkout
+WORKERS = 2
+
+
+def runs():
+    """(config, run name, CLI arguments after the config) of every run."""
+    out = []
+    for config in CONFIGS:
+        model = Path(config).stem
+        out.append((config, f"{model}/spectrum",
+                    ["spectrum", "--out", "spectrum.csv"]))
+        for omega in OMEGAS:
+            out.append((config, f"{model}/membership_{omega!r}",
+                        ["membership", "--omega", repr(omega), "--json"]))
+    return out
+
+
+def run_one(checkout, workdir, config, name, argv):
+    """Run one CLI call in its own directory; {output name: bytes}."""
+    where = workdir / name
+    where.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "defect_bands.cli", argv[0], "--config",
+         str(checkout / config)] + argv[1:],
+        cwd=where, env=env, capture_output=True)
+    outputs = {f"{name}/{path.name}": path.read_bytes()
+               for path in sorted(where.iterdir())}
+    outputs[f"{name}/stdout"] = proc.stdout
+    outputs[f"{name}/stderr"] = proc.stderr
+    outputs[f"{name}/exit"] = str(proc.returncode).encode()
+    return outputs
+
+
+def run_all(checkout, workdir):
+    outputs = {}
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for part in pool.map(lambda job: run_one(checkout, workdir, *job),
+                             runs()):
+            outputs.update(part)
+    return outputs
+
+
+def first_difference(a, b):
+    """The first differing line of two outputs, as 'line N: old -> new'."""
+    la, lb = a.decode(errors="replace").splitlines(), \
+        b.decode(errors="replace").splitlines()
+    for i, (x, y) in enumerate(zip(la, lb)):
+        if x != y:
+            return f"line {i + 1}: {x!r} -> {y!r}"
+    return f"{len(la)} lines -> {len(lb)} lines"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("old", type=Path, help="checkout to compare against")
+    parser.add_argument("new", type=Path, help="checkout under test")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        old = run_all(args.old.resolve(), Path(tmp) / "old")
+        new = run_all(args.new.resolve(), Path(tmp) / "new")
+    differing = 0
+    for key in sorted(set(old) | set(new)):
+        if key not in old or key not in new:
+            differing += 1
+            print(f"{key}: only in {'new' if key in new else 'old'}")
+        elif old[key] != new[key]:
+            differing += 1
+            print(f"{key}: differs, {first_difference(old[key], new[key])}")
+    total = len(set(old) | set(new))
+    print(f"{total - differing} of {total} outputs identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
