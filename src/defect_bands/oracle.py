@@ -4,10 +4,11 @@ The truncated operator places the raw real-space hoppings (bulk everywhere,
 defect stack on the coordinate sublattices through the origin) on a finite
 box, with open or periodic boundaries per axis: each hopping offset lands on
 all its source cells at once, periodic coordinates wrapped and hoppings
-leaving an open axis dropped.  The bulk must be in eigenvalue form,
-H(k) - omega*I, so that the box matrix is H itself.  The matrix is real
-whenever every placed block is, which holds on all bundled models, and
-complex otherwise.
+leaving an open axis dropped.  The spec must be self-adjoint and its bulk
+in eigenvalue form, H(k) - omega*I, so that the box matrix is the Hermitian
+H itself; assembly checks each box once, no eigensolve again.  The matrix
+is real whenever every placed block is, which holds on all bundled models,
+and complex otherwise.
 
 `oracle_eigenvalues` splits the box into Bloch blocks along its reducible
 axes: periodic axes that no defect pins (index >= every layer's codim), on
@@ -79,6 +80,9 @@ def _check_eigenproblem_form(spec):
             "truncated assembly needs an eigenvalue-form family (linear in "
             "omega with power-1 term -I); linearize quadratic families to "
             "companion form first")
+    if not spec.is_self_adjoint():
+        raise InputError("the oracle is a Hermitian eigensolver; the bulk "
+                         "and defect families must be Hermitian")
     for layer in spec.defects:
         if set(layer.symbol.terms) != {0}:
             raise InputError(
@@ -153,22 +157,9 @@ def assemble_truncated(spec, half_width, bc="open"):
         cols = (source[inside][:, None] * m_sz + slot)[:, None, :]
         h[rows, cols] += block.real if real else block
 
-    if spec.is_self_adjoint():
-        asym = float(np.max(np.abs(h - h.conj().T)))
-        scale = max(1.0, float(np.max(np.abs(h))))
-        if asym > 1e-14 * scale:
-            raise AssertionError(
-                f"assembly broke Hermiticity (asymmetry {asym:.3e})")
+    if not is_hermitian(h, tol=1e-14):
+        raise AssertionError("assembly broke Hermiticity")
     return TruncatedOperator(spec, half_widths, bcs, h, cells)
-
-
-def _checked_matrix(truncated):
-    if truncated.dimension > MAX_DIMENSION:
-        raise InputError(
-            f"dimension {truncated.dimension} exceeds {MAX_DIMENSION}; reduce L")
-    if not is_hermitian(truncated.matrix, tol=1e-12):
-        raise InputError("truncated operator is not Hermitian")
-    return truncated.matrix
 
 
 def _bloch_blocks(truncated):
@@ -209,14 +200,13 @@ def _bloch_blocks(truncated):
 def oracle_eigenvalues(truncated):
     """Ascending eigenvalues of the truncation, one batched Hermitian solve
     over its Bloch blocks (the whole matrix when no axis is reducible)."""
-    _checked_matrix(truncated)
     return np.sort(np.linalg.eigvalsh(_bloch_blocks(truncated)).ravel())
 
 
 def oracle_eigenpairs(truncated):
     """Eigenvalues and real-space eigenvectors of the dense truncation,
     ascending."""
-    return np.linalg.eigh(_checked_matrix(truncated))
+    return np.linalg.eigh(truncated.matrix)
 
 
 def boundary_mass(truncated, vectors, margin=2):
@@ -246,8 +236,7 @@ def periodic_box_check(spec, half_width):
     if spec.defects:
         raise InputError("periodic_box_check requires a defect-free spec")
     l = int(half_width)
-    eigs = np.linalg.eigvalsh(
-        _checked_matrix(assemble_truncated(spec, l, bc="periodic")))
+    eigs = np.linalg.eigvalsh(assemble_truncated(spec, l, bc="periodic").matrix)
     axis_k = TWO_PI * (np.arange(l) + (l % 2) / 2) / l - np.pi
     k_rows = _product_nodes(axis_k, spec.lattice_dim)
     # one row of bands per wavevector, ragged (a list) or not

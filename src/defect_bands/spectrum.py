@@ -1069,10 +1069,12 @@ def trig_vector(torus_dim, coeffs):
 
 
 def _grid_tabs(spec, omega, n):
-    """Level matrices and reduced defect symbols tabulated on one fixed grid.
+    """Reduced defect symbols and inverse level matrices on one fixed grid.
 
     Every bracket uses the same n-point trapezoid rule, so the reduction and
     back-substitution below solve the discretized operator exactly.
+    `membership` certifies level 0 on this grid from the same B_0 values;
+    each level 1..N is certified here, once, before it is inverted.
     """
     n_dim = spec.lattice_dim
     m_sz = spec.cell_size
@@ -1080,47 +1082,36 @@ def _grid_tabs(spec, omega, n):
     mesh = full_mesh(n_dim, n)
     grid_shape = (n,) * n_dim
 
-    b_tabs = {0: spec.bulk.eval(omega, mesh).reshape(grid_shape + (m_sz, m_sz))}
     a_tabs = {}
     for layer in spec.defects:
         vals = layer.symbol.eval(omega, mesh).reshape(grid_shape + (m_sz, m_sz))
         a_tabs[(0, layer.codim)] = vals
 
+    table = _GreenTable(spec, n_dim, np.zeros((1, 0)))
+    green, (worst,) = table.level0_inverse(n, [0], [omega])
+    if np.isfinite(worst):
+        raise SingularMatrix("matrix singular to working precision "
+                             f"(sigma_min={worst:.3e})", worst)
+    inv_tabs = {0: green.reshape(grid_shape + (m_sz, m_sz))}
     eye = np.eye(m_sz, dtype=complex)
-    inv_tabs = {}
     for level in range(1, n_dim + 1):
-        prev = b_tabs[level - 1]
-        sig = smallest_singular_value(prev.reshape(-1, m_sz, m_sz))
-        if float(sig.min()) <= tol:
-            raise UncertifiedLevel(
-                f"level {level - 1} is singular on the grid "
-                f"(min sigma {float(sig.min()):.3e}); omega is in or too "
-                "close to the spectrum")
-        if level == 1:
-            table = _GreenTable(spec, n_dim, np.zeros((1, 0)))
-            inv_prev, (worst,) = table.level0_inverse(n, [0], [omega])
-            if np.isfinite(worst):
-                raise SingularMatrix("matrix singular to working precision "
-                                     f"(sigma_min={worst:.3e})", worst)
-        else:
-            inv_prev = inverse(prev.reshape(-1, m_sz, m_sz))
-        inv_prev = inv_prev.reshape(prev.shape)
-        inv_tabs[level - 1] = inv_prev
         for codim in spec.present_codims:
             if codim >= level:
                 a_tabs[(level, codim)] = trapezoid_sum(
-                    np.matmul(inv_prev, a_tabs[(level - 1, codim)]), 1, n)
+                    np.matmul(inv_tabs[level - 1], a_tabs[(level - 1, codim)]),
+                    1, n)
         if level in spec.present_codims:
-            b_tabs[level] = (eye + a_tabs[(level, level)])
+            b_level = eye + a_tabs[(level, level)]
         else:
-            shape = grid_shape[level:] + (m_sz, m_sz)
-            b_tabs[level] = np.broadcast_to(eye, shape).copy()
-    sig_last = smallest_singular_value(b_tabs[n_dim].reshape(-1, m_sz, m_sz))
-    if float(sig_last.min()) <= tol:
-        raise UncertifiedLevel(
-            f"final level is singular (min sigma {float(sig_last.min()):.3e})")
-    inv_tabs[n_dim] = inverse(b_tabs[n_dim])
-    return mesh, b_tabs, a_tabs, inv_tabs
+            b_level = np.broadcast_to(eye, grid_shape[level:] + (m_sz, m_sz))
+        b_flat = b_level.reshape(-1, m_sz, m_sz)
+        sig = float(smallest_singular_value(b_flat).min())
+        if sig <= tol:
+            raise UncertifiedLevel(
+                f"level {level} is singular on the grid (min sigma "
+                f"{sig:.3e}); omega is in or too close to the spectrum")
+        inv_tabs[level] = inverse(b_flat).reshape(b_level.shape)
+    return mesh, a_tabs, inv_tabs
 
 
 def forward_apply(spec, omega, f_tab, n):
@@ -1150,20 +1141,20 @@ class ResolventSolution:
     f_tab: np.ndarray
     residual: float
     n: int
-    averages: dict
 
 
-def resolvent_apply(spec, omega, g, grids=None, n=None):
+def resolvent_apply(spec, omega, g, grids=None):
     """Solve (perturbed operator) f = g at an omega outside the spectrum.
 
     `g` is a callable mapping (m, N) wavevector rows to (m, M) vectors (see
     `trig_vector`).  The solve reduces the right-hand side level by level
     with the inverse level matrices, solves the final small system, and
-    back-substitutes.  Returns the grid-sampled solution and the relative
-    residual of the forward operator applied to it.
+    back-substitutes, all on the n = grids.k_points grid.  Returns the
+    grid-sampled solution and the relative residual of the forward operator
+    applied to it.
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
-    n = int(n or grids.k_points)
+    n = int(grids.k_points)
     n_dim = spec.lattice_dim
     m_sz = spec.cell_size
     omega = float(omega)
@@ -1175,7 +1166,7 @@ def resolvent_apply(spec, omega, g, grids=None, n=None):
             f"(membership: {cert.status}"
             + (f", step {cert.detected_at_step}" if cert.in_spectrum else "")
             + ")")
-    mesh, b_tabs, a_tabs, inv_tabs = _grid_tabs(spec, omega, n)
+    mesh, a_tabs, inv_tabs = _grid_tabs(spec, omega, n)
     grid_shape = (n,) * n_dim
     g_tab = np.asarray(g(mesh), dtype=complex).reshape(grid_shape + (m_sz,))
 
@@ -1202,5 +1193,4 @@ def resolvent_apply(spec, omega, g, grids=None, n=None):
     num = np.sqrt(cell * np.sum(np.abs(applied - g_tab) ** 2))
     den = np.sqrt(cell * np.sum(np.abs(g_tab) ** 2))
     residual = float(num / den) if den > 0 else float(num)
-    return ResolventSolution(f_tab=f_tab, residual=residual, n=n,
-                             averages={lv: u[lv] for lv in u if lv > 0})
+    return ResolventSolution(f_tab=f_tab, residual=residual, n=n)

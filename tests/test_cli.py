@@ -82,6 +82,25 @@ class TestBands:
         assert lines[0] == "k_1,k_2,band_index,omega"
         assert lines[1].split(",")[-1] == "4.0"
 
+    def test_k_path_polyline(self, tmp_path):
+        # Gamma-X-M-Gamma, 5 points per leg: 15 rows less 2 shared joints
+        out = tmp_path / "path.csv"
+        code = main(["bands", "--config", config_path("square.json"),
+                     "--k-path", f"0,0:{np.pi},0:{np.pi},{np.pi}:0,0",
+                     "--k-points", "5", "--out", str(out)])
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")]
+                for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 13
+        ks = np.array([row[:2] for row in rows])
+        assert np.array_equal(ks[0], [0.0, 0.0])
+        assert np.array_equal(ks[-1], [0.0, 0.0])
+        assert np.all(np.any(np.diff(ks, axis=0) != 0, axis=1))
+        for k1, k2, band, omega in rows:
+            assert band == 0
+            assert omega == pytest.approx(2 * np.cos(k1) + 2 * np.cos(k2),
+                                          abs=1e-12)
+
     def test_bipartite_dirac_rows(self, tmp_path):
         out = tmp_path / "bands3.csv"
         code = main(["bands", "--config", config_path("bipartite_chain.json"),
@@ -180,6 +199,16 @@ class TestOracleCommand:
         assert code == 1
         assert "domain error: " + bc + " half-width must be at least" in \
             capsys.readouterr().err
+
+    def test_non_hermitian_clean_error(self, tmp_path, capsys):
+        doc = json.loads(open(config_path("chain.json")).read())
+        doc["bulk"]["omega_powers"][0]["coefficients"][1]["re"] = [[0.5]]
+        bad = tmp_path / "lopsided.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["oracle", "--config", str(bad), "--L", "4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and "Hermitian" in err
 
     def test_oversize_clean_error(self, capsys):
         code = main(["oracle", "--config", config_path("square.json"),

@@ -37,6 +37,15 @@ def complex_hopping_chain(phi, eps=None):
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk, defects=defects)
 
 
+def lopsided_chain():
+    """Eigenvalue-form chain with hopping 1 to the right and 0.5 to the
+    left: H(k) is not Hermitian."""
+    bulk = OmegaSymbol({
+        0: Stencil(1, {(1,): [[1.0]], (-1,): [[0.5]]}),
+        1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
+    return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk)
+
+
 def assert_bloch_matches_dense(trunc):
     got = oracle_eigenvalues(trunc)
     want = np.linalg.eigvalsh(trunc.matrix)
@@ -96,6 +105,12 @@ class TestAssembly:
             assemble_truncated(spec, 4, bc="open")
         assert bands(spec, [0.0])[0] == pytest.approx(2 / (1 + 5e-6),
                                                       rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("bc", ["open", "periodic"])
+    def test_non_hermitian_rejected_at_input(self, bc):
+        # refused before any box is built, not when it is solved
+        with pytest.raises(InputError, match="Hermitian"):
+            assemble_truncated(lopsided_chain(), 4, bc=bc)
 
     @pytest.mark.parametrize("half_widths", [(3, 4), (2, 2), (3, 1)],
                              ids=["3x4", "2x2", "3x1"])

@@ -19,8 +19,10 @@ from defect_bands.spectrum import (
     ExclusionSet,
     UncertifiedLevel,
     _GreenTable,
+    _grid_tabs,
     _hermitian_linear_fast,
     bands,
+    bands_grid,
     dispersion_branch,
     exclusion_set,
     forward_apply,
@@ -57,6 +59,17 @@ def squared_frequency_point_defect():
     layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                        defects=(layer,), omega_window=(-3.0, 3.0))
+
+
+def squared_frequency_ragged():
+    """(2 cos k + 0.5) - omega^2: two real roots where cos k >= -1/4, none
+    elsewhere, so the band count varies with k."""
+    bulk = OmegaSymbol({
+        0: Stencil(1, {(0,): [[0.5]], (1,): [[1.0]], (-1,): [[1.0]]}),
+        2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
+    })
+    return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
+                       omega_window=(-3.0, 3.0))
 
 
 class TestBuildB0:
@@ -462,6 +475,20 @@ class TestMembership:
         levels = dict(cert.min_sigma_per_level)
         assert levels[1] == pytest.approx(1 - 1 / SQRT5, abs=1e-8)
 
+    def test_stalled_bracket_is_inconclusive(self, monkeypatch):
+        # with n capped at the first grid, the level-1 bracket at omega = 3
+        # cannot double, so it stalls; the verdict names the level and the
+        # witness min |2 cos k - 3| = 1
+        from tests_util import chain_with_defect
+        spec, grids = chain_with_defect(1.0)
+        monkeypatch.setattr(spectrum, "N_QUAD_MAX", N_QUAD_START)
+        cert = membership(spec, 3.0, grids)
+        assert cert.status == "inconclusive"
+        assert cert.reason.startswith("quadrature did not converge at level 1")
+        assert "stalled at n=16" in cert.reason
+        assert cert.reason.endswith("(witness sigma_min 1.000e+00)")
+        assert [lv for lv, _ in cert.min_sigma_per_level] == [0]
+
     def test_guard_region_is_inconclusive(self, chain_defect_model):
         spec, grids = chain_defect_model
         cert = membership(spec, 2.0 + spec.tolerances.band_guard / 2, grids)
@@ -546,8 +573,25 @@ class TestBands:
         with pytest.raises(InputError):
             bands(spec, [0.0])
 
+    def test_ragged_band_count_is_a_list(self):
+        rows = full_mesh(1, 16)
+        got = bands_grid(squared_frequency_ragged(), rows)
+        assert isinstance(got, list) and len(got) == 16
+        for (k,), roots in zip(rows, got):
+            a_k = 2 * np.cos(k) + 0.5
+            want = [-np.sqrt(a_k), np.sqrt(a_k)] if a_k >= 0 else []
+            assert np.allclose(roots, want, rtol=0, atol=1e-12)
+
 
 class TestExclusionSet:
+    def test_ragged_band_count(self):
+        # the roots of omega^2 = 2 cos k + 0.5 cover [-sqrt 2.5, sqrt 2.5]
+        excl = exclusion_set(squared_frequency_ragged(), 1,
+                             GridConfig(k_points=16))
+        (lo, hi), = excl.intervals[0]
+        assert lo == pytest.approx(-np.sqrt(2.5), rel=0, abs=1e-12)
+        assert hi == pytest.approx(np.sqrt(2.5), rel=0, abs=1e-12)
+
     def test_2d_line_formula(self, square_line_model):
         spec, grids = square_line_model
         excl = exclusion_set(spec, 1, grids, spec.omega_window)
@@ -871,6 +915,14 @@ class TestResolvent:
             resolvent_apply(spec, 1.0, g, grids)  # inside the band
         with pytest.raises(UncertifiedLevel):
             resolvent_apply(spec, SQRT5, g, grids)  # at the defect point
+
+    def test_singular_grid_level_refused(self):
+        # level 0 is regular at sqrt 5, outside the band; the fixed-grid
+        # level 1 vanishes there and is refused before it is inverted
+        from tests_util import chain_with_defect
+        spec, _ = chain_with_defect(1.0)
+        with pytest.raises(UncertifiedLevel, match="^level 1 is singular"):
+            _grid_tabs(spec, SQRT5, 64)
 
 
 class TestNestedDefects:

@@ -4,11 +4,13 @@
 
 Each run is a fresh `python -m defect_bands.cli` process with PYTHONPATH set
 to the checkout's `src`.  The runs are `spectrum --out` on the five bundled
-configs and `perfbench/nested_line_point.json`, and `membership --json` at
-each of OMEGAS on the same six models.  For every run the CSVs it wrote
-(the spectrum and one per branch), its stdout, its stderr and its exit code
-are compared byte for byte.  Prints one line per differing output and a
-summary; exits 0 when every output is identical, 1 otherwise.
+configs and `perfbench/nested_line_point.json`, `membership --json` at
+each of OMEGAS on the same six models, and `oracle --out` on each: with
+`--L 12`, open and periodic, on the five bundled configs, and with `--L 8`,
+open, on the nested model.  For every run the CSVs it wrote (the spectrum
+and one per branch, or the box eigenvalues), its stdout, its stderr and its
+exit code are compared byte for byte.  Prints one line per differing output
+and a summary; exits 0 when every output is identical, 1 otherwise.
 """
 
 import argparse
@@ -30,6 +32,11 @@ CONFIGS = ["src/defect_bands/configs/bipartite_chain.json",
 OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
           5.180756781817904]
 
+#: (box half-width, boundary conditions) of the oracle runs per config; the
+#: nested model's dense box grows fastest, so it runs one smaller box
+ORACLE_BOXES = {"nested_line_point": [("8", "open")]}
+ORACLE_DEFAULT = [("12", "open"), ("12", "periodic")]
+
 #: CLI processes run at once per checkout
 WORKERS = 2
 
@@ -44,6 +51,10 @@ def runs():
         for omega in OMEGAS:
             out.append((config, f"{model}/membership_{omega!r}",
                         ["membership", "--omega", repr(omega), "--json"]))
+        for half_width, bc in ORACLE_BOXES.get(model, ORACLE_DEFAULT):
+            out.append((config, f"{model}/oracle_L{half_width}_{bc}",
+                        ["oracle", "--L", half_width, "--bc", bc,
+                         "--out", "oracle.csv"]))
     return out
 
 
