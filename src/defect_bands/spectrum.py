@@ -111,27 +111,23 @@ def lattice_green(lam, vec, omega):
 
 
 class Chain:
-    """Memoized level matrices at one omega.
+    """Level matrices at one omega, with one pinned n per level.
 
     A level-j value is a bracket: I plus the scaled trapezoid sum
     (`quadrature.trapezoid_sum`) of the inverse-product integrand over the
-    n^j nodes of the first j axes.  `level_values` evaluates the rows it has
-    not seen as one group of a `_GreenTable` built for them at this omega,
-    with this chain as its owner: the first time at a level n doubles from
-    N_QUAD_START until the relative change falls below the spec's
-    quad_rel_tol, and that n is pinned for the level's later rows.  A
-    singular node matrix, or passing N_QUAD_MAX, raises `NonConvergence`.
-    Values are memoized per coordinate tuple, so repeated queries (step
-    checks, local refinement, lower levels inside higher brackets) stay
-    cheap; the lower-level factors of a bracket come from this memo.
-    `membership` steps up one chain; `_GreenTable._converge` builds one per
-    group for a call at a level with lower defect levels and no owner.
+    n^j nodes of the first j axes.  `level_values` evaluates its rows as
+    one group of a `_GreenTable` built for them at this omega: the first
+    time at a level n doubles from N_QUAD_START until the relative change
+    falls below the spec's quad_rel_tol, and that n is pinned in `_nquad`
+    for the level's later rows, the lower-level factors inside higher
+    brackets included.  A singular node matrix, or passing N_QUAD_MAX,
+    raises `NonConvergence`.  Nothing is memoized: a row recomputed at its
+    pinned n has the same bits.  `membership` steps up one chain.
     """
 
     def __init__(self, spec, omega):
         self.spec = spec
         self.omega = float(omega)
-        self._memo = {}
         self._nquad = {}
 
     def level_values(self, level, t_rows):
@@ -158,19 +154,11 @@ class Chain:
         if self.spec.defect_by_codim(level) is None:
             eye = np.eye(m_sz, dtype=complex)
             return np.broadcast_to(eye, (t_rows.shape[0], m_sz, m_sz)).copy()
-        memo = self._memo.setdefault(level, {})
-        keys = [tuple(row) for row in t_rows]
-        missing = [i for i, key in enumerate(keys) if key not in memo]
-        if missing:
-            table = _GreenTable(self.spec, level, t_rows[missing], owner=self)
-            out, = table._converge([self.omega], [np.arange(len(missing))],
-                                   pinned=self._nquad.get(level))
-            if isinstance(out, NonConvergence):
-                raise out
-            vals, self._nquad[level] = out
-            for slot, val in zip(missing, vals):
-                memo[keys[slot]] = val
-        return np.stack([memo[key] for key in keys], axis=0)
+        out, = _GreenTable(self.spec, level, t_rows)._converge(
+            [self.omega], [np.arange(t_rows.shape[0])], [self._nquad])
+        if isinstance(out, NonConvergence):
+            raise out
+        return out[0]
 
 
 class _GreenTable:
@@ -186,23 +174,24 @@ class _GreenTable:
       nodes are bit for bit the even nodes of the 2n grid, so doubling
       copies them and diagonalises only the new odd-indexed nodes.  Any
       other bulk takes the SVD-guarded `inverse`, one call per group.
-    - B_i^{-1} for each lower defect level i: the `inverse` of the level-i
-      values of a `Chain` at the group's omega.  With an `owner` that chain
-      is the owner, and the table evaluates one group at the owner's omega;
-      without one, `_converge` builds one chain per group for that call.
+    - B_i^{-1} for each lower defect level i: the `inverse` of level-i
+      values, one group at the group's omega of a level-i table that this
+      table owns.  It keeps one per (i, n), with rows
+      `node_mesh(n, level - i, t_rows)`, so their eigenpairs too serve
+      every omega and every call of this table.
 
-    `Chain` builds one table per batch of rows it has not seen, as owner;
-    `dispersion_branch` builds one per call, at every level.
+    `Chain` builds one table per `level_values` call; `dispersion_branch`
+    builds one per call, at every level.
     """
 
-    def __init__(self, spec, level, t_rows, owner=None):
+    def __init__(self, spec, level, t_rows):
         self.spec = spec
         self.level = int(level)
         self.t_rows = np.asarray(t_rows, dtype=float)   # (rows, N - level)
-        self.owner = owner
         self._lower = [c for c in spec.present_codims if c < self.level]
         self._eigen = _hermitian_linear_fast(spec)
         self._pairs = {}
+        self._tables = {}        # (lower level i, n) -> level-i _GreenTable
 
     def eigenpairs(self, n):
         """(lambda, U) at the n-grid nodes x rows.
@@ -262,7 +251,7 @@ class _GreenTable:
         return float(np.min(smallest_singular_value(self.spec.bulk.eval(
             omega, mesh.reshape(-1, self.spec.lattice_dim)))))
 
-    def _converge(self, omegas, groups, pinned=None):
+    def _converge(self, omegas, groups, pins=None):
         """Converged level values of groups of cells, evaluated together.
 
         Group g is the cells (omegas[g], row) for the table rows groups[g];
@@ -272,16 +261,20 @@ class _GreenTable:
         SCAN_CHUNK_ENTRIES node entries, otherwise one group at a time.  Per
         group, n starts at N_QUAD_START and the group pins its n at the
         first relative change below quad_rel_tol; a singular node makes it
-        fail, and reaching N_QUAD_MAX makes it stall.  With `pinned`, every
-        group is evaluated at that n alone and converges there unless a node
-        is singular.  With lower defect levels, group g takes its factors
-        B_i^{-1} from the owner, or else from a `Chain` at omegas[g] that
-        lives for this call only.  Returns per group (values, n) or the
+        fail, and reaching N_QUAD_MAX makes it stall.  `pins` holds per group
+        a dict level -> pinned n, fresh dicts by default; a group that
+        converges pins its n there.  When this level is pinned, which it must
+        be for every group or none, each group is evaluated at that n alone
+        and converges there unless a node is singular.  With lower defect
+        levels, group g takes its factors B_i^{-1} from the lower tables,
+        with the pins of pins[g].  Returns per group (values, n) or the
         group's `NonConvergence`, a lower level's included.
         """
         if len(groups) == 0:
             return []
         j = self.level
+        pins = [{} for _ in groups] if pins is None else pins
+        pinned, = {p.get(j) for p in pins}
         n_dim = self.spec.lattice_dim
         tol = self.spec.tolerances.quad_rel_tol
         sizes = [len(rows) for rows in groups]
@@ -297,9 +290,6 @@ class _GreenTable:
         m_sz = self.spec.cell_size
         prev = np.zeros((cell_t.size, m_sz * m_sz), dtype=complex)
         outcome = [None] * len(groups)
-        chains = ([Chain(self.spec, w) for w in omegas]
-                  if self._lower and self.owner is None
-                  else [self.owner] * len(groups))
         n = pinned or N_QUAD_START
         while True:
             if self._eigen and not self._lower:
@@ -311,7 +301,7 @@ class _GreenTable:
                 idx = np.concatenate(chunks)
             # with lower levels chunk i is the group live[i]
             curr, worst, failed = self._cell_brackets(
-                n, cells, chunks, [chains[g] for g, _, _ in live])
+                n, cells, chunks, [pins[g] for g, _, _ in live])
             bounds = np.cumsum([0] + [e - s for _, s, e in live])[:-1]
             flat = curr.reshape(idx.size, -1)
             with np.errstate(invalid="ignore"):
@@ -333,6 +323,7 @@ class _GreenTable:
                         witness_sigma_min=float(g_worst))
                 elif pinned or (n > N_QUAD_START and g_change < tol):
                     outcome[g] = (curr[b:b + e - s], n)
+                    pins[g][j] = n
                 else:
                     still.append(group)
             live = still
@@ -349,11 +340,11 @@ class _GreenTable:
                 return outcome
             n *= 2
 
-    def _cell_brackets(self, n, cells, chunks, chains):
+    def _cell_brackets(self, n, cells, chunks, pins):
         """Fixed-n bracket values and guard minima of the cells in `chunks`,
         and the lower level's `NonConvergence` per chunk index where one was
         raised (that chunk's values are then meaningless).  With lower
-        levels chunk i takes their factors from chains[i]."""
+        levels chunk i is one group, evaluated with the pins pins[i]."""
         cell_t, cell_omega, cell_a = cells
         eye = np.eye(self.spec.cell_size, dtype=complex)
         out, worst, failed = [], [], {}
@@ -362,7 +353,7 @@ class _GreenTable:
             if self._lower and np.isinf(bad).all():
                 try:
                     prod = self._lower_product(n, cell_t[part], prod,
-                                               chains[i])
+                                               cell_omega[part[0]], pins[i])
                 except SingularMatrix as exc:
                     bad[:] = exc.min_sigma
                 except NonConvergence as exc:
@@ -373,18 +364,25 @@ class _GreenTable:
             worst.append(bad)
         return np.concatenate(out), np.concatenate(worst), failed
 
-    def _lower_product(self, n, rows, prod, chain):
+    def _lower_product(self, n, rows, prod, omega, pins):
         """B_{j-1}^{-1} ... B_1^{-1} prod over the present lower levels i,
-        each the `inverse` of `chain`'s level-i values at the nodes."""
+        each the `inverse` of level-i values at the nodes x the table rows
+        `rows`: one group at `omega`, with `pins`, of the level-i table of
+        this n, whose rows are the n-grid nodes x all table rows."""
         j, m_sz = self.level, self.spec.cell_size
-        t_rows = self.t_rows[rows]
-        m = t_rows.shape[0]
+        m = len(rows)
         prod = prod.reshape((n,) * j + (m, m_sz, m_sz))
         for i in self._lower:
-            t_i = node_mesh(n, j - i, t_rows)
-            vals_i = chain.level_values(
-                i, t_i.reshape(-1, self.spec.lattice_dim - i))
-            prod = np.matmul(inverse(vals_i).reshape(
+            table = self._tables.get((i, n))
+            if table is None:
+                table = self._tables[(i, n)] = _GreenTable(
+                    self.spec, i, node_mesh(n, j - i, self.t_rows).reshape(
+                        -1, self.spec.lattice_dim - i))
+            nodes = np.arange(n ** (j - i))[:, None] * len(self.t_rows) + rows
+            out, = table._converge([omega], [nodes.ravel()], [pins])
+            if isinstance(out, NonConvergence):
+                raise out
+            prod = np.matmul(inverse(out[0]).reshape(
                 (1,) * i + (n,) * (j - i) + (m, m_sz, m_sz)), prod)
         return prod.reshape(-1, m, m_sz, m_sz)
 
@@ -842,8 +840,9 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
     whatever the bulk: the scan calls it once with one group per admissible
     omega, each bisection step and each golden-section probe with one group
     per cell.  With lower defect levels inside the bracket (the point level
-    of a line+point model) each group takes them from a `Chain` of its own,
-    and a lower level's `NonConvergence` skips that group's cells.
+    of a line+point model) that table's own lower tables serve the whole
+    call; each group pins their n afresh, and a lower level's
+    `NonConvergence` skips that group's cells.
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     window = omega_window or spec.omega_window

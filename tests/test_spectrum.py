@@ -72,6 +72,20 @@ def squared_frequency_ragged():
                        omega_window=(-3.0, 3.0))
 
 
+def squared_frequency_line_and_point():
+    """(4 + 2 cos k_1 + 2 cos k_2) - omega^2 with a unit line defect and a
+    unit point defect on it: every B_0^{-1} takes the SVD-guarded path."""
+    bulk = OmegaSymbol({
+        0: Stencil(2, {(0, 0): [[4.0]], (1, 0): [[1.0]], (-1, 0): [[1.0]],
+                       (0, 1): [[1.0]], (0, -1): [[1.0]]}),
+        2: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
+    })
+    line = DefectLayer.from_stencils(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
+    point = DefectLayer.from_stencils(2, 2, {0: Stencil(0, {(): [[1.0]]})})
+    return ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
+                       defects=(line, point), omega_window=(-4.0, 4.0))
+
+
 class TestBuildB0:
     def test_adjacency_no_shift(self, chain_model):
         spec, _ = chain_model
@@ -336,6 +350,44 @@ class TestGreenTable:
         assert direct.n_reached == cached.n_reached == N_QUAD_MAX
         assert direct.witness_sigma_min == cached.witness_sigma_min
         assert direct.witness_sigma_min == pytest.approx(delta, rel=1e-6)
+
+    @pytest.mark.parametrize("model, omega", [
+        ("eigen-m1", 6.5), ("eigen-m2", 6.0), ("svd", 3.5)])
+    def test_level_bits_independent_of_batch(self, monkeypatch, model, omega):
+        # no level value is memoized, because the same rows at the same
+        # pinned n give the same bits whether they are computed alone,
+        # inside a larger row set, or as the lower factors of a bracket
+        from tests_util import square_line_and_point, two_band_line
+        spec = {"eigen-m1": lambda: square_line_and_point()[0],
+                "eigen-m2": lambda: two_band_line(point=2.0)[0],
+                "svd": squared_frequency_line_and_point}[model]()
+        assert _hermitian_linear_fast(spec) == (model != "svd")
+        factors = []
+        converge = _GreenTable._converge
+
+        def spied(table, omegas, groups, pins=None):
+            outs = converge(table, omegas, groups, pins)
+            if table.level == 1:
+                (rows,), (out,) = groups, outs
+                factors.append((table.t_rows[rows], out[0].copy(), out[1]))
+            return outs
+
+        monkeypatch.setattr(_GreenTable, "_converge", spied)
+        Chain(spec, omega).level_values(2, np.zeros((1, 0)))
+        monkeypatch.undo()
+
+        def level1(t_rows, n):
+            (vals, got_n), = _GreenTable(spec, 1, t_rows)._converge(
+                [omega], [np.arange(len(t_rows))], [{1: n}])
+            assert got_n == n
+            return vals
+
+        assert len(factors) > 1
+        for t_rows, vals, n in factors:
+            assert np.array_equal(level1(t_rows, n), vals)
+            assert np.array_equal(level1(t_rows[-1:], n), vals[-1:])
+            larger = np.concatenate([t_rows[::-1], t_rows + 0.25])
+            assert np.array_equal(level1(larger, n)[len(t_rows) - 1::-1], vals)
 
     @pytest.mark.parametrize("model, level", [
         ("square_line_model", 1), ("square_line_model", 2),
@@ -746,24 +798,31 @@ class TestDispersionBranch:
 
     def test_nested_call_builds_one_point_level_table(self, monkeypatch):
         # the point level's eigenpairs serve every omega of the scan and
-        # the polish: one level-2 table per call, level-1 tables per chain
+        # the polish: one level-2 table per call, and one level-1 table per
+        # n that the level-2 brackets reach, not one per omega
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
         line = dispersion_branch(spec, 1, grids, spec.omega_window)
-        levels = []
-        init = _GreenTable.__init__
+        levels, level2_n = [], set()
+        init, level0_inverse = _GreenTable.__init__, _GreenTable.level0_inverse
 
-        def counted(table, spec, level, t_rows, owner=None):
+        def counted(table, spec, level, t_rows):
             levels.append(level)
-            init(table, spec, level, t_rows, owner)
+            init(table, spec, level, t_rows)
+
+        def spied(table, n, rows, omegas):
+            if table.level == 2:
+                level2_n.add(n)
+            return level0_inverse(table, n, rows, omegas)
 
         monkeypatch.setattr(_GreenTable, "__init__", counted)
+        monkeypatch.setattr(_GreenTable, "level0_inverse", spied)
         point = dispersion_branch(spec, 2, grids, spec.omega_window,
                                   branches={1: line})
         assert [om for _, om, _ in point.samples] == \
             [pytest.approx(5.180756781817904, abs=1e-8)]
         assert levels.count(2) == 1
-        assert levels.count(1) > 1
+        assert 0 < levels.count(1) <= len(level2_n)
 
     def test_lower_nonconvergence_skips_its_cells(self, monkeypatch):
         # a level-1 NonConvergence inside the point level's brackets skips
@@ -774,16 +833,16 @@ class TestDispersionBranch:
         line = dispersion_branch(spec, 1, grids, spec.omega_window)
         clean = dispersion_branch(spec, 2, grids, spec.omega_window,
                                   branches={1: line})
-        level_values = Chain.level_values
+        converge = _GreenTable._converge
 
-        def flaky(chain, level, t_rows):
-            if level == 1 and chain.omega > 6.5:
-                raise NonConvergence("forced", n_reached=1024,
-                                     last_change=np.inf,
-                                     witness_sigma_min=0.0625)
-            return level_values(chain, level, t_rows)
+        def flaky(table, omegas, groups, pins=None):
+            if table.level == 1 and omegas[0] > 6.5:
+                return [NonConvergence("forced", n_reached=1024,
+                                       last_change=np.inf,
+                                       witness_sigma_min=0.0625)] * len(groups)
+            return converge(table, omegas, groups, pins)
 
-        monkeypatch.setattr(Chain, "level_values", flaky)
+        monkeypatch.setattr(_GreenTable, "_converge", flaky)
         point = dispersion_branch(spec, 2, grids, spec.omega_window,
                                   branches={1: line})
         assert clean.skipped == []
@@ -791,6 +850,7 @@ class TestDispersionBranch:
         scan = np.linspace(*spec.omega_window, grids.omega_points)
         assert point.skipped == [((), float(w), 1024, 0.0625)
                                  for w in scan if w > 6.5]
+        assert len(point.skipped) == 7
 
     def test_lockstep_polish_work(self, square_line_model, monkeypatch):
         # at 32 k nodes and 257 omegas every node has one root; the scan is
@@ -876,6 +936,29 @@ class TestFullSpectrum:
             assert abs(oa - ob) <= 1e-2
 
 
+    def test_two_band_gap_stays_open(self):
+        # membership and the open x periodic strip agree: the bulk gap
+        # (-0.5, 0.5) of the two-band line model is open near omega = 0
+        from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
+        from tests_util import two_band_line
+        spec, grids = two_band_line()
+        assert membership(spec, 0.0, grids).status == "out"
+        eigs = oracle_eigenvalues(
+            assemble_truncated(spec, (40, 32), ("open", "periodic")))
+        assert not np.any((eigs > -0.37) & (eigs < 0.49))
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "branch_link_gap = 7.0 links two guided sheets across the bulk gap "
+        "into one branch_interval (CHANGES.md FOUND, _branch_components)"))
+    def test_two_band_branch_does_not_bridge_gap(self):
+        # full_spectrum reports one branch_interval [-1.193, 2.867] over
+        # the gap that test_two_band_gap_stays_open shows open
+        from tests_util import two_band_line
+        spec, grids = two_band_line()
+        result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
+        assert not result.contains(0.0)
+
+
 class TestResolvent:
     def test_no_defect_pointwise_inverse(self, chain_model):
         spec, grids = chain_model
@@ -954,6 +1037,18 @@ class TestNestedDefects:
         eigs = oracle_eigenvalues(assemble_truncated(spec, 24, bc="open"))
         assert float(np.min(np.abs(eigs - point_omega))) <= 1e-8
 
+
+    @pytest.mark.parametrize("omega", [-9.0, 8.5, 9.5])
+    def test_three_levels_match_fixed_grid(self, omega):
+        # a level-3 bracket owns level-1 and level-2 tables, and each
+        # level-2 table owns level-1 tables of its own rows; away from the
+        # spectrum the converged level 3 is the exact n = 64 solve's
+        from tests_util import cubic_plane_line_point
+        spec, grids = cubic_plane_line_point()
+        got = Chain(spec, omega).level_values(3, np.zeros((1, 0)))
+        _, _, inv_tabs = _grid_tabs(spec, omega, 64)
+        assert abs(got[0, 0, 0] - 1 / inv_tabs[3][0, 0]) <= 1e-12
+        assert membership(spec, omega, grids).status == "out"
 
 class TestIntervals:
     def test_merge(self):

@@ -44,3 +44,46 @@ def square_line_and_point(k_points=32, omega_points=513):
     spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
                        defects=(line, point), omega_window=(-6.0, 8.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
+
+
+def cubic_plane_line_point(k_points=16, omega_points=129):
+    """3D cubic lattice with three nested defects: a unit plane, a unit line
+    in it and a point defect of 2 on the line."""
+    bulk = OmegaSymbol({
+        0: Stencil(3, {(1, 0, 0): [[1.0]], (-1, 0, 0): [[1.0]],
+                       (0, 1, 0): [[1.0]], (0, -1, 0): [[1.0]],
+                       (0, 0, 1): [[1.0]], (0, 0, -1): [[1.0]]}),
+        1: TrigMatrixPolynomial(3, {(0, 0, 0): [[-1.0]]}),
+    })
+    plane = DefectLayer.from_stencils(1, 3, {0: Stencil(2, {(0, 0): [[1.0]]})})
+    line = DefectLayer.from_stencils(2, 3, {0: Stencil(1, {(0,): [[1.0]]})})
+    point = DefectLayer.from_stencils(3, 3, {0: Stencil(0, {(): [[2.0]]})})
+    spec = ProblemSpec(lattice_dim=3, cell_size=1, bulk=bulk,
+                       defects=(plane, line, point), omega_window=(-8.0, 10.0))
+    return spec, GridConfig(k_points=k_points, omega_points=omega_points)
+
+
+def two_band_line(k_points=16, omega_points=129, point=None):
+    """2D two-band lattice with a gap (-0.5, 0.5) and a line defect
+    diag(1, 0.5) along the second axis; with `point`, also a point defect
+    point * I on the line.
+
+    H(k) = diag(2 cos k_1, -2 cos k_1) + [[0, 1 + e^{ik_2}/2], [h.c., 0]],
+    whose bands are +-sqrt(4 cos^2 k_1 + 5/4 + cos k_2) in [0.5, 2.5].
+    """
+    bulk = OmegaSymbol({
+        0: Stencil(2, {(1, 0): [[1.0, 0.0], [0.0, -1.0]],
+                       (-1, 0): [[1.0, 0.0], [0.0, -1.0]],
+                       (0, 0): [[0.0, 1.0], [1.0, 0.0]],
+                       (0, 1): [[0.0, 0.5], [0.0, 0.0]],
+                       (0, -1): [[0.0, 0.0], [0.5, 0.0]]}),
+        1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0, 0.0], [0.0, -1.0]]}),
+    })
+    layers = [DefectLayer.from_stencils(
+        1, 2, {0: Stencil(1, {(0,): [[1.0, 0.0], [0.0, 0.5]]})})]
+    if point is not None:
+        layers.append(DefectLayer.from_stencils(
+            2, 2, {0: Stencil(0, {(): [[point, 0.0], [0.0, point]]})}))
+    spec = ProblemSpec(lattice_dim=2, cell_size=2, bulk=bulk,
+                       defects=tuple(layers), omega_window=(-7.0, 7.0))
+    return spec, GridConfig(k_points=k_points, omega_points=omega_points)
