@@ -5,21 +5,32 @@ defect stack on the coordinate sublattices through the origin) on a finite
 box, with open or periodic boundaries per axis: each hopping offset lands on
 all its source cells at once, periodic coordinates wrapped and hoppings
 leaving an open axis dropped.  The spec must be self-adjoint and its bulk
-in eigenvalue form, H(k) - omega*I, so that the box matrix is the Hermitian
-H itself; assembly checks each box once, no eigensolve again.  The matrix
-is real whenever every placed block is, which holds on all bundled models,
-and complex otherwise.
+in eigenvalue form, H(k) - omega*I, so that the box is the Hermitian H
+itself.  `assemble_truncated` checks all of that, and the box size, at once;
+the dense box `TruncatedOperator.matrix` is placed on first access and
+checked Hermitian then.  It is real whenever every placed block is, which
+holds on all bundled models, and complex otherwise.
 
-`oracle_eigenvalues` splits the box into Bloch blocks along its reducible
-axes: periodic axes that no defect pins (index >= every layer's codim), on
-which the matrix is block-circulant.  The blocks are the discrete Fourier
-transform of the assembled matrix's first block row, checked bit-exactly
-against every other block row, so they come from the real-space matrix and
-not from the engine's symbols.  A box with no reducible axis is one block.
-`oracle_eigenpairs` and `periodic_box_check` stay on the whole dense box: the
-first because `boundary_mass` needs real-space eigenvectors, the second
-because its identity is a statement about the whole box.  Two comparisons
-matter:
+`oracle_eigenvalues` never builds the dense box.  The same placement loop
+puts the stencils straight onto symmetry-adapted blocks, one per sector:
+
+* a periodic axis that no defect pins (index >= every layer's codim) is
+  reducible: only sources at coordinate 0 are placed, each entry weighted by
+  the Bloch phase exp(i q.n) of its target, one block per wavevector q;
+* a kept axis on which every stencil's block at n equals, bit for bit, the
+  block at the mirrored offset commutes with n -> -n, and splits into an
+  even and an odd half.  Sites pair with their mirror images; the fixed
+  sites are 0 and, on a periodic axis of even length L, L/2.  An entry from
+  site s to site t is weighted c_t * c_s, c = 1/sqrt(2) on paired sites and
+  1 on fixed ones, times the parity of the mirrored members in the odd half,
+  which holds no fixed site;
+* any other axis is placed site by site.
+
+The blocks come from the stencils, not from the engine's symbols, and each
+is checked Hermitian before its eigensolve.  `oracle_eigenpairs` and
+`periodic_box_check` stay on the whole dense box: the first because
+`boundary_mass` needs real-space eigenvectors, the second because its
+identity is a statement about the whole box.  Two comparisons matter:
 
 * periodic boundaries, no defect: eigenvalues equal the bulk dispersion at
   the box's Bloch wavevectors exactly, so the deviation is pure eigensolver
@@ -32,6 +43,8 @@ Defect hoppings enter with their raw physical values; the sublattice
 normalization factor lives on the Fourier side only.
 """
 
+from functools import cached_property
+
 import numpy as np
 
 from .quadrature import _product_nodes
@@ -41,20 +54,30 @@ from .symbol import InputError, TWO_PI, is_hermitian
 #: dense eigensolver size cap
 MAX_DIMENSION = 20000
 
+#: relative Hermiticity tolerance of the dense box and of each block
+_HERMITIAN_TOL = 1e-14
+
 
 class TruncatedOperator:
-    """Dense real-space truncation of the perturbed operator.
+    """Real-space truncation of the perturbed operator on a finite box.
 
-    `matrix` is float64 when every placed block is real, else complex128.
+    `matrix`, the dense box, is placed on first access: float64 when every
+    placed block is real, else complex128.
     """
 
-    def __init__(self, spec, half_widths, bcs, matrix, site_cells):
+    def __init__(self, spec, half_widths, bcs, site_cells):
         self.spec = spec
         self.half_widths = tuple(half_widths)
         self.bcs = tuple(bcs)
-        self.matrix = matrix
         self.site_cells = site_cells    # (n_cells, N) integer cell coordinates
-        self.dimension = matrix.shape[0]
+        self.dimension = site_cells.shape[0] * spec.cell_size
+
+    @cached_property
+    def matrix(self):
+        (h,), = _place(self, fold=False)
+        if not is_hermitian(h, tol=_HERMITIAN_TOL):
+            raise AssertionError("assembly broke Hermiticity")
+        return h
 
     def __repr__(self):
         return (f"TruncatedOperator(L={self.half_widths}, bc={self.bcs}, "
@@ -94,7 +117,7 @@ def _check_eigenproblem_form(spec):
 
 
 def assemble_truncated(spec, half_width, bc="open"):
-    """Dense truncation on a finite box.
+    """Truncation on a finite box, its inputs checked; no box is placed yet.
 
     Parameters
     ----------
@@ -106,7 +129,6 @@ def assemble_truncated(spec, half_width, bc="open"):
     """
     _check_eigenproblem_form(spec)
     n_dim = spec.lattice_dim
-    m_sz = spec.cell_size
     if np.isscalar(half_width):
         half_widths = (int(half_width),) * n_dim
     else:
@@ -121,86 +143,155 @@ def assemble_truncated(spec, half_width, bc="open"):
     axes_sites = [_axis_sites(l, b) for l, b in zip(half_widths, bcs)]
     mesh = np.meshgrid(*axes_sites, indexing="ij")
     cells = np.stack([m.ravel(order="C") for m in mesh], axis=-1)
-    n_cells = cells.shape[0]
-    dim = n_cells * m_sz
+    dim = cells.shape[0] * spec.cell_size
     if dim > MAX_DIMENSION:
         raise InputError(
             f"truncated dimension {dim} exceeds {MAX_DIMENSION}; reduce L")
+    return TruncatedOperator(spec, half_widths, bcs, cells)
 
-    # one placement per (offset, block, source cells): the bulk on every
-    # cell, each defect on its sublattice; offsets are added in this fixed
-    # order, which fixes the sum where offsets alias on a small periodic box
+
+def _stencils(spec, cells):
+    """(offset -> block, source cells) of the bulk, on every cell, and of
+    each defect on its sublattice, offsets padded to the lattice dimension.
+
+    Offsets are placed in this fixed order, which fixes the sum where they
+    alias on a small periodic box.
+    """
+    out = []
     bulk_stencil = spec.bulk.terms.get(0)
-    every_cell = np.arange(n_cells)
-    placements = [(off, block, every_cell) for off, block in
-                  (bulk_stencil.items() if bulk_stencil is not None else ())]
+    if bulk_stencil is not None:
+        out.append((dict(bulk_stencil.items()), np.arange(cells.shape[0])))
     for layer in spec.defects:
         j = layer.codim
         on_sub = np.flatnonzero(np.all(cells[:, :j] == 0, axis=1))
-        placements += [((0,) * j + off, block, on_sub)
-                       for off, block in layer.raw_stencils[0].items()]
-
-    widths = np.asarray(half_widths)
-    periodic = np.array([b == "periodic" for b in bcs])
-    sizes = [len(sites) for sites in axes_sites]
-    lowest = np.where(periodic, 0, -widths)
-    slot = np.arange(m_sz)
-    real = not any(np.any(block.imag) for _, block, _ in placements)
-    h = np.zeros((dim, dim), dtype=float if real else complex)
-    for offset, block, source in placements:
-        target = cells[source] + np.asarray(offset, dtype=int)
-        # wrapped periodic coordinates lie in 0..L-1, so only open axes drop
-        target[:, periodic] %= widths[periodic]
-        inside = np.all(np.abs(target) <= widths, axis=1)
-        t_idx = np.ravel_multi_index((target[inside] - lowest).T, sizes)
-        rows = (t_idx[:, None] * m_sz + slot)[:, :, None]
-        cols = (source[inside][:, None] * m_sz + slot)[:, None, :]
-        h[rows, cols] += block.real if real else block
-
-    if not is_hermitian(h, tol=1e-14):
-        raise AssertionError("assembly broke Hermiticity")
-    return TruncatedOperator(spec, half_widths, bcs, h, cells)
+        out.append(({(0,) * j + off: block
+                     for off, block in layer.raw_stencils[0].items()}, on_sub))
+    return out
 
 
-def _bloch_blocks(truncated):
-    """(n_q, D, D) Bloch blocks of the box along its reducible axes.
+def _mirror_symmetric(stencils, axis):
+    """True when every stencil's block at each offset equals, bit for bit,
+    its block at the offset mirrored on `axis`."""
+    for offsets, _ in stencils:
+        for off, block in offsets.items():
+            image = offsets.get(off[:axis] + (-off[axis],) + off[axis + 1:])
+            if image is None or not np.array_equal(image, block):
+                return False
+    return True
 
-    Reducible axes are periodic ones that every defect leaves free.  The box
-    matrix, viewed as (cells..., slot, cells..., slot), must then be
-    block-circulant on them: every block row along those axes is the first
-    one rolled, bit for bit.  The blocks are the Fourier transform of that
-    first row over the column axes; with no reducible axis the one block is
-    the whole matrix.
+
+def _place(truncated, fold):
+    """Place every stencil on the box, as one (n_q, D, D) stack per half.
+
+    Without `fold` the one stack holds the one dense box.  With it, each
+    reducible axis gives one block per Bloch wavevector q and each
+    mirror-symmetric kept axis an even and an odd half (module docstring);
+    the list holds one stack per combination of halves, empty ones left out.
     """
-    spec = truncated.spec
-    n_dim = spec.lattice_dim
+    spec, cells = truncated.spec, truncated.site_cells
+    m_sz = spec.cell_size
+    stencils = _stencils(spec, cells)
     pinned = max((layer.codim for layer in spec.defects), default=0)
-    reduced = [a for a in range(n_dim)
-               if truncated.bcs[a] == "periodic" and a >= pinned]
-    kept = [a for a in range(n_dim) if a not in reduced]
-    sizes = tuple(_axis_sites(l, b).size
-                  for l, b in zip(truncated.half_widths, truncated.bcs))
-    h = truncated.matrix.reshape(2 * (sizes + (spec.cell_size,)))
-    # rows ordered (reduced cells, kept cells, slot), columns likewise
-    order = reduced + kept + [n_dim]
-    h = h.transpose(order + [n_dim + 1 + a for a in order])
-    q_shape = h.shape[:len(reduced)]
-    first = h[(0,) * len(reduced)]
-    q_axes = tuple(range(len(order) - len(reduced), len(order)))
-    for shift in list(np.ndindex(*q_shape))[1:]:
-        if not np.array_equal(h[shift], np.roll(first, shift, axis=q_axes)):
-            raise AssertionError(
-                f"box is not translation-invariant along axes {reduced}")
-    blocks = np.moveaxis(np.fft.fftn(first, axes=q_axes), q_axes,
-                         range(len(reduced)))
-    size = truncated.dimension // int(np.prod(q_shape))
-    return blocks.reshape(-1, size, size)
+    widths = np.asarray(truncated.half_widths)
+    periodic = np.array([b == "periodic" for b in truncated.bcs])
+    sizes = np.where(periodic, widths, 2 * widths + 1)
+    lowest = np.where(periodic, 0, -widths)
+    # the mirror image of site position p is (shift - p) % size
+    shift = np.where(periodic, 0, 2 * widths)
+    axes = range(len(sizes))
+    bloch = np.array([fold and periodic[a] and a >= pinned for a in axes],
+                     dtype=bool)
+    mirror = np.array([fold and not bloch[a]
+                       and _mirror_symmetric(stencils, a) for a in axes],
+                      dtype=bool)
+    # representatives per axis: 0 on Bloch axes, 0..size//2 on mirror axes
+    counts = np.where(bloch, 1, np.where(mirror, sizes // 2 + 1, sizes))
+    parities = 1.0 - 2.0 * np.array(list(np.ndindex((2,) * mirror.sum())))
+    # wavevector q = 2 pi m / L on each Bloch axis, held as the integers m
+    l_b = sizes[bloch]
+    m_rows = np.array(list(np.ndindex(*l_b)), dtype=int)
+    n_sectors = len(parities) * len(m_rows)
+    dim = int(np.prod(counts)) * m_sz
+
+    def fold_sites(pos):
+        # representative, mirrored member per mirror axis, and the product
+        # of c over the mirror axes, of each site position
+        image = (shift - pos) % sizes
+        rep = np.where(mirror, np.minimum(pos, image),
+                       np.where(bloch, 0, pos))
+        c = np.prod(np.where((pos != image)[:, mirror], np.sqrt(0.5), 1.0),
+                    axis=1)
+        return np.ravel_multi_index(rep.T, counts), (pos > image)[:, mirror], c
+
+    def phases(pos):
+        # exp(i q.n) per q, with m n mod L taken nearest 0: opposite offsets
+        # get conjugate phases, and no angle exceeds pi
+        if not bloch.any():
+            return np.ones((len(pos), 1))
+        turns = (pos[:, None, bloch] * m_rows + l_b // 2) % l_b - l_b // 2
+        return np.exp(1j * TWO_PI * (turns / l_b).sum(axis=-1))
+
+    real = not bloch.any() and not any(
+        np.any(block.imag) for offsets, _ in stencils
+        for block in offsets.values())
+    acc = np.zeros((n_sectors, dim, dim), dtype=float if real else complex)
+    slot = np.arange(m_sz)
+    sector = np.arange(n_sectors)[None, :, None, None]
+    for offsets, source in stencils:
+        source = cells[source] - lowest
+        source = source[np.all(source[:, bloch] == 0, axis=1)]
+        s_idx, s_bit, s_c = fold_sites(source)
+        for offset, block in offsets.items():
+            target = source + np.asarray(offset, dtype=int)
+            target[:, periodic] %= sizes[periodic]
+            # wrapped periodic positions lie in 0..L-1, so only open axes drop
+            inside = np.all((target >= 0) & (target < sizes), axis=1)
+            target = target[inside]
+            t_idx, t_bit, t_c = fold_sites(target)
+            # c_t c_s, times the parity of each mirror axis on which exactly
+            # one end is a mirrored member, times the Bloch phase
+            sign = np.prod(np.where((t_bit ^ s_bit[inside])[:, None, :],
+                                    parities, 1.0), axis=-1)
+            weight = ((t_c * s_c[inside])[:, None, None] * sign[:, :, None]
+                      * phases(target)[:, None, :])
+            rows = (t_idx[:, None] * m_sz + slot)[:, None, :, None]
+            cols = (s_idx[inside][:, None] * m_sz + slot)[:, None, None, :]
+            # folding maps distinct entries onto one index: accumulate
+            np.add.at(acc, (sector, rows, cols),
+                      weight.reshape(len(target), n_sectors)[:, :, None, None]
+                      * (block.real if real else block))
+
+    reps = np.stack(np.unravel_index(np.arange(np.prod(counts)), counts),
+                    axis=-1)
+    fixed = ((shift - reps) % sizes == reps)[:, mirror]
+    stacks = []
+    for i, parity in enumerate(parities):
+        # an odd half holds no fixed site of its axis
+        keep = np.flatnonzero(np.repeat(
+            ~np.any(fixed[:, parity < 0], axis=1), m_sz))
+        part = acc[i * len(m_rows):(i + 1) * len(m_rows)]
+        if keep.size == dim:
+            stacks.append(part)
+        elif keep.size:
+            stacks.append(part[:, keep[:, None], keep[None, :]])
+    return stacks
 
 
 def oracle_eigenvalues(truncated):
-    """Ascending eigenvalues of the truncation, one batched Hermitian solve
-    over its Bloch blocks (the whole matrix when no axis is reducible)."""
-    return np.sort(np.linalg.eigvalsh(_bloch_blocks(truncated)).ravel())
+    """Ascending eigenvalues of the truncation, from its symmetry-adapted
+    blocks placed straight from the stencils; the dense box is not built.
+
+    Every block is checked Hermitian to 1e-14 relative, then each stack of
+    blocks is one batched Hermitian solve.
+    """
+    eigs = []
+    for stack in _place(truncated, fold=True):
+        for block in stack:
+            if not is_hermitian(block, tol=_HERMITIAN_TOL):
+                raise AssertionError("a symmetry-adapted block is not "
+                                     "Hermitian")
+        eigs.append(np.linalg.eigvalsh(stack).ravel())
+    return np.sort(np.concatenate(eigs))
 
 
 def oracle_eigenpairs(truncated):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from defect_bands.oracle import (
+    _place,
     assemble_truncated,
     boundary_mass,
     compare_spectra,
@@ -13,7 +14,12 @@ from defect_bands.model import DefectLayer, ProblemSpec, Stencil
 from defect_bands.spectrum import bands, full_spectrum
 from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
 from conftest import load_model
-from tests_util import chain_with_defect, square_line_and_point
+from tests_util import (
+    chain_with_defect,
+    cubic_plane_line_point,
+    square_line_and_point,
+    two_band_line,
+)
 
 SQRT5 = np.sqrt(5.0)
 
@@ -48,9 +54,15 @@ def lopsided_chain():
 
 def assert_bloch_matches_dense(trunc):
     got = oracle_eigenvalues(trunc)
+    assert "matrix" not in trunc.__dict__    # no dense box was built
     want = np.linalg.eigvalsh(trunc.matrix)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def sector_shapes(trunc):
+    """(blocks, size, size) of each stack `oracle_eigenvalues` solves."""
+    return [stack.shape for stack in _place(trunc, fold=True)]
 
 
 class TestAssembly:
@@ -172,7 +184,7 @@ class TestDtype:
 
 
 class TestBlochBlocks:
-    """oracle_eigenvalues' Bloch blocks against the whole dense matrix."""
+    """oracle_eigenvalues' blocks against the whole dense matrix."""
 
     @pytest.mark.parametrize("l2", [1, 2, 3, 5])
     def test_line_defect_strip(self, square_line_model, l2):
@@ -213,16 +225,75 @@ class TestBlochBlocks:
     def test_complex_hopping_box_identity(self):
         assert periodic_box_check(complex_hopping_chain(0.7), 9) <= 1e-10
 
-    @pytest.mark.parametrize("tamper", [0.5, 1e-15])
-    def test_broken_translation_invariance_raises(self, square_line_model,
-                                                  tamper):
-        # a diagonal nudge keeps the matrix Hermitian, so only the exact
-        # translation check can see it, however small it is
-        spec, _ = square_line_model
-        trunc = assemble_truncated(spec, (2, 4), ("open", "periodic"))
-        trunc.matrix[0, 0] += tamper
-        with pytest.raises(AssertionError, match="translation-invariant"):
-            oracle_eigenvalues(trunc)
+    @pytest.mark.parametrize("phi", [0.7, 1e-15])
+    def test_complex_hopping_not_folded(self, phi):
+        # the hoppings e^{i phi} at +1 and e^{-i phi} at -1 differ bit for
+        # bit, however small phi is, so the open chain is not mirror-folded:
+        # one block, the whole box
+        trunc = assemble_truncated(complex_hopping_chain(phi, 0.8), 5, "open")
+        assert sector_shapes(trunc) == [(1, 11, 11)]
+        assert_bloch_matches_dense(trunc)
+
+    def test_bipartite_open_not_folded(self, bipartite_model):
+        # the cell's two sites swap under the mirror, which the fold does
+        # not use: one block
+        spec, _ = bipartite_model
+        trunc = assemble_truncated(spec, 4, "open")
+        assert sector_shapes(trunc) == [(1, 18, 18)]
+        assert_bloch_matches_dense(trunc)
+
+
+class TestParityHalves:
+    """Mirror-symmetric kept axes split into even and odd halves."""
+
+    @pytest.mark.parametrize("half_width, shapes", [
+        (0, [(1, 1, 1)]),
+        (1, [(1, 4, 4), (1, 2, 2), (1, 2, 2), (1, 1, 1)]),
+        (5, [(1, 36, 36), (1, 30, 30), (1, 30, 30), (1, 25, 25)])])
+    def test_nested_open(self, half_width, shapes):
+        # sites 0..L represent -L..L; the odd halves drop the fixed site 0
+        spec, _ = square_line_and_point()
+        trunc = assemble_truncated(spec, half_width, "open")
+        assert sector_shapes(trunc) == shapes
+        assert_bloch_matches_dense(trunc)
+
+    @pytest.mark.parametrize("half_width", [7, 8])
+    def test_pinned_periodic_chain(self, chain_defect_model, half_width):
+        # a periodic axis the point defect pins: fixed sites 0, and L/2
+        # when L is even
+        spec, _ = chain_defect_model
+        trunc = assemble_truncated(spec, half_width, "periodic")
+        odd = (half_width - 1) // 2
+        assert sector_shapes(trunc) == [(1, half_width - odd, half_width - odd),
+                                        (1, odd, odd)]
+        assert_bloch_matches_dense(trunc)
+
+    @pytest.mark.parametrize("half_width", [5, 6])
+    def test_pinned_periodic_nested(self, half_width):
+        spec, _ = square_line_and_point()
+        trunc = assemble_truncated(spec, half_width, "periodic")
+        assert len(sector_shapes(trunc)) == 4
+        assert_bloch_matches_dense(trunc)
+
+    def test_three_levels_open(self):
+        # plane, line and point pin every axis of the open cubic box:
+        # eight halves
+        spec, _ = cubic_plane_line_point()
+        trunc = assemble_truncated(spec, 2, "open")
+        assert len(sector_shapes(trunc)) == 8
+        assert_bloch_matches_dense(trunc)
+
+    @pytest.mark.parametrize("half_widths, bcs, shapes", [
+        ((4, 6), ("open", "periodic"), [(6, 10, 10), (6, 8, 8)]),
+        ((3, 3), "open", [(1, 56, 56), (1, 42, 42)])])
+    def test_two_band_line(self, half_widths, bcs, shapes):
+        # M = 2: the first axis folds, the second is Bloch-reduced when
+        # periodic and placed site by site when open, since its hoppings
+        # at +1 and -1 differ
+        spec, _ = two_band_line()
+        trunc = assemble_truncated(spec, half_widths, bcs)
+        assert sector_shapes(trunc) == shapes
+        assert_bloch_matches_dense(trunc)
 
 
 class TestPeriodicBoxIdentity:
@@ -294,3 +365,22 @@ class TestCompareSpectra:
         idx = int(np.argmin(np.abs(eigs - SQRT5)))
         assert frac[idx] <= 0.01
         assert frac.shape == eigs.shape
+
+
+class TestTruncationRate:
+    @pytest.mark.parametrize("eps", [0.5, 1.0])
+    def test_point_defect_error_decays_at_twice_kappa(self, eps):
+        # the bound state E = sqrt(4 + eps^2) decays as e^{-kappa |n|} with
+        # cosh kappa = E / 2, so the eigenvalue error of the open box -L..L
+        # falls as e^{-2 kappa L}; errors below 1e-12 are eigensolver noise
+        spec, _ = chain_with_defect(eps)
+        exact = np.sqrt(4.0 + eps ** 2)
+        kappa = np.arccosh(exact / 2)
+        widths = np.arange(4, 61, 2)
+        errors = np.array([
+            abs(oracle_eigenvalues(assemble_truncated(spec, l))[-1] - exact)
+            for l in widths])
+        above = errors > 1e-12
+        assert above.sum() >= 8
+        slope = np.polyfit(widths[above], np.log(errors[above]), 1)[0]
+        assert slope == pytest.approx(-2 * kappa, rel=0.05)

@@ -7,10 +7,12 @@ to the checkout's `src`.  The runs are `spectrum --out` on the five bundled
 configs and `perfbench/nested_line_point.json`, `membership --json` at
 each of OMEGAS on the same six models, and `oracle --out` on each: with
 `--L 12`, open and periodic, on the five bundled configs, and with `--L 8`,
-open, on the nested model.  For every run the CSVs it wrote (the spectrum
-and one per branch, or the box eigenvalues), its stdout, its stderr and its
-exit code are compared byte for byte.  Prints one line per differing output
-and a summary; exits 0 when every output is identical, 1 otherwise.
+open and periodic, on the nested model.  For every run the CSVs it wrote
+(the spectrum and one per branch, or the box eigenvalues), its stdout, its
+stderr and its exit code are compared byte for byte.  Prints one line per
+differing output, with the largest absolute eigenvalue difference when an
+`oracle.csv` differs, and a summary; exits 0 when every output is
+identical, 1 otherwise.
 """
 
 import argparse
@@ -33,8 +35,9 @@ OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
           5.180756781817904]
 
 #: (box half-width, boundary conditions) of the oracle runs per config; the
-#: nested model's dense box grows fastest, so it runs one smaller box
-ORACLE_BOXES = {"nested_line_point": [("8", "open")]}
+#: nested model's box grows fastest, so it runs smaller boxes: open goes
+#: through the dense eigenpairs, periodic through the blocks of both axes
+ORACLE_BOXES = {"nested_line_point": [("8", "open"), ("8", "periodic")]}
 ORACLE_DEFAULT = [("12", "open"), ("12", "periodic")]
 
 #: CLI processes run at once per checkout
@@ -94,6 +97,18 @@ def first_difference(a, b):
     return f"{len(la)} lines -> {len(lb)} lines"
 
 
+def eigenvalue_difference(a, b):
+    """Largest absolute difference of two `index,eigenvalue` CSVs, or None
+    when they do not hold the same number of eigenvalues."""
+    def values(text):
+        return [float(line.split(",")[1])
+                for line in text.decode().splitlines()[1:]]
+    va, vb = values(a), values(b)
+    if len(va) != len(vb):
+        return None
+    return max((abs(x - y) for x, y in zip(va, vb)), default=0.0)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old", type=Path, help="checkout to compare against")
@@ -109,7 +124,12 @@ def main(argv=None):
             print(f"{key}: only in {'new' if key in new else 'old'}")
         elif old[key] != new[key]:
             differing += 1
-            print(f"{key}: differs, {first_difference(old[key], new[key])}")
+            line = f"{key}: differs, {first_difference(old[key], new[key])}"
+            if key.endswith("/oracle.csv"):
+                gap = eigenvalue_difference(old[key], new[key])
+                if gap is not None:
+                    line += f", largest eigenvalue difference {gap:.3e}"
+            print(line)
     total = len(set(old) | set(new))
     print(f"{total - differing} of {total} outputs identical")
     return 1 if differing else 0
