@@ -6,6 +6,7 @@ truncations."""
 from .model import (
     DefectLayer,
     GridConfig,
+    InvalidSpec,
     ProblemSpec,
     Stencil,
     ToleranceSet,

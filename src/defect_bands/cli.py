@@ -25,6 +25,7 @@ from . import oracle as oracle_mod
 from .model import (
     DefectLayer,
     GridConfig,
+    InvalidSpec,
     ProblemSpec,
     Stencil,
     ToleranceSet,
@@ -126,7 +127,7 @@ def spec_from_config(doc):
                                   m_sz, where)
         stencils = {p: Stencil(n_dim - codim, coeffs)
                     for p, coeffs in terms.items()}
-        defects.append(DefectLayer.from_stencils(codim, n_dim, stencils))
+        defects.append(DefectLayer(codim, n_dim, stencils))
 
     tol_doc = dict(doc.get("tolerances", {}))
     _require_keys(tol_doc, (), ("det_zero_tol", "quad_rel_tol", "band_guard",
@@ -162,6 +163,9 @@ def _write_text(path, text):
 
 def _k_rows_for_bands(args, spec, grids):
     n_dim = spec.lattice_dim
+    for flag, value in (("--k-grid", args.k_grid), ("--k-points", args.k_points)):
+        if value is not None and value < 1:
+            raise InputError(f"{flag} must be >= 1, got {value}")
     if args.k_path:
         vertices = []
         for chunk in args.k_path.split(":"):
@@ -187,16 +191,16 @@ def _k_rows_for_bands(args, spec, grids):
 
 
 def cmd_validate(args):
-    spec, _ = _load_spec(args)
-    report = validate(spec)
-    if report.ok:
-        print("valid problem: no violations")
-        for tag, entry in sorted(report.info.items()):
-            print(f"  {tag}: {entry}")
-        return EXIT_OK
-    for violation in report.violations:
-        print(f"violation: {violation}")
-    return EXIT_DOMAIN
+    try:
+        spec, _ = _load_spec(args)
+    except InvalidSpec as exc:
+        for violation in exc.violations:
+            print(f"violation: {violation}")
+        return EXIT_DOMAIN
+    print("valid problem: no violations")
+    for tag, entry in sorted(validate(spec).info.items()):
+        print(f"  {tag}: {entry}")
+    return EXIT_OK
 
 
 def cmd_bands(args):
@@ -267,6 +271,8 @@ def cmd_spectrum(args):
 
 def cmd_oracle(args):
     spec, grids = _load_spec(args)
+    if not 0 <= args.tol < np.inf:
+        raise InputError(f"--tol must be finite and >= 0, got {args.tol}")
     half_width = args.L if args.L is not None else 20
     trunc = oracle_mod.assemble_truncated(spec, half_width, bc=args.bc)
     if spec.defects and "open" in trunc.bcs:

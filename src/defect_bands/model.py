@@ -7,10 +7,13 @@ obtained by freezing the first j lattice coordinates to zero, so its own
 offsets have length N - j.  ``defect_stencil_to_symbol`` converts a defect
 stencil to its Floquet symbol on the N-torus, which acquires the factor
 (2*pi)^(-j/2) from the sublattice averaging convention; users always write
-physical hopping strengths and never see that constant.
+physical hopping strengths and never see that constant.  A `DefectLayer` is
+built from its stencils alone, and a `ProblemSpec` is frozen and validated
+when built, so the engine and the oracle read one operator of a valid spec.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 from .symbol import InputError, OmegaSymbol, TrigMatrixPolynomial, TWO_PI
 
@@ -48,31 +51,25 @@ def defect_stencil_to_symbol(stencil, codim, lattice_dim):
 
 
 class DefectLayer:
-    """A codimension-j defect: normalized Floquet symbol plus raw stencils.
+    """A codimension-j defect, built from its real-space stencils.
 
-    `symbol` is the OmegaSymbol on the full N-torus (constant in the first j
-    wavevector components).  `raw_stencils` keeps the physical hoppings per
-    omega power for real-space assembly, where the Fourier-side normalization
-    must not appear.
+    `stencils` maps omega powers to the physical hoppings on Z^(N - j),
+    which the oracle places; `symbol`, which the engine reads, is derived
+    from them by `defect_stencil_to_symbol`, so both read one operator.
     """
 
-    def __init__(self, codim, symbol, raw_stencils=None):
+    def __init__(self, codim, lattice_dim, stencils):
         self.codim = int(codim)
-        self.symbol = symbol
-        self.raw_stencils = dict(raw_stencils) if raw_stencils else {}
-
-    @classmethod
-    def from_stencils(cls, codim, lattice_dim, stencils):
-        """Build from {omega_power: Stencil over Z^(lattice_dim - codim)}."""
-        terms = {p: defect_stencil_to_symbol(st, codim, lattice_dim)
-                 for p, st in stencils.items()}
-        return cls(codim, OmegaSymbol(terms), raw_stencils=stencils)
+        self.stencils = dict(stencils)
+        self.symbol = OmegaSymbol({
+            p: defect_stencil_to_symbol(st, codim, lattice_dim)
+            for p, st in self.stencils.items()})
 
     def __repr__(self):
         return f"DefectLayer(codim={self.codim}, powers={tuple(self.symbol.terms)})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToleranceSet:
     """Numeric knobs; all strictly positive, det_zero_tol < band_guard.
 
@@ -93,11 +90,14 @@ class ToleranceSet:
     def violations(self):
         out = []
         for name in ("det_zero_tol", "quad_rel_tol", "band_guard", "root_tol_omega"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and value > 0):
                 out.append(f"tolerance {name} must be positive")
-        if self.k_grid_base < 4 or (self.k_grid_base & (self.k_grid_base - 1)):
+        k = self.k_grid_base
+        if not isinstance(k, Integral) or k < 4 or k & (k - 1):
             out.append("k_grid_base must be a power of two >= 4")
-        if self.det_zero_tol >= self.band_guard:
+        det_tol, guard = self.det_zero_tol, self.band_guard
+        if isinstance(det_tol, Real) and isinstance(guard, Real) and det_tol >= guard:
             out.append("det_zero_tol must be smaller than band_guard")
         return out
 
@@ -110,13 +110,22 @@ class GridConfig:
     omega_points: int = 513
 
 
-@dataclass
+class InvalidSpec(InputError):
+    """A ProblemSpec that breaks its invariants; `violations` lists all."""
+
+    def __init__(self, violations):
+        super().__init__("invalid spec: " + "; ".join(violations))
+        self.violations = list(violations)
+
+
+@dataclass(frozen=True)
 class ProblemSpec:
     """Bulk symbol plus the ordered stack of defect layers.
 
     lattice_dim is N, cell_size is M.  Defects are sorted by codimension,
     at most one per codimension, each supported on the coordinate sublattice
-    chain through the origin cell.
+    chain through the origin cell.  Building one runs `validate` and raises
+    `InvalidSpec` on any violation; the spec is frozen, so it stays valid.
     """
 
     lattice_dim: int
@@ -127,8 +136,13 @@ class ProblemSpec:
     omega_window: tuple = (-10.0, 10.0)
 
     def __post_init__(self):
-        self.defects = tuple(sorted(self.defects, key=lambda d: d.codim))
-        self.omega_window = (float(self.omega_window[0]), float(self.omega_window[1]))
+        object.__setattr__(self, "defects",
+                           tuple(sorted(self.defects, key=lambda d: d.codim)))
+        object.__setattr__(self, "omega_window", (float(self.omega_window[0]),
+                                                  float(self.omega_window[1])))
+        report = validate(self)
+        if not report.ok:
+            raise InvalidSpec(report.violations)
 
     def defect_by_codim(self, codim):
         for layer in self.defects:
@@ -153,10 +167,6 @@ class ValidationReport:
     @property
     def ok(self):
         return not self.violations
-
-    @property
-    def first(self):
-        return self.violations[0] if self.violations else None
 
 
 def validate(spec):
@@ -185,9 +195,6 @@ def validate(spec):
     seen_codims = set()
     for layer in spec.defects:
         tag = f"defect codim {layer.codim}"
-        if not 1 <= layer.codim <= n:
-            violations.append(f"{tag}: codim outside 1..{n}")
-            continue
         if layer.codim in seen_codims:
             violations.append(f"{tag}: duplicate codim {layer.codim}")
         seen_codims.add(layer.codim)
@@ -197,17 +204,6 @@ def validate(spec):
         if sym.torus_dim != n:
             violations.append(
                 f"{tag}: symbol torus_dim {sym.torus_dim} != lattice_dim {n}")
-        else:
-            for p, poly in sym.terms.items():
-                for off in poly.offsets:
-                    if any(off[i] != 0 for i in range(layer.codim)):
-                        violations.append(
-                            f"{tag}: defect depends on averaged direction "
-                            f"(offset {off} nonzero in first {layer.codim} components)")
-                        break
-                else:
-                    continue
-                break
         info[tag] = {"hermitian_family": sym.is_hermitian_family(),
                      "max_omega_power": sym.max_power}
 

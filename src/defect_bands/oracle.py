@@ -57,6 +57,12 @@ MAX_DIMENSION = 20000
 #: relative Hermiticity tolerance of the dense box and of each block
 _HERMITIAN_TOL = 1e-14
 
+#: cells from an open boundary that `boundary_mass` counts as near it
+BOUNDARY_MARGIN = 2
+
+#: boundary mass above which `compare_spectra` flags, not fails, a mismatch
+EDGE_THRESHOLD = 0.5
+
 
 class TruncatedOperator:
     """Real-space truncation of the perturbed operator on a finite box.
@@ -110,10 +116,6 @@ def _check_eigenproblem_form(spec):
         if set(layer.symbol.terms) != {0}:
             raise InputError(
                 "truncated assembly supports omega-independent defects only")
-        if not layer.raw_stencils:
-            raise InputError(
-                f"defect codim {layer.codim} carries no raw stencil; build "
-                "layers with DefectLayer.from_stencils for oracle comparisons")
 
 
 def assemble_truncated(spec, half_width, bc="open"):
@@ -165,7 +167,7 @@ def _stencils(spec, cells):
         j = layer.codim
         on_sub = np.flatnonzero(np.all(cells[:, :j] == 0, axis=1))
         out.append(({(0,) * j + off: block
-                     for off, block in layer.raw_stencils[0].items()}, on_sub))
+                     for off, block in layer.stencils[0].items()}, on_sub))
     return out
 
 
@@ -300,15 +302,15 @@ def oracle_eigenpairs(truncated):
     return np.linalg.eigh(truncated.matrix)
 
 
-def boundary_mass(truncated, vectors, margin=2):
-    """Fraction of each eigenvector's weight within `margin` cells of an
-    open boundary (0 for fully periodic boxes)."""
+def boundary_mass(truncated, vectors):
+    """Fraction of each eigenvector's weight within BOUNDARY_MARGIN cells of
+    an open boundary (0 for fully periodic boxes)."""
     cells = truncated.site_cells
     near = np.zeros(cells.shape[0], dtype=bool)
     for axis, (l, b) in enumerate(zip(truncated.half_widths, truncated.bcs)):
         if b != "open":
             continue
-        near |= np.abs(cells[:, axis]) > l - margin
+        near |= np.abs(cells[:, axis]) > l - BOUNDARY_MARGIN
     m_sz = truncated.spec.cell_size
     near_sites = np.repeat(near, m_sz)
     weight = np.abs(vectors) ** 2
@@ -335,12 +337,11 @@ def periodic_box_check(spec, half_width):
     return float(np.max(np.abs(eigs - model)))
 
 
-def compare_spectra(result, eigenvalues, tol, boundary_fraction=None,
-                    edge_threshold=0.5):
+def compare_spectra(result, eigenvalues, tol, boundary_fraction=None):
     """Check truncated eigenvalues against an assembled spectrum.
 
     Every eigenvalue must lie within `tol` of the assembled set, except
-    those whose `boundary_fraction` exceeds `edge_threshold` (open-boundary
+    those whose `boundary_fraction` exceeds EDGE_THRESHOLD (open-boundary
     artifacts, flagged).  Every isolated point of the set must be matched by
     some eigenvalue within `tol`; an unmatched point is a failure carrying
     the nearest eigenvalue.
@@ -351,7 +352,7 @@ def compare_spectra(result, eigenvalues, tol, boundary_fraction=None,
     for idx, val in enumerate(eigenvalues):
         if point_in_intervals(val, intervals, dilate=tol):
             continue
-        if boundary_fraction is not None and boundary_fraction[idx] > edge_threshold:
+        if boundary_fraction is not None and boundary_fraction[idx] > EDGE_THRESHOLD:
             flagged.append((float(val), float(boundary_fraction[idx])))
         else:
             unmatched_eigs.append(float(val))

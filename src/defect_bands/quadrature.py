@@ -29,20 +29,16 @@ class NonConvergence(RuntimeError):
     ----------
     n_reached : int
         Last points-per-axis tried.
-    last_change : float
-        Relative change between the final two refinements.
-    witness_sigma_min : float or None
+    witness_sigma_min : float
         How singular the integrand is: the minimum sigma_min of the level-0
         matrix over a witness mesh, or of the node matrices that failed the
         rank guard.
     """
 
-    def __init__(self, message, n_reached, last_change, witness_sigma_min=None):
+    def __init__(self, message, n_reached, witness_sigma_min):
         super().__init__(message)
         self.n_reached = int(n_reached)
-        self.last_change = float(last_change)
-        self.witness_sigma_min = (None if witness_sigma_min is None
-                                  else float(witness_sigma_min))
+        self.witness_sigma_min = float(witness_sigma_min)
 
 
 def grid_nodes(n):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .model import GridConfig, validate
+from .model import GridConfig
 from .quadrature import NonConvergence, _product_nodes, grid_nodes, trapezoid_sum
 from .symbol import (
     TWO_PI,
@@ -319,8 +319,7 @@ class _GreenTable:
                 elif np.isfinite(g_worst):
                     outcome[g] = NonConvergence(
                         f"level {j} integrand singular on the n={n} grid",
-                        n_reached=n, last_change=np.inf,
-                        witness_sigma_min=float(g_worst))
+                        n_reached=n, witness_sigma_min=float(g_worst))
                 elif pinned or (n > N_QUAD_START and g_change < tol):
                     outcome[g] = (curr[b:b + e - s], n)
                     pins[g][j] = n
@@ -335,7 +334,7 @@ class _GreenTable:
                     outcome[g] = NonConvergence(
                         f"level {j} quadrature stalled at n={n} per axis "
                         f"(omega={omega!r} is too close to a lower-level "
-                        "spectrum projection)", n_reached=n, last_change=np.inf,
+                        "spectrum projection)", n_reached=n,
                         witness_sigma_min=self._witness(omega, cell_t[s:e]))
                 return outcome
             n *= 2
@@ -533,6 +532,8 @@ def membership(spec, lam, grids=None):
     "inconclusive" (membership there is already decided by the lower level in
     exact arithmetic, just not resolvable at this tolerance).
     """
+    if not np.isfinite(lam):
+        raise InputError(f"omega must be finite, got {lam}")
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     guard = spec.tolerances.band_guard
     chain = Chain(spec, lam)
@@ -564,8 +565,7 @@ def membership(spec, lam, grids=None):
             return MembershipCertificate(
                 "inconclusive", min_sigma_per_level=trace,
                 reason=(f"quadrature did not converge at level {codim}: {exc} "
-                        f"(witness sigma_min "
-                        f"{exc.witness_sigma_min if exc.witness_sigma_min is not None else float('nan'):.3e})"))
+                        f"(witness sigma_min {exc.witness_sigma_min:.3e})"))
         trace.append((codim, res.min_sigma))
         if res.detected:
             return MembershipCertificate("in", detected_at_step=codim,
@@ -634,12 +634,12 @@ def bands_grid(spec, k_rows):
 # interval bookkeeping
 
 
-def merge_intervals(intervals, eps=0.0):
-    """Union of closed intervals; pieces touching within eps are joined."""
+def merge_intervals(intervals):
+    """Union of closed intervals; overlapping or touching pieces are joined."""
     ivs = sorted((float(lo), float(hi)) for lo, hi in intervals if hi >= lo)
     out = []
     for lo, hi in ivs:
-        if out and lo <= out[-1][1] + eps:
+        if out and lo <= out[-1][1]:
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
             out.append((lo, hi))
@@ -994,9 +994,8 @@ def full_spectrum(spec, omega_window=None, grids=None, n_probes=32):
     assembled set (inconclusive verdicts are listed, not counted as
     disagreements).
     """
-    report = validate(spec)
-    if not report.ok:
-        raise InputError(f"invalid spec: {report.first}")
+    if n_probes < 0:
+        raise InputError(f"probe count must be >= 0, got {n_probes}")
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     window = omega_window or spec.omega_window
 

@@ -60,6 +60,80 @@ class TestValidate:
             jsonschema.validate(doc, cfg_schema)
 
 
+def reproduction(tmp_path, kind):
+    """chain_point_defect.json broken one way: a second codim-1 defect of
+    strength 2, or det_zero_tol above band_guard."""
+    doc = json.loads(open(config_path("chain_point_defect.json")).read())
+    if kind == "second_defect":
+        extra = json.loads(json.dumps(doc["defects"][0]))
+        extra["omega_powers"][0]["coefficients"][0]["re"] = [[2.0]]
+        doc["defects"].append(extra)
+    else:
+        doc["tolerances"] = {"det_zero_tol": 0.5}
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestInvalidSpecRefused:
+    # before construction refused them, membership answered OUT at
+    # sqrt(13), the second defect's oracle eigenvalue, and IN (step 0) at
+    # 2.5 with det_zero_tol 0.5; the oracle wrote its --out file
+    @pytest.mark.parametrize("kind", ["second_defect", "loose_det_tol"])
+    @pytest.mark.parametrize("command", [
+        ["membership", "--omega", "3.6056"], ["membership", "--omega", "2.5"],
+        ["bands", "--out"], ["spectrum", "--out"], ["oracle", "--out"]])
+    def test_every_command_refuses(self, tmp_path, capsys, kind, command):
+        out = tmp_path / "out.csv"
+        argv = command + [str(out)] if command[-1] == "--out" else command
+        code = main(argv[:1] + ["--config", reproduction(tmp_path, kind)]
+                    + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("domain error: invalid spec: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_validate_prints_every_violation(self, tmp_path, capsys):
+        doc = json.loads(open(reproduction(tmp_path, "second_defect")).read())
+        doc["tolerances"] = {"det_zero_tol": 0.5}
+        both = tmp_path / "both.json"
+        both.write_text(json.dumps(doc))
+        code = main(["validate", "--config", str(both)])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "violation: defect codim 1: duplicate codim 1\n"
+            "violation: det_zero_tol must be smaller than band_guard\n")
+
+
+class TestNumericGuards:
+    @pytest.mark.parametrize("argv, message", [
+        (["membership", "--omega", "nan"], "omega must be finite, got nan"),
+        (["membership", "--omega", "inf"], "omega must be finite, got inf"),
+        (["membership", "--omega=-inf"], "omega must be finite, got -inf"),
+        (["bands", "--k-grid", "0"], "--k-grid must be >= 1, got 0"),
+        (["bands", "--k-grid", "-2"], "--k-grid must be >= 1, got -2"),
+        (["bands", "--k-path", "0", "--k-points", "0"],
+         "--k-points must be >= 1, got 0"),
+        (["spectrum", "--probes", "-1"], "probe count must be >= 0, got -1"),
+        (["oracle", "--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
+        (["oracle", "--tol", "nan"], "--tol must be finite and >= 0, got nan"),
+    ])
+    def test_domain_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        if argv[0] != "membership":
+            argv = argv + ["--out", str(out)]
+        code = main(argv[:1] + ["--config",
+                                config_path("chain_point_defect.json")]
+                    + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"domain error: {message}\n"
+        assert not out.exists()
+
+
 class TestBands:
     def test_five_point_grid(self, tmp_path):
         out = tmp_path / "bands.csv"

@@ -1,15 +1,18 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from defect_bands.model import (
     DefectLayer,
+    InvalidSpec,
     ProblemSpec,
     Stencil,
     ToleranceSet,
     defect_stencil_to_symbol,
     validate,
 )
-from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
+from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
 
 TWO_PI = 2.0 * np.pi
 
@@ -139,41 +142,87 @@ class TestDefectNormalization:
         assert np.array_equal(a, b)
 
 
-def make_spec(defects=()):
+def make_spec(defects=(), tolerances=ToleranceSet()):
     bulk = OmegaSymbol({
         0: Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
-                       defects=tuple(defects), omega_window=(-4, 4))
+                       defects=tuple(defects), tolerances=tolerances,
+                       omega_window=(-4, 4))
+
+
+def point_layer(strength=1.0, lattice_dim=1):
+    return DefectLayer(1, lattice_dim,
+                       {0: Stencil(lattice_dim - 1,
+                                   {(0,) * (lattice_dim - 1): [[strength]]})})
 
 
 class TestValidate:
     def test_well_formed(self):
-        layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
-        report = validate(make_spec([layer]))
+        spec = make_spec([point_layer()])
+        report = validate(spec)
         assert report.ok
         assert report.info["self_adjoint"]
-
-    def test_defect_depending_on_averaged_direction(self):
-        bad_sym = OmegaSymbol({0: TrigMatrixPolynomial(2, {(1, 0): [[1.0]]})})
-        layer = DefectLayer(1, bad_sym)
-        bulk = OmegaSymbol({
-            0: Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]]}),
-            1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
-        })
-        spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk, defects=(layer,))
-        report = validate(spec)
-        assert any("averaged direction" in v for v in report.violations)
+        assert spec.omega_window == (-4.0, 4.0)
 
     def test_duplicate_codim(self):
-        layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
-        other = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[2.0]]})})
-        report = validate(make_spec([layer, other]))
-        assert any("duplicate codim 1" in v for v in report.violations)
+        with pytest.raises(InvalidSpec) as err:
+            make_spec([point_layer(1.0), point_layer(2.0)])
+        assert err.value.violations == ["defect codim 1: duplicate codim 1"]
 
     def test_tolerance_ordering(self):
-        spec = make_spec()
-        spec.tolerances = ToleranceSet(det_zero_tol=0.5, band_guard=0.1)
-        report = validate(spec)
-        assert any("det_zero_tol" in v for v in report.violations)
+        with pytest.raises(InvalidSpec) as err:
+            make_spec(tolerances=ToleranceSet(det_zero_tol=0.5, band_guard=0.1))
+        assert err.value.violations == [
+            "det_zero_tol must be smaller than band_guard"]
+
+    def test_wrongly_typed_tolerances_listed(self):
+        # a problem file can hold any JSON value; these are violations,
+        # not a TypeError out of the comparisons
+        with pytest.raises(InvalidSpec) as err:
+            make_spec(tolerances=ToleranceSet(det_zero_tol="1e-8",
+                                              k_grid_base=64.0))
+        assert err.value.violations == [
+            "tolerance det_zero_tol must be positive",
+            "k_grid_base must be a power of two >= 4"]
+
+    def test_every_violation_listed(self):
+        with pytest.raises(InvalidSpec) as err:
+            make_spec([point_layer(1.0), point_layer(2.0)],
+                      ToleranceSet(det_zero_tol=0.5, band_guard=0.1))
+        assert err.value.violations == [
+            "defect codim 1: duplicate codim 1",
+            "det_zero_tol must be smaller than band_guard"]
+        assert isinstance(err.value, InputError)
+        assert str(err.value) == ("invalid spec: "
+                                  + "; ".join(err.value.violations))
+
+    def test_layer_of_another_lattice(self):
+        # codim 1 of a 2D lattice is a line, not a point of the 1D chain
+        with pytest.raises(InvalidSpec) as err:
+            make_spec([point_layer(lattice_dim=2)])
+        assert err.value.violations == [
+            "defect codim 1: symbol torus_dim 2 != lattice_dim 1"]
+
+    def test_codim_beyond_lattice_cannot_be_built(self):
+        with pytest.raises(InputError, match="codim must lie in 1..1"):
+            DefectLayer(2, 1, {0: Stencil(0, {(): [[1.0]]})})
+
+    def test_symbol_is_derived_from_stencils(self):
+        stencil = Stencil(1, {(0,): [[0.8]], (1,): [[0.3]], (-1,): [[0.3]]})
+        layer = DefectLayer(1, 2, {0: stencil})
+        assert layer.stencils == {0: stencil}
+        expected = defect_stencil_to_symbol(stencil, 1, 2)
+        k = np.array([[0.4, -1.3], [2.0, 0.7]])
+        assert np.array_equal(layer.symbol.terms[0].eval(k), expected.eval(k))
+
+    def test_spec_is_frozen(self):
+        spec = make_spec([point_layer()])
+        with pytest.raises(FrozenInstanceError):
+            spec.tolerances = ToleranceSet(det_zero_tol=0.5, band_guard=0.1)
+        with pytest.raises(FrozenInstanceError):
+            spec.tolerances.band_guard = 1e-9
+        with pytest.raises(FrozenInstanceError):
+            spec.defects = ()
+        assert validate(spec).ok

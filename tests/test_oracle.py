@@ -38,8 +38,7 @@ def complex_hopping_chain(phi, eps=None):
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
     defects = ()
     if eps is not None:
-        defects = (DefectLayer.from_stencils(
-            1, 1, {0: Stencil(0, {(): [[eps]]})}),)
+        defects = (DefectLayer(1, 1, {0: Stencil(0, {(): [[eps]]})}),)
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk, defects=defects)
 
 

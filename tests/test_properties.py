@@ -52,8 +52,7 @@ def test_green_function_matches_svd_path_m2(a, b, d, margin, sign):
                                     (-1,): b_mat.conj().T}),
         1: TrigMatrixPolynomial(1, {(0,): -np.eye(2)}),
     })
-    layer = DefectLayer.from_stencils(
-        1, 1, {0: Stencil(0, {(): _hermitian(d[:3], d[3])})})
+    layer = DefectLayer(1, 1, {0: Stencil(0, {(): _hermitian(d[:3], d[3])})})
     spec = ProblemSpec(lattice_dim=1, cell_size=2, bulk=bulk,
                        defects=(layer,))
     assert spectrum._hermitian_linear_fast(spec)

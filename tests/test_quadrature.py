@@ -175,7 +175,7 @@ class TestAdaptiveBracket:
         # a flat band 2.5 - omega makes the level-1 integrand constant in k
         bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, {(0,): [[2.5]]}),
                             1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
-        layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
+        layer = DefectLayer(1, 1, {0: Stencil(0, {(): [[1.0]]})})
         spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                            defects=(layer,))
         chain = Chain(spec, 0.0)

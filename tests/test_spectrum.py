@@ -56,7 +56,7 @@ def squared_frequency_point_defect():
         0: Stencil(1, {(0,): [[2.0]], (1,): [[1.0]], (-1,): [[1.0]]}),
         2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
-    layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[1.0]]})})
+    layer = DefectLayer(1, 1, {0: Stencil(0, {(): [[1.0]]})})
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                        defects=(layer,), omega_window=(-3.0, 3.0))
 
@@ -80,8 +80,8 @@ def squared_frequency_line_and_point():
                        (0, 1): [[1.0]], (0, -1): [[1.0]]}),
         2: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
     })
-    line = DefectLayer.from_stencils(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
-    point = DefectLayer.from_stencils(2, 2, {0: Stencil(0, {(): [[1.0]]})})
+    line = DefectLayer(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
+    point = DefectLayer(2, 2, {0: Stencil(0, {(): [[1.0]]})})
     return ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
                        defects=(line, point), omega_window=(-4.0, 4.0))
 
@@ -527,6 +527,16 @@ class TestMembership:
         levels = dict(cert.min_sigma_per_level)
         assert levels[1] == pytest.approx(1 - 1 / SQRT5, abs=1e-8)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_omega_refused(self, chain_defect_model, lam):
+        # without the guard nan raised LinAlgError and inf OverflowError;
+        # resolvent_apply asks membership first, so it refuses them too
+        spec, grids = chain_defect_model
+        with pytest.raises(InputError, match="omega must be finite"):
+            membership(spec, lam, grids)
+        with pytest.raises(InputError, match="omega must be finite"):
+            resolvent_apply(spec, lam, trig_vector(1, {(0,): [1.0]}), grids)
+
     def test_stalled_bracket_is_inconclusive(self, monkeypatch):
         # with n capped at the first grid, the level-1 bracket at omega = 3
         # cannot double, so it stalls; the verdict names the level and the
@@ -838,7 +848,6 @@ class TestDispersionBranch:
         def flaky(table, omegas, groups, pins=None):
             if table.level == 1 and omegas[0] > 6.5:
                 return [NonConvergence("forced", n_reached=1024,
-                                       last_change=np.inf,
                                        witness_sigma_min=0.0625)] * len(groups)
             return converge(table, omegas, groups, pins)
 
@@ -904,6 +913,11 @@ class TestFullSpectrum:
         point = next(c for c in result.components if c.kind == "isolated_point")
         assert point.lo == pytest.approx(SQRT5, abs=1e-8)
         assert result.probe_report["disagreements"] == []
+
+    def test_negative_probe_count_refused(self, chain_defect_model):
+        spec, grids = chain_defect_model
+        with pytest.raises(InputError, match="probe count must be >= 0"):
+            full_spectrum(spec, (-4.0, 4.0), grids, n_probes=-1)
 
     def test_square_line_defect(self, square_line_model):
         spec, grids = square_line_model
@@ -1055,3 +1069,4 @@ class TestIntervals:
         assert merge_intervals([(0, 1), (0.5, 2), (3, 4)]) == [(0, 2), (3, 4)]
         assert merge_intervals([(3, 4), (0, 1)]) == [(0, 1), (3, 4)]
         assert merge_intervals([]) == []
+        assert merge_intervals([(0, 1), (1, 2)]) == [(0, 2)]

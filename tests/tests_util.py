@@ -15,7 +15,7 @@ def chain_with_defect(eps, k_points=64, omega_points=513, hopping=1.0):
         0: Stencil(1, {(1,): [[hopping]], (-1,): [[hopping]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
-    layer = DefectLayer.from_stencils(1, 1, {0: Stencil(0, {(): [[eps]]})})
+    layer = DefectLayer(1, 1, {0: Stencil(0, {(): [[eps]]})})
     spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                        defects=(layer,), omega_window=(-4.0, 4.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
@@ -31,7 +31,7 @@ def _square_bulk():
 
 def square_with_line_defect(eps, k_points=64, omega_points=513):
     """2D square lattice with an on-site line defect along the second axis."""
-    layer = DefectLayer.from_stencils(1, 2, {0: Stencil(1, {(0,): [[eps]]})})
+    layer = DefectLayer(1, 2, {0: Stencil(1, {(0,): [[eps]]})})
     spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
                        defects=(layer,), omega_window=(-6.0, 6.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
@@ -39,8 +39,8 @@ def square_with_line_defect(eps, k_points=64, omega_points=513):
 
 def square_line_and_point(k_points=32, omega_points=513):
     """2D square lattice, unit line defect plus a point defect of 3 on it."""
-    line = DefectLayer.from_stencils(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
-    point = DefectLayer.from_stencils(2, 2, {0: Stencil(0, {(): [[3.0]]})})
+    line = DefectLayer(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
+    point = DefectLayer(2, 2, {0: Stencil(0, {(): [[3.0]]})})
     spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
                        defects=(line, point), omega_window=(-6.0, 8.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
@@ -55,9 +55,9 @@ def cubic_plane_line_point(k_points=16, omega_points=129):
                        (0, 0, 1): [[1.0]], (0, 0, -1): [[1.0]]}),
         1: TrigMatrixPolynomial(3, {(0, 0, 0): [[-1.0]]}),
     })
-    plane = DefectLayer.from_stencils(1, 3, {0: Stencil(2, {(0, 0): [[1.0]]})})
-    line = DefectLayer.from_stencils(2, 3, {0: Stencil(1, {(0,): [[1.0]]})})
-    point = DefectLayer.from_stencils(3, 3, {0: Stencil(0, {(): [[2.0]]})})
+    plane = DefectLayer(1, 3, {0: Stencil(2, {(0, 0): [[1.0]]})})
+    line = DefectLayer(2, 3, {0: Stencil(1, {(0,): [[1.0]]})})
+    point = DefectLayer(3, 3, {0: Stencil(0, {(): [[2.0]]})})
     spec = ProblemSpec(lattice_dim=3, cell_size=1, bulk=bulk,
                        defects=(plane, line, point), omega_window=(-8.0, 10.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
@@ -79,10 +79,10 @@ def two_band_line(k_points=16, omega_points=129, point=None):
                        (0, -1): [[0.0, 0.0], [0.5, 0.0]]}),
         1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0, 0.0], [0.0, -1.0]]}),
     })
-    layers = [DefectLayer.from_stencils(
+    layers = [DefectLayer(
         1, 2, {0: Stencil(1, {(0,): [[1.0, 0.0], [0.0, 0.5]]})})]
     if point is not None:
-        layers.append(DefectLayer.from_stencils(
+        layers.append(DefectLayer(
             2, 2, {0: Stencil(0, {(): [[point, 0.0], [0.0, point]]})}))
     spec = ProblemSpec(lattice_dim=2, cell_size=2, bulk=bulk,
                        defects=tuple(layers), omega_window=(-7.0, 7.0))

@@ -3,16 +3,17 @@
     python tools/compare_cli.py OLD_CHECKOUT NEW_CHECKOUT
 
 Each run is a fresh `python -m defect_bands.cli` process with PYTHONPATH set
-to the checkout's `src`.  The runs are `spectrum --out` on the five bundled
-configs and `perfbench/nested_line_point.json`, `membership --json` at
-each of OMEGAS on the same six models, and `oracle --out` on each: with
+to the checkout's `src`.  The runs are `validate`, `bands --k-grid 8 --out`
+and `spectrum --out` on the five bundled configs and
+`perfbench/nested_line_point.json`, `membership --json` at each of OMEGAS
+on the same six models, and `oracle --out` on each: with
 `--L 12`, open and periodic, on the five bundled configs, and with `--L 8`,
 open and periodic, on the nested model.  For every run the CSVs it wrote
-(the spectrum and one per branch, or the box eigenvalues), its stdout, its
-stderr and its exit code are compared byte for byte.  Prints one line per
-differing output, with the largest absolute eigenvalue difference when an
-`oracle.csv` differs, and a summary; exits 0 when every output is
-identical, 1 otherwise.
+(the bands, the spectrum and one per branch, or the box eigenvalues), its
+stdout, its stderr and its exit code are compared byte for byte.  Prints
+one line per differing output, with the largest absolute eigenvalue
+difference when an `oracle.csv` differs, and a summary; exits 0 when every
+output is identical, 1 otherwise.
 """
 
 import argparse
@@ -49,6 +50,9 @@ def runs():
     out = []
     for config in CONFIGS:
         model = Path(config).stem
+        out.append((config, f"{model}/validate", ["validate"]))
+        out.append((config, f"{model}/bands",
+                    ["bands", "--k-grid", "8", "--out", "bands.csv"]))
         out.append((config, f"{model}/spectrum",
                     ["spectrum", "--out", "spectrum.csv"]))
         for omega in OMEGAS:
