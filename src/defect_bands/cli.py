@@ -54,6 +54,8 @@ def _fmt(x):
 
 
 def _require_keys(doc, required, optional, where):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where}: expected an object")
     unknown = set(doc) - set(required) - set(optional)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -62,9 +64,31 @@ def _require_keys(doc, required, optional, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _array(value, where):
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected an array")
+    return value
+
+
+def _number(value, where, integer=False):
+    """A config number as float (or int), ConfigError when it is none."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not integer:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def _matrix_from(entry, m_sz, where):
-    re_part = np.asarray(entry["re"], dtype=float)
-    im_part = np.asarray(entry.get("im", np.zeros_like(re_part)), dtype=float)
+    try:
+        re_part = np.asarray(entry["re"], dtype=float)
+        im_part = np.asarray(entry.get("im", np.zeros_like(re_part)), dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: matrix entries must be numbers") from None
     if re_part.shape != (m_sz, m_sz) or im_part.shape != (m_sz, m_sz):
         raise ConfigError(f"{where}: matrices must be {m_sz}x{m_sz}")
     return re_part + 1j * im_part
@@ -72,14 +96,17 @@ def _matrix_from(entry, m_sz, where):
 
 def _poly_from_powers(powers, offset_len, m_sz, where):
     terms = {}
-    for p_entry in powers:
+    for p_entry in _array(powers, f"{where}, omega_powers"):
         _require_keys(p_entry, ("power", "coefficients"), (), where)
-        power = int(p_entry["power"])
+        power = _number(p_entry["power"], f"{where}, power", integer=True)
         coeffs = {}
-        for c_idx, c_entry in enumerate(p_entry["coefficients"]):
+        coefficients = _array(p_entry["coefficients"],
+                              f"{where}, power {power}, coefficients")
+        for c_idx, c_entry in enumerate(coefficients):
             tag = f"{where}, power {power}, coefficient {c_idx}"
             _require_keys(c_entry, ("offset", "re"), ("im",), tag)
-            off = tuple(int(x) for x in c_entry["offset"])
+            off = tuple(_number(x, f"{tag}, offset", integer=True)
+                        for x in _array(c_entry["offset"], f"{tag}, offset"))
             if len(off) != offset_len:
                 raise ConfigError(f"{tag}: offset length {len(off)}, "
                                   f"expected {offset_len}")
@@ -107,9 +134,14 @@ def load_config(path):
 
 
 def spec_from_config(doc):
-    """Build (ProblemSpec, GridConfig) from a parsed problem document."""
-    n_dim = int(doc["dimension"])
-    m_sz = int(doc["cell_size"])
+    """Build (ProblemSpec, GridConfig) from a parsed problem document.
+
+    Raises `ConfigError` where the document is malformed and `InvalidSpec`,
+    listing the violations of the spec and of the grids together, where it
+    describes an invalid problem.
+    """
+    n_dim = _number(doc["dimension"], "dimension", integer=True)
+    m_sz = _number(doc["cell_size"], "cell_size", integer=True)
     _require_keys(doc["bulk"], ("omega_powers",), (), "bulk")
     bulk_terms = _poly_from_powers(doc["bulk"]["omega_powers"], n_dim, m_sz,
                                    "bulk")
@@ -117,10 +149,11 @@ def spec_from_config(doc):
                         for p, coeffs in bulk_terms.items()})
 
     defects = []
-    for d_idx, d_entry in enumerate(doc.get("defects", [])):
+    defect_docs = _array(doc.get("defects", []), "defects")
+    for d_idx, d_entry in enumerate(defect_docs):
         where = f"defect {d_idx}"
         _require_keys(d_entry, ("codim", "omega_powers"), (), where)
-        codim = int(d_entry["codim"])
+        codim = _number(d_entry["codim"], f"{where}, codim", integer=True)
         if not 1 <= codim <= n_dim:
             raise ConfigError(f"{where}: codim {codim} outside 1..{n_dim}")
         terms = _poly_from_powers(d_entry["omega_powers"], n_dim - codim,
@@ -129,22 +162,35 @@ def spec_from_config(doc):
                     for p, coeffs in terms.items()}
         defects.append(DefectLayer(codim, n_dim, stencils))
 
-    tol_doc = dict(doc.get("tolerances", {}))
+    tol_doc = doc.get("tolerances", {})
     _require_keys(tol_doc, (), ("det_zero_tol", "quad_rel_tol", "band_guard",
                                 "root_tol_omega", "k_grid_base"), "tolerances")
     tolerances = ToleranceSet(**tol_doc)
 
     window_doc = doc.get("omega_window", {"min": -10.0, "max": 10.0})
     _require_keys(window_doc, ("min", "max"), (), "omega_window")
-    window = (float(window_doc["min"]), float(window_doc["max"]))
+    window = tuple(_number(window_doc[key], f"omega_window {key}")
+                   for key in ("min", "max"))
 
-    grids_doc = dict(doc.get("grids", {}))
+    grids_doc = doc.get("grids", {})
     _require_keys(grids_doc, (), ("k_points", "omega_points"), "grids")
-    grids = GridConfig(**{k: int(v) for k, v in grids_doc.items()})
+    grid_sizes = {key: _number(value, f"grids {key}", integer=True)
+                  for key, value in grids_doc.items()}
 
-    spec = ProblemSpec(lattice_dim=n_dim, cell_size=m_sz, bulk=bulk,
-                       defects=tuple(defects), tolerances=tolerances,
-                       omega_window=window)
+    violations = []
+
+    def built(cls, **kwargs):
+        try:
+            return cls(**kwargs)
+        except InvalidSpec as exc:
+            violations.extend(exc.violations)
+
+    spec = built(ProblemSpec, lattice_dim=n_dim, cell_size=m_sz, bulk=bulk,
+                 defects=tuple(defects), tolerances=tolerances,
+                 omega_window=window)
+    grids = built(GridConfig, **grid_sizes)
+    if violations:
+        raise InvalidSpec(violations)
     return spec, grids
 
 

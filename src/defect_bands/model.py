@@ -69,6 +69,11 @@ class DefectLayer:
         return f"DefectLayer(codim={self.codim}, powers={tuple(self.symbol.terms)})"
 
 
+def _is_grid_size(value):
+    """True for a power of two >= 4, the sizes of nested trapezoid grids."""
+    return isinstance(value, Integral) and value >= 4 and not value & (value - 1)
+
+
 @dataclass(frozen=True)
 class ToleranceSet:
     """Numeric knobs; all strictly positive, det_zero_tol < band_guard.
@@ -93,8 +98,7 @@ class ToleranceSet:
             value = getattr(self, name)
             if not (isinstance(value, Real) and value > 0):
                 out.append(f"tolerance {name} must be positive")
-        k = self.k_grid_base
-        if not isinstance(k, Integral) or k < 4 or k & (k - 1):
+        if not _is_grid_size(self.k_grid_base):
             out.append("k_grid_base must be a power of two >= 4")
         det_tol, guard = self.det_zero_tol, self.band_guard
         if isinstance(det_tol, Real) and isinstance(guard, Real) and det_tol >= guard:
@@ -102,20 +106,35 @@ class ToleranceSet:
         return out
 
 
-@dataclass
-class GridConfig:
-    """Evaluation grids: wavevector points per axis, omega scan points."""
-
-    k_points: int = 64
-    omega_points: int = 513
-
-
 class InvalidSpec(InputError):
-    """A ProblemSpec that breaks its invariants; `violations` lists all."""
+    """A ProblemSpec or GridConfig that breaks its invariants; `violations`
+    lists all."""
 
     def __init__(self, violations):
         super().__init__("invalid spec: " + "; ".join(violations))
         self.violations = list(violations)
+
+
+@dataclass(frozen=True)
+class GridConfig:
+    """Evaluation grids: wavevector points per axis, omega scan points.
+
+    k_points is a power of two >= 4, like k_grid_base; omega_points >= 2, so
+    a scan holds both ends of its window.  Building one with either broken
+    raises `InvalidSpec`; the config is frozen, so it stays valid.
+    """
+
+    k_points: int = 64
+    omega_points: int = 513
+
+    def __post_init__(self):
+        violations = []
+        if not _is_grid_size(self.k_points):
+            violations.append("grids k_points must be a power of two >= 4")
+        if not (isinstance(self.omega_points, Integral) and self.omega_points >= 2):
+            violations.append("grids omega_points must be >= 2")
+        if violations:
+            raise InvalidSpec(violations)
 
 
 @dataclass(frozen=True)

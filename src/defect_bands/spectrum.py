@@ -28,6 +28,7 @@ from .symbol import (
     InputError,
     SingularMatrix,
     det,
+    eigh,
     inverse,
     smallest_singular_value,
 )
@@ -213,7 +214,7 @@ class _GreenTable:
             new = (np.indices((n,) * j).reshape(j, -1) % 2 == 1).any(axis=0)
             lam[~new], vec[~new] = coarse
         k_full = mesh[new]
-        w, u = np.linalg.eigh(
+        w, u = eigh(
             self.spec.bulk.terms[0].eval(k_full.reshape(-1, n_dim)))
         lam[new] = w.reshape(k_full.shape[:2] + (m_sz,))
         vec[new] = u.reshape(k_full.shape[:2] + (m_sz, m_sz))

@@ -8,6 +8,9 @@ after the Floquet transform, multiplication by an M x M matrix function
 with finitely many integer offsets n.  This module holds that representation
 (`TrigMatrixPolynomial`), polynomial-in-omega families of it (`OmegaSymbol`),
 and the small dense complex linear algebra the rest of the package needs.
+For a one-site cell (M = 1) `det`, `smallest_singular_value`, the rank
+guard of `inverse` and `eigh` read the bare entry instead of calling LAPACK,
+with the bits LAPACK's own 1 x 1 rules give.
 
 Matrices are plain complex ndarrays; everything here is pure and safe to call
 from any number of threads.
@@ -246,28 +249,71 @@ def det(a):
     return np.linalg.det(a)
 
 
-def smallest_singular_value(a):
-    """sigma_min, batched over leading axes."""
-    a = np.asarray(a, dtype=complex)
+def _singular_extremes(a):
+    """(sigma_max, sigma_min) of a complex batch (..., M, M).
+
+    For M = 1 with every entry finite, both are the modulus of the bare
+    entry, computed as LAPACK's SVD computes it: its Householder step takes
+    the norm with `dlapy3`, w * sqrt((x/w)^2 + (y/w)^2) with x, y = |Re a|,
+    |Im a| and w = max(x, y), so the result is the SVD's bit for bit
+    (`np.abs`, a hypot, differs by up to 2 ulp on about 4% of random complex
+    entries).  Any other batch, a NaN or infinite entry included, goes
+    through `np.linalg.svd`, which raises `LinAlgError` on NaN.
+    """
+    if a.shape[-1] == 1 and np.isfinite(a).all():
+        x, y = np.abs(a.real[..., 0, 0]), np.abs(a.imag[..., 0, 0])
+        w = np.maximum(x, y)
+        scale = np.where(w > 0, w, 1.0)
+        s = w * np.sqrt((x / scale) ** 2 + (y / scale) ** 2)
+        return s, s
     s = np.linalg.svd(a, compute_uv=False)
-    return s[..., -1]
+    return s[..., 0], s[..., -1]
+
+
+def smallest_singular_value(a):
+    """sigma_min, batched over leading axes; |a| for M = 1.
+
+    The M = 1 rule needs no LAPACK call and returns the SVD's value bit for
+    bit (see `_singular_extremes`); a NaN entry raises `LinAlgError` either
+    way, so a NaN never reads as "not singular".
+    """
+    return _singular_extremes(np.asarray(a, dtype=complex))[1]
+
+
+def eigh(a):
+    """Eigenvalues and eigenvectors of a Hermitian batch (..., M, M).
+
+    For M = 1 the pair is (Re a, 1) without a LAPACK call.  That is LAPACK
+    `zheevd`'s own N = 1 rule (W(1) = DBLE(A(1,1)), Z = 1), so the result is
+    `np.linalg.eigh`'s bit for bit, values, vectors and dtypes; any other M
+    calls it.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.shape[-1] == 1:
+        return a.real[..., 0].copy(), np.ones_like(a)
+    return np.linalg.eigh(a)
 
 
 def inverse(a):
     """Matrix inverse with a rank-deficiency guard.
+
+    The guard's singular values come from `_singular_extremes`, so for
+    M = 1 from the bare entry; the inverse itself is always `np.linalg.inv`.
 
     Raises
     ------
     SingularMatrix
         When sigma_min < 64 * eps * sigma_max for some matrix in the batch,
         carrying the offending smallest singular value.
+    numpy.linalg.LinAlgError
+        When an entry is NaN.
     """
     a = np.asarray(a, dtype=complex)
-    s = np.linalg.svd(a, compute_uv=False)
-    floor = 64.0 * np.finfo(float).eps * np.maximum(s[..., 0], 1e-300)
-    bad = s[..., -1] < floor
+    s_max, s_min = _singular_extremes(a)
+    floor = 64.0 * np.finfo(float).eps * np.maximum(s_max, 1e-300)
+    bad = s_min < floor
     if np.any(bad):
-        worst = float(np.min(s[..., -1][bad] if s.ndim > 1 else s[-1]))
+        worst = float(np.min(s_min[bad] if s_min.ndim else s_min))
         raise SingularMatrix(
             f"matrix singular to working precision (sigma_min={worst:.3e})", worst)
     return np.linalg.inv(a)

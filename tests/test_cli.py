@@ -62,14 +62,19 @@ class TestValidate:
 
 def reproduction(tmp_path, kind):
     """chain_point_defect.json broken one way: a second codim-1 defect of
-    strength 2, or det_zero_tol above band_guard."""
+    strength 2, det_zero_tol above band_guard, no k points, or one omega
+    point."""
     doc = json.loads(open(config_path("chain_point_defect.json")).read())
     if kind == "second_defect":
         extra = json.loads(json.dumps(doc["defects"][0]))
         extra["omega_powers"][0]["coefficients"][0]["re"] = [[2.0]]
         doc["defects"].append(extra)
-    else:
+    elif kind == "loose_det_tol":
         doc["tolerances"] = {"det_zero_tol": 0.5}
+    elif kind == "zero_k_points":
+        doc["grids"] = {"k_points": 0}
+    else:
+        doc["grids"]["omega_points"] = 1
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(doc))
     return str(path)
@@ -78,8 +83,12 @@ def reproduction(tmp_path, kind):
 class TestInvalidSpecRefused:
     # before construction refused them, membership answered OUT at
     # sqrt(13), the second defect's oracle eigenvalue, and IN (step 0) at
-    # 2.5 with det_zero_tol 0.5; the oracle wrote its --out file
-    @pytest.mark.parametrize("kind", ["second_defect", "loose_det_tol"])
+    # 2.5 with det_zero_tol 0.5; the oracle wrote its --out file.  Before
+    # grids were checked, k_points 0 ended spectrum in a ZeroDivisionError
+    # and gave bands a header-only CSV, and omega_points 1 made spectrum
+    # drop the isolated point sqrt(5) with exit 0
+    @pytest.mark.parametrize("kind", ["second_defect", "loose_det_tol",
+                                      "zero_k_points", "one_omega_point"])
     @pytest.mark.parametrize("command", [
         ["membership", "--omega", "3.6056"], ["membership", "--omega", "2.5"],
         ["bands", "--out"], ["spectrum", "--out"], ["oracle", "--out"]])
@@ -105,6 +114,62 @@ class TestInvalidSpecRefused:
         assert capsys.readouterr().out == (
             "violation: defect codim 1: duplicate codim 1\n"
             "violation: det_zero_tol must be smaller than band_guard\n")
+
+    def test_validate_lists_grid_violations_after_spec_ones(self, tmp_path,
+                                                            capsys):
+        doc = json.loads(open(reproduction(tmp_path, "loose_det_tol")).read())
+        doc["grids"] = {"k_points": 24, "omega_points": 0}
+        both = tmp_path / "both.json"
+        both.write_text(json.dumps(doc))
+        code = main(["validate", "--config", str(both)])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "violation: det_zero_tol must be smaller than band_guard\n"
+            "violation: grids k_points must be a power of two >= 4\n"
+            "violation: grids omega_points must be >= 2\n")
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("command", ["validate", "bands", "membership",
+                                         "spectrum", "oracle"])
+    def test_non_number_is_config_error(self, tmp_path, capsys, command):
+        doc = json.loads(open(config_path("chain_point_defect.json")).read())
+        doc["omega_window"] = {"min": "a", "max": 4}
+        bad = tmp_path / "window.json"
+        bad.write_text(json.dumps(doc))
+        code = main([command, "--config", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("config error: omega_window min: expected a "
+                                "number, got 'a'\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(dimension="one"),
+         "dimension: expected a number, got 'one'"),
+        (lambda doc: doc["grids"].update(k_points=32.5),
+         "grids k_points: expected an integer, got 32.5"),
+        (lambda doc: doc["defects"][0].update(codim=None),
+         "defect 0, codim: expected a number, got None"),
+        (lambda doc: doc["bulk"]["omega_powers"][0]["coefficients"][0]
+         .update(re=[["x"]]),
+         "bulk, power 0, coefficient 0: matrix entries must be numbers"),
+        (lambda doc: doc.update(grids=[64]), "grids: expected an object"),
+        (lambda doc: doc.update(defects={"codim": 1}),
+         "defects: expected an array"),
+        (lambda doc: doc["bulk"]["omega_powers"][0].update(coefficients=5),
+         "bulk, power 0, coefficients: expected an array"),
+        (lambda doc: doc["bulk"]["omega_powers"][0]["coefficients"][0]
+         .update(offset=1),
+         "bulk, power 0, coefficient 0, offset: expected an array"),
+    ])
+    def test_malformed_entries(self, tmp_path, capsys, edit, message):
+        doc = json.loads(open(config_path("chain_point_defect.json")).read())
+        edit(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestNumericGuards:

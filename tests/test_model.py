@@ -5,6 +5,7 @@ import pytest
 
 from defect_bands.model import (
     DefectLayer,
+    GridConfig,
     InvalidSpec,
     ProblemSpec,
     Stencil,
@@ -226,3 +227,28 @@ class TestValidate:
         with pytest.raises(FrozenInstanceError):
             spec.defects = ()
         assert validate(spec).ok
+
+
+class TestGridConfig:
+    def test_defaults_and_small_grids_build(self):
+        assert GridConfig() == GridConfig(k_points=64, omega_points=513)
+        GridConfig(k_points=4, omega_points=2)
+
+    @pytest.mark.parametrize("grids, violations", [
+        ({"k_points": 0}, ["grids k_points must be a power of two >= 4"]),
+        ({"k_points": 2}, ["grids k_points must be a power of two >= 4"]),
+        ({"k_points": 24}, ["grids k_points must be a power of two >= 4"]),
+        ({"k_points": 64.0}, ["grids k_points must be a power of two >= 4"]),
+        ({"omega_points": 1}, ["grids omega_points must be >= 2"]),
+        ({"k_points": -4, "omega_points": 0},
+         ["grids k_points must be a power of two >= 4",
+          "grids omega_points must be >= 2"]),
+    ])
+    def test_invalid_grids_cannot_be_built(self, grids, violations):
+        with pytest.raises(InvalidSpec) as err:
+            GridConfig(**grids)
+        assert err.value.violations == violations
+
+    def test_grids_are_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            GridConfig().k_points = 0

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import load_model
+from defect_bands.spectrum import full_spectrum, membership
 from defect_bands.symbol import (
     InputError,
     OmegaSymbol,
     SingularMatrix,
     TrigMatrixPolynomial,
     det,
+    eigh,
     inverse,
     is_hermitian,
     smallest_singular_value,
@@ -99,6 +102,15 @@ class TestOmegaSymbol:
         assert not skew.is_hermitian_family()
 
 
+def scalar_batch(values):
+    return np.asarray(values, dtype=complex).reshape(-1, 1, 1)
+
+
+def ulps(a, b):
+    """Distance in units in the last place of two nonnegative float arrays."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
 class TestLinearAlgebra:
     def test_det_examples(self):
         assert det(np.eye(3)) == pytest.approx(1.0)
@@ -139,3 +151,82 @@ class TestLinearAlgebra:
         assert smallest_singular_value(np.eye(2)) == pytest.approx(1.0)
         assert smallest_singular_value(np.diag([3.0, 1e-15])) == pytest.approx(1e-15, rel=1e-9)
         assert smallest_singular_value(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0)
+
+    # M = 1: the bare entry instead of LAPACK, with LAPACK's bits
+    def test_sigma_min_bit_equal_to_svd_on_real_entries(self):
+        rng = np.random.default_rng(6)
+        a = scalar_batch(np.concatenate([
+            rng.normal(size=4000), rng.normal(size=4000) * 1e-9,
+            [0.0, -0.0, 1e-310, -3.5, 1e300]]))
+        svd = np.linalg.svd(a, compute_uv=False)[..., -1]
+        got = smallest_singular_value(a)
+        assert got.dtype == svd.dtype and got.shape == svd.shape
+        assert np.array_equal(got.view(np.int64), svd.view(np.int64))
+
+    def test_sigma_min_within_one_ulp_of_svd_on_complex_entries(self):
+        rng = np.random.default_rng(7)
+        a = scalar_batch((rng.normal(size=20000) + 1j * rng.normal(size=20000))
+                         * np.repeat([1.0, 1e-8, 1e8, 1.0], 5000)
+                         + np.repeat([0.0, 0.0, 0.0, 1e-17j], 5000))
+        svd = np.linalg.svd(a, compute_uv=False)[..., -1]
+        assert ulps(smallest_singular_value(a), svd).max() <= 1
+
+    def test_sigma_min_of_one_matrix(self):
+        assert smallest_singular_value([[3.0 - 4.0j]]) == 5.0
+
+    def test_eigh_bit_identical_to_lapack(self):
+        rng = np.random.default_rng(8)
+        diag = np.concatenate([rng.normal(size=500),
+                               rng.normal(size=500) + 1e-17j * rng.normal(size=500),
+                               [0.0, -0.0, 1e-17j, np.nan, np.inf]])
+        for a in (scalar_batch(diag), scalar_batch(diag).reshape(5, -1, 1, 1),
+                  np.array([[2.5 + 1e-17j]])):
+            w, u = eigh(a)
+            w_ref, u_ref = np.linalg.eigh(a)
+            assert w.dtype == w_ref.dtype and u.dtype == u_ref.dtype
+            assert w.shape == w_ref.shape and u.shape == u_ref.shape
+            assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
+            assert np.array_equal(u.view(np.int64), u_ref.view(np.int64))
+
+    def test_inverse_bits_unchanged(self):
+        rng = np.random.default_rng(9)
+        a = scalar_batch(rng.normal(size=1000) + 1j * rng.normal(size=1000))
+        assert np.array_equal(inverse(a).view(np.int64),
+                              np.linalg.inv(a).view(np.int64))
+
+    @pytest.mark.parametrize("a", [[[0.0]], [[[1.0]], [[0.0]]], [[1e-320]]])
+    def test_inverse_singular_at_zero(self, a):
+        with pytest.raises(SingularMatrix) as err:
+            inverse(a)
+        assert err.value.min_sigma == float(np.min(np.abs(a)))
+
+    @pytest.mark.parametrize("entry", [np.nan, complex(1.0, np.nan),
+                                       complex(np.nan, 0.0)])
+    def test_nan_raises_linalg_error(self, entry):
+        # a NaN sigma_min would read as "not singular"
+        batch = scalar_batch([1.0, entry])
+        with pytest.raises(np.linalg.LinAlgError):
+            smallest_singular_value(batch)
+        with pytest.raises(np.linalg.LinAlgError):
+            inverse(batch)
+
+    def test_infinite_entry_reads_like_svd(self):
+        a = scalar_batch([2.0, np.inf])
+        assert np.array_equal(smallest_singular_value(a),
+                              np.linalg.svd(a, compute_uv=False)[..., -1],
+                              equal_nan=True)
+
+    def test_ladder_runs_without_lapack_svd_or_eigh(self, monkeypatch):
+        line, _ = load_model("square_line_defect.json")
+        point, point_grids = load_model("chain_point_defect.json")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called on a 1 x 1 ladder")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert membership(line, 5.3).status == "out"
+        assert membership(line, 1.0).status == "in"
+        result = full_spectrum(point, point.omega_window, point_grids, n_probes=4)
+        assert any(c.kind == "isolated_point"
+                   and abs(c.lo - np.sqrt(5.0)) < 1e-8 for c in result.components)

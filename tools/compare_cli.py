@@ -10,7 +10,12 @@ on the same six models, and `oracle --out` on each: with
 `--L 12`, open and periodic, on the five bundled configs, and with `--L 8`,
 open and periodic, on the nested model.  For every run the CSVs it wrote
 (the bands, the spectrum and one per branch, or the box eigenvalues), its
-stdout, its stderr and its exit code are compared byte for byte.  Prints
+stdout, its stderr and its exit code are compared byte for byte.  No
+subcommand reaches `resolvent_apply`, so one more fresh process per
+checkout solves with it at the RESOLVENT omegas, each with the config's
+grids and a fixed `trig_vector` right-hand side, and prints per solve the
+sha256 of the solution's bytes and the repr of its residual; each solve's
+line, and that process's stderr and exit code, are compared too.  Prints
 one line per differing output, with the largest absolute eigenvalue
 difference when an `oracle.csv` differs, and a summary; exits 0 when every
 output is identical, 1 otherwise.
@@ -40,6 +45,27 @@ OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
 #: through the dense eigenpairs, periodic through the blocks of both axes
 ORACLE_BOXES = {"nested_line_point": [("8", "open"), ("8", "periodic")]}
 ORACLE_DEFAULT = [("12", "open"), ("12", "periodic")]
+
+#: (config, omegas outside its spectrum) of the `resolvent_apply` solves
+RESOLVENT = [("src/defect_bands/configs/chain_point_defect.json", [-3.0, 3.0]),
+             ("src/defect_bands/configs/square_line_defect.json", [-5.0, 5.5]),
+             ("perfbench/nested_line_point.json", [-5.0, 7.5])]
+
+RESOLVENT_SCRIPT = """
+import hashlib, pathlib, sys
+from defect_bands import cli, spectrum
+for config, omega in zip(sys.argv[1::2], sys.argv[2::2]):
+    spec, grids = cli.spec_from_config(cli.load_config(config))
+    n, m = spec.lattice_dim, spec.cell_size
+    g = spectrum.trig_vector(n, {(0,) * n: [1.0] * m, (1,) * n: [0.5j] * m})
+    try:
+        sol = spectrum.resolvent_apply(spec, float(omega), g, grids)
+        line = (hashlib.sha256(sol.f_tab.tobytes()).hexdigest() + " "
+                + repr(sol.residual))
+    except Exception as exc:
+        line = f"{type(exc).__name__}: {exc}"
+    print(f"{pathlib.Path(config).stem}/resolvent_{omega} {line}")
+"""
 
 #: CLI processes run at once per checkout
 WORKERS = 2
@@ -82,12 +108,30 @@ def run_one(checkout, workdir, config, name, argv):
     return outputs
 
 
+def run_resolvent(checkout):
+    """Every `resolvent_apply` solve in one process; {output name: bytes}."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [str(arg) for config, omegas in RESOLVENT for omega in omegas
+            for arg in (checkout / config, repr(omega))]
+    proc = subprocess.run([sys.executable, "-c", RESOLVENT_SCRIPT] + argv,
+                          env=env, capture_output=True)
+    outputs = {}
+    for line in proc.stdout.splitlines():
+        name, _, result = line.partition(b" ")
+        outputs[name.decode()] = result
+    outputs["resolvent/stderr"] = proc.stderr
+    outputs["resolvent/exit"] = str(proc.returncode).encode()
+    return outputs
+
+
 def run_all(checkout, workdir):
     outputs = {}
     with ThreadPoolExecutor(WORKERS) as pool:
+        resolvent = pool.submit(run_resolvent, checkout)
         for part in pool.map(lambda job: run_one(checkout, workdir, *job),
                              runs()):
             outputs.update(part)
+        outputs.update(resolvent.result())
     return outputs
 
 
