@@ -8,7 +8,6 @@ from .model import (
     GridConfig,
     InvalidSpec,
     ProblemSpec,
-    Stencil,
     ToleranceSet,
     ValidationReport,
     defect_stencil_to_symbol,

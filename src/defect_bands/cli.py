@@ -27,7 +27,6 @@ from .model import (
     GridConfig,
     InvalidSpec,
     ProblemSpec,
-    Stencil,
     ToleranceSet,
     validate,
 )
@@ -46,6 +45,11 @@ EXIT_INCONCLUSIVE = 3
 
 class ConfigError(ValueError):
     """Problem file violates the document schema."""
+
+
+class FileAccessError(Exception):
+    """A problem file that cannot be read or an output that cannot be
+    written; the message names the path."""
 
 
 def _fmt(x):
@@ -158,7 +162,7 @@ def spec_from_config(doc):
             raise ConfigError(f"{where}: codim {codim} outside 1..{n_dim}")
         terms = _poly_from_powers(d_entry["omega_powers"], n_dim - codim,
                                   m_sz, where)
-        stencils = {p: Stencil(n_dim - codim, coeffs)
+        stencils = {p: TrigMatrixPolynomial(n_dim - codim, coeffs)
                     for p, coeffs in terms.items()}
         defects.append(DefectLayer(codim, n_dim, stencils))
 
@@ -188,6 +192,8 @@ def spec_from_config(doc):
     spec = built(ProblemSpec, lattice_dim=n_dim, cell_size=m_sz, bulk=bulk,
                  defects=tuple(defects), tolerances=tolerances,
                  omega_window=window)
+    if spec is not None:
+        grid_sizes.setdefault("k_points", spec.tolerances.k_grid_base)
     grids = built(GridConfig, **grid_sizes)
     if violations:
         raise InvalidSpec(violations)
@@ -195,16 +201,22 @@ def spec_from_config(doc):
 
 
 def _load_spec(args):
-    doc = load_config(args.config)
+    try:
+        doc = load_config(args.config)
+    except (OSError, UnicodeDecodeError):
+        raise FileAccessError(f"cannot read {args.config}") from None
     return spec_from_config(doc)
 
 
 def _write_text(path, text):
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError:
+        raise FileAccessError(f"cannot write {path}") from None
 
 
 def _k_rows_for_bands(args, spec, grids):
@@ -215,10 +227,16 @@ def _k_rows_for_bands(args, spec, grids):
     if args.k_path:
         vertices = []
         for chunk in args.k_path.split(":"):
-            parts = [float(x) for x in chunk.split(",")]
+            try:
+                parts = [float(x) for x in chunk.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    f"--k-path vertex {chunk!r} must be numbers") from None
             if len(parts) != n_dim:
                 raise ConfigError(
                     f"--k-path vertex {chunk!r} needs {n_dim} components")
+            if not np.all(np.isfinite(parts)):
+                raise InputError(f"--k-path vertex {chunk!r} must be finite")
             vertices.append(parts)
         vertices = np.asarray(vertices)
         if len(vertices) == 1:
@@ -285,8 +303,7 @@ def cmd_membership(args):
 
 def cmd_spectrum(args):
     spec, grids = _load_spec(args)
-    result = full_spectrum(spec, spec.omega_window, grids,
-                           n_probes=args.probes)
+    result = full_spectrum(spec, grids, n_probes=args.probes)
     lines = ["kind,codim,omega_lo,omega_hi"]
     for comp in result.components:
         lines.append(",".join([comp.kind, str(comp.codim),
@@ -336,7 +353,7 @@ def cmd_oracle(args):
         deviation = oracle_mod.periodic_box_check(spec, half_width)
         print(f"periodic box identity: max deviation {_fmt(deviation)}")
         return EXIT_OK
-    result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
+    result = full_spectrum(spec, grids, n_probes=0)
     report = oracle_mod.compare_spectra(result, eigs,
                                         tol=args.tol,
                                         boundary_fraction=fractions)
@@ -414,8 +431,8 @@ def main(argv=None):
         print(f"parse error: {exc.msg} at line {exc.lineno} column {exc.colno}",
               file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}", file=sys.stderr)
+    except FileAccessError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_PARSE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

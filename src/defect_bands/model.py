@@ -1,31 +1,24 @@
 """Problem description: bulk operator plus nested lower-dimensional defects.
 
-A model is entered as real-space hopping stencils.  A `Stencil` is the
-trig polynomial of its hoppings, so the bulk stencil on Z^N is already the
-bulk's Floquet symbol.  A defect of codimension j lives on the sublattice
-obtained by freezing the first j lattice coordinates to zero, so its own
-offsets have length N - j.  ``defect_stencil_to_symbol`` converts a defect
-stencil to its Floquet symbol on the N-torus, which acquires the factor
-(2*pi)^(-j/2) from the sublattice averaging convention; users always write
-physical hopping strengths and never see that constant.  A `DefectLayer` is
-built from its stencils alone, and a `ProblemSpec` is frozen and validated
-when built, so the engine and the oracle read one operator of a valid spec.
+A model is entered as real-space hopping stencils.  A stencil is the
+`TrigMatrixPolynomial` of its hoppings: offset n -> the block coupling cell
+0 to cell n, so its symbol is sum_n exp(i n.k) hopping(n), the bulk stencil
+on Z^N is already the bulk's Floquet symbol, and self-adjointness,
+hopping(-n) = hopping(n)^H, is `is_hermitian_family`.  A defect of
+codimension j lives on the sublattice obtained by freezing the first j
+lattice coordinates to zero, so its own offsets have length N - j.
+``defect_stencil_to_symbol`` converts a defect stencil to its Floquet symbol
+on the N-torus, which acquires the factor (2*pi)^(-j/2) from the sublattice
+averaging convention; users always write physical hopping strengths and
+never see that constant.  A `DefectLayer` is built from its stencils alone,
+and a `ProblemSpec` is frozen and validated when built, so the engine and
+the oracle read one operator of a valid spec.
 """
 
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 from .symbol import InputError, OmegaSymbol, TrigMatrixPolynomial, TWO_PI
-
-
-class Stencil(TrigMatrixPolynomial):
-    """Real-space hoppings: offset n -> block coupling cell 0 to cell n.
-
-    ``Stencil(d, hoppings)`` is the trig polynomial of its hoppings on the
-    d-torus: the operator's matrix element between cells m and m + n is the
-    block at n, so the Floquet symbol is sum_n exp(i n.k) hopping(n), and
-    self-adjointness, hopping(-n) = hopping(n)^H, is `is_hermitian_family`.
-    """
 
 
 def defect_stencil_to_symbol(stencil, codim, lattice_dim):
@@ -83,7 +76,8 @@ class ToleranceSet:
     band_guard : keep-out distance from exclusion intervals inside which the
         chain quadrature is not trusted.
     root_tol_omega : bisection width for dispersion roots.
-    k_grid_base : initial points per wavevector axis (power of two).
+    k_grid_base : wavevector points per axis (a power of two >= 4) of any
+        run that names no other k grid.
     """
 
     det_zero_tol: float = 1e-8

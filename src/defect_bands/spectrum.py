@@ -136,7 +136,7 @@ class Chain:
 
         Parameters
         ----------
-        level : int, 0..N
+        level : int, 0 or a present defect codim
         t_rows : array, shape (m, N - level)
 
         Returns
@@ -144,7 +144,6 @@ class Chain:
         ndarray, shape (m, M, M)
         """
         n_dim = self.spec.lattice_dim
-        m_sz = self.spec.cell_size
         t_rows = np.asarray(t_rows, dtype=float)
         if n_dim - level == 0:
             t_rows = t_rows.reshape(max(1, t_rows.shape[0] if t_rows.ndim else 1), 0)
@@ -152,14 +151,11 @@ class Chain:
             t_rows = t_rows.reshape(-1, n_dim - level)
         if level == 0:
             return self.spec.bulk.eval(self.omega, t_rows)
-        if self.spec.defect_by_codim(level) is None:
-            eye = np.eye(m_sz, dtype=complex)
-            return np.broadcast_to(eye, (t_rows.shape[0], m_sz, m_sz)).copy()
         out, = _GreenTable(self.spec, level, t_rows)._converge(
             [self.omega], [np.arange(t_rows.shape[0])], [self._nquad])
         if isinstance(out, NonConvergence):
             raise out
-        return out[0]
+        return out
 
 
 class _GreenTable:
@@ -268,8 +264,8 @@ class _GreenTable:
         be for every group or none, each group is evaluated at that n alone
         and converges there unless a node is singular.  With lower defect
         levels, group g takes its factors B_i^{-1} from the lower tables,
-        with the pins of pins[g].  Returns per group (values, n) or the
-        group's `NonConvergence`, a lower level's included.
+        with the pins of pins[g].  Returns per group its values or its
+        `NonConvergence`, a lower level's included.
         """
         if len(groups) == 0:
             return []
@@ -322,7 +318,7 @@ class _GreenTable:
                         f"level {j} integrand singular on the n={n} grid",
                         n_reached=n, witness_sigma_min=float(g_worst))
                 elif pinned or (n > N_QUAD_START and g_change < tol):
-                    outcome[g] = (curr[b:b + e - s], n)
+                    outcome[g] = curr[b:b + e - s]
                     pins[g][j] = n
                 else:
                     still.append(group)
@@ -382,7 +378,7 @@ class _GreenTable:
             out, = table._converge([omega], [nodes.ravel()], [pins])
             if isinstance(out, NonConvergence):
                 raise out
-            prod = np.matmul(inverse(out[0]).reshape(
+            prod = np.matmul(inverse(out).reshape(
                 (1,) * i + (n,) * (j - i) + (m, m_sz, m_sz)), prod)
         return prod.reshape(-1, m, m_sz, m_sz)
 
@@ -672,15 +668,15 @@ def _cluster_sorted(values, gap):
     return clusters
 
 
-def branch_link_gap(tolerances, omega_window, k_points):
+def branch_link_gap(spec, k_points):
     """Largest omega jump between adjacent k nodes still read as one branch.
 
-    Scales with the k-grid spacing and the window size; the root tolerance
-    alone would split every smooth branch sampled on a finite grid.
+    Scales with the k-grid spacing and the spec's window size; the root
+    tolerance alone would split every smooth branch sampled on a finite grid.
     """
-    span = float(omega_window[1] - omega_window[0])
-    return max(10.0 * tolerances.root_tol_omega,
-               4.0 * (TWO_PI / k_points) * max(1.0, span / np.pi))
+    lo, hi = spec.omega_window
+    return max(10.0 * spec.tolerances.root_tol_omega,
+               4.0 * (TWO_PI / k_points) * max(1.0, (hi - lo) / np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -689,17 +685,8 @@ def branch_link_gap(tolerances, omega_window, k_points):
 
 @dataclass
 class ExclusionSet:
-    codim: int
-    k_points: int
     nodes: np.ndarray                 # (m, N - codim) remaining coordinates
     intervals: list                   # per node: list of (lo, hi)
-
-    def index_of(self, t):
-        t = tuple(np.asarray(t, dtype=float).ravel())
-        for i, row in enumerate(self.nodes):
-            if np.allclose(row, t, rtol=0.0, atol=1e-12):
-                return i
-        raise InputError(f"node {t} not on the exclusion grid")
 
 
 def _band_ranges(spec, mesh, gap):
@@ -723,7 +710,7 @@ def _band_ranges(spec, mesh, gap):
             for samples in pooled]
 
 
-def exclusion_set(spec, codim, grids=None, omega_window=None, branches=None):
+def exclusion_set(spec, codim, grids=None, branches=None):
     """Omega intervals where the level-`codim` dispersion is not evaluated.
 
     Per remaining-coordinate node: the per-band [min, max] of the bulk
@@ -731,7 +718,6 @@ def exclusion_set(spec, codim, grids=None, omega_window=None, branches=None):
     every lower-codimension defect branch, overlapping pieces merged.
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
-    window = omega_window or spec.omega_window
     branches = branches or {}
     n_dim = spec.lattice_dim
     n = grids.k_points
@@ -739,7 +725,7 @@ def exclusion_set(spec, codim, grids=None, omega_window=None, branches=None):
     refine = 4 if n_dim <= 2 else 2
 
     t_mesh = full_mesh(n_dim - j, n)
-    gap = branch_link_gap(spec.tolerances, window, n)
+    gap = branch_link_gap(spec, n)
     per_node = _band_ranges(spec, node_mesh(refine * n, j, t_mesh), gap)
 
     trailing = n_dim - j
@@ -756,7 +742,7 @@ def exclusion_set(spec, codim, grids=None, omega_window=None, branches=None):
                 per_node[t_idx].append((cluster[0], cluster[-1]))
 
     intervals = [merge_intervals(ivs) for ivs in per_node]
-    return ExclusionSet(codim=j, k_points=n, nodes=t_mesh, intervals=intervals)
+    return ExclusionSet(nodes=t_mesh, intervals=intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -767,16 +753,9 @@ def exclusion_set(spec, codim, grids=None, omega_window=None, branches=None):
 class Branch:
     codim: int
     samples: list      # (k_tail tuple, omega, annotation) triples
-    k_points: int
     #: scan cells and polish steps left out because their bracket did not
     #: converge: (k_tail tuple, omega, n_reached, witness_sigma_min)
     skipped: list = field(default_factory=list)
-
-    def omegas_at(self, t):
-        t = tuple(np.asarray(t, dtype=float).ravel())
-        return sorted(om for k_tail, om, _ in self.samples
-                      if len(k_tail) == len(t)
-                      and np.allclose(k_tail, t, rtol=0.0, atol=1e-12))
 
 
 def _bisect_lockstep(level_dets, rows, a, b, fa, tol_omega):
@@ -822,9 +801,9 @@ def _golden_min(f, a, b, tol_omega):
     return 0.5 * (a + b)
 
 
-def dispersion_branch(spec, codim, grids=None, omega_window=None,
-                      exclusion=None, branches=None):
-    """Roots of det B_codim over the admissible omega window, per k node.
+def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
+    """Roots of det B_codim over the admissible omega window, per node of
+    the exclusion set, which gives the k rows and their intervals.
 
     Scans a uniform omega grid outside the exclusion intervals dilated by
     band_guard, detects roots by sign change of Re(det) (imaginary part must
@@ -845,19 +824,17 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
     call; each group pins their n afresh, and a lower level's
     `NonConvergence` skips that group's cells.
     """
+    if spec.defect_by_codim(codim) is None:
+        return Branch(codim=codim, samples=[])
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
-    window = omega_window or spec.omega_window
     tol = spec.tolerances
     if exclusion is None:
-        exclusion = exclusion_set(spec, codim, grids, window, branches)
-    if spec.defect_by_codim(codim) is None:
-        return Branch(codim=codim, samples=[], k_points=grids.k_points)
+        exclusion = exclusion_set(spec, codim, grids, branches)
 
-    n_dim = spec.lattice_dim
-    t_mesh = full_mesh(n_dim - codim, grids.k_points)
+    t_mesh = exclusion.nodes
     n_t = t_mesh.shape[0]
-    scan = np.linspace(window[0], window[1], grids.omega_points)
-    step = scan[1] - scan[0] if len(scan) > 1 else 0.0
+    scan = np.linspace(*spec.omega_window, grids.omega_points)
+    step = scan[1] - scan[0]
 
     admissible = np.zeros((n_t, len(scan)), dtype=bool)
     for t_idx in range(n_t):
@@ -880,7 +857,7 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         if isinstance(out, NonConvergence):
             record(scan[w_idx], rows, out)
         else:
-            det_tab[rows, w_idx] = det(out[0])
+            det_tab[rows, w_idx] = det(out)
     n_scan_skipped = len(skipped)
 
     def level_dets(omegas, rows):
@@ -891,7 +868,7 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         done = [i for i, out in enumerate(outs)
                 if not isinstance(out, NonConvergence)]
         if done:
-            dets[done] = det(np.stack([outs[i][0][0] for i in done]))
+            dets[done] = det(np.stack([outs[i][0] for i in done]))
         for omega, row, out in zip(omegas, rows, outs):
             if isinstance(out, NonConvergence):
                 record(omega, [row], out)
@@ -938,8 +915,7 @@ def dispersion_branch(spec, codim, grids=None, omega_window=None,
         logger.warning("level %d: %d scan cells and %d polish steps did not "
                        "converge and were skipped (see Branch.skipped)",
                        codim, n_scan_skipped, len(skipped) - n_scan_skipped)
-    return Branch(codim=codim, samples=samples, k_points=grids.k_points,
-                  skipped=skipped)
+    return Branch(codim=codim, samples=samples, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +935,6 @@ class SpectralResult:
     components: list
     branches: dict
     exclusions: dict
-    omega_window: tuple
     probe_report: dict
 
     @property
@@ -971,7 +946,7 @@ class SpectralResult:
         return point_in_intervals(omega, self.omega_intervals, dilate)
 
 
-def _branch_components(spec, branch, window, k_points):
+def _branch_components(spec, branch, k_points):
     """Branch samples -> interval components (or points at the final level)."""
     out = []
     if branch.codim == spec.lattice_dim:
@@ -979,7 +954,7 @@ def _branch_components(spec, branch, window, k_points):
             out.append(OmegaComponent("isolated_point", branch.codim,
                                       omega, omega))
         return out
-    gap = branch_link_gap(spec.tolerances, window, k_points)
+    gap = branch_link_gap(spec, k_points)
     omegas = sorted(om for _, om, _ in branch.samples)
     for cluster in _cluster_sorted(omegas, gap):
         out.append(OmegaComponent("branch_interval", branch.codim,
@@ -987,8 +962,9 @@ def _branch_components(spec, branch, window, k_points):
     return out
 
 
-def full_spectrum(spec, omega_window=None, grids=None, n_probes=32):
-    """Bands, every present defect branch, and the assembled spectrum.
+def full_spectrum(spec, grids=None, n_probes=32):
+    """Bands, every present defect branch, and the assembled spectrum over
+    the spec's omega window.
 
     Besides the components, runs `n_probes` membership tests at uniform
     probe frequencies seeded with PROBE_SEED and records agreement with the
@@ -998,11 +974,11 @@ def full_spectrum(spec, omega_window=None, grids=None, n_probes=32):
     if n_probes < 0:
         raise InputError(f"probe count must be >= 0, got {n_probes}")
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
-    window = omega_window or spec.omega_window
+    window = spec.omega_window
 
     n_dim = spec.lattice_dim
     refine = 4 if n_dim <= 2 else 1
-    gap = branch_link_gap(spec.tolerances, window, grids.k_points)
+    gap = branch_link_gap(spec, grids.k_points)
     ranges, = _band_ranges(spec, node_mesh(refine * grids.k_points, n_dim,
                                            np.zeros((1, 0))), gap)
     components = [OmegaComponent("band_interval", 0, lo, hi)
@@ -1010,11 +986,11 @@ def full_spectrum(spec, omega_window=None, grids=None, n_probes=32):
 
     exclusions, branches = {}, {}
     for codim in spec.present_codims:
-        excl = exclusion_set(spec, codim, grids, window, branches)
-        br = dispersion_branch(spec, codim, grids, window, exclusion=excl)
+        excl = exclusion_set(spec, codim, grids, branches)
+        br = dispersion_branch(spec, codim, grids, exclusion=excl)
         exclusions[codim] = excl
         branches[codim] = br
-        components.extend(_branch_components(spec, br, window, grids.k_points))
+        components.extend(_branch_components(spec, br, grids.k_points))
 
     clipped = []
     for c in components:
@@ -1023,8 +999,7 @@ def full_spectrum(spec, omega_window=None, grids=None, n_probes=32):
             clipped.append(OmegaComponent(c.kind, c.codim, lo, hi))
 
     result = SpectralResult(components=clipped, branches=branches,
-                            exclusions=exclusions, omega_window=window,
-                            probe_report={})
+                            exclusions=exclusions, probe_report={})
     rng = np.random.default_rng(PROBE_SEED)
     disagreements, inconclusive = [], []
     for lam in rng.uniform(window[0], window[1], size=int(n_probes)):

@@ -83,7 +83,7 @@ def test_criterion_3_point_defect_eigenvalue(eps):
     spec, grids = chain_with_defect(eps)
     lam_star = np.sqrt(4.0 + eps ** 2)
 
-    branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+    branch = dispersion_branch(spec, 1, grids)
     assert len(branch.samples) == 1
     found = branch.samples[0][1]
     assert found == pytest.approx(lam_star, abs=1e-8)
@@ -102,17 +102,20 @@ def test_criterion_4_guided_branch_2d():
     spec, grids = load_model("square_line_defect.json")
     guard = spec.tolerances.band_guard
 
-    excl = exclusion_set(spec, 1, grids, spec.omega_window)
-    branch = dispersion_branch(spec, 1, grids, spec.omega_window,
-                               exclusion=excl)
-    for k2 in (0.0, np.pi / 2, -np.pi):   # -pi is the grid alias of +pi
-        roots = branch.omegas_at((k2,))
+    excl = exclusion_set(spec, 1, grids)
+    branch = dispersion_branch(spec, 1, grids, exclusion=excl)
+    n = grids.k_points
+    # the nodes k2 = 0, pi/2 and -pi (the grid alias of +pi)
+    for idx, k2 in ((n // 2, 0.0), (3 * n // 4, np.pi / 2), (0, -np.pi)):
+        assert excl.nodes[idx] == pytest.approx([k2], abs=1e-15)
+        roots = [om for k_tail, om, _ in branch.samples
+                 if k_tail == tuple(excl.nodes[idx])]
         want = 2 * np.cos(k2) + SQRT5
         assert len(roots) == 1
         assert roots[0] == pytest.approx(want, abs=1e-6)
         lo, hi = -2 + 2 * np.cos(k2), 2 + 2 * np.cos(k2)
         assert min(abs(roots[0] - lo), abs(roots[0] - hi)) >= guard
-        (xlo, xhi), = excl.intervals[excl.index_of((k2,))]
+        (xlo, xhi), = excl.intervals[idx]
         assert (xlo, xhi) == (pytest.approx(lo, abs=1e-12),
                               pytest.approx(hi, abs=1e-12))
 
@@ -145,7 +148,7 @@ def test_criterion_5_periodic_box_identity():
 def test_criterion_6_omega_membership_equivalence():
     for name in BUNDLED:
         spec, grids = load_model(name)
-        result = full_spectrum(spec, spec.omega_window, grids, n_probes=100)
+        result = full_spectrum(spec, grids, n_probes=100)
         report = result.probe_report
         assert report["n_probes"] == 100
         assert report["disagreements"] == [], f"{name}: {report['disagreements']}"

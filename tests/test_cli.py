@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import config_path
-from defect_bands.cli import main
+from defect_bands.cli import load_config, main, spec_from_config
+from defect_bands.spectrum import full_spectrum
 
 try:
     import jsonschema
@@ -162,14 +163,108 @@ class TestConfigNumbers:
         (lambda doc: doc["bulk"]["omega_powers"][0]["coefficients"][0]
          .update(offset=1),
          "bulk, power 0, coefficient 0, offset: expected an array"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "bulk"},
+         "document: missing keys ['bulk']"),
+        (lambda doc: doc["bulk"]["omega_powers"][0]["coefficients"][0]
+         .update(re=[[1.0, 0.0]], im=[[0.0, 0.0]]),
+         "bulk, power 0, coefficient 0: matrices must be 1x1"),
+        (lambda doc: doc["bulk"]["omega_powers"][0]["coefficients"][0]
+         .update(offset=[1, 0]),
+         "bulk, power 0, coefficient 0: offset length 2, expected 1"),
+        (lambda doc: doc["bulk"]["omega_powers"][0]["coefficients"][1]
+         .update(offset=[1]),
+         "bulk, power 0, coefficient 1: duplicate offset (1,)"),
+        (lambda doc: doc["bulk"]["omega_powers"].append(
+            doc["bulk"]["omega_powers"][0]),
+         "bulk: duplicate power 0"),
+        (lambda doc: doc["bulk"].update(omega_powers=[]),
+         "bulk: at least one omega power required"),
+        (lambda doc: [doc], "top level must be a JSON object"),
+        (lambda doc: doc["defects"][0].update(codim=2),
+         "defect 0: codim 2 outside 1..1"),
+        (lambda doc: doc["defects"][0].update(codim=0),
+         "defect 0: codim 0 outside 1..1"),
     ])
     def test_malformed_entries(self, tmp_path, capsys, edit, message):
+        # `edit` changes the document in place or returns its replacement
         doc = json.loads(open(config_path("chain_point_defect.json")).read())
-        edit(doc)
+        edited = edit(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(json.dumps(doc if edited is None else edited))
         assert main(["validate", "--config", str(bad)]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
+
+class TestKGridBase:
+    def square_line_doc(self, tolerances, grids=None):
+        doc = json.loads(open(config_path("square_line_defect.json")).read())
+        doc["tolerances"] = tolerances
+        if grids is None:
+            del doc["grids"]
+        else:
+            doc["grids"] = grids
+        return doc
+
+    @pytest.mark.parametrize("tolerances, grids, k_points", [
+        ({"k_grid_base": 8}, None, 8),
+        ({"k_grid_base": 8}, {"omega_points": 65}, 8),
+        ({"k_grid_base": 8}, {"k_points": 16}, 16),
+        ({}, None, 64),
+    ])
+    def test_grid_default(self, tolerances, grids, k_points):
+        spec, got = spec_from_config(self.square_line_doc(tolerances, grids))
+        assert got.k_points == k_points
+        assert spec.tolerances.k_grid_base == tolerances.get("k_grid_base", 64)
+
+    def test_spectrum_runs_on_k_grid_base(self, tmp_path, capsys):
+        # the problem file names no grids: the CLI's branch and the
+        # library's default run both sample the 8 nodes of k_grid_base
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(self.square_line_doc({"k_grid_base": 8})))
+        out = tmp_path / "spec.csv"
+        code = main(["spectrum", "--config", str(path), "--out", str(out),
+                     "--probes", "0"])
+        assert code == 0
+        rows = (tmp_path / "spec_branch_codim1.csv").read_text().split()[1:]
+        spec, _ = spec_from_config(load_config(str(path)))
+        samples = full_spectrum(spec, n_probes=0).branches[1].samples
+        assert len(samples) == 8
+        assert [tuple(map(float, row.split(","))) for row in rows] == \
+            [(k, omega) for (k,), omega, _ in samples]
+
+
+class TestFileErrors:
+    def test_config_directory(self, tmp_path, capsys):
+        code = main(["validate", "--config", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"cannot read {tmp_path}\n"
+
+    def test_missing_config(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["validate", "--config", str(missing)]) == 2
+        assert capsys.readouterr().err == f"cannot read {missing}\n"
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b'{"dimension": \xc0}')
+        assert main(["validate", "--config", str(binary)]) == 2
+        assert capsys.readouterr().err == f"cannot read {binary}\n"
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    @pytest.mark.parametrize("command", [["bands", "--k-grid", "4"],
+                                         ["oracle", "--L", "4"]])
+    def test_output_not_writable(self, tmp_path, capsys, target, command):
+        out = tmp_path if target == "directory" else \
+            tmp_path / "absent" / "out.csv"
+        code = main(command[:1] + ["--config", config_path("chain.json")]
+                    + command[1:] + ["--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"cannot write {out}\n"
+        assert "Traceback" not in captured.err
 
 
 class TestNumericGuards:
@@ -184,6 +279,9 @@ class TestNumericGuards:
         (["spectrum", "--probes", "-1"], "probe count must be >= 0, got -1"),
         (["oracle", "--tol", "-1"], "--tol must be finite and >= 0, got -1.0"),
         (["oracle", "--tol", "nan"], "--tol must be finite and >= 0, got nan"),
+        (["bands", "--k-path", "nan"], "--k-path vertex 'nan' must be finite"),
+        (["bands", "--k-path", "0:inf"],
+         "--k-path vertex 'inf' must be finite"),
     ])
     def test_domain_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out.csv"
@@ -196,6 +294,16 @@ class TestNumericGuards:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"domain error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k_path", ["a,b", "0:1,2", "0:"])
+    def test_k_path_parse_error(self, tmp_path, capsys, k_path):
+        out = tmp_path / "out.csv"
+        code = main(["bands", "--config", config_path("chain.json"),
+                     "--k-path", k_path, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: --k-path vertex ")
         assert not out.exists()
 
 

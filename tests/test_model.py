@@ -1,3 +1,4 @@
+import dataclasses
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -8,7 +9,6 @@ from defect_bands.model import (
     GridConfig,
     InvalidSpec,
     ProblemSpec,
-    Stencil,
     ToleranceSet,
     defect_stencil_to_symbol,
     validate,
@@ -30,25 +30,25 @@ def fourier_transform(values, support, k_rows):
 
 class TestStencilToSymbol:
     def test_adjacency(self):
-        st = Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]})
+        st = TrigMatrixPolynomial(1, {(1,): [[1.0]], (-1,): [[1.0]]})
         for k in (0.0, 0.7, np.pi):
             assert st.eval([k])[0, 0] == pytest.approx(2 * np.cos(k))
 
     def test_2d_sum(self):
-        st = Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
-                         (0, 1): [[1.0]], (0, -1): [[1.0]]})
+        st = TrigMatrixPolynomial(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
+                                      (0, 1): [[1.0]], (0, -1): [[1.0]]})
         k = np.array([0.4, -1.1])
         assert st.eval(k)[0, 0] == pytest.approx(2 * np.cos(k[0]) + 2 * np.cos(k[1]))
 
     def test_constant(self):
-        st = Stencil(1, {(0,): [[2.5]]})
+        st = TrigMatrixPolynomial(1, {(0,): [[2.5]]})
         assert st.eval([0.9])[0, 0] == pytest.approx(2.5)
 
     def test_round_trip(self):
         rng = np.random.default_rng(10)
         hoppings = {(int(a), int(b)): rng.normal(size=(3, 3))
                     for a, b in rng.integers(-2, 3, size=(4, 2))}
-        st = Stencil(2, hoppings)
+        st = TrigMatrixPolynomial(2, hoppings)
         for off, m in st.items():
             assert np.array_equal(st.coeff(off), m)
 
@@ -64,23 +64,23 @@ class TestStencilToSymbol:
                 hoppings[off] = hoppings.get(off, 0) + block
                 neg = tuple(-c for c in off)
                 hoppings[neg] = hoppings.get(neg, 0) + block.conj().T
-            st = Stencil(2, hoppings)
+            st = TrigMatrixPolynomial(2, hoppings)
             assert st.is_hermitian_family()
 
 
 class TestDefectNormalization:
     def test_point_defect_constant(self):
-        st = Stencil(0, {(): [[1.0]]})
+        st = TrigMatrixPolynomial(0, {(): [[1.0]]})
         sym = defect_stencil_to_symbol(st, 1, 1)
         assert sym.eval([0.3])[0, 0] == pytest.approx(0.3989422804014327)
 
     def test_zero_defect(self):
-        st = Stencil(0, {(): [[0.0]]})
+        st = TrigMatrixPolynomial(0, {(): [[0.0]]})
         sym = defect_stencil_to_symbol(st, 1, 1)
         assert sym.eval([1.0])[0, 0] == 0.0
 
     def test_codim_out_of_range(self):
-        st = Stencil(0, {(): [[1.0]]})
+        st = TrigMatrixPolynomial(0, {(): [[1.0]]})
         with pytest.raises(Exception):
             defect_stencil_to_symbol(st, 2, 1)
 
@@ -93,7 +93,8 @@ class TestDefectNormalization:
         f_vals = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
         k_rows = np.linspace(-np.pi, np.pi, 41)[:, None]
 
-        sym = defect_stencil_to_symbol(Stencil(0, {(): [[eps]]}), 1, 1)
+        sym = defect_stencil_to_symbol(
+            TrigMatrixPolynomial(0, {(): [[eps]]}), 1, 1)
         f0 = f_vals[support.index((0,))]
         # the average <f_hat>_1 equals f(0) (only the n=0 mode survives)
         n_int = 256
@@ -112,7 +113,8 @@ class TestDefectNormalization:
         support = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
         f_vals = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
 
-        sym = defect_stencil_to_symbol(Stencil(1, {(0,): [[eps]]}), 1, 2)
+        sym = defect_stencil_to_symbol(
+            TrigMatrixPolynomial(1, {(0,): [[eps]]}), 1, 2)
         ks = np.stack(np.meshgrid(np.linspace(-np.pi, np.pi, 9),
                                   np.linspace(-np.pi, np.pi, 9),
                                   indexing="ij"), axis=-1).reshape(-1, 2)
@@ -135,7 +137,8 @@ class TestDefectNormalization:
 
     def test_constant_in_averaged_directions(self):
         rng = np.random.default_rng(14)
-        st = Stencil(1, {(m,): rng.normal(size=(2, 2)) for m in (-1, 0, 1)})
+        st = TrigMatrixPolynomial(
+            1, {(m,): rng.normal(size=(2, 2)) for m in (-1, 0, 1)})
         sym = defect_stencil_to_symbol(st, 1, 2)
         k2 = 0.77
         a = sym.eval([0.1, k2])
@@ -145,7 +148,7 @@ class TestDefectNormalization:
 
 def make_spec(defects=(), tolerances=ToleranceSet()):
     bulk = OmegaSymbol({
-        0: Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]}),
+        0: TrigMatrixPolynomial(1, {(1,): [[1.0]], (-1,): [[1.0]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
@@ -155,8 +158,9 @@ def make_spec(defects=(), tolerances=ToleranceSet()):
 
 def point_layer(strength=1.0, lattice_dim=1):
     return DefectLayer(1, lattice_dim,
-                       {0: Stencil(lattice_dim - 1,
-                                   {(0,) * (lattice_dim - 1): [[strength]]})})
+                       {0: TrigMatrixPolynomial(
+                           lattice_dim - 1,
+                           {(0,) * (lattice_dim - 1): [[strength]]})})
 
 
 class TestValidate:
@@ -206,12 +210,36 @@ class TestValidate:
         assert err.value.violations == [
             "defect codim 1: symbol torus_dim 2 != lattice_dim 1"]
 
+    @pytest.mark.parametrize("fields, violations", [
+        ({"lattice_dim": 0, "bulk": OmegaSymbol({
+            0: TrigMatrixPolynomial(0, {(): [[0.0]]}),
+            1: TrigMatrixPolynomial(0, {(): [[-1.0]]})})},
+         ["lattice_dim must be >= 1"]),
+        ({"cell_size": 0},
+         ["cell_size must be >= 1", "bulk symbol size 1 != cell_size 0"]),
+        ({"lattice_dim": 2}, ["bulk symbol torus_dim 1 != lattice_dim 2"]),
+        ({"cell_size": 2}, ["bulk symbol size 1 != cell_size 2"]),
+        ({"defects": (DefectLayer(1, 1, {0: TrigMatrixPolynomial(
+            0, {(): np.eye(2)})}),)},
+         ["defect codim 1: symbol size 2 != cell_size 1"]),
+        ({"omega_window": (4.0, -4.0)}, ["omega_window must satisfy min < max"]),
+        ({"omega_window": (1.0, 1.0)}, ["omega_window must satisfy min < max"]),
+        ({"omega_window": (np.nan, 4.0)},
+         ["omega_window must satisfy min < max"]),
+    ])
+    def test_structural_violations(self, fields, violations):
+        base = make_spec()
+        with pytest.raises(InvalidSpec) as err:
+            dataclasses.replace(base, **fields)
+        assert err.value.violations == violations
+
     def test_codim_beyond_lattice_cannot_be_built(self):
         with pytest.raises(InputError, match="codim must lie in 1..1"):
-            DefectLayer(2, 1, {0: Stencil(0, {(): [[1.0]]})})
+            DefectLayer(2, 1, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
 
     def test_symbol_is_derived_from_stencils(self):
-        stencil = Stencil(1, {(0,): [[0.8]], (1,): [[0.3]], (-1,): [[0.3]]})
+        stencil = TrigMatrixPolynomial(
+            1, {(0,): [[0.8]], (1,): [[0.3]], (-1,): [[0.3]]})
         layer = DefectLayer(1, 2, {0: stencil})
         assert layer.stencils == {0: stencil}
         expected = defect_stencil_to_symbol(stencil, 1, 2)

@@ -10,7 +10,7 @@ from defect_bands.oracle import (
     oracle_eigenvalues,
     periodic_box_check,
 )
-from defect_bands.model import DefectLayer, ProblemSpec, Stencil
+from defect_bands.model import DefectLayer, ProblemSpec
 from defect_bands.spectrum import bands, full_spectrum
 from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
 from conftest import load_model
@@ -34,11 +34,12 @@ def complex_hopping_chain(phi, eps=None):
     """
     hop = np.exp(1j * phi)
     bulk = OmegaSymbol({
-        0: Stencil(1, {(1,): [[hop]], (-1,): [[np.conj(hop)]]}),
+        0: TrigMatrixPolynomial(1, {(1,): [[hop]], (-1,): [[np.conj(hop)]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
     defects = ()
     if eps is not None:
-        defects = (DefectLayer(1, 1, {0: Stencil(0, {(): [[eps]]})}),)
+        defects = (DefectLayer(
+            1, 1, {0: TrigMatrixPolynomial(0, {(): [[eps]]})}),)
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk, defects=defects)
 
 
@@ -46,7 +47,7 @@ def lopsided_chain():
     """Eigenvalue-form chain with hopping 1 to the right and 0.5 to the
     left: H(k) is not Hermitian."""
     bulk = OmegaSymbol({
-        0: Stencil(1, {(1,): [[1.0]], (-1,): [[0.5]]}),
+        0: TrigMatrixPolynomial(1, {(1,): [[1.0]], (-1,): [[0.5]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk)
 
@@ -109,7 +110,7 @@ class TestAssembly:
         # -(1 + 5e-6) omega + 2 cos k is not H - omega*I: its bands are
         # 2 cos k / (1 + 5e-6), and a box of H alone would read 2 cos k
         bulk = OmegaSymbol({
-            0: Stencil(1, {(1,): [[1.0]], (-1,): [[1.0]]}),
+            0: TrigMatrixPolynomial(1, {(1,): [[1.0]], (-1,): [[1.0]]}),
             1: TrigMatrixPolynomial(1, {(0,): [[-(1 + 5e-6)]]})})
         spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk)
         with pytest.raises(InputError, match="eigenvalue-form"):
@@ -320,7 +321,7 @@ class TestPeriodicBoxIdentity:
 class TestCompareSpectra:
     def test_defect_point_matched_at_l100(self, chain_defect_model):
         spec, grids = chain_defect_model
-        result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
+        result = full_spectrum(spec, grids, n_probes=0)
         trunc = assemble_truncated(spec, 100, bc="open")
         eigs = oracle_eigenvalues(trunc)
         report = compare_spectra(result, eigs, tol=1e-6)
@@ -330,7 +331,7 @@ class TestCompareSpectra:
 
     def test_no_defect_no_spillover(self, chain_model):
         spec, grids = chain_model
-        result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
+        result = full_spectrum(spec, grids, n_probes=0)
         trunc = assemble_truncated(spec, 60, bc="open")
         eigs = oracle_eigenvalues(trunc)
         report = compare_spectra(result, eigs, tol=1e-6)
@@ -348,7 +349,7 @@ class TestCompareSpectra:
 
     def test_unmatched_point_reports_nearest(self, chain_defect_model):
         spec, grids = chain_defect_model
-        result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
+        result = full_spectrum(spec, grids, n_probes=0)
         fake_eigs = np.linspace(-2, 2, 50)  # no defect eigenvalue present
         report = compare_spectra(result, fake_eigs, tol=1e-6)
         assert not report["ok"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from defect_bands import spectrum
-from defect_bands.model import DefectLayer, ProblemSpec, Stencil
+from defect_bands.model import DefectLayer, ProblemSpec
 from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
 from defect_bands.spectrum import dispersion_branch
 from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial, inverse
@@ -23,7 +23,7 @@ def test_point_defect_root_property(strength, sign):
     # xfail cases of test_spectrum.py::test_point_defect_root_near_guard
     from tests_util import chain_with_defect
     spec, grids = chain_with_defect(sign * strength)
-    branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+    branch = dispersion_branch(spec, 1, grids)
     assert [om for _, om, _ in branch.samples] == \
         [pytest.approx(sign * np.sqrt(4 + strength ** 2), abs=1e-8)]
 
@@ -52,7 +52,8 @@ def test_green_function_matches_svd_path_m2(a, b, d, margin, sign):
                                     (-1,): b_mat.conj().T}),
         1: TrigMatrixPolynomial(1, {(0,): -np.eye(2)}),
     })
-    layer = DefectLayer(1, 1, {0: Stencil(0, {(): _hermitian(d[:3], d[3])})})
+    layer = DefectLayer(
+        1, 1, {0: TrigMatrixPolynomial(0, {(): _hermitian(d[:3], d[3])})})
     spec = ProblemSpec(lattice_dim=1, cell_size=2, bulk=bulk,
                        defects=(layer,))
     assert spectrum._hermitian_linear_fast(spec)

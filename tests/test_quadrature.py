@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from defect_bands.model import DefectLayer, ProblemSpec, Stencil
+from defect_bands.model import DefectLayer, ProblemSpec
 from defect_bands.quadrature import (
     NonConvergence,
     _product_nodes,
@@ -175,7 +175,7 @@ class TestAdaptiveBracket:
         # a flat band 2.5 - omega makes the level-1 integrand constant in k
         bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, {(0,): [[2.5]]}),
                             1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
-        layer = DefectLayer(1, 1, {0: Stencil(0, {(): [[1.0]]})})
+        layer = DefectLayer(1, 1, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
         spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                            defects=(layer,))
         chain = Chain(spec, 0.0)

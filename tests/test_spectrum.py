@@ -1,14 +1,16 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from conftest import load_model
 from defect_bands import spectrum
 from defect_bands.model import (
     DefectLayer,
     GridConfig,
     ProblemSpec,
-    Stencil,
     ToleranceSet,
 )
 from defect_bands.quadrature import NonConvergence, trapezoid_sum
@@ -53,10 +55,11 @@ def coarse(spec, k_points=32, omega_points=257):
 def squared_frequency_point_defect():
     """(2 + 2 cos k) - omega^2 with a unit point defect: not eigenvalue form."""
     bulk = OmegaSymbol({
-        0: Stencil(1, {(0,): [[2.0]], (1,): [[1.0]], (-1,): [[1.0]]}),
+        0: TrigMatrixPolynomial(
+            1, {(0,): [[2.0]], (1,): [[1.0]], (-1,): [[1.0]]}),
         2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
-    layer = DefectLayer(1, 1, {0: Stencil(0, {(): [[1.0]]})})
+    layer = DefectLayer(1, 1, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                        defects=(layer,), omega_window=(-3.0, 3.0))
 
@@ -65,7 +68,8 @@ def squared_frequency_ragged():
     """(2 cos k + 0.5) - omega^2: two real roots where cos k >= -1/4, none
     elsewhere, so the band count varies with k."""
     bulk = OmegaSymbol({
-        0: Stencil(1, {(0,): [[0.5]], (1,): [[1.0]], (-1,): [[1.0]]}),
+        0: TrigMatrixPolynomial(
+            1, {(0,): [[0.5]], (1,): [[1.0]], (-1,): [[1.0]]}),
         2: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
     return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
@@ -76,12 +80,13 @@ def squared_frequency_line_and_point():
     """(4 + 2 cos k_1 + 2 cos k_2) - omega^2 with a unit line defect and a
     unit point defect on it: every B_0^{-1} takes the SVD-guarded path."""
     bulk = OmegaSymbol({
-        0: Stencil(2, {(0, 0): [[4.0]], (1, 0): [[1.0]], (-1, 0): [[1.0]],
-                       (0, 1): [[1.0]], (0, -1): [[1.0]]}),
+        0: TrigMatrixPolynomial(2, {(0, 0): [[4.0]],
+                                    (1, 0): [[1.0]], (-1, 0): [[1.0]],
+                                    (0, 1): [[1.0]], (0, -1): [[1.0]]}),
         2: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
     })
-    line = DefectLayer(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
-    point = DefectLayer(2, 2, {0: Stencil(0, {(): [[1.0]]})})
+    line = DefectLayer(1, 2, {0: TrigMatrixPolynomial(1, {(0,): [[1.0]]})})
+    point = DefectLayer(2, 2, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
     return ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
                        defects=(line, point), omega_window=(-4.0, 4.0))
 
@@ -207,12 +212,6 @@ class TestExtendChain:
         assert chain_val.real == pytest.approx(1 - 1 / SQRT5, abs=1e-10)
         assert not res.detected
 
-    def test_zero_defect_gives_identity(self, chain_model):
-        spec, grids = chain_model
-        chain = Chain(spec, 3.0)
-        val = chain.level_values(1, np.zeros((1, 0)))
-        assert np.allclose(val[0], np.eye(1))
-
     def test_line_defect_root_value(self, square_line_model):
         spec, _ = square_line_model
         k2 = 0.9
@@ -220,6 +219,57 @@ class TestExtendChain:
         chain = Chain(spec, lam)
         val = chain.level_values(1, np.array([[k2]]))[0, 0, 0]
         assert abs(val) <= 1e-8
+
+
+def _residue_level1(spec, omega, t_rows):
+    """Level-1 brackets from residues, sharing no code with the ladder.
+
+    Along a nearest-neighbour first axis B_0 = z^-1 Q(z), z = exp(i k_1),
+    with Q(z) = P_-1 + P_0 z + P_1 z^2, so the mean of B_0^-1 over k_1 is the
+    sum of the residues of Q^-1 inside |z| = 1.  Q^-1 is the top-right block
+    of (zB - A)^-1 for the companion pencil below, whose residue at an
+    eigenvalue lam is v w^H / (w^H B v) from one `scipy.linalg.eig`.  Then
+    B_1 = I + (residue sum) D, with D the defect's physical block.
+    """
+    m = spec.cell_size
+    eye, zero = np.eye(m), np.zeros((m, m))
+    layer = spec.defect_by_codim(1)
+    out = []
+    for t in t_rows:
+        p = {shift: np.zeros((m, m), dtype=complex) for shift in (-1, 0, 1)}
+        for power, poly in spec.bulk.terms.items():
+            for off, block in poly.items():
+                p[off[0]] += omega ** power * np.exp(1j * np.dot(off[1:], t)) \
+                    * block
+        a = np.block([[zero, eye], [-p[-1], -p[0]]])
+        b = np.block([[eye, zero], [zero, p[1]]])
+        lam, left, right = scipy.linalg.eig(a, b, left=True, right=True)
+        mean = sum(np.outer(right[:m, i], left[m:, i].conj())
+                   / (left[:, i].conj() @ b @ right[:, i])
+                   for i in np.flatnonzero(np.abs(lam) < 1.0))
+        d = sum(omega ** power * stencil.eval(t)
+                for power, stencil in layer.stencils.items())
+        out.append(eye + mean @ d)
+    return np.array(out)
+
+
+class TestLevelOneReference:
+    @pytest.mark.parametrize("model, omegas", [
+        ("chain_point_defect", [2.5, -3.0, 3.9]),
+        ("square_line_defect", [4.3, 5.0, -4.7, 5.9]),
+        ("two_band_line", [0.0, 0.3, -0.4, 3.0, -2.8, 2.7]),
+    ])
+    def test_matches_residue_sum(self, model, omegas):
+        # gap frequencies: at every row omega lies outside the bulk bands
+        # over k_1, so no pole of Q^-1 sits on the unit circle
+        from tests_util import two_band_line
+        spec, _ = (two_band_line() if model == "two_band_line"
+                   else load_model(f"{model}.json"))
+        t_rows = full_mesh(spec.lattice_dim - 1, 16)
+        for omega in omegas:
+            got = Chain(spec, omega).level_values(1, t_rows)
+            want = _residue_level1(spec, omega, t_rows)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def _direct_level0_inverse(spec, level, t_rows, omega, n):
@@ -320,15 +370,16 @@ class TestGreenTable:
         assert not _hermitian_linear_fast(spec)
         t_rows = np.zeros((1, 0))
         omegas = [-3.5, -2.7, 2.0, 2.5, 3.0]
+        pins = [{} for _ in omegas]
         outs = _GreenTable(spec, 1, t_rows)._converge(
-            omegas, [[0]] * len(omegas))
-        for omega, out in zip(omegas, outs):
+            omegas, [[0]] * len(omegas), pins)
+        for omega, out, pin in zip(omegas, outs, pins):
             if omega == 2.0:
                 assert isinstance(out, NonConvergence)
                 assert out.n_reached == N_QUAD_START
                 assert out.witness_sigma_min == 0.0
                 continue
-            vals, n = out
+            vals, n = out, pin[1]
             k = node_mesh(n, 1, t_rows).reshape(-1, 1)
             a_vals = spec.defects[0].symbol.eval(omega, np.zeros((1, 1)))
             want = 1.0 + trapezoid_sum(
@@ -368,8 +419,8 @@ class TestGreenTable:
         def spied(table, omegas, groups, pins=None):
             outs = converge(table, omegas, groups, pins)
             if table.level == 1:
-                (rows,), (out,) = groups, outs
-                factors.append((table.t_rows[rows], out[0].copy(), out[1]))
+                (rows,), (out,), (pin,) = groups, outs, pins
+                factors.append((table.t_rows[rows], out.copy(), pin[1]))
             return outs
 
         monkeypatch.setattr(_GreenTable, "_converge", spied)
@@ -377,9 +428,10 @@ class TestGreenTable:
         monkeypatch.undo()
 
         def level1(t_rows, n):
-            (vals, got_n), = _GreenTable(spec, 1, t_rows)._converge(
-                [omega], [np.arange(len(t_rows))], [{1: n}])
-            assert got_n == n
+            pins = {1: n}
+            vals, = _GreenTable(spec, 1, t_rows)._converge(
+                [omega], [np.arange(len(t_rows))], [pins])
+            assert pins == {1: n}
             return vals
 
         assert len(factors) > 1
@@ -483,7 +535,7 @@ class TestGreenRouting:
             return golden(*args)
 
         monkeypatch.setattr(spectrum, "_golden_min", counted)
-        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+        branch = dispersion_branch(spec, 1, grids)
         (_, root, _), = branch.samples
         assert abs(root - 2.5) <= spec.tolerances.root_tol_omega
         assert len(calls) == 1
@@ -502,10 +554,10 @@ class TestGreenRouting:
             return direct(a)
 
         monkeypatch.setattr(spectrum, "inverse", counted)
-        full_spectrum(spec, spec.omega_window, grids, n_probes=8)
+        full_spectrum(spec, grids, n_probes=8)
         assert calls == []
         _svd_reference(monkeypatch)
-        full_spectrum(spec, spec.omega_window, grids, n_probes=8)
+        full_spectrum(spec, grids, n_probes=8)
         assert calls  # the counting patch sees the reference path
 
 
@@ -656,23 +708,24 @@ class TestExclusionSet:
 
     def test_2d_line_formula(self, square_line_model):
         spec, grids = square_line_model
-        excl = exclusion_set(spec, 1, grids, spec.omega_window)
-        for k2 in (0.0, np.pi / 2, -np.pi):
-            idx = excl.index_of((k2,))
+        excl = exclusion_set(spec, 1, grids)
+        n = grids.k_points
+        for idx in (n // 2, 3 * n // 4, 0):    # k2 = 0, pi/2, -pi
+            k2, = excl.nodes[idx]
             (lo, hi), = excl.intervals[idx]
             assert lo == pytest.approx(-2 + 2 * np.cos(k2), abs=1e-12)
             assert hi == pytest.approx(2 + 2 * np.cos(k2), abs=1e-12)
 
     def test_1d_full_band(self, chain_defect_model):
         spec, grids = chain_defect_model
-        excl = exclusion_set(spec, 1, grids, spec.omega_window)
+        excl = exclusion_set(spec, 1, grids)
         assert excl.intervals[0] == [(-2.0, 2.0)]
 
     def test_lower_branch_projection_enters(self, chain_defect_model):
         # one level past the final step the defect point itself is excluded:
         # the assembled spectrum is exactly that recursive union
         spec, grids = chain_defect_model
-        result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
+        result = full_spectrum(spec, grids, n_probes=0)
         assert result.contains(SQRT5, dilate=spec.tolerances.root_tol_omega)
         assert not result.contains(3.0, dilate=spec.tolerances.root_tol_omega)
 
@@ -680,19 +733,32 @@ class TestExclusionSet:
 class TestDispersionBranch:
     def test_line_defect_samples(self, square_line_model):
         spec, grids = square_line_model
-        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+        branch = dispersion_branch(spec, 1, grids)
         guard = spec.tolerances.band_guard
-        excl = exclusion_set(spec, 1, grids, spec.omega_window)
+        excl = exclusion_set(spec, 1, grids)
         assert len(branch.samples) == grids.k_points
-        for k_tail, omega, annot in branch.samples:
+        for (k_tail, omega, _), node, ivs in zip(branch.samples, excl.nodes,
+                                                 excl.intervals):
+            assert k_tail == tuple(node)
             want = 2 * np.cos(k_tail[0]) + SQRT5
             assert omega == pytest.approx(want, abs=1e-6)
-            ivs = excl.intervals[excl.index_of(k_tail)]
             assert min(abs(omega - b) for iv in ivs for b in iv) >= guard
+
+    def test_rows_come_from_the_exclusion_set(self, square_line_model):
+        # an exclusion set on another k grid than `grids` sets the rows:
+        # each row is scanned outside its own intervals
+        spec, _ = square_line_model
+        excl = exclusion_set(spec, 1, GridConfig(k_points=16))
+        branch = dispersion_branch(spec, 1, coarse(spec), exclusion=excl)
+        assert [k_tail for k_tail, _, _ in branch.samples] == \
+            [tuple(node) for node in excl.nodes]
+        assert branch.skipped == []
+        for (k2,), omega, _ in branch.samples:
+            assert omega == pytest.approx(2 * np.cos(k2) + SQRT5, abs=1e-6)
 
     def test_no_defect_empty_branch(self, chain_model):
         spec, grids = chain_model
-        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+        branch = dispersion_branch(spec, 1, grids)
         assert branch.samples == []
 
     @pytest.mark.parametrize("eigen_table", [True, False])
@@ -702,13 +768,14 @@ class TestDispersionBranch:
         spec, grids = chain_defect_model
         if not eigen_table:
             _svd_reference(monkeypatch)
-        branch = dispersion_branch(spec, 1, grids, (-1.5, 1.5))
+        inside = dataclasses.replace(spec, omega_window=(-1.5, 1.5))
+        branch = dispersion_branch(inside, 1, grids)
         assert branch.samples == [] and branch.skipped == []
 
     def test_negative_defect_negative_point(self):
         from tests_util import chain_with_defect
         spec, grids = chain_with_defect(-1.0)
-        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+        branch = dispersion_branch(spec, 1, grids)
         assert len(branch.samples) == 1
         assert branch.samples[0][1] == pytest.approx(-SQRT5, abs=1e-8)
 
@@ -723,12 +790,10 @@ class TestDispersionBranch:
         if not eigen_table:
             monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
                                 lambda spec: False)
-        real = exclusion_set(spec, 1, grids, spec.omega_window)
-        empty = ExclusionSet(codim=1, k_points=real.k_points,
-                             nodes=real.nodes, intervals=[[]])
+        real = exclusion_set(spec, 1, grids)
+        empty = ExclusionSet(nodes=real.nodes, intervals=[[]])
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
-            branch = dispersion_branch(spec, 1, grids, spec.omega_window,
-                                       exclusion=empty)
+            branch = dispersion_branch(spec, 1, grids, exclusion=empty)
         scan = np.linspace(*spec.omega_window, grids.omega_points)
         in_band = [float(w) for w in scan if abs(w) <= 2.0]
         assert sorted(om for _, om, _, _ in branch.skipped) == in_band
@@ -743,7 +808,7 @@ class TestDispersionBranch:
         # directly; a unit point defect binds where 2 - omega^2 = -sqrt5
         spec = squared_frequency_point_defect()
         assert not _hermitian_linear_fast(spec)
-        branch = dispersion_branch(spec, 1, GridConfig(), spec.omega_window)
+        branch = dispersion_branch(spec, 1, GridConfig())
         want = np.sqrt(2.0 + SQRT5)
         roots = sorted(om for _, om, _ in branch.samples)
         assert len(roots) == 2
@@ -760,12 +825,12 @@ class TestDispersionBranch:
         from tests_util import chain_with_defect
         a = 1e-3
         spec, _ = chain_with_defect(1.0, hopping=a)
+        spec = dataclasses.replace(spec, omega_window=(-3.0, 3.0))
         if not eigen_table:
             monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
                                 lambda spec: False)
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
-            branch = dispersion_branch(spec, 1, GridConfig(omega_points=100),
-                                       (-3.0, 3.0))
+            branch = dispersion_branch(spec, 1, GridConfig(omega_points=100))
         assert [om for _, om, _ in branch.samples] == \
             [pytest.approx(np.sqrt(1 + 4 * a * a), abs=1e-8)]
         # the Green's function's rank guard fails the omega = 0 step on the
@@ -790,7 +855,7 @@ class TestDispersionBranch:
             found = {}
             for codim in spec.present_codims:
                 found[codim] = dispersion_branch(
-                    spec, codim, grids, spec.omega_window, branches=dict(found))
+                    spec, codim, grids, branches=dict(found))
             return found
 
         cached = [all_branches(*model) for model in models]
@@ -812,7 +877,7 @@ class TestDispersionBranch:
         # n that the level-2 brackets reach, not one per omega
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
-        line = dispersion_branch(spec, 1, grids, spec.omega_window)
+        line = dispersion_branch(spec, 1, grids)
         levels, level2_n = [], set()
         init, level0_inverse = _GreenTable.__init__, _GreenTable.level0_inverse
 
@@ -827,8 +892,7 @@ class TestDispersionBranch:
 
         monkeypatch.setattr(_GreenTable, "__init__", counted)
         monkeypatch.setattr(_GreenTable, "level0_inverse", spied)
-        point = dispersion_branch(spec, 2, grids, spec.omega_window,
-                                  branches={1: line})
+        point = dispersion_branch(spec, 2, grids, branches={1: line})
         assert [om for _, om, _ in point.samples] == \
             [pytest.approx(5.180756781817904, abs=1e-8)]
         assert levels.count(2) == 1
@@ -840,9 +904,8 @@ class TestDispersionBranch:
         # root elsewhere is still found, as without the failure
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
-        line = dispersion_branch(spec, 1, grids, spec.omega_window)
-        clean = dispersion_branch(spec, 2, grids, spec.omega_window,
-                                  branches={1: line})
+        line = dispersion_branch(spec, 1, grids)
+        clean = dispersion_branch(spec, 2, grids, branches={1: line})
         converge = _GreenTable._converge
 
         def flaky(table, omegas, groups, pins=None):
@@ -852,8 +915,7 @@ class TestDispersionBranch:
             return converge(table, omegas, groups, pins)
 
         monkeypatch.setattr(_GreenTable, "_converge", flaky)
-        point = dispersion_branch(spec, 2, grids, spec.omega_window,
-                                  branches={1: line})
+        point = dispersion_branch(spec, 2, grids, branches={1: line})
         assert clean.skipped == []
         assert point.samples == clean.samples != []
         scan = np.linspace(*spec.omega_window, grids.omega_points)
@@ -877,7 +939,7 @@ class TestDispersionBranch:
             return converge(table, omegas, groups)
 
         monkeypatch.setattr(_GreenTable, "_converge", counted)
-        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+        branch = dispersion_branch(spec, 1, grids)
         assert len(branch.samples) == 32
         (scan_omegas, _), *polish = calls
         scan = np.linspace(*spec.omega_window, grids.omega_points)
@@ -896,7 +958,7 @@ class TestDispersionBranch:
         # in test_properties.py covers |eps| >= 0.36
         from tests_util import chain_with_defect
         spec, grids = chain_with_defect(eps)
-        branch = dispersion_branch(spec, 1, grids, spec.omega_window)
+        branch = dispersion_branch(spec, 1, grids)
         assert [om for _, om, _ in branch.samples] == \
             [pytest.approx(np.sign(eps) * np.sqrt(4 + eps ** 2), abs=1e-8)]
 
@@ -904,7 +966,7 @@ class TestDispersionBranch:
 class TestFullSpectrum:
     def test_chain_with_defect(self, chain_defect_model):
         spec, grids = chain_defect_model
-        result = full_spectrum(spec, (-4.0, 4.0), grids, n_probes=25)
+        result = full_spectrum(spec, grids, n_probes=25)
         kinds = {(c.kind, c.codim) for c in result.components}
         assert ("band_interval", 0) in kinds
         assert ("isolated_point", 1) in kinds
@@ -917,11 +979,11 @@ class TestFullSpectrum:
     def test_negative_probe_count_refused(self, chain_defect_model):
         spec, grids = chain_defect_model
         with pytest.raises(InputError, match="probe count must be >= 0"):
-            full_spectrum(spec, (-4.0, 4.0), grids, n_probes=-1)
+            full_spectrum(spec, grids, n_probes=-1)
 
     def test_square_line_defect(self, square_line_model):
         spec, grids = square_line_model
-        result = full_spectrum(spec, (-6.0, 6.0), grids, n_probes=10)
+        result = full_spectrum(spec, grids, n_probes=10)
         band = next(c for c in result.components if c.kind == "band_interval")
         assert (band.lo, band.hi) == (pytest.approx(-4.0), pytest.approx(4.0))
         guided = next(c for c in result.components if c.kind == "branch_interval")
@@ -931,7 +993,7 @@ class TestFullSpectrum:
 
     def test_no_defect_band_only(self, square_model):
         spec, grids = square_model
-        result = full_spectrum(spec, (-6.0, 6.0), grids, n_probes=10)
+        result = full_spectrum(spec, grids, n_probes=10)
         assert all(c.kind == "band_interval" for c in result.components)
         assert result.omega_intervals == [(pytest.approx(-4.0), pytest.approx(4.0))]
 
@@ -942,8 +1004,8 @@ class TestFullSpectrum:
                                                 omega_points=129)
         spec_b, _ = square_with_line_defect(eps + 1e-3, k_points=16,
                                             omega_points=129)
-        br_a = dispersion_branch(spec_a, 1, grids, spec_a.omega_window)
-        br_b = dispersion_branch(spec_b, 1, grids, spec_b.omega_window)
+        br_a = dispersion_branch(spec_a, 1, grids)
+        br_b = dispersion_branch(spec_b, 1, grids)
         assert len(br_a.samples) == len(br_b.samples) == 16
         for (ka, oa, _), (kb, ob, _) in zip(br_a.samples, br_b.samples):
             assert ka == kb
@@ -969,7 +1031,7 @@ class TestFullSpectrum:
         # the gap that test_two_band_gap_stays_open shows open
         from tests_util import two_band_line
         spec, grids = two_band_line()
-        result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
+        result = full_spectrum(spec, grids, n_probes=0)
         assert not result.contains(0.0)
 
 
@@ -1032,7 +1094,7 @@ class TestNestedDefects:
 
         spec, grids = square_line_and_point()
 
-        result = full_spectrum(spec, spec.omega_window, grids, n_probes=0)
+        result = full_spectrum(spec, grids, n_probes=0)
         by_kind = {c.kind: c for c in result.components}
         assert by_kind["band_interval"].lo == pytest.approx(-4.0)
         assert by_kind["band_interval"].hi == pytest.approx(4.0)

@@ -227,6 +227,6 @@ class TestLinearAlgebra:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         assert membership(line, 5.3).status == "out"
         assert membership(line, 1.0).status == "in"
-        result = full_spectrum(point, point.omega_window, point_grids, n_probes=4)
+        result = full_spectrum(point, point_grids, n_probes=4)
         assert any(c.kind == "isolated_point"
                    and abs(c.lo - np.sqrt(5.0)) < 1e-8 for c in result.components)

@@ -4,7 +4,6 @@ from defect_bands.model import (
     DefectLayer,
     GridConfig,
     ProblemSpec,
-    Stencil,
 )
 from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
 
@@ -12,10 +11,10 @@ from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
 def chain_with_defect(eps, k_points=64, omega_points=513, hopping=1.0):
     """1D nearest-neighbor chain with an on-site point defect of strength eps."""
     bulk = OmegaSymbol({
-        0: Stencil(1, {(1,): [[hopping]], (-1,): [[hopping]]}),
+        0: TrigMatrixPolynomial(1, {(1,): [[hopping]], (-1,): [[hopping]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
-    layer = DefectLayer(1, 1, {0: Stencil(0, {(): [[eps]]})})
+    layer = DefectLayer(1, 1, {0: TrigMatrixPolynomial(0, {(): [[eps]]})})
     spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                        defects=(layer,), omega_window=(-4.0, 4.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
@@ -23,15 +22,15 @@ def chain_with_defect(eps, k_points=64, omega_points=513, hopping=1.0):
 
 def _square_bulk():
     return OmegaSymbol({
-        0: Stencil(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
-                       (0, 1): [[1.0]], (0, -1): [[1.0]]}),
+        0: TrigMatrixPolynomial(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]],
+                                    (0, 1): [[1.0]], (0, -1): [[1.0]]}),
         1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
     })
 
 
 def square_with_line_defect(eps, k_points=64, omega_points=513):
     """2D square lattice with an on-site line defect along the second axis."""
-    layer = DefectLayer(1, 2, {0: Stencil(1, {(0,): [[eps]]})})
+    layer = DefectLayer(1, 2, {0: TrigMatrixPolynomial(1, {(0,): [[eps]]})})
     spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
                        defects=(layer,), omega_window=(-6.0, 6.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
@@ -39,8 +38,8 @@ def square_with_line_defect(eps, k_points=64, omega_points=513):
 
 def square_line_and_point(k_points=32, omega_points=513):
     """2D square lattice, unit line defect plus a point defect of 3 on it."""
-    line = DefectLayer(1, 2, {0: Stencil(1, {(0,): [[1.0]]})})
-    point = DefectLayer(2, 2, {0: Stencil(0, {(): [[3.0]]})})
+    line = DefectLayer(1, 2, {0: TrigMatrixPolynomial(1, {(0,): [[1.0]]})})
+    point = DefectLayer(2, 2, {0: TrigMatrixPolynomial(0, {(): [[3.0]]})})
     spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
                        defects=(line, point), omega_window=(-6.0, 8.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
@@ -50,14 +49,14 @@ def cubic_plane_line_point(k_points=16, omega_points=129):
     """3D cubic lattice with three nested defects: a unit plane, a unit line
     in it and a point defect of 2 on the line."""
     bulk = OmegaSymbol({
-        0: Stencil(3, {(1, 0, 0): [[1.0]], (-1, 0, 0): [[1.0]],
-                       (0, 1, 0): [[1.0]], (0, -1, 0): [[1.0]],
-                       (0, 0, 1): [[1.0]], (0, 0, -1): [[1.0]]}),
+        0: TrigMatrixPolynomial(3, {(1, 0, 0): [[1.0]], (-1, 0, 0): [[1.0]],
+                                    (0, 1, 0): [[1.0]], (0, -1, 0): [[1.0]],
+                                    (0, 0, 1): [[1.0]], (0, 0, -1): [[1.0]]}),
         1: TrigMatrixPolynomial(3, {(0, 0, 0): [[-1.0]]}),
     })
-    plane = DefectLayer(1, 3, {0: Stencil(2, {(0, 0): [[1.0]]})})
-    line = DefectLayer(2, 3, {0: Stencil(1, {(0,): [[1.0]]})})
-    point = DefectLayer(3, 3, {0: Stencil(0, {(): [[2.0]]})})
+    plane = DefectLayer(1, 3, {0: TrigMatrixPolynomial(2, {(0, 0): [[1.0]]})})
+    line = DefectLayer(2, 3, {0: TrigMatrixPolynomial(1, {(0,): [[1.0]]})})
+    point = DefectLayer(3, 3, {0: TrigMatrixPolynomial(0, {(): [[2.0]]})})
     spec = ProblemSpec(lattice_dim=3, cell_size=1, bulk=bulk,
                        defects=(plane, line, point), omega_window=(-8.0, 10.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
@@ -72,18 +71,19 @@ def two_band_line(k_points=16, omega_points=129, point=None):
     whose bands are +-sqrt(4 cos^2 k_1 + 5/4 + cos k_2) in [0.5, 2.5].
     """
     bulk = OmegaSymbol({
-        0: Stencil(2, {(1, 0): [[1.0, 0.0], [0.0, -1.0]],
-                       (-1, 0): [[1.0, 0.0], [0.0, -1.0]],
-                       (0, 0): [[0.0, 1.0], [1.0, 0.0]],
-                       (0, 1): [[0.0, 0.5], [0.0, 0.0]],
-                       (0, -1): [[0.0, 0.0], [0.5, 0.0]]}),
+        0: TrigMatrixPolynomial(2, {(1, 0): [[1.0, 0.0], [0.0, -1.0]],
+                                    (-1, 0): [[1.0, 0.0], [0.0, -1.0]],
+                                    (0, 0): [[0.0, 1.0], [1.0, 0.0]],
+                                    (0, 1): [[0.0, 0.5], [0.0, 0.0]],
+                                    (0, -1): [[0.0, 0.0], [0.5, 0.0]]}),
         1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0, 0.0], [0.0, -1.0]]}),
     })
     layers = [DefectLayer(
-        1, 2, {0: Stencil(1, {(0,): [[1.0, 0.0], [0.0, 0.5]]})})]
+        1, 2, {0: TrigMatrixPolynomial(1, {(0,): [[1.0, 0.0], [0.0, 0.5]]})})]
     if point is not None:
         layers.append(DefectLayer(
-            2, 2, {0: Stencil(0, {(): [[point, 0.0], [0.0, point]]})}))
+            2, 2,
+            {0: TrigMatrixPolynomial(0, {(): [[point, 0.0], [0.0, point]]})}))
     spec = ProblemSpec(lattice_dim=2, cell_size=2, bulk=bulk,
                        defects=tuple(layers), omega_window=(-7.0, 7.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
