@@ -15,6 +15,7 @@ and a `ProblemSpec` is frozen and validated when built, so the engine and
 the oracle read one operator of a valid spec.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -139,6 +140,11 @@ class ProblemSpec:
     at most one per codimension, each supported on the coordinate sublattice
     chain through the origin cell.  Building one runs `validate` and raises
     `InvalidSpec` on any violation; the spec is frozen, so it stays valid.
+
+    `eigen_store` is not part of the operator: it holds the engine's bulk
+    eigenpairs at quadrature nodes (`spectrum._GreenTable.eigenpairs`),
+    which depend on the bulk alone and so serve every query on this spec;
+    it lives and dies with the spec.
     """
 
     lattice_dim: int
@@ -147,6 +153,8 @@ class ProblemSpec:
     defects: tuple = ()
     tolerances: ToleranceSet = field(default_factory=ToleranceSet)
     omega_window: tuple = (-10.0, 10.0)
+    eigen_store: OrderedDict = field(default_factory=OrderedDict, init=False,
+                                     repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "defects",

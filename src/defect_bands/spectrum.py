@@ -57,6 +57,15 @@ PROBE_SEED = 20260808
 #: halved-grid line defect and ran no faster
 SCAN_CHUNK_ENTRIES = 1 << 14
 
+#: bytes of bulk eigenpairs (and their keys) one spec keeps in its
+#: `eigen_store`; past it the least recently used tables are dropped.  The
+#: `query-mix` query sets of ten seeds, asked in turn on the same specs,
+#: level off at 7.3 MB on the nested model and under 1 MB on the others.
+#: A table larger than the bound (one M = 1 row of a level-2 bracket at
+#: n >= 2048) is not kept, so a stalled query does not hold its arrays for
+#: the spec's life
+EIGEN_STORE_BYTES = 1 << 25
+
 
 class UncertifiedLevel(RuntimeError):
     """Level matrices not certified invertible at the requested omega."""
@@ -91,19 +100,25 @@ def lattice_green(lam, vec, omega):
     `lam`, `vec` are eigenpairs of a Hermitian H at nodes, shapes (..., M)
     and (..., M, M); `omega` broadcasts against the node axes.  This is
     (H - omega*I)^{-1}, the lattice Green's function (Koster-Slater for
-    M = 1).  Its singular values are 1/|lambda_i - omega|, and a node fails
-    the guard when min |lambda_i - omega| < 64 eps max(1, max |lambda_i|),
-    the rounding floor of the eigenvalues themselves.  Returns the inverses
-    and per node the failing sigma_min, inf where the node passes (the
-    inverse of a failing node is not finite).
+    M = 1).  For M = 1, U = 1 and `vec` is not read (it may be None): the
+    inverse is 1/(lambda - omega) as complex, the product's bits on every
+    finite node without the matmul.  Its singular values are
+    1/|lambda_i - omega|, and a node fails the guard when
+    min |lambda_i - omega| < 64 eps max(1, max |lambda_i|), the rounding
+    floor of the eigenvalues themselves.  Returns the inverses and per node
+    the failing sigma_min, inf where the node passes (the inverse of a
+    failing node is not finite).
     """
     shift = lam - np.asarray(omega, dtype=float)[..., None]
     s_min = np.abs(shift).min(axis=-1)
     floor = 64.0 * np.finfo(float).eps * np.maximum(
         1.0, np.abs(lam).max(axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        green = np.matmul(vec / shift[..., None, :],
-                          vec.conj().swapaxes(-1, -2))
+        if lam.shape[-1] == 1:
+            green = (1.0 / shift).astype(complex)[..., None]
+        else:
+            green = np.matmul(vec / shift[..., None, :],
+                              vec.conj().swapaxes(-1, -2))
     return green, np.where(s_min < floor, s_min, np.inf)
 
 
@@ -122,8 +137,11 @@ class Chain:
     falls below the spec's quad_rel_tol, and that n is pinned in `_nquad`
     for the level's later rows, the lower-level factors inside higher
     brackets included.  A singular node matrix, or passing N_QUAD_MAX,
-    raises `NonConvergence`.  Nothing is memoized: a row recomputed at its
-    pinned n has the same bits.  `membership` steps up one chain.
+    raises `NonConvergence`.  No level value is memoized, and the pinned n
+    stay with this chain: a row recomputed at its pinned n has the same
+    bits.  What is shared across chains and calls is only the bulk
+    eigenpairs behind B_0^{-1}, which do not depend on omega (the spec's
+    `eigen_store`, see `_GreenTable`).  `membership` steps up one chain.
     """
 
     def __init__(self, spec, omega):
@@ -166,19 +184,23 @@ class _GreenTable:
     bracket's factors are formed as follows.
     - B_0^{-1}, by `level0_inverse`: for an eigenvalue-form Hermitian bulk,
       B_0 = H(k) - omega*I, `lattice_green` from one `eigh` of H per node,
-      which serves every omega.  The table holds `eigh(H)` at the n^level
-      integration nodes x rows, for each n the doubling reaches; the n-grid
+      which serves every omega.  `eigenpairs` keeps `eigh(H)` at the
+      n^level integration nodes x rows, for each n the doubling reaches, in
+      the spec's `eigen_store`, so every table of the same level and rows,
+      in any later call or query on the spec, reads them too; the n-grid
       nodes are bit for bit the even nodes of the 2n grid, so doubling
       copies them and diagonalises only the new odd-indexed nodes.  Any
       other bulk takes the SVD-guarded `inverse`, one call per group.
     - B_i^{-1} for each lower defect level i: the `inverse` of level-i
       values, one group at the group's omega of a level-i table that this
       table owns.  It keeps one per (i, n), with rows
-      `node_mesh(n, level - i, t_rows)`, so their eigenpairs too serve
-      every omega and every call of this table.
+      `node_mesh(n, level - i, t_rows)`, whose eigenpairs come from the
+      store too.
 
-    `Chain` builds one table per `level_values` call; `dispersion_branch`
-    builds one per call, at every level.
+    Only eigenpairs of H are shared; level values, pinned n and verdicts,
+    everything that depends on omega, stay with the call.  `Chain` builds
+    one table per `level_values` call; `dispersion_branch` builds one per
+    call, at every level.
     """
 
     def __init__(self, spec, level, t_rows):
@@ -187,34 +209,42 @@ class _GreenTable:
         self.t_rows = np.asarray(t_rows, dtype=float)   # (rows, N - level)
         self._lower = [c for c in spec.present_codims if c < self.level]
         self._eigen = _hermitian_linear_fast(spec)
-        self._pairs = {}
+        self._rows_key = self.t_rows.tobytes()
         self._tables = {}        # (lower level i, n) -> level-i _GreenTable
 
     def eigenpairs(self, n):
-        """(lambda, U) at the n-grid nodes x rows.
+        """(lambda, U) at the n-grid nodes x rows, kept in the spec's
+        `eigen_store` under (level, n, the bytes of the rows).
 
         Shapes (n^level, rows, M) and (n^level, rows, M, M); node order is
-        the lexicographic order of `_product_nodes`.
+        the lexicographic order of `_product_nodes`.  U is None for M = 1,
+        where it is 1, so an M = 1 table stores lambda alone.
         """
-        pairs = self._pairs.get(n)
+        store = self.spec.eigen_store
+        key = (self.level, n, self._rows_key)
+        pairs = store.get(key)
         if pairs is not None:
+            store.move_to_end(key)
             return pairs
         j = self.level
         n_dim, m_sz = self.spec.lattice_dim, self.spec.cell_size
         mesh = node_mesh(n, j, self.t_rows)
         lam = np.empty(mesh.shape[:2] + (m_sz,))
-        vec = np.empty(lam.shape + (m_sz,), dtype=complex)
+        vec = None if m_sz == 1 else np.empty(lam.shape + (m_sz,), complex)
         new = np.ones(mesh.shape[0], dtype=bool)
-        coarse = self._pairs.get(n // 2)
+        coarse = store.get((j, n // 2, self._rows_key))
         if coarse is not None:
             new = (np.indices((n,) * j).reshape(j, -1) % 2 == 1).any(axis=0)
-            lam[~new], vec[~new] = coarse
+            lam[~new] = coarse[0]
+            if vec is not None:
+                vec[~new] = coarse[1]
         k_full = mesh[new]
         w, u = eigh(
             self.spec.bulk.terms[0].eval(k_full.reshape(-1, n_dim)))
         lam[new] = w.reshape(k_full.shape[:2] + (m_sz,))
-        vec[new] = u.reshape(k_full.shape[:2] + (m_sz, m_sz))
-        self._pairs[n] = (lam, vec)
+        if vec is not None:
+            vec[new] = u.reshape(k_full.shape[:2] + (m_sz, m_sz))
+        _remember(store, key, (lam, vec))
         return lam, vec
 
     def level0_inverse(self, n, rows, omegas):
@@ -228,7 +258,8 @@ class _GreenTable:
         """
         if self._eigen:
             lam, vec = self.eigenpairs(n)
-            green, bad = lattice_green(lam[:, rows], vec[:, rows], omegas)
+            green, bad = lattice_green(
+                lam[:, rows], None if vec is None else vec[:, rows], omegas)
             return green, bad.min(axis=0)
         mesh = node_mesh(n, self.level, self.t_rows[rows])
         shape = mesh.shape[:2] + (self.spec.cell_size,) * 2
@@ -381,6 +412,22 @@ class _GreenTable:
             prod = np.matmul(inverse(out).reshape(
                 (1,) * i + (n,) * (j - i) + (m, m_sz, m_sz)), prod)
         return prod.reshape(-1, m, m_sz, m_sz)
+
+
+def _remember(store, key, pairs):
+    """Put eigenpairs in a spec's `eigen_store` as its most recently used
+    entry, then drop the least recently used entries until the store holds
+    at most EIGEN_STORE_BYTES of arrays and keys.  Pairs larger than that
+    on their own are not stored."""
+    def size(k, v):
+        return len(k[2]) + sum(a.nbytes for a in v if a is not None)
+
+    if size(key, pairs) > EIGEN_STORE_BYTES:
+        return
+    store[key] = pairs
+    held = sum(size(k, v) for k, v in store.items())
+    while held > EIGEN_STORE_BYTES:
+        held -= size(*store.popitem(last=False))
 
 
 # ---------------------------------------------------------------------------
@@ -644,13 +691,15 @@ def merge_intervals(intervals):
 
 
 def dist_to_intervals(x, intervals):
-    """Distance from x to a union of intervals (0 inside; inf if empty)."""
-    best = np.inf
-    for lo, hi in intervals:
-        if lo <= x <= hi:
-            return 0.0
-        best = min(best, abs(x - lo), abs(x - hi))
-    return best
+    """Distance from x, a number or an array, to a union of intervals
+    (0 inside; inf if empty), elementwise."""
+    x = np.asarray(x, dtype=float)[..., None]
+    if not intervals:
+        return np.full(x.shape[:-1], np.inf)
+    lo, hi = np.asarray(intervals, dtype=float).T
+    inside = ((lo <= x) & (x <= hi)).any(axis=-1)
+    return np.where(inside, 0.0,
+                    np.minimum(np.abs(x - lo), np.abs(x - hi)).min(axis=-1))
 
 
 def point_in_intervals(x, intervals, dilate=0.0):
@@ -836,11 +885,8 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
     scan = np.linspace(*spec.omega_window, grids.omega_points)
     step = scan[1] - scan[0]
 
-    admissible = np.zeros((n_t, len(scan)), dtype=bool)
-    for t_idx in range(n_t):
-        ivs = exclusion.intervals[t_idx]
-        admissible[t_idx] = [dist_to_intervals(w, ivs) >= tol.band_guard
-                             for w in scan]
+    admissible = np.stack([dist_to_intervals(scan, ivs) >= tol.band_guard
+                           for ivs in exclusion.intervals])
 
     evaluate = _GreenTable(spec, codim, t_mesh)._converge
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import logging
 
 import numpy as np
@@ -26,10 +27,12 @@ from defect_bands.spectrum import (
     bands,
     bands_grid,
     dispersion_branch,
+    dist_to_intervals,
     exclusion_set,
     forward_apply,
     full_mesh,
     full_spectrum,
+    lattice_green,
     membership,
     merge_intervals,
     node_mesh,
@@ -407,7 +410,9 @@ class TestGreenTable:
     def test_level_bits_independent_of_batch(self, monkeypatch, model, omega):
         # no level value is memoized, because the same rows at the same
         # pinned n give the same bits whether they are computed alone,
-        # inside a larger row set, or as the lower factors of a bracket
+        # inside a larger row set, or as the lower factors of a bracket;
+        # only the omega-free eigenpairs of H are shared, through the
+        # spec's eigen store, while level values and pins stay per call
         from tests_util import square_line_and_point, two_band_line
         spec = {"eigen-m1": lambda: square_line_and_point()[0],
                 "eigen-m2": lambda: two_band_line(point=2.0)[0],
@@ -445,21 +450,175 @@ class TestGreenTable:
         ("square_line_model", 1), ("square_line_model", 2),
         ("bipartite_model", 1)])
     def test_doubling_reuses_coarse_nodes(self, request, model, level):
+        # each table reads a spec of its own, whose eigen store starts
+        # empty: the doubled pairs against a cold computation at the last n
         spec, _ = request.getfixturevalue(model)
         t_rows = full_mesh(spec.lattice_dim - level, 8)
-        table = _GreenTable(spec, level, t_rows)
+        warm, cold = dataclasses.replace(spec), dataclasses.replace(spec)
+        table = _GreenTable(warm, level, t_rows)
         coarse = None
         for n in (16, 32, 64, 128) if level == 1 else (16, 32, 64):
             pairs = table.eigenpairs(n)
+            # an M = 1 table keeps no eigenvectors: U is 1
+            assert (pairs[1] is None) == (spec.cell_size == 1)
             if coarse is not None:
                 for fine, old in zip(pairs, coarse):
+                    if fine is None:
+                        continue
                     even = fine.reshape((n,) * level + fine.shape[1:])[
                         (slice(None, None, 2),) * level]
                     assert np.array_equal(even.reshape(old.shape), old)
             coarse = pairs
-        fresh = _GreenTable(spec, level, t_rows).eigenpairs(n)
+        assert not cold.eigen_store
+        fresh = _GreenTable(cold, level, t_rows).eigenpairs(n)
+        assert len(cold.eigen_store) == 1
         for got, want in zip(coarse, fresh):
-            assert np.array_equal(got, want)
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+
+
+def _answers(spec, grids, omegas):
+    """Each omega's membership certificate as JSON and, where the verdict
+    is out, its resolvent solution's bytes and residual."""
+    g = trig_vector(spec.lattice_dim, {(0,) * spec.lattice_dim:
+                                       [1.0] * spec.cell_size,
+                                       (1,) * spec.lattice_dim:
+                                       [0.5j] * spec.cell_size})
+    out = {}
+    for omega in omegas:
+        cert = membership(spec, omega, grids)
+        answer = [json.dumps(cert.to_dict(), sort_keys=True)]
+        if cert.status == "out":
+            sol = resolvent_apply(spec, omega, g, grids)
+            answer += [sol.f_tab.tobytes(), repr(sol.residual)]
+        out[omega] = answer
+    return out
+
+
+def _store_bytes(store):
+    return sum(len(key[2]) + sum(a.nbytes for a in pairs if a is not None)
+               for key, pairs in store.items())
+
+
+def _store_models():
+    """Per model a builder of a fresh (spec, grids) and omegas that give
+    out, in at step 0 and in at a defect level."""
+    from tests_util import square_line_and_point, two_band_line
+    return {
+        "chain": (lambda: load_model("chain_point_defect.json"),
+                  (-3.0, -2.01, 0.5, SQRT5, 3.0)),
+        "line": (lambda: load_model("square_line_defect.json"),
+                 (-5.0, -4.3, 2.0, 4.1, 5.5)),
+        "nested": (lambda: square_line_and_point(k_points=16),
+                   (-5.0, 4.1, 5.180756781817904, 6.5, 7.5)),
+        "two-band": (lambda: two_band_line(point=2.0),
+                     (-6.0, -2.7, 2.2, 2.6, 3.5))}
+
+
+class TestEigenStore:
+    """Bulk eigenpairs shared per spec leave every answer's bits as a
+    fresh spec gives them."""
+
+    @pytest.mark.parametrize("model", ["chain", "line", "nested", "two-band"])
+    def test_warm_store_gives_cold_bits(self, model):
+        # each cold answer from a spec of its own; the warm answers from one
+        # spec asked every omega forward, then reversed
+        build, omegas = _store_models()[model]
+        cold = {}
+        for omega in omegas:
+            spec, grids = build()
+            cold.update(_answers(spec, grids, [omega]))
+        spec, grids = build()
+        assert _answers(spec, grids, omegas) == cold
+        stored = list(spec.eigen_store)
+        assert stored
+        assert _answers(spec, grids, omegas[::-1]) == cold
+        # the reversed pass asked for no table the forward pass had not
+        # stored, so every answer in it was computed from stored eigenpairs
+        assert sorted(spec.eigen_store, key=repr) == sorted(stored, key=repr)
+
+    def test_rows_of_one_shape_share_no_table(self, square_line_model):
+        # one row each, at k_2 = 0 and k_2 = 1: one key each, and each
+        # table's eigenvalues 2 cos k_1 + 2 cos k_2 at its own row
+        spec = dataclasses.replace(square_line_model[0])
+        k_1 = node_mesh(16, 1, np.zeros((1, 0)))[:, 0, 0]
+        for k_2 in (0.0, 1.0):
+            lam, _ = _GreenTable(spec, 1, [[k_2]]).eigenpairs(16)
+            assert np.allclose(lam[:, 0, 0], 2 * np.cos(k_1) + 2 * np.cos(k_2),
+                               rtol=0, atol=1e-14)
+        assert len(spec.eigen_store) == 2
+
+    def test_specs_of_one_shape_share_no_table(self):
+        # equal shapes, different hopping: the same keys, separate stores
+        from tests_util import chain_with_defect
+        unit, _ = chain_with_defect(1.0)
+        half, _ = chain_with_defect(1.0, hopping=0.5)
+        assert unit.eigen_store is not half.eigen_store
+        t_rows = np.zeros((1, 0))
+        lam_unit, _ = _GreenTable(unit, 1, t_rows).eigenpairs(16)
+        lam_half, _ = _GreenTable(half, 1, t_rows).eigenpairs(16)
+        assert list(unit.eigen_store) == list(half.eigen_store)
+        assert np.array_equal(0.5 * lam_unit, lam_half)
+        assert membership(unit, 2.1, GridConfig(16, 65)).status == "out"
+        assert membership(half, 1.5, GridConfig(16, 65)).status == "out"
+        assert membership(unit, 1.5, GridConfig(16, 65)).status == "in"
+        # a copy starts with a store of its own
+        copy = dataclasses.replace(unit)
+        assert copy == unit and not copy.eigen_store
+
+    def test_store_stays_within_its_bound(self, monkeypatch):
+        # with a bound of a few tables, every insertion leaves the store
+        # within it, least recently used tables go first, a table larger
+        # than the bound is never kept, and the answers keep their bits
+        build, omegas = _store_models()["nested"]
+        spec, grids = build()
+        cold = _answers(spec, grids, omegas)
+        bound = 20_000
+        monkeypatch.setattr(spectrum, "EIGEN_STORE_BYTES", bound)
+        remember, sizes, held = spectrum._remember, [], []
+
+        def checked(store, key, pairs):
+            before = list(store)
+            remember(store, key, pairs)
+            sizes.append(len(key[2]) + sum(
+                a.nbytes for a in pairs if a is not None))
+            held.append(_store_bytes(store))
+            assert held[-1] <= bound
+            if sizes[-1] > bound:
+                assert list(store) == before
+            else:
+                after = list(store)
+                assert after == (before + [key])[-len(after):]
+
+        monkeypatch.setattr(spectrum, "_remember", checked)
+        spec, grids = build()
+        assert _answers(spec, grids, omegas) == cold
+        assert max(sizes) > bound
+        assert sum(s for s in sizes if s <= bound) > max(held)
+
+    def test_m1_green_is_the_product(self):
+        # 1/(lambda - omega) as complex against U diag(1/shift) U^H with
+        # U = 1, bit for bit on finite nodes; exact zeros fail the guard
+        rng = np.random.default_rng(23)
+        lam = rng.uniform(-4.0, 4.0, size=(512, 8, 1))
+        lam[::37] = 0.0
+        omega = np.where(rng.random(8) < 0.25, 0.0,
+                         rng.uniform(-5.0, 5.0, size=8))
+        shift = lam - omega[..., None]
+        vec = np.ones(lam.shape + (1,), dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.matmul(vec / shift[..., None, :],
+                             vec.conj().swapaxes(-1, -2))
+        for pass_vec in (None, vec):
+            green, bad = lattice_green(lam, pass_vec, omega)
+            assert green.shape == want.shape and green.dtype == complex
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(green), finite)
+            assert np.array_equal(green[finite], want[finite])
+            failing = np.isfinite(bad)
+            assert failing.any()
+            assert np.array_equal(failing, shift[..., 0] == 0.0)
+            assert not np.isfinite(green[failing]).any()
 
 
 def _svd_reference(monkeypatch):
@@ -1132,3 +1291,27 @@ class TestIntervals:
         assert merge_intervals([(3, 4), (0, 1)]) == [(0, 1), (3, 4)]
         assert merge_intervals([]) == []
         assert merge_intervals([(0, 1), (1, 2)]) == [(0, 2)]
+
+    def test_distance_matches_scalar_loop(self):
+        # the elementwise distance against the one-point loop it replaced,
+        # bit for bit, at random points, at the interval ends and just
+        # above them
+        def loop(x, intervals):
+            best = np.inf
+            for lo, hi in intervals:
+                if lo <= x <= hi:
+                    return 0.0
+                best = min(best, abs(x - lo), abs(x - hi))
+            return best
+
+        rng = np.random.default_rng(17)
+        for count in (0, 1, 2, 5):
+            ends = np.sort(rng.uniform(-4.0, 4.0, size=2 * count))
+            intervals = merge_intervals(ends.reshape(-1, 2))
+            xs = np.concatenate([rng.uniform(-5.0, 5.0, size=200), ends,
+                                 np.nextafter(ends, np.inf)])
+            got = dist_to_intervals(xs, intervals)
+            want = [loop(float(x), intervals) for x in xs]
+            assert got.shape == xs.shape
+            assert got.tolist() == want
+            assert dist_to_intervals(xs[0], intervals) == want[0]

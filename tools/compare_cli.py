@@ -15,13 +15,22 @@ subcommand reaches `resolvent_apply`, so one more fresh process per
 checkout solves with it at the RESOLVENT omegas, each with the config's
 grids and a fixed `trig_vector` right-hand side, and prints per solve the
 sha256 of the solution's bytes and the repr of its residual; each solve's
-line, and that process's stderr and exit code, are compared too.  Prints
-one line per differing output, with the largest absolute eigenvalue
+line, and that process's stderr and exit code, are compared too.
+
+A fresh process starts with empty per-spec eigen stores, so one more process
+per checkout asks every `membership --json` query again in process: each
+model's spec is built once and asked OMEGAS forward, then reversed, so most
+answers come from a store that earlier queries filled.  Each answer, printed
+as the CLI prints it, is compared with the other checkout's and with the
+same query's fresh-process stdout of its own checkout.
+
+Prints one line per differing output, with the largest absolute eigenvalue
 difference when an `oracle.csv` differs, and a summary; exits 0 when every
 output is identical, 1 otherwise.
 """
 
 import argparse
+import json
 import math
 import os
 import subprocess
@@ -65,6 +74,27 @@ for config, omega in zip(sys.argv[1::2], sys.argv[2::2]):
     except Exception as exc:
         line = f"{type(exc).__name__}: {exc}"
     print(f"{pathlib.Path(config).stem}/resolvent_{omega} {line}")
+"""
+
+#: the membership queries of every model in one process: one spec per
+#: model, OMEGAS (repr strings in argv[1]) forward then reversed; per answer
+#: one JSON line [output name, the answer as `membership --json` prints it]
+WARM_SCRIPT = """
+import json, pathlib, sys
+from defect_bands import cli, spectrum
+omegas = [float(w) for w in sys.argv[1].split(",")]
+for config in sys.argv[2:]:
+    spec, grids = cli.spec_from_config(cli.load_config(config))
+    for order, sweep in (("forward", omegas), ("reversed", omegas[::-1])):
+        for omega in sweep:
+            name = (f"{pathlib.Path(config).stem}/membership_{omega!r}/"
+                    f"stdout in-process {order}")
+            try:
+                cert = spectrum.membership(spec, omega, grids)
+                text = json.dumps(cert.to_dict(), indent=2, sort_keys=True)
+            except Exception as exc:
+                text = f"{type(exc).__name__}: {exc}"
+            print(json.dumps([name, text + "\\n"]))
 """
 
 #: CLI processes run at once per checkout
@@ -124,15 +154,41 @@ def run_resolvent(checkout):
     return outputs
 
 
+def run_warm(checkout):
+    """Every membership query in one process, OMEGAS forward then reversed
+    on one spec per model; {output name: bytes}."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_SCRIPT, ",".join(map(repr, OMEGAS))]
+        + [str(checkout / config) for config in CONFIGS],
+        env=env, capture_output=True)
+    outputs = {}
+    for line in proc.stdout.splitlines():
+        name, text = json.loads(line)
+        outputs[name] = text.encode()
+    outputs["in-process/stderr"] = proc.stderr
+    outputs["in-process/exit"] = str(proc.returncode).encode()
+    return outputs
+
+
 def run_all(checkout, workdir):
     outputs = {}
     with ThreadPoolExecutor(WORKERS) as pool:
         resolvent = pool.submit(run_resolvent, checkout)
+        warm = pool.submit(run_warm, checkout)
         for part in pool.map(lambda job: run_one(checkout, workdir, *job),
                              runs()):
             outputs.update(part)
         outputs.update(resolvent.result())
+        outputs.update(warm.result())
     return outputs
+
+
+def warm_mismatches(outputs):
+    """In-process answers that differ from their query's fresh-process
+    stdout in the same checkout."""
+    return [name for name in sorted(outputs) if " in-process " in name
+            and outputs[name] != outputs.get(name.split(" in-process ")[0])]
 
 
 def first_difference(a, b):
@@ -178,9 +234,15 @@ def main(argv=None):
                 if gap is not None:
                     line += f", largest eigenvalue difference {gap:.3e}"
             print(line)
+    stale = 0
+    for side, outputs in (("old", old), ("new", new)):
+        for name in warm_mismatches(outputs):
+            stale += 1
+            print(f"{name}: differs from the fresh process in {side}")
     total = len(set(old) | set(new))
     print(f"{total - differing} of {total} outputs identical")
-    return 1 if differing else 0
+    print(f"{stale} in-process answers differ from their fresh process")
+    return 1 if differing or stale else 0
 
 
 if __name__ == "__main__":
