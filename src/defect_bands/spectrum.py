@@ -29,6 +29,7 @@ from .symbol import (
     SingularMatrix,
     det,
     eigh,
+    eigvalsh,
     inverse,
     smallest_singular_value,
 )
@@ -57,11 +58,13 @@ PROBE_SEED = 20260808
 #: halved-grid line defect and ran no faster
 SCAN_CHUNK_ENTRIES = 1 << 14
 
-#: bytes of bulk eigenpairs (and their keys) one spec keeps in its
-#: `eigen_store`; past it the least recently used tables are dropped.  The
-#: `query-mix` query sets of ten seeds, asked in turn on the same specs,
-#: level off at 7.3 MB on the nested model and under 1 MB on the others.
-#: A table larger than the bound (one M = 1 row of a level-2 bracket at
+#: bytes of omega-free tables (bulk eigenpairs, symbol term tables and
+#: meshes) and of their keys one spec keeps in its `eigen_store`; past it
+#: the least recently used tables are dropped.  The `query-mix` query sets
+#: of ten seeds, asked in turn on the same specs, level off at 7.6 MB on
+#: the nested model (7.3 MB of it eigenpairs, 0.25 MB term tables), 1.2 MB
+#: on the line model (0.44 MB term tables) and 0.02 MB on the chain.  A
+#: table larger than the bound (one M = 1 row of a level-2 bracket at
 #: n >= 2048) is not kept, so a stalled query does not hold its arrays for
 #: the spec's life
 EIGEN_STORE_BYTES = 1 << 25
@@ -74,6 +77,61 @@ class UncertifiedLevel(RuntimeError):
 def full_mesh(lattice_dim, n):
     """All grid points of [-pi,pi)^lattice_dim, lexicographic rows."""
     return _product_nodes(grid_nodes(n), lattice_dim)
+
+
+# ---------------------------------------------------------------------------
+# omega-free tables kept per spec
+
+
+def _stored(spec, key, build):
+    """The entry under `key` in the spec's `eigen_store`, made its most
+    recently used; on a miss `build()` makes it and `_remember` keeps it.
+    An entry is a tuple of arrays, None standing for an array not kept."""
+    store = spec.eigen_store
+    entry = store.get(key)
+    if entry is None:
+        entry = build()
+        _remember(store, key, entry)
+    else:
+        store.move_to_end(key)
+    return entry
+
+
+def _entry_bytes(key, entry):
+    return (sum(len(part) for part in key if isinstance(part, bytes))
+            + sum(a.nbytes for a in entry if a is not None))
+
+
+def _remember(store, key, entry):
+    """Mark the entry's arrays read-only and put it in a spec's
+    `eigen_store` as its most recently used entry, then drop the least
+    recently used entries until the store holds at most EIGEN_STORE_BYTES
+    of arrays and key bytes.  An entry larger than that on its own is not
+    stored."""
+    for a in entry:
+        if a is not None:
+            a.flags.writeable = False
+    if _entry_bytes(key, entry) > EIGEN_STORE_BYTES:
+        return
+    store[key] = entry
+    held = sum(_entry_bytes(k, v) for k, v in store.items())
+    while held > EIGEN_STORE_BYTES:
+        held -= _entry_bytes(*store.popitem(last=False))
+
+
+def _mesh(spec, lattice_dim, n):
+    """`full_mesh(lattice_dim, n)`, kept read-only in the spec's store."""
+    return _stored(spec, ("mesh", lattice_dim, n),
+                   lambda: (full_mesh(lattice_dim, n),))[0]
+
+
+def _terms(spec, codim, k):
+    """`tabulate` of the bulk (codim 0) or of the codim-`codim` defect
+    symbol at the wavevector rows `k`, shape (m, N), kept read-only in the
+    spec's store under the bytes of `k`."""
+    symbol = spec.bulk if codim == 0 else spec.defect_by_codim(codim).symbol
+    return _stored(spec, ("terms", codim, k.tobytes()),
+                   lambda: symbol.tabulate(k))
 
 
 def node_mesh(n, level, t_rows):
@@ -139,9 +197,10 @@ class Chain:
     brackets included.  A singular node matrix, or passing N_QUAD_MAX,
     raises `NonConvergence`.  No level value is memoized, and the pinned n
     stay with this chain: a row recomputed at its pinned n has the same
-    bits.  What is shared across chains and calls is only the bulk
-    eigenpairs behind B_0^{-1}, which do not depend on omega (the spec's
-    `eigen_store`, see `_GreenTable`).  `membership` steps up one chain.
+    bits.  What is shared across chains and calls is omega-free: the bulk
+    eigenpairs behind B_0^{-1} and the term tables of the symbols at the
+    rows (the spec's `eigen_store`, see `_GreenTable`), so a level-0 value
+    is `combine` of stored terms.  `membership` steps up one chain.
     """
 
     def __init__(self, spec, omega):
@@ -168,7 +227,8 @@ class Chain:
         else:
             t_rows = t_rows.reshape(-1, n_dim - level)
         if level == 0:
-            return self.spec.bulk.eval(self.omega, t_rows)
+            return self.spec.bulk.combine(self.omega,
+                                          _terms(self.spec, 0, t_rows))
         out, = _GreenTable(self.spec, level, t_rows)._converge(
             [self.omega], [np.arange(t_rows.shape[0])], [self._nquad])
         if isinstance(out, NonConvergence):
@@ -196,11 +256,13 @@ class _GreenTable:
       table owns.  It keeps one per (i, n), with rows
       `node_mesh(n, level - i, t_rows)`, whose eigenpairs come from the
       store too.
+    - A_j, the defect symbol at the rows: `combine` at each group's omega
+      of its term tables at all table rows, which the store keeps too.
 
-    Only eigenpairs of H are shared; level values, pinned n and verdicts,
-    everything that depends on omega, stay with the call.  `Chain` builds
-    one table per `level_values` call; `dispersion_branch` builds one per
-    call, at every level.
+    Only omega-free tables are shared, eigenpairs of H and term tables;
+    level values, pinned n and verdicts, everything that depends on omega,
+    stay with the call.  `Chain` builds one table per `level_values` call;
+    `dispersion_branch` builds one per call, at every level.
     """
 
     def __init__(self, spec, level, t_rows):
@@ -220,12 +282,13 @@ class _GreenTable:
         the lexicographic order of `_product_nodes`.  U is None for M = 1,
         where it is 1, so an M = 1 table stores lambda alone.
         """
+        return _stored(self.spec, (self.level, n, self._rows_key),
+                       lambda: self._diagonalise(n))
+
+    def _diagonalise(self, n):
+        """`eigenpairs(n)` computed, the even nodes copied from the stored
+        pairs of n / 2 when there are any."""
         store = self.spec.eigen_store
-        key = (self.level, n, self._rows_key)
-        pairs = store.get(key)
-        if pairs is not None:
-            store.move_to_end(key)
-            return pairs
         j = self.level
         n_dim, m_sz = self.spec.lattice_dim, self.spec.cell_size
         mesh = node_mesh(n, j, self.t_rows)
@@ -244,7 +307,6 @@ class _GreenTable:
         lam[new] = w.reshape(k_full.shape[:2] + (m_sz,))
         if vec is not None:
             vec[new] = u.reshape(k_full.shape[:2] + (m_sz, m_sz))
-        _remember(store, key, (lam, vec))
         return lam, vec
 
     def level0_inverse(self, n, rows, omegas):
@@ -311,9 +373,11 @@ class _GreenTable:
         k_t = np.zeros((self.t_rows.shape[0], n_dim))
         k_t[:, j:] = self.t_rows
         symbol = self.spec.defect_by_codim(j).symbol
+        tabs = _terms(self.spec, j, k_t)
         cell_t = np.concatenate(groups)
         cells = (cell_t, np.repeat(omegas, sizes), np.concatenate(
-            [symbol.eval(float(w), k_t[rows]) for w, rows in zip(omegas, groups)]))
+            [symbol.combine(float(w), [t[rows] for t in tabs])
+             for w, rows in zip(omegas, groups)]))
 
         m_sz = self.spec.cell_size
         prev = np.zeros((cell_t.size, m_sz * m_sz), dtype=complex)
@@ -414,22 +478,6 @@ class _GreenTable:
         return prod.reshape(-1, m, m_sz, m_sz)
 
 
-def _remember(store, key, pairs):
-    """Put eigenpairs in a spec's `eigen_store` as its most recently used
-    entry, then drop the least recently used entries until the store holds
-    at most EIGEN_STORE_BYTES of arrays and keys.  Pairs larger than that
-    on their own are not stored."""
-    def size(k, v):
-        return len(k[2]) + sum(a.nbytes for a in v if a is not None)
-
-    if size(key, pairs) > EIGEN_STORE_BYTES:
-        return
-    store[key] = pairs
-    held = sum(size(k, v) for k, v in store.items())
-    while held > EIGEN_STORE_BYTES:
-        held -= size(*store.popitem(last=False))
-
-
 # ---------------------------------------------------------------------------
 # step checks: does det vanish somewhere on the level's torus?
 
@@ -463,7 +511,7 @@ def _sign_change(field, periodic):
     return None
 
 
-def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
+def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None):
     """Decide whether det of a level matrix vanishes somewhere on its torus.
 
     Parameters
@@ -478,6 +526,8 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
         nodes (catches zeros the grid does not land on); "real-det" adds the
         analogous sign test on Re(det) when the imaginary part is dominated;
         "sigma" thresholds sigma_min only.
+    mesh : array, optional
+        `full_mesh(n_axes, k_points)` when the caller keeps it.
 
     A detection ends the search immediately; otherwise one local refinement
     pass around the sigma_min argmin is made before certifying.
@@ -490,7 +540,7 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
         return StepCheckResult(detected=bool(abs(d) <= tol), min_sigma=sig,
                                argmin_k=(), method="final-det")
 
-    rows = full_mesh(n_axes, k_points)
+    rows = full_mesh(n_axes, k_points) if mesh is None else mesh
     vals = fn(rows)
 
     def examine(vals_, periodic):
@@ -501,7 +551,7 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
             return True, "sigma", float(sig[i_min]), i_min
         field = None
         if mode == "hermitian":
-            field, method = np.linalg.eigvalsh(vals_), "crossing"
+            field, method = eigvalsh(vals_), "crossing"
         elif mode == "real-det":
             dets = det(vals_)
             scale = float(np.max(np.abs(dets))) + 1e-300
@@ -586,9 +636,10 @@ def membership(spec, lam, grids=None):
     def check(level):
         mode = ("real-det" if level else
                 "hermitian" if spec.is_self_adjoint() else "sigma")
+        n_axes = spec.lattice_dim - level
         return step_check(lambda rows: chain.level_values(level, rows),
-                          spec.lattice_dim - level, grids.k_points,
-                          spec.tolerances, mode=mode)
+                          n_axes, grids.k_points, spec.tolerances, mode=mode,
+                          mesh=_mesh(spec, n_axes, grids.k_points))
 
     res = check(0)
     trace.append((0, res.min_sigma))
@@ -1099,13 +1150,13 @@ def _grid_tabs(spec, omega, n):
     n_dim = spec.lattice_dim
     m_sz = spec.cell_size
     tol = spec.tolerances.det_zero_tol
-    mesh = full_mesh(n_dim, n)
+    mesh = _mesh(spec, n_dim, n)
     grid_shape = (n,) * n_dim
 
     a_tabs = {}
     for layer in spec.defects:
-        vals = layer.symbol.eval(omega, mesh).reshape(grid_shape + (m_sz, m_sz))
-        a_tabs[(0, layer.codim)] = vals
+        vals = layer.symbol.combine(omega, _terms(spec, layer.codim, mesh))
+        a_tabs[(0, layer.codim)] = vals.reshape(grid_shape + (m_sz, m_sz))
 
     table = _GreenTable(spec, n_dim, np.zeros((1, 0)))
     green, (worst,) = table.level0_inverse(n, [0], [omega])
@@ -1142,15 +1193,17 @@ def forward_apply(spec, omega, f_tab, n):
     """
     n_dim = spec.lattice_dim
     m_sz = spec.cell_size
-    mesh = full_mesh(n_dim, n)
+    mesh = _mesh(spec, n_dim, n)
     grid_shape = (n,) * n_dim
-    b0 = spec.bulk.eval(omega, mesh).reshape(grid_shape + (m_sz, m_sz))
+    b0 = spec.bulk.combine(omega, _terms(spec, 0, mesh)).reshape(
+        grid_shape + (m_sz, m_sz))
     out = np.matmul(b0, f_tab[..., None])[..., 0]
     for layer in spec.defects:
         avg = f_tab
         for _ in range(layer.codim):
             avg = trapezoid_sum(avg, 1, n)
-        a_vals = layer.symbol.eval(omega, mesh).reshape(grid_shape + (m_sz, m_sz))
+        a_vals = layer.symbol.combine(omega, _terms(spec, layer.codim, mesh)
+                                      ).reshape(grid_shape + (m_sz, m_sz))
         out = out + np.matmul(a_vals, np.broadcast_to(
             avg, grid_shape[:layer.codim] + avg.shape)[..., None])[..., 0]
     return out

@@ -9,8 +9,8 @@ with finitely many integer offsets n.  This module holds that representation
 (`TrigMatrixPolynomial`), polynomial-in-omega families of it (`OmegaSymbol`),
 and the small dense complex linear algebra the rest of the package needs.
 For a one-site cell (M = 1) `det`, `smallest_singular_value`, the rank
-guard of `inverse` and `eigh` read the bare entry instead of calling LAPACK,
-with the bits LAPACK's own 1 x 1 rules give.
+guard of `inverse`, `eigh` and `eigvalsh` read the bare entry instead of
+calling LAPACK, with the bits LAPACK's own 1 x 1 rules give.
 
 Matrices are plain complex ndarrays; everything here is pure and safe to call
 from any number of threads.
@@ -174,7 +174,8 @@ class OmegaSymbol:
     """Polynomial-in-omega family of trig matrix polynomials.
 
     eval(omega, k) = sum_p omega^p * term_p(k).  Powers above
-    ``MAX_OMEGA_POWER`` are rejected.
+    ``MAX_OMEGA_POWER`` are rejected.  `tabulate` and `combine` split eval
+    into the omega-free term values and their omega weights.
     """
 
     def __init__(self, terms):
@@ -221,13 +222,27 @@ class OmegaSymbol:
         """
         return self._eigenvalue_form
 
-    def eval(self, omega, k):
-        """sum_p omega^p term_p(k); same shape conventions as poly.eval."""
+    def tabulate(self, k):
+        """The term values term_p(k), one array per power in `terms` order,
+        each shaped as poly.eval's.  They do not depend on omega: a caller
+        that keeps them evaluates the family at any omega with `combine`."""
+        return tuple(poly.eval(k) for poly in self.terms.values())
+
+    def combine(self, omega, tabs):
+        """sum_p omega^p tabs_p for the `tabulate` output `tabs`.
+
+        This is `eval` without the Fourier sums, with its bits.  A family
+        with the power-0 term alone returns tabs[0] itself, not a copy.
+        """
         out = None
-        for p, poly in self.terms.items():
-            piece = (complex(omega) ** p) * poly.eval(k) if p else poly.eval(k)
+        for p, term in zip(self.terms, tabs):
+            piece = (complex(omega) ** p) * term if p else term
             out = piece if out is None else out + piece
         return out
+
+    def eval(self, omega, k):
+        """sum_p omega^p term_p(k); same shape conventions as poly.eval."""
+        return self.combine(omega, self.tabulate(k))
 
     def __repr__(self):
         return (f"OmegaSymbol(powers={tuple(self.terms)}, dim={self.dim}, "
@@ -290,8 +305,21 @@ def eigh(a):
     """
     a = np.asarray(a, dtype=complex)
     if a.shape[-1] == 1:
-        return a.real[..., 0].copy(), np.ones_like(a)
+        return eigvalsh(a), np.ones_like(a)
     return np.linalg.eigh(a)
+
+
+def eigvalsh(a):
+    """Eigenvalues of a Hermitian batch (..., M, M), ascending.
+
+    For M = 1 they are Re a without a LAPACK call, `zheevd`'s N = 1 rule as
+    in `eigh`, so the result is `np.linalg.eigvalsh`'s bit for bit; any
+    other M calls it.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.shape[-1] == 1:
+        return a.real[..., 0].copy()
+    return np.linalg.eigvalsh(a)
 
 
 def inverse(a):

@@ -261,18 +261,54 @@ class TestLevelOneReference:
         ("chain_point_defect", [2.5, -3.0, 3.9]),
         ("square_line_defect", [4.3, 5.0, -4.7, 5.9]),
         ("two_band_line", [0.0, 0.3, -0.4, 3.0, -2.8, 2.7]),
+        ("bipartite_point", [-2.6, 2.3, 3.0, -4.5]),
     ])
     def test_matches_residue_sum(self, model, omegas):
         # gap frequencies: at every row omega lies outside the bulk bands
         # over k_1, so no pole of Q^-1 sits on the unit circle
         from tests_util import two_band_line
-        spec, _ = (two_band_line() if model == "two_band_line"
-                   else load_model(f"{model}.json"))
+        if model == "two_band_line":
+            spec, _ = two_band_line()
+        elif model == "bipartite_point":
+            # M = 2: the bipartite chain (bands in [-2, 2]) with a point
+            # defect coupling both sites of the origin cell
+            bulk, _ = load_model("bipartite_chain.json")
+            spec = dataclasses.replace(bulk, defects=(DefectLayer(
+                1, 1, {0: TrigMatrixPolynomial(
+                    0, {(): [[0.7, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]]})}),))
+        else:
+            spec, _ = load_model(f"{model}.json")
         t_rows = full_mesh(spec.lattice_dim - 1, 16)
         for omega in omegas:
             got = Chain(spec, omega).level_values(1, t_rows)
             want = _residue_level1(spec, omega, t_rows)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestLevelTwoReference:
+    @pytest.mark.parametrize("omega", [4.5, 5.0, 6.0, -4.5, -5.0, -6.0])
+    def test_square_point_defect_matches_elliptic_form(self, omega):
+        # a point defect v on the square lattice: the level-2 bracket is
+        # 1 + v <(H - omega)^-1>, and with the (2 pi)^(-j/2) factors of the
+        # defect symbol and of the sub-torus average it is 1 - v G(omega),
+        # G(omega) = mean of 1/(omega - H) = (2/(pi omega)) K(16/omega^2)
+        # (K of parameter m, mpmath.ellipk).  Measured: 0.0 at n = 256 and
+        # 512 and at the adaptive n (64) for every omega here
+        import mpmath
+        from tests_util import _square_bulk
+        v = 1.5
+        spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
+                           defects=(DefectLayer(2, 2, {0: TrigMatrixPolynomial(
+                               0, {(): [[v]]})}),), omega_window=(-8.0, 8.0))
+        w = mpmath.mpf(omega)
+        want = 1.0 - v * float(2 / (mpmath.pi * w) * mpmath.ellipk(16 / w**2))
+        t_rows = np.zeros((1, 0))
+        for n in (256, 512):
+            got, = _GreenTable(spec, 2, t_rows)._converge([omega], [[0]],
+                                                          [{2: n}])
+            assert abs(got[0, 0, 0] - want) <= 1e-15
+        assert abs(Chain(spec, omega).level_values(2, t_rows)[0, 0, 0]
+                   - want) <= 1e-15
 
 
 def _direct_level0_inverse(spec, level, t_rows, omega, n):
@@ -495,9 +531,14 @@ def _answers(spec, grids, omegas):
     return out
 
 
+def _entry_bytes(key, entry):
+    """Bytes of a store entry's arrays and of the bytes parts of its key."""
+    return (sum(len(part) for part in key if isinstance(part, bytes))
+            + sum(a.nbytes for a in entry if a is not None))
+
+
 def _store_bytes(store):
-    return sum(len(key[2]) + sum(a.nbytes for a in pairs if a is not None)
-               for key, pairs in store.items())
+    return sum(_entry_bytes(key, entry) for key, entry in store.items())
 
 
 def _store_models():
@@ -515,9 +556,14 @@ def _store_models():
                      (-6.0, -2.7, 2.2, 2.6, 3.5))}
 
 
+def _kind(key):
+    """'terms', 'mesh' or, for eigenpairs, 'eigen': what a store key holds."""
+    return key[0] if isinstance(key[0], str) else "eigen"
+
+
 class TestEigenStore:
-    """Bulk eigenpairs shared per spec leave every answer's bits as a
-    fresh spec gives them."""
+    """Bulk eigenpairs, term tables and meshes shared per spec leave every
+    answer's bits as a fresh spec gives them."""
 
     @pytest.mark.parametrize("model", ["chain", "line", "nested", "two-band"])
     def test_warm_store_gives_cold_bits(self, model):
@@ -531,11 +577,43 @@ class TestEigenStore:
         spec, grids = build()
         assert _answers(spec, grids, omegas) == cold
         stored = list(spec.eigen_store)
-        assert stored
+        assert {_kind(key) for key in stored} == {"eigen", "terms", "mesh"}
         assert _answers(spec, grids, omegas[::-1]) == cold
         # the reversed pass asked for no table the forward pass had not
-        # stored, so every answer in it was computed from stored eigenpairs
+        # stored, so every answer in it was computed from stored tables
         assert sorted(spec.eigen_store, key=repr) == sorted(stored, key=repr)
+
+    @pytest.mark.parametrize("model", ["chain", "line", "nested", "two-band"])
+    def test_warm_repeat_sums_no_fourier_series(self, monkeypatch, model):
+        # once a query set has filled the store, asking it again evaluates
+        # no trig polynomial: every symbol value comes from stored terms
+        build, omegas = _store_models()[model]
+        spec, grids = build()
+        first = _answers(spec, grids, omegas)
+        calls = []
+        evaluate = TrigMatrixPolynomial.eval
+
+        def counted(poly, k):
+            calls.append(np.shape(k))
+            return evaluate(poly, k)
+
+        monkeypatch.setattr(TrigMatrixPolynomial, "eval", counted)
+        assert _answers(spec, grids, omegas) == first
+        assert calls == []
+
+    def test_stored_tables_are_read_only(self, square_line_model):
+        spec, grids = square_line_model
+        spec = dataclasses.replace(spec)
+        _answers(spec, grids, (-5.0, 2.0, 4.1))
+        kinds = set()
+        for key, entry in spec.eigen_store.items():
+            kinds.add(_kind(key))
+            for table in entry:
+                if table is None:
+                    continue
+                with pytest.raises(ValueError):
+                    table.flat[0] = 0.0
+        assert kinds == {"eigen", "terms", "mesh"}
 
     def test_rows_of_one_shape_share_no_table(self, square_line_model):
         # one row each, at k_2 = 0 and k_2 = 1: one key each, and each
@@ -575,13 +653,13 @@ class TestEigenStore:
         cold = _answers(spec, grids, omegas)
         bound = 20_000
         monkeypatch.setattr(spectrum, "EIGEN_STORE_BYTES", bound)
-        remember, sizes, held = spectrum._remember, [], []
+        remember, sizes, held, kinds = spectrum._remember, [], [], set()
 
         def checked(store, key, pairs):
             before = list(store)
             remember(store, key, pairs)
-            sizes.append(len(key[2]) + sum(
-                a.nbytes for a in pairs if a is not None))
+            kinds.add(_kind(key))
+            sizes.append(_entry_bytes(key, pairs))
             held.append(_store_bytes(store))
             assert held[-1] <= bound
             if sizes[-1] > bound:
@@ -595,6 +673,7 @@ class TestEigenStore:
         assert _answers(spec, grids, omegas) == cold
         assert max(sizes) > bound
         assert sum(s for s in sizes if s <= bound) > max(held)
+        assert kinds == {"eigen", "terms", "mesh"}
 
     def test_m1_green_is_the_product(self):
         # 1/(lambda - omega) as complex against U diag(1/shift) U^H with

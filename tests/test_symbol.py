@@ -10,6 +10,7 @@ from defect_bands.symbol import (
     TrigMatrixPolynomial,
     det,
     eigh,
+    eigvalsh,
     inverse,
     is_hermitian,
     smallest_singular_value,
@@ -101,6 +102,27 @@ class TestOmegaSymbol:
         skew = OmegaSymbol({0: TrigMatrixPolynomial(1, {(1,): [[1.0]]})})
         assert not skew.is_hermitian_family()
 
+    @pytest.mark.parametrize("powers", [(0,), (1,), (0, 1), (0, 2), (0, 1, 2)])
+    def test_combine_of_row_tables_has_eval_bits(self, powers):
+        # the Fourier sums evaluated once on all rows, then weighted at each
+        # omega on a subset of the rows, against the term-by-term loop
+        rng = np.random.default_rng(31)
+        sym = OmegaSymbol({p: random_poly(rng) for p in powers})
+        k = rng.uniform(-np.pi, np.pi, size=(300, 2))
+        tabs = sym.tabulate(k)
+        assert len(tabs) == len(powers)
+        for omega in (0.0, -1.7, 2.3, 5.180756781817904):
+            rows = rng.choice(len(k), size=40, replace=False)
+            want = None
+            for p, poly in sym.terms.items():
+                piece = (complex(omega) ** p) * poly.eval(k[rows]) if p \
+                    else poly.eval(k[rows])
+                want = piece if want is None else want + piece
+            got = sym.combine(omega, [t[rows] for t in tabs])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(sym.eval(omega, k[rows]).view(np.int64),
+                                  want.view(np.int64))
+
 
 def scalar_batch(values):
     return np.asarray(values, dtype=complex).reshape(-1, 1, 1)
@@ -187,6 +209,18 @@ class TestLinearAlgebra:
             assert w.shape == w_ref.shape and u.shape == u_ref.shape
             assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
             assert np.array_equal(u.view(np.int64), u_ref.view(np.int64))
+
+    def test_eigvalsh_bit_identical_to_lapack(self):
+        rng = np.random.default_rng(12)
+        diag = np.concatenate([rng.normal(size=500) + 1j * rng.normal(size=500),
+                               rng.normal(size=500),
+                               [0.0, -0.0, 1e-17j, np.nan, np.inf]])
+        pair = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+        for a in (scalar_batch(diag), scalar_batch(diag).reshape(5, -1, 1, 1),
+                  np.array([[2.5 + 1e-17j]]), pair + pair.conj().swapaxes(1, 2)):
+            w, w_ref = eigvalsh(a), np.linalg.eigvalsh(a)
+            assert w.dtype == w_ref.dtype and w.shape == w_ref.shape
+            assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
 
     def test_inverse_bits_unchanged(self):
         rng = np.random.default_rng(9)

@@ -12,17 +12,21 @@ open and periodic, on the nested model.  For every run the CSVs it wrote
 (the bands, the spectrum and one per branch, or the box eigenvalues), its
 stdout, its stderr and its exit code are compared byte for byte.  No
 subcommand reaches `resolvent_apply`, so one more fresh process per
-checkout solves with it at the RESOLVENT omegas, each with the config's
-grids and a fixed `trig_vector` right-hand side, and prints per solve the
-sha256 of the solution's bytes and the repr of its residual; each solve's
-line, and that process's stderr and exit code, are compared too.
+checkout solves with it at the RESOLVENT omegas, each on a spec of its own,
+with the config's grids and a fixed `trig_vector` right-hand side, and
+prints per solve the sha256 of the solution's bytes and the repr of its
+residual; each solve's line, and that process's stderr and exit code, are
+compared too.
 
-A fresh process starts with empty per-spec eigen stores, so one more process
-per checkout asks every `membership --json` query again in process: each
-model's spec is built once and asked OMEGAS forward, then reversed, so most
-answers come from a store that earlier queries filled.  Each answer, printed
-as the CLI prints it, is compared with the other checkout's and with the
-same query's fresh-process stdout of its own checkout.
+A fresh spec starts with an empty store of the tables the engine keeps per
+spec, so two more in-process passes per checkout ask queries of one spec
+many times: the same process then solves each config's RESOLVENT omegas
+again on one spec, forward, then reversed, and one more process asks every
+`membership --json` query, each model's spec built once and asked OMEGAS
+forward, then reversed.  Most of these answers come from a store that
+earlier queries filled.  Each one is compared with the other checkout's
+and with the same query's fresh-spec answer of its own checkout (the
+fresh-process stdout for membership).
 
 Prints one line per differing output, with the largest absolute eigenvalue
 difference when an `oracle.csv` differs, and a summary; exits 0 when every
@@ -60,20 +64,40 @@ RESOLVENT = [("src/defect_bands/configs/chain_point_defect.json", [-3.0, 3.0]),
              ("src/defect_bands/configs/square_line_defect.json", [-5.0, 5.5]),
              ("perfbench/nested_line_point.json", [-5.0, 7.5])]
 
+#: every `resolvent_apply` solve in one process: each (config, omegas) of
+#: argv[1:] (a config path, then its omegas as repr strings joined by
+#: commas) first on a fresh spec per solve, then on one spec, forward then
+#: reversed; per solve one JSON line [output name, its line]
 RESOLVENT_SCRIPT = """
-import hashlib, pathlib, sys
+import hashlib, json, pathlib, sys
 from defect_bands import cli, spectrum
-for config, omega in zip(sys.argv[1::2], sys.argv[2::2]):
-    spec, grids = cli.spec_from_config(cli.load_config(config))
+
+def load(config):
+    return cli.spec_from_config(cli.load_config(config))
+
+def solve(spec, grids, omega):
     n, m = spec.lattice_dim, spec.cell_size
     g = spectrum.trig_vector(n, {(0,) * n: [1.0] * m, (1,) * n: [0.5j] * m})
     try:
-        sol = spectrum.resolvent_apply(spec, float(omega), g, grids)
-        line = (hashlib.sha256(sol.f_tab.tobytes()).hexdigest() + " "
+        sol = spectrum.resolvent_apply(spec, omega, g, grids)
+        return (hashlib.sha256(sol.f_tab.tobytes()).hexdigest() + " "
                 + repr(sol.residual))
     except Exception as exc:
-        line = f"{type(exc).__name__}: {exc}"
-    print(f"{pathlib.Path(config).stem}/resolvent_{omega} {line}")
+        return f"{type(exc).__name__}: {exc}"
+
+jobs = [(config, [float(w) for w in omegas.split(",")])
+        for config, omegas in zip(sys.argv[1::2], sys.argv[2::2])]
+for config, omegas in jobs:
+    for omega in omegas:
+        name = f"{pathlib.Path(config).stem}/resolvent_{omega!r}"
+        print(json.dumps([name, solve(*load(config), omega)]))
+for config, omegas in jobs:
+    spec, grids = load(config)
+    for order, sweep in (("forward", omegas), ("reversed", omegas[::-1])):
+        for omega in sweep:
+            name = (f"{pathlib.Path(config).stem}/resolvent_{omega!r} "
+                    f"in-process {order}")
+            print(json.dumps([name, solve(spec, grids, omega)]))
 """
 
 #: the membership queries of every model in one process: one spec per
@@ -139,16 +163,17 @@ def run_one(checkout, workdir, config, name, argv):
 
 
 def run_resolvent(checkout):
-    """Every `resolvent_apply` solve in one process; {output name: bytes}."""
+    """Every `resolvent_apply` solve in one process, on fresh specs and then
+    on one warm spec per config; {output name: bytes}."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    argv = [str(arg) for config, omegas in RESOLVENT for omega in omegas
-            for arg in (checkout / config, repr(omega))]
+    argv = [str(arg) for config, omegas in RESOLVENT
+            for arg in (checkout / config, ",".join(map(repr, omegas)))]
     proc = subprocess.run([sys.executable, "-c", RESOLVENT_SCRIPT] + argv,
                           env=env, capture_output=True)
     outputs = {}
     for line in proc.stdout.splitlines():
-        name, _, result = line.partition(b" ")
-        outputs[name.decode()] = result
+        name, result = json.loads(line)
+        outputs[name] = result.encode()
     outputs["resolvent/stderr"] = proc.stderr
     outputs["resolvent/exit"] = str(proc.returncode).encode()
     return outputs
@@ -185,8 +210,8 @@ def run_all(checkout, workdir):
 
 
 def warm_mismatches(outputs):
-    """In-process answers that differ from their query's fresh-process
-    stdout in the same checkout."""
+    """In-process answers that differ from their query's fresh-spec answer
+    in the same checkout."""
     return [name for name in sorted(outputs) if " in-process " in name
             and outputs[name] != outputs.get(name.split(" in-process ")[0])]
 
@@ -238,10 +263,10 @@ def main(argv=None):
     for side, outputs in (("old", old), ("new", new)):
         for name in warm_mismatches(outputs):
             stale += 1
-            print(f"{name}: differs from the fresh process in {side}")
+            print(f"{name}: differs from the fresh spec in {side}")
     total = len(set(old) | set(new))
     print(f"{total - differing} of {total} outputs identical")
-    print(f"{stale} in-process answers differ from their fresh process")
+    print(f"{stale} in-process answers differ from their fresh spec")
     return 1 if differing or stale else 0
 
 
