@@ -125,6 +125,12 @@ def _mesh(spec, lattice_dim, n):
                    lambda: (full_mesh(lattice_dim, n),))[0]
 
 
+def _patch(spec, n_axes, k_points):
+    """`refine_patch(n_axes, k_points)`, kept read-only in the spec's store."""
+    return _stored(spec, ("patch", n_axes, k_points),
+                   lambda: (refine_patch(n_axes, k_points),))[0]
+
+
 def _terms(spec, codim, k):
     """`tabulate` of the bulk (codim 0) or of the codim-`codim` defect
     symbol at the wavevector rows `k`, shape (m, N), kept read-only in the
@@ -341,6 +347,12 @@ class _GreenTable:
         return float(np.min(smallest_singular_value(self.spec.bulk.eval(
             omega, mesh.reshape(-1, self.spec.lattice_dim)))))
 
+    def defect_terms(self):
+        """`tabulate` of the level's defect symbol at the table rows."""
+        k_t = np.zeros((self.t_rows.shape[0], self.spec.lattice_dim))
+        k_t[:, self.level:] = self.t_rows
+        return _terms(self.spec, self.level, k_t)
+
     def _converge(self, omegas, groups, pins=None):
         """Converged level values of groups of cells, evaluated together.
 
@@ -365,15 +377,12 @@ class _GreenTable:
         j = self.level
         pins = [{} for _ in groups] if pins is None else pins
         pinned, = {p.get(j) for p in pins}
-        n_dim = self.spec.lattice_dim
         tol = self.spec.tolerances.quad_rel_tol
         sizes = [len(rows) for rows in groups]
         ends = np.cumsum(sizes)
         live = list(zip(range(len(groups)), ends - sizes, ends))
-        k_t = np.zeros((self.t_rows.shape[0], n_dim))
-        k_t[:, j:] = self.t_rows
         symbol = self.spec.defect_by_codim(j).symbol
-        tabs = _terms(self.spec, j, k_t)
+        tabs = self.defect_terms()
         cell_t = np.concatenate(groups)
         cells = (cell_t, np.repeat(omegas, sizes), np.concatenate(
             [symbol.combine(float(w), [t[rows] for t in tabs])
@@ -511,7 +520,15 @@ def _sign_change(field, periodic):
     return None
 
 
-def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None):
+def refine_patch(n_axes, k_points):
+    """Offsets of the refinement patch: +-1 coarse cell of the k_points grid
+    per axis, REFINE_POINTS points each, lexicographic rows."""
+    cell = TWO_PI / k_points
+    return _product_nodes(np.linspace(-cell, cell, REFINE_POINTS), n_axes)
+
+
+def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None,
+               patch=None):
     """Decide whether det of a level matrix vanishes somewhere on its torus.
 
     Parameters
@@ -526,8 +543,9 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None):
         nodes (catches zeros the grid does not land on); "real-det" adds the
         analogous sign test on Re(det) when the imaginary part is dominated;
         "sigma" thresholds sigma_min only.
-    mesh : array, optional
-        `full_mesh(n_axes, k_points)` when the caller keeps it.
+    mesh, patch : arrays, optional
+        `full_mesh(n_axes, k_points)` and `refine_patch(n_axes, k_points)`
+        when the caller keeps them.
 
     A detection ends the search immediately; otherwise one local refinement
     pass around the sigma_min argmin is made before certifying.
@@ -572,9 +590,8 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None):
         return StepCheckResult(True, min_sig, argmin, method)
 
     # local refinement rows: +-1 coarse cell around the argmin, fine spacing
-    cell = TWO_PI / k_points
-    patch = np.asarray(argmin) + _product_nodes(
-        np.linspace(-cell, cell, REFINE_POINTS), n_axes)
+    patch = np.asarray(argmin) + (refine_patch(n_axes, k_points)
+                                  if patch is None else patch)
     pvals = fn(patch)
     pfound, pmethod, pmin, pwhere = examine(pvals, periodic=False)
     if pmin < min_sig:
@@ -639,7 +656,8 @@ def membership(spec, lam, grids=None):
         n_axes = spec.lattice_dim - level
         return step_check(lambda rows: chain.level_values(level, rows),
                           n_axes, grids.k_points, spec.tolerances, mode=mode,
-                          mesh=_mesh(spec, n_axes, grids.k_points))
+                          mesh=_mesh(spec, n_axes, grids.k_points),
+                          patch=_patch(spec, n_axes, grids.k_points))
 
     res = check(0)
     trace.append((0, res.min_sigma))
@@ -853,9 +871,178 @@ def exclusion_set(spec, codim, grids=None, branches=None):
 class Branch:
     codim: int
     samples: list      # (k_tail tuple, omega, annotation) triples
-    #: scan cells and polish steps left out because their bracket did not
-    #: converge: (k_tail tuple, omega, n_reached, witness_sigma_min)
+    #: scan cells, polish steps and search steps left out because their
+    #: bracket did not converge: (k_tail tuple, omega, n_reached,
+    #: witness_sigma_min)
     skipped: list = field(default_factory=list)
+    #: per row and gap: (k_tail tuple, lo, hi, roots counted at the edges,
+    #: None where the gap was scanned, roots found)
+    counts: list = field(default_factory=list)
+    #: (omega, row) cells evaluated at gap edges, in the search, in the scan
+    #: and in its polish, under "edges", "search", "scan" and "polish"
+    cells: dict = field(default_factory=dict)
+
+
+def _gaps(window, intervals, guard):
+    """The gaps of one row: the omega window less its merged exclusion
+    intervals dilated by `guard`, as closed (lo, hi) pairs with lo < hi."""
+    out, start = [], window[0]
+    for lo, hi in intervals:
+        end = min(lo - guard, window[1])
+        if end > start:
+            out.append((start, end))
+        start = max(start, hi + guard)
+    if window[1] > start:
+        out.append((start, window[1]))
+    return out
+
+
+def _countable(spec, codim):
+    """Whether the roots of level `codim` are counted: with a self-adjoint
+    spec, an H(k) - omega*I bulk and omega-free defects up to this level,
+    the level's bracket is I + G A with A Hermitian and G Herglotz
+    (dG/domega >= 0) in every gap of its exclusion set."""
+    return (spec.is_self_adjoint() and spec.bulk.is_eigenvalue_form()
+            and all(layer.symbol.max_power == 0 for layer in spec.defects
+                    if layer.codim <= codim))
+
+
+def _crossing_factors(table):
+    """V and 1/D per table row for the level's defect symbol A = V D V^H,
+    1/D set to 0 on the null space of A (|d| < 64 eps max(1, max |d|))."""
+    d, v = eigh(table.defect_terms()[0])
+    floor = 64.0 * np.finfo(float).eps * np.maximum(
+        1.0, np.abs(d).max(axis=-1, keepdims=True))
+    rank = np.abs(d) >= floor
+    return v, np.where(rank, 1.0 / np.where(rank, d, 1.0), 0.0)
+
+
+def _crossing_eigenvalues(values, v, inv_d):
+    """Ascending eigenvalues of the crossing matrices of level values.
+
+    For B = I + G A with A = V D V^H the crossing matrix is
+    S = V^H B V D^{-1} = D^{-1} + V^H G V on the range of A, and I on its
+    null space.  det B = det D det S, S is Hermitian (its Hermitian part is
+    taken) and, where G is Herglotz, increasing in omega; so in a gap each
+    root of det B is an eigenvalue of S crossing 0 upwards.  For M = 1 it
+    is Re B / A.  Shapes (cells, M, M), (cells, M, M), (cells, M).
+    """
+    t = np.matmul(v.conj().swapaxes(-1, -2), np.matmul(values, v))
+    on = inv_d != 0
+    s = np.where(on[:, :, None] & on[:, None, :], t * inv_d[:, None, :],
+                 np.eye(values.shape[-1]))
+    return eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2)))
+
+
+class _Bracket:
+    """A piece [a, b] of gap `gap` with the ascending crossing eigenvalues
+    ea, eb at its ends: na negative at a and nb at b, so it holds na - nb
+    roots."""
+
+    def __init__(self, gap, a, b, ea, eb):
+        self.gap, self.a, self.b, self.ea, self.eb = gap, a, b, ea, eb
+        self.na, self.nb = int((ea < 0).sum()), int((eb < 0).sum())
+        self.weight = [1.0, 1.0]    # Anderson-Bjorck factors of the end values
+        self.moved = None           # the end the last update moved
+        self.before = None          # the width before the last update
+        self.bisect = self.na - self.nb != 1
+
+    def probe(self, tol_omega):
+        """The next omega: the midpoint while the piece holds more than one
+        root or after two updates in a row that did not halve it, else the
+        regula falsi point of the crossing eigenvalue with its end values
+        weighted, kept tol_omega / 2 inside the ends."""
+        if self.bisect:
+            return 0.5 * (self.a + self.b)
+        fa = self.weight[0] * self.ea[self.nb]
+        fb = self.weight[1] * self.eb[self.nb]
+        x = (self.a * fb - self.b * fa) / (fb - fa)
+        return min(max(x, self.a + 0.5 * tol_omega), self.b - 0.5 * tol_omega)
+
+    def split(self, x, ex):
+        """The pieces at x, where the crossing eigenvalues are ex with
+        between nb and na negative, that hold roots."""
+        if self.na - self.nb > 1:
+            return [p for p in (_Bracket(self.gap, self.a, x, self.ea, ex),
+                                _Bracket(self.gap, x, self.b, ex, self.eb))
+                    if p.na > p.nb]
+        width, bisected = self.b - self.a, self.bisect
+        end = 0 if (ex < 0).sum() == self.na else 1
+        old = self.ea[self.nb] if end == 0 else self.eb[self.nb]
+        if end == 0:
+            self.a, self.ea = x, ex
+        else:
+            self.b, self.eb = x, ex
+        self.weight[end] = 1.0
+        self.bisect = False
+        if not bisected:
+            # Anderson-Bjorck: the value of an end kept through two updates
+            # in a row is scaled by 1 - f(x) / f(moved end), or halved
+            if self.moved == end:
+                m = 1.0 - ex[self.nb] / old
+                self.weight[1 - end] *= m if m > 0 else 0.5
+            self.moved = end
+            self.bisect = (self.before is not None
+                           and self.b - self.a > 0.5 * self.before)
+            self.before = None if self.bisect else width
+        return [self]
+
+
+def _count_roots(table, gaps, crossing, tol_omega):
+    """Count the roots in each gap (row, lo, hi) at its edges, then find them.
+
+    `crossing(omegas, rows, kind, pins=None)` gives the crossing eigenvalues
+    of (omega, row) cells, NaN where a bracket does not converge.  One call
+    over both edges of every gap counts its roots as the drop in negative
+    inertia.  A gap goes back to the scan, its count None, when an edge does
+    not converge, when the row's eigen table at the larger n its two edges
+    reached has a bulk eigenvalue inside it, or when a count is negative.
+    The search then runs in lockstep, one call per step over every live
+    piece: a piece with more than one root is bisected on the inertia, a
+    piece with one root steps by Anderson-Bjorck regula falsi on its
+    crossing eigenvalue, and by bisection after two such steps in a row
+    that did not halve it, until it is at most tol_omega wide; its root is
+    the midpoint (once, if it still holds more than one).  A probe whose
+    inertia falls outside that of its piece's ends sends the gap back to
+    the scan; a probe that does not converge ends its piece.  Returns per
+    gap its count and its roots, none where it goes back to the scan.
+    """
+    edges = np.array([w for _, lo, hi in gaps for w in (lo, hi)])
+    rows = np.repeat([r for r, _, _ in gaps], 2).astype(int)
+    pins = [{} for _ in edges]
+    lam = crossing(edges, rows, "edges", pins)
+    counts = [None] * len(gaps)
+    live = []
+    for g, (r, lo, hi) in enumerate(gaps):
+        ea, eb = lam[2 * g], lam[2 * g + 1]
+        if np.isnan(ea).any() or np.isnan(eb).any():
+            continue
+        n = max(pins[2 * g][table.level], pins[2 * g + 1][table.level])
+        bulk = table.eigenpairs(n)[0][:, r]
+        piece = _Bracket(g, lo, hi, ea, eb)
+        if np.any((bulk > lo) & (bulk < hi)) or piece.na < piece.nb:
+            continue
+        counts[g] = piece.na - piece.nb
+        if counts[g]:
+            live.append(piece)
+    roots = [[] for _ in gaps]
+    while live:
+        x = np.array([p.probe(tol_omega) for p in live])
+        lam = crossing(x, np.array([gaps[p.gap][0] for p in live]), "search")
+        kept = []
+        for p, xp, ex in zip(live, x, lam):
+            if np.isnan(ex).any() or counts[p.gap] is None:
+                continue
+            if not p.nb <= (ex < 0).sum() <= p.na:
+                counts[p.gap] = None
+                continue
+            for q in p.split(xp, ex):
+                if q.b - q.a <= tol_omega:
+                    roots[q.gap].append(0.5 * (q.a + q.b))
+                else:
+                    kept.append(q)
+        live = [p for p in kept if counts[p.gap] is not None]
+    return counts, [r if c is not None else [] for c, r in zip(counts, roots)]
 
 
 def _bisect_lockstep(level_dets, rows, a, b, fa, tol_omega):
@@ -902,27 +1089,31 @@ def _golden_min(f, a, b, tol_omega):
 
 
 def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
-    """Roots of det B_codim over the admissible omega window, per node of
-    the exclusion set, which gives the k rows and their intervals.
+    """Roots of det B_codim in the gaps of each node of the exclusion set,
+    which gives the k rows and their intervals; a row's gaps are the
+    spec's window less its exclusion intervals dilated by band_guard.
 
-    Scans a uniform omega grid outside the exclusion intervals dilated by
-    band_guard, detects roots by sign change of Re(det) (imaginary part must
-    be quadrature-noise small) or by |det| dropping below det_zero_tol, and
-    refines each to root_tol_omega: by bisection, or golden-section on |det|
-    as the fallback.  Roots hugging the guard boundary are annotated
-    "near-band" rather than dropped.  Scan cells and polish steps whose
-    bracket does not converge are recorded in `Branch.skipped` and reported
-    by one warning; a root whose polish meets one is not reported.
+    On a counted level (`_countable`) each gap's roots are counted at its
+    edges and searched for, to root_tol_omega, by `_count_roots`.  Other
+    levels, and gaps that `_count_roots` sends back, are scanned on a
+    uniform grid of grids.omega_points omegas: roots are detected by sign
+    change of Re(det) (imaginary part must be quadrature-noise small) or
+    by |det| dropping below det_zero_tol, and refined by bisection, or
+    golden-section on |det| as the fallback.  A root within band_guard plus
+    one scan step of the exclusion set is annotated "near-band" rather
+    than dropped.  Cells whose bracket does not converge in the search, the
+    scan or its polish are recorded in `Branch.skipped`, and a root whose
+    search or polish meets one is not reported; one warning reports them,
+    the gaps sent back to the scan, and every gap where fewer roots were
+    found than counted.
 
-    The bisection runs in lockstep: each step evaluates the midpoints of all
-    live brackets, across all k nodes, in one call.  Level values come from
-    one evaluator, the `_converge` of a `_GreenTable` built for this call,
-    whatever the bulk: the scan calls it once with one group per admissible
-    omega, each bisection step and each golden-section probe with one group
-    per cell.  With lower defect levels inside the bracket (the point level
-    of a line+point model) that table's own lower tables serve the whole
-    call; each group pins their n afresh, and a lower level's
-    `NonConvergence` skips that group's cells.
+    Every evaluation goes through the `_converge` of one `_GreenTable` built
+    for this call, whatever the bulk: the gap edges in one call, each search
+    step, bisection step and golden-section probe with one group per cell,
+    the scan with one group per admissible omega.  With lower defect levels
+    inside the bracket (the point level of a line+point model) that table's
+    own lower tables serve the whole call; each group pins their n afresh,
+    and a lower level's `NonConvergence` fails that group's cells.
     """
     if spec.defect_by_codim(codim) is None:
         return Branch(codim=codim, samples=[])
@@ -935,40 +1126,75 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
     n_t = t_mesh.shape[0]
     scan = np.linspace(*spec.omega_window, grids.omega_points)
     step = scan[1] - scan[0]
+    gaps = [(r, lo, hi) for r, ivs in enumerate(exclusion.intervals)
+            for lo, hi in _gaps(spec.omega_window, ivs, tol.band_guard)]
 
-    admissible = np.stack([dist_to_intervals(scan, ivs) >= tol.band_guard
-                           for ivs in exclusion.intervals])
-
-    evaluate = _GreenTable(spec, codim, t_mesh)._converge
-
+    table = _GreenTable(spec, codim, t_mesh)
+    evaluate = table._converge
     skipped = []
+    cells = dict.fromkeys(("edges", "search", "scan", "polish"), 0)
 
     def record(omega, rows, exc):
         skipped.extend((tuple(t_mesh[r]), float(omega), exc.n_reached,
                         exc.witness_sigma_min) for r in rows)
 
+    def at_cells(omegas, rows, kind, pins=None):
+        """Level values at (omega, t_mesh row) cells, one group each, and
+        which converged; a cell that does not is NaN and, unless it is a
+        gap edge, recorded on `skipped`."""
+        outs = evaluate(omegas, np.asarray(rows)[:, None], pins)
+        cells[kind] += len(outs)
+        m_sz = spec.cell_size
+        values = np.full((len(outs), m_sz, m_sz), np.nan, dtype=complex)
+        for i, (omega, row, out) in enumerate(zip(omegas, rows, outs)):
+            if not isinstance(out, NonConvergence):
+                values[i] = out[0]
+            elif kind != "edges":
+                record(omega, [row], out)
+        return values, ~np.isnan(values[:, 0, 0])
+
+    counts, found = [None] * len(gaps), [[] for _ in gaps]
+    countable = _countable(spec, codim)
+    if countable:
+        v, inv_d = _crossing_factors(table)
+
+        def crossing(omegas, rows, kind, pins=None):
+            values, done = at_cells(omegas, rows, kind, pins)
+            lam = np.full(values.shape[:2], np.nan)
+            at = rows[done]
+            lam[done] = _crossing_eigenvalues(values[done], v[at], inv_d[at])
+            return lam
+
+        counts, found = _count_roots(table, gaps, crossing, tol.root_tol_omega)
+    n_search = len(skipped)
+
+    admissible = np.stack([dist_to_intervals(scan, ivs) >= tol.band_guard
+                           for ivs in exclusion.intervals])
+    if countable:
+        scanned = np.zeros_like(admissible)
+        for (r, lo, hi), c in zip(gaps, counts):
+            if c is None:
+                scanned[r] |= (scan >= lo) & (scan <= hi)
+        admissible &= scanned
+
     det_tab = np.full((n_t, len(scan)), np.nan, dtype=complex)
     cols = np.flatnonzero(admissible.any(axis=0))
     groups = [np.flatnonzero(admissible[:, w]) for w in cols]
-    for w_idx, rows, out in zip(cols, groups, evaluate(scan[cols], groups)):
+    cells["scan"] = sum(len(rows) for rows in groups)
+    outs = evaluate(scan[cols], groups) if groups else []
+    for w_idx, rows, out in zip(cols, groups, outs):
         if isinstance(out, NonConvergence):
             record(scan[w_idx], rows, out)
         else:
             det_tab[rows, w_idx] = det(out)
-    n_scan_skipped = len(skipped)
+    n_scan = len(skipped) - n_search
 
     def level_dets(omegas, rows):
         """det B_codim at (omega, t_mesh row) cells; NaN, recorded on
         `skipped`, where the bracket does not converge."""
-        outs = evaluate(omegas, np.asarray(rows)[:, None])
-        dets = np.full(len(outs), np.nan, dtype=complex)
-        done = [i for i, out in enumerate(outs)
-                if not isinstance(out, NonConvergence)]
-        if done:
-            dets[done] = det(np.stack([outs[i][0] for i in done]))
-        for omega, row, out in zip(omegas, rows, outs):
-            if isinstance(out, NonConvergence):
-                record(omega, [row], out)
+        values, done = at_cells(omegas, rows, "polish")
+        dets = np.full(len(values), np.nan, dtype=complex)
+        dets[done] = det(values[done])
         return dets
 
     ok = admissible & np.isfinite(det_tab.real)
@@ -977,17 +1203,19 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
         <= IMAG_DOMINANCE * scale
     f_real = det_tab.real
     with np.errstate(invalid="ignore"):
-        crossing = (ok[:, :-1] & ok[:, 1:] & real_ok[:, None]
-                    & (f_real[:, :-1] * f_real[:, 1:] < 0))
-    rows, w = np.nonzero(crossing)
+        change = (ok[:, :-1] & ok[:, 1:] & real_ok[:, None]
+                  & (f_real[:, :-1] * f_real[:, 1:] < 0))
+    rows, w = np.nonzero(change)
     root_rows, bisected = _bisect_lockstep(
         level_dets, rows, scan[w], scan[w + 1], f_real[rows, w],
         tol.root_tol_omega)
 
-    samples = []
+    samples, kept = [], [[] for _ in range(n_t)]
+    for (r, _, _), roots in zip(gaps, found):
+        kept[r].extend(roots)
     for t_idx in range(n_t):
         f_abs = lambda x: abs(level_dets([x], [t_idx])[0])
-        roots = list(bisected[root_rows == t_idx])
+        roots = kept[t_idx] + list(bisected[root_rows == t_idx])
         for w in np.flatnonzero(ok[t_idx]
                                 & (np.abs(det_tab[t_idx]) <= tol.det_zero_tol)):
             left = scan[w] - step if w > 0 and ok[t_idx, w - 1] else scan[w]
@@ -999,20 +1227,34 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
                 cand = scan[w]
             if cand is not None and f_abs(cand) <= tol.det_zero_tol:
                 roots.append(cand)
-        roots = sorted(roots)
-        kept = []
-        for r in roots:
-            if not kept or r - kept[-1] > 10 * tol.root_tol_omega:
-                kept.append(r)
-        for r in kept:
+        kept[t_idx] = row = []
+        for r in sorted(roots):
+            if not row or r - row[-1] > 10 * tol.root_tol_omega:
+                row.append(r)
+        for r in row:
             dist = dist_to_intervals(r, exclusion.intervals[t_idx])
             annot = "ok" if dist >= tol.band_guard + step else "near-band"
             samples.append((tuple(t_mesh[t_idx]), float(r), annot))
+
+    counted = []
+    for (r, lo, hi), c in zip(gaps, counts):
+        counted.append((tuple(t_mesh[r]), float(lo), float(hi), c,
+                        sum(int(lo <= x <= hi) for x in kept[r])))
+    notes = []
     if skipped:
-        logger.warning("level %d: %d scan cells and %d polish steps did not "
-                       "converge and were skipped (see Branch.skipped)",
-                       codim, n_scan_skipped, len(skipped) - n_scan_skipped)
-    return Branch(codim=codim, samples=samples, skipped=skipped)
+        notes.append(f"{n_search} search steps, {n_scan} scan cells and "
+                     f"{len(skipped) - n_search - n_scan} polish steps did "
+                     "not converge and were skipped (see Branch.skipped)")
+    if countable and None in counts:
+        notes.append(f"{counts.count(None)} gaps went back to the scan")
+    short = [f"k={k} [{lo:.6g}, {hi:.6g}] ({f} of {c})"
+             for k, lo, hi, c, f in counted if c is not None and f < c]
+    if short:
+        notes.append("fewer roots found than counted in " + ", ".join(short))
+    if notes:
+        logger.warning("level %d: %s", codim, "; ".join(notes))
+    return Branch(codim=codim, samples=samples, skipped=skipped,
+                  counts=counted, cells=cells)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import load_model
+from conftest import config_path, load_model
 from defect_bands import spectrum
 from defect_bands.model import (
     DefectLayer,
@@ -22,6 +22,7 @@ from defect_bands.spectrum import (
     ExclusionSet,
     UncertifiedLevel,
     _GreenTable,
+    _count_roots,
     _grid_tabs,
     _hermitian_linear_fast,
     bands,
@@ -557,7 +558,8 @@ def _store_models():
 
 
 def _kind(key):
-    """'terms', 'mesh' or, for eigenpairs, 'eigen': what a store key holds."""
+    """'terms', 'mesh', 'patch' or, for eigenpairs, 'eigen': what a store
+    key holds."""
     return key[0] if isinstance(key[0], str) else "eigen"
 
 
@@ -577,7 +579,8 @@ class TestEigenStore:
         spec, grids = build()
         assert _answers(spec, grids, omegas) == cold
         stored = list(spec.eigen_store)
-        assert {_kind(key) for key in stored} == {"eigen", "terms", "mesh"}
+        assert {_kind(key) for key in stored} == \
+            {"eigen", "terms", "mesh", "patch"}
         assert _answers(spec, grids, omegas[::-1]) == cold
         # the reversed pass asked for no table the forward pass had not
         # stored, so every answer in it was computed from stored tables
@@ -586,20 +589,27 @@ class TestEigenStore:
     @pytest.mark.parametrize("model", ["chain", "line", "nested", "two-band"])
     def test_warm_repeat_sums_no_fourier_series(self, monkeypatch, model):
         # once a query set has filled the store, asking it again evaluates
-        # no trig polynomial: every symbol value comes from stored terms
+        # no trig polynomial and builds no refinement patch: every symbol
+        # value comes from stored terms, every patch from the store
         build, omegas = _store_models()[model]
         spec, grids = build()
         first = _answers(spec, grids, omegas)
-        calls = []
+        calls, patches = [], []
         evaluate = TrigMatrixPolynomial.eval
+        refine_patch = spectrum.refine_patch
 
         def counted(poly, k):
             calls.append(np.shape(k))
             return evaluate(poly, k)
 
+        def built(*args):
+            patches.append(args)
+            return refine_patch(*args)
+
         monkeypatch.setattr(TrigMatrixPolynomial, "eval", counted)
+        monkeypatch.setattr(spectrum, "refine_patch", built)
         assert _answers(spec, grids, omegas) == first
-        assert calls == []
+        assert calls == [] and patches == []
 
     def test_stored_tables_are_read_only(self, square_line_model):
         spec, grids = square_line_model
@@ -613,7 +623,7 @@ class TestEigenStore:
                     continue
                 with pytest.raises(ValueError):
                     table.flat[0] = 0.0
-        assert kinds == {"eigen", "terms", "mesh"}
+        assert kinds == {"eigen", "terms", "mesh", "patch"}
 
     def test_rows_of_one_shape_share_no_table(self, square_line_model):
         # one row each, at k_2 = 0 and k_2 = 1: one key each, and each
@@ -673,7 +683,7 @@ class TestEigenStore:
         assert _answers(spec, grids, omegas) == cold
         assert max(sizes) > bound
         assert sum(s for s in sizes if s <= bound) > max(held)
-        assert kinds == {"eigen", "terms", "mesh"}
+        assert kinds == {"eigen", "terms", "mesh", "patch"}
 
     def test_m1_green_is_the_product(self):
         # 1/(lambda - omega) as complex against U diag(1/shift) U^H with
@@ -758,11 +768,12 @@ class TestGreenRouting:
 
     @pytest.mark.parametrize("eigen_table", [True, False])
     def test_golden_section_fallback(self, monkeypatch, eigen_table):
-        # the bound state 2.5 of eps = 1.5 is a scan omega, where |det| is
-        # below det_zero_tol with no sign change beside it: one golden
-        # section refines it
+        # the defect 2.75 - 0.5 omega depends on omega, so its level is
+        # scanned; it equals sqrt(omega^2 - 4) at the bound state 2.5, a scan
+        # omega, where |det| is below det_zero_tol with no sign change
+        # beside it: one golden section refines it
         from tests_util import chain_with_defect
-        spec, grids = chain_with_defect(1.5)
+        spec, grids = chain_with_defect(2.75, slope=-0.5)
         if not eigen_table:
             _svd_reference(monkeypatch)
         calls = []
@@ -1056,13 +1067,15 @@ class TestDispersionBranch:
     @pytest.mark.parametrize("eigen_table", [True, False])
     def test_nonconverged_polish_step_recorded(self, caplog, monkeypatch,
                                                eigen_table):
-        # hopping a = 1e-3: band [-2a, 2a] lies between the admissible scan
-        # omegas -+0.0303, across which det changes sign, so the first
-        # bisection midpoint is omega = 0 inside the band; that polish step
-        # stalls and must end its root, not the run
+        # hopping a = 1e-3 and the defect 1 - omega / 2, which depends on
+        # omega, so the level is scanned: band [-2a, 2a] lies between the
+        # admissible scan omegas -+0.0303, across which det changes sign, so
+        # the first bisection midpoint is omega = 0 inside the band; that
+        # polish step stalls and must end its root, not the run.  The bound
+        # state solves 1 - omega / 2 = sqrt(omega^2 - 4a^2).
         from tests_util import chain_with_defect
         a = 1e-3
-        spec, _ = chain_with_defect(1.0, hopping=a)
+        spec, _ = chain_with_defect(1.0, hopping=a, slope=-0.5)
         spec = dataclasses.replace(spec, omega_window=(-3.0, 3.0))
         if not eigen_table:
             monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
@@ -1070,7 +1083,8 @@ class TestDispersionBranch:
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
             branch = dispersion_branch(spec, 1, GridConfig(omega_points=100))
         assert [om for _, om, _ in branch.samples] == \
-            [pytest.approx(np.sqrt(1 + 4 * a * a), abs=1e-8)]
+            [pytest.approx((np.sqrt(4 + 12 * a * a) - 1) / 1.5, abs=1e-8)]
+        assert branch.cells["edges"] == branch.cells["search"] == 0
         # the Green's function's rank guard fails the omega = 0 step on the
         # first grid, where a k = +-pi/2 node sits 1.2e-19 from the band;
         # the SVD guard is relative, so for M = 1 the direct path stalls
@@ -1137,68 +1151,276 @@ class TestDispersionBranch:
         assert 0 < levels.count(1) <= len(level2_n)
 
     def test_lower_nonconvergence_skips_its_cells(self, monkeypatch):
-        # a level-1 NonConvergence inside the point level's brackets skips
-        # those scan cells with the lower exception's n and witness; the
-        # root elsewhere is still found, as without the failure
+        # a level-1 NonConvergence inside the point level's brackets fails
+        # the top edge, 8.0, of the gap above the line branch, so that gap
+        # goes back to the scan, which skips the scan cells above 6.5 with
+        # the lower exception's n and witness.  The root in it is still
+        # found: with the bits of the scan that skips omega 8.0 alone, and
+        # within root_tol_omega of the search that a clean run makes
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
         line = dispersion_branch(spec, 1, grids)
         clean = dispersion_branch(spec, 2, grids, branches={1: line})
         converge = _GreenTable._converge
 
-        def flaky(table, omegas, groups, pins=None):
-            if table.level == 1 and omegas[0] > 6.5:
-                return [NonConvergence("forced", n_reached=1024,
-                                       witness_sigma_min=0.0625)] * len(groups)
-            return converge(table, omegas, groups, pins)
+        def failing_above(limit):
+            def flaky(table, omegas, groups, pins=None):
+                if table.level == 1 and omegas[0] > limit:
+                    return [NonConvergence("forced", n_reached=1024,
+                                           witness_sigma_min=0.0625)] * \
+                        len(groups)
+                return converge(table, omegas, groups, pins)
+            return flaky
 
-        monkeypatch.setattr(_GreenTable, "_converge", flaky)
+        monkeypatch.setattr(_GreenTable, "_converge", failing_above(7.9))
+        top = dispersion_branch(spec, 2, grids, branches={1: line})
+        monkeypatch.setattr(_GreenTable, "_converge", failing_above(6.5))
         point = dispersion_branch(spec, 2, grids, branches={1: line})
         assert clean.skipped == []
-        assert point.samples == clean.samples != []
+        assert [c[3:] for c in clean.counts] == [(0, 0), (1, 1)]
+        assert [c[3:] for c in point.counts] == [(0, 0), (None, 1)]
+        assert top.skipped == [((), 8.0, 1024, 0.0625)]
+        assert point.samples == top.samples != []
+        (_, got, annot), = point.samples
+        (_, want, clean_annot), = clean.samples
+        assert annot == clean_annot
+        assert abs(got - want) <= spec.tolerances.root_tol_omega
         scan = np.linspace(*spec.omega_window, grids.omega_points)
         assert point.skipped == [((), float(w), 1024, 0.0625)
                                  for w in scan if w > 6.5]
         assert len(point.skipped) == 7
 
     def test_lockstep_polish_work(self, square_line_model, monkeypatch):
-        # at 32 k nodes and 257 omegas every node has one root; the scan is
-        # one batched call with one group per admissible omega, and
-        # bisecting a scan step of 12/256 to root_tol_omega takes 29
-        # halvings, so the polish is 29 batched calls over 32 cells each,
-        # the work of 32 scalar bisections
+        # at 32 k nodes and 257 omegas every node has one root in one of
+        # its two gaps.  The first call evaluates the two edges of every
+        # gap; every later call is one search step, one group per live
+        # piece and at most one piece per root here; no cell is a scan
+        # omega.  Bisecting a scan step of 12/256 to root_tol_omega took 29
+        # such calls; the search from whole gaps takes fewer
         spec, _ = square_line_model
         grids = coarse(spec)
         calls = []
         converge = _GreenTable._converge
 
-        def counted(table, omegas, groups):
+        def counted(table, omegas, groups, pins=None):
             calls.append((np.array(omegas), [len(g) for g in groups]))
-            return converge(table, omegas, groups)
+            return converge(table, omegas, groups, pins)
 
         monkeypatch.setattr(_GreenTable, "_converge", counted)
         branch = dispersion_branch(spec, 1, grids)
         assert len(branch.samples) == 32
-        (scan_omegas, _), *polish = calls
+        assert [c[3] for c in branch.counts] == [c[4] for c in branch.counts]
+        (edges, edge_sizes), *search = calls
+        assert len(branch.counts) == 64
+        assert len(edges) <= 2 * len(branch.counts)
+        assert set(edge_sizes) == {1}
+        assert 0 < len(search) < 29
+        assert all(set(sizes) == {1} and len(sizes) <= 32
+                   for _, sizes in search)
+        probes = np.concatenate([omegas for omegas, _ in search])
         scan = np.linspace(*spec.omega_window, grids.omega_points)
-        assert np.all(np.isin(scan_omegas, scan))
-        assert len(np.unique(scan_omegas)) == len(scan_omegas)
-        assert [sizes for _, sizes in polish] == [[1] * 32] * 29
-        assert sum(len(sizes) for _, sizes in polish) == 928
+        assert not np.isin(probes, scan).any()
+        assert branch.cells == {"edges": len(edges), "search": len(probes),
+                                "scan": 0, "polish": 0}
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "root between band_guard and the first admissible scan omega is "
-        "never bracketed (CHANGES.md FOUND, dispersion_branch)"))
-    @pytest.mark.parametrize("eps", [0.25, 0.3, -0.3, 0.35])
+    @pytest.mark.parametrize("eps", [
+        pytest.param(0.25, marks=pytest.mark.xfail(strict=True, reason=(
+            "the root 2.01556 lies inside band_guard of the band edge 2, "
+            "where membership is inconclusive; the gap starts at 2.02"))),
+        0.3, -0.3, 0.35])
     def test_point_defect_root_near_guard(self, eps):
-        # sqrt(4 + eps^2) lies in [2 + band_guard, 2.03125), below the first
-        # admissible scan omega of the 513-point window [-4, 4]; the property
-        # in test_properties.py covers |eps| >= 0.36
+        # sqrt(4 + eps^2) lies below the first admissible scan omega
+        # 2.03125 of the 513-point window [-4, 4]; for |eps| >= 0.29 it also
+        # lies beyond the guard edge 2.02, so the count at the gap's edges
+        # sees it and the search finds it.  The property in
+        # test_properties.py covers |eps| >= 0.29
         from tests_util import chain_with_defect
         spec, grids = chain_with_defect(eps)
         branch = dispersion_branch(spec, 1, grids)
         assert [om for _, om, _ in branch.samples] == \
             [pytest.approx(np.sign(eps) * np.sqrt(4 + eps ** 2), abs=1e-8)]
+
+
+def _fake_crossing(roots, search=None):
+    """A `crossing` for `_count_roots`: the crossing matrix diag(omega - r)
+    over `roots`, its n pinned at N_QUAD_START; `search(lam)` replaces the
+    eigenvalues at search probes."""
+    def crossing(omegas, rows, kind, pins=None):
+        for p in pins or []:
+            p[1] = N_QUAD_START
+        lam = np.sort(np.asarray(omegas)[:, None] - np.asarray(roots), axis=1)
+        return lam if search is None or kind != "search" else search(lam)
+    return crossing
+
+
+class TestRootCounts:
+    """The inertia counts at the gap edges: the guards of `_count_roots`,
+    and the counts against independent ones on models with known roots."""
+
+    @staticmethod
+    def _table(chain_defect_model):
+        # the chain's level-1 table: bulk eigenvalues 2 cos k in [-2, 2]
+        return _GreenTable(chain_defect_model[0], 1, np.zeros((1, 0)))
+
+    def test_count_and_search(self, chain_defect_model):
+        # 10 lies beyond the gaps and adds one negative eigenvalue at both
+        # edges; the two roots in (2.5, 4) are separated by bisection on the
+        # inertia and each found to root_tol_omega
+        counts, roots = _count_roots(
+            self._table(chain_defect_model), [(0, 2.5, 4.0), (0, -4.0, -2.5)],
+            _fake_crossing([3.0, 3.5, 10.0]), 1e-10)
+        assert counts == [2, 0]
+        assert np.allclose(sorted(roots[0]), [3.0, 3.5], rtol=0, atol=1e-10)
+        assert roots[1] == []
+
+    def test_gaps_that_go_back_to_the_scan(self, chain_defect_model):
+        # a gap over the bulk eigenvalues, a count that decreases, an edge
+        # that does not converge, and a probe whose inertia lies below its
+        # piece's upper end each send their gap back to the scan
+        table = self._table(chain_defect_model)
+        over_band, = _count_roots(table, [(0, 1.0, 4.0)],
+                                  _fake_crossing([3.0]), 1e-10)[0]
+        assert over_band is None
+        falling = _fake_crossing([3.0])
+        counts, _ = _count_roots(
+            table, [(0, 2.5, 4.0)],
+            lambda omegas, *args: -falling(omegas, *args), 1e-10)
+        assert counts == [None]
+
+        def stalled_top(omegas, rows, kind, pins=None):
+            lam = _fake_crossing([3.0])(omegas, rows, kind, pins)
+            lam[np.asarray(omegas) == 4.0] = np.nan
+            return lam
+        assert _count_roots(table, [(0, 2.5, 4.0)], stalled_top,
+                            1e-10) == ([None], [[]])
+        counts, roots = _count_roots(
+            table, [(0, 2.5, 4.0), (0, -4.0, -2.5)],
+            _fake_crossing([3.0, 10.0], search=np.abs), 1e-10)
+        assert (counts, roots) == ([None, 0], [[], []])
+
+    def test_probe_that_does_not_converge_ends_its_piece(
+            self, chain_defect_model):
+        # the count stands and the root is not found
+        counts, roots = _count_roots(
+            self._table(chain_defect_model), [(0, 2.5, 4.0)],
+            _fake_crossing([3.0], search=lambda lam: lam * np.nan), 1e-10)
+        assert (counts, roots) == ([1], [[]])
+
+    def test_unfinished_search_is_reported(self, monkeypatch, caplog):
+        # level-1 factors that do not converge near the nested model's point
+        # 5.18076 end the search there: the probes go on Branch.skipped and
+        # the warning names the gap where 0 of 1 counted roots were found
+        from tests_util import square_line_and_point
+        spec, grids = square_line_and_point(k_points=16, omega_points=65)
+        line = dispersion_branch(spec, 1, grids)
+        converge = _GreenTable._converge
+
+        def flaky(table, omegas, groups, pins=None):
+            if table.level == 1 and abs(omegas[0] - 5.18) < 0.05:
+                return [NonConvergence("forced", n_reached=1024,
+                                       witness_sigma_min=0.0625)] * \
+                    len(groups)
+            return converge(table, omegas, groups, pins)
+
+        monkeypatch.setattr(_GreenTable, "_converge", flaky)
+        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
+            point = dispersion_branch(spec, 2, grids, branches={1: line})
+        assert point.samples == []
+        assert [c[3:] for c in point.counts] == [(0, 0), (1, 0)]
+        (k_tail, omega, n_reached, witness), = point.skipped
+        assert (k_tail, n_reached, witness) == ((), 1024, 0.0625)
+        assert abs(omega - 5.18) < 0.05
+        assert "1 search steps, 0 scan cells and 0 polish steps" in caplog.text
+        assert "fewer roots found than counted in k=() [" in caplog.text
+        assert "(0 of 1)" in caplog.text
+
+    def test_exclusion_missing_the_band_goes_back_to_the_scan(
+            self, chain_defect_model, caplog):
+        # with no exclusion intervals the one gap [-4, 4] holds the bulk
+        # eigenvalues of the row's eigen table, so it is scanned, and the
+        # warning says so
+        spec, grids = chain_defect_model
+        real = exclusion_set(spec, 1, grids)
+        empty = ExclusionSet(nodes=real.nodes, intervals=[[]])
+        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
+            branch = dispersion_branch(spec, 1, grids, exclusion=empty)
+        assert branch.counts == [((), -4.0, 4.0, None, 1)]
+        assert branch.cells["edges"] == 2 and branch.cells["search"] == 0
+        assert branch.cells["scan"] > 0
+        assert "1 gaps went back to the scan" in caplog.text
+
+    def test_uncounted_levels_are_scanned(self):
+        # a quadratic bulk and an omega-dependent defect keep the scan
+        from tests_util import chain_with_defect
+        for spec in (squared_frequency_point_defect(),
+                     chain_with_defect(2.75, slope=-0.5)[0]):
+            branch = dispersion_branch(spec, 1, GridConfig())
+            assert branch.samples
+            assert all(c[3] is None for c in branch.counts)
+            assert sum(c[4] for c in branch.counts) == len(branch.samples)
+            assert branch.cells["edges"] == branch.cells["search"] == 0
+            assert branch.cells["scan"] > 0
+
+    @pytest.mark.parametrize("eps", [0.3, -0.3, 0.5, -0.5, 2.0, -2.0])
+    def test_counts_match_open_chain_box(self, eps):
+        # per gap, the eigenvalues of the open L = 200 chain box inside it:
+        # the bound state sign(eps) sqrt(4 + eps^2) and no band eigenvalue
+        from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
+        from tests_util import chain_with_defect
+        spec, grids = chain_with_defect(eps)
+        eigs = oracle_eigenvalues(assemble_truncated(spec, 200, "open"))
+        branch = dispersion_branch(spec, 1, grids)
+        counted = [c[3] for c in branch.counts]
+        assert counted == [int(np.sum((eigs >= lo) & (eigs <= hi)))
+                           for _, lo, hi, _, _ in branch.counts]
+        assert counted == [c[4] for c in branch.counts]
+        assert sum(counted) == len(branch.samples) == 1
+
+    def test_two_band_line_finds_every_root(self):
+        # M = 2: the top gap of each of the 16 rows holds two roots, across
+        # which Re det keeps its sign, so the scan found 32 of the 48
+        from tests_util import two_band_line
+        spec, grids = two_band_line()
+        branch = dispersion_branch(spec, 1, grids)
+        counted = [c[3] for c in branch.counts]
+        assert counted == [c[4] for c in branch.counts]
+        assert sum(counted) == len(branch.samples) == 48
+
+    def test_two_band_root_the_scan_missed_matches_strip(self):
+        # at k_2 = -pi the root 2.11275 lies between the guard edge 2.082
+        # and the first admissible scan omega 2.1875; the (40, 8) open x
+        # periodic strip has it as an eigenvalue
+        from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
+        from tests_util import two_band_line
+        spec, grids = two_band_line()
+        branch = dispersion_branch(spec, 1, grids)
+        root, = [om for (k2,), om, _ in branch.samples
+                 if k2 == -np.pi and 2.0 < om < 2.2]
+        assert root == pytest.approx(2.11275, abs=1e-5)
+        eigs = oracle_eigenvalues(
+            assemble_truncated(spec, (40, 8), ("open", "periodic")))
+        assert np.min(np.abs(eigs - root)) <= 1e-8
+
+    @pytest.mark.parametrize("config", [
+        "chain_point_defect.json", "square_line_defect.json",
+        "nested_line_point.json"])
+    def test_bundled_models_find_every_counted_root(self, config):
+        # every gap of every level is counted and searched, no cell is
+        # skipped, and each count is met
+        from pathlib import Path
+        from defect_bands.cli import load_config, spec_from_config
+        path = (Path(__file__).parents[1] / "perfbench" / config
+                if config.startswith("nested") else config_path(config))
+        spec, grids = spec_from_config(load_config(str(path)))
+        found = {}
+        for codim in spec.present_codims:
+            branch = found[codim] = dispersion_branch(
+                spec, codim, grids, branches=dict(found))
+            assert branch.skipped == [] and branch.cells["scan"] == 0
+            counted = [c[3] for c in branch.counts]
+            assert None not in counted
+            assert counted == [c[4] for c in branch.counts]
+            assert sum(counted) == len(branch.samples) > 0
 
 
 class TestFullSpectrum:

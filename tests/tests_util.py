@@ -8,13 +8,18 @@ from defect_bands.model import (
 from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial
 
 
-def chain_with_defect(eps, k_points=64, omega_points=513, hopping=1.0):
-    """1D nearest-neighbor chain with an on-site point defect of strength eps."""
+def chain_with_defect(eps, k_points=64, omega_points=513, hopping=1.0,
+                      slope=0.0):
+    """1D nearest-neighbor chain with an on-site point defect of strength
+    eps, or eps + slope * omega when `slope` is nonzero."""
     bulk = OmegaSymbol({
         0: TrigMatrixPolynomial(1, {(1,): [[hopping]], (-1,): [[hopping]]}),
         1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
     })
-    layer = DefectLayer(1, 1, {0: TrigMatrixPolynomial(0, {(): [[eps]]})})
+    stencils = {0: TrigMatrixPolynomial(0, {(): [[eps]]})}
+    if slope:
+        stencils[1] = TrigMatrixPolynomial(0, {(): [[slope]]})
+    layer = DefectLayer(1, 1, stencils)
     spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                        defects=(layer,), omega_window=(-4.0, 4.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)

@@ -28,9 +28,10 @@ earlier queries filled.  Each one is compared with the other checkout's
 and with the same query's fresh-spec answer of its own checkout (the
 fresh-process stdout for membership).
 
-Prints one line per differing output, with the largest absolute eigenvalue
-difference when an `oracle.csv` differs, and a summary; exits 0 when every
-output is identical, 1 otherwise.
+Prints one line per differing output, with the largest absolute difference
+of its numbers when a CSV (bands, spectrum, branch or oracle) differs in
+numbers alone, and a summary; exits 0 when every output is identical, 1
+otherwise.
 """
 
 import argparse
@@ -226,16 +227,24 @@ def first_difference(a, b):
     return f"{len(la)} lines -> {len(lb)} lines"
 
 
-def eigenvalue_difference(a, b):
-    """Largest absolute difference of two `index,eigenvalue` CSVs, or None
-    when they do not hold the same number of eigenvalues."""
-    def values(text):
-        return [float(line.split(",")[1])
-                for line in text.decode().splitlines()[1:]]
-    va, vb = values(a), values(b)
-    if len(va) != len(vb):
+def numeric_difference(a, b):
+    """Largest absolute difference between the numbers of two CSVs, or None
+    when their headers, row or field counts, or text fields differ."""
+    la, lb = a.decode().splitlines(), b.decode().splitlines()
+    if la[:1] != lb[:1] or len(la) != len(lb):
         return None
-    return max((abs(x - y) for x, y in zip(va, vb)), default=0.0)
+    gap = 0.0
+    for ra, rb in zip(la[1:], lb[1:]):
+        fa, fb = ra.split(","), rb.split(",")
+        if len(fa) != len(fb):
+            return None
+        for x, y in zip(fa, fb):
+            try:
+                gap = max(gap, abs(float(x) - float(y)))
+            except ValueError:
+                if x != y:
+                    return None
+    return gap
 
 
 def main(argv=None):
@@ -254,10 +263,10 @@ def main(argv=None):
         elif old[key] != new[key]:
             differing += 1
             line = f"{key}: differs, {first_difference(old[key], new[key])}"
-            if key.endswith("/oracle.csv"):
-                gap = eigenvalue_difference(old[key], new[key])
+            if key.endswith(".csv"):
+                gap = numeric_difference(old[key], new[key])
                 if gap is not None:
-                    line += f", largest eigenvalue difference {gap:.3e}"
+                    line += f", largest absolute difference {gap:.3e}"
             print(line)
     stale = 0
     for side, outputs in (("old", old), ("new", new)):
