@@ -935,23 +935,27 @@ def _crossing_eigenvalues(values, v, inv_d):
 
 
 class _Bracket:
-    """A piece [a, b] of gap `gap` with the ascending crossing eigenvalues
-    ea, eb at its ends: na negative at a and nb at b, so it holds na - nb
-    roots."""
+    """A piece [a, b] of gap number `gap` with values ea, eb at its ends, na
+    negative at a and nb at b, so it holds na - nb roots: a counted piece's
+    ascending crossing eigenvalues, or a scanned piece's Re det times `sign`
+    = -sign(Re det at a), whose odd number of roots is not certified, so
+    that piece is bisected throughout (an exact zero moves b)."""
 
-    def __init__(self, gap, a, b, ea, eb):
-        self.gap, self.a, self.b, self.ea, self.eb = gap, a, b, ea, eb
-        self.na, self.nb = int((ea < 0).sum()), int((eb < 0).sum())
+    def __init__(self, gap, a, b, ea, eb, scanned=False):
+        self.sign = -np.sign(ea[0]) if scanned else 1.0
+        self.gap, self.a, self.b, self.scanned = gap, a, b, scanned
+        self.ea, self.eb = self.sign * ea, self.sign * eb
+        self.na, self.nb = int((self.ea < 0).sum()), int((self.eb < 0).sum())
         self.weight = [1.0, 1.0]    # Anderson-Bjorck factors of the end values
         self.moved = None           # the end the last update moved
         self.before = None          # the width before the last update
-        self.bisect = self.na - self.nb != 1
+        self.bisect = scanned or self.na - self.nb != 1
 
     def probe(self, tol_omega):
-        """The next omega: the midpoint while the piece holds more than one
-        root or after two updates in a row that did not halve it, else the
-        regula falsi point of the crossing eigenvalue with its end values
-        weighted, kept tol_omega / 2 inside the ends."""
+        """The next omega: the midpoint while the piece is scanned, holds
+        more than one root or had two updates in a row that did not halve
+        it, else the regula falsi point of the crossing eigenvalue with its
+        end values weighted, kept tol_omega / 2 inside the ends."""
         if self.bisect:
             return 0.5 * (self.a + self.b)
         fa = self.weight[0] * self.ea[self.nb]
@@ -960,7 +964,7 @@ class _Bracket:
         return min(max(x, self.a + 0.5 * tol_omega), self.b - 0.5 * tol_omega)
 
     def split(self, x, ex):
-        """The pieces at x, where the crossing eigenvalues are ex with
+        """The pieces at x, where the values (times `sign`) are ex with
         between nb and na negative, that hold roots."""
         if self.na - self.nb > 1:
             return [p for p in (_Bracket(self.gap, self.a, x, self.ea, ex),
@@ -974,7 +978,7 @@ class _Bracket:
         else:
             self.b, self.eb = x, ex
         self.weight[end] = 1.0
-        self.bisect = False
+        self.bisect = self.scanned
         if not bisected:
             # Anderson-Bjorck: the value of an end kept through two updates
             # in a row is scaled by 1 - f(x) / f(moved end), or halved
@@ -988,6 +992,36 @@ class _Bracket:
         return [self]
 
 
+def _search(pieces, evaluate, tol_omega):
+    """Refine `_Bracket` pieces in lockstep, one call of
+    `evaluate(omegas, gaps)` per step over every live piece, until each is
+    at most tol_omega wide; its root is then its midpoint (once, if it
+    still holds more than one).  `evaluate` gives the values at (omegas[i],
+    the row of gap gaps[i]), NaN where a bracket does not converge, which
+    ends that piece; a probe with fewer than nb or more than na negative
+    values loses its gap.  Returns the (gap, root) pairs of the gaps not
+    lost, and the lost gaps."""
+    roots, lost = [], set()
+    while True:
+        live = [p for p in pieces if p.gap not in lost]
+        roots += [(p.gap, 0.5 * (p.a + p.b)) for p in live
+                  if p.b - p.a <= tol_omega]
+        live = [p for p in live if p.b - p.a > tol_omega]
+        if not live:
+            return [(g, x) for g, x in roots if g not in lost], lost
+        x = np.array([p.probe(tol_omega) for p in live])
+        values = evaluate(x, np.array([p.gap for p in live]))
+        pieces = []
+        for p, xp, ex in zip(live, x, values):
+            ex = p.sign * ex
+            if np.isnan(ex).any() or p.gap in lost:
+                continue
+            if p.nb <= (ex < 0).sum() <= p.na:
+                pieces += p.split(xp, ex)
+            else:
+                lost.add(p.gap)
+
+
 def _count_roots(table, gaps, crossing, tol_omega):
     """Count the roots in each gap (row, lo, hi) at its edges, then find them.
 
@@ -996,23 +1030,19 @@ def _count_roots(table, gaps, crossing, tol_omega):
     over both edges of every gap counts its roots as the drop in negative
     inertia.  A gap goes back to the scan, its count None, when an edge does
     not converge, when the row's eigen table at the larger n its two edges
-    reached has a bulk eigenvalue inside it, or when a count is negative.
-    The search then runs in lockstep, one call per step over every live
-    piece: a piece with more than one root is bisected on the inertia, a
-    piece with one root steps by Anderson-Bjorck regula falsi on its
-    crossing eigenvalue, and by bisection after two such steps in a row
-    that did not halve it, until it is at most tol_omega wide; its root is
-    the midpoint (once, if it still holds more than one).  A probe whose
-    inertia falls outside that of its piece's ends sends the gap back to
-    the scan; a probe that does not converge ends its piece.  Returns per
-    gap its count and its roots, none where it goes back to the scan.
+    reached has a bulk eigenvalue inside it, when a count is negative, or
+    when `_search` loses it.  `_search` bisects a piece with more than one
+    root on the inertia, and steps a piece with one root by Anderson-Bjorck
+    regula falsi on its crossing eigenvalue, or by bisection after two such
+    steps in a row that did not halve it.  Returns per gap its count and
+    its roots, none where it goes back to the scan.
     """
+    gap_rows = np.array([r for r, _, _ in gaps], dtype=int)
     edges = np.array([w for _, lo, hi in gaps for w in (lo, hi)])
-    rows = np.repeat([r for r, _, _ in gaps], 2).astype(int)
     pins = [{} for _ in edges]
-    lam = crossing(edges, rows, "edges", pins)
+    lam = crossing(edges, np.repeat(gap_rows, 2), "edges", pins)
     counts = [None] * len(gaps)
-    live = []
+    pieces = []
     for g, (r, lo, hi) in enumerate(gaps):
         ea, eb = lam[2 * g], lam[2 * g + 1]
         if np.isnan(ea).any() or np.isnan(eb).any():
@@ -1024,48 +1054,15 @@ def _count_roots(table, gaps, crossing, tol_omega):
             continue
         counts[g] = piece.na - piece.nb
         if counts[g]:
-            live.append(piece)
+            pieces.append(piece)
+    found, lost = _search(
+        pieces, lambda x, g: crossing(x, gap_rows[g], "search"), tol_omega)
     roots = [[] for _ in gaps]
-    while live:
-        x = np.array([p.probe(tol_omega) for p in live])
-        lam = crossing(x, np.array([gaps[p.gap][0] for p in live]), "search")
-        kept = []
-        for p, xp, ex in zip(live, x, lam):
-            if np.isnan(ex).any() or counts[p.gap] is None:
-                continue
-            if not p.nb <= (ex < 0).sum() <= p.na:
-                counts[p.gap] = None
-                continue
-            for q in p.split(xp, ex):
-                if q.b - q.a <= tol_omega:
-                    roots[q.gap].append(0.5 * (q.a + q.b))
-                else:
-                    kept.append(q)
-        live = [p for p in kept if counts[p.gap] is not None]
-    return counts, [r if c is not None else [] for c, r in zip(counts, roots)]
-
-
-def _bisect_lockstep(level_dets, rows, a, b, fa, tol_omega):
-    """Bisect the sign-change brackets [a, b] of Re det on `rows` at once.
-
-    Each step halves every bracket still wider than `tol_omega` with one
-    `level_dets(midpoints, rows)` call; per bracket the midpoints and the
-    sign rule are those of a scalar bisection.  A bracket whose midpoint
-    gives NaN (its level value did not converge) ends there without a root.
-    Returns the rows and roots 0.5 (a + b) of the brackets that finished.
-    """
-    kept = np.ones(a.shape, dtype=bool)
-    while True:
-        live = np.flatnonzero(kept & (b - a > tol_omega))
-        if live.size == 0:
-            return rows[kept], 0.5 * (a[kept] + b[kept])
-        mid = 0.5 * (a[live] + b[live])
-        fm = level_dets(mid, rows[live]).real
-        failed = np.isnan(fm)
-        same = np.sign(fm) == np.sign(fa[live])
-        kept[live[failed]] = False
-        a[live[same]], fa[live[same]] = mid[same], fm[same]
-        b[live[~same & ~failed]] = mid[~same & ~failed]
+    for g, x in found:
+        roots[g].append(x)
+    for g in lost:
+        counts[g] = None
+    return counts, roots
 
 
 def _golden_min(f, a, b, tol_omega):
@@ -1093,27 +1090,30 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
     which gives the k rows and their intervals; a row's gaps are the
     spec's window less its exclusion intervals dilated by band_guard.
 
-    On a counted level (`_countable`) each gap's roots are counted at its
-    edges and searched for, to root_tol_omega, by `_count_roots`.  Other
-    levels, and gaps that `_count_roots` sends back, are scanned on a
-    uniform grid of grids.omega_points omegas: roots are detected by sign
-    change of Re(det) (imaginary part must be quadrature-noise small) or
-    by |det| dropping below det_zero_tol, and refined by bisection, or
-    golden-section on |det| as the fallback.  A root within band_guard plus
-    one scan step of the exclusion set is annotated "near-band" rather
-    than dropped.  Cells whose bracket does not converge in the search, the
-    scan or its polish are recorded in `Branch.skipped`, and a root whose
-    search or polish meets one is not reported; one warning reports them,
-    the gaps sent back to the scan, and every gap where fewer roots were
-    found than counted.
+    Each gap is the unit of work.  On a counted level (`_countable`) its
+    roots are counted at its edges and searched for, to root_tol_omega, by
+    `_count_roots`.  A gap of another level, or one sent back, is scanned
+    at its edges and at the omegas inside it of a uniform grid of
+    grids.omega_points omegas: a sign change of Re det between neighbouring
+    points (where the gap's Im det is quadrature-noise small) is bisected
+    by `_search`, and |det| below det_zero_tol at a point is refined by
+    golden section between its neighbours; a pair of roots between two
+    points is missed.  A root within band_guard plus one grid step of the
+    exclusion set is annotated "near-band" rather than dropped.  Cells
+    whose bracket does not converge in the search, the scan or its polish
+    are recorded in `Branch.skipped`, and a root whose search or polish
+    meets one is not reported; one warning reports them, the gaps sent
+    back to the scan, and every gap where fewer roots were found than
+    counted.
 
     Every evaluation goes through the `_converge` of one `_GreenTable` built
-    for this call, whatever the bulk: the gap edges in one call, each search
-    step, bisection step and golden-section probe with one group per cell,
-    the scan with one group per admissible omega.  With lower defect levels
-    inside the bracket (the point level of a line+point model) that table's
-    own lower tables serve the whole call; each group pins their n afresh,
-    and a lower level's `NonConvergence` fails that group's cells.
+    for this call, whatever the bulk: the gap edges in one call, the scan
+    of every scanned gap in one call with one group per omega, and each
+    search step, bisection step and golden-section probe with one group per
+    cell.  With lower defect levels inside the bracket (the point level of
+    a line+point model) that table's own lower tables serve the whole call;
+    each group pins their n afresh, and a lower level's `NonConvergence`
+    fails that group's cells.
     """
     if spec.defect_by_codim(codim) is None:
         return Branch(codim=codim, samples=[])
@@ -1123,14 +1123,13 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
         exclusion = exclusion_set(spec, codim, grids, branches)
 
     t_mesh = exclusion.nodes
-    n_t = t_mesh.shape[0]
     scan = np.linspace(*spec.omega_window, grids.omega_points)
     step = scan[1] - scan[0]
     gaps = [(r, lo, hi) for r, ivs in enumerate(exclusion.intervals)
             for lo, hi in _gaps(spec.omega_window, ivs, tol.band_guard)]
+    gap_rows = np.array([r for r, _, _ in gaps], dtype=int)
 
     table = _GreenTable(spec, codim, t_mesh)
-    evaluate = table._converge
     skipped = []
     cells = dict.fromkeys(("edges", "search", "scan", "polish"), 0)
 
@@ -1142,7 +1141,7 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
         """Level values at (omega, t_mesh row) cells, one group each, and
         which converged; a cell that does not is NaN and, unless it is a
         gap edge, recorded on `skipped`."""
-        outs = evaluate(omegas, np.asarray(rows)[:, None], pins)
+        outs = table._converge(omegas, np.asarray(rows)[:, None], pins)
         cells[kind] += len(outs)
         m_sz = spec.cell_size
         values = np.full((len(outs), m_sz, m_sz), np.nan, dtype=complex)
@@ -1153,7 +1152,7 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
                 record(omega, [row], out)
         return values, ~np.isnan(values[:, 0, 0])
 
-    counts, found = [None] * len(gaps), [[] for _ in gaps]
+    counts, roots = [None] * len(gaps), [[] for _ in gaps]
     countable = _countable(spec, codim)
     if countable:
         v, inv_d = _crossing_factors(table)
@@ -1165,81 +1164,72 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
             lam[done] = _crossing_eigenvalues(values[done], v[at], inv_d[at])
             return lam
 
-        counts, found = _count_roots(table, gaps, crossing, tol.root_tol_omega)
+        counts, roots = _count_roots(table, gaps, crossing, tol.root_tol_omega)
     n_search = len(skipped)
 
-    admissible = np.stack([dist_to_intervals(scan, ivs) >= tol.band_guard
-                           for ivs in exclusion.intervals])
-    if countable:
-        scanned = np.zeros_like(admissible)
-        for (r, lo, hi), c in zip(gaps, counts):
-            if c is None:
-                scanned[r] |= (scan >= lo) & (scan <= hi)
-        admissible &= scanned
-
-    det_tab = np.full((n_t, len(scan)), np.nan, dtype=complex)
-    cols = np.flatnonzero(admissible.any(axis=0))
-    groups = [np.flatnonzero(admissible[:, w]) for w in cols]
-    cells["scan"] = sum(len(rows) for rows in groups)
-    outs = evaluate(scan[cols], groups) if groups else []
-    for w_idx, rows, out in zip(cols, groups, outs):
+    # the scan: each scanned gap's edges and the scan omegas inside it,
+    # evaluated in one call with one group per omega
+    scanned = [g for g, c in enumerate(counts) if c is None]
+    points = [np.union1d((lo, hi), scan[(scan >= lo) & (scan <= hi)])
+              for _, lo, hi in (gaps[g] for g in scanned)]
+    flat = np.concatenate([np.empty(0)] + points)
+    rows = np.repeat(gap_rows[scanned], [len(x) for x in points])
+    order = np.argsort(flat, kind="stable")
+    omegas, starts = np.unique(flat[order], return_index=True)
+    members = np.split(order, starts)[1:]
+    outs = (table._converge(omegas, [rows[m] for m in members])
+            if scanned else [])
+    cells["scan"] = len(flat)
+    dets = np.full(len(flat), np.nan, dtype=complex)
+    for omega, m, out in zip(omegas, members, outs):
         if isinstance(out, NonConvergence):
-            record(scan[w_idx], rows, out)
+            record(omega, rows[m], out)
         else:
-            det_tab[rows, w_idx] = det(out)
+            dets[m] = det(out)
+    dets = np.split(dets, np.cumsum([len(x) for x in points])[:-1])
     n_scan = len(skipped) - n_search
 
-    def level_dets(omegas, rows):
-        """det B_codim at (omega, t_mesh row) cells; NaN, recorded on
-        `skipped`, where the bracket does not converge."""
-        values, done = at_cells(omegas, rows, "polish")
-        dets = np.full(len(values), np.nan, dtype=complex)
-        dets[done] = det(values[done])
-        return dets
+    def polish_dets(omegas, gs):
+        # det at (omegas[i], the row of gap gs[i]), NaN where not converged
+        values, _ = at_cells(omegas, gap_rows[gs], "polish")
+        with np.errstate(invalid="ignore"):
+            return det(values)
 
-    ok = admissible & np.isfinite(det_tab.real)
-    scale = np.where(ok, np.abs(det_tab), 0.0).max(axis=1) + 1e-300
-    real_ok = np.where(ok, np.abs(det_tab.imag), 0.0).max(axis=1) \
-        <= IMAG_DOMINANCE * scale
-    f_real = det_tab.real
-    with np.errstate(invalid="ignore"):
-        change = (ok[:, :-1] & ok[:, 1:] & real_ok[:, None]
-                  & (f_real[:, :-1] * f_real[:, 1:] < 0))
-    rows, w = np.nonzero(change)
-    root_rows, bisected = _bisect_lockstep(
-        level_dets, rows, scan[w], scan[w + 1], f_real[rows, w],
-        tol.root_tol_omega)
-
-    samples, kept = [], [[] for _ in range(n_t)]
-    for (r, _, _), roots in zip(gaps, found):
-        kept[r].extend(roots)
-    for t_idx in range(n_t):
-        f_abs = lambda x: abs(level_dets([x], [t_idx])[0])
-        roots = kept[t_idx] + list(bisected[root_rows == t_idx])
-        for w in np.flatnonzero(ok[t_idx]
-                                & (np.abs(det_tab[t_idx]) <= tol.det_zero_tol)):
-            left = scan[w] - step if w > 0 and ok[t_idx, w - 1] else scan[w]
-            right = (scan[w] + step if w + 1 < len(scan) and ok[t_idx, w + 1]
-                     else scan[w])
-            if right > left:
-                cand = _golden_min(f_abs, left, right, tol.root_tol_omega)
-            else:
-                cand = scan[w]
+    # per scanned gap: |det| below det_zero_tol at a point is refined by
+    # golden section between its neighbours, and a sign change of Re det
+    # between neighbours is a piece for `_search` to bisect
+    pieces = []
+    for g, x, d in zip(scanned, points, dets):
+        f_abs = lambda w: abs(polish_dets([w], [g])[0])
+        ok, f = np.isfinite(d.real), d.real
+        for i in np.flatnonzero(ok & (np.abs(d) <= tol.det_zero_tol)):
+            left = x[i - 1] if i > 0 and ok[i - 1] else x[i]
+            right = x[i + 1] if i + 1 < len(x) and ok[i + 1] else x[i]
+            cand = (_golden_min(f_abs, left, right, tol.root_tol_omega)
+                    if right > left else x[i])
             if cand is not None and f_abs(cand) <= tol.det_zero_tol:
-                roots.append(cand)
-        kept[t_idx] = row = []
-        for r in sorted(roots):
-            if not row or r - row[-1] > 10 * tol.root_tol_omega:
-                row.append(r)
-        for r in row:
-            dist = dist_to_intervals(r, exclusion.intervals[t_idx])
-            annot = "ok" if dist >= tol.band_guard + step else "near-band"
-            samples.append((tuple(t_mesh[t_idx]), float(r), annot))
+                roots[g].append(cand)
+        scale = np.abs(d[ok]).max(initial=0.0) + 1e-300
+        if np.abs(d[ok].imag).max(initial=0.0) <= IMAG_DOMINANCE * scale:
+            with np.errstate(invalid="ignore"):
+                change = ok[:-1] & ok[1:] & (f[:-1] * f[1:] < 0)
+            pieces += [_Bracket(g, x[i], x[i + 1], f[i:i + 1], f[i + 1:i + 2],
+                                scanned=True) for i in np.flatnonzero(change)]
+    for g, x in _search(pieces, lambda x, gs: polish_dets(x, gs).real[:, None],
+                        tol.root_tol_omega)[0]:
+        roots[g].append(x)
 
-    counted = []
-    for (r, lo, hi), c in zip(gaps, counts):
-        counted.append((tuple(t_mesh[r]), float(lo), float(hi), c,
-                        sum(int(lo <= x <= hi) for x in kept[r])))
+    samples, counted = [], []
+    for (r, lo, hi), c, found in zip(gaps, counts, roots):
+        kept = []
+        for x in sorted(found):
+            if not kept or x - kept[-1] > 10 * tol.root_tol_omega:
+                kept.append(x)
+        for x in kept:
+            dist = dist_to_intervals(x, exclusion.intervals[r])
+            annot = "ok" if dist >= tol.band_guard + step else "near-band"
+            samples.append((tuple(t_mesh[r]), float(x), annot))
+        counted.append((tuple(t_mesh[r]), float(lo), float(hi), c, len(kept)))
     notes = []
     if skipped:
         notes.append(f"{n_search} search steps, {n_scan} scan cells and "

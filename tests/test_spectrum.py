@@ -21,10 +21,12 @@ from defect_bands.spectrum import (
     Chain,
     ExclusionSet,
     UncertifiedLevel,
+    _Bracket,
     _GreenTable,
     _count_roots,
     _grid_tabs,
     _hermitian_linear_fast,
+    _search,
     bands,
     bands_grid,
     dispersion_branch,
@@ -1064,26 +1066,36 @@ class TestDispersionBranch:
         assert abs(roots[0] + want) <= spec.tolerances.root_tol_omega
         assert abs(roots[1] - want) <= spec.tolerances.root_tol_omega
 
-    @pytest.mark.parametrize("eigen_table", [True, False])
-    def test_nonconverged_polish_step_recorded(self, caplog, monkeypatch,
-                                               eigen_table):
+    @staticmethod
+    def _narrow_band_chain(window=(-3.0, 3.0)):
         # hopping a = 1e-3 and the defect 1 - omega / 2, which depends on
-        # omega, so the level is scanned: band [-2a, 2a] lies between the
-        # admissible scan omegas -+0.0303, across which det changes sign, so
-        # the first bisection midpoint is omega = 0 inside the band; that
-        # polish step stalls and must end its root, not the run.  The bound
-        # state solves 1 - omega / 2 = sqrt(omega^2 - 4a^2).
+        # omega, so the level is scanned; band [-2a, 2a], and the bound
+        # state solves 1 - omega / 2 = sqrt(omega^2 - 4a^2)
         from tests_util import chain_with_defect
         a = 1e-3
         spec, _ = chain_with_defect(1.0, hopping=a, slope=-0.5)
-        spec = dataclasses.replace(spec, omega_window=(-3.0, 3.0))
+        return (dataclasses.replace(spec, omega_window=window),
+                (np.sqrt(4 + 12 * a * a) - 1) / 1.5)
+
+    @pytest.mark.parametrize("eigen_table", [True, False])
+    def test_nonconverged_polish_step_recorded(self, caplog, monkeypatch,
+                                               eigen_table):
+        # with no exclusion interval the one gap [-3, 3] holds the band,
+        # which lies between the scan omegas -+0.0303, across which det
+        # changes sign, so the first bisection midpoint is omega = 0 inside
+        # the band; that polish step stalls and must end its root, not the
+        # run
+        spec, root = self._narrow_band_chain()
+        grids = GridConfig(omega_points=100)
         if not eigen_table:
             monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
                                 lambda spec: False)
+        real = exclusion_set(spec, 1, grids)
+        empty = ExclusionSet(nodes=real.nodes, intervals=[[]])
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
-            branch = dispersion_branch(spec, 1, GridConfig(omega_points=100))
+            branch = dispersion_branch(spec, 1, grids, exclusion=empty)
         assert [om for _, om, _ in branch.samples] == \
-            [pytest.approx((np.sqrt(4 + 12 * a * a) - 1) / 1.5, abs=1e-8)]
+            [pytest.approx(root, abs=1e-8)]
         assert branch.cells["edges"] == branch.cells["search"] == 0
         # the Green's function's rank guard fails the omega = 0 step on the
         # first grid, where a k = +-pi/2 node sits 1.2e-19 from the band;
@@ -1093,6 +1105,56 @@ class TestDispersionBranch:
             ((), 0.0, N_QUAD_START if eigen_table else N_QUAD_MAX)
         assert 0.0 <= witness <= 1e-12
         assert "0 scan cells and 1 polish steps" in caplog.text
+
+    @pytest.mark.parametrize("window", [(-3.0, 3.0), (-2.9975, 3.0)])
+    def test_no_bracket_across_an_exclusion(self, caplog, window):
+        # with its real exclusion, [-0.022, 0.022] dilated, narrower than
+        # one scan step, the band is no gap's: the scan points beside it
+        # lie in two gaps and are not paired, so no midpoint (0, or 0.00125
+        # with the second window) is probed in the band
+        spec, root = self._narrow_band_chain(window)
+        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
+            branch = dispersion_branch(spec, 1, GridConfig(omega_points=100))
+        assert [om for _, om, _ in branch.samples] == \
+            [pytest.approx(root, abs=1e-8)]
+        assert branch.skipped == []
+        assert caplog.text == ""
+
+    @pytest.mark.parametrize("model", ["point", "chain", "line"])
+    def test_scan_finds_roots_beside_the_guard_edge(self, model):
+        # every root of the point and chain models, and of 6 of the 16
+        # rows of the line model, lies between a gap's guard edge and its
+        # first scan omega; the scan's points include the gap's edges, so
+        # Re det changes sign between the edge and that omega
+        from tests_util import chain_with_defect
+        if model == "point":
+            # (2 + 2 cos k) - omega^2, unit point defect
+            spec, grids = (squared_frequency_point_defect(),
+                           GridConfig(omega_points=129))
+            want = {(): [-np.sqrt(2 + SQRT5), np.sqrt(2 + SQRT5)]}
+        elif model == "chain":
+            # omega^2 = 4 + (0.3 + 0.01 omega)^2, beyond the guard edge 2.02
+            # and below the first scan omega 2.03125
+            spec, grids = chain_with_defect(0.3, slope=0.01)
+            q = 1 - 0.01 ** 2
+            want = {(): [(0.006 + np.sqrt(0.006 ** 2 + 16.36 * q)) / (2 * q)]}
+        else:
+            # (4 + 2 cos k_1 + 2 cos k_2) - omega^2, unit line defect
+            line = squared_frequency_line_and_point()
+            spec = dataclasses.replace(line, defects=line.defects[:1])
+            grids = GridConfig(k_points=16, omega_points=129)
+            want = {}
+            for k2 in full_mesh(1, 16)[:, 0]:
+                w = np.sqrt(4 + 2 * np.cos(k2) + SQRT5)
+                want[(k2,)] = [-w, w]
+        branch = dispersion_branch(spec, 1, grids)
+        got = {}
+        for k_tail, omega, _ in branch.samples:
+            got.setdefault(k_tail, []).append(omega)
+        assert got.keys() == want.keys()
+        for k_tail, roots in want.items():
+            assert got[k_tail] == pytest.approx(roots, abs=1e-9)
+        assert branch.skipped == []
 
     def test_eigen_table_matches_direct_path(self, monkeypatch):
         # the per-cell direct inverse is the reference for the eigen table,
@@ -1305,6 +1367,40 @@ class TestRootCounts:
             self._table(chain_defect_model), [(0, 2.5, 4.0)],
             _fake_crossing([3.0], search=lambda lam: lam * np.nan), 1e-10)
         assert (counts, roots) == ([1], [[]])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scanned_piece_is_bisected(self, sign):
+        # Re det = sign (omega - 0.25) on the scanned piece [0, 1]: each
+        # probe is the midpoint of the piece, the exact zero at the second
+        # probe, 0.25, moves the upper end as np.sign does, and the root is
+        # the midpoint of the last piece, as in a scalar bisection
+        tol = ToleranceSet().root_tol_omega
+        re_det = lambda w: sign * (w - 0.25)
+        piece = _Bracket(7, 0.0, 1.0, np.array([re_det(0.0)]),
+                         np.array([re_det(1.0)]), scanned=True)
+        probes, ends = [], []
+
+        def evaluate(omegas, gaps):
+            assert list(gaps) == [7]
+            probes.extend(omegas)
+            ends.append((piece.a, piece.b))
+            return np.array([[re_det(w)] for w in omegas])
+
+        (gap, root), = _search([piece], evaluate, tol)[0]
+        a, b, fa, want = 0.0, 1.0, re_det(0.0), []
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            want.append(mid)
+            if np.sign(re_det(mid)) == np.sign(fa):
+                a, fa = mid, re_det(mid)
+            else:
+                b = mid
+        assert probes == want
+        assert all(x == 0.5 * (lo + hi) for x, (lo, hi) in zip(probes, ends))
+        assert probes[1] == 0.25 and ends[2][1] == 0.25 == piece.b
+        assert piece.b - piece.a <= tol < ends[-1][1] - ends[-1][0]
+        assert gap == 7
+        assert root == 0.5 * (a + b) == 0.5 * (piece.a + piece.b)
 
     def test_unfinished_search_is_reported(self, monkeypatch, caplog):
         # level-1 factors that do not converge near the nested model's point

@@ -4,11 +4,16 @@
 
 Each run is a fresh `python -m defect_bands.cli` process with PYTHONPATH set
 to the checkout's `src`.  The runs are `validate`, `bands --k-grid 8 --out`
-and `spectrum --out` on the five bundled configs and
-`perfbench/nested_line_point.json`, `membership --json` at each of OMEGAS
-on the same six models, and `oracle --out` on each: with
-`--L 12`, open and periodic, on the five bundled configs, and with `--L 8`,
-open and periodic, on the nested model.  For every run the CSVs it wrote
+and `spectrum --out` on the five bundled configs,
+`perfbench/nested_line_point.json` and the two uncounted models under
+`tools/`, `membership --json` at each of OMEGAS on the same eight models,
+and `oracle --out`: with `--L 12`, open and periodic, on the five bundled
+configs, and with `--L 8`, open and periodic, on the nested model.  Every
+bundled model's dispersion is counted at the gap edges; the two `tools/`
+models (an omega-dependent line defect, and a bulk quadratic in omega)
+are not, so their spectrum runs reach the scan of `dispersion_branch`.
+Both checkouts read these two configs from this script's directory, so a
+checkout that predates them runs them too.  For every run the CSVs it wrote
 (the bands, the spectrum and one per branch, or the box eigenvalues), its
 stdout, its stderr and its exit code are compared byte for byte.  No
 subcommand reaches `resolvent_apply`, so one more fresh process per
@@ -49,15 +54,19 @@ CONFIGS = ["src/defect_bands/configs/bipartite_chain.json",
            "src/defect_bands/configs/chain_point_defect.json",
            "src/defect_bands/configs/square.json",
            "src/defect_bands/configs/square_line_defect.json",
-           "perfbench/nested_line_point.json"]
+           "perfbench/nested_line_point.json",
+           "tools/square_line_omega_defect.json",
+           "tools/squared_frequency_line.json"]
 
 OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
           5.180756781817904]
 
 #: (box half-width, boundary conditions) of the oracle runs per config; the
 #: nested model's box grows fastest, so it runs smaller boxes: open goes
-#: through the dense eigenpairs, periodic through the blocks of both axes
-ORACLE_BOXES = {"nested_line_point": [("8", "open"), ("8", "periodic")]}
+#: through the dense eigenpairs, periodic through the blocks of both axes.
+#: The uncounted `tools/` models are there for their scan and run none
+ORACLE_BOXES = {"nested_line_point": [("8", "open"), ("8", "periodic")],
+                "square_line_omega_defect": [], "squared_frequency_line": []}
 ORACLE_DEFAULT = [("12", "open"), ("12", "periodic")]
 
 #: (config, omegas outside its spectrum) of the `resolvent_apply` solves
@@ -122,6 +131,10 @@ for config in sys.argv[2:]:
             print(json.dumps([name, text + "\\n"]))
 """
 
+#: this script's directory, where both checkouts read the configs under
+#: tools/ from
+HERE = Path(__file__).resolve().parent
+
 #: CLI processes run at once per checkout
 WORKERS = 2
 
@@ -146,6 +159,13 @@ def runs():
     return out
 
 
+def config_file(checkout, config):
+    """The path a checkout reads a config of CONFIGS from."""
+    if config.startswith("tools/"):
+        return HERE / Path(config).name
+    return checkout / config
+
+
 def run_one(checkout, workdir, config, name, argv):
     """Run one CLI call in its own directory; {output name: bytes}."""
     where = workdir / name
@@ -153,7 +173,7 @@ def run_one(checkout, workdir, config, name, argv):
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "defect_bands.cli", argv[0], "--config",
-         str(checkout / config)] + argv[1:],
+         str(config_file(checkout, config))] + argv[1:],
         cwd=where, env=env, capture_output=True)
     outputs = {f"{name}/{path.name}": path.read_bytes()
                for path in sorted(where.iterdir())}
@@ -186,7 +206,7 @@ def run_warm(checkout):
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", WARM_SCRIPT, ",".join(map(repr, OMEGAS))]
-        + [str(checkout / config) for config in CONFIGS],
+        + [str(config_file(checkout, config)) for config in CONFIGS],
         env=env, capture_output=True)
     outputs = {}
     for line in proc.stdout.splitlines():
