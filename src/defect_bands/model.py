@@ -112,11 +112,12 @@ class InvalidSpec(InputError):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Evaluation grids: wavevector points per axis, omega scan points.
+    """Evaluation grids: wavevector points per axis, omega points.
 
-    k_points is a power of two >= 4, like k_grid_base; omega_points >= 2, so
-    a scan holds both ends of its window.  Building one with either broken
-    raises `InvalidSpec`; the config is frozen, so it stays valid.
+    k_points is a power of two >= 4, like k_grid_base.  omega_points >= 2
+    is read by no engine code; it stays accepted and validated so existing
+    configs keep loading.  Building one with either broken raises
+    `InvalidSpec`; the config is frozen, so it stays valid.
     """
 
     k_points: int = 64

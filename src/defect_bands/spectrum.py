@@ -37,7 +37,7 @@ from .symbol import (
 logger = logging.getLogger("defect_bands.spectrum")
 
 #: relative imaginary-part threshold below which a determinant field is
-#: treated as a real function of k or omega (sign tests enabled)
+#: treated as a real function of k (the step check's sign test enabled)
 IMAG_DOMINANCE = 1e-6
 
 #: points per axis of the one local refinement pass around a sigma_min argmin
@@ -53,9 +53,9 @@ WITNESS_POINTS = 4 * N_QUAD_START
 #: seed of the membership probe frequencies of `full_spectrum`
 PROBE_SEED = 20260808
 
-#: complex node entries per chunk of a batched dispersion scan or polish step
-#: (256 KiB per array): larger chunks raised peak RSS by ~26 MB on the
-#: halved-grid line defect and ran no faster
+#: complex node entries per chunk of a batched group of dispersion cells
+#: (gap edges or one search step; 256 KiB per array): larger chunks raised
+#: peak RSS by ~26 MB on the halved-grid line defect and ran no faster
 SCAN_CHUNK_ENTRIES = 1 << 14
 
 #: bytes of omega-free tables (bulk eigenpairs, symbol term tables and
@@ -353,24 +353,75 @@ class _GreenTable:
         k_t[:, self.level:] = self.t_rows
         return _terms(self.spec, self.level, k_t)
 
+    def piece_sign(self, n, row, edges):
+        """How the omega piece between the two `edges` of a table row is
+        counted, at the row's n-grid nodes: (sign, None) with sign +1 or -1
+        when -sign dT/domega is shown positive definite there, T being the
+        bulk plus the defects up to this level, or (0, why).
+
+        The test of sign: at both edges the least eigenvalue of
+        -sign dB_0/domega over the nodes is at least the sum over the
+        levels i <= this one of max |eig dA_i/domega|, A_i the physical
+        defect stencils at the nodes, and above it at one edge.  With at
+        most quadratic omega dependence the left side is concave in omega
+        and the right side convex, so the margin is then positive inside
+        the piece.  For H(k) - omega*I, dB_0/domega = -I.  B_0 is then
+        monotone at each node, so the piece is still refused when the
+        inertia of B_0 at some node differs between the edges: a bulk band
+        lies inside it (on the eigen path an eigenvalue of H in [a, b)).
+        """
+        spec, dim = self.spec, self.spec.lattice_dim
+        varying = [layer for layer in spec.defects
+                   if layer.codim <= self.level and layer.symbol.max_power]
+        if varying or not self._eigen:
+            mesh = node_mesh(n, self.level,
+                             self.t_rows[row:row + 1]).reshape(-1, dim)
+        if self._eigen:
+            lam = self.eigenpairs(n)[0][:, row]
+            negative = [(lam < w).sum(axis=-1) for w in edges]
+            least = {1.0: [1.0, 1.0], -1.0: [-1.0, -1.0]}
+        else:
+            tabs = spec.bulk.tabulate(mesh)
+            negative = [(eigvalsh(spec.bulk.combine(w, tabs)) < 0).sum(axis=-1)
+                        for w in edges]
+            slopes = [eigvalsh(-_slope(spec.bulk.terms, w, tabs))
+                      for w in edges]
+            least = {1.0: [s.min() for s in slopes],
+                     -1.0: [-s.max() for s in slopes]}
+        slack = np.zeros(2)
+        for layer in varying:
+            st = layer.stencils
+            tabs = [st[p].eval(mesh[:, layer.codim:]) for p in st]
+            slack += [np.abs(eigvalsh(_slope(st, w, tabs))).max()
+                      for w in edges]
+        for sign in (1.0, -1.0):
+            margin = np.subtract(least[sign], slack)
+            if margin.min() >= 0.0 and margin.max() > 0.0:
+                break
+        else:
+            return 0.0, "-dT/domega is not shown definite on it"
+        if np.any(negative[0] != negative[1]):
+            return 0.0, "a bulk band lies inside it"
+        return sign, None
+
     def _converge(self, omegas, groups, pins=None):
         """Converged level values of groups of cells, evaluated together.
 
         Group g is the cells (omegas[g], row) for the table rows groups[g];
-        the scan makes one group per omega, the polish one group per cell,
-        `Chain` one group.  At each n all live cells are evaluated at once:
-        for the eigen path without lower levels in chunks of at most
-        SCAN_CHUNK_ENTRIES node entries, otherwise one group at a time.  Per
-        group, n starts at N_QUAD_START and the group pins its n at the
-        first relative change below quad_rel_tol; a singular node makes it
-        fail, and reaching N_QUAD_MAX makes it stall.  `pins` holds per group
-        a dict level -> pinned n, fresh dicts by default; a group that
-        converges pins its n there.  When this level is pinned, which it must
-        be for every group or none, each group is evaluated at that n alone
-        and converges there unless a node is singular.  With lower defect
-        levels, group g takes its factors B_i^{-1} from the lower tables,
-        with the pins of pins[g].  Returns per group its values or its
-        `NonConvergence`, a lower level's included.
+        `dispersion_branch` makes one group per cell, `Chain` one group.
+        At each n all live cells are evaluated at once: for the eigen path
+        without lower levels in chunks of at most SCAN_CHUNK_ENTRIES node
+        entries, otherwise one group at a time.  Per group, n starts at
+        N_QUAD_START and the group pins its n at the first relative change
+        below quad_rel_tol; a singular node makes it fail, and reaching
+        N_QUAD_MAX makes it stall.  `pins` holds per group a dict level ->
+        pinned n, fresh dicts by default; a group that converges pins its n
+        there.  When this level is pinned, which it must be for every group
+        or none, each group is evaluated at that n alone and converges there
+        unless a node is singular.  With lower defect levels, group g takes
+        its factors B_i^{-1} from the lower tables, with the pins of
+        pins[g].  Returns per group its values or its `NonConvergence`, a
+        lower level's included.
         """
         if len(groups) == 0:
             return []
@@ -759,18 +810,6 @@ def merge_intervals(intervals):
     return out
 
 
-def dist_to_intervals(x, intervals):
-    """Distance from x, a number or an array, to a union of intervals
-    (0 inside; inf if empty), elementwise."""
-    x = np.asarray(x, dtype=float)[..., None]
-    if not intervals:
-        return np.full(x.shape[:-1], np.inf)
-    lo, hi = np.asarray(intervals, dtype=float).T
-    inside = ((lo <= x) & (x <= hi)).any(axis=-1)
-    return np.where(inside, 0.0,
-                    np.minimum(np.abs(x - lo), np.abs(x - hi)).min(axis=-1))
-
-
 def point_in_intervals(x, intervals, dilate=0.0):
     return any(lo - dilate <= x <= hi + dilate for lo, hi in intervals)
 
@@ -871,15 +910,14 @@ def exclusion_set(spec, codim, grids=None, branches=None):
 class Branch:
     codim: int
     samples: list      # (k_tail tuple, omega, annotation) triples
-    #: scan cells, polish steps and search steps left out because their
-    #: bracket did not converge: (k_tail tuple, omega, n_reached,
-    #: witness_sigma_min)
+    #: gap edges and search steps left out because their bracket did not
+    #: converge: (k_tail tuple, omega, n_reached, witness_sigma_min)
     skipped: list = field(default_factory=list)
     #: per row and gap: (k_tail tuple, lo, hi, roots counted at the edges,
-    #: None where the gap was scanned, roots found)
+    #: None where the gap could not be counted, roots found)
     counts: list = field(default_factory=list)
-    #: (omega, row) cells evaluated at gap edges, in the search, in the scan
-    #: and in its polish, under "edges", "search", "scan" and "polish"
+    #: (omega, row) cells evaluated at gap edges and in the search, under
+    #: "edges" and "search"
     cells: dict = field(default_factory=dict)
 
 
@@ -897,24 +935,22 @@ def _gaps(window, intervals, guard):
     return out
 
 
-def _countable(spec, codim):
-    """Whether the roots of level `codim` are counted: with a self-adjoint
-    spec, an H(k) - omega*I bulk and omega-free defects up to this level,
-    the level's bracket is I + G A with A Hermitian and G Herglotz
-    (dG/domega >= 0) in every gap of its exclusion set."""
-    return (spec.is_self_adjoint() and spec.bulk.is_eigenvalue_form()
-            and all(layer.symbol.max_power == 0 for layer in spec.defects
-                    if layer.codim <= codim))
+def _slope(powers, omega, tabs):
+    """d/domega of sum_p omega^p tabs_p: the omega slope of a family with
+    the omega powers `powers`, from its term values `tabs`."""
+    return sum((p * omega ** (p - 1) * t for p, t in zip(powers, tabs) if p),
+               np.zeros_like(tabs[0]))
 
 
-def _crossing_factors(table):
-    """V and 1/D per table row for the level's defect symbol A = V D V^H,
-    1/D set to 0 on the null space of A (|d| < 64 eps max(1, max |d|))."""
-    d, v = eigh(table.defect_terms()[0])
+def _crossing_factors(a):
+    """V, 1/D and D for matrices of the defect symbol A = V D V^H, 1/D and
+    D set to 0 on the null space of A (|d| < 64 eps max(1, max |d|))."""
+    d, v = eigh(a)
     floor = 64.0 * np.finfo(float).eps * np.maximum(
         1.0, np.abs(d).max(axis=-1, keepdims=True))
     rank = np.abs(d) >= floor
-    return v, np.where(rank, 1.0 / np.where(rank, d, 1.0), 0.0)
+    return (v, np.where(rank, 1.0 / np.where(rank, d, 1.0), 0.0),
+            np.where(rank, d, 0.0))
 
 
 def _crossing_eigenvalues(values, v, inv_d):
@@ -922,10 +958,9 @@ def _crossing_eigenvalues(values, v, inv_d):
 
     For B = I + G A with A = V D V^H the crossing matrix is
     S = V^H B V D^{-1} = D^{-1} + V^H G V on the range of A, and I on its
-    null space.  det B = det D det S, S is Hermitian (its Hermitian part is
-    taken) and, where G is Herglotz, increasing in omega; so in a gap each
-    root of det B is an eigenvalue of S crossing 0 upwards.  For M = 1 it
-    is Re B / A.  Shapes (cells, M, M), (cells, M, M), (cells, M).
+    null space, so det B = det D det S and each root of det B is a zero
+    eigenvalue of S; S is Hermitian (its Hermitian part is taken).  For
+    M = 1 it is Re B / A.  Shapes (cells, M, M), (cells, M, M), (cells, M).
     """
     t = np.matmul(v.conj().swapaxes(-1, -2), np.matmul(values, v))
     on = inv_d != 0
@@ -934,61 +969,90 @@ def _crossing_eigenvalues(values, v, inv_d):
     return eigvalsh(0.5 * (s + s.conj().swapaxes(-1, -2)))
 
 
-class _Bracket:
-    """A piece [a, b] of gap number `gap` with values ea, eb at its ends, na
-    negative at a and nb at b, so it holds na - nb roots: a counted piece's
-    ascending crossing eigenvalues, or a scanned piece's Re det times `sign`
-    = -sign(Re det at a), whose odd number of roots is not certified, so
-    that piece is bisected throughout (an exact zero moves b)."""
+def _orient(e, sign):
+    """Cells' `_Bracket` values times `sign`, the crossing eigenvalues kept
+    ascending."""
+    m = e.shape[-1] // 2
+    out = sign * e
+    out[..., :m] = np.sort(out[..., :m], axis=-1)
+    return out
 
-    def __init__(self, gap, a, b, ea, eb, scanned=False):
-        self.sign = -np.sign(ea[0]) if scanned else 1.0
-        self.gap, self.a, self.b, self.scanned = gap, a, b, scanned
-        self.ea, self.eb = self.sign * ea, self.sign * eb
-        self.na, self.nb = int((self.ea < 0).sum()), int((self.eb < 0).sum())
+
+def _tallies(e):
+    """Per cell of oriented `_Bracket` values: the negative crossing
+    eigenvalues and the negative defect eigenvalues, as lists."""
+    m = e.shape[-1] // 2
+    return ((e[..., :m] < 0).sum(axis=-1).tolist(),
+            (e[..., m:] < 0).sum(axis=-1).tolist())
+
+
+class _Bracket:
+    """A piece [a, b] of gap number `gap` that holds na - nb roots.
+
+    ea and eb are the values of its ends, oriented by `sign` (`_orient`):
+    per cell the eigenvalues of the crossing matrix S, then the
+    eigenvalues D of the defect symbol A, all times `sign`, where
+    -sign dT/domega is positive definite on the piece.  The count of an
+    end, na or nb, is its negative S values less its negative D values:
+    for sign = 1, nu(S) - nu(A), which by Haynsworth inertia additivity is
+    pi(C) - pi(G) for the Schur complement C = G^{-1} + A, decreasing in
+    omega, so it falls by one at each root and does not jump where A or G
+    is singular; for sign = -1, pi(S) - pi(A) = nu(C) - nu(G).  The
+    crossing eigenvalue of a piece with one root is the one at index sb,
+    the negative S values at b; while the negative D values da and db of
+    the ends differ, S has a pole inside and the piece is bisected."""
+
+    def __init__(self, gap, a, b, ea, eb, sign=1.0):
+        self.gap, self.a, self.b, self.sign = gap, a, b, sign
+        self.ea, self.eb = ea, eb
+        (sa, self.sb), (self.da, self.db) = _tallies(np.stack([ea, eb]))
+        self.na, self.nb = sa - self.da, self.sb - self.db
         self.weight = [1.0, 1.0]    # Anderson-Bjorck factors of the end values
         self.moved = None           # the end the last update moved
         self.before = None          # the width before the last update
-        self.bisect = scanned or self.na - self.nb != 1
+        self.bisect = self.na - self.nb != 1 or self.da != self.db
 
     def probe(self, tol_omega):
-        """The next omega: the midpoint while the piece is scanned, holds
-        more than one root or had two updates in a row that did not halve
-        it, else the regula falsi point of the crossing eigenvalue with its
-        end values weighted, kept tol_omega / 2 inside the ends."""
+        """The next omega: the midpoint while the piece holds more than one
+        root, has a pole of S or had two updates in a row that did not
+        halve it, else the regula falsi point of the crossing eigenvalue
+        with its end values weighted, kept tol_omega / 2 inside the ends."""
         if self.bisect:
             return 0.5 * (self.a + self.b)
-        fa = self.weight[0] * self.ea[self.nb]
-        fb = self.weight[1] * self.eb[self.nb]
+        fa = self.weight[0] * self.ea[self.sb]
+        fb = self.weight[1] * self.eb[self.sb]
         x = (self.a * fb - self.b * fa) / (fb - fa)
         return min(max(x, self.a + 0.5 * tol_omega), self.b - 0.5 * tol_omega)
 
-    def split(self, x, ex):
-        """The pieces at x, where the values (times `sign`) are ex with
-        between nb and na negative, that hold roots."""
+    def split(self, x, ex, s, d):
+        """The pieces at x, where the oriented values are ex, with s
+        negative S values and d negative D values and a count s - d between
+        nb and na, that hold roots."""
         if self.na - self.nb > 1:
-            return [p for p in (_Bracket(self.gap, self.a, x, self.ea, ex),
-                                _Bracket(self.gap, x, self.b, ex, self.eb))
-                    if p.na > p.nb]
-        width, bisected = self.b - self.a, self.bisect
-        end = 0 if (ex < 0).sum() == self.na else 1
-        old = self.ea[self.nb] if end == 0 else self.eb[self.nb]
+            return [p for p in (
+                _Bracket(self.gap, self.a, x, self.ea, ex, self.sign),
+                _Bracket(self.gap, x, self.b, ex, self.eb, self.sign))
+                if p.na > p.nb]
+        width, bisected, i = self.b - self.a, self.bisect, self.sb
+        end = 0 if s - d == self.na else 1
+        old = self.ea[i] if end == 0 else self.eb[i]
         if end == 0:
-            self.a, self.ea = x, ex
+            self.a, self.ea, self.da = x, ex, d
         else:
-            self.b, self.eb = x, ex
+            self.b, self.eb, self.sb, self.db = x, ex, s, d
         self.weight[end] = 1.0
-        self.bisect = self.scanned
+        self.bisect = False
         if not bisected:
             # Anderson-Bjorck: the value of an end kept through two updates
             # in a row is scaled by 1 - f(x) / f(moved end), or halved
             if self.moved == end:
-                m = 1.0 - ex[self.nb] / old
+                m = 1.0 - ex[i] / old
                 self.weight[1 - end] *= m if m > 0 else 0.5
             self.moved = end
             self.bisect = (self.before is not None
                            and self.b - self.a > 0.5 * self.before)
             self.before = None if self.bisect else width
+        self.bisect = self.bisect or self.da != self.db
         return [self]
 
 
@@ -998,9 +1062,9 @@ def _search(pieces, evaluate, tol_omega):
     at most tol_omega wide; its root is then its midpoint (once, if it
     still holds more than one).  `evaluate` gives the values at (omegas[i],
     the row of gap gaps[i]), NaN where a bracket does not converge, which
-    ends that piece; a probe with fewer than nb or more than na negative
-    values loses its gap.  Returns the (gap, root) pairs of the gaps not
-    lost, and the lost gaps."""
+    ends that piece; a probe whose count lies outside [nb, na] loses its
+    gap.  Returns the (gap, root) pairs of the gaps not lost, and the lost
+    gaps."""
     roots, lost = [], set()
     while True:
         live = [p for p in pieces if p.gap not in lost]
@@ -1010,14 +1074,16 @@ def _search(pieces, evaluate, tol_omega):
         if not live:
             return [(g, x) for g, x in roots if g not in lost], lost
         x = np.array([p.probe(tol_omega) for p in live])
-        values = evaluate(x, np.array([p.gap for p in live]))
+        values = _orient(evaluate(x, np.array([p.gap for p in live])),
+                         np.array([p.sign for p in live])[:, None])
+        failed = np.isnan(values).any(axis=1).tolist()
         pieces = []
-        for p, xp, ex in zip(live, x, values):
-            ex = p.sign * ex
-            if np.isnan(ex).any() or p.gap in lost:
+        for p, xp, ex, bad, s, d in zip(live, x, values, failed,
+                                        *_tallies(values)):
+            if bad or p.gap in lost:
                 continue
-            if p.nb <= (ex < 0).sum() <= p.na:
-                pieces += p.split(xp, ex)
+            if p.nb <= s - d <= p.na:
+                pieces += p.split(xp, ex, s, d)
             else:
                 lost.add(p.gap)
 
@@ -1025,64 +1091,61 @@ def _search(pieces, evaluate, tol_omega):
 def _count_roots(table, gaps, crossing, tol_omega):
     """Count the roots in each gap (row, lo, hi) at its edges, then find them.
 
-    `crossing(omegas, rows, kind, pins=None)` gives the crossing eigenvalues
-    of (omega, row) cells, NaN where a bracket does not converge.  One call
-    over both edges of every gap counts its roots as the drop in negative
-    inertia.  A gap goes back to the scan, its count None, when an edge does
-    not converge, when the row's eigen table at the larger n its two edges
-    reached has a bulk eigenvalue inside it, when a count is negative, or
-    when `_search` loses it.  `_search` bisects a piece with more than one
-    root on the inertia, and steps a piece with one root by Anderson-Bjorck
-    regula falsi on its crossing eigenvalue, or by bisection after two such
-    steps in a row that did not halve it.  Returns per gap its count and
-    its roots, none where it goes back to the scan.
+    `crossing(omegas, rows, kind, pins=None)` gives the `_Bracket` values
+    of (omega, row) cells, NaN where a bracket does not converge.  A gap is
+    cut into pieces at omega = 0 when the bulk is quadratic in omega, where
+    the slope of a squared-frequency bulk H(k) - omega^2 vanishes.  One
+    call evaluates the edges of every piece of every gap.  Each piece is
+    oriented by `_GreenTable.piece_sign` at the larger n its two edges
+    reached, and holds the drop of its count between its edges.  A gap is
+    left uncounted when an edge does not converge, when `piece_sign`
+    refuses a piece, when a count is negative, or when `_search` loses it.
+    `_search` bisects a piece with more than one root on the counts, and
+    steps a piece with one root by Anderson-Bjorck regula falsi on its
+    crossing eigenvalue, or by bisection after two such steps in a row that
+    did not halve it.  Returns per gap its count, its roots and None, or
+    for an uncounted gap None, no roots and the reason.
     """
+    splits = (0.0,) if table.spec.bulk.max_power == 2 else ()
+    points = [[lo, *(s for s in splits if lo < s < hi), hi]
+              for _, lo, hi in gaps]
     gap_rows = np.array([r for r, _, _ in gaps], dtype=int)
-    edges = np.array([w for _, lo, hi in gaps for w in (lo, hi)])
+    edges = np.array([w for p in points for w in p])
     pins = [{} for _ in edges]
-    lam = crossing(edges, np.repeat(gap_rows, 2), "edges", pins)
-    counts = [None] * len(gaps)
-    pieces = []
-    for g, (r, lo, hi) in enumerate(gaps):
-        ea, eb = lam[2 * g], lam[2 * g + 1]
-        if np.isnan(ea).any() or np.isnan(eb).any():
-            continue
-        n = max(pins[2 * g][table.level], pins[2 * g + 1][table.level])
-        bulk = table.eigenpairs(n)[0][:, r]
-        piece = _Bracket(g, lo, hi, ea, eb)
-        if np.any((bulk > lo) & (bulk < hi)) or piece.na < piece.nb:
-            continue
-        counts[g] = piece.na - piece.nb
-        if counts[g]:
-            pieces.append(piece)
+    lam = crossing(edges, np.repeat(gap_rows, [len(p) for p in points]),
+                   "edges", pins)
+    counts, why, pieces = [0] * len(gaps), [None] * len(gaps), []
+    start = 0
+    for g, p in enumerate(points):
+        held = []
+        for e in range(start, start + len(p) - 1):
+            if np.isnan(lam[e]).any() or np.isnan(lam[e + 1]).any():
+                why[g] = "an edge did not converge"
+                break
+            n = max(pins[e][table.level], pins[e + 1][table.level])
+            sign, why[g] = table.piece_sign(n, gaps[g][0], edges[e:e + 2])
+            if why[g]:
+                break
+            piece = _Bracket(g, edges[e], edges[e + 1],
+                             *_orient(lam[e:e + 2], sign), sign)
+            if piece.na < piece.nb:
+                why[g] = "its count is negative"
+                break
+            counts[g] += piece.na - piece.nb
+            held += [piece] if piece.na > piece.nb else []
+        start += len(p)
+        if why[g]:
+            counts[g] = None
+        else:
+            pieces += held
     found, lost = _search(
         pieces, lambda x, g: crossing(x, gap_rows[g], "search"), tol_omega)
     roots = [[] for _ in gaps]
     for g, x in found:
         roots[g].append(x)
     for g in lost:
-        counts[g] = None
-    return counts, roots
-
-
-def _golden_min(f, a, b, tol_omega):
-    """Golden-section minimum of f on [a, b]; None once f gives NaN."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol_omega:
-        if np.isnan(fc) or np.isnan(fd):
-            return None
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+        counts[g], why[g] = None, "a search probe left the count range"
+    return counts, roots, why
 
 
 def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
@@ -1090,31 +1153,29 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
     which gives the k rows and their intervals; a row's gaps are the
     spec's window less its exclusion intervals dilated by band_guard.
 
-    Each gap is the unit of work.  On a counted level (`_countable`) its
-    roots are counted at its edges and searched for, to root_tol_omega, by
-    `_count_roots`.  A gap of another level, or one sent back, is scanned
-    at its edges and at the omegas inside it of a uniform grid of
-    grids.omega_points omegas: a sign change of Re det between neighbouring
-    points (where the gap's Im det is quadrature-noise small) is bisected
-    by `_search`, and |det| below det_zero_tol at a point is refined by
-    golden section between its neighbours; a pair of roots between two
-    points is missed.  A root within band_guard plus one grid step of the
-    exclusion set is annotated "near-band" rather than dropped.  Cells
-    whose bracket does not converge in the search, the scan or its polish
-    are recorded in `Branch.skipped`, and a root whose search or polish
-    meets one is not reported; one warning reports them, the gaps sent
-    back to the scan, and every gap where fewer roots were found than
-    counted.
+    The spec must be self-adjoint (`InputError` otherwise).  Each gap is
+    the unit of work: `_count_roots` counts its roots at its edges and
+    searches for them, to root_tol_omega.  A gap that it cannot count holds
+    no samples.  Every root lies band_guard or more from the exclusion set,
+    so each sample is annotated "ok".  Cells whose bracket does not
+    converge, at a gap edge or in the search, are recorded in
+    `Branch.skipped`, and a root whose search meets one is not reported;
+    one warning reports them, each gap left uncounted and why, and every
+    gap where fewer roots were found than counted.
 
     Every evaluation goes through the `_converge` of one `_GreenTable` built
-    for this call, whatever the bulk: the gap edges in one call, the scan
-    of every scanned gap in one call with one group per omega, and each
-    search step, bisection step and golden-section probe with one group per
-    cell.  With lower defect levels inside the bracket (the point level of
-    a line+point model) that table's own lower tables serve the whole call;
-    each group pins their n afresh, and a lower level's `NonConvergence`
-    fails that group's cells.
+    for this call, whatever the bulk: the gap edges in one call and each
+    search step in one call, with one group per cell.  The crossing
+    matrices take the factors A = V D V^H of the defect symbol at each
+    cell's omega.  With lower defect levels inside the bracket (the point
+    level of a line+point model) that table's own lower tables serve the
+    whole call; each group pins their n afresh, and a lower level's
+    `NonConvergence` fails that group's cells.
     """
+    if not spec.is_self_adjoint():
+        raise InputError("dispersion roots are counted on self-adjoint "
+                         "specs only; the bulk and defect families must be "
+                         "Hermitian")
     if spec.defect_by_codim(codim) is None:
         return Branch(codim=codim, samples=[])
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
@@ -1123,120 +1184,54 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
         exclusion = exclusion_set(spec, codim, grids, branches)
 
     t_mesh = exclusion.nodes
-    scan = np.linspace(*spec.omega_window, grids.omega_points)
-    step = scan[1] - scan[0]
     gaps = [(r, lo, hi) for r, ivs in enumerate(exclusion.intervals)
             for lo, hi in _gaps(spec.omega_window, ivs, tol.band_guard)]
-    gap_rows = np.array([r for r, _, _ in gaps], dtype=int)
-
     table = _GreenTable(spec, codim, t_mesh)
+    symbol = spec.defect_by_codim(codim).symbol
+    tabs = table.defect_terms()
+    m_sz = spec.cell_size
     skipped = []
-    cells = dict.fromkeys(("edges", "search", "scan", "polish"), 0)
+    cells = dict.fromkeys(("edges", "search"), 0)
 
-    def record(omega, rows, exc):
-        skipped.extend((tuple(t_mesh[r]), float(omega), exc.n_reached,
-                        exc.witness_sigma_min) for r in rows)
-
-    def at_cells(omegas, rows, kind, pins=None):
-        """Level values at (omega, t_mesh row) cells, one group each, and
-        which converged; a cell that does not is NaN and, unless it is a
-        gap edge, recorded on `skipped`."""
+    def crossing(omegas, rows, kind, pins=None):
+        """The `_Bracket` values of (omega, t_mesh row) cells, one group
+        each; a cell that does not converge is NaN and recorded on
+        `skipped`."""
         outs = table._converge(omegas, np.asarray(rows)[:, None], pins)
         cells[kind] += len(outs)
-        m_sz = spec.cell_size
         values = np.full((len(outs), m_sz, m_sz), np.nan, dtype=complex)
         for i, (omega, row, out) in enumerate(zip(omegas, rows, outs)):
-            if not isinstance(out, NonConvergence):
+            if isinstance(out, NonConvergence):
+                skipped.append((tuple(t_mesh[row]), float(omega),
+                                out.n_reached, out.witness_sigma_min))
+            else:
                 values[i] = out[0]
-            elif kind != "edges":
-                record(omega, [row], out)
-        return values, ~np.isnan(values[:, 0, 0])
+        done = ~np.isnan(values[:, 0, 0])
+        w = np.asarray(omegas, dtype=complex)[done, None, None]
+        v, inv_d, d = _crossing_factors(sum(
+            w ** p * t[rows[done]] if p else t[rows[done]]
+            for p, t in zip(symbol.terms, tabs)))
+        lam = np.full((len(outs), 2 * m_sz), np.nan)
+        lam[done, :m_sz] = _crossing_eigenvalues(values[done], v, inv_d)
+        lam[done, m_sz:] = d
+        return lam
 
-    counts, roots = [None] * len(gaps), [[] for _ in gaps]
-    countable = _countable(spec, codim)
-    if countable:
-        v, inv_d = _crossing_factors(table)
-
-        def crossing(omegas, rows, kind, pins=None):
-            values, done = at_cells(omegas, rows, kind, pins)
-            lam = np.full(values.shape[:2], np.nan)
-            at = rows[done]
-            lam[done] = _crossing_eigenvalues(values[done], v[at], inv_d[at])
-            return lam
-
-        counts, roots = _count_roots(table, gaps, crossing, tol.root_tol_omega)
-    n_search = len(skipped)
-
-    # the scan: each scanned gap's edges and the scan omegas inside it,
-    # evaluated in one call with one group per omega
-    scanned = [g for g, c in enumerate(counts) if c is None]
-    points = [np.union1d((lo, hi), scan[(scan >= lo) & (scan <= hi)])
-              for _, lo, hi in (gaps[g] for g in scanned)]
-    flat = np.concatenate([np.empty(0)] + points)
-    rows = np.repeat(gap_rows[scanned], [len(x) for x in points])
-    order = np.argsort(flat, kind="stable")
-    omegas, starts = np.unique(flat[order], return_index=True)
-    members = np.split(order, starts)[1:]
-    outs = (table._converge(omegas, [rows[m] for m in members])
-            if scanned else [])
-    cells["scan"] = len(flat)
-    dets = np.full(len(flat), np.nan, dtype=complex)
-    for omega, m, out in zip(omegas, members, outs):
-        if isinstance(out, NonConvergence):
-            record(omega, rows[m], out)
-        else:
-            dets[m] = det(out)
-    dets = np.split(dets, np.cumsum([len(x) for x in points])[:-1])
-    n_scan = len(skipped) - n_search
-
-    def polish_dets(omegas, gs):
-        # det at (omegas[i], the row of gap gs[i]), NaN where not converged
-        values, _ = at_cells(omegas, gap_rows[gs], "polish")
-        with np.errstate(invalid="ignore"):
-            return det(values)
-
-    # per scanned gap: |det| below det_zero_tol at a point is refined by
-    # golden section between its neighbours, and a sign change of Re det
-    # between neighbours is a piece for `_search` to bisect
-    pieces = []
-    for g, x, d in zip(scanned, points, dets):
-        f_abs = lambda w: abs(polish_dets([w], [g])[0])
-        ok, f = np.isfinite(d.real), d.real
-        for i in np.flatnonzero(ok & (np.abs(d) <= tol.det_zero_tol)):
-            left = x[i - 1] if i > 0 and ok[i - 1] else x[i]
-            right = x[i + 1] if i + 1 < len(x) and ok[i + 1] else x[i]
-            cand = (_golden_min(f_abs, left, right, tol.root_tol_omega)
-                    if right > left else x[i])
-            if cand is not None and f_abs(cand) <= tol.det_zero_tol:
-                roots[g].append(cand)
-        scale = np.abs(d[ok]).max(initial=0.0) + 1e-300
-        if np.abs(d[ok].imag).max(initial=0.0) <= IMAG_DOMINANCE * scale:
-            with np.errstate(invalid="ignore"):
-                change = ok[:-1] & ok[1:] & (f[:-1] * f[1:] < 0)
-            pieces += [_Bracket(g, x[i], x[i + 1], f[i:i + 1], f[i + 1:i + 2],
-                                scanned=True) for i in np.flatnonzero(change)]
-    for g, x in _search(pieces, lambda x, gs: polish_dets(x, gs).real[:, None],
-                        tol.root_tol_omega)[0]:
-        roots[g].append(x)
-
+    counts, roots, why = _count_roots(table, gaps, crossing,
+                                      tol.root_tol_omega)
     samples, counted = [], []
     for (r, lo, hi), c, found in zip(gaps, counts, roots):
-        kept = []
-        for x in sorted(found):
-            if not kept or x - kept[-1] > 10 * tol.root_tol_omega:
-                kept.append(x)
-        for x in kept:
-            dist = dist_to_intervals(x, exclusion.intervals[r])
-            annot = "ok" if dist >= tol.band_guard + step else "near-band"
-            samples.append((tuple(t_mesh[r]), float(x), annot))
-        counted.append((tuple(t_mesh[r]), float(lo), float(hi), c, len(kept)))
+        samples += [(tuple(t_mesh[r]), float(x), "ok") for x in sorted(found)]
+        counted.append((tuple(t_mesh[r]), float(lo), float(hi), c,
+                        len(found)))
     notes = []
     if skipped:
-        notes.append(f"{n_search} search steps, {n_scan} scan cells and "
-                     f"{len(skipped) - n_search - n_scan} polish steps did "
-                     "not converge and were skipped (see Branch.skipped)")
-    if countable and None in counts:
-        notes.append(f"{counts.count(None)} gaps went back to the scan")
+        notes.append(f"cells that did not converge: {len(skipped)} (see "
+                     "Branch.skipped)")
+    uncounted = [f"k={k} [{lo:.6g}, {hi:.6g}] ({w})"
+                 for (k, lo, hi, _, _), w in zip(counted, why) if w]
+    if uncounted:
+        notes.append("gaps not counted, so not searched: "
+                     + ", ".join(uncounted))
     short = [f"k={k} [{lo:.6g}, {hi:.6g}] ({f} of {c})"
              for k, lo, hi, c, f in counted if c is not None and f < c]
     if short:

@@ -416,6 +416,25 @@ class TestSpectrum:
         assert float(branch[1]) == pytest.approx(np.sqrt(5.0), abs=1e-8)
 
 
+    def test_non_self_adjoint_defect_refused(self, tmp_path, capsys):
+        # a Hermitian bulk with the complex on-site defect 1 + 0.5i: its
+        # dispersion is not counted, so `spectrum` writes nothing and exits
+        # 1, while `membership` still answers
+        doc = json.loads(open(config_path("chain_point_defect.json")).read())
+        doc["defects"][0]["omega_powers"][0]["coefficients"][0]["im"] = \
+            [[0.5]]
+        bad = tmp_path / "lossy.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and "self-adjoint" in err
+        assert not out.exists()
+        assert main(["membership", "--config", str(bad), "--omega",
+                     "3.0"]) == 0
+        assert capsys.readouterr().out.startswith("OUT")
+
+
 class TestOracleCommand:
     def test_periodic_no_defect(self, tmp_path, capsys):
         out = tmp_path / "orc.csv"

@@ -15,18 +15,33 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 @settings(max_examples=8, deadline=None, database=None, derandomize=True)
-@given(strength=st.floats(0.29, 3.0), sign=st.sampled_from([-1.0, 1.0]))
-def test_point_defect_root_property(strength, sign):
-    # the bound state of an on-site eps on the unit chain sits at
-    # sign(eps) sqrt(4 + eps^2), at least 2.0209 for |eps| >= 0.29: beyond
-    # the guard edge 2.02 of the band [-2, 2], so the edge count sees it
-    # (below |eps| = 0.283 it lies inside band_guard, the strict xfail case
-    # of test_spectrum.py::test_point_defect_root_near_guard)
+@given(strength=st.floats(0.29, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       slope=st.floats(-0.9, 0.9))
+def test_point_defect_root_property(strength, sign, slope):
+    # the bound states of the on-site defect eps + s omega on the unit
+    # chain solve eps + s omega = sign(omega) sqrt(omega^2 - 4), that is
+    # (1 - s^2) omega^2 - 2 eps s omega - (eps^2 + 4) = 0 with eps + s omega
+    # of the sign of omega.  With s = 0 they sit at sign(eps) sqrt(4 +
+    # eps^2), at least 2.0209 for |eps| >= 0.29: beyond the guard edge 2.02
+    # of the band [-2, 2], so the edge count sees it (below |eps| = 0.283
+    # it lies inside band_guard, the strict xfail case of
+    # test_spectrum.py::test_point_defect_root_near_guard).  A slope below
+    # 1 keeps -dT/domega = 1 - s P_0 positive definite, so the level is
+    # counted; the roots in the gaps of the window (-4, 4) are found
     from tests_util import chain_with_defect
-    spec, grids = chain_with_defect(sign * strength)
+    eps = sign * strength
+    spec, grids = chain_with_defect(eps, slope=slope)
+    guard = 2.0 + spec.tolerances.band_guard
+    want = sorted(w.real for w in np.roots([1 - slope ** 2, -2 * eps * slope,
+                                            -(eps ** 2 + 4)])
+                  if np.sign(eps + slope * w.real) == np.sign(w.real)
+                  and guard < abs(w.real) < 4.0)
     branch = dispersion_branch(spec, 1, grids)
     assert [om for _, om, _ in branch.samples] == \
-        [pytest.approx(sign * np.sqrt(4 + strength ** 2), abs=1e-8)]
+        pytest.approx(want, abs=1e-8)
+    assert [c[3] for c in branch.counts] == [c[4] for c in branch.counts]
+    if slope == 0.0:
+        assert want == [pytest.approx(eps / abs(eps) * np.sqrt(4 + eps ** 2))]
 
 
 def _hermitian(re, im):

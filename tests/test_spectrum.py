@@ -26,11 +26,11 @@ from defect_bands.spectrum import (
     _count_roots,
     _grid_tabs,
     _hermitian_linear_fast,
+    _orient,
     _search,
     bands,
     bands_grid,
     dispersion_branch,
-    dist_to_intervals,
     exclusion_set,
     forward_apply,
     full_mesh,
@@ -769,27 +769,19 @@ class TestGreenRouting:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("eigen_table", [True, False])
-    def test_golden_section_fallback(self, monkeypatch, eigen_table):
-        # the defect 2.75 - 0.5 omega depends on omega, so its level is
-        # scanned; it equals sqrt(omega^2 - 4) at the bound state 2.5, a scan
-        # omega, where |det| is below det_zero_tol with no sign change
-        # beside it: one golden section refines it
+    def test_omega_dependent_defect_is_counted(self, monkeypatch, eigen_table):
+        # the defect 2.75 - 0.5 omega equals sqrt(omega^2 - 4) at the bound
+        # state 2.5 alone; its slope 0.5 is below the bulk's 1, so both
+        # gaps are counted on both level-0 paths, and the root is found
         from tests_util import chain_with_defect
         spec, grids = chain_with_defect(2.75, slope=-0.5)
         if not eigen_table:
             _svd_reference(monkeypatch)
-        calls = []
-        golden = spectrum._golden_min
-
-        def counted(*args):
-            calls.append(args[1:3])
-            return golden(*args)
-
-        monkeypatch.setattr(spectrum, "_golden_min", counted)
         branch = dispersion_branch(spec, 1, grids)
-        (_, root, _), = branch.samples
+        assert [c[3:] for c in branch.counts] == [(0, 0), (1, 1)]
+        (_, root, annot), = branch.samples
         assert abs(root - 2.5) <= spec.tolerances.root_tol_omega
-        assert len(calls) == 1
+        assert annot == "ok" and branch.skipped == []
 
     @pytest.mark.parametrize("model", ["chain_defect_model",
                                        "square_line_model"])
@@ -997,7 +989,7 @@ class TestDispersionBranch:
 
     def test_rows_come_from_the_exclusion_set(self, square_line_model):
         # an exclusion set on another k grid than `grids` sets the rows:
-        # each row is scanned outside its own intervals
+        # each row is searched outside its own intervals
         spec, _ = square_line_model
         excl = exclusion_set(spec, 1, GridConfig(k_points=16))
         branch = dispersion_branch(spec, 1, coarse(spec), exclusion=excl)
@@ -1015,7 +1007,7 @@ class TestDispersionBranch:
     @pytest.mark.parametrize("eigen_table", [True, False])
     def test_window_inside_band_empty_branch(self, chain_defect_model,
                                              monkeypatch, eigen_table):
-        # every scan omega lies in the band [-2, 2]: nothing is evaluated
+        # the window lies in the band [-2, 2]: no gap, nothing is evaluated
         spec, grids = chain_defect_model
         if not eigen_table:
             _svd_reference(monkeypatch)
@@ -1023,36 +1015,24 @@ class TestDispersionBranch:
         branch = dispersion_branch(inside, 1, grids)
         assert branch.samples == [] and branch.skipped == []
 
+    def test_non_self_adjoint_spec_refused(self):
+        # a Hermitian bulk with the complex on-site defect 1 + 0.5i: the
+        # count needs a self-adjoint spec, so the dispersion is refused,
+        # while membership still answers
+        from tests_util import chain_with_defect
+        spec, grids = chain_with_defect(1.0 + 0.5j)
+        assert spec.bulk.is_hermitian_family() and not spec.is_self_adjoint()
+        with pytest.raises(InputError, match="self-adjoint"):
+            dispersion_branch(spec, 1, grids)
+        assert membership(spec, 3.0, grids).status == "out"
+        assert membership(spec, 0.0, grids).detected_at_step == 0
+
     def test_negative_defect_negative_point(self):
         from tests_util import chain_with_defect
         spec, grids = chain_with_defect(-1.0)
         branch = dispersion_branch(spec, 1, grids)
         assert len(branch.samples) == 1
         assert branch.samples[0][1] == pytest.approx(-SQRT5, abs=1e-8)
-
-    @pytest.mark.parametrize("eigen_table", [True, False])
-    def test_nonconverged_scan_cells_recorded(self, chain_defect_model, caplog,
-                                              monkeypatch, eigen_table):
-        # with no exclusion intervals the scan enters the band, where the
-        # level-1 integrand has poles on the integration axis; at omega = +-2
-        # they sit exactly on the k = 0 and k = -pi nodes of the first grid,
-        # which must be skipped, not raised, on both level-0 paths
-        spec, grids = chain_defect_model
-        if not eigen_table:
-            monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
-                                lambda spec: False)
-        real = exclusion_set(spec, 1, grids)
-        empty = ExclusionSet(nodes=real.nodes, intervals=[[]])
-        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
-            branch = dispersion_branch(spec, 1, grids, exclusion=empty)
-        scan = np.linspace(*spec.omega_window, grids.omega_points)
-        in_band = [float(w) for w in scan if abs(w) <= 2.0]
-        assert sorted(om for _, om, _, _ in branch.skipped) == in_band
-        for k_tail, _, n_reached, witness in branch.skipped:
-            assert k_tail == () and n_reached >= 16 and witness >= 0.0
-        assert [om for _, om, _ in branch.samples] == \
-            [pytest.approx(SQRT5, abs=1e-8)]
-        assert f"{len(in_band)} scan cells" in caplog.text
 
     def test_squared_frequency_bulk_direct_path(self):
         # (2 + 2 cos k) - omega^2 is not omega-linear, so B_0 is inverted
@@ -1069,7 +1049,7 @@ class TestDispersionBranch:
     @staticmethod
     def _narrow_band_chain(window=(-3.0, 3.0)):
         # hopping a = 1e-3 and the defect 1 - omega / 2, which depends on
-        # omega, so the level is scanned; band [-2a, 2a], and the bound
+        # omega and vanishes at omega = 2; band [-2a, 2a], and the bound
         # state solves 1 - omega / 2 = sqrt(omega^2 - 4a^2)
         from tests_util import chain_with_defect
         a = 1e-3
@@ -1077,41 +1057,12 @@ class TestDispersionBranch:
         return (dataclasses.replace(spec, omega_window=window),
                 (np.sqrt(4 + 12 * a * a) - 1) / 1.5)
 
-    @pytest.mark.parametrize("eigen_table", [True, False])
-    def test_nonconverged_polish_step_recorded(self, caplog, monkeypatch,
-                                               eigen_table):
-        # with no exclusion interval the one gap [-3, 3] holds the band,
-        # which lies between the scan omegas -+0.0303, across which det
-        # changes sign, so the first bisection midpoint is omega = 0 inside
-        # the band; that polish step stalls and must end its root, not the
-        # run
-        spec, root = self._narrow_band_chain()
-        grids = GridConfig(omega_points=100)
-        if not eigen_table:
-            monkeypatch.setattr(spectrum, "_hermitian_linear_fast",
-                                lambda spec: False)
-        real = exclusion_set(spec, 1, grids)
-        empty = ExclusionSet(nodes=real.nodes, intervals=[[]])
-        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
-            branch = dispersion_branch(spec, 1, grids, exclusion=empty)
-        assert [om for _, om, _ in branch.samples] == \
-            [pytest.approx(root, abs=1e-8)]
-        assert branch.cells["edges"] == branch.cells["search"] == 0
-        # the Green's function's rank guard fails the omega = 0 step on the
-        # first grid, where a k = +-pi/2 node sits 1.2e-19 from the band;
-        # the SVD guard is relative, so for M = 1 the direct path stalls
-        (k_tail, omega, n_reached, witness), = branch.skipped
-        assert (k_tail, omega, n_reached) == \
-            ((), 0.0, N_QUAD_START if eigen_table else N_QUAD_MAX)
-        assert 0.0 <= witness <= 1e-12
-        assert "0 scan cells and 1 polish steps" in caplog.text
-
     @pytest.mark.parametrize("window", [(-3.0, 3.0), (-2.9975, 3.0)])
     def test_no_bracket_across_an_exclusion(self, caplog, window):
         # with its real exclusion, [-0.022, 0.022] dilated, narrower than
-        # one scan step, the band is no gap's: the scan points beside it
-        # lie in two gaps and are not paired, so no midpoint (0, or 0.00125
-        # with the second window) is probed in the band
+        # one step of a 100-point omega grid, the band is no gap's: each
+        # gap is counted and searched on its own, so no omega in the band
+        # (0, or 0.00125 with the second window) is probed
         spec, root = self._narrow_band_chain(window)
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
             branch = dispersion_branch(spec, 1, GridConfig(omega_points=100))
@@ -1123,9 +1074,9 @@ class TestDispersionBranch:
     @pytest.mark.parametrize("model", ["point", "chain", "line"])
     def test_scan_finds_roots_beside_the_guard_edge(self, model):
         # every root of the point and chain models, and of 6 of the 16
-        # rows of the line model, lies between a gap's guard edge and its
-        # first scan omega; the scan's points include the gap's edges, so
-        # Re det changes sign between the edge and that omega
+        # rows of the line model, lies between a gap's guard edge and the
+        # first omega inside the gap of a 129- or 513-point omega grid; the
+        # count at the gap's edges sees it
         from tests_util import chain_with_defect
         if model == "point":
             # (2 + 2 cos k) - omega^2, unit point defect
@@ -1134,7 +1085,7 @@ class TestDispersionBranch:
             want = {(): [-np.sqrt(2 + SQRT5), np.sqrt(2 + SQRT5)]}
         elif model == "chain":
             # omega^2 = 4 + (0.3 + 0.01 omega)^2, beyond the guard edge 2.02
-            # and below the first scan omega 2.03125
+            # and below the first grid omega 2.03125
             spec, grids = chain_with_defect(0.3, slope=0.01)
             q = 1 - 0.01 ** 2
             want = {(): [(0.006 + np.sqrt(0.006 ** 2 + 16.36 * q)) / (2 * q)]}
@@ -1157,10 +1108,10 @@ class TestDispersionBranch:
         assert branch.skipped == []
 
     def test_eigen_table_matches_direct_path(self, monkeypatch):
-        # the per-cell direct inverse is the reference for the eigen table,
-        # the omega-vectorised scan and the lockstep polish; on the nested
-        # model the point level's table takes its level-1 factors from one
-        # chain per group
+        # the per-cell direct inverse is the reference for the eigen table
+        # at the gap edges and in the lockstep search; on the nested model
+        # the point level's table takes its level-1 factors from one chain
+        # per group
         from tests_util import square_line_and_point, square_with_line_defect
         models = [square_with_line_defect(1.0, k_points=16, omega_points=129),
                   square_line_and_point(k_points=16, omega_points=129)]
@@ -1186,8 +1137,8 @@ class TestDispersionBranch:
                     assert abs(oa - ob) <= spec.tolerances.root_tol_omega
 
     def test_nested_call_builds_one_point_level_table(self, monkeypatch):
-        # the point level's eigenpairs serve every omega of the scan and
-        # the polish: one level-2 table per call, and one level-1 table per
+        # the point level's eigenpairs serve every omega of the edges and
+        # the search: one level-2 table per call, and one level-1 table per
         # n that the level-2 brackets reach, not one per omega
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
@@ -1212,53 +1163,46 @@ class TestDispersionBranch:
         assert levels.count(2) == 1
         assert 0 < levels.count(1) <= len(level2_n)
 
-    def test_lower_nonconvergence_skips_its_cells(self, monkeypatch):
+    def test_lower_nonconvergence_skips_its_cells(self, monkeypatch, caplog):
         # a level-1 NonConvergence inside the point level's brackets fails
-        # the top edge, 8.0, of the gap above the line branch, so that gap
-        # goes back to the scan, which skips the scan cells above 6.5 with
-        # the lower exception's n and witness.  The root in it is still
-        # found: with the bits of the scan that skips omega 8.0 alone, and
-        # within root_tol_omega of the search that a clean run makes
+        # the top edge, 8.0, of the gap above the line branch: that cell
+        # goes on Branch.skipped with the lower exception's n and witness,
+        # and its gap is left uncounted, with no samples, and named in the
+        # warning with the reason
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
         line = dispersion_branch(spec, 1, grids)
         clean = dispersion_branch(spec, 2, grids, branches={1: line})
         converge = _GreenTable._converge
 
-        def failing_above(limit):
-            def flaky(table, omegas, groups, pins=None):
-                if table.level == 1 and omegas[0] > limit:
-                    return [NonConvergence("forced", n_reached=1024,
-                                           witness_sigma_min=0.0625)] * \
-                        len(groups)
-                return converge(table, omegas, groups, pins)
-            return flaky
+        def flaky(table, omegas, groups, pins=None):
+            if table.level == 1 and omegas[0] > 7.9:
+                return [NonConvergence("forced", n_reached=1024,
+                                       witness_sigma_min=0.0625)] * \
+                    len(groups)
+            return converge(table, omegas, groups, pins)
 
-        monkeypatch.setattr(_GreenTable, "_converge", failing_above(7.9))
-        top = dispersion_branch(spec, 2, grids, branches={1: line})
-        monkeypatch.setattr(_GreenTable, "_converge", failing_above(6.5))
-        point = dispersion_branch(spec, 2, grids, branches={1: line})
+        monkeypatch.setattr(_GreenTable, "_converge", flaky)
+        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
+            top = dispersion_branch(spec, 2, grids, branches={1: line})
         assert clean.skipped == []
         assert [c[3:] for c in clean.counts] == [(0, 0), (1, 1)]
-        assert [c[3:] for c in point.counts] == [(0, 0), (None, 1)]
+        assert [c[3:] for c in top.counts] == [(0, 0), (None, 0)]
         assert top.skipped == [((), 8.0, 1024, 0.0625)]
-        assert point.samples == top.samples != []
-        (_, got, annot), = point.samples
-        (_, want, clean_annot), = clean.samples
-        assert annot == clean_annot
-        assert abs(got - want) <= spec.tolerances.root_tol_omega
-        scan = np.linspace(*spec.omega_window, grids.omega_points)
-        assert point.skipped == [((), float(w), 1024, 0.0625)
-                                 for w in scan if w > 6.5]
-        assert len(point.skipped) == 7
+        assert top.samples == [] != clean.samples
+        assert top.cells == {"edges": 4, "search": 0}
+        _, lo, hi, _, _ = top.counts[1]
+        assert (f"gaps not counted, so not searched: k=() [{lo:.6g}, "
+                f"{hi:.6g}] (an edge did not converge)") in caplog.text
 
     def test_lockstep_polish_work(self, square_line_model, monkeypatch):
         # at 32 k nodes and 257 omegas every node has one root in one of
         # its two gaps.  The first call evaluates the two edges of every
         # gap; every later call is one search step, one group per live
-        # piece and at most one piece per root here; no cell is a scan
-        # omega.  Bisecting a scan step of 12/256 to root_tol_omega took 29
-        # such calls; the search from whole gaps takes fewer
+        # piece and at most one piece per root here; no cell is an omega of
+        # the 257-point grid.  Bisecting one step of that grid, 12/256, to
+        # root_tol_omega took 29 such calls; the search from whole gaps
+        # takes fewer
         spec, _ = square_line_model
         grids = coarse(spec)
         calls = []
@@ -1282,8 +1226,7 @@ class TestDispersionBranch:
         probes = np.concatenate([omegas for omegas, _ in search])
         scan = np.linspace(*spec.omega_window, grids.omega_points)
         assert not np.isin(probes, scan).any()
-        assert branch.cells == {"edges": len(edges), "search": len(probes),
-                                "scan": 0, "polish": 0}
+        assert branch.cells == {"edges": len(edges), "search": len(probes)}
 
     @pytest.mark.parametrize("eps", [
         pytest.param(0.25, marks=pytest.mark.xfail(strict=True, reason=(
@@ -1291,7 +1234,7 @@ class TestDispersionBranch:
             "where membership is inconclusive; the gap starts at 2.02"))),
         0.3, -0.3, 0.35])
     def test_point_defect_root_near_guard(self, eps):
-        # sqrt(4 + eps^2) lies below the first admissible scan omega
+        # sqrt(4 + eps^2) lies below the first admissible grid omega
         # 2.03125 of the 513-point window [-4, 4]; for |eps| >= 0.29 it also
         # lies beyond the guard edge 2.02, so the count at the gap's edges
         # sees it and the search finds it.  The property in
@@ -1305,12 +1248,13 @@ class TestDispersionBranch:
 
 def _fake_crossing(roots, search=None):
     """A `crossing` for `_count_roots`: the crossing matrix diag(omega - r)
-    over `roots`, its n pinned at N_QUAD_START; `search(lam)` replaces the
-    eigenvalues at search probes."""
+    over `roots` with the defect symbol I, its n pinned at N_QUAD_START;
+    `search(values)` replaces the values at search probes."""
     def crossing(omegas, rows, kind, pins=None):
         for p in pins or []:
             p[1] = N_QUAD_START
         lam = np.sort(np.asarray(omegas)[:, None] - np.asarray(roots), axis=1)
+        lam = np.concatenate([lam, np.ones_like(lam)], axis=1)
         return lam if search is None or kind != "search" else search(lam)
     return crossing
 
@@ -1328,79 +1272,85 @@ class TestRootCounts:
         # 10 lies beyond the gaps and adds one negative eigenvalue at both
         # edges; the two roots in (2.5, 4) are separated by bisection on the
         # inertia and each found to root_tol_omega
-        counts, roots = _count_roots(
+        counts, roots, why = _count_roots(
             self._table(chain_defect_model), [(0, 2.5, 4.0), (0, -4.0, -2.5)],
             _fake_crossing([3.0, 3.5, 10.0]), 1e-10)
-        assert counts == [2, 0]
+        assert counts == [2, 0] and why == [None, None]
         assert np.allclose(sorted(roots[0]), [3.0, 3.5], rtol=0, atol=1e-10)
         assert roots[1] == []
 
-    def test_gaps_that_go_back_to_the_scan(self, chain_defect_model):
+    def test_gaps_left_uncounted(self, chain_defect_model):
         # a gap over the bulk eigenvalues, a count that decreases, an edge
-        # that does not converge, and a probe whose inertia lies below its
-        # piece's upper end each send their gap back to the scan
+        # that does not converge, and a probe whose count lies below its
+        # piece's upper end each leave their gap uncounted, with no roots
+        # and the reason
         table = self._table(chain_defect_model)
-        over_band, = _count_roots(table, [(0, 1.0, 4.0)],
-                                  _fake_crossing([3.0]), 1e-10)[0]
-        assert over_band is None
+        assert _count_roots(table, [(0, 1.0, 4.0)], _fake_crossing([3.0]),
+                            1e-10) == ([None], [[]],
+                                       ["a bulk band lies inside it"])
         falling = _fake_crossing([3.0])
-        counts, _ = _count_roots(
+        assert _count_roots(
             table, [(0, 2.5, 4.0)],
-            lambda omegas, *args: -falling(omegas, *args), 1e-10)
-        assert counts == [None]
+            lambda omegas, *args: -falling(omegas, *args), 1e-10) == \
+            ([None], [[]], ["its count is negative"])
 
         def stalled_top(omegas, rows, kind, pins=None):
             lam = _fake_crossing([3.0])(omegas, rows, kind, pins)
             lam[np.asarray(omegas) == 4.0] = np.nan
             return lam
-        assert _count_roots(table, [(0, 2.5, 4.0)], stalled_top,
-                            1e-10) == ([None], [[]])
-        counts, roots = _count_roots(
+        assert _count_roots(table, [(0, 2.5, 4.0)], stalled_top, 1e-10) == \
+            ([None], [[]], ["an edge did not converge"])
+        assert _count_roots(
             table, [(0, 2.5, 4.0), (0, -4.0, -2.5)],
-            _fake_crossing([3.0, 10.0], search=np.abs), 1e-10)
-        assert (counts, roots) == ([None, 0], [[], []])
+            _fake_crossing([3.0, 10.0], search=np.abs), 1e-10) == \
+            ([None, 0], [[], []],
+             ["a search probe left the count range", None])
 
     def test_probe_that_does_not_converge_ends_its_piece(
             self, chain_defect_model):
         # the count stands and the root is not found
-        counts, roots = _count_roots(
+        assert _count_roots(
             self._table(chain_defect_model), [(0, 2.5, 4.0)],
-            _fake_crossing([3.0], search=lambda lam: lam * np.nan), 1e-10)
-        assert (counts, roots) == ([1], [[]])
+            _fake_crossing([3.0], search=lambda lam: lam * np.nan),
+            1e-10) == ([1], [[]], [None])
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_scanned_piece_is_bisected(self, sign):
-        # Re det = sign (omega - 0.25) on the scanned piece [0, 1]: each
-        # probe is the midpoint of the piece, the exact zero at the second
-        # probe, 0.25, moves the upper end as np.sign does, and the root is
-        # the midpoint of the last piece, as in a scalar bisection
+    def test_count_is_continuous_at_a_zero_of_the_defect(self):
+        # M = 1, G = 1 and A = 0.7 - s omega, which vanishes at 0.7 s, so
+        # C = 1 + A falls in s omega, S = 1 / A + 1 has a pole at 0.7 s and
+        # the one root is at 1.7 s.  On the piece between 0 and 2 s, nu(S)
+        # is the same at both ends, but the count oriented by s drops by
+        # one; the piece is bisected while the pole lies inside it.  The
+        # probes of s = -1 mirror those of s = 1 bit for bit up to the
+        # sixth, the root itself, where a zero value counts on the side of
+        # larger omega in both frames, so the two searches part there
         tol = ToleranceSet().root_tol_omega
-        re_det = lambda w: sign * (w - 0.25)
-        piece = _Bracket(7, 0.0, 1.0, np.array([re_det(0.0)]),
-                         np.array([re_det(1.0)]), scanned=True)
-        probes, ends = [], []
 
-        def evaluate(omegas, gaps):
-            assert list(gaps) == [7]
-            probes.extend(omegas)
-            ends.append((piece.a, piece.b))
-            return np.array([[re_det(w)] for w in omegas])
+        def run(s):
+            def values(w):
+                a = 0.7 - s * w
+                return np.array([1.0 / a + 1.0, a])
+            a, b = sorted((0.0, 2.0 * s))
+            assert (values(a)[0] < 0) == (values(b)[0] < 0)
+            piece = _Bracket(7, a, b, *_orient(np.stack([values(a),
+                                                         values(b)]), s), s)
+            assert piece.na - piece.nb == 1
+            probes, ends = [], []
 
-        (gap, root), = _search([piece], evaluate, tol)[0]
-        a, b, fa, want = 0.0, 1.0, re_det(0.0), []
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            want.append(mid)
-            if np.sign(re_det(mid)) == np.sign(fa):
-                a, fa = mid, re_det(mid)
-            else:
-                b = mid
-        assert probes == want
-        assert all(x == 0.5 * (lo + hi) for x, (lo, hi) in zip(probes, ends))
-        assert probes[1] == 0.25 and ends[2][1] == 0.25 == piece.b
-        assert piece.b - piece.a <= tol < ends[-1][1] - ends[-1][0]
-        assert gap == 7
-        assert root == 0.5 * (a + b) == 0.5 * (piece.a + piece.b)
+            def evaluate(omegas, gaps):
+                assert list(gaps) == [7]
+                probes.extend(omegas)
+                ends.append((piece.a, piece.b))
+                return np.array([values(w) for w in omegas])
+
+            (gap, root), = _search([piece], evaluate, tol)[0]
+            assert gap == 7 and abs(root - 1.7 * s) <= tol
+            assert all(x == 0.5 * (lo + hi) for x, (lo, hi) in
+                       zip(probes, ends) if lo < 0.7 * s < hi)
+            return probes, root
+
+        up, down = run(1.0), run(-1.0)
+        assert up[0][5] == 1.7
+        assert down[0][:6] == [-x for x in up[0][:6]]
 
     def test_unfinished_search_is_reported(self, monkeypatch, caplog):
         # level-1 factors that do not converge near the nested model's point
@@ -1426,36 +1376,103 @@ class TestRootCounts:
         (k_tail, omega, n_reached, witness), = point.skipped
         assert (k_tail, n_reached, witness) == ((), 1024, 0.0625)
         assert abs(omega - 5.18) < 0.05
-        assert "1 search steps, 0 scan cells and 0 polish steps" in caplog.text
+        assert "cells that did not converge: 1 (see Branch.skipped)" in \
+            caplog.text
         assert "fewer roots found than counted in k=() [" in caplog.text
         assert "(0 of 1)" in caplog.text
 
-    def test_exclusion_missing_the_band_goes_back_to_the_scan(
-            self, chain_defect_model, caplog):
-        # with no exclusion intervals the one gap [-4, 4] holds the bulk
-        # eigenvalues of the row's eigen table, so it is scanned, and the
-        # warning says so
-        spec, grids = chain_defect_model
+    @pytest.mark.parametrize("eigen_table", [True, False])
+    @pytest.mark.parametrize("model", ["chain", "narrow"])
+    def test_exclusion_missing_the_band_is_not_counted(
+            self, chain_defect_model, monkeypatch, caplog, model,
+            eigen_table):
+        # with no exclusion intervals the one gap, the whole window, holds
+        # the band, where the level-1 integrand has poles: B_0 changes
+        # inertia between the gap's edges at some node (on the eigen path
+        # an eigenvalue of H lies between them), so the gap is left
+        # uncounted with no samples, only its edges are evaluated and the
+        # warning names it
+        if model == "chain":
+            spec, grids = chain_defect_model
+        else:
+            spec, _ = TestDispersionBranch._narrow_band_chain()
+            grids = GridConfig(omega_points=100)
+        if not eigen_table:
+            _svd_reference(monkeypatch)
         real = exclusion_set(spec, 1, grids)
         empty = ExclusionSet(nodes=real.nodes, intervals=[[]])
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
             branch = dispersion_branch(spec, 1, grids, exclusion=empty)
-        assert branch.counts == [((), -4.0, 4.0, None, 1)]
-        assert branch.cells["edges"] == 2 and branch.cells["search"] == 0
-        assert branch.cells["scan"] > 0
-        assert "1 gaps went back to the scan" in caplog.text
+        lo, hi = spec.omega_window
+        assert branch.counts == [((), lo, hi, None, 0)]
+        assert branch.samples == [] and branch.skipped == []
+        assert branch.cells == {"edges": 2, "search": 0}
+        assert (f"k=() [{lo:.6g}, {hi:.6g}] (a bulk band lies inside it)"
+                in caplog.text)
 
-    def test_uncounted_levels_are_scanned(self):
-        # a quadratic bulk and an omega-dependent defect keep the scan
+    def test_steep_defect_is_not_counted(self, caplog):
+        # the on-site defect 1 + 1.5 omega outruns the bulk's slope:
+        # -dT/domega = 1 - 1.5 P_0 is indefinite, so neither orientation
+        # is shown and both gaps are left uncounted, with the reason
         from tests_util import chain_with_defect
-        for spec in (squared_frequency_point_defect(),
-                     chain_with_defect(2.75, slope=-0.5)[0]):
-            branch = dispersion_branch(spec, 1, GridConfig())
-            assert branch.samples
-            assert all(c[3] is None for c in branch.counts)
-            assert sum(c[4] for c in branch.counts) == len(branch.samples)
-            assert branch.cells["edges"] == branch.cells["search"] == 0
-            assert branch.cells["scan"] > 0
+        spec, grids = chain_with_defect(1.0, slope=1.5)
+        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
+            branch = dispersion_branch(spec, 1, grids)
+        assert [c[3:] for c in branch.counts] == [(None, 0), (None, 0)]
+        assert branch.samples == [] and branch.cells["search"] == 0
+        assert caplog.text.count("(-dT/domega is not shown definite on it)") \
+            == 2
+
+    @pytest.mark.parametrize("model", ["point", "narrow", "omega_line"])
+    def test_counts_match_closed_forms(self, model):
+        # levels that the count serves since it checks -dT/domega: a bulk
+        # quadratic in omega, and defects that depend on omega, whose
+        # zeros (omega = 2 on the narrow chain, -4 on the line) lie inside
+        # a gap.  Per gap, the count equals the closed-form roots in it,
+        # and each root is found to 1e-9
+        from pathlib import Path
+        from defect_bands.cli import load_config, spec_from_config
+        if model == "point":
+            # (2 + 2 cos k) - omega^2, unit point defect: 2 - omega^2 = -sqrt5
+            spec, grids = squared_frequency_point_defect(), GridConfig()
+            w = np.sqrt(2 + SQRT5)
+            want, zero = {(): [-w, w]}, None
+        elif model == "narrow":
+            spec, root = TestDispersionBranch._narrow_band_chain()
+            grids = GridConfig(omega_points=100)
+            want, zero = {(): [root]}, 2.0
+        else:
+            # square lattice, line defect 1 + omega / 4; per row, with
+            # c = 2 cos k_2, 1 + omega / 4 = sign(omega - c) sqrt((omega -
+            # c)^2 - 4), so (1/16 - 1) omega^2 + (1/2 + 2c) omega + 5 - c^2
+            # = 0 with 1 + omega / 4 of the sign of omega - c
+            path = Path(__file__).parents[1] / "tools" / \
+                "square_line_omega_defect.json"
+            spec, grids = spec_from_config(load_config(str(path)))
+            want, zero = {}, -4.0
+            for (k2,) in full_mesh(1, grids.k_points):
+                c = 2 * np.cos(k2)
+                want[(k2,)] = sorted(
+                    w.real for w in np.roots([1 / 16 - 1, 0.5 + 2 * c,
+                                              5 - c * c])
+                    if abs(w.imag) < 1e-12
+                    and np.sign(1 + w.real / 4) == np.sign(w.real - c))
+        branch = dispersion_branch(spec, 1, grids)
+        got = {}
+        for k_tail, omega, annot in branch.samples:
+            assert annot == "ok"
+            got.setdefault(k_tail, []).append(omega)
+        expect = {}
+        for k_tail, lo, hi, counted, found in branch.counts:
+            inside = [w for w in want[k_tail] if lo < w < hi]
+            assert counted == found == len(inside)
+            expect.setdefault(k_tail, []).extend(inside)
+        assert {k: got.get(k, []) for k in expect} == \
+            {k: pytest.approx(w, abs=1e-9) for k, w in expect.items()}
+        assert got.keys() <= expect.keys() and branch.skipped == []
+        assert len(branch.samples) > 0
+        assert zero is None or any(lo < zero < hi
+                                   for _, lo, hi, _, _ in branch.counts)
 
     @pytest.mark.parametrize("eps", [0.3, -0.3, 0.5, -0.5, 2.0, -2.0])
     def test_counts_match_open_chain_box(self, eps):
@@ -1512,7 +1529,7 @@ class TestRootCounts:
         for codim in spec.present_codims:
             branch = found[codim] = dispersion_branch(
                 spec, codim, grids, branches=dict(found))
-            assert branch.skipped == [] and branch.cells["scan"] == 0
+            assert branch.skipped == []
             counted = [c[3] for c in branch.counts]
             assert None not in counted
             assert counted == [c[4] for c in branch.counts]
@@ -1688,27 +1705,3 @@ class TestIntervals:
         assert merge_intervals([(3, 4), (0, 1)]) == [(0, 1), (3, 4)]
         assert merge_intervals([]) == []
         assert merge_intervals([(0, 1), (1, 2)]) == [(0, 2)]
-
-    def test_distance_matches_scalar_loop(self):
-        # the elementwise distance against the one-point loop it replaced,
-        # bit for bit, at random points, at the interval ends and just
-        # above them
-        def loop(x, intervals):
-            best = np.inf
-            for lo, hi in intervals:
-                if lo <= x <= hi:
-                    return 0.0
-                best = min(best, abs(x - lo), abs(x - hi))
-            return best
-
-        rng = np.random.default_rng(17)
-        for count in (0, 1, 2, 5):
-            ends = np.sort(rng.uniform(-4.0, 4.0, size=2 * count))
-            intervals = merge_intervals(ends.reshape(-1, 2))
-            xs = np.concatenate([rng.uniform(-5.0, 5.0, size=200), ends,
-                                 np.nextafter(ends, np.inf)])
-            got = dist_to_intervals(xs, intervals)
-            want = [loop(float(x), intervals) for x in xs]
-            assert got.shape == xs.shape
-            assert got.tolist() == want
-            assert dist_to_intervals(xs[0], intervals) == want[0]

@@ -5,14 +5,14 @@
 Each run is a fresh `python -m defect_bands.cli` process with PYTHONPATH set
 to the checkout's `src`.  The runs are `validate`, `bands --k-grid 8 --out`
 and `spectrum --out` on the five bundled configs,
-`perfbench/nested_line_point.json` and the two uncounted models under
-`tools/`, `membership --json` at each of OMEGAS on the same eight models,
+`perfbench/nested_line_point.json` and the two `tools/` models,
+`membership --json` at each of OMEGAS on the same eight models,
 and `oracle --out`: with `--L 12`, open and periodic, on the five bundled
-configs, and with `--L 8`, open and periodic, on the nested model.  Every
-bundled model's dispersion is counted at the gap edges; the two `tools/`
-models (an omega-dependent line defect, and a bulk quadratic in omega)
-are not, so their spectrum runs reach the scan of `dispersion_branch`.
-Both checkouts read these two configs from this script's directory, so a
+configs, and with `--L 8`, open and periodic, on the nested model.  The
+two `tools/` models, an omega-dependent line defect and a bulk quadratic
+in omega, are counted in `dispersion_branch` through its checks of
+-dT/domega: the defect's slope and the bulk's, cut at omega = 0.  Both
+checkouts read these two configs from this script's directory, so a
 checkout that predates them runs them too.  For every run the CSVs it wrote
 (the bands, the spectrum and one per branch, or the box eigenvalues), its
 stdout, its stderr and its exit code are compared byte for byte.  No
@@ -64,7 +64,7 @@ OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
 #: (box half-width, boundary conditions) of the oracle runs per config; the
 #: nested model's box grows fastest, so it runs smaller boxes: open goes
 #: through the dense eigenpairs, periodic through the blocks of both axes.
-#: The uncounted `tools/` models are there for their scan and run none
+#: The `tools/` models are there for their dispersion and run none
 ORACLE_BOXES = {"nested_line_point": [("8", "open"), ("8", "periodic")],
                 "square_line_omega_defect": [], "squared_frequency_line": []}
 ORACLE_DEFAULT = [("12", "open"), ("12", "periodic")]
