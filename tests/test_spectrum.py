@@ -1314,15 +1314,16 @@ class TestRootCounts:
             _fake_crossing([3.0], search=lambda lam: lam * np.nan),
             1e-10) == ([1], [[]], [None])
 
-    def test_count_is_continuous_at_a_zero_of_the_defect(self):
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_count_is_continuous_at_a_zero_of_the_defect(self, sign):
         # M = 1, G = 1 and A = 0.7 - s omega, which vanishes at 0.7 s, so
         # C = 1 + A falls in s omega, S = 1 / A + 1 has a pole at 0.7 s and
         # the one root is at 1.7 s.  On the piece between 0 and 2 s, nu(S)
         # is the same at both ends, but the count oriented by s drops by
         # one; the piece is bisected while the pole lies inside it.  The
-        # probes of s = -1 mirror those of s = 1 bit for bit up to the
-        # sixth, the root itself, where a zero value counts on the side of
-        # larger omega in both frames, so the two searches part there
+        # probes of s = sign mirror those of s = -sign bit for bit up to
+        # the sixth, the root itself, where a zero value counts on the side
+        # of larger omega in both frames, so the two searches part there
         tol = ToleranceSet().root_tol_omega
 
         def run(s):
@@ -1348,9 +1349,9 @@ class TestRootCounts:
                        zip(probes, ends) if lo < 0.7 * s < hi)
             return probes, root
 
-        up, down = run(1.0), run(-1.0)
-        assert up[0][5] == 1.7
-        assert down[0][:6] == [-x for x in up[0][:6]]
+        here, mirror = run(sign), run(-sign)
+        assert here[0][5] == 1.7 * sign
+        assert here[0][:6] == [-x for x in mirror[0][:6]]
 
     def test_unfinished_search_is_reported(self, monkeypatch, caplog):
         # level-1 factors that do not converge near the nested model's point
@@ -1409,6 +1410,29 @@ class TestRootCounts:
         assert branch.cells == {"edges": 2, "search": 0}
         assert (f"k=() [{lo:.6g}, {hi:.6g}] (a bulk band lies inside it)"
                 in caplog.text)
+
+    def test_exclusion_missing_the_band_in_each_row_is_not_counted(
+            self, caplog):
+        # the square lattice's line defect with no exclusion intervals: in
+        # each row the one gap, the whole window, holds that row's band
+        # [c - 2, c + 2], c = 2 cos k_2, so every row is left uncounted with
+        # no samples, only the two edges of each row are evaluated and the
+        # warning names every row
+        from tests_util import square_with_line_defect
+        spec, grids = square_with_line_defect(1.0, k_points=8,
+                                              omega_points=65)
+        real = exclusion_set(spec, 1, grids)
+        empty = ExclusionSet(nodes=real.nodes,
+                             intervals=[[] for _ in real.nodes])
+        with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
+            branch = dispersion_branch(spec, 1, grids, exclusion=empty)
+        lo, hi = spec.omega_window
+        rows = [tuple(k) for k in real.nodes]
+        assert len(rows) == 8
+        assert branch.counts == [(k, lo, hi, None, 0) for k in rows]
+        assert branch.samples == [] and branch.skipped == []
+        assert branch.cells == {"edges": 2 * len(rows), "search": 0}
+        assert caplog.text.count("(a bulk band lies inside it)") == len(rows)
 
     def test_steep_defect_is_not_counted(self, caplog):
         # the on-site defect 1 + 1.5 omega outruns the bulk's slope:
