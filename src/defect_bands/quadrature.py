@@ -8,7 +8,11 @@ The sublattice average of f over the leading j axes is
 sqrt(2*pi)*C, not C).  It is computed by the periodic trapezoid rule on
 uniform nodes k_l = -pi + 2*pi*l/n, which is exact for trig polynomials
 below the grid Nyquist degree and exponentially convergent for analytic
-periodic integrands; callers double n until the result stops moving.
+periodic integrands; callers double n until the result stops moving.  The
+one exception is a level-1 bracket of an eigenvalue-form Hermitian
+one-site bulk with axis-1 hopping to nearest neighbours only: there the
+average is the exact residue the trapezoid sums converge to, and no n is
+used (`spectrum._GreenTable`).
 Each sum runs pairwise over the lexicographically ordered nodes, whatever
 the memory layout of its input and however many other rows it is batched
 with, so results are reproducible bit for bit.

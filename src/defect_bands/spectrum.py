@@ -19,7 +19,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .model import GridConfig
 from .quadrature import NonConvergence, _product_nodes, grid_nodes, trapezoid_sum
@@ -193,20 +192,23 @@ def lattice_green(lam, vec, omega):
 class Chain:
     """Level matrices at one omega, with one pinned n per level.
 
-    A level-j value is a bracket: I plus the scaled trapezoid sum
-    (`quadrature.trapezoid_sum`) of the inverse-product integrand over the
-    n^j nodes of the first j axes.  `level_values` evaluates its rows as
-    one group of a `_GreenTable` built for them at this omega: the first
-    time at a level n doubles from N_QUAD_START until the relative change
-    falls below the spec's quad_rel_tol, and that n is pinned in `_nquad`
-    for the level's later rows, the lower-level factors inside higher
-    brackets included.  A singular node matrix, or passing N_QUAD_MAX,
-    raises `NonConvergence`.  No level value is memoized, and the pinned n
-    stay with this chain: a row recomputed at its pinned n has the same
-    bits.  What is shared across chains and calls is omega-free: the bulk
-    eigenpairs behind B_0^{-1} and the term tables of the symbols at the
-    rows (the spec's `eigen_store`, see `_GreenTable`), so a level-0 value
-    is `combine` of stored terms.  `membership` steps up one chain.
+    A level-j value is a bracket: I plus the scaled sub-torus average of the
+    inverse-product integrand over the first j axes.  `level_values`
+    evaluates its rows as one group of a `_GreenTable` built for them at
+    this omega.  A closed-form level-1 table (see `_GreenTable`) gives the
+    exact average with no n, so nothing is pinned for it.  Any other level
+    is a scaled trapezoid sum (`quadrature.trapezoid_sum`) over the n^j
+    nodes: the first time at a level n doubles from N_QUAD_START until the
+    relative change falls below the spec's quad_rel_tol, and that n is
+    pinned in `_nquad` for the level's later rows, the lower-level factors
+    inside higher brackets included.  A singular node matrix, passing
+    N_QUAD_MAX, or on a closed-form table an omega in or at a row's bulk
+    band, raises `NonConvergence`.  No level value is memoized, and the
+    pinned n stay with this chain: a row recomputed at its pinned n has the
+    same bits.  What is shared across chains and calls is omega-free: the
+    bulk eigenpairs behind B_0^{-1} and the term tables of the symbols at
+    the rows (the spec's `eigen_store`, see `_GreenTable`), so a level-0
+    value is `combine` of stored terms.  `membership` steps up one chain.
     """
 
     def __init__(self, spec, omega):
@@ -246,8 +248,17 @@ class _GreenTable:
     """Converged level values of groups of (omega, row) cells.
 
     This is the one place where a bracket is built and n is doubled.  The
-    table serves one level and fixed rows of its remaining coordinates; a
-    bracket's factors are formed as follows.
+    table serves one level and fixed rows of its remaining coordinates.
+
+    A level-1 table of an eigenvalue-form Hermitian M = 1 bulk whose every
+    axis-1 offset is -1, 0 or 1 is *closed-form* (`_closed`): along k_1 a
+    row is H = h_0 + h_1 z + conj(h_1) / z with z = e^{ik_1}, so the
+    average of 1/(H - omega) over k_1 is one residue of 1/Q(z),
+    Q(z) = h_1 z^2 + (h_0 - omega) z + conj(h_1), at its root inside the
+    unit circle (Lee & Joannopoulos, PRB 23, 4988, 1981; Umerski, PRB 55,
+    5266, 1997).  `_closed_form` evaluates it with no n and no doubling.
+    On every other table (levels >= 2, M > 1, longer axis-1 hopping, other
+    bulks) n doubles, and a bracket's factors are formed as follows.
     - B_0^{-1}, by `level0_inverse`: for an eigenvalue-form Hermitian bulk,
       B_0 = H(k) - omega*I, `lattice_green` from one `eigh` of H per node,
       which serves every omega.  `eigenpairs` keeps `eigh(H)` at the
@@ -261,7 +272,7 @@ class _GreenTable:
       values, one group at the group's omega of a level-i table that this
       table owns.  It keeps one per (i, n), with rows
       `node_mesh(n, level - i, t_rows)`, whose eigenpairs come from the
-      store too.
+      store too; an owned level-1 table is closed-form by the rule above.
     - A_j, the defect symbol at the rows: `combine` at each group's omega
       of its term tables at all table rows, which the store keeps too.
 
@@ -277,6 +288,10 @@ class _GreenTable:
         self.t_rows = np.asarray(t_rows, dtype=float)   # (rows, N - level)
         self._lower = [c for c in spec.present_codims if c < self.level]
         self._eigen = _hermitian_linear_fast(spec)
+        self._closed = (self.level == 1 and self._eigen
+                        and spec.cell_size == 1
+                        and all(abs(off[0]) <= 1
+                                for off in spec.bulk.terms[0].offsets))
         self._rows_key = self.t_rows.tobytes()
         self._tables = {}        # (lower level i, n) -> level-i _GreenTable
 
@@ -353,6 +368,52 @@ class _GreenTable:
         k_t[:, self.level:] = self.t_rows
         return _terms(self.spec, self.level, k_t)
 
+    def _row_band(self, rows):
+        """h_0 and |h_1| of the table rows `rows` of a closed-form table, so
+        that a row's bulk band is [h_0 - 2|h_1|, h_0 + 2|h_1|]: the 4-point
+        discrete Fourier transform along k_1 of the stored eigenvalues of H
+        on the n = 4 grid (-pi, -pi/2, 0, pi/2), exact for the axis-1
+        offsets -1, 0 and 1."""
+        lam = self.eigenpairs(4)[0][:, rows, 0]
+        return lam.mean(axis=0), 0.25 * np.hypot(lam[2] - lam[0],
+                                                  lam[3] - lam[1])
+
+    def _closed_form(self, omegas, spans, cells):
+        """Level-1 values of the groups of cells `spans`, (start, end) pairs
+        into `cells`, on a closed-form table, in one vectorised pass; per
+        group its values or its `NonConvergence`.
+
+        A cell's omega at distance d > 0 from its row's band puts one root
+        z_in of Q inside |z| = 1, and the residue there is the exact average
+        G = 1/Q'(z_in) = 1/(2 h_1 z_in + h_0 - omega)
+          = sign(h_0 - omega) / sqrt(d (d + 4|h_1|)),
+        which is 1/(h_0 - omega) where h_1 = 0.  The cell's value is
+        1 + sqrt(2 pi) G A, A its defect term, the limit of the scaled
+        trapezoid sum.  A group fails when one of its cells has d below
+        `lattice_green`'s rank-guard floor 64 eps max(1, |h_0| + 2|h_1|)
+        (d = 0 inside the band): `NonConvergence` "level 1 closed form:
+        omega=... is in a row's bulk band or within its rank guard", with
+        n_reached 0 (no grid is tried) and witness the least such d.
+        """
+        cell_t, cell_omega, cell_a = cells
+        h0, h1 = self._row_band(cell_t)
+        shift = h0 - cell_omega
+        dist = np.maximum(np.abs(shift) - 2.0 * h1, 0.0)
+        floor = 64.0 * np.finfo(float).eps * np.maximum(
+            1.0, np.abs(h0) + 2.0 * h1)
+        bad = np.where(dist < floor, dist, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            green = np.sign(shift) / np.sqrt(dist * (dist + 4.0 * h1))
+            values = 1.0 + np.sqrt(TWO_PI) * green[:, None, None] * cell_a
+        out = []
+        for omega, (s, e) in zip(omegas, spans):
+            worst = bad[s:e].min()
+            out.append(values[s:e] if np.isinf(worst) else NonConvergence(
+                f"level 1 closed form: omega={float(omega)!r} is in a row's "
+                "bulk band or within its rank guard", n_reached=0,
+                witness_sigma_min=float(worst)))
+        return out
+
     def piece_sign(self, n, row, edges):
         """How the omega piece between the two `edges` of a table row is
         counted, at the row's n-grid nodes: (sign, None) with sign +1 or -1
@@ -369,21 +430,34 @@ class _GreenTable:
         monotone at each node, so the piece is still refused when the
         inertia of B_0 at some node differs between the edges: a bulk band
         lies inside it (on the eigen path an eigenvalue of H in [a, b)).
+        On a closed-form table n is not read: the defect slopes are taken
+        at the row, and a bulk band lies inside the piece exactly when the
+        row's band [h_0 - 2|h_1|, h_0 + 2|h_1|] meets [a, b).
         """
         spec, dim = self.spec, self.spec.lattice_dim
         varying = [layer for layer in spec.defects
                    if layer.codim <= self.level and layer.symbol.max_power]
-        if varying or not self._eigen:
+        if self._closed:
+            mesh = np.zeros((1, dim))
+            mesh[:, self.level:] = self.t_rows[row]
+        elif varying or not self._eigen:
             mesh = node_mesh(n, self.level,
                              self.t_rows[row:row + 1]).reshape(-1, dim)
         if self._eigen:
-            lam = self.eigenpairs(n)[0][:, row]
-            negative = [(lam < w).sum(axis=-1) for w in edges]
             least = {1.0: [1.0, 1.0], -1.0: [-1.0, -1.0]}
+            if self._closed:
+                (h0,), (h1,) = self._row_band([row])
+                a, b = edges
+                banded = h0 - 2.0 * h1 < b and h0 + 2.0 * h1 >= a
+            else:
+                lam = self.eigenpairs(n)[0][:, row]
+                banded = np.any((lam < edges[0]).sum(axis=-1)
+                                != (lam < edges[1]).sum(axis=-1))
         else:
             tabs = spec.bulk.tabulate(mesh)
             negative = [(eigvalsh(spec.bulk.combine(w, tabs)) < 0).sum(axis=-1)
                         for w in edges]
+            banded = np.any(negative[0] != negative[1])
             slopes = [eigvalsh(-_slope(spec.bulk.terms, w, tabs))
                       for w in edges]
             least = {1.0: [s.min() for s in slopes],
@@ -400,7 +474,7 @@ class _GreenTable:
                 break
         else:
             return 0.0, "-dT/domega is not shown definite on it"
-        if np.any(negative[0] != negative[1]):
+        if banded:
             return 0.0, "a bulk band lies inside it"
         return sign, None
 
@@ -408,20 +482,22 @@ class _GreenTable:
         """Converged level values of groups of cells, evaluated together.
 
         Group g is the cells (omegas[g], row) for the table rows groups[g];
-        `dispersion_branch` makes one group per cell, `Chain` one group.
-        At each n all live cells are evaluated at once: for the eigen path
-        without lower levels in chunks of at most SCAN_CHUNK_ENTRIES node
-        entries, otherwise one group at a time.  Per group, n starts at
-        N_QUAD_START and the group pins its n at the first relative change
-        below quad_rel_tol; a singular node makes it fail, and reaching
-        N_QUAD_MAX makes it stall.  `pins` holds per group a dict level ->
-        pinned n, fresh dicts by default; a group that converges pins its n
-        there.  When this level is pinned, which it must be for every group
-        or none, each group is evaluated at that n alone and converges there
-        unless a node is singular.  With lower defect levels, group g takes
-        its factors B_i^{-1} from the lower tables, with the pins of
-        pins[g].  Returns per group its values or its `NonConvergence`, a
-        lower level's included.
+        `dispersion_branch` makes one group per cell, `Chain` one group.  On
+        a closed-form table every cell is evaluated exactly in one pass by
+        `_closed_form`, and `pins` is neither read nor written.  Elsewhere
+        n doubles: at each n all live cells are evaluated at once, for the
+        eigen path without lower levels in chunks of at most
+        SCAN_CHUNK_ENTRIES node entries, otherwise one group at a time.  Per
+        group, n starts at N_QUAD_START and the group pins its n at the
+        first relative change below quad_rel_tol; a singular node makes it
+        fail, and reaching N_QUAD_MAX makes it stall.  `pins` holds per
+        group a dict level -> pinned n, fresh dicts by default; a group that
+        converges pins its n there.  When this level is pinned, which it
+        must be for every group or none, each group is evaluated at that n
+        alone and converges there unless a node is singular.  With lower
+        defect levels, group g takes its factors B_i^{-1} from the lower
+        tables, with the pins of pins[g].  Returns per group its values or
+        its `NonConvergence`, a lower level's included.
         """
         if len(groups) == 0:
             return []
@@ -438,6 +514,8 @@ class _GreenTable:
         cells = (cell_t, np.repeat(omegas, sizes), np.concatenate(
             [symbol.combine(float(w), [t[rows] for t in tabs])
              for w, rows in zip(omegas, groups)]))
+        if self._closed:
+            return self._closed_form(omegas, zip(ends - sizes, ends), cells)
 
         m_sz = self.spec.cell_size
         prev = np.zeros((cell_t.size, m_sz * m_sz), dtype=complex)
@@ -762,6 +840,9 @@ def bands(spec, k):
         return np.linalg.eigvalsh(terms[0].eval(k))
     t0 = terms[0].eval(k) if 0 in terms else np.zeros((m_sz, m_sz), complex)
     t1 = terms[1].eval(k) if 1 in terms else np.zeros((m_sz, m_sz), complex)
+    # the one use of scipy: importing it here keeps it out of every run
+    # that never solves this generalized eigenproblem
+    import scipy.linalg
     if spec.bulk.max_power == 1:
         vals = scipy.linalg.eig(t0, -t1, right=False)
     else:
@@ -1097,9 +1178,10 @@ def _count_roots(table, gaps, crossing, tol_omega):
     the slope of a squared-frequency bulk H(k) - omega^2 vanishes.  One
     call evaluates the edges of every piece of every gap.  Each piece is
     oriented by `_GreenTable.piece_sign` at the larger n its two edges
-    reached, and holds the drop of its count between its edges.  A gap is
-    left uncounted when an edge does not converge, when `piece_sign`
-    refuses a piece, when a count is negative, or when `_search` loses it.
+    reached (none on a closed-form table, which pins no n), and holds the
+    drop of its count between its edges.  A gap is left uncounted when an
+    edge does not converge, when `piece_sign` refuses a piece, when a count
+    is negative, or when `_search` loses it.
     `_search` bisects a piece with more than one root on the counts, and
     steps a piece with one root by Anderson-Bjorck regula falsi on its
     crossing eigenvalue, or by bisection after two such steps in a row that
@@ -1122,7 +1204,7 @@ def _count_roots(table, gaps, crossing, tol_omega):
             if np.isnan(lam[e]).any() or np.isnan(lam[e + 1]).any():
                 why[g] = "an edge did not converge"
                 break
-            n = max(pins[e][table.level], pins[e + 1][table.level])
+            n = max(p.get(table.level, 0) for p in pins[e:e + 2])
             sign, why[g] = table.piece_sign(n, gaps[g][0], edges[e:e + 2])
             if why[g]:
                 break

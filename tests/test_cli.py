@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,3 +498,15 @@ class TestDeterminism:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the generalized eigenproblem of `bands` on a bulk
+    # that is not eigenvalue form, and is imported there
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, defect_bands.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -112,3 +112,61 @@ def test_bloch_eigenvalues_match_dense(half_widths, bcs, eps, defects):
     want = np.linalg.eigvalsh(trunc.matrix)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+coefficients = st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(c00=st.floats(-2.0, 2.0), c01=coefficients,
+       axis1=st.tuples(coefficients, coefficients, coefficients),
+       kind=st.sampled_from(["general", "zero-at-row-0", "flat"]),
+       d0=st.floats(-2.0, 2.0), d1=coefficients,
+       gap=st.floats(0.05, 2.0), side=st.sampled_from([-1.0, 1.0]))
+def test_closed_form_level1_matches_references(c00, c01, axis1, kind, d0,
+                                               d1, gap, side):
+    # a 2D M = 1 bulk with nearest-neighbour axis-1 hopping that depends
+    # on the row, h_1(t) = c_{1,-1} e^{-it} + c_{1,0} + c_{1,1} e^{it}
+    # (zero at the row t = 0 for "zero-at-row-0", zero for "flat"), and a
+    # line defect d_0 + d_1 e^{it} + h.c.; omega lies `gap` beyond every
+    # row band.  The closed-form level-1 values against a trapezoid sum at
+    # n = 8192 over k_1 written here, and against the residue reference
+    # of test_spectrum, which solves the companion pencil with scipy
+    from test_spectrum import _residue_level1
+    from defect_bands.spectrum import Chain, full_mesh
+    hop = {b: complex(*c) for b, c in zip((-1, 0, 1), axis1)}
+    if kind == "zero-at-row-0":
+        hop[0] = -(hop[-1] + hop[1])
+    elif kind == "flat":
+        hop = {b: 0j for b in hop}
+    coeffs = {(0, 0): c00, (0, 1): complex(*c01),
+              (0, -1): complex(*c01).conjugate()}
+    for b, c in hop.items():
+        coeffs[(1, b)] = c
+        coeffs[(-1, -b)] = c.conjugate()
+    bulk = OmegaSymbol({
+        0: TrigMatrixPolynomial(2, {off: [[c]] for off, c in coeffs.items()}),
+        1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]})})
+    line = DefectLayer(1, 2, {0: TrigMatrixPolynomial(1, {
+        (0,): [[d0]], (1,): [[complex(*d1)]],
+        (-1,): [[complex(*d1).conjugate()]]})})
+    spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
+                       defects=(line,), omega_window=(-20.0, 20.0))
+    t = full_mesh(1, 8)[:, 0]
+    h0 = c00 + 2.0 * (complex(*c01) * np.exp(1j * t)).real
+    h1 = np.abs(sum(c * np.exp(1j * b * t) for b, c in hop.items()))
+    if kind != "general":
+        assert h1[t == 0.0] <= 1e-15
+    omega = (np.max(h0 + 2 * h1) + gap if side > 0
+             else np.min(h0 - 2 * h1) - gap)
+
+    got = Chain(spec, omega).level_values(1, t[:, None])[:, 0, 0]
+    k = 2.0 * np.pi * np.arange(8192) / 8192
+    h = sum(c * np.exp(1j * (a * k[:, None] + b * t)) for (a, b), c in
+            coeffs.items())
+    d = d0 + 2.0 * (complex(*d1) * np.exp(1j * t)).real
+    want = 1.0 + d * np.mean(1.0 / (h.real - omega), axis=0)
+    scale = np.maximum(1.0, np.abs(want))
+    assert np.max(np.abs(got - want) / scale) <= 1e-12
+    residue = _residue_level1(spec, omega, t[:, None])[:, 0, 0]
+    assert np.max(np.abs(got - residue) / scale) <= 1e-12

@@ -11,6 +11,7 @@ from defect_bands.quadrature import (
 )
 from defect_bands.spectrum import N_QUAD_START, Chain, node_mesh
 from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
+from tests_util import two_site
 
 TWO_PI = 2.0 * np.pi
 SQRT_TWO_PI = np.sqrt(TWO_PI)
@@ -139,18 +140,26 @@ class TestBracket:
 
 
 class TestAdaptiveBracket:
-    """The n-doubling `Chain` runs around the trapezoid sum."""
+    """The n-doubling `Chain` runs around the trapezoid sum.
+
+    M = 1 level-1 brackets are closed-form, so these run on
+    `tests_util.two_site` models, whose first site is the M = 1 model with
+    its numbers and whose brackets double n; `TestClosedFormBracket` holds
+    the closed-form counterparts."""
 
     def test_smooth_integrand_converges_fast(self, chain_defect_model):
-        spec, _ = chain_defect_model
+        spec = two_site(chain_defect_model[0])
         chain = Chain(spec, 3.0)
-        value = chain.level_values(1, POINT)[0, 0, 0]
+        value = chain.level_values(1, POINT)[0]
         assert chain._nquad[1] <= 64
-        assert value == pytest.approx(1.0 - 1.0 / np.sqrt(5.0), abs=1e-10)
+        assert value[0, 0] == pytest.approx(1.0 - 1.0 / np.sqrt(5.0),
+                                            abs=1e-10)
+        assert value[1, 1] == pytest.approx(1.0 + 1.0 / np.sqrt(45.0),
+                                            abs=1e-10)
 
     def test_band_edge_pole_raises_with_witness(self, chain_defect_model):
         # at omega = 2 the pole of 1/(2 cos k - 2) sits on the k = 0 node
-        spec, _ = chain_defect_model
+        spec = two_site(chain_defect_model[0])
         with pytest.raises(NonConvergence) as err:
             Chain(spec, 2.0).level_values(1, POINT)
         assert err.value.n_reached == N_QUAD_START
@@ -160,25 +169,84 @@ class TestAdaptiveBracket:
         # the first call at a level pins its n; rows seen later are the
         # trapezoid sum at that n alone, here built by hand for the line
         # defect's 2 cos k1 + 2 cos k2 - omega bulk at n = 64
-        spec, _ = square_line_model
+        spec = two_site(square_line_model[0])
         chain = Chain(spec, 2.0)
         chain.level_values(1, [[np.pi]])
         assert chain._nquad[1] == 64
-        got = chain.level_values(1, [[2.5]])[0, 0, 0]
+        got = chain.level_values(1, [[2.5]])[0]
         assert chain._nquad[1] == 64
         k1 = grid_nodes(64)
-        integrand = SQRT_TWO_PI ** -1 / (2 * np.cos(k1) + 2 * np.cos(2.5) - 2.0)
-        want = 1.0 + trapezoid_sum(integrand, 1, 64)
-        assert abs(got - want) <= 1e-12
+        for site, shift in enumerate((0.0, 10.0)):
+            integrand = SQRT_TWO_PI ** -1 / (
+                2 * np.cos(k1) + 2 * np.cos(2.5) + shift - 2.0)
+            want = 1.0 + trapezoid_sum(integrand, 1, 64)
+            assert abs(got[site, site] - want) <= 1e-12
+        assert got[0, 1] == got[1, 0] == 0.0
 
     def test_constant_converges_immediately(self):
         # a flat band 2.5 - omega makes the level-1 integrand constant in k
-        bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, {(0,): [[2.5]]}),
-                            1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
-        layer = DefectLayer(1, 1, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
-        spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
-                           defects=(layer,))
+        spec = two_site(flat_chain())
         chain = Chain(spec, 0.0)
-        value = chain.level_values(1, POINT)[0, 0, 0]
+        value = chain.level_values(1, POINT)[0]
         assert chain._nquad[1] == 2 * N_QUAD_START
-        assert value == pytest.approx(1.0 + 1.0 / 2.5, abs=1e-13)
+        assert value[0, 0] == pytest.approx(1.0 + 1.0 / 2.5, abs=1e-13)
+        assert value[1, 1] == pytest.approx(1.0 + 1.0 / 12.5, abs=1e-13)
+
+
+def flat_chain():
+    """A flat band 2.5 - omega with a unit point defect."""
+    bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, {(0,): [[2.5]]}),
+                        1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
+    layer = DefectLayer(1, 1, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
+    return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
+                       defects=(layer,))
+
+
+class TestClosedFormBracket:
+    """The closed form of M = 1 level-1 brackets: exact values with no n
+    and nothing pinned, and failing cells named by their distance to the
+    row's bulk band."""
+
+    def test_smooth_integrand_is_exact(self, chain_defect_model):
+        spec, _ = chain_defect_model
+        chain = Chain(spec, 3.0)
+        value = chain.level_values(1, POINT)[0, 0, 0]
+        assert chain._nquad == {}
+        assert abs(value - (1.0 - 1.0 / np.sqrt(5.0))) <= 1e-15
+
+    @pytest.mark.parametrize("omega", [2.0, -2.0, 1.0])
+    def test_band_cell_fails_with_witness_zero(self, chain_defect_model,
+                                               omega):
+        # omega = +-2 is the band's edge and 1 lies inside it: distance 0
+        spec, _ = chain_defect_model
+        chain = Chain(spec, omega)
+        with pytest.raises(NonConvergence) as err:
+            chain.level_values(1, POINT)
+        assert err.value.n_reached == 0
+        assert err.value.witness_sigma_min == 0.0
+        assert str(err.value) == (
+            f"level 1 closed form: omega={omega!r} is in a row's bulk band "
+            "or within its rank guard")
+        assert chain._nquad == {}
+
+    def test_later_rows_need_no_pin(self, square_line_model):
+        # rows asked later are exact too, with no n: against the trapezoid
+        # sum at n = 256 built by hand, and the closed form
+        # sign(h_0 - omega) / sqrt((h_0 - omega)^2 - 4), h_0 = 2 cos k_2
+        spec, _ = square_line_model
+        chain = Chain(spec, 2.0)
+        chain.level_values(1, [[np.pi]])
+        got = chain.level_values(1, [[2.5]])[0, 0, 0]
+        assert chain._nquad == {}
+        k1 = grid_nodes(256)
+        integrand = SQRT_TWO_PI ** -1 / (2 * np.cos(k1) + 2 * np.cos(2.5) - 2.0)
+        assert abs(got - (1.0 + trapezoid_sum(integrand, 1, 256))) <= 1e-14
+        shift = 2 * np.cos(2.5) - 2.0
+        assert abs(got - (1.0 - 1.0 / np.sqrt(shift ** 2 - 4.0))) <= 1e-14
+
+    def test_flat_row_is_one_over_the_shift(self):
+        # h_1 = 0: G = 1 / (h_0 - omega)
+        chain = Chain(flat_chain(), 0.0)
+        value = chain.level_values(1, POINT)[0, 0, 0]
+        assert chain._nquad == {}
+        assert abs(value - (1.0 + 1.0 / 2.5)) <= 1e-15

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from conftest import config_path, load_model
+from tests_util import two_site
 from defect_bands import spectrum
 from defect_bands.model import (
     DefectLayer,
@@ -95,6 +96,18 @@ def squared_frequency_line_and_point():
     point = DefectLayer(2, 2, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
     return ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
                        defects=(line, point), omega_window=(-4.0, 4.0))
+
+
+def chain_in_plane():
+    """2 cos k_1 - omega on the plane, with a unit point defect: an M = 1
+    level-2 bracket, which doubles n."""
+    bulk = OmegaSymbol({
+        0: TrigMatrixPolynomial(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]]}),
+        1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
+    })
+    point = DefectLayer(2, 2, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
+    return ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
+                       defects=(point,), omega_window=(-4.0, 4.0))
 
 
 class TestBuildB0:
@@ -342,8 +355,9 @@ class TestGreenTable:
 
     @pytest.mark.parametrize("omega", [2.0, -2.0])
     def test_exact_zero_raises_like_direct(self, chain_defect_model, omega):
-        # 2 cos k - omega vanishes exactly at the k = 0 and k = -pi nodes
-        spec, _ = chain_defect_model
+        # 2 cos k - omega vanishes exactly at the k = 0 and k = -pi nodes;
+        # on the chain's two-site model, whose brackets double n
+        spec = two_site(chain_defect_model[0])
         t_rows = np.zeros((1, 0))
         with pytest.raises(SingularMatrix) as direct:
             _direct_level0_inverse(spec, 1, t_rows, omega, 16)
@@ -355,16 +369,17 @@ class TestGreenTable:
         assert direct.value.min_sigma == green == \
             table.witness_sigma_min == 0.0
 
-    def test_rank_guard_near_zero_m1(self, chain_defect_model):
-        # at omega = 0 the level-0 matrix 2 cos k is 1.2e-16 at the
-        # k = +-pi/2 nodes of the first grid: below 64 eps max(1, |lambda|),
+    def test_rank_guard_near_zero_m1(self):
+        # at omega = 0 the level-0 matrix 2 cos k_1 is 1.2e-16 at the
+        # k_1 = +-pi/2 nodes of the first grid: below 64 eps max(1, |lambda|),
         # so both level-0 paths fail there instead of doubling n on values
-        # of 8e15
-        spec, _ = chain_defect_model
+        # of 8e15; M = 1, on the level-2 bracket of a point defect on a
+        # plane whose bulk is the chain along k_1
+        spec = chain_in_plane()
         t_rows = np.zeros((1, 0))
         with pytest.raises(NonConvergence) as err:
-            Chain(spec, 0.0).level_values(1, t_rows)
-        table, = _GreenTable(spec, 1, t_rows)._converge([0.0], [[0]])
+            Chain(spec, 0.0).level_values(2, t_rows)
+        table, = _GreenTable(spec, 2, t_rows)._converge([0.0], [[0]])
         for exc in (err.value, table):
             assert isinstance(exc, NonConvergence)
             assert exc.n_reached == N_QUAD_START
@@ -374,8 +389,9 @@ class TestGreenTable:
     def test_singular_node_at_pinned_n(self, square_line_model):
         # k2 = pi pins level 1 at n = 64 for omega = 2; at k2 = 0 the node
         # k1 = -pi/2 of every grid gives 2 cos k1 + 2 cos k2 = 2.0 exactly,
-        # so the pinned evaluation fails the guard as the first grid does
-        spec, _ = square_line_model
+        # so the pinned evaluation fails the guard as the first grid does;
+        # on the line model's two-site model, whose brackets double n
+        spec = two_site(square_line_model[0])
         chain = Chain(spec, 2.0)
         chain.level_values(1, [[np.pi]])
         assert chain._nquad[1] == 64
@@ -432,8 +448,9 @@ class TestGreenTable:
     def test_stall_matches_direct(self, chain_defect_model, delta):
         # just above the band edge the level-1 integrand 1/(2 cos k - omega)
         # is too sharp for N_QUAD_MAX nodes: the direct chain and a
-        # one-group table evaluation must stall alike, with witness ~ delta
-        spec, _ = chain_defect_model
+        # one-group table evaluation must stall alike, with witness ~ delta;
+        # on the chain's two-site model, whose brackets double n
+        spec = two_site(chain_defect_model[0])
         omega, t_rows = 2.0 + delta, np.zeros((1, 0))
         with pytest.raises(NonConvergence) as err:
             Chain(spec, omega).level_values(1, t_rows)
@@ -443,6 +460,65 @@ class TestGreenTable:
         assert direct.n_reached == cached.n_reached == N_QUAD_MAX
         assert direct.witness_sigma_min == cached.witness_sigma_min
         assert direct.witness_sigma_min == pytest.approx(delta, rel=1e-6)
+
+    @pytest.mark.parametrize("omega", [2.0, -2.0])
+    def test_closed_form_band_edge_fails_like_direct(self, chain_defect_model,
+                                                     omega):
+        # the M = 1 chain's level-1 table is closed-form: omega = +-2 is its
+        # band edge, at distance 0, where the direct inverse is singular too
+        spec, _ = chain_defect_model
+        t_rows = np.zeros((1, 0))
+        with pytest.raises(SingularMatrix) as direct:
+            _direct_level0_inverse(spec, 1, t_rows, omega, 16)
+        table = _GreenTable(spec, 1, t_rows)
+        assert table._closed
+        out, = table._converge([omega], [[0]])
+        assert isinstance(out, NonConvergence)
+        assert out.n_reached == 0
+        assert direct.value.min_sigma == out.witness_sigma_min == 0.0
+
+    def test_closed_form_rank_guard_floor(self, chain_defect_model):
+        # a cell fails within 64 eps max(1, |h_0| + 2|h_1|) = 2.8e-14 of the
+        # band [-2, 2], with the exact distance as its witness; just past
+        # the floor it has its value, 1 - 1/sqrt(omega^2 - 4)
+        spec, _ = chain_defect_model
+        t_rows = np.zeros((1, 0))
+        near, far = 2.0 + 2.5e-14, 2.0 + 3.2e-14
+        failed, passed = _GreenTable(spec, 1, t_rows)._converge(
+            [near, far], [[0], [0]])
+        assert isinstance(failed, NonConvergence)
+        assert (failed.n_reached, failed.witness_sigma_min) == (0, near - 2.0)
+        want = 1.0 - 1.0 / np.sqrt((far - 2.0) * (far + 2.0))
+        assert abs(passed[0, 0, 0] - want) <= 1e-12 * abs(want)
+
+    def test_closed_form_band_row_fails_alone(self, square_line_model):
+        # omega = 2 lies in the band [0, 4] of the row k2 = 0 and outside
+        # the band [-4, 0] of the row k2 = pi: a group holding both fails
+        # with witness 0, and one group per cell fails that cell alone
+        spec, _ = square_line_model
+        table = _GreenTable(spec, 1, [[np.pi], [0.0]])
+        both, = table._converge([2.0], [[0, 1]])
+        assert isinstance(both, NonConvergence)
+        assert (both.n_reached, both.witness_sigma_min) == (0, 0.0)
+        good, bad = table._converge([2.0, 2.0], [[0], [1]])
+        assert isinstance(bad, NonConvergence)
+        assert (bad.n_reached, bad.witness_sigma_min) == (0, 0.0)
+        assert abs(good[0, 0, 0] - (1.0 - 1.0 / np.sqrt(12.0))) <= 1e-15
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-5, 1e-7, 1e-8])
+    def test_closed_form_near_band_edge_matches_mpmath(self, chain_defect_model,
+                                                       delta):
+        # just above the band edge, where doubling stalls, the closed form
+        # is exact: B_1 - 1 = <1/(2 cos k - omega)> = -1/sqrt(omega^2 - 4),
+        # evaluated by mpmath at 50 digits for the same binary omega
+        import mpmath
+        spec, _ = chain_defect_model
+        omega = 2.0 + delta
+        with mpmath.workdps(50):
+            w = mpmath.mpf(omega)
+            want = float(-1 / mpmath.sqrt(w * w - 4))
+        got = Chain(spec, omega).level_values(1, np.zeros((1, 0)))[0, 0, 0]
+        assert abs((got - 1.0) - want) <= 4e-16 * abs(want)
 
     @pytest.mark.parametrize("model, omega", [
         ("eigen-m1", 6.5), ("eigen-m2", 6.0), ("svd", 3.5)])
@@ -464,7 +540,7 @@ class TestGreenTable:
             outs = converge(table, omegas, groups, pins)
             if table.level == 1:
                 (rows,), (out,), (pin,) = groups, outs, pins
-                factors.append((table.t_rows[rows], out.copy(), pin[1]))
+                factors.append((table.t_rows[rows], out.copy(), pin.get(1)))
             return outs
 
         monkeypatch.setattr(_GreenTable, "_converge", spied)
@@ -472,13 +548,15 @@ class TestGreenTable:
         monkeypatch.undo()
 
         def level1(t_rows, n):
-            pins = {1: n}
+            # an M = 1 level-1 table is closed-form: it pins no n
+            pins = {} if n is None else {1: n}
             vals, = _GreenTable(spec, 1, t_rows)._converge(
                 [omega], [np.arange(len(t_rows))], [pins])
-            assert pins == {1: n}
+            assert pins == ({} if n is None else {1: n})
             return vals
 
         assert len(factors) > 1
+        assert {n is None for _, _, n in factors} == {model == "eigen-m1"}
         for t_rows, vals, n in factors:
             assert np.array_equal(level1(t_rows, n), vals)
             assert np.array_equal(level1(t_rows[-1:], n), vals[-1:])
@@ -835,15 +913,40 @@ class TestMembership:
     def test_stalled_bracket_is_inconclusive(self, monkeypatch):
         # with n capped at the first grid, the level-1 bracket at omega = 3
         # cannot double, so it stalls; the verdict names the level and the
-        # witness min |2 cos k - 3| = 1
+        # witness min |2 cos k - 3| = 1; on the chain's two-site model,
+        # whose brackets double n
         from tests_util import chain_with_defect
         spec, grids = chain_with_defect(1.0)
+        spec = two_site(spec)
         monkeypatch.setattr(spectrum, "N_QUAD_MAX", N_QUAD_START)
         cert = membership(spec, 3.0, grids)
         assert cert.status == "inconclusive"
         assert cert.reason.startswith("quadrature did not converge at level 1")
         assert "stalled at n=16" in cert.reason
         assert cert.reason.endswith("(witness sigma_min 1.000e+00)")
+        assert [lv for lv, _ in cert.min_sigma_per_level] == [0]
+
+    def test_closed_form_failure_is_inconclusive(self, chain_defect_model,
+                                                 monkeypatch):
+        # a closed-form level-1 cell inside its row's band fails, and the
+        # verdict names the level and the witness, the distance 0 to the
+        # band; level 0 would have found omega = 1 in the band, so its
+        # check is replaced by one that certifies it
+        spec, grids = chain_defect_model
+        check = spectrum.step_check
+
+        def level0_passes(fn, n_axes, *args, **kwargs):
+            if n_axes == spec.lattice_dim:
+                return spectrum.StepCheckResult(False, 1.0, (0.0,), "sigma")
+            return check(fn, n_axes, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "step_check", level0_passes)
+        cert = membership(spec, 1.0, grids)
+        assert cert.status == "inconclusive"
+        assert cert.reason == (
+            "quadrature did not converge at level 1: level 1 closed form: "
+            "omega=1.0 is in a row's bulk band or within its rank guard "
+            "(witness sigma_min 0.000e+00)")
         assert [lv for lv, _ in cert.min_sigma_per_level] == [0]
 
     def test_guard_region_is_inconclusive(self, chain_defect_model):
@@ -1278,6 +1381,27 @@ class TestRootCounts:
         assert counts == [2, 0] and why == [None, None]
         assert np.allclose(sorted(roots[0]), [3.0, 3.5], rtol=0, atol=1e-10)
         assert roots[1] == []
+
+    @pytest.mark.parametrize("row, edges, want", [
+        (0, (-1.0, 5.0), (0.0, "a bulk band lies inside it")),
+        (0, (3.5, 4.5), (0.0, "a bulk band lies inside it")),
+        (0, (-0.5, 0.25), (0.0, "a bulk band lies inside it")),
+        (0, (4.02, 6.0), (1.0, None)),
+        (0, (-6.0, -0.02), (1.0, None)),
+        (1, (0.02, 6.0), (1.0, None)),
+        (1, (-4.5, -3.9), (0.0, "a bulk band lies inside it")),
+        (2, (2.02, 5.0), (1.0, None)),
+    ])
+    def test_closed_form_piece_sign(self, square_line_model, row, edges,
+                                    want):
+        # the rows k2 = 0, pi and pi/2 of the line model have the bands
+        # [0, 4], [-4, 0] and [-2, 2] exactly; a piece whose edges straddle
+        # or reach into one is refused, one beside it has sign +1; no n is
+        # read
+        table = _GreenTable(square_line_model[0], 1,
+                            [[0.0], [np.pi], [np.pi / 2]])
+        assert table._closed
+        assert table.piece_sign(0, row, np.array(edges)) == want
 
     def test_gaps_left_uncounted(self, chain_defect_model):
         # a gap over the bulk eigenvalues, a count that decreases, an edge

@@ -92,3 +92,28 @@ def two_band_line(k_points=16, omega_points=129, point=None):
     spec = ProblemSpec(lattice_dim=2, cell_size=2, bulk=bulk,
                        defects=tuple(layers), omega_window=(-7.0, 7.0))
     return spec, GridConfig(k_points=k_points, omega_points=omega_points)
+
+
+def two_site(spec, offset=10.0):
+    """The M = 2 model diag(H, H + offset) - omega of an M = 1
+    eigenvalue-form spec, with each defect stencil A placed as diag(A, A).
+
+    Its first site is the M = 1 model itself, with the same numbers; its
+    brackets are not closed-form (M > 1), so n is doubled on them.
+    """
+    def doubled(poly, shift=0.0):
+        zero = (0,) * poly.torus_dim
+        coeffs = {off: [[m[0, 0], 0.0], [0.0, m[0, 0]]]
+                  for off, m in poly.items()}
+        base = coeffs.get(zero, [[0.0, 0.0], [0.0, 0.0]])
+        coeffs[zero] = [[base[0][0], 0.0], [0.0, base[1][1] + shift]]
+        return TrigMatrixPolynomial(poly.torus_dim, coeffs)
+
+    terms = spec.bulk.terms
+    bulk = OmegaSymbol({0: doubled(terms[0], offset), 1: doubled(terms[1])})
+    layers = tuple(
+        DefectLayer(layer.codim, spec.lattice_dim,
+                    {p: doubled(st) for p, st in layer.stencils.items()})
+        for layer in spec.defects)
+    return ProblemSpec(lattice_dim=spec.lattice_dim, cell_size=2, bulk=bulk,
+                       defects=layers, omega_window=spec.omega_window)

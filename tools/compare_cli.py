@@ -34,9 +34,9 @@ and with the same query's fresh-spec answer of its own checkout (the
 fresh-process stdout for membership).
 
 Prints one line per differing output, with the largest absolute difference
-of its numbers when a CSV (bands, spectrum, branch or oracle) differs in
-numbers alone, and a summary; exits 0 when every output is identical, 1
-otherwise.
+of its numbers when a CSV (bands, spectrum, branch or oracle) or a
+`membership --json` answer differs in numbers alone, and a summary; exits 0
+when every output is identical, 1 otherwise.
 """
 
 import argparse
@@ -267,6 +267,37 @@ def numeric_difference(a, b):
     return gap
 
 
+def json_difference(a, b):
+    """Largest absolute difference between the numbers of two JSON texts, or
+    None when either is not JSON or they differ in anything but numbers."""
+    try:
+        return _tree_difference(json.loads(a), json.loads(b))
+    except ValueError:
+        return None
+
+
+def _tree_difference(x, y):
+    """`json_difference` of two decoded JSON values."""
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (x, y)]
+    if all(numbers):
+        return abs(x - y)
+    if any(numbers) or type(x) is not type(y):
+        return None
+    if isinstance(x, dict):
+        if x.keys() != y.keys():
+            return None
+        pairs = [(x[key], y[key]) for key in x]
+    elif isinstance(x, list):
+        if len(x) != len(y):
+            return None
+        pairs = list(zip(x, y))
+    else:
+        return 0.0 if x == y else None
+    gaps = [_tree_difference(u, v) for u, v in pairs]
+    return None if None in gaps else max(gaps, default=0.0)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old", type=Path, help="checkout to compare against")
@@ -283,10 +314,13 @@ def main(argv=None):
         elif old[key] != new[key]:
             differing += 1
             line = f"{key}: differs, {first_difference(old[key], new[key])}"
+            gap = None
             if key.endswith(".csv"):
                 gap = numeric_difference(old[key], new[key])
-                if gap is not None:
-                    line += f", largest absolute difference {gap:.3e}"
+            elif "/membership_" in key and "/stdout" in key:
+                gap = json_difference(old[key], new[key])
+            if gap is not None:
+                line += f", largest absolute difference {gap:.3e}"
             print(line)
     stale = 0
     for side, outputs in (("old", old), ("new", new)):
