@@ -5,17 +5,17 @@ The sublattice average of f over the leading j axes is
     <f>_{1..j} = (2*pi)^(-j/2) * integral over [-pi,pi]^j of f dk_{1..j}
 
 (a scaled integral: the bracket of a constant C over one axis is
-sqrt(2*pi)*C, not C).  It is computed by the periodic trapezoid rule on
-uniform nodes k_l = -pi + 2*pi*l/n, which is exact for trig polynomials
-below the grid Nyquist degree and exponentially convergent for analytic
-periodic integrands; callers double n until the result stops moving.  The
-one exception is a level-1 bracket of an eigenvalue-form Hermitian
-one-site bulk with axis-1 hopping to nearest neighbours only: there the
-average is the exact residue the trapezoid sums converge to, and no n is
-used (`spectrum._GreenTable`).
-Each sum runs pairwise over the lexicographically ordered nodes, whatever
-the memory layout of its input and however many other rows it is batched
-with, so results are reproducible bit for bit.
+sqrt(2*pi)*C, not C).  The level brackets factor into one axis per level,
+P_j = <B_{j-1}^{-1} P_{j-1}>_j (`spectrum._GreenTable`), so each sum runs
+over one axis: the periodic trapezoid rule on the nodes
+k_l = -pi + 2*pi*l/n, exact for trig polynomials below the grid Nyquist
+degree and exponentially convergent, at its own rate per axis, for
+analytic periodic integrands; callers double n on that axis until the
+result stops moving, except on a level-1 bracket of an eigenvalue-form
+Hermitian one-site bulk with nearest-neighbour axis-1 hopping, which is
+the exact residue the sums converge to.  Each sum is pairwise over the
+nodes in order, whatever the layout of its input and the rows batched
+with it, so results are reproducible bit for bit.
 """
 
 import numpy as np
@@ -32,11 +32,13 @@ class NonConvergence(RuntimeError):
     Attributes
     ----------
     n_reached : int
-        Last points-per-axis tried.
+        Last n tried on the failing level's axis; 0 on a closed-form level 1.
     witness_sigma_min : float
-        How singular the integrand is: the minimum sigma_min of the level-0
-        matrix over a witness mesh, or of the node matrices that failed the
-        rank guard.
+        How singular the integrand is: the minimum sigma_min of the node
+        matrices that failed the rank guard, or of the level-0 matrix over a
+        witness mesh whose level-1 rows, where closed-form, give their exact
+        distance from omega to the row's band (that distance is also the
+        witness of a failing closed-form cell).
     """
 
     def __init__(self, message, n_reached, witness_sigma_min):
@@ -61,14 +63,12 @@ def _product_nodes(nodes, j):
     return np.stack([m.ravel(order="C") for m in mesh], axis=-1)
 
 
-def trapezoid_sum(values, j, n):
-    """(2 pi)^(-j/2) (2 pi / n)^j times the sum of `values` over axis 0.
-
-    `values` holds the integrand at the n^j nodes of j integrated axes along
-    its leading axis; the result is the scaled average over those axes.
-    Nodes are summed pairwise along a contiguous axis, so the bits do not
-    depend on the layout of `values` (numpy adds a strided axis node by node).
-    """
-    weight = TWO_PI ** (-j / 2.0) * (TWO_PI / n) ** j
+def trapezoid_sum(values, n):
+    """(2 pi)^(-1/2) (2 pi / n) times the sum of `values` over axis 0, the
+    integrand at the n nodes of one axis: its scaled average over that axis
+    (several axes nest one sum each).  Nodes are summed pairwise along a
+    contiguous axis, so the bits do not depend on the layout of `values`
+    (numpy adds a strided axis node by node)."""
+    weight = TWO_PI ** -0.5 * (TWO_PI / n)
     nodes_last = np.ascontiguousarray(values.reshape(values.shape[0], -1).T)
     return weight * nodes_last.sum(axis=-1).reshape(values.shape[1:])

@@ -7,10 +7,11 @@ components.  Whenever level j-1 is invertible everywhere, level j is
     B_j = I + < B_{j-1}^{-1} ... B_1^{-1} B_0^{-1} A_j >_{1..j}
 
 with the codimension-j defect symbol A_j and the scaled sub-torus average
-over the first j axes; B_j depends only on the trailing N-j components.
-A singular level-j matrix certifies omega in the spectrum and yields a
-dispersion branch of dimension N-j: bulk bands at level 0, guided branches
-in between, isolated points at level N.  Membership testing, branch root
+over the first j axes; B_j depends only on the trailing N-j components,
+so the average is taken one axis per level (`_GreenTable`).  A singular
+level-j matrix certifies omega in the spectrum and yields a dispersion
+branch of dimension N-j: bulk bands at level 0, guided branches in
+between, isolated points at level N.  Membership testing, branch root
 finding, exclusion-interval bookkeeping, the assembled spectrum, and the
 constructive inverse of the operator all live here.
 """
@@ -42,7 +43,7 @@ IMAG_DOMINANCE = 1e-6
 #: points per axis of the one local refinement pass around a sigma_min argmin
 REFINE_POINTS = 33
 
-#: first and largest points per axis of a bracket's n-doubling
+#: first and largest points on a bracket's axis of its n-doubling
 N_QUAD_START = 16
 N_QUAD_MAX = 4096
 
@@ -52,20 +53,18 @@ WITNESS_POINTS = 4 * N_QUAD_START
 #: seed of the membership probe frequencies of `full_spectrum`
 PROBE_SEED = 20260808
 
-#: complex node entries per chunk of a batched group of dispersion cells
-#: (gap edges or one search step; 256 KiB per array): larger chunks raised
-#: peak RSS by ~26 MB on the halved-grid line defect and ran no faster
-SCAN_CHUNK_ENTRIES = 1 << 14
+#: complex node entries per chunk of the cells a level-1 table evaluates
+#: together (gap edges or one search step; 256 KiB per array): larger
+#: chunks raised peak RSS by ~26 MB on the halved-grid line defect and ran
+#: no faster
+CELL_CHUNK_ENTRIES = 1 << 14
 
-#: bytes of omega-free tables (bulk eigenpairs, symbol term tables and
-#: meshes) and of their keys one spec keeps in its `eigen_store`; past it
-#: the least recently used tables are dropped.  The `query-mix` query sets
-#: of ten seeds, asked in turn on the same specs, level off at 7.6 MB on
-#: the nested model (7.3 MB of it eigenpairs, 0.25 MB term tables), 1.2 MB
-#: on the line model (0.44 MB term tables) and 0.02 MB on the chain.  A
-#: table larger than the bound (one M = 1 row of a level-2 bracket at
-#: n >= 2048) is not kept, so a stalled query does not hold its arrays for
-#: the spec's life
+#: bytes of omega-free tables (level-1 bulk eigenpairs, symbol term tables
+#: and meshes) and their keys that one spec keeps in its `eigen_store`,
+#: least recently used dropped first; a larger table is not kept, so a
+#: stalled query does not hold it.  The `query-mix` query sets of seeds
+#: 1-10, asked on the same specs, leave 0.34 MB on the nested model (0.25
+#: MB term tables), 0.56 MB on the line model and 0.01 MB on the chain
 EIGEN_STORE_BYTES = 1 << 25
 
 
@@ -157,6 +156,12 @@ def node_mesh(n, level, t_rows):
 # the level-0 inverse
 
 
+def _rank_floor(scale):
+    """The rank guard's floor 64 eps max(1, scale) for values of magnitude
+    up to `scale`: the rounding floor of those values themselves."""
+    return 64.0 * np.finfo(float).eps * np.maximum(1.0, scale)
+
+
 def lattice_green(lam, vec, omega):
     """U diag(1/(lambda - omega)) U^H and its rank guard, per node.
 
@@ -167,15 +172,13 @@ def lattice_green(lam, vec, omega):
     inverse is 1/(lambda - omega) as complex, the product's bits on every
     finite node without the matmul.  Its singular values are
     1/|lambda_i - omega|, and a node fails the guard when
-    min |lambda_i - omega| < 64 eps max(1, max |lambda_i|), the rounding
-    floor of the eigenvalues themselves.  Returns the inverses and per node
-    the failing sigma_min, inf where the node passes (the inverse of a
-    failing node is not finite).
+    min |lambda_i - omega| is below `_rank_floor(max |lambda_i|)`.  Returns
+    the inverses and per node the failing sigma_min, inf where the node
+    passes (the inverse of a failing node is not finite).
     """
     shift = lam - np.asarray(omega, dtype=float)[..., None]
     s_min = np.abs(shift).min(axis=-1)
-    floor = 64.0 * np.finfo(float).eps * np.maximum(
-        1.0, np.abs(lam).max(axis=-1))
+    floor = _rank_floor(np.abs(lam).max(axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         if lam.shape[-1] == 1:
             green = (1.0 / shift).astype(complex)[..., None]
@@ -192,23 +195,15 @@ def lattice_green(lam, vec, omega):
 class Chain:
     """Level matrices at one omega, with one pinned n per level.
 
-    A level-j value is a bracket: I plus the scaled sub-torus average of the
-    inverse-product integrand over the first j axes.  `level_values`
-    evaluates its rows as one group of a `_GreenTable` built for them at
-    this omega.  A closed-form level-1 table (see `_GreenTable`) gives the
-    exact average with no n, so nothing is pinned for it.  Any other level
-    is a scaled trapezoid sum (`quadrature.trapezoid_sum`) over the n^j
-    nodes: the first time at a level n doubles from N_QUAD_START until the
-    relative change falls below the spec's quad_rel_tol, and that n is
-    pinned in `_nquad` for the level's later rows, the lower-level factors
-    inside higher brackets included.  A singular node matrix, passing
-    N_QUAD_MAX, or on a closed-form table an omega in or at a row's bulk
-    band, raises `NonConvergence`.  No level value is memoized, and the
-    pinned n stay with this chain: a row recomputed at its pinned n has the
-    same bits.  What is shared across chains and calls is omega-free: the
-    bulk eigenpairs behind B_0^{-1} and the term tables of the symbols at
-    the rows (the spec's `eigen_store`, see `_GreenTable`), so a level-0
-    value is `combine` of stored terms.  `membership` steps up one chain.
+    `level_values` evaluates a level's rows as one group of a `_GreenTable`
+    built for them at this omega, which sums over the level's own axis the
+    integrand from the levels below.  Each level but a closed-form level 1
+    pins in `_nquad` the n its axis first converged at, for its later rows,
+    inside higher brackets too; a failing bracket raises `NonConvergence`.
+    No level value is memoized: a row recomputed at its pinned n has the
+    same bits.  Only omega-free tables are shared across chains, through
+    the spec's `eigen_store`: the level-1 bulk eigenpairs and the symbols'
+    term tables.  `membership` steps up one chain.
     """
 
     def __init__(self, spec, omega):
@@ -248,103 +243,85 @@ class _GreenTable:
     """Converged level values of groups of (omega, row) cells.
 
     This is the one place where a bracket is built and n is doubled.  The
-    table serves one level and fixed rows of its remaining coordinates.
+    table serves one level j and fixed rows of k_{j+1..N}.  B_i depends on
+    k_{i+1..N} alone, so the average over the first j axes factors into
+    one axis per level:
 
-    A level-1 table of an eigenvalue-form Hermitian M = 1 bulk whose every
-    axis-1 offset is -1, 0 or 1 is *closed-form* (`_closed`): along k_1 a
-    row is H = h_0 + h_1 z + conj(h_1) / z with z = e^{ik_1}, so the
-    average of 1/(H - omega) over k_1 is one residue of 1/Q(z),
-    Q(z) = h_1 z^2 + (h_0 - omega) z + conj(h_1), at its root inside the
-    unit circle (Lee & Joannopoulos, PRB 23, 4988, 1981; Umerski, PRB 55,
-    5266, 1997).  `_closed_form` evaluates it with no n and no doubling.
-    On every other table (levels >= 2, M > 1, longer axis-1 hopping, other
-    bulks) n doubles, and a bracket's factors are formed as follows.
-    - B_0^{-1}, by `level0_inverse`: for an eigenvalue-form Hermitian bulk,
-      B_0 = H(k) - omega*I, `lattice_green` from one `eigh` of H per node,
-      which serves every omega.  `eigenpairs` keeps `eigh(H)` at the
-      n^level integration nodes x rows, for each n the doubling reaches, in
-      the spec's `eigen_store`, so every table of the same level and rows,
-      in any later call or query on the spec, reads them too; the n-grid
-      nodes are bit for bit the even nodes of the 2n grid, so doubling
-      copies them and diagonalises only the new odd-indexed nodes.  Any
-      other bulk takes the SVD-guarded `inverse`, one call per group.
-    - B_i^{-1} for each lower defect level i: the `inverse` of level-i
-      values, one group at the group's omega of a level-i table that this
-      table owns.  It keeps one per (i, n), with rows
-      `node_mesh(n, level - i, t_rows)`, whose eigenpairs come from the
-      store too; an owned level-1 table is closed-form by the rule above.
-    - A_j, the defect symbol at the rows: `combine` at each group's omega
-      of its term tables at all table rows, which the store keeps too.
+        P_1 = <B_0^{-1}>_1,  P_j = <B_{j-1}^{-1} P_{j-1}>_j,
+        B_j = I + P_j A_j,
 
-    Only omega-free tables are shared, eigenpairs of H and term tables;
-    level values, pinned n and verdicts, everything that depends on omega,
-    stay with the call.  `Chain` builds one table per `level_values` call;
-    `dispersion_branch` builds one per call, at every level.
+    and a level with no defect has B = I and passes P on unchanged.  A
+    level-j table sums over axis j alone:
+    - Level 1, closed form (`_closed`): for an eigenvalue-form Hermitian
+      M = 1 bulk whose every axis-1 offset is -1, 0 or 1, the average of
+      1/(H - omega) is an exact residue, with no n (`_closed_form`; Lee &
+      Joannopoulos, PRB 23, 4988, 1981; Umerski, PRB 55, 5266, 1997).
+    - Level 1 otherwise: n doubles on axis 1 over B_0^{-1}
+      (`level0_inverse`), for H(k) - omega*I with H Hermitian
+      `lattice_green` from the `eigenpairs` of H, which serve every omega
+      and are kept in the spec's `eigen_store`, else the SVD-guarded
+      `inverse`.  Only level-1 tables form B_0^{-1} or hold eigenpairs.
+    - Level j >= 2: n doubles on axis j over B_{j-1}^{-1} P_{j-1}
+      (`_integrand`), taken from the one level-(j-1) table it owns per n
+      (`_lower`).
+    A_j at the rows is `combine` of the stored term tables at each omega.
+    Level values, pinned n and verdicts stay with the call.  `Chain` builds
+    one table per `level_values` call; `dispersion_branch` one per call.
     """
 
     def __init__(self, spec, level, t_rows):
         self.spec = spec
         self.level = int(level)
         self.t_rows = np.asarray(t_rows, dtype=float)   # (rows, N - level)
-        self._lower = [c for c in spec.present_codims if c < self.level]
         self._eigen = _hermitian_linear_fast(spec)
         self._closed = (self.level == 1 and self._eigen
                         and spec.cell_size == 1
                         and all(abs(off[0]) <= 1
                                 for off in spec.bulk.terms[0].offsets))
         self._rows_key = self.t_rows.tobytes()
-        self._tables = {}        # (lower level i, n) -> level-i _GreenTable
+        self._below = {}        # n -> the level-(j-1) table it owns for n
 
     def eigenpairs(self, n):
-        """(lambda, U) at the n-grid nodes x rows, kept in the spec's
-        `eigen_store` under (level, n, the bytes of the rows).
-
-        Shapes (n^level, rows, M) and (n^level, rows, M, M); node order is
-        the lexicographic order of `_product_nodes`.  U is None for M = 1,
-        where it is 1, so an M = 1 table stores lambda alone.
-        """
-        return _stored(self.spec, (self.level, n, self._rows_key),
+        """(lambda, U) of a level-1 table at the n-grid nodes x rows, shapes
+        (n, rows, M) and (n, rows, M, M), kept in the spec's `eigen_store`
+        under (1, n, the bytes of the rows); U is None for M = 1."""
+        return _stored(self.spec, (1, n, self._rows_key),
                        lambda: self._diagonalise(n))
 
     def _diagonalise(self, n):
         """`eigenpairs(n)` computed, the even nodes copied from the stored
         pairs of n / 2 when there are any."""
-        store = self.spec.eigen_store
-        j = self.level
-        n_dim, m_sz = self.spec.lattice_dim, self.spec.cell_size
-        mesh = node_mesh(n, j, self.t_rows)
+        m_sz = self.spec.cell_size
+        mesh = node_mesh(n, 1, self.t_rows)
         lam = np.empty(mesh.shape[:2] + (m_sz,))
         vec = None if m_sz == 1 else np.empty(lam.shape + (m_sz,), complex)
-        new = np.ones(mesh.shape[0], dtype=bool)
-        coarse = store.get((j, n // 2, self._rows_key))
+        new = slice(None)
+        coarse = self.spec.eigen_store.get((1, n // 2, self._rows_key))
         if coarse is not None:
-            new = (np.indices((n,) * j).reshape(j, -1) % 2 == 1).any(axis=0)
-            lam[~new] = coarse[0]
+            new = slice(1, None, 2)
+            lam[::2] = coarse[0]
             if vec is not None:
-                vec[~new] = coarse[1]
+                vec[::2] = coarse[1]
         k_full = mesh[new]
-        w, u = eigh(
-            self.spec.bulk.terms[0].eval(k_full.reshape(-1, n_dim)))
+        w, u = eigh(self.spec.bulk.terms[0].eval(
+            k_full.reshape(-1, self.spec.lattice_dim)))
         lam[new] = w.reshape(k_full.shape[:2] + (m_sz,))
         if vec is not None:
             vec[new] = u.reshape(k_full.shape[:2] + (m_sz, m_sz))
         return lam, vec
 
     def level0_inverse(self, n, rows, omegas):
-        """B_0^{-1} at the n-grid nodes x the table rows `rows`, node-major.
-
-        Cell c is (omegas[c], row rows[c]); the SVD path takes one omega,
-        omegas[0], for all cells.  Returns the inverses, shape
-        (n^level, cells, M, M), and per cell the smallest sigma_min of a
-        node that fails the rank guard, inf where every node passes; the
-        inverse is not finite where a node fails.
-        """
+        """B_0^{-1} of a level-1 table at the n-grid nodes x the table rows
+        `rows`, shape (n, cells, M, M), cell c at omegas[c] (omegas[0] for
+        all on the SVD path), and per cell the smallest sigma_min of a node
+        that fails the rank guard, inf where every node passes; the inverse
+        is not finite where a node fails."""
         if self._eigen:
             lam, vec = self.eigenpairs(n)
             green, bad = lattice_green(
                 lam[:, rows], None if vec is None else vec[:, rows], omegas)
             return green, bad.min(axis=0)
-        mesh = node_mesh(n, self.level, self.t_rows[rows])
+        mesh = node_mesh(n, 1, self.t_rows[rows])
         shape = mesh.shape[:2] + (self.spec.cell_size,) * 2
         try:
             inv = inverse(self.spec.bulk.eval(
@@ -353,11 +330,39 @@ class _GreenTable:
             return np.full(shape, np.nan), np.full(len(rows), exc.min_sigma)
         return inv.reshape(shape), np.full(len(rows), np.inf)
 
+    def _lower(self, n, rows):
+        """The level-(j-1) table owned for n, on the rows `node_mesh(n, 1,
+        t_rows)`, and its rows under the table rows `rows`, node-major."""
+        if n not in self._below:
+            mesh = node_mesh(n, 1, self.t_rows)
+            self._below[n] = _GreenTable(self.spec, self.level - 1,
+                                         mesh.reshape(-1, mesh.shape[-1]))
+        nodes = np.arange(n)[:, None] * len(self.t_rows) + np.asarray(rows)
+        return self._below[n], nodes.ravel()
+
+    def _bulk_bands(self, n, rows):
+        """Low and high ends of the bulk bands of an eigenvalue-form bulk at
+        the table rows `rows`, read from the level-1 table under the tables
+        owned for n (its rows: the n-grid nodes of axes 2..j x table rows):
+        each row's exact band [h_0 - 2|h_1|, h_0 + 2|h_1|] where it is
+        closed-form, else the eigenvalues of H at its n-grid nodes."""
+        table = self
+        while table.level > 1:
+            table, rows = table._lower(n, rows)
+        if table._closed:
+            h0, h1 = table._row_band(rows)
+            return h0 - 2.0 * h1, h0 + 2.0 * h1
+        lam = table.eigenpairs(n)[0][:, rows]
+        return lam, lam
+
     def _witness(self, omega, rows):
-        """Min sigma_min of B_0 over the witness mesh x the table rows."""
+        """Min sigma_min of B_0 over the WITNESS_POINTS grid of the
+        integrated axes x the table rows `rows`; on the eigen path the
+        distance to `_bulk_bands`, exact where they are closed-form."""
         if self._eigen:
-            lam, _ = self.eigenpairs(WITNESS_POINTS)
-            return float(np.abs(lam[:, rows] - omega).min())
+            lo, hi = self._bulk_bands(WITNESS_POINTS, rows)
+            return float(np.maximum(np.maximum(lo - omega, omega - hi),
+                                    0.0).min())
         mesh = node_mesh(WITNESS_POINTS, self.level, self.t_rows[rows])
         return float(np.min(smallest_singular_value(self.spec.bulk.eval(
             omega, mesh.reshape(-1, self.spec.lattice_dim)))))
@@ -378,41 +383,29 @@ class _GreenTable:
         return lam.mean(axis=0), 0.25 * np.hypot(lam[2] - lam[0],
                                                   lam[3] - lam[1])
 
-    def _closed_form(self, omegas, spans, cells):
-        """Level-1 values of the groups of cells `spans`, (start, end) pairs
-        into `cells`, on a closed-form table, in one vectorised pass; per
-        group its values or its `NonConvergence`.
-
-        A cell's omega at distance d > 0 from its row's band puts one root
-        z_in of Q inside |z| = 1, and the residue there is the exact average
+    def _closed_form(self, cells):
+        """Level-1 values, averages P and failing distances of `cells` on a
+        closed-form table, in one vectorised pass.  A cell's omega at
+        distance d > 0 from its row's band puts one root z_in of Q inside
+        |z| = 1, and the residue there is the exact average
         G = 1/Q'(z_in) = 1/(2 h_1 z_in + h_0 - omega)
           = sign(h_0 - omega) / sqrt(d (d + 4|h_1|)),
-        which is 1/(h_0 - omega) where h_1 = 0.  The cell's value is
-        1 + sqrt(2 pi) G A, A its defect term, the limit of the scaled
-        trapezoid sum.  A group fails when one of its cells has d below
-        `lattice_green`'s rank-guard floor 64 eps max(1, |h_0| + 2|h_1|)
-        (d = 0 inside the band): `NonConvergence` "level 1 closed form:
-        omega=... is in a row's bulk band or within its rank guard", with
-        n_reached 0 (no grid is tried) and witness the least such d.
+        which is 1/(h_0 - omega) where h_1 = 0.  P = sqrt(2 pi) G is the
+        limit of the scaled trapezoid sum, and the cell's value is 1 + P A,
+        A its defect term (P where the level has no defect).  A cell fails
+        when d is below `_rank_floor(|h_0| + 2|h_1|)` (d = 0 inside the
+        band); its failing distance is then d, else inf.
         """
         cell_t, cell_omega, cell_a = cells
         h0, h1 = self._row_band(cell_t)
         shift = h0 - cell_omega
         dist = np.maximum(np.abs(shift) - 2.0 * h1, 0.0)
-        floor = 64.0 * np.finfo(float).eps * np.maximum(
-            1.0, np.abs(h0) + 2.0 * h1)
-        bad = np.where(dist < floor, dist, np.inf)
+        bad = np.where(dist < _rank_floor(np.abs(h0) + 2.0 * h1), dist, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
-            green = np.sign(shift) / np.sqrt(dist * (dist + 4.0 * h1))
-            values = 1.0 + np.sqrt(TWO_PI) * green[:, None, None] * cell_a
-        out = []
-        for omega, (s, e) in zip(omegas, spans):
-            worst = bad[s:e].min()
-            out.append(values[s:e] if np.isinf(worst) else NonConvergence(
-                f"level 1 closed form: omega={float(omega)!r} is in a row's "
-                "bulk band or within its rank guard", n_reached=0,
-                witness_sigma_min=float(worst)))
-        return out
+            sums = (np.sqrt(TWO_PI) * (np.sign(shift) / np.sqrt(
+                dist * (dist + 4.0 * h1))))[:, None, None]
+            values = sums if cell_a is None else 1.0 + sums * cell_a
+        return values, sums, bad
 
     def piece_sign(self, n, row, edges):
         """How the omega piece between the two `edges` of a table row is
@@ -429,10 +422,9 @@ class _GreenTable:
         the piece.  For H(k) - omega*I, dB_0/domega = -I.  B_0 is then
         monotone at each node, so the piece is still refused when the
         inertia of B_0 at some node differs between the edges: a bulk band
-        lies inside it (on the eigen path an eigenvalue of H in [a, b)).
-        On a closed-form table n is not read: the defect slopes are taken
-        at the row, and a bulk band lies inside the piece exactly when the
-        row's band [h_0 - 2|h_1|, h_0 + 2|h_1|] meets [a, b).
+        lies inside it; on the eigen path, when one of `_bulk_bands` meets
+        [a, b).  A closed-form table reads no n: its defect slopes are taken
+        at the row.
         """
         spec, dim = self.spec, self.spec.lattice_dim
         varying = [layer for layer in spec.defects
@@ -445,14 +437,8 @@ class _GreenTable:
                              self.t_rows[row:row + 1]).reshape(-1, dim)
         if self._eigen:
             least = {1.0: [1.0, 1.0], -1.0: [-1.0, -1.0]}
-            if self._closed:
-                (h0,), (h1,) = self._row_band([row])
-                a, b = edges
-                banded = h0 - 2.0 * h1 < b and h0 + 2.0 * h1 >= a
-            else:
-                lam = self.eigenpairs(n)[0][:, row]
-                banded = np.any((lam < edges[0]).sum(axis=-1)
-                                != (lam < edges[1]).sum(axis=-1))
+            lo, hi = self._bulk_bands(n, [row])
+            banded = np.any((lo < edges[1]) & (hi >= edges[0]))
         else:
             tabs = spec.bulk.tabulate(mesh)
             negative = [(eigvalsh(spec.bulk.combine(w, tabs)) < 0).sum(axis=-1)
@@ -478,26 +464,25 @@ class _GreenTable:
             return 0.0, "a bulk band lies inside it"
         return sign, None
 
-    def _converge(self, omegas, groups, pins=None):
+    def _converge(self, omegas, groups, pins=None, carry=False):
         """Converged level values of groups of cells, evaluated together.
 
         Group g is the cells (omegas[g], row) for the table rows groups[g];
-        `dispersion_branch` makes one group per cell, `Chain` one group.  On
-        a closed-form table every cell is evaluated exactly in one pass by
-        `_closed_form`, and `pins` is neither read nor written.  Elsewhere
-        n doubles: at each n all live cells are evaluated at once, for the
-        eigen path without lower levels in chunks of at most
-        SCAN_CHUNK_ENTRIES node entries, otherwise one group at a time.  Per
-        group, n starts at N_QUAD_START and the group pins its n at the
-        first relative change below quad_rel_tol; a singular node makes it
-        fail, and reaching N_QUAD_MAX makes it stall.  `pins` holds per
-        group a dict level -> pinned n, fresh dicts by default; a group that
-        converges pins its n there.  When this level is pinned, which it
-        must be for every group or none, each group is evaluated at that n
-        alone and converges there unless a node is singular.  With lower
-        defect levels, group g takes its factors B_i^{-1} from the lower
-        tables, with the pins of pins[g].  Returns per group its values or
-        its `NonConvergence`, a lower level's included.
+        `dispersion_branch` makes one group per cell, `Chain` one group.  A
+        cell's value is B_j (P_j with no defect); with `carry`, the
+        integrand of the level above, B_j^{-1} P_j.  A closed-form table
+        evaluates every cell in one pass and ignores `pins`.  Elsewhere n
+        doubles on this level's axis, all live cells at once: on level 1 of
+        an eigenvalue-form bulk in chunks of at most CELL_CHUNK_ENTRIES node
+        entries, else one group at a time.  A group starts at N_QUAD_START
+        and converges at its first relative change below quad_rel_tol, in
+        B_j and with `carry` in P_j too (a small or rank-deficient A_j hides
+        P_j's error from B_j); a singular node fails it, and N_QUAD_MAX
+        stalls it.  `pins` holds per group a dict level -> n (fresh by
+        default), where it and the tables below it pin their n; a level
+        pinned for every group (or none) is evaluated at that n alone.
+        Returns per group its values or its `NonConvergence`, a lower
+        level's included.
         """
         if len(groups) == 0:
             return []
@@ -508,38 +493,50 @@ class _GreenTable:
         sizes = [len(rows) for rows in groups]
         ends = np.cumsum(sizes)
         live = list(zip(range(len(groups)), ends - sizes, ends))
-        symbol = self.spec.defect_by_codim(j).symbol
-        tabs = self.defect_terms()
-        cell_t = np.concatenate(groups)
-        cells = (cell_t, np.repeat(omegas, sizes), np.concatenate(
-            [symbol.combine(float(w), [t[rows] for t in tabs])
-             for w, rows in zip(omegas, groups)]))
-        if self._closed:
-            return self._closed_form(omegas, zip(ends - sizes, ends), cells)
-
-        m_sz = self.spec.cell_size
-        prev = np.zeros((cell_t.size, m_sz * m_sz), dtype=complex)
+        layer = self.spec.defect_by_codim(j)
+        cell_t, cell_a = np.concatenate(groups), None
+        if layer is not None:
+            tabs = self.defect_terms()
+            cell_a = np.concatenate(
+                [layer.symbol.combine(float(w), [t[rows] for t in tabs])
+                 for w, rows in zip(omegas, groups)])
+        cells = (cell_t, np.repeat(omegas, sizes), cell_a)
         outcome = [None] * len(groups)
+        m_sz = self.spec.cell_size
+        if self._closed:
+            vals, sums, bad = self._closed_form(cells)
+            for g, s, e in live:
+                worst = bad[s:e].min()
+                outcome[g] = vals[s:e] if np.isinf(worst) else NonConvergence(
+                    f"level 1 closed form: omega={float(omegas[g])!r} is in a "
+                    "row's bulk band or within its rank guard", n_reached=0,
+                    witness_sigma_min=float(worst))
+            live = []
+        else:
+            prev = np.zeros((1 + carry, cell_t.size, m_sz * m_sz), complex)
+            sums = np.empty((cell_t.size, m_sz, m_sz), dtype=complex)
         n = pinned or N_QUAD_START
-        while True:
-            if self._eigen and not self._lower:
+        while live:
+            if self._eigen and j == 1:
                 idx = np.concatenate([np.arange(s, e) for _, s, e in live])
-                per = max(1, SCAN_CHUNK_ENTRIES // (n ** j * m_sz * m_sz))
+                per = max(1, CELL_CHUNK_ENTRIES // (n * m_sz * m_sz))
                 chunks = [idx[lo:lo + per] for lo in range(0, idx.size, per)]
             else:
                 chunks = [np.arange(s, e) for _, s, e in live]
                 idx = np.concatenate(chunks)
-            # with lower levels chunk i is the group live[i]
-            curr, worst, failed = self._cell_brackets(
-                n, cells, chunks, [pins[g] for g, _, _ in live])
+            curr, avg, worst, failed = self._cell_brackets(
+                n, cells, chunks, [pins[g] for g, _, _ in live], carry)
             bounds = np.cumsum([0] + [e - s for _, s, e in live])[:-1]
-            flat = curr.reshape(idx.size, -1)
-            with np.errstate(invalid="ignore"):
-                diff = np.abs(flat - prev[idx]).max(axis=1)
-                change = np.maximum.reduceat(diff, bounds) / np.maximum(
-                    1.0, np.maximum.reduceat(np.abs(flat).max(axis=1), bounds))
+            change = 0.0
+            for part, old in zip((curr, avg), prev):
+                flat = part.reshape(idx.size, -1)
+                with np.errstate(invalid="ignore"):
+                    diff = np.abs(flat - old[idx]).max(axis=1)
+                    change = np.maximum(change, np.maximum.reduceat(
+                        diff, bounds) / np.maximum(1.0, np.maximum.reduceat(
+                            np.abs(flat).max(axis=1), bounds)))
+                old[idx] = flat
             worst = np.minimum.reduceat(worst, bounds)
-            prev[idx] = flat
             still = []
             for i, (group, g_change, g_worst, b) in enumerate(
                     zip(live, change, worst, bounds)):
@@ -552,68 +549,69 @@ class _GreenTable:
                         n_reached=n, witness_sigma_min=float(g_worst))
                 elif pinned or (n > N_QUAD_START and g_change < tol):
                     outcome[g] = curr[b:b + e - s]
+                    if carry:
+                        sums[s:e] = avg[b:b + e - s]
                     pins[g][j] = n
                 else:
                     still.append(group)
             live = still
-            if not live:
-                return outcome
-            if 2 * n > N_QUAD_MAX:
+            if live and 2 * n > N_QUAD_MAX:
                 for g, s, e in live:
                     omega = float(omegas[g])
                     outcome[g] = NonConvergence(
-                        f"level {j} quadrature stalled at n={n} per axis "
+                        f"level {j} quadrature stalled at n={n} on axis {j} "
                         f"(omega={omega!r} is too close to a lower-level "
                         "spectrum projection)", n_reached=n,
                         witness_sigma_min=self._witness(omega, cell_t[s:e]))
-                return outcome
+                live = []
             n *= 2
+        if not carry or cell_a is None:
+            return outcome
+        return [out if isinstance(out, NonConvergence)
+                else np.matmul(inverse(out), sums[s:e])
+                for out, s, e in zip(outcome, ends - sizes, ends)]
 
-    def _cell_brackets(self, n, cells, chunks, pins):
-        """Fixed-n bracket values and guard minima of the cells in `chunks`,
-        and the lower level's `NonConvergence` per chunk index where one was
-        raised (that chunk's values are then meaningless).  With lower
-        levels chunk i is one group, evaluated with the pins pins[i]."""
+    def _cell_brackets(self, n, cells, chunks, pins, carry):
+        """Fixed-n values of the cells in `chunks`, their sums P (with
+        `carry`, else None), their guard minima, and the
+        lower level's `NonConvergence` per chunk index where one was raised
+        (that chunk's values are then meaningless).  On levels >= 2 chunk i
+        is one group, evaluated with the pins pins[i]."""
         cell_t, cell_omega, cell_a = cells
         eye = np.eye(self.spec.cell_size, dtype=complex)
-        out, worst, failed = [], [], {}
+        out, sums, worst, failed = [], [], [], {}
         for i, part in enumerate(chunks):
-            prod, bad = self.level0_inverse(n, cell_t[part], cell_omega[part])
-            if self._lower and np.isinf(bad).all():
+            if self.level == 1:
+                x, bad = self.level0_inverse(n, cell_t[part], cell_omega[part])
+            else:
+                x = np.full((n, len(part)) + eye.shape, np.nan)
+                bad = np.full(len(part), np.inf)
                 try:
-                    prod = self._lower_product(n, cell_t[part], prod,
-                                               cell_omega[part[0]], pins[i])
+                    x = self._integrand(n, cell_t[part], cell_omega[part[0]],
+                                        pins[i])
                 except SingularMatrix as exc:
                     bad[:] = exc.min_sigma
                 except NonConvergence as exc:
                     failed[i] = exc
             with np.errstate(invalid="ignore", over="ignore"):
-                out.append(eye + trapezoid_sum(np.matmul(prod, cell_a[part]),
-                                               self.level, n))
+                avg = trapezoid_sum(x, n) if cell_a is None or carry else None
+                out.append(avg if cell_a is None else eye + trapezoid_sum(
+                    np.matmul(x, cell_a[part]), n))
+            sums.append(avg)
             worst.append(bad)
-        return np.concatenate(out), np.concatenate(worst), failed
+        return (np.concatenate(out), np.concatenate(sums) if carry else None,
+                np.concatenate(worst), failed)
 
-    def _lower_product(self, n, rows, prod, omega, pins):
-        """B_{j-1}^{-1} ... B_1^{-1} prod over the present lower levels i,
-        each the `inverse` of level-i values at the nodes x the table rows
-        `rows`: one group at `omega`, with `pins`, of the level-i table of
-        this n, whose rows are the n-grid nodes x all table rows."""
-        j, m_sz = self.level, self.spec.cell_size
-        m = len(rows)
-        prod = prod.reshape((n,) * j + (m, m_sz, m_sz))
-        for i in self._lower:
-            table = self._tables.get((i, n))
-            if table is None:
-                table = self._tables[(i, n)] = _GreenTable(
-                    self.spec, i, node_mesh(n, j - i, self.t_rows).reshape(
-                        -1, self.spec.lattice_dim - i))
-            nodes = np.arange(n ** (j - i))[:, None] * len(self.t_rows) + rows
-            out, = table._converge([omega], [nodes.ravel()], [pins])
-            if isinstance(out, NonConvergence):
-                raise out
-            prod = np.matmul(inverse(out).reshape(
-                (1,) * i + (n,) * (j - i) + (m, m_sz, m_sz)), prod)
-        return prod.reshape(-1, m, m_sz, m_sz)
+    def _integrand(self, n, rows, omega, pins):
+        """B_{j-1}^{-1} P_{j-1} at the n axis-j nodes x the table rows
+        `rows`, node-major, shape (n, len(rows), M, M): one group at
+        `omega`, with `pins`, of the level-(j-1) table this table owns for
+        n (`_lower`)."""
+        below, nodes = self._lower(n, rows)
+        out, = below._converge([omega], [nodes], [pins], carry=True)
+        if isinstance(out, NonConvergence):
+            raise out
+        return out.reshape((n, len(rows)) + out.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +804,8 @@ def membership(spec, lam, grids=None):
         except NonConvergence as exc:
             return MembershipCertificate(
                 "inconclusive", min_sigma_per_level=trace,
-                reason=(f"quadrature did not converge at level {codim}: {exc} "
-                        f"(witness sigma_min {exc.witness_sigma_min:.3e})"))
+                reason=(f"level {codim} not evaluated: {exc} (witness "
+                        f"sigma_min {exc.witness_sigma_min:.3e})"))
         trace.append((codim, res.min_sigma))
         if res.detected:
             return MembershipCertificate("in", detected_at_step=codim,
@@ -1025,11 +1023,9 @@ def _slope(powers, omega, tabs):
 
 def _crossing_factors(a):
     """V, 1/D and D for matrices of the defect symbol A = V D V^H, 1/D and
-    D set to 0 on the null space of A (|d| < 64 eps max(1, max |d|))."""
+    D set to 0 on the null space of A (|d| below `_rank_floor(max |d|)`)."""
     d, v = eigh(a)
-    floor = 64.0 * np.finfo(float).eps * np.maximum(
-        1.0, np.abs(d).max(axis=-1, keepdims=True))
-    rank = np.abs(d) >= floor
+    rank = np.abs(d) >= _rank_floor(np.abs(d).max(axis=-1, keepdims=True))
     return (v, np.where(rank, 1.0 / np.where(rank, d, 1.0), 0.0),
             np.where(rank, d, 0.0))
 
@@ -1467,8 +1463,10 @@ def _grid_tabs(spec, omega, n):
         vals = layer.symbol.combine(omega, _terms(spec, layer.codim, mesh))
         a_tabs[(0, layer.codim)] = vals.reshape(grid_shape + (m_sz, m_sz))
 
-    table = _GreenTable(spec, n_dim, np.zeros((1, 0)))
-    green, (worst,) = table.level0_inverse(n, [0], [omega])
+    rows = full_mesh(n_dim - 1, n)
+    green, bad = _GreenTable(spec, 1, rows).level0_inverse(
+        n, np.arange(len(rows)), np.full(len(rows), omega))
+    worst = bad.min()
     if np.isfinite(worst):
         raise SingularMatrix("matrix singular to working precision "
                              f"(sigma_min={worst:.3e})", worst)
@@ -1477,9 +1475,8 @@ def _grid_tabs(spec, omega, n):
     for level in range(1, n_dim + 1):
         for codim in spec.present_codims:
             if codim >= level:
-                a_tabs[(level, codim)] = trapezoid_sum(
-                    np.matmul(inv_tabs[level - 1], a_tabs[(level - 1, codim)]),
-                    1, n)
+                a_tabs[(level, codim)] = trapezoid_sum(np.matmul(
+                    inv_tabs[level - 1], a_tabs[(level - 1, codim)]), n)
         if level in spec.present_codims:
             b_level = eye + a_tabs[(level, level)]
         else:
@@ -1510,7 +1507,7 @@ def forward_apply(spec, omega, f_tab, n):
     for layer in spec.defects:
         avg = f_tab
         for _ in range(layer.codim):
-            avg = trapezoid_sum(avg, 1, n)
+            avg = trapezoid_sum(avg, n)
         a_vals = layer.symbol.combine(omega, _terms(spec, layer.codim, mesh)
                                       ).reshape(grid_shape + (m_sz, m_sz))
         out = out + np.matmul(a_vals, np.broadcast_to(
@@ -1554,8 +1551,8 @@ def resolvent_apply(spec, omega, g, grids=None):
 
     g_levels = {0: g_tab}
     for level in range(1, n_dim + 1):
-        g_levels[level] = trapezoid_sum(
-            np.matmul(inv_tabs[level - 1], g_levels[level - 1][..., None])[..., 0], 1, n)
+        g_levels[level] = trapezoid_sum(np.matmul(
+            inv_tabs[level - 1], g_levels[level - 1][..., None])[..., 0], n)
 
     u = {n_dim: np.matmul(inv_tabs[n_dim], g_levels[n_dim][..., None])[..., 0]}
     for level in range(n_dim - 1, -1, -1):

@@ -46,11 +46,11 @@ def announce(number, text):
 
 def test_criterion_1_bracket_normalization():
     eye = np.eye(2, dtype=complex)
-    avg = trapezoid_sum(np.broadcast_to(eye, (16, 2, 2)), 1, 16)
+    avg = trapezoid_sum(np.broadcast_to(eye, (16, 2, 2)), 16)
     assert np.max(np.abs(avg - np.sqrt(TWO_PI) * np.eye(2))) <= 1e-13
 
     mode = np.exp(1j * grid_nodes(16))[:, None, None] * eye
-    zero = trapezoid_sum(mode, 1, 16)
+    zero = trapezoid_sum(mode, 16)
     assert np.max(np.abs(zero)) <= 1e-13
     announce(1, "bracket of I is sqrt(2*pi)*I and of exp(ik)*I is 0, to 1e-13")
 
@@ -64,7 +64,7 @@ def test_criterion_2_lattice_green_integral():
 
     n = 256
     f = (1.0 / (3.0 - 2.0 * np.cos(grid_nodes(n))))[:, None, None] + 0j
-    avg = trapezoid_sum(f, 1, n)[0, 0]
+    avg = trapezoid_sum(f, n)[0, 0]
     plain_average = avg.real / np.sqrt(TWO_PI)   # (2*pi)^-1 * integral
     assert plain_average == pytest.approx(1.0 / SQRT5, abs=1e-10)
     assert plain_average == pytest.approx(reference / TWO_PI, abs=1e-10)

@@ -25,6 +25,13 @@ def on_nodes(fn, n, j=1):
     return np.asarray(vals, dtype=complex).reshape(-1, 1, 1)
 
 
+def nested_sum(vals, n):
+    """The scaled average over two axes of values at the n x n nodes, shape
+    (n^2, ...): one one-axis sum per axis, axis 1 first."""
+    return trapezoid_sum(trapezoid_sum(vals.reshape((n, n) + vals.shape[1:]),
+                                       n), n)
+
+
 def random_trig_2d(n):
     """Seeded random trig polynomial of degree 2 per axis, at the n x n nodes.
 
@@ -56,25 +63,25 @@ class TestBracket:
 
     def test_constant_is_scaled_not_averaged(self):
         c = np.array([[1.0, 2.0], [0.5, -1.0]], dtype=complex)
-        avg = trapezoid_sum(np.broadcast_to(c, (16, 2, 2)), 1, 16)
+        avg = trapezoid_sum(np.broadcast_to(c, (16, 2, 2)), 16)
         assert np.allclose(avg, SQRT_TWO_PI * c, atol=1e-13)
 
     def test_fourier_mode_integrates_to_zero(self):
-        avg = trapezoid_sum(on_nodes(lambda k: np.exp(1j * k[:, 0]), 4), 1, 4)
+        avg = trapezoid_sum(on_nodes(lambda k: np.exp(1j * k[:, 0]), 4), 4)
         assert np.max(np.abs(avg)) <= 1e-13
 
     def test_fourier_orthogonality_pins_normalization(self):
         n = 16
         for mode in range(1, n):
             vals = on_nodes(lambda k: np.exp(1j * mode * k[:, 0]), n)
-            assert np.max(np.abs(trapezoid_sum(vals, 1, n))) <= 1e-13, \
+            assert np.max(np.abs(trapezoid_sum(vals, n))) <= 1e-13, \
                 f"mode {mode}"
         ones = on_nodes(lambda k: np.ones(k.shape[0]), n)
-        assert abs(trapezoid_sum(ones, 1, n)[0, 0] - SQRT_TWO_PI) <= 1e-13
+        assert abs(trapezoid_sum(ones, n)[0, 0] - SQRT_TWO_PI) <= 1e-13
 
     def test_two_axis_constant_normalization(self):
         ones = on_nodes(lambda k: np.ones(k.shape[0]), 8, j=2)
-        assert abs(trapezoid_sum(ones, 2, 8)[0, 0] - TWO_PI) <= 1e-13 * TWO_PI
+        assert abs(nested_sum(ones, 8)[0, 0] - TWO_PI) <= 1e-13 * TWO_PI
 
     def test_lattice_green_integral(self, chain_defect_model):
         # independent oracles: adaptive Gauss quadrature of the same
@@ -85,7 +92,7 @@ class TestBracket:
         assert reference / TWO_PI == pytest.approx(1.0 / np.sqrt(5.0), abs=1e-12)
 
         vals = on_nodes(lambda k: 1.0 / (3.0 - 2.0 * np.cos(k[:, 0])), 64)
-        value = trapezoid_sum(vals, 1, 64)[0, 0].real
+        value = trapezoid_sum(vals, 64)[0, 0].real
         assert value == pytest.approx(TWO_PI ** (-0.5) * reference, abs=1e-12)
         assert value == pytest.approx(SQRT_TWO_PI / np.sqrt(5.0), abs=1e-10)
 
@@ -95,25 +102,27 @@ class TestBracket:
         assert level1.real == pytest.approx(1.0 - reference / TWO_PI, abs=1e-10)
 
     def test_nesting_matches_double_bracket(self):
+        # summing axis 1 first or axis 2 first gives the weighted double sum
         n = 16
         _, vals = random_trig_2d(n)
-        both = trapezoid_sum(vals, 2, n)
-        inner = trapezoid_sum(vals.reshape(n, n, 1, 1), 1, n)
-        outer = trapezoid_sum(inner, 1, n)
-        assert np.max(np.abs(both - outer)) <= 1e-12
+        both = TWO_PI ** -1.0 * (TWO_PI / n) ** 2 * vals.sum(axis=0)
+        swapped = nested_sum(vals.reshape(n, n, 1, 1).swapaxes(0, 1)
+                             .reshape(n * n, 1, 1), n)
+        assert np.max(np.abs(both - nested_sum(vals, n))) <= 1e-12
+        assert np.max(np.abs(both - swapped)) <= 1e-12
 
     def test_exact_below_nyquist(self):
         # degree 2 < n/2 per axis: the sum is (2 pi)^(j/2) times the mean
         n = 16
         coeff, vals = random_trig_2d(n)
-        got = trapezoid_sum(vals, 2, n)[0, 0]
+        got = nested_sum(vals, n)[0, 0]
         assert abs(got - TWO_PI * coeff[(0, 0)]) <= 1e-12
 
     def test_remaining_axis_dependence(self):
         t_rows = np.array([[0.0], [0.5], [-1.3]])
         k = node_mesh(32, 1, t_rows)
         vals = (np.cos(k[..., 0]) + np.sin(k[..., 1]))[..., None, None]
-        avg = trapezoid_sum(vals + 0j, 1, 32)[:, 0, 0]
+        avg = trapezoid_sum(vals + 0j, 32)[:, 0, 0]
         assert np.allclose(avg.real, SQRT_TWO_PI * np.sin(t_rows[:, 0]),
                            rtol=0.0, atol=1e-12)
 
@@ -132,10 +141,10 @@ class TestBracket:
         node_major = np.moveaxis(
             np.ascontiguousarray(np.moveaxis(vals, 0, -1)), -1, 0)
         assert node_major.strides[0] == vals.itemsize
-        want = trapezoid_sum(vals, 1, 256)
-        assert np.array_equal(trapezoid_sum(node_major, 1, 256), want)
+        want = trapezoid_sum(vals, 256)
+        assert np.array_equal(trapezoid_sum(node_major, 256), want)
         for r in range(vals.shape[1]):
-            assert np.array_equal(trapezoid_sum(vals[:, r:r + 1], 1, 256),
+            assert np.array_equal(trapezoid_sum(vals[:, r:r + 1], 256),
                                   want[r:r + 1])
 
 
@@ -179,7 +188,7 @@ class TestAdaptiveBracket:
         for site, shift in enumerate((0.0, 10.0)):
             integrand = SQRT_TWO_PI ** -1 / (
                 2 * np.cos(k1) + 2 * np.cos(2.5) + shift - 2.0)
-            want = 1.0 + trapezoid_sum(integrand, 1, 64)
+            want = 1.0 + trapezoid_sum(integrand, 64)
             assert abs(got[site, site] - want) <= 1e-12
         assert got[0, 1] == got[1, 0] == 0.0
 
@@ -240,7 +249,7 @@ class TestClosedFormBracket:
         assert chain._nquad == {}
         k1 = grid_nodes(256)
         integrand = SQRT_TWO_PI ** -1 / (2 * np.cos(k1) + 2 * np.cos(2.5) - 2.0)
-        assert abs(got - (1.0 + trapezoid_sum(integrand, 1, 256))) <= 1e-14
+        assert abs(got - (1.0 + trapezoid_sum(integrand, 256))) <= 1e-14
         shift = 2 * np.cos(2.5) - 2.0
         assert abs(got - (1.0 - 1.0 / np.sqrt(shift ** 2 - 4.0))) <= 1e-14
 

@@ -100,13 +100,26 @@ def squared_frequency_line_and_point():
 
 def chain_in_plane():
     """2 cos k_1 - omega on the plane, with a unit point defect: an M = 1
-    level-2 bracket, which doubles n."""
+    level-2 bracket, which doubles n on axis 2 over a closed-form level 1."""
     bulk = OmegaSymbol({
         0: TrigMatrixPolynomial(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]]}),
         1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]}),
     })
     point = DefectLayer(2, 2, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
     return ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
+                       defects=(point,), omega_window=(-4.0, 4.0))
+
+
+def next_nearest_chain():
+    """2 cos 2k - omega on the chain, with a unit point defect: an M = 1
+    level-1 bracket whose axis-1 hopping reaches two cells, so it doubles
+    n."""
+    bulk = OmegaSymbol({
+        0: TrigMatrixPolynomial(1, {(2,): [[1.0]], (-2,): [[1.0]]}),
+        1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]}),
+    })
+    point = DefectLayer(1, 1, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
+    return ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
                        defects=(point,), omega_window=(-4.0, 4.0))
 
 
@@ -370,21 +383,29 @@ class TestGreenTable:
             table.witness_sigma_min == 0.0
 
     def test_rank_guard_near_zero_m1(self):
-        # at omega = 0 the level-0 matrix 2 cos k_1 is 1.2e-16 at the
-        # k_1 = +-pi/2 nodes of the first grid: below 64 eps max(1, |lambda|),
-        # so both level-0 paths fail there instead of doubling n on values
-        # of 8e15; M = 1, on the level-2 bracket of a point defect on a
-        # plane whose bulk is the chain along k_1
-        spec = chain_in_plane()
+        # at omega = 0 the level-0 matrix 2 cos 2k_1 is 1.2e-16 at the
+        # k_1 = +-pi/4 nodes of the first grid: below 64 eps max(1, |lambda|),
+        # so both routes to the M = 1 level-1 bracket of the next-nearest
+        # chain, which doubles n, fail there instead of doubling n on values
+        # of 8e15.  A level-2 bracket over a closed-form level 1 (the chain
+        # along k_1 on the plane) fails inside that level 1 instead, where
+        # omega = 0 lies in every row's band
+        spec = next_nearest_chain()
         t_rows = np.zeros((1, 0))
+        assert not _GreenTable(spec, 1, t_rows)._closed
         with pytest.raises(NonConvergence) as err:
-            Chain(spec, 0.0).level_values(2, t_rows)
-        table, = _GreenTable(spec, 2, t_rows)._converge([0.0], [[0]])
+            Chain(spec, 0.0).level_values(1, t_rows)
+        table, = _GreenTable(spec, 1, t_rows)._converge([0.0], [[0]])
         for exc in (err.value, table):
             assert isinstance(exc, NonConvergence)
             assert exc.n_reached == N_QUAD_START
             assert exc.witness_sigma_min == pytest.approx(
                 abs(2.0 * np.cos(np.pi / 2)), rel=1e-3)
+        plane = chain_in_plane()
+        nested, = _GreenTable(plane, 2, t_rows)._converge([0.0], [[0]])
+        assert isinstance(nested, NonConvergence)
+        assert str(nested).startswith("level 1 closed form: omega=0.0 ")
+        assert (nested.n_reached, nested.witness_sigma_min) == (0, 0.0)
 
     def test_singular_node_at_pinned_n(self, square_line_model):
         # k2 = pi pins level 1 at n = 64 for omega = 2; at k2 = 0 the node
@@ -441,7 +462,7 @@ class TestGreenTable:
             k = node_mesh(n, 1, t_rows).reshape(-1, 1)
             a_vals = spec.defects[0].symbol.eval(omega, np.zeros((1, 1)))
             want = 1.0 + trapezoid_sum(
-                np.matmul(inverse(spec.bulk.eval(omega, k)), a_vals), 1, n)
+                np.matmul(inverse(spec.bulk.eval(omega, k)), a_vals), n)
             assert np.max(np.abs(vals[0] - want[0])) <= 1e-12
 
     @pytest.mark.parametrize("delta", [1e-7, 1e-5])
@@ -525,9 +546,10 @@ class TestGreenTable:
     def test_level_bits_independent_of_batch(self, monkeypatch, model, omega):
         # no level value is memoized, because the same rows at the same
         # pinned n give the same bits whether they are computed alone,
-        # inside a larger row set, or as the lower factors of a bracket;
-        # only the omega-free eigenpairs of H are shared, through the
-        # spec's eigen store, while level values and pins stay per call
+        # inside a larger row set, or as the integrand B_1^{-1} P_1 that a
+        # level-2 bracket takes from its level-1 tables; only the
+        # omega-free eigenpairs of H are shared, through the spec's eigen
+        # store, while level values and pins stay per call
         from tests_util import square_line_and_point, two_band_line
         spec = {"eigen-m1": lambda: square_line_and_point()[0],
                 "eigen-m2": lambda: two_band_line(point=2.0)[0],
@@ -536,9 +558,10 @@ class TestGreenTable:
         factors = []
         converge = _GreenTable._converge
 
-        def spied(table, omegas, groups, pins=None):
-            outs = converge(table, omegas, groups, pins)
+        def spied(table, omegas, groups, pins=None, carry=False):
+            outs = converge(table, omegas, groups, pins, carry)
             if table.level == 1:
+                assert carry
                 (rows,), (out,), (pin,) = groups, outs, pins
                 factors.append((table.t_rows[rows], out.copy(), pin.get(1)))
             return outs
@@ -551,7 +574,7 @@ class TestGreenTable:
             # an M = 1 level-1 table is closed-form: it pins no n
             pins = {} if n is None else {1: n}
             vals, = _GreenTable(spec, 1, t_rows)._converge(
-                [omega], [np.arange(len(t_rows))], [pins])
+                [omega], [np.arange(len(t_rows))], [pins], carry=True)
             assert pins == ({} if n is None else {1: n})
             return vals
 
@@ -564,17 +587,17 @@ class TestGreenTable:
             assert np.array_equal(level1(larger, n)[len(t_rows) - 1::-1], vals)
 
     @pytest.mark.parametrize("model, level", [
-        ("square_line_model", 1), ("square_line_model", 2),
-        ("bipartite_model", 1)])
+        ("square_line_model", 1), ("bipartite_model", 1)])
     def test_doubling_reuses_coarse_nodes(self, request, model, level):
         # each table reads a spec of its own, whose eigen store starts
-        # empty: the doubled pairs against a cold computation at the last n
+        # empty: the doubled pairs against a cold computation at the last n;
+        # only level-1 tables hold eigenpairs
         spec, _ = request.getfixturevalue(model)
         t_rows = full_mesh(spec.lattice_dim - level, 8)
         warm, cold = dataclasses.replace(spec), dataclasses.replace(spec)
         table = _GreenTable(warm, level, t_rows)
         coarse = None
-        for n in (16, 32, 64, 128) if level == 1 else (16, 32, 64):
+        for n in (16, 32, 64, 128):
             pairs = table.eigenpairs(n)
             # an M = 1 table keeps no eigenvectors: U is 1
             assert (pairs[1] is None) == (spec.cell_size == 1)
@@ -765,6 +788,31 @@ class TestEigenStore:
         assert sum(s for s in sizes if s <= bound) > max(held)
         assert kinds == {"eigen", "terms", "mesh", "patch"}
 
+    @pytest.mark.parametrize("model", ["two-band", "nested"])
+    def test_only_level_one_holds_eigenpairs(self, model):
+        # a level-j bracket sums over axis j alone and takes its integrand
+        # from the level below, so only level-1 tables form B_0^{-1}: after
+        # an in-gap query on the M = 2 point model (once 18 MB of level-1
+        # and level-2 eigenpairs), and after a nested query and a nested
+        # dispersion, every eigen key is at level 1, and the query leaves
+        # the store below half its bound
+        from tests_util import square_line_and_point, two_band_line
+        if model == "two-band":
+            spec, grids = two_band_line(point=2.0)
+            assert membership(spec, 0.3, grids).status == "out"
+            assert _store_bytes(spec.eigen_store) < \
+                spectrum.EIGEN_STORE_BYTES // 2
+        else:
+            spec, grids = square_line_and_point(k_points=16, omega_points=65)
+            point = TestGreenRouting.NESTED_POINT
+            assert membership(spec, point, grids).detected_at_step == 2
+            line = dispersion_branch(spec, 1, grids)
+            (_, root, _), = dispersion_branch(spec, 2, grids,
+                                              branches={1: line}).samples
+            assert abs(root - point) <= 1e-8
+        eigen = [key for key in spec.eigen_store if _kind(key) == "eigen"]
+        assert eigen and {key[0] for key in eigen} == {1}
+
     def test_m1_green_is_the_product(self):
         # 1/(lambda - omega) as complex against U diag(1/shift) U^H with
         # U = 1, bit for bit on finite nodes; exact zeros fail the guard
@@ -921,7 +969,8 @@ class TestMembership:
         monkeypatch.setattr(spectrum, "N_QUAD_MAX", N_QUAD_START)
         cert = membership(spec, 3.0, grids)
         assert cert.status == "inconclusive"
-        assert cert.reason.startswith("quadrature did not converge at level 1")
+        assert cert.reason.startswith("level 1 not evaluated: level 1 "
+                                      "quadrature stalled at n=16")
         assert "stalled at n=16" in cert.reason
         assert cert.reason.endswith("(witness sigma_min 1.000e+00)")
         assert [lv for lv, _ in cert.min_sigma_per_level] == [0]
@@ -944,9 +993,9 @@ class TestMembership:
         cert = membership(spec, 1.0, grids)
         assert cert.status == "inconclusive"
         assert cert.reason == (
-            "quadrature did not converge at level 1: level 1 closed form: "
-            "omega=1.0 is in a row's bulk band or within its rank guard "
-            "(witness sigma_min 0.000e+00)")
+            "level 1 not evaluated: level 1 closed form: omega=1.0 is in a "
+            "row's bulk band or within its rank guard (witness sigma_min "
+            "0.000e+00)")
         assert [lv for lv, _ in cert.min_sigma_per_level] == [0]
 
     def test_guard_region_is_inconclusive(self, chain_defect_model):
@@ -1213,8 +1262,8 @@ class TestDispersionBranch:
     def test_eigen_table_matches_direct_path(self, monkeypatch):
         # the per-cell direct inverse is the reference for the eigen table
         # at the gap edges and in the lockstep search; on the nested model
-        # the point level's table takes its level-1 factors from one chain
-        # per group
+        # the point level's table takes its integrand from the level-1
+        # tables it owns
         from tests_util import square_line_and_point, square_with_line_defect
         models = [square_with_line_defect(1.0, k_points=16, omega_points=129),
                   square_line_and_point(k_points=16, omega_points=129)]
@@ -1240,31 +1289,47 @@ class TestDispersionBranch:
                     assert abs(oa - ob) <= spec.tolerances.root_tol_omega
 
     def test_nested_call_builds_one_point_level_table(self, monkeypatch):
-        # the point level's eigenpairs serve every omega of the edges and
-        # the search: one level-2 table per call, and one level-1 table per
-        # n that the level-2 brackets reach, not one per omega
+        # one level-2 table per call serves every omega of the edges and
+        # the search, and it owns one level-1 table per n that its brackets
+        # reach, on the n axis-2 nodes x its rows, not one per omega: every
+        # integrand it takes comes from one of those, and no other level-1
+        # table is built in the call
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
         line = dispersion_branch(spec, 1, grids)
-        levels, level2_n = [], set()
-        init, level0_inverse = _GreenTable.__init__, _GreenTable.level0_inverse
+        tops, levels, level2_n, lower = [], [], set(), set()
+        init, integrand = _GreenTable.__init__, _GreenTable._integrand
+        converge = _GreenTable._converge
 
         def counted(table, spec, level, t_rows):
             levels.append(level)
+            if level == 2:
+                tops.append(table)
             init(table, spec, level, t_rows)
 
-        def spied(table, n, rows, omegas):
-            if table.level == 2:
-                level2_n.add(n)
-            return level0_inverse(table, n, rows, omegas)
+        def spied(table, n, rows, omega, pins):
+            level2_n.add(n)
+            return integrand(table, n, rows, omega, pins)
+
+        def carried(table, omegas, groups, pins=None, carry=False):
+            if carry:
+                lower.add(id(table))
+            return converge(table, omegas, groups, pins, carry)
 
         monkeypatch.setattr(_GreenTable, "__init__", counted)
-        monkeypatch.setattr(_GreenTable, "level0_inverse", spied)
+        monkeypatch.setattr(_GreenTable, "_integrand", spied)
+        monkeypatch.setattr(_GreenTable, "_converge", carried)
         point = dispersion_branch(spec, 2, grids, branches={1: line})
         assert [om for _, om, _ in point.samples] == \
             [pytest.approx(5.180756781817904, abs=1e-8)]
-        assert levels.count(2) == 1
+        top, = tops
         assert 0 < levels.count(1) <= len(level2_n)
+        assert set(top._below) == level2_n != set()
+        assert lower == {id(t) for t in top._below.values()}
+        for n, below in top._below.items():
+            assert below.level == 1
+            assert np.array_equal(below.t_rows, node_mesh(
+                n, 1, top.t_rows).reshape(-1, 1))
 
     def test_lower_nonconvergence_skips_its_cells(self, monkeypatch, caplog):
         # a level-1 NonConvergence inside the point level's brackets fails
@@ -1278,12 +1343,12 @@ class TestDispersionBranch:
         clean = dispersion_branch(spec, 2, grids, branches={1: line})
         converge = _GreenTable._converge
 
-        def flaky(table, omegas, groups, pins=None):
+        def flaky(table, omegas, groups, pins=None, carry=False):
             if table.level == 1 and omegas[0] > 7.9:
                 return [NonConvergence("forced", n_reached=1024,
                                        witness_sigma_min=0.0625)] * \
                     len(groups)
-            return converge(table, omegas, groups, pins)
+            return converge(table, omegas, groups, pins, carry)
 
         monkeypatch.setattr(_GreenTable, "_converge", flaky)
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
@@ -1478,20 +1543,21 @@ class TestRootCounts:
         assert here[0][:6] == [-x for x in mirror[0][:6]]
 
     def test_unfinished_search_is_reported(self, monkeypatch, caplog):
-        # level-1 factors that do not converge near the nested model's point
-        # 5.18076 end the search there: the probes go on Branch.skipped and
-        # the warning names the gap where 0 of 1 counted roots were found
+        # level-1 integrands that do not converge near the nested model's
+        # point 5.18076 end the search there: the probes go on
+        # Branch.skipped and the warning names the gap where 0 of 1 counted
+        # roots were found
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
         line = dispersion_branch(spec, 1, grids)
         converge = _GreenTable._converge
 
-        def flaky(table, omegas, groups, pins=None):
+        def flaky(table, omegas, groups, pins=None, carry=False):
             if table.level == 1 and abs(omegas[0] - 5.18) < 0.05:
                 return [NonConvergence("forced", n_reached=1024,
                                        witness_sigma_min=0.0625)] * \
                     len(groups)
-            return converge(table, omegas, groups, pins)
+            return converge(table, omegas, groups, pins, carry)
 
         monkeypatch.setattr(_GreenTable, "_converge", flaky)
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
@@ -1837,15 +1903,70 @@ class TestNestedDefects:
 
     @pytest.mark.parametrize("omega", [-9.0, 8.5, 9.5])
     def test_three_levels_match_fixed_grid(self, omega):
-        # a level-3 bracket owns level-1 and level-2 tables, and each
-        # level-2 table owns level-1 tables of its own rows; away from the
-        # spectrum the converged level 3 is the exact n = 64 solve's
+        # a level-3 bracket owns one level-2 table per n, and each level-2
+        # table owns level-1 tables of its own rows; away from the spectrum
+        # the converged level 3 is the exact n = 64 solve's
         from tests_util import cubic_plane_line_point
         spec, grids = cubic_plane_line_point()
         got = Chain(spec, omega).level_values(3, np.zeros((1, 0)))
         _, _, inv_tabs = _grid_tabs(spec, omega, 64)
         assert abs(got[0, 0, 0] - 1 / inv_tabs[3][0, 0]) <= 1e-12
         assert membership(spec, omega, grids).status == "out"
+
+    def test_rank_deficient_lower_defect_matches_fixed_grid(self):
+        # the block bulk diag(H, H - 10), H the square lattice, with a line
+        # defect diag(1, 0) and a point defect 3 I: at omega = -5.9 the
+        # second block's level-1 bracket converges far more slowly than
+        # the first's, and B_1 = I + P_1 diag(1, 0) holds none of it, yet
+        # B_1^{-1} P_1 carries it to level 2.  Level 1 converges on P_1 as
+        # well as B_1, so level 2 is the exact n = 256 solve's; pinned
+        # where B_1 alone settled, n = 64, it was 4.6e-10 off
+        one = np.eye(2)
+        bulk = OmegaSymbol({
+            0: TrigMatrixPolynomial(2, {
+                (1, 0): one, (-1, 0): one, (0, 1): one, (0, -1): one,
+                (0, 0): np.diag([0.0, -10.0])}),
+            1: TrigMatrixPolynomial(2, {(0, 0): -one}),
+        })
+        line = DefectLayer(
+            1, 2, {0: TrigMatrixPolynomial(1, {(0,): np.diag([1.0, 0.0])})})
+        point = DefectLayer(2, 2, {0: TrigMatrixPolynomial(0, {(): 3 * one})})
+        spec = ProblemSpec(lattice_dim=2, cell_size=2, bulk=bulk,
+                           defects=(line, point), omega_window=(-16.0, 9.0))
+        chain = Chain(spec, -5.9)
+        got = chain.level_values(2, np.zeros((1, 0)))
+        assert chain._nquad == {1: 256, 2: 256}
+        _, _, inv_tabs = _grid_tabs(spec, -5.9, 256)
+        want = np.linalg.inv(inv_tabs[2].reshape(2, 2))
+        assert np.max(np.abs(got[0] - want)) <= 1e-12
+
+    def test_cubic_point_matches_open_boxes(self):
+        # levels 1-3 of the cubic model: its one level-3 root, 6.42346, is
+        # "in" at step 3, and the nearest eigenvalue of the open box of
+        # half-width L approaches it as a bound state's does, with
+        # truncation errors 4.6e-3, 1.1e-3 and 2.6e-4 at L = 6, 8 and 10
+        # (each step of 2 shrinks it about fourfold); every eigenpair the
+        # ladder stored belongs to a level-1 table
+        from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
+        from tests_util import cubic_plane_line_point
+        spec, grids = cubic_plane_line_point(k_points=8)
+        branches = {}
+        for codim in spec.present_codims:
+            branches[codim] = dispersion_branch(spec, codim, grids,
+                                                branches=dict(branches))
+            assert branches[codim].skipped == []
+        (_, point, _), = branches[3].samples
+        cert = membership(spec, point, grids)
+        assert cert.in_spectrum and cert.detected_at_step == 3
+        assert {key[0] for key in spec.eigen_store
+                if _kind(key) == "eigen"} == {1}
+        errors = []
+        for half_width in (6, 8, 10):
+            eigs = oracle_eigenvalues(assemble_truncated(spec, half_width))
+            errors.append(float(np.min(np.abs(eigs - point))))
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] <= 5e-4
+
 
 class TestIntervals:
     def test_merge(self):
