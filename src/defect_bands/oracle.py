@@ -11,8 +11,9 @@ the dense box `TruncatedOperator.matrix` is placed on first access and
 checked Hermitian then.  It is real whenever every placed block is, which
 holds on all bundled models, and complex otherwise.
 
-`oracle_eigenvalues` never builds the dense box.  The same placement loop
-puts the stencils straight onto symmetry-adapted blocks, one per sector:
+No oracle solve builds the dense box; the tests compare against it.  The
+same placement loop puts the stencils straight onto symmetry-adapted
+blocks, one per sector, by two reductions:
 
 * a periodic axis that no defect pins (index >= every layer's codim) is
   reducible: only sources at coordinate 0 are placed, each entry weighted by
@@ -26,11 +27,15 @@ puts the stencils straight onto symmetry-adapted blocks, one per sector:
   which holds no fixed site;
 * any other axis is placed site by site.
 
-The blocks come from the stencils, not from the engine's symbols, and each
-is checked Hermitian before its eigensolve.  `oracle_eigenpairs` and
-`periodic_box_check` stay on the whole dense box: the first because
-`boundary_mass` needs real-space eigenvectors, the second because its
-identity is a statement about the whole box.  Two comparisons matter:
+`oracle_eigenvalues` applies both.  `oracle_eigenpairs` and
+`periodic_box_check` apply the mirror halves alone: they are a real
+orthogonal change of basis of the whole box, with no phase, so the box
+identity still covers every eigenvalue of the whole box, and each half's
+eigenvectors map back to real space by the same weights, one gather per
+half.  The Bloch reduction stays out of the identity, which would otherwise
+compare the Fourier series `bands_grid` sums with itself.  The blocks come
+from the stencils, not from the engine's symbols, and each is checked
+Hermitian before its eigensolve.  Two comparisons matter:
 
 * periodic boundaries, no defect: eigenvalues equal the bulk dispersion at
   the box's Bloch wavevectors exactly, so the deviation is pure eigensolver
@@ -80,9 +85,7 @@ class TruncatedOperator:
 
     @cached_property
     def matrix(self):
-        (h,), = _place(self, fold=False)
-        if not is_hermitian(h, tol=_HERMITIAN_TOL):
-            raise AssertionError("assembly broke Hermiticity")
+        ((h,), _), = _blocks(self, ())
         return h
 
     def __repr__(self):
@@ -182,13 +185,17 @@ def _mirror_symmetric(stencils, axis):
     return True
 
 
-def _place(truncated, fold):
+def _place(truncated, reductions):
     """Place every stencil on the box, as one (n_q, D, D) stack per half.
 
-    Without `fold` the one stack holds the one dense box.  With it, each
-    reducible axis gives one block per Bloch wavevector q and each
-    mirror-symmetric kept axis an even and an odd half (module docstring);
-    the list holds one stack per combination of halves, empty ones left out.
+    `reductions` names those applied, a subset of ("mirror", "bloch").
+    With none, the one stack holds the one dense box.  With "bloch", each
+    reducible axis gives one block per Bloch wavevector q; with "mirror",
+    each mirror-symmetric kept axis an even and an odd half (module
+    docstring).  The list holds one (stack, basis) pair per combination of
+    halves, empty ones left out.  Without "bloch", the basis (rows, weights)
+    maps the stack's one block back to real space: the vector u on the
+    block is weights * u[rows] on the box, component by component.
     """
     spec, cells = truncated.spec, truncated.site_cells
     m_sz = spec.cell_size
@@ -201,9 +208,9 @@ def _place(truncated, fold):
     # the mirror image of site position p is (shift - p) % size
     shift = np.where(periodic, 0, 2 * widths)
     axes = range(len(sizes))
-    bloch = np.array([fold and periodic[a] and a >= pinned for a in axes],
-                     dtype=bool)
-    mirror = np.array([fold and not bloch[a]
+    bloch = np.array([("bloch" in reductions) and periodic[a] and a >= pinned
+                      for a in axes], dtype=bool)
+    mirror = np.array([("mirror" in reductions) and not bloch[a]
                        and _mirror_symmetric(stencils, a) for a in axes],
                       dtype=bool)
     # representatives per axis: 0 on Bloch axes, 0..size//2 on mirror axes
@@ -266,40 +273,70 @@ def _place(truncated, fold):
     reps = np.stack(np.unravel_index(np.arange(np.prod(counts)), counts),
                     axis=-1)
     fixed = ((shift - reps) % sizes == reps)[:, mirror]
-    stacks = []
+    # each box component's index on the folded box, its mirrored members
+    # and its c
+    idx, bit, c = fold_sites(cells - lowest)
+    comp = (idx[:, None] * m_sz + slot).ravel()
+    placed = []
     for i, parity in enumerate(parities):
         # an odd half holds no fixed site of its axis
         keep = np.flatnonzero(np.repeat(
             ~np.any(fixed[:, parity < 0], axis=1), m_sz))
         part = acc[i * len(m_rows):(i + 1) * len(m_rows)]
-        if keep.size == dim:
-            stacks.append(part)
-        elif keep.size:
-            stacks.append(part[:, keep[:, None], keep[None, :]])
-    return stacks
+        if not keep.size:
+            continue
+        if keep.size < dim:
+            part = part[:, keep[:, None], keep[None, :]]
+        basis = None
+        if not bloch.any():
+            rows = np.full(dim, -1)
+            rows[keep] = np.arange(keep.size)
+            rows = rows[comp]
+            weights = np.repeat(
+                c * np.prod(np.where(bit, parity, 1.0), axis=1), m_sz)
+            basis = rows, np.where(rows < 0, 0.0, weights)
+        placed.append((part, basis))
+    return placed
+
+
+def _blocks(truncated, reductions):
+    """`_place`'s pairs, each stack checked Hermitian to 1e-14 relative."""
+    placed = _place(truncated, reductions)
+    for stack, _ in placed:
+        if not is_hermitian(stack, tol=_HERMITIAN_TOL):
+            raise AssertionError("a placed block is not Hermitian")
+    return placed
+
+
+def _eigenvalues(truncated, reductions):
+    """Ascending eigenvalues of the truncation, one batched Hermitian solve
+    per stack of its checked blocks."""
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(stack).ravel()
+        for stack, _ in _blocks(truncated, reductions)]))
 
 
 def oracle_eigenvalues(truncated):
-    """Ascending eigenvalues of the truncation, from its symmetry-adapted
-    blocks placed straight from the stencils; the dense box is not built.
-
-    Every block is checked Hermitian to 1e-14 relative, then each stack of
-    blocks is one batched Hermitian solve.
-    """
-    eigs = []
-    for stack in _place(truncated, fold=True):
-        for block in stack:
-            if not is_hermitian(block, tol=_HERMITIAN_TOL):
-                raise AssertionError("a symmetry-adapted block is not "
-                                     "Hermitian")
-        eigs.append(np.linalg.eigvalsh(stack).ravel())
-    return np.sort(np.concatenate(eigs))
+    """Ascending eigenvalues of the truncation, from its Bloch blocks and
+    mirror halves placed straight from the stencils; the dense box is not
+    built."""
+    return _eigenvalues(truncated, ("mirror", "bloch"))
 
 
 def oracle_eigenpairs(truncated):
-    """Eigenvalues and real-space eigenvectors of the dense truncation,
-    ascending."""
-    return np.linalg.eigh(truncated.matrix)
+    """Eigenvalues and real-space eigenvectors of the truncation, from its
+    mirror halves; the dense box is not built.
+
+    Each half is one `eigh`, its vectors mapped back to the box by one
+    gather.  Eigenvalues ascend, ties in stable order.
+    """
+    values, vectors = [], []
+    for (block,), (rows, weights) in _blocks(truncated, ("mirror",)):
+        lam, u = np.linalg.eigh(block)
+        values.append(lam)
+        vectors.append(weights[:, None] * u[rows])
+    order = np.argsort(np.concatenate(values), kind="stable")
+    return np.concatenate(values)[order], np.hstack(vectors)[:, order]
 
 
 def boundary_mass(truncated, vectors):
@@ -329,7 +366,8 @@ def periodic_box_check(spec, half_width):
     if spec.defects:
         raise InputError("periodic_box_check requires a defect-free spec")
     l = int(half_width)
-    eigs = np.linalg.eigvalsh(assemble_truncated(spec, l, bc="periodic").matrix)
+    eigs = _eigenvalues(assemble_truncated(spec, l, bc="periodic"),
+                        ("mirror",))
     axis_k = TWO_PI * (np.arange(l) + (l % 2) / 2) / l - np.pi
     k_rows = _product_nodes(axis_k, spec.lattice_dim)
     # one row of bands per wavevector, ragged (a list) or not

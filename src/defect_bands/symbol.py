@@ -55,10 +55,13 @@ def as_complex_matrix(entries):
 
 
 def is_hermitian(a, tol=HERMITIAN_TOL):
-    """True when max |a - a^H| <= tol * max(1, |a|)."""
+    """True when max |a - a^H| <= tol * max(1, |a|) for every matrix of the
+    stack a (..., n, n), each against its own scale."""
     a = np.asarray(a)
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    return float(np.max(np.abs(a - a.conj().swapaxes(-1, -2)))) <= tol * scale
+    scale = np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1), initial=0.0))
+    skew = np.max(np.abs(a - a.conj().swapaxes(-1, -2)), axis=(-2, -1),
+                  initial=0.0)
+    return bool(np.all(skew <= tol * scale))
 
 
 class TrigMatrixPolynomial:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from defect_bands import oracle
 from defect_bands.oracle import (
+    _eigenvalues,
     _place,
     assemble_truncated,
     boundary_mass,
@@ -62,7 +64,7 @@ def assert_bloch_matches_dense(trunc):
 
 def sector_shapes(trunc):
     """(blocks, size, size) of each stack `oracle_eigenvalues` solves."""
-    return [stack.shape for stack in _place(trunc, fold=True)]
+    return [stack.shape for stack, _ in _place(trunc, ("mirror", "bloch"))]
 
 
 class TestAssembly:
@@ -296,13 +298,63 @@ class TestParityHalves:
         assert_bloch_matches_dense(trunc)
 
 
+class TestMirrorHalves:
+    """The mirror halves alone, with no Bloch reduction, against the whole
+    dense matrix: the spectrum `periodic_box_check` reads."""
+
+    @pytest.mark.parametrize("half_width", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", ["chain.json", "square.json",
+                                      "bipartite_chain.json"])
+    def test_periodic_box(self, name, half_width):
+        spec, _ = load_model(name)
+        trunc = assemble_truncated(spec, half_width, "periodic")
+        got = _eigenvalues(trunc, ("mirror",))
+        assert "matrix" not in trunc.__dict__
+        want = np.linalg.eigvalsh(trunc.matrix)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestEigenpairs:
+    """oracle_eigenpairs, solved on mirror halves, against eigh of the
+    whole dense matrix."""
+
+    @pytest.mark.parametrize("make, half_width", [
+        (lambda: load_model("chain_point_defect.json")[0], 30),
+        (lambda: square_line_and_point()[0], 5),
+        (lambda: cubic_plane_line_point()[0], 2),
+        (lambda: two_band_line()[0], (3, 3)),
+        (lambda: complex_hopping_chain(0.7, 0.8), 5),
+        (lambda: load_model("bipartite_chain.json")[0], 4)],
+        ids=["chain-defect", "nested", "cubic", "two-band", "complex-hopping",
+             "bipartite"])
+    def test_matches_dense(self, make, half_width):
+        trunc = assemble_truncated(make(), half_width, "open")
+        values, vectors = oracle_eigenpairs(trunc)
+        assert "matrix" not in trunc.__dict__    # no dense box was built
+        h = trunc.matrix
+        want, want_vectors = np.linalg.eigh(h)
+        assert np.all(np.diff(values) >= 0)
+        assert np.max(np.abs(values - want)) <= 1e-12
+        scale = max(1.0, np.linalg.norm(h, 2))
+        assert np.linalg.norm(h @ vectors - vectors * values, 2) <= 1e-12 * scale
+        assert np.max(np.abs(vectors.conj().T @ vectors
+                             - np.eye(len(values)))) <= 1e-12
+        # one vector of a degenerate eigenspace depends on the basis; the
+        # mass summed over the eigenspace does not
+        starts = np.flatnonzero(np.r_[True, np.diff(want) > 1e-9])
+        mass = np.add.reduceat(boundary_mass(trunc, vectors), starts)
+        want_mass = np.add.reduceat(boundary_mass(trunc, want_vectors), starts)
+        assert np.max(np.abs(mass - want_mass)) <= 1e-12
+
+
 class TestPeriodicBoxIdentity:
     @pytest.mark.parametrize("half_width", [1, 2, 3, 4, 5, 8, 16])
     def test_chain(self, chain_model, half_width):
         spec, _ = chain_model
         assert periodic_box_check(spec, half_width) <= 1e-10
 
-    @pytest.mark.parametrize("half_width", [1, 2, 3, 4, 5, 8, 16])
+    @pytest.mark.parametrize("half_width", [1, 2, 3, 4, 5, 8, 16, 24])
     def test_square(self, square_model, half_width):
         spec, _ = square_model
         assert periodic_box_check(spec, half_width) <= 1e-10
@@ -311,6 +363,29 @@ class TestPeriodicBoxIdentity:
     def test_bipartite(self, bipartite_model, half_width):
         spec, _ = bipartite_model
         assert periodic_box_check(spec, half_width) <= 1e-10
+
+    def test_solves_real_halves_not_the_dense_box(self, square_model,
+                                                  monkeypatch):
+        # 24 sites per axis: representatives 0..12, the odd halves without
+        # the fixed sites 0 and 12
+        boxes, shapes = [], []
+
+        def assemble(*args, **kwargs):
+            boxes.append(assemble_truncated(*args, **kwargs))
+            return boxes[-1]
+
+        def place(*args):
+            placed = _place(*args)
+            shapes.extend((stack.shape, stack.dtype) for stack, _ in placed)
+            return placed
+
+        monkeypatch.setattr(oracle, "assemble_truncated", assemble)
+        monkeypatch.setattr(oracle, "_place", place)
+        spec, _ = square_model
+        assert periodic_box_check(spec, 24) <= 1e-10
+        assert "matrix" not in boxes[0].__dict__
+        assert shapes == [((1, n, n), np.float64)
+                          for n in (169, 143, 143, 121)]
 
     def test_requires_no_defect(self, chain_defect_model):
         spec, _ = chain_defect_model

@@ -66,6 +66,16 @@ class TestEvalK:
             k = rng.uniform(-np.pi, np.pi, size=2)
             assert is_hermitian(p.eval(k), tol=1e-12)
 
+    def test_hermitian_stack_scales_each_matrix(self):
+        # a unit block 1e-13 from Hermitian beside a 1e3-scale Hermitian
+        # block: the large block's scale must not cover the small one
+        big = np.array([[1e3, 2.0], [2.0, -5e2]])
+        small = np.array([[0.5, 1.0 + 1e-13], [1.0, 0.25]])
+        stack = np.stack([big, small])
+        assert is_hermitian(np.stack([big, small + small.T]), tol=1e-14)
+        assert not is_hermitian(stack, tol=1e-14)
+        assert is_hermitian(stack, tol=1e-12)
+
     def test_periodicity(self):
         rng = np.random.default_rng(3)
         p = random_poly(rng)

@@ -63,7 +63,8 @@ OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
 
 #: (box half-width, boundary conditions) of the oracle runs per config; the
 #: nested model's box grows fastest, so it runs smaller boxes: open goes
-#: through the dense eigenpairs, periodic through the blocks of both axes.
+#: through the eigenpairs of the mirror halves, periodic through the Bloch
+#: blocks of both axes.
 #: The `tools/` models are there for their dispersion and run none
 ORACLE_BOXES = {"nested_line_point": [("8", "open"), ("8", "periodic")],
                 "square_line_omega_defect": [], "squared_frequency_line": []}
