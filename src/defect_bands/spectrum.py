@@ -266,7 +266,9 @@ class _GreenTable:
       (`_lower`).
     A_j at the rows is `combine` of the stored term tables at each omega.
     Level values, pinned n and verdicts stay with the call.  `Chain` builds
-    one table per `level_values` call; `dispersion_branch` one per call.
+    one table per `level_values` call; `dispersion_branch` one per call,
+    which on a closed-form level with an omega-free defect evaluates no
+    cell: it solves each row's root from `_row_band` (`_closed_roots`).
     """
 
     def __init__(self, spec, level, t_rows):
@@ -996,7 +998,7 @@ class Branch:
     #: None where the gap could not be counted, roots found)
     counts: list = field(default_factory=list)
     #: (omega, row) cells evaluated at gap edges and in the search, under
-    #: "edges" and "search"
+    #: "edges" and "search", and gaps solved in closed form, under "closed"
     cells: dict = field(default_factory=dict)
 
 
@@ -1174,10 +1176,11 @@ def _count_roots(table, gaps, crossing, tol_omega):
     the slope of a squared-frequency bulk H(k) - omega^2 vanishes.  One
     call evaluates the edges of every piece of every gap.  Each piece is
     oriented by `_GreenTable.piece_sign` at the larger n its two edges
-    reached (none on a closed-form table, which pins no n), and holds the
-    drop of its count between its edges.  A gap is left uncounted when an
-    edge does not converge, when `piece_sign` refuses a piece, when a count
-    is negative, or when `_search` loses it.
+    reached (none on a closed-form table, which pins no n and comes here
+    only with an omega-dependent defect, else `_closed_roots` solves its
+    gaps), and holds the drop of its count between its edges.  A gap is
+    left uncounted when an edge does not converge, when `piece_sign`
+    refuses a piece, when a count is negative, or when `_search` loses it.
     `_search` bisects a piece with more than one root on the counts, and
     steps a piece with one root by Anderson-Bjorck regula falsi on its
     crossing eigenvalue, or by bisection after two such steps in a row that
@@ -1226,17 +1229,48 @@ def _count_roots(table, gaps, crossing, tol_omega):
     return counts, roots, why
 
 
+def _closed_roots(table, gaps, a):
+    """Count and find the roots in each gap (row, lo, hi) of a closed-form
+    table, whose defect term `a` (per table row, shape (rows, 1, 1)) does
+    not depend on omega, with no bracket evaluated.
+
+    A cell's value is 1 + sqrt(2 pi) G A (`_GreenTable._closed_form`), and
+    G = sign(h_0 - omega) / sqrt((h_0 - omega)^2 - 4 h_1^2) rises strictly
+    on each side of the row's band [h_0 - 2|h_1|, h_0 + 2|h_1|] (h_0 and
+    |h_1| from `_row_band`).  So the row has the one root
+        omega* = h_0 + sign(A) sqrt(4 h_1^2 + 2 pi A^2)
+    outside its band when A != 0; when A = 0, omega* = h_0 lies in the
+    band.  A gap holds omega* when lo < omega* < hi.  As in `piece_sign`, a
+    gap that meets its row's band, here within `_rank_floor(|h_0| + 2|h_1|)`
+    of it, is left uncounted.  Returns what `_count_roots` returns.
+    """
+    rows = np.array([r for r, _, _ in gaps], dtype=int)
+    lo, hi = np.array([g[1:] for g in gaps], dtype=float).reshape(-1, 2).T
+    h0, h1 = table._row_band(rows)
+    a = a[rows, 0, 0].real
+    root = h0 + np.sign(a) * np.sqrt(4.0 * h1 ** 2 + TWO_PI * a ** 2)
+    apart = np.maximum(h0 - 2.0 * h1 - hi, lo - h0 - 2.0 * h1)
+    banded = apart < _rank_floor(np.abs(h0) + 2.0 * h1)
+    held = (lo < root) & (root < hi) & ~banded
+    return ([None if b else int(h) for b, h in zip(banded, held)],
+            [[float(x)] if h else [] for x, h in zip(root, held)],
+            ["a bulk band lies inside it" if b else None for b in banded])
+
+
 def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
     """Roots of det B_codim in the gaps of each node of the exclusion set,
     which gives the k rows and their intervals; a row's gaps are the
     spec's window less its exclusion intervals dilated by band_guard.
 
     The spec must be self-adjoint (`InputError` otherwise).  Each gap is
-    the unit of work: `_count_roots` counts its roots at its edges and
-    searches for them, to root_tol_omega.  A gap that it cannot count holds
-    no samples.  Every root lies band_guard or more from the exclusion set,
-    so each sample is annotated "ok".  Cells whose bracket does not
-    converge, at a gap edge or in the search, are recorded in
+    the unit of work.  On a closed-form level whose defect does not depend
+    on omega, `_closed_roots` solves each row's one root exactly, with no
+    cell evaluated, and `Branch.cells["closed"]` counts the gaps.  On every
+    other level `_count_roots` counts a gap's roots at its edges and
+    searches for them, to root_tol_omega.  A gap that cannot be counted
+    holds no samples.  Every root lies band_guard or more from the
+    exclusion set, so each sample is annotated "ok".  Cells whose bracket
+    does not converge, at a gap edge or in the search, are recorded in
     `Branch.skipped`, and a root whose search meets one is not reported;
     one warning reports them, each gap left uncounted and why, and every
     gap where fewer roots were found than counted.
@@ -1269,7 +1303,7 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
     tabs = table.defect_terms()
     m_sz = spec.cell_size
     skipped = []
-    cells = dict.fromkeys(("edges", "search"), 0)
+    cells = dict.fromkeys(("edges", "search", "closed"), 0)
 
     def crossing(omegas, rows, kind, pins=None):
         """The `_Bracket` values of (omega, t_mesh row) cells, one group
@@ -1294,8 +1328,12 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
         lam[done, m_sz:] = d
         return lam
 
-    counts, roots, why = _count_roots(table, gaps, crossing,
-                                      tol.root_tol_omega)
+    if table._closed and symbol.max_power == 0:
+        cells["closed"] = len(gaps)
+        counts, roots, why = _closed_roots(table, gaps, tabs[0])
+    else:
+        counts, roots, why = _count_roots(table, gaps, crossing,
+                                          tol.root_tol_omega)
     samples, counted = [], []
     for (r, lo, hi), c, found in zip(gaps, counts, roots):
         samples += [(tuple(t_mesh[r]), float(x), "ok") for x in sorted(found)]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 from conftest import config_path, load_model
 from tests_util import two_site
 from defect_bands import spectrum
+from defect_bands.cli import load_config, spec_from_config
 from defect_bands.model import (
     DefectLayer,
     GridConfig,
@@ -57,6 +59,14 @@ SQRT5 = np.sqrt(5.0)
 
 def coarse(spec, k_points=32, omega_points=257):
     return GridConfig(k_points=k_points, omega_points=omega_points)
+
+
+def omega_line_model():
+    """The square lattice's line defect 1 + omega / 4 of
+    `tools/square_line_omega_defect.json`: (spec, grids)."""
+    path = Path(__file__).parents[1] / "tools" / \
+        "square_line_omega_defect.json"
+    return spec_from_config(load_config(str(path)))
 
 
 def squared_frequency_point_defect():
@@ -312,6 +322,56 @@ class TestLevelOneReference:
             got = Chain(spec, omega).level_values(1, t_rows)
             want = _residue_level1(spec, omega, t_rows)
             assert np.max(np.abs(got - want)) <= 1e-12
+
+
+class TestClosedFormRootReference:
+    @pytest.mark.parametrize("shift, eps, hop", [
+        (0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.3, 0.0),
+        (0.0, -0.3, 0.0), (0.0, 1.0, 0.25), (0.0, -0.6, 0.15),
+        (0.7, -1.0, 0.0), (0.7, 0.3, 0.0)])
+    def test_square_line_roots_match_mpmath(self, shift, eps, hop):
+        # the square lattice shift + 2 cos k_1 + 2 cos k_2 with the line
+        # defect A(k_2) = eps + 2 hop cos k_2 along the second axis: a row's
+        # bound state solves 1 = A G(omega), with G = (1/2 pi) integral of
+        # dk_1 / (omega - shift - 2 cos k_1 - 2 cos k_2) by mpmath.quad and
+        # the root by mpmath.findroot, bracketed on A's side of the band
+        # between 2 + A^2 / 8 and 2 + |A| from its centre
+        import mpmath
+        spec = ProblemSpec(
+            lattice_dim=2, cell_size=1, bulk=OmegaSymbol({
+                0: TrigMatrixPolynomial(2, {
+                    (0, 0): [[shift]], (1, 0): [[1.0]], (-1, 0): [[1.0]],
+                    (0, 1): [[1.0]], (0, -1): [[1.0]]}),
+                1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]})}),
+            defects=(DefectLayer(1, 2, {0: TrigMatrixPolynomial(1, {
+                (0,): [[eps]], (1,): [[hop]], (-1,): [[hop]]})}),),
+            omega_window=(-6.0, 7.0))
+        branch = dispersion_branch(spec, 1, GridConfig(k_points=8,
+                                                       omega_points=129))
+        assert len(branch.samples) == 8 and branch.cells["closed"] == 16
+        with mpmath.workdps(18):
+            for (k2,), omega, _ in branch.samples:
+                c = shift + 2 * mpmath.cos(k2)
+                a = eps + 2 * hop * mpmath.cos(k2)
+
+                def excess(w):
+                    return 1 - a * mpmath.quad(
+                        lambda k: 1 / (w - c - 2 * mpmath.cos(k)),
+                        [-mpmath.pi, 0, mpmath.pi]) / (2 * mpmath.pi)
+
+                want = mpmath.findroot(excess, tuple(
+                    c + mpmath.sign(a) * x for x in (2 + a * a / 8,
+                                                     2 + abs(a))),
+                    solver="anderson")
+                assert abs(omega - float(want)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [1.0, -1.0, 0.3, -0.3, 2.0, -2.0])
+    def test_chain_point_root_is_exact(self, eps):
+        from tests_util import chain_with_defect
+        spec, grids = chain_with_defect(eps)
+        branch = dispersion_branch(spec, 1, grids)
+        (_, omega, _), = branch.samples
+        assert abs(omega - np.sign(eps) * np.sqrt(4 + eps ** 2)) <= 1e-13
 
 
 class TestLevelTwoReference:
@@ -1358,20 +1418,21 @@ class TestDispersionBranch:
         assert [c[3:] for c in top.counts] == [(0, 0), (None, 0)]
         assert top.skipped == [((), 8.0, 1024, 0.0625)]
         assert top.samples == [] != clean.samples
-        assert top.cells == {"edges": 4, "search": 0}
+        assert top.cells == {"edges": 4, "search": 0, "closed": 0}
         _, lo, hi, _, _ = top.counts[1]
         assert (f"gaps not counted, so not searched: k=() [{lo:.6g}, "
                 f"{hi:.6g}] (an edge did not converge)") in caplog.text
 
-    def test_lockstep_polish_work(self, square_line_model, monkeypatch):
-        # at 32 k nodes and 257 omegas every node has one root in one of
-        # its two gaps.  The first call evaluates the two edges of every
-        # gap; every later call is one search step, one group per live
-        # piece and at most one piece per root here; no cell is an omega of
-        # the 257-point grid.  Bisecting one step of that grid, 12/256, to
-        # root_tol_omega took 29 such calls; the search from whole gaps
-        # takes fewer
-        spec, _ = square_line_model
+    def test_lockstep_polish_work(self, monkeypatch):
+        # the square lattice's line defect 1 + omega / 4, which depends on
+        # omega, so its level is counted and searched: at 32 k nodes and
+        # 257 omegas every node has one root in one of its two gaps.  The
+        # first call evaluates the two edges of every gap; every later call
+        # is one search step, one group per live piece and at most one
+        # piece per root here; no cell is an omega of the 257-point grid.
+        # Bisecting one step of that grid, 12/256, to root_tol_omega took
+        # 29 such calls; the search from whole gaps takes fewer
+        spec, _ = omega_line_model()
         grids = coarse(spec)
         calls = []
         converge = _GreenTable._converge
@@ -1394,7 +1455,25 @@ class TestDispersionBranch:
         probes = np.concatenate([omegas for omegas, _ in search])
         scan = np.linspace(*spec.omega_window, grids.omega_points)
         assert not np.isin(probes, scan).any()
-        assert branch.cells == {"edges": len(edges), "search": len(probes)}
+        assert branch.cells == {"edges": len(edges), "search": len(probes),
+                                "closed": 0}
+
+    def test_closed_form_level_evaluates_no_cell(self, square_line_model,
+                                                 monkeypatch):
+        # the square lattice's line defect 1, on a closed-form level with a
+        # defect free of omega: each row's root is solved, so no bracket
+        # is evaluated, and every node's one root is found in one of its
+        # two gaps
+        spec, _ = square_line_model
+        calls = []
+        monkeypatch.setattr(_GreenTable, "_converge",
+                            lambda *a, **k: calls.append(a))
+        branch = dispersion_branch(spec, 1, coarse(spec))
+        assert calls == []
+        assert len(branch.samples) == 32 and len(branch.counts) == 64
+        assert [c[3] for c in branch.counts] == [c[4] for c in branch.counts]
+        assert sorted({c[3] for c in branch.counts}) == [0, 1]
+        assert branch.cells == {"edges": 0, "search": 0, "closed": 64}
 
     @pytest.mark.parametrize("eps", [
         pytest.param(0.25, marks=pytest.mark.xfail(strict=True, reason=(
@@ -1597,7 +1676,9 @@ class TestRootCounts:
         lo, hi = spec.omega_window
         assert branch.counts == [((), lo, hi, None, 0)]
         assert branch.samples == [] and branch.skipped == []
-        assert branch.cells == {"edges": 2, "search": 0}
+        closed = model == "chain" and eigen_table
+        assert branch.cells == {"edges": 0 if closed else 2, "search": 0,
+                                "closed": int(closed)}
         assert (f"k=() [{lo:.6g}, {hi:.6g}] (a bulk band lies inside it)"
                 in caplog.text)
 
@@ -1621,7 +1702,7 @@ class TestRootCounts:
         assert len(rows) == 8
         assert branch.counts == [(k, lo, hi, None, 0) for k in rows]
         assert branch.samples == [] and branch.skipped == []
-        assert branch.cells == {"edges": 2 * len(rows), "search": 0}
+        assert branch.cells == {"edges": 0, "search": 0, "closed": len(rows)}
         assert caplog.text.count("(a bulk band lies inside it)") == len(rows)
 
     def test_steep_defect_is_not_counted(self, caplog):
@@ -1644,8 +1725,6 @@ class TestRootCounts:
         # zeros (omega = 2 on the narrow chain, -4 on the line) lie inside
         # a gap.  Per gap, the count equals the closed-form roots in it,
         # and each root is found to 1e-9
-        from pathlib import Path
-        from defect_bands.cli import load_config, spec_from_config
         if model == "point":
             # (2 + 2 cos k) - omega^2, unit point defect: 2 - omega^2 = -sqrt5
             spec, grids = squared_frequency_point_defect(), GridConfig()
@@ -1660,9 +1739,7 @@ class TestRootCounts:
             # c = 2 cos k_2, 1 + omega / 4 = sign(omega - c) sqrt((omega -
             # c)^2 - 4), so (1/16 - 1) omega^2 + (1/2 + 2c) omega + 5 - c^2
             # = 0 with 1 + omega / 4 of the sign of omega - c
-            path = Path(__file__).parents[1] / "tools" / \
-                "square_line_omega_defect.json"
-            spec, grids = spec_from_config(load_config(str(path)))
+            spec, grids = omega_line_model()
             want, zero = {}, -4.0
             for (k2,) in full_mesh(1, grids.k_points):
                 c = 2 * np.cos(k2)
@@ -1732,10 +1809,8 @@ class TestRootCounts:
         "chain_point_defect.json", "square_line_defect.json",
         "nested_line_point.json"])
     def test_bundled_models_find_every_counted_root(self, config):
-        # every gap of every level is counted and searched, no cell is
-        # skipped, and each count is met
-        from pathlib import Path
-        from defect_bands.cli import load_config, spec_from_config
+        # every gap of every level is counted, and searched or solved, no
+        # cell is skipped, and each count is met
         path = (Path(__file__).parents[1] / "perfbench" / config
                 if config.startswith("nested") else config_path(config))
         spec, grids = spec_from_config(load_config(str(path)))
