@@ -895,28 +895,6 @@ def point_in_intervals(x, intervals, dilate=0.0):
     return any(lo - dilate <= x <= hi + dilate for lo, hi in intervals)
 
 
-def _cluster_sorted(values, gap):
-    """Split a sorted 1-d sample set into clusters at gaps larger than `gap`."""
-    clusters = []
-    for v in values:
-        if clusters and v - clusters[-1][-1] <= gap:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return clusters
-
-
-def branch_link_gap(spec, k_points):
-    """Largest omega jump between adjacent k nodes still read as one branch.
-
-    Scales with the k-grid spacing and the spec's window size; the root
-    tolerance alone would split every smooth branch sampled on a finite grid.
-    """
-    lo, hi = spec.omega_window
-    return max(10.0 * spec.tolerances.root_tol_omega,
-               4.0 * (TWO_PI / k_points) * max(1.0, (hi - lo) / np.pi))
-
-
 # ---------------------------------------------------------------------------
 # exclusion sets
 
@@ -927,13 +905,13 @@ class ExclusionSet:
     intervals: list                   # per node: list of (lo, hi)
 
 
-def _band_ranges(spec, mesh, gap):
+def _band_ranges(spec, mesh, k_points):
     """Per row of a (nodes, rows, N) wavevector mesh: the band ranges over
     the row's nodes, as a list of (lo, hi) per row.
 
     With one band count everywhere each band gives its [min, max]; ragged
-    real-root counts (quadratic families) cluster the row's pooled roots at
-    gaps larger than `gap`.
+    real-root counts (quadratic families) split the row's sorted roots at
+    jumps over `ragged_gap`, scaled by the `k_points` grid and the window.
     """
     band_vals = bands_grid(spec, mesh.reshape(-1, spec.lattice_dim))
     n_rows = mesh.shape[1]
@@ -944,43 +922,94 @@ def _band_ranges(spec, mesh, gap):
     pooled = [[] for _ in range(n_rows)]
     for flat_idx, roots in enumerate(band_vals):
         pooled[flat_idx % n_rows].extend(roots)
-    return [[(c[0], c[-1]) for c in _cluster_sorted(sorted(samples), gap)]
-            for samples in pooled]
+    lo, hi = spec.omega_window
+    ragged_gap = max(10.0 * spec.tolerances.root_tol_omega,
+                     4.0 * (TWO_PI / k_points) * max(1.0, (hi - lo) / np.pi))
+    ranges = [[] for _ in pooled]
+    for out, samples in zip(ranges, pooled):
+        for v in sorted(samples):
+            if out and v - out[-1][1] <= ragged_gap:
+                out[-1] = (out[-1][0], v)
+            else:
+                out.append((v, v))
+    return ranges
 
 
 def exclusion_set(spec, codim, grids=None, branches=None):
     """Omega intervals where the level-`codim` dispersion is not evaluated.
 
     Per remaining-coordinate node: the per-band [min, max] of the bulk
-    dispersion over the integrated axes, unioned with the projections of
-    every lower-codimension defect branch, overlapping pieces merged.
+    dispersion over the integrated axes, unioned with the image
+    (`_branch_image`) over the axes between of each lower branch on the
+    `grids` k grid, which `branches` must hold (`InputError` otherwise).
     """
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     branches = branches or {}
-    n_dim = spec.lattice_dim
-    n = grids.k_points
-    j = codim
-    refine = 4 if n_dim <= 2 else 2
+    if any(c < codim and c not in branches for c in spec.present_codims):
+        raise InputError(f"level {codim} needs every lower level's branch")
+    n_dim, n = spec.lattice_dim, grids.k_points
+    t_mesh = full_mesh(n_dim - codim, n)
+    per_node = _band_ranges(spec, node_mesh((4 if n_dim <= 2 else 2) * n,
+                                            codim, t_mesh), n)
+    for lower in [c for c in branches if c < codim]:
+        rows, los, his = _branch_image(branches[lower], n, codim - lower)
+        for t, lo, hi in zip(rows.tolist(), los.tolist(), his.tolist()):
+            per_node[t].append((lo, hi))
+    return ExclusionSet(t_mesh, [merge_intervals(ivs) for ivs in per_node])
 
-    t_mesh = full_mesh(n_dim - j, n)
-    gap = branch_link_gap(spec, n)
-    per_node = _band_ranges(spec, node_mesh(refine * n, j, t_mesh), gap)
 
-    trailing = n_dim - j
-    for codim_lower, branch in branches.items():
-        if codim_lower >= j:
-            continue
-        for t_idx, t in enumerate(t_mesh):
-            collected = sorted(
-                omega for k_tail, omega, _ in branch.samples
-                if trailing == 0
-                or np.allclose(k_tail[len(k_tail) - trailing:], t,
-                               rtol=0.0, atol=1e-12))
-            for cluster in _cluster_sorted(collected, gap):
-                per_node[t_idx].append((cluster[0], cluster[-1]))
-
-    intervals = [merge_intervals(ivs) for ivs in per_node]
-    return ExclusionSet(nodes=t_mesh, intervals=intervals)
+def _branch_image(branch, n, moved):
+    """The omega segments a branch covers as its rows move along their
+    first `moved` axes of the periodic n-point k grid, as arrays of each
+    segment's row number over the other axes (as in `full_mesh`), lo, hi.
+    Roots link to the roots of the neighbour rows, gap by gap (`counts`):
+    two gaps that overlap each other only, both with roots, by crossing
+    index, the larger count by its contiguous run that moves least (roots
+    leave a gap only through its ends) and its other roots to their gap's
+    edge on their side.  Any other root links to its gap's nearer edge."""
+    if not branch.counts:
+        return np.zeros((3, 0))
+    k, lo, hi, _, m = zip(*branch.counts)
+    lo, hi, m = np.array(lo), np.array(hi), np.array(m)
+    x = np.array([w for _, w, _ in branch.samples])
+    gap, first = np.repeat(np.arange(len(m)), m), np.cumsum(m) - m
+    k = np.fromiter((t for tail in k for t in tail), float).reshape(len(m), -1)
+    digits = np.rint((k + np.pi) * (n / TWO_PI)).astype(int) % n
+    strides = n ** np.arange(k.shape[1])[::-1]
+    row = digits @ strides
+    # (row, gap edge) as integers that sort alike, a hi before an equal lo;
+    # rows come in order, each row's gaps disjoint and ascending
+    key = np.argsort(np.argsort(np.concatenate([hi, lo]), kind="stable"))
+    key_hi, key_lo = key.reshape(2, -1) + row * len(key)
+    segments, edge = [], np.zeros(len(m), dtype=bool)
+    for digit, stride in zip(digits.T[:moved], strides * len(key)):
+        # gap g overlaps gaps start[g]..end[g] - 1 of the next row along the
+        # axis, and over[g] gaps of the row before
+        shift = ((digit + 1) % n - digit) * stride
+        start = np.searchsorted(key_hi, key_lo + shift, "right")
+        end = np.searchsorted(key_lo, key_hi + shift)
+        over = np.cumsum(np.bincount(start, minlength=len(m) + 1)
+                         - np.bincount(end, minlength=len(m) + 1))
+        up = np.minimum(start, len(m) - 1)
+        linked = (end - start == 1) & (over[up] == 1) & (m * m[up] > 0)
+        edge |= ~linked | (np.bincount(up[linked], minlength=len(m)) == 0)
+        same = linked & (m[up] == m)
+        r = np.flatnonzero(same[gap])
+        y = x[r + (first[up] - first)[gap[r]]]
+        segments.append((gap[r], np.minimum(x[r], y), np.maximum(x[r], y)))
+        for g in np.flatnonzero(linked & ~same):
+            g, h = sorted((g, up[g]), key=lambda i: -m[i])
+            a, b = (x[first[i]:first[i] + m[i]].tolist() for i in (g, h))
+            s = min(range(len(a) - len(b) + 1), key=lambda s: sum(
+                abs(u - v) for u, v in zip(a[s:], b)))
+            b = [lo[g]] * s + b + [hi[g]] * (len(a) - s - len(b))
+            segments.append(([g] * len(a), *np.sort([a, b], axis=0)))
+    r = np.flatnonzero(edge[gap])
+    low = x[r] - lo[gap[r]] <= hi[gap[r]] - x[r]
+    segments.append((gap[r], np.where(low, lo[gap[r]], x[r]),
+                     np.where(low, x[r], hi[gap[r]])))
+    gaps, los, his = (np.concatenate(part) for part in zip(*segments))
+    return row[gaps] % strides[moved - 1], los, his
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +1019,7 @@ def exclusion_set(spec, codim, grids=None, branches=None):
 @dataclass
 class Branch:
     codim: int
-    samples: list      # (k_tail tuple, omega, annotation) triples
+    samples: list      # (k_tail tuple, omega, annotation), in gap order
     #: gap edges and search steps left out because their bracket did not
     #: converge: (k_tail tuple, omega, n_reached, witness_sigma_min)
     skipped: list = field(default_factory=list)
@@ -1257,10 +1286,11 @@ def _closed_roots(table, gaps, a):
             ["a bulk band lies inside it" if b else None for b in banded])
 
 
-def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
-    """Roots of det B_codim in the gaps of each node of the exclusion set,
-    which gives the k rows and their intervals; a row's gaps are the
-    spec's window less its exclusion intervals dilated by band_guard.
+def dispersion_branch(spec, codim, grids=None, branches=None):
+    """Roots of det B_codim in the gaps of each node of
+    `exclusion_set(spec, codim, grids, branches)`, which gives the k rows
+    and their intervals; a row's gaps are the spec's window less its
+    exclusion intervals dilated by band_guard.  Samples are in gap order.
 
     The spec must be self-adjoint (`InputError` otherwise).  Each gap is
     the unit of work.  On a closed-form level whose defect does not depend
@@ -1292,8 +1322,7 @@ def dispersion_branch(spec, codim, grids=None, exclusion=None, branches=None):
         return Branch(codim=codim, samples=[])
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     tol = spec.tolerances
-    if exclusion is None:
-        exclusion = exclusion_set(spec, codim, grids, branches)
+    exclusion = exclusion_set(spec, codim, grids, branches)
 
     t_mesh = exclusion.nodes
     gaps = [(r, lo, hi) for r, ivs in enumerate(exclusion.intervals)
@@ -1374,7 +1403,6 @@ class OmegaComponent:
 class SpectralResult:
     components: list
     branches: dict
-    exclusions: dict
     probe_report: dict
 
     @property
@@ -1387,29 +1415,25 @@ class SpectralResult:
 
 
 def _branch_components(spec, branch, k_points):
-    """Branch samples -> interval components (or points at the final level)."""
-    out = []
+    """A branch's points at the final level, else its image's intervals."""
     if branch.codim == spec.lattice_dim:
-        for _, omega, _ in branch.samples:
-            out.append(OmegaComponent("isolated_point", branch.codim,
-                                      omega, omega))
-        return out
-    gap = branch_link_gap(spec, k_points)
-    omegas = sorted(om for _, om, _ in branch.samples)
-    for cluster in _cluster_sorted(omegas, gap):
-        out.append(OmegaComponent("branch_interval", branch.codim,
-                                  cluster[0], cluster[-1]))
-    return out
+        return [OmegaComponent("isolated_point", branch.codim, omega, omega)
+                for _, omega, _ in branch.samples]
+    _, los, his = _branch_image(branch, k_points,
+                                spec.lattice_dim - branch.codim)
+    return [OmegaComponent("branch_interval", branch.codim, lo, hi)
+            for lo, hi in merge_intervals(zip(los.tolist(), his.tolist()))]
 
 
 def full_spectrum(spec, grids=None, n_probes=32):
     """Bands, every present defect branch, and the assembled spectrum over
     the spec's omega window.
 
-    Besides the components, runs `n_probes` membership tests at uniform
-    probe frequencies seeded with PROBE_SEED and records agreement with the
-    assembled set (inconclusive verdicts are listed, not counted as
-    disagreements).
+    Each level is searched outside the images of the levels below; the
+    spectrum is the bands and every branch's image.  Then runs `n_probes`
+    membership tests at uniform probe frequencies seeded with PROBE_SEED
+    and records agreement with the assembled set (inconclusive verdicts
+    are listed, not counted as disagreements).
     """
     if n_probes < 0:
         raise InputError(f"probe count must be >= 0, got {n_probes}")
@@ -1418,18 +1442,14 @@ def full_spectrum(spec, grids=None, n_probes=32):
 
     n_dim = spec.lattice_dim
     refine = 4 if n_dim <= 2 else 1
-    gap = branch_link_gap(spec, grids.k_points)
     ranges, = _band_ranges(spec, node_mesh(refine * grids.k_points, n_dim,
-                                           np.zeros((1, 0))), gap)
+                                           np.zeros((1, 0))), grids.k_points)
     components = [OmegaComponent("band_interval", 0, lo, hi)
                   for lo, hi in ranges]
 
-    exclusions, branches = {}, {}
+    branches = {}
     for codim in spec.present_codims:
-        excl = exclusion_set(spec, codim, grids, branches)
-        br = dispersion_branch(spec, codim, grids, exclusion=excl)
-        exclusions[codim] = excl
-        branches[codim] = br
+        br = branches[codim] = dispersion_branch(spec, codim, grids, branches)
         components.extend(_branch_components(spec, br, grids.k_points))
 
     clipped = []
@@ -1439,7 +1459,7 @@ def full_spectrum(spec, grids=None, n_probes=32):
             clipped.append(OmegaComponent(c.kind, c.codim, lo, hi))
 
     result = SpectralResult(components=clipped, branches=branches,
-                            exclusions=exclusions, probe_report={})
+                            probe_report={})
     rng = np.random.default_rng(PROBE_SEED)
     disagreements, inconclusive = [], []
     for lam in rng.uniform(window[0], window[1], size=int(n_probes)):

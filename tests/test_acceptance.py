@@ -103,7 +103,7 @@ def test_criterion_4_guided_branch_2d():
     guard = spec.tolerances.band_guard
 
     excl = exclusion_set(spec, 1, grids)
-    branch = dispersion_branch(spec, 1, grids, exclusion=excl)
+    branch = dispersion_branch(spec, 1, grids)
     n = grids.k_points
     # the nodes k2 = 0, pi/2 and -pi (the grid alias of +pi)
     for idx, k2 in ((n // 2, 0.0), (3 * n // 4, np.pi / 2), (0, -np.pi)):

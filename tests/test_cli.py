@@ -510,3 +510,27 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_two_band_point_config_matches_builder():
+    # tools/two_band_line_point.json, the M = 2 two-level model that
+    # tools/compare_cli.py runs, holds the numbers of
+    # tests_util.two_band_line(point=2.0)
+    from tests_util import two_band_line
+    path = Path(__file__).parents[1] / "tools" / "two_band_line_point.json"
+    spec, grids = spec_from_config(load_config(str(path)))
+    want, want_grids = two_band_line(point=2.0)
+
+    def terms(family):
+        return {p: [(off, m.tolist()) for off, m in poly.items()]
+                for p, poly in family.items()}
+
+    assert grids == want_grids
+    assert (spec.lattice_dim, spec.cell_size, spec.omega_window,
+            spec.tolerances) == (want.lattice_dim, want.cell_size,
+                                 want.omega_window, want.tolerances)
+    assert terms(spec.bulk.terms) == terms(want.bulk.terms)
+    assert [(d.codim, terms(d.stencils), terms(d.symbol.terms))
+            for d in spec.defects] == \
+        [(d.codim, terms(d.stencils), terms(d.symbol.terms))
+         for d in want.defects]

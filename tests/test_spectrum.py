@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,13 @@ from defect_bands.quadrature import NonConvergence, trapezoid_sum
 from defect_bands.spectrum import (
     N_QUAD_MAX,
     N_QUAD_START,
+    Branch,
     Chain,
     ExclusionSet,
     UncertifiedLevel,
     _Bracket,
     _GreenTable,
+    _branch_components,
     _count_roots,
     _grid_tabs,
     _hermitian_linear_fast,
@@ -1200,11 +1203,13 @@ class TestDispersionBranch:
             assert min(abs(omega - b) for iv in ivs for b in iv) >= guard
 
     def test_rows_come_from_the_exclusion_set(self, square_line_model):
-        # an exclusion set on another k grid than `grids` sets the rows:
-        # each row is searched outside its own intervals
+        # the rows are the nodes of the exclusion set on `grids`, here a
+        # coarser k grid than the config's: each row is searched outside
+        # its own intervals
         spec, _ = square_line_model
-        excl = exclusion_set(spec, 1, GridConfig(k_points=16))
-        branch = dispersion_branch(spec, 1, coarse(spec), exclusion=excl)
+        grids = coarse(spec, k_points=16)
+        excl = exclusion_set(spec, 1, grids)
+        branch = dispersion_branch(spec, 1, grids)
         assert [k_tail for k_tail, _, _ in branch.samples] == \
             [tuple(node) for node in excl.nodes]
         assert branch.skipped == []
@@ -1671,8 +1676,9 @@ class TestRootCounts:
             _svd_reference(monkeypatch)
         real = exclusion_set(spec, 1, grids)
         empty = ExclusionSet(nodes=real.nodes, intervals=[[]])
+        monkeypatch.setattr(spectrum, "exclusion_set", lambda *a: empty)
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
-            branch = dispersion_branch(spec, 1, grids, exclusion=empty)
+            branch = dispersion_branch(spec, 1, grids)
         lo, hi = spec.omega_window
         assert branch.counts == [((), lo, hi, None, 0)]
         assert branch.samples == [] and branch.skipped == []
@@ -1683,7 +1689,7 @@ class TestRootCounts:
                 in caplog.text)
 
     def test_exclusion_missing_the_band_in_each_row_is_not_counted(
-            self, caplog):
+            self, caplog, monkeypatch):
         # the square lattice's line defect with no exclusion intervals: in
         # each row the one gap, the whole window, holds that row's band
         # [c - 2, c + 2], c = 2 cos k_2, so every row is left uncounted with
@@ -1695,8 +1701,9 @@ class TestRootCounts:
         real = exclusion_set(spec, 1, grids)
         empty = ExclusionSet(nodes=real.nodes,
                              intervals=[[] for _ in real.nodes])
+        monkeypatch.setattr(spectrum, "exclusion_set", lambda *a: empty)
         with caplog.at_level(logging.WARNING, logger="defect_bands.spectrum"):
-            branch = dispersion_branch(spec, 1, grids, exclusion=empty)
+            branch = dispersion_branch(spec, 1, grids)
         lo, hi = spec.omega_window
         rows = [tuple(k) for k in real.nodes]
         assert len(rows) == 8
@@ -1885,16 +1892,251 @@ class TestFullSpectrum:
             assemble_truncated(spec, (40, 32), ("open", "periodic")))
         assert not np.any((eigs > -0.37) & (eigs < 0.49))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "branch_link_gap = 7.0 links two guided sheets across the bulk gap "
-        "into one branch_interval (CHANGES.md FOUND, _branch_components)"))
     def test_two_band_branch_does_not_bridge_gap(self):
-        # full_spectrum reports one branch_interval [-1.193, 2.867] over
-        # the gap that test_two_band_gap_stays_open shows open
+        # the guided sheets below and above the gap that
+        # test_two_band_gap_stays_open shows open stay two branch_intervals,
+        # [-1.193, -0.382] and [2.113, 2.867], not one across it
         from tests_util import two_band_line
         spec, grids = two_band_line()
         result = full_spectrum(spec, grids, n_probes=0)
         assert not result.contains(0.0)
+
+
+def _hand_branch(rows, codim=1):
+    """A Branch from {k_tail tuple: [(lo, hi, roots ascending), ...]}, in
+    row order, each gap counted with its roots."""
+    samples, counts = [], []
+    for k, gaps in rows.items():
+        for lo, hi, roots in gaps:
+            samples += [(k, x, "ok") for x in roots]
+            counts.append((k, lo, hi, len(roots), len(roots)))
+    return Branch(codim=codim, samples=samples, counts=counts)
+
+
+class TestBranchImage:
+    """The link rule of `_branch_image` on hand-built level-1 branches of
+    the square lattice, through `_branch_components` (the line model) and
+    through the level-2 exclusion set (the line plus point model), on an
+    8-point k grid whose band [-4, 4] the exclusion set adds."""
+
+    ROWS = [tuple(k) for k in full_mesh(1, 8)]
+
+    @staticmethod
+    def _images(rows):
+        from tests_util import square_line_and_point, square_with_line_defect
+        branch = _hand_branch(rows)
+        line, _ = square_with_line_defect(1.0, k_points=8)
+        point, _ = square_line_and_point(k_points=8)
+        comps = _branch_components(line, branch, 8)
+        assert {c.kind for c in comps} == {"branch_interval"}
+        excl = exclusion_set(point, 2, GridConfig(k_points=8), {1: branch})
+        return [(c.lo, c.hi) for c in comps], excl.intervals[0]
+
+    def test_sheets_in_different_gaps_stay_apart(self):
+        # one sheet below the band, one above: nothing links them across
+        rows = {k: [(-6.0, -4.5, [-5.5 + 0.01 * r]),
+                    (4.5, 6.0, [5.2 + 0.01 * r])]
+                for r, k in enumerate(self.ROWS)}
+        comps, excl = self._images(rows)
+        assert comps == [pytest.approx((-5.5, -5.43)),
+                         pytest.approx((5.2, 5.27))]
+        assert excl == [pytest.approx((-5.5, -5.43)), (-4.0, 4.0),
+                        pytest.approx((5.2, 5.27))]
+
+    def test_sheets_in_one_gap_keep_their_hole(self):
+        # two roots per row in one gap link by crossing index, so the hole
+        # between the two sheets stays
+        rows = {k: [(4.5, 6.0, [4.6 + 0.01 * r, 5.8 + 0.01 * r])]
+                for r, k in enumerate(self.ROWS)}
+        comps, excl = self._images(rows)
+        assert comps == [pytest.approx((4.6, 4.67)),
+                         pytest.approx((5.8, 5.87))]
+        assert excl == [(-4.0, 4.0), pytest.approx((4.6, 4.67)),
+                        pytest.approx((5.8, 5.87))]
+
+    def test_surplus_root_links_to_its_gap_edge(self):
+        # one sheet near 5.5; row 0 holds one more root below it and row 4
+        # one more above it: each surplus root links to its gap's edge on
+        # its side, while the sheet links across the rows
+        rows = {k: [(4.5, 6.0, [5.5 - 0.01 * r])]
+                for r, k in enumerate(self.ROWS)}
+        rows[self.ROWS[0]] = [(4.5, 6.0, [4.7, 5.5])]
+        rows[self.ROWS[4]] = [(4.5, 6.0, [5.46, 5.9])]
+        comps, excl = self._images(rows)
+        assert comps == [pytest.approx((4.5, 4.7)),
+                         pytest.approx((5.43, 5.5)),
+                         pytest.approx((5.9, 6.0))]
+        assert excl[1:] == comps
+
+    def test_last_row_links_to_first(self):
+        # only the first and the last row hold the gap (4.5, 6); the rows
+        # between hold a gap below the band with no root.  Each of the two
+        # roots links to its gap's nearer edge towards the rows between, and
+        # to the other across the periodic grid's end
+        rows = {k: [(-6.0, -4.5, [])] for k in self.ROWS}
+        rows[self.ROWS[0]] = [(4.5, 6.0, [5.0])]
+        rows[self.ROWS[-1]] = [(4.5, 6.0, [5.6])]
+        comps, excl = self._images(rows)
+        assert comps == [(4.5, 6.0)]
+        assert excl == [(-4.0, 4.0), (4.5, 6.0)]
+
+    def test_gap_that_splits_links_to_edges(self):
+        # row 4's gap splits in two at (5.2, 5.4): rows 3 and 5 overlap
+        # both halves, so no root of rows 3 to 5 links across a row, and
+        # each links to its gap's nearer edge; the split stays open
+        rows = {k: [(4.5, 6.0, [5.0])] for k in self.ROWS}
+        rows[self.ROWS[4]] = [(4.5, 5.2, [5.0]), (5.4, 6.0, [5.6])]
+        comps, excl = self._images(rows)
+        assert comps == [(4.5, 5.2), (5.4, 5.6)]
+        assert excl[1:] == comps
+
+    def test_two_axis_rows_are_keyed_by_the_kept_axis(self):
+        # a level-1 branch of the cubic model on rows (k_2, k_3): the
+        # level-2 exclusion set of row k_3 holds that row's roots over k_2
+        from tests_util import cubic_plane_line_point
+        spec, _ = cubic_plane_line_point()
+        rows = {tuple(k): [(6.5, 9.9, [8.0 + 0.25 * i3 + 0.01 * i2])]
+                for (i2, i3), k in zip(np.ndindex(4, 4), full_mesh(2, 4))}
+        excl = exclusion_set(spec, 2, GridConfig(k_points=4),
+                             {1: _hand_branch(rows)})
+        assert [ivs[-1] for ivs in excl.intervals] == [
+            pytest.approx((8.0 + 0.25 * i3, 8.03 + 0.25 * i3))
+            for i3 in range(4)]
+
+
+def _branch_image_reference(branch, n, moved):
+    """`spectrum._branch_image` as a loop over the grid's rows and their
+    neighbours, one root at a time: {kept row number: merged image}."""
+    def index(k):
+        return tuple(round((float(t) + np.pi) * n / (2 * np.pi)) % n
+                     for t in k)
+
+    found = iter([x for _, x, _ in branch.samples])
+    rows = {}
+    for k, lo, hi, _, m in branch.counts:
+        rows.setdefault(index(k), []).append(
+            (lo, hi, [next(found) for _ in range(m)]))
+
+    def to_edge(lo, hi, roots):
+        return [(lo, x) if x - lo <= hi - x else (x, hi) for x in roots]
+
+    def overlaps(g, gaps):
+        return [h for h in gaps if h[0] < g[1] and g[0] < h[1]]
+
+    image = {}
+    dim = len(branch.counts[0][0])
+    for idx in np.ndindex(*(n,) * dim):
+        key = sum(i * n ** (dim - 1 - a) for a, i in enumerate(idx)
+                  if a >= moved)
+        segments = image.setdefault(key, [])
+        for a in range(moved):
+            mine = rows.get(idx, [])
+            theirs = rows.get(idx[:a] + ((idx[a] + 1) % n,) + idx[a + 1:],
+                              [])
+            for one, other in ((mine, theirs), (theirs, mine)):
+                for g in one:
+                    hit = overlaps(g, other)
+                    if (len(hit) != 1 or overlaps(hit[0], one) != [g]
+                            or not g[2] or not hit[0][2]):
+                        segments += to_edge(*g)
+                    elif one is mine:
+                        (lo, hi, big), (_, _, small) = sorted(
+                            (g, hit[0]), key=lambda v: -len(v[2]))
+                        costs = [sum(abs(u - v) for u, v in
+                                     zip(big[s:], small))
+                                 for s in range(len(big) - len(small) + 1)]
+                        s = costs.index(min(costs))
+                        segments += [(lo, u) for u in big[:s]]
+                        segments += [(u, hi) for u in big[s + len(small):]]
+                        segments += [(min(u, v), max(u, v))
+                                     for u, v in zip(big[s:], small)]
+    return {key: merge_intervals(segs) for key, segs in image.items()}
+
+
+class TestBranchImageReference:
+    def test_matches_the_loop_reference(self):
+        # random gaps on 1- and 2-axis rows of 4- and 8-point grids, with
+        # edges on a 0.5 lattice so that gaps of neighbouring rows often
+        # share an edge, some rows with no gap and some gaps with no root
+        rng = np.random.default_rng(26)
+        for _ in range(300):
+            dim, n = int(rng.integers(1, 3)), int(rng.choice([4, 8]))
+            moved = int(rng.integers(1, dim + 1))
+            rows = {}
+            for k in full_mesh(dim, n):
+                if rng.random() < 0.1:
+                    continue
+                edges = np.sort(rng.choice(np.arange(-10, 11) * 0.5,
+                                           2 * int(rng.integers(1, 4)),
+                                           replace=False))
+                rows[tuple(k)] = [
+                    (lo, hi, sorted(rng.uniform(lo, hi, int(
+                        rng.integers(0, 4)) if rng.random() > 0.1 else 0)))
+                    for lo, hi in zip(edges[::2].tolist(),
+                                      edges[1::2].tolist())]
+            branch = _hand_branch(rows)
+            keys, los, his = spectrum._branch_image(branch, n, moved)
+            got = {}
+            for key, lo, hi in zip(keys.tolist(), los.tolist(),
+                                   his.tolist()):
+                got.setdefault(key, []).append((lo, hi))
+            want = _branch_image_reference(branch, n, moved)
+            assert {key: merge_intervals(segs)
+                    for key, segs in got.items()} == \
+                {key: ivs for key, ivs in want.items() if ivs}
+
+
+class TestTwoBandPointModel:
+    def test_level_two_without_lower_branches_is_refused(self, monkeypatch):
+        # without the level-1 branch the level-2 exclusion set would leave
+        # out its image, and a level-2 bracket then met a level-1 pole: the
+        # dispersion call ran for more than 10 CPU-minutes.  It is refused
+        # before any cell is evaluated
+        from tests_util import two_band_line
+        spec, grids = two_band_line(point=2.0)
+        monkeypatch.setattr(spectrum._GreenTable, "_converge", lambda *a, **k:
+                            pytest.fail("a level bracket was evaluated"))
+        start = time.perf_counter()
+        for call in (exclusion_set, dispersion_branch):
+            with pytest.raises(InputError, match="every lower level's branch"):
+                call(spec, 2, grids)
+        with pytest.raises(InputError, match="every lower level's branch"):
+            dispersion_branch(spec, 2, grids, {2: Branch(codim=2, samples=[])})
+        assert time.perf_counter() - start < 1.0
+
+    def test_level_two_point_in_the_gap(self):
+        # the level-1 image in the bulk gap is [-0.497, -0.382], so level 2
+        # searches the rest of the gap and finds the point where det B_2
+        # changes sign between 0.13 and 0.14.  The open box converges to it
+        # as L grows: 0.13179, 0.13141, 0.13137 and 0.13136 at L = 12, 16,
+        # 20 and 24, so at L = 16 (dimension 2,178) it is within 1e-4
+        from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
+        from scipy.optimize import brentq
+        from tests_util import two_band_line
+        spec, grids = two_band_line(point=2.0)
+        rows = np.zeros((1, 0))
+        want = brentq(lambda w: np.linalg.det(
+            Chain(spec, w).level_values(2, rows)[0]).real, 0.13, 0.14,
+            xtol=1e-14)
+        assert want == pytest.approx(0.131360295336162, abs=1e-12)
+        result = full_spectrum(spec, grids)
+        assert result.probe_report["disagreements"] == []
+        points = [c.lo for c in result.components
+                  if c.kind == "isolated_point"]
+        assert min(abs(w - want) for w in points) <= \
+            spec.tolerances.root_tol_omega
+        assert not any(c.lo <= 0.0 <= c.hi for c in result.components
+                       if c.kind == "branch_interval")
+        eigs = oracle_eigenvalues(assemble_truncated(spec, 16, bc="open"))
+        assert np.min(np.abs(eigs - want)) <= 1e-4
+
+    def test_two_band_line_probes_agree(self):
+        from tests_util import two_band_line
+        spec, grids = two_band_line()
+        result = full_spectrum(spec, grids)
+        assert result.probe_report["disagreements"] == []
+        assert not any(c.lo <= 0.0 <= c.hi for c in result.components
+                       if c.kind == "branch_interval")
 
 
 class TestResolvent:
@@ -1968,7 +2210,7 @@ class TestNestedDefects:
         cert = membership(spec, point_omega, grids)
         assert cert.in_spectrum and cert.detected_at_step == 2
 
-        excl = result.exclusions[2]
+        excl = exclusion_set(spec, 2, grids, result.branches)
         assert any(lo <= 2 + SQRT5 - 1e-6 <= hi
                    for lo, hi in excl.intervals[0])
 
