@@ -197,13 +197,15 @@ class Chain:
 
     `level_values` evaluates a level's rows as one group of a `_GreenTable`
     built for them at this omega, which sums over the level's own axis the
-    integrand from the levels below.  Each level but a closed-form level 1
-    pins in `_nquad` the n its axis first converged at, for its later rows,
-    inside higher brackets too; a failing bracket raises `NonConvergence`.
-    No level value is memoized: a row recomputed at its pinned n has the
-    same bits.  Only omega-free tables are shared across chains, through
-    the spec's `eigen_store`: the level-1 bulk eigenpairs and the symbols'
-    term tables.  `membership` steps up one chain.
+    integrand from the levels below; `_level_values` does so for many
+    chains at the same rows in one table.  Each level but a closed-form
+    level 1 pins in `_nquad` the n its axis first converged at, for its
+    later rows, inside higher brackets too; a failing bracket raises
+    `NonConvergence`.  No level value is memoized: a row recomputed at its
+    pinned n has the same bits.  Only omega-free tables are shared across
+    chains, through the spec's `eigen_store`: the level-1 bulk eigenpairs
+    and the symbols' term tables.  `membership` steps up one chain per
+    frequency, all of them together.
     """
 
     def __init__(self, spec, omega):
@@ -223,20 +225,40 @@ class Chain:
         -------
         ndarray, shape (m, M, M)
         """
-        n_dim = self.spec.lattice_dim
-        t_rows = np.asarray(t_rows, dtype=float)
-        if n_dim - level == 0:
-            t_rows = t_rows.reshape(max(1, t_rows.shape[0] if t_rows.ndim else 1), 0)
-        else:
-            t_rows = t_rows.reshape(-1, n_dim - level)
-        if level == 0:
-            return self.spec.bulk.combine(self.omega,
-                                          _terms(self.spec, 0, t_rows))
-        out, = _GreenTable(self.spec, level, t_rows)._converge(
-            [self.omega], [np.arange(t_rows.shape[0])], [self._nquad])
+        out, = _level_values([self], level, t_rows)
         if isinstance(out, NonConvergence):
             raise out
         return out
+
+
+def _level_values(chains, level, t_rows):
+    """`Chain.level_values` of chains of one spec at the same rows: per
+    chain its (m, M, M) matrices or its `NonConvergence`.  Level 0 combines
+    the one stored term table at each omega; a higher level evaluates one
+    table, one group per chain, in one `_converge` call per pinned n."""
+    spec = chains[0].spec
+    n_dim = spec.lattice_dim
+    t_rows = np.asarray(t_rows, dtype=float)
+    if n_dim - level == 0:
+        t_rows = t_rows.reshape(max(1, t_rows.shape[0] if t_rows.ndim else 1), 0)
+    else:
+        t_rows = t_rows.reshape(-1, n_dim - level)
+    if level == 0:
+        tabs = _terms(spec, 0, t_rows)
+        return [spec.bulk.combine(c.omega, tabs) for c in chains]
+    table = _GreenTable(spec, level, t_rows)
+    rows = np.arange(t_rows.shape[0])
+    by_pin = {}
+    for i, c in enumerate(chains):
+        by_pin.setdefault(c._nquad.get(level), []).append(i)
+    out = [None] * len(chains)
+    for idx in by_pin.values():
+        got = table._converge([chains[i].omega for i in idx],
+                              [rows] * len(idx),
+                              [chains[i]._nquad for i in idx])
+        for i, res in zip(idx, got):
+            out[i] = res
+    return out
 
 
 class _GreenTable:
@@ -265,8 +287,9 @@ class _GreenTable:
       (`_integrand`), taken from the one level-(j-1) table it owns per n
       (`_lower`).
     A_j at the rows is `combine` of the stored term tables at each omega.
-    Level values, pinned n and verdicts stay with the call.  `Chain` builds
-    one table per `level_values` call; `dispersion_branch` one per call,
+    Level values, pinned n and verdicts stay with the call.
+    `_level_values` builds one table per call, for all its chains;
+    `dispersion_branch` one per call,
     which on a closed-form level with an omega-free defect evaluates no
     cell: it solves each row's root from `_row_band` (`_closed_roots`).
     """
@@ -382,8 +405,9 @@ class _GreenTable:
         on the n = 4 grid (-pi, -pi/2, 0, pi/2), exact for the axis-1
         offsets -1, 0 and 1."""
         lam = self.eigenpairs(4)[0][:, rows, 0]
-        return lam.mean(axis=0), 0.25 * np.hypot(lam[2] - lam[0],
-                                                  lam[3] - lam[1])
+        # the bits of lam.mean(axis=0), without its overhead
+        return lam.sum(axis=0) / 4, 0.25 * np.hypot(lam[2] - lam[0],
+                                                     lam[3] - lam[1])
 
     def _closed_form(self, cells):
         """Level-1 values, averages P and failing distances of `cells` on a
@@ -470,7 +494,7 @@ class _GreenTable:
         """Converged level values of groups of cells, evaluated together.
 
         Group g is the cells (omegas[g], row) for the table rows groups[g];
-        `dispersion_branch` makes one group per cell, `Chain` one group.  A
+        `dispersion_branch` makes one group per cell, each chain one group.  A
         cell's value is B_j (P_j with no defect); with `carry`, the
         integrand of the level above, B_j^{-1} P_j.  A closed-form table
         evaluates every cell in one pass and ignores `pins`.  Elsewhere n
@@ -629,24 +653,80 @@ class StepCheckResult:
 
 
 def _sign_change(field, periodic):
-    """First strict sign change between adjacent nodes of a real field.
+    """First strict sign change between adjacent nodes of real fields.
 
-    `field` has shape (n_1, ..., n_d, channels); along each axis the last
-    node is adjacent to the first only when `periodic`.  Returns the grid
-    index (a d-tuple) of the smaller-|value| endpoint of the first crossing
-    pair, in C order, on the lowest axis that has one, or None.
+    `field` has shape (P, n_1, ..., n_d, channels), one field per probe;
+    along each axis the last node is adjacent to the first only when
+    `periodic`.  Returns per probe, in a list, the flat grid index of the
+    smaller-|value| endpoint of its first crossing pair, in C order, on the
+    lowest axis that has one, or -1.
     """
-    for axis in range(field.ndim - 1):
-        cross = field * np.roll(field, -1, axis=axis) < 0
+    n_p, grid, chans = field.shape[0], field.shape[1:-1], field.shape[-1]
+    nodes = field.reshape(n_p, -1)
+    hit = [-1] * n_p
+    stride = nodes.shape[1] // chans
+    for axis, n in enumerate(grid, start=1):
+        stride //= n            # flat grid index step along this axis
+        cross = field * field.take(np.arange(1, n + 1) % n, axis=axis) < 0
         if not periodic:
             cross[(slice(None),) * axis + (-1,)] = False
-        if np.any(cross):
-            *here, chan = np.argwhere(cross)[0]
-            there = list(here)
-            there[axis] = (there[axis] + 1) % field.shape[axis]
-            return tuple(here) if abs(field[tuple(here) + (chan,)]) <= \
-                abs(field[tuple(there) + (chan,)]) else tuple(there)
-    return None
+        if not cross.any():
+            continue
+        flat = cross.reshape(n_p, -1)
+        for p in np.flatnonzero(flat.any(axis=1)).tolist():
+            if hit[p] >= 0:
+                continue
+            here, chan = divmod(int(flat[p].argmax()), chans)
+            there = (here + stride if here // stride % n < n - 1
+                     else here - (n - 1) * stride)
+            hit[p] = (here if abs(nodes[p, here * chans + chan])
+                      <= abs(nodes[p, there * chans + chan]) else there)
+    return hit
+
+
+def _examine(vals, mode, tol, shape, periodic):
+    """The step check's rule on the stacked level values `vals`, shape
+    (P, m, M, M), of P probes at the m rows of the grid `shape`: per probe
+    whether it detects and how (lists), its sigma_min and the row of its
+    witness (on the patch, the row of its sigma_min)."""
+    sig = smallest_singular_value(vals)
+    where, s_min = sig.argmin(axis=1), sig.min(axis=1)
+    found = (s_min <= tol).tolist()
+    methods = ["sigma"] * len(found)
+    if mode == "sigma" or all(found):
+        return found, methods, s_min, where
+    if mode == "hermitian":
+        field, name = eigvalsh(vals), "crossing"
+    else:
+        dets = det(vals)
+        scale = np.abs(dets).max(axis=1) + 1e-300
+        real = np.abs(dets.imag).max(axis=1) <= IMAG_DOMINANCE * scale
+        # a zero field has no strict sign change: no test where det is complex
+        field, name = np.where(real[:, None], dets.real, 0.0)[..., None], \
+            "det-sign"
+    hits = _sign_change(field.reshape((len(found),) + shape
+                                      + field.shape[-1:]), periodic)
+    for p, hit in enumerate(hits):
+        if hit >= 0 and not found[p]:
+            found[p], methods[p] = True, name
+            if periodic:
+                where[p] = hit
+    return found, methods, s_min, where
+
+
+def _stacked(results, probes, out):
+    """The indices of the values among `results` and those values stacked;
+    each other result is the `NonConvergence` of its probe, `probes[i]`,
+    and goes to `out`."""
+    kept = []
+    for i, res in enumerate(results):
+        if isinstance(res, NonConvergence):
+            out[probes[i]] = res
+        else:
+            kept.append(i)
+    if len(kept) < 2:          # a lone probe's values need no copy
+        return kept, (results[kept[0]][None] if kept else None)
+    return kept, np.stack([results[i] for i in kept])
 
 
 def refine_patch(n_axes, k_points):
@@ -677,58 +757,76 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None,
         when the caller keeps them.
 
     A detection ends the search immediately; otherwise one local refinement
-    pass around the sigma_min argmin is made before certifying.
+    pass around the sigma_min argmin is made before certifying.  This is
+    the one-probe case of `_step_checks`, which `membership` runs on all
+    its frequencies together.
+    """
+    res, = _step_checks(lambda rows, probes: [fn(rows)], 1, n_axes, k_points,
+                        tolerances, mode, mesh, patch)
+    return res
+
+
+def _step_checks(values, n_probes, n_axes, k_points, tolerances,
+                 mode="sigma", mesh=None, patch=None):
+    """`step_check` of `n_probes` level-matrix functions together.
+
+    `values(rows, probes)` evaluates the probes listed in `probes` at the
+    same wavevector rows, shape (m, n_axes): per probe its (m, M, M)
+    matrices or the `NonConvergence` that stopped them.  The mesh is
+    evaluated for all probes in one call and each refinement patch, whose
+    rows are its own probe's, in a call of its own; the rule runs on the
+    values of all probes stacked (`_examine`).  Returns per probe its
+    `StepCheckResult`, or the `NonConvergence` of its mesh or its patch.
     """
     tol = tolerances.det_zero_tol
+    out = [None] * n_probes
+    everyone = range(n_probes)
     if n_axes == 0:
-        val = fn(np.zeros((1, 0)))
-        d = complex(det(val)[0])
-        sig = float(smallest_singular_value(val)[0])
-        return StepCheckResult(detected=bool(abs(d) <= tol), min_sigma=sig,
-                               argmin_k=(), method="final-det")
+        kept, vals = _stacked(values(np.zeros((1, 0)), everyone), everyone,
+                              out)
+        if kept:
+            dets, sig = det(vals)[:, 0], smallest_singular_value(vals)[:, 0]
+            for p, d, s in zip(kept, dets, sig):
+                out[p] = StepCheckResult(bool(abs(complex(d)) <= tol),
+                                         float(s), (), "final-det")
+        return out
 
     rows = full_mesh(n_axes, k_points) if mesh is None else mesh
-    vals = fn(rows)
+    live, vals = _stacked(values(rows, everyone), everyone, out)
+    if not live:
+        return out
+    found, methods, s_min, where = _examine(vals, mode, tol,
+                                            (k_points,) * n_axes, True)
+    argmin = rows[where]
+    todo = []
+    for i, p in enumerate(live):
+        if found[i]:
+            out[p] = StepCheckResult(True, float(s_min[i]), tuple(argmin[i]),
+                                     methods[i])
+        else:
+            todo.append(i)
+    if not todo:
+        return out
 
-    def examine(vals_, periodic):
-        """(detected, method, sigma min, row index of the argmin_k)."""
-        sig = smallest_singular_value(vals_)
-        i_min = int(np.argmin(sig))
-        if sig[i_min] <= tol:
-            return True, "sigma", float(sig[i_min]), i_min
-        field = None
-        if mode == "hermitian":
-            field, method = eigvalsh(vals_), "crossing"
-        elif mode == "real-det":
-            dets = det(vals_)
-            scale = float(np.max(np.abs(dets))) + 1e-300
-            if float(np.max(np.abs(dets.imag))) <= IMAG_DOMINANCE * scale:
-                field, method = dets.real[:, None], "det-sign"
-        shape = ((k_points if periodic else REFINE_POINTS),) * n_axes
-        hit = None if field is None else _sign_change(
-            field.reshape(shape + field.shape[-1:]), periodic)
-        if hit is None:
-            return False, "sigma", float(sig[i_min]), i_min
-        # on the patch, argmin_k stays the sigma argmin
-        where = int(np.ravel_multi_index(hit, shape)) if periodic else i_min
-        return True, method, float(sig[i_min]), where
-
-    found, method, min_sig, where = examine(vals, periodic=True)
-    argmin = tuple(rows[where])
-    if found:
-        return StepCheckResult(True, min_sig, argmin, method)
-
-    # local refinement rows: +-1 coarse cell around the argmin, fine spacing
-    patch = np.asarray(argmin) + (refine_patch(n_axes, k_points)
-                                  if patch is None else patch)
-    pvals = fn(patch)
-    pfound, pmethod, pmin, pwhere = examine(pvals, periodic=False)
-    if pmin < min_sig:
-        min_sig, argmin = pmin, tuple(patch[pwhere])
-    if pfound:
-        return StepCheckResult(True, min_sig, argmin, pmethod + "-refined")
-
-    return StepCheckResult(False, min_sig, argmin, method)
+    # local refinement rows: +-1 coarse cell around each argmin, fine spacing
+    offsets = refine_patch(n_axes, k_points) if patch is None else patch
+    patches = [argmin[i] + offsets for i in todo]
+    probes = [live[i] for i in todo]
+    kept, pvals = _stacked([values(rows_, [p])[0]
+                            for p, rows_ in zip(probes, patches)], probes, out)
+    if not kept:
+        return out
+    pfound, pmethods, pmin, pwhere = _examine(
+        pvals, mode, tol, (REFINE_POINTS,) * n_axes, False)
+    for j, t in enumerate(kept):
+        i = todo[t]
+        min_sig, arg = float(s_min[i]), tuple(argmin[i])
+        if pmin[j] < min_sig:
+            min_sig, arg = float(pmin[j]), tuple(patches[t][pwhere[j]])
+        out[probes[t]] = (
+            StepCheckResult(True, min_sig, arg, pmethods[j] + "-refined")
+            if pfound[j] else StepCheckResult(False, min_sig, arg, methods[i]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -770,51 +868,67 @@ def membership(spec, lam, grids=None):
     its witness wavevector.  When `lam` sits within band_guard of a lower
     level's spectrum the higher brackets cannot be trusted and the verdict is
     "inconclusive" (membership there is already decided by the lower level in
-    exact arithmetic, just not resolvable at this tolerance).
+    exact arithmetic, just not resolvable at this tolerance).  This is the
+    one-frequency case of `_memberships`.
     """
-    if not np.isfinite(lam):
-        raise InputError(f"omega must be finite, got {lam}")
+    cert, = _memberships(spec, [lam], grids)
+    return cert
+
+
+def _memberships(spec, lams, grids=None):
+    """`membership` at each frequency of `lams`, all stepped up the levels
+    together: at each level the frequencies still undecided share one
+    evaluation of the mesh (`_level_values`, one `Chain` each) and one run
+    of the step check's rule (`_step_checks`).  Each certificate is the one
+    `membership` gives its frequency alone, bit for bit."""
+    for lam in lams:
+        if not np.isfinite(lam):
+            raise InputError(f"omega must be finite, got {lam}")
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     guard = spec.tolerances.band_guard
-    chain = Chain(spec, lam)
-    trace = []
-
-    def check(level):
+    chains = [Chain(spec, lam) for lam in lams]
+    traces = [[] for _ in chains]
+    floors = [np.inf] * len(chains)
+    certs = [None] * len(chains)
+    live = list(range(len(chains)))
+    for level in (0, *spec.present_codims):
+        if level:
+            for p in live:
+                if floors[p] < guard:
+                    certs[p] = MembershipCertificate(
+                        "inconclusive", min_sigma_per_level=traces[p],
+                        reason=("lambda is within band_guard="
+                                f"{guard} of a lower-level spectrum "
+                                f"projection (min sigma {floors[p]:.3e})"))
+            live = [p for p in live if certs[p] is None]
+        if not live:
+            break
         mode = ("real-det" if level else
                 "hermitian" if spec.is_self_adjoint() else "sigma")
         n_axes = spec.lattice_dim - level
-        return step_check(lambda rows: chain.level_values(level, rows),
-                          n_axes, grids.k_points, spec.tolerances, mode=mode,
-                          mesh=_mesh(spec, n_axes, grids.k_points),
-                          patch=_patch(spec, n_axes, grids.k_points))
-
-    res = check(0)
-    trace.append((0, res.min_sigma))
-    if res.detected:
-        return MembershipCertificate("in", detected_at_step=0,
-                                     witness_k=res.argmin_k,
-                                     min_sigma_per_level=trace)
-    sigma_floor = res.min_sigma
-    for codim in spec.present_codims:
-        if sigma_floor < guard:
-            return MembershipCertificate(
-                "inconclusive", min_sigma_per_level=trace,
-                reason=(f"lambda is within band_guard={guard} of a lower-level "
-                        f"spectrum projection (min sigma {sigma_floor:.3e})"))
-        try:
-            res = check(codim)
-        except NonConvergence as exc:
-            return MembershipCertificate(
-                "inconclusive", min_sigma_per_level=trace,
-                reason=(f"level {codim} not evaluated: {exc} (witness "
-                        f"sigma_min {exc.witness_sigma_min:.3e})"))
-        trace.append((codim, res.min_sigma))
-        if res.detected:
-            return MembershipCertificate("in", detected_at_step=codim,
-                                         witness_k=res.argmin_k,
-                                         min_sigma_per_level=trace)
-        sigma_floor = min(sigma_floor, res.min_sigma)
-    return MembershipCertificate("out", min_sigma_per_level=trace)
+        results = _step_checks(
+            lambda rows, probes: _level_values(
+                [chains[live[i]] for i in probes], level, rows),
+            len(live), n_axes, grids.k_points, spec.tolerances, mode,
+            _mesh(spec, n_axes, grids.k_points),
+            _patch(spec, n_axes, grids.k_points))
+        for p, res in zip(live, results):
+            if isinstance(res, NonConvergence):
+                certs[p] = MembershipCertificate(
+                    "inconclusive", min_sigma_per_level=traces[p],
+                    reason=(f"level {level} not evaluated: {res} (witness "
+                            f"sigma_min {res.witness_sigma_min:.3e})"))
+                continue
+            traces[p].append((level, res.min_sigma))
+            if res.detected:
+                certs[p] = MembershipCertificate(
+                    "in", detected_at_step=level, witness_k=res.argmin_k,
+                    min_sigma_per_level=traces[p])
+            floors[p] = min(floors[p], res.min_sigma)
+        live = [p for p in live if certs[p] is None]
+    for p in live:
+        certs[p] = MembershipCertificate("out", min_sigma_per_level=traces[p])
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +981,7 @@ def bands_grid(spec, k_rows):
     """Bands at many wavevectors; (m, n_bands) when the count is uniform."""
     k_rows = np.asarray(k_rows, dtype=float).reshape(-1, spec.lattice_dim)
     if _hermitian_linear_fast(spec):
-        return np.linalg.eigvalsh(spec.bulk.terms[0].eval(k_rows))
+        return eigvalsh(spec.bulk.terms[0].eval(k_rows))
     per_node = [bands(spec, row) for row in k_rows]
     counts = {len(b) for b in per_node}
     if len(counts) == 1:
@@ -1430,10 +1544,11 @@ def full_spectrum(spec, grids=None, n_probes=32):
     the spec's omega window.
 
     Each level is searched outside the images of the levels below; the
-    spectrum is the bands and every branch's image.  Then runs `n_probes`
-    membership tests at uniform probe frequencies seeded with PROBE_SEED
-    and records agreement with the assembled set (inconclusive verdicts
-    are listed, not counted as disagreements).
+    spectrum is the bands and every branch's image.  Then tests
+    membership at `n_probes` uniform probe frequencies seeded with
+    PROBE_SEED, all stepped up the levels together (`_memberships`), and
+    records agreement with the assembled set (inconclusive verdicts are
+    listed, not counted as disagreements).
     """
     if n_probes < 0:
         raise InputError(f"probe count must be >= 0, got {n_probes}")
@@ -1461,17 +1576,16 @@ def full_spectrum(spec, grids=None, n_probes=32):
     result = SpectralResult(components=clipped, branches=branches,
                             probe_report={})
     rng = np.random.default_rng(PROBE_SEED)
+    lams = rng.uniform(window[0], window[1], size=int(n_probes)).tolist()
     disagreements, inconclusive = [], []
-    for lam in rng.uniform(window[0], window[1], size=int(n_probes)):
-        cert = membership(spec, float(lam), grids)
+    for lam, cert in zip(lams, _memberships(spec, lams, grids)):
         if cert.status == "inconclusive":
-            inconclusive.append(float(lam))
+            inconclusive.append(lam)
             continue
-        in_set = result.contains(float(lam),
-                                 dilate=spec.tolerances.root_tol_omega)
+        in_set = result.contains(lam, dilate=spec.tolerances.root_tol_omega)
         if cert.in_spectrum != in_set:
             disagreements.append(
-                {"lambda": float(lam), "membership": cert.status,
+                {"lambda": lam, "membership": cert.status,
                  "in_assembled_set": bool(in_set)})
     result.probe_report = {"n_probes": int(n_probes),
                            "disagreements": disagreements,

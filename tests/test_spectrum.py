@@ -1045,14 +1045,15 @@ class TestMembership:
         # band; level 0 would have found omega = 1 in the band, so its
         # check is replaced by one that certifies it
         spec, grids = chain_defect_model
-        check = spectrum.step_check
+        check = spectrum._step_checks
 
-        def level0_passes(fn, n_axes, *args, **kwargs):
+        def level0_passes(values, n_probes, n_axes, *args, **kwargs):
             if n_axes == spec.lattice_dim:
-                return spectrum.StepCheckResult(False, 1.0, (0.0,), "sigma")
-            return check(fn, n_axes, *args, **kwargs)
+                return [spectrum.StepCheckResult(False, 1.0, (0.0,),
+                                                 "sigma")] * n_probes
+            return check(values, n_probes, n_axes, *args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "step_check", level0_passes)
+        monkeypatch.setattr(spectrum, "_step_checks", level0_passes)
         cert = membership(spec, 1.0, grids)
         assert cert.status == "inconclusive"
         assert cert.reason == (
@@ -1077,13 +1078,13 @@ class TestMembership:
         omega = 1.0 if guard_share is None else \
             2.0 + guard_share * spec.tolerances.band_guard
         levels = []
-        level_values = Chain.level_values
+        level_values = spectrum._level_values
 
-        def counted(chain, level, t_rows):
+        def counted(chains, level, t_rows):
             levels.append(level)
-            return level_values(chain, level, t_rows)
+            return level_values(chains, level, t_rows)
 
-        monkeypatch.setattr(Chain, "level_values", counted)
+        monkeypatch.setattr(spectrum, "_level_values", counted)
         cert = membership(spec, omega, grids)
         assert cert.status == status
         assert [lv for lv, _ in cert.min_sigma_per_level] == [0]
