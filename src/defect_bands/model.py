@@ -143,10 +143,11 @@ class ProblemSpec:
     `InvalidSpec` on any violation; the spec is frozen, so it stays valid.
 
     `eigen_store` is not part of the operator: it holds the engine's
-    omega-free tables, read-only: the bulk eigenpairs at quadrature nodes
-    (`spectrum._GreenTable.eigenpairs`), the term tables of the bulk and
-    defect symbols at the wavevectors the engine evaluates them on
-    (`OmegaSymbol.tabulate`), and the full k meshes.  They depend on the
+    omega-free tables, read-only: the term tables of the bulk and defect
+    symbols at the wavevectors the engine evaluates them on
+    (`OmegaSymbol.tabulate`), the bulk eigenpairs on the mesh of the
+    fixed-grid resolvent solve (`spectrum._grid_tabs`), and the full k
+    meshes.  They depend on the
     operator alone and so serve every query on this spec; the store lives
     and dies with the spec.  Entries are filled on first use, never when
     the spec is built.

@@ -11,9 +11,9 @@ over one axis: the periodic trapezoid rule on the nodes
 k_l = -pi + 2*pi*l/n, exact for trig polynomials below the grid Nyquist
 degree and exponentially convergent, at its own rate per axis, for
 analytic periodic integrands; callers double n on that axis until the
-result stops moving, except on a level-1 bracket of an eigenvalue-form
-Hermitian one-site bulk with nearest-neighbour axis-1 hopping, which is
-the exact residue the sums converge to.  Each sum is pairwise over the
+result stops moving.  No level-1 bracket is a sum: it is the exact residue
+the sums converge to, and the fixed-grid resolvent solve sums every
+level at one n.  Each sum is pairwise over the
 nodes in order, whatever the layout of its input and the rows batched
 with it, so results are reproducible bit for bit.
 """
@@ -32,13 +32,15 @@ class NonConvergence(RuntimeError):
     Attributes
     ----------
     n_reached : int
-        Last n tried on the failing level's axis; 0 on a closed-form level 1.
+        Last n tried on the failing level's axis; 0 on level 1, which is an
+        exact residue with no n.
     witness_sigma_min : float
         How singular the integrand is: the minimum sigma_min of the node
-        matrices that failed the rank guard, or of the level-0 matrix over a
-        witness mesh whose level-1 rows, where closed-form, give their exact
-        distance from omega to the row's band (that distance is also the
-        witness of a failing closed-form cell).
+        matrices that failed the rank guard; for a failing level-1 cell,
+        the distance from omega to its row's band (closed form) or sigma_min
+        of B_0 at the real k_1 below the residue's nearest pole; for a
+        stall, the least of these over the level-1 rows of a witness mesh
+        under the cells.
     """
 
     def __init__(self, message, n_reached, witness_sigma_min):

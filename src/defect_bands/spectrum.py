@@ -20,6 +20,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .model import GridConfig
 from .quadrature import NonConvergence, _product_nodes, grid_nodes, trapezoid_sum
@@ -47,24 +48,19 @@ REFINE_POINTS = 33
 N_QUAD_START = 16
 N_QUAD_MAX = 4096
 
-#: points per axis of the mesh a NonConvergence witness is taken on
+#: points per axis of the mesh a NonConvergence witness is taken on, and
+#: of the k_1 nodes a level-1 piece's -dB_0/domega is checked on
 WITNESS_POINTS = 4 * N_QUAD_START
 
 #: seed of the membership probe frequencies of `full_spectrum`
 PROBE_SEED = 20260808
 
-#: complex node entries per chunk of the cells a level-1 table evaluates
-#: together (gap edges or one search step; 256 KiB per array): larger
-#: chunks raised peak RSS by ~26 MB on the halved-grid line defect and ran
-#: no faster
-CELL_CHUNK_ENTRIES = 1 << 14
-
-#: bytes of omega-free tables (level-1 bulk eigenpairs, symbol term tables
-#: and meshes) and their keys that one spec keeps in its `eigen_store`,
-#: least recently used dropped first; a larger table is not kept, so a
-#: stalled query does not hold it.  The `query-mix` query sets of seeds
-#: 1-10, asked on the same specs, leave 0.34 MB on the nested model (0.25
-#: MB term tables), 0.56 MB on the line model and 0.01 MB on the chain
+#: bytes of omega-free tables (symbol term tables, the bulk eigenpairs of a
+#: resolvent grid, meshes) and their keys that one spec keeps in its
+#: `eigen_store`, least recently used dropped first; a larger table is not
+#: kept, so a stalled query does not hold it.  The `query-mix` query sets
+#: of seeds 1-10, asked on the same specs, leave 0.51 MB on the nested model
+#: (0.45 MB term tables), 0.64 MB on the line model and 0.01 MB on the chain
 EIGEN_STORE_BYTES = 1 << 25
 
 
@@ -153,7 +149,7 @@ def node_mesh(n, level, t_rows):
 
 
 # ---------------------------------------------------------------------------
-# the level-0 inverse
+# the level-0 inverse of a resolvent grid
 
 
 def _rank_floor(scale):
@@ -198,14 +194,13 @@ class Chain:
     `level_values` evaluates a level's rows as one group of a `_GreenTable`
     built for them at this omega, which sums over the level's own axis the
     integrand from the levels below; `_level_values` does so for many
-    chains at the same rows in one table.  Each level but a closed-form
-    level 1 pins in `_nquad` the n its axis first converged at, for its
-    later rows, inside higher brackets too; a failing bracket raises
-    `NonConvergence`.  No level value is memoized: a row recomputed at its
-    pinned n has the same bits.  Only omega-free tables are shared across
-    chains, through the spec's `eigen_store`: the level-1 bulk eigenpairs
-    and the symbols' term tables.  `membership` steps up one chain per
-    frequency, all of them together.
+    chains at the same rows in one table.  Each level above 1 pins in
+    `_nquad` the n its axis first converged at, for its later rows, inside
+    higher brackets too; a failing bracket raises `NonConvergence`.  No
+    level value is memoized: a row recomputed at its pinned n has the same
+    bits.  Only omega-free tables, the symbols' term tables, are shared
+    across chains, through the spec's `eigen_store`.  `membership` steps up
+    one chain per frequency, all of them together.
     """
 
     def __init__(self, spec, omega):
@@ -274,15 +269,11 @@ class _GreenTable:
 
     and a level with no defect has B = I and passes P on unchanged.  A
     level-j table sums over axis j alone:
-    - Level 1, closed form (`_closed`): for an eigenvalue-form Hermitian
-      M = 1 bulk whose every axis-1 offset is -1, 0 or 1, the average of
-      1/(H - omega) is an exact residue, with no n (`_closed_form`; Lee &
-      Joannopoulos, PRB 23, 4988, 1981; Umerski, PRB 55, 5266, 1997).
-    - Level 1 otherwise: n doubles on axis 1 over B_0^{-1}
-      (`level0_inverse`), for H(k) - omega*I with H Hermitian
-      `lattice_green` from the `eigenpairs` of H, which serve every omega
-      and are kept in the spec's `eigen_store`, else the SVD-guarded
-      `inverse`.  Only level-1 tables form B_0^{-1} or hold eigenpairs.
+    - Level 1 is an exact residue sum, with no n, for every bulk (Lee &
+      Joannopoulos, PRB 23, 4988, 1981; Umerski, PRB 55, 5266, 1997): in
+      closed form (`_closed_form`) for an eigenvalue-form Hermitian M = 1
+      bulk whose every axis-1 offset is -1, 0 or 1 (`_closed`), else from
+      the eigenvalues of one companion matrix per cell (`_residue`).
     - Level j >= 2: n doubles on axis j over B_{j-1}^{-1} P_{j-1}
       (`_integrand`), taken from the one level-(j-1) table it owns per n
       (`_lower`).
@@ -305,55 +296,7 @@ class _GreenTable:
                                 for off in spec.bulk.terms[0].offsets))
         self._rows_key = self.t_rows.tobytes()
         self._below = {}        # n -> the level-(j-1) table it owns for n
-
-    def eigenpairs(self, n):
-        """(lambda, U) of a level-1 table at the n-grid nodes x rows, shapes
-        (n, rows, M) and (n, rows, M, M), kept in the spec's `eigen_store`
-        under (1, n, the bytes of the rows); U is None for M = 1."""
-        return _stored(self.spec, (1, n, self._rows_key),
-                       lambda: self._diagonalise(n))
-
-    def _diagonalise(self, n):
-        """`eigenpairs(n)` computed, the even nodes copied from the stored
-        pairs of n / 2 when there are any."""
-        m_sz = self.spec.cell_size
-        mesh = node_mesh(n, 1, self.t_rows)
-        lam = np.empty(mesh.shape[:2] + (m_sz,))
-        vec = None if m_sz == 1 else np.empty(lam.shape + (m_sz,), complex)
-        new = slice(None)
-        coarse = self.spec.eigen_store.get((1, n // 2, self._rows_key))
-        if coarse is not None:
-            new = slice(1, None, 2)
-            lam[::2] = coarse[0]
-            if vec is not None:
-                vec[::2] = coarse[1]
-        k_full = mesh[new]
-        w, u = eigh(self.spec.bulk.terms[0].eval(
-            k_full.reshape(-1, self.spec.lattice_dim)))
-        lam[new] = w.reshape(k_full.shape[:2] + (m_sz,))
-        if vec is not None:
-            vec[new] = u.reshape(k_full.shape[:2] + (m_sz, m_sz))
-        return lam, vec
-
-    def level0_inverse(self, n, rows, omegas):
-        """B_0^{-1} of a level-1 table at the n-grid nodes x the table rows
-        `rows`, shape (n, cells, M, M), cell c at omegas[c] (omegas[0] for
-        all on the SVD path), and per cell the smallest sigma_min of a node
-        that fails the rank guard, inf where every node passes; the inverse
-        is not finite where a node fails."""
-        if self._eigen:
-            lam, vec = self.eigenpairs(n)
-            green, bad = lattice_green(
-                lam[:, rows], None if vec is None else vec[:, rows], omegas)
-            return green, bad.min(axis=0)
-        mesh = node_mesh(n, 1, self.t_rows[rows])
-        shape = mesh.shape[:2] + (self.spec.cell_size,) * 2
-        try:
-            inv = inverse(self.spec.bulk.eval(
-                float(omegas[0]), mesh.reshape(-1, self.spec.lattice_dim)))
-        except SingularMatrix as exc:
-            return np.full(shape, np.nan), np.full(len(rows), exc.min_sigma)
-        return inv.reshape(shape), np.full(len(rows), np.inf)
+        self._band = None       # h_0 and |h_1| of every row, closed form
 
     def _lower(self, n, rows):
         """The level-(j-1) table owned for n, on the rows `node_mesh(n, 1,
@@ -365,32 +308,28 @@ class _GreenTable:
         nodes = np.arange(n)[:, None] * len(self.t_rows) + np.asarray(rows)
         return self._below[n], nodes.ravel()
 
-    def _bulk_bands(self, n, rows):
-        """Low and high ends of the bulk bands of an eigenvalue-form bulk at
-        the table rows `rows`, read from the level-1 table under the tables
-        owned for n (its rows: the n-grid nodes of axes 2..j x table rows):
-        each row's exact band [h_0 - 2|h_1|, h_0 + 2|h_1|] where it is
-        closed-form, else the eigenvalues of H at its n-grid nodes."""
+    def _bottom(self, n, rows):
+        """The level-1 table under the tables owned for n, and its rows (the
+        n-grid nodes of axes 2..j x the table rows `rows`)."""
         table = self
         while table.level > 1:
             table, rows = table._lower(n, rows)
-        if table._closed:
-            h0, h1 = table._row_band(rows)
-            return h0 - 2.0 * h1, h0 + 2.0 * h1
-        lam = table.eigenpairs(n)[0][:, rows]
-        return lam, lam
+        return table, rows
 
     def _witness(self, omega, rows):
-        """Min sigma_min of B_0 over the WITNESS_POINTS grid of the
-        integrated axes x the table rows `rows`; on the eigen path the
-        distance to `_bulk_bands`, exact where they are closed-form."""
-        if self._eigen:
-            lo, hi = self._bulk_bands(WITNESS_POINTS, rows)
+        """How near omega lies to the level-0 spectrum over the
+        WITNESS_POINTS grid of the integrated axes above axis 1 x the table
+        rows `rows`, from the level-1 table below: the least distance to a
+        row's band where it is closed-form, else the least `_residue`
+        witness."""
+        table, rows = self._bottom(WITNESS_POINTS, rows)
+        if table._closed:
+            h0, h1 = table._row_band(rows)
+            lo, hi = h0 - 2.0 * h1, h0 + 2.0 * h1
             return float(np.maximum(np.maximum(lo - omega, omega - hi),
                                     0.0).min())
-        mesh = node_mesh(WITNESS_POINTS, self.level, self.t_rows[rows])
-        return float(np.min(smallest_singular_value(self.spec.bulk.eval(
-            omega, mesh.reshape(-1, self.spec.lattice_dim)))))
+        cells = (rows, np.full(len(rows), float(omega)), None)
+        return float(table._residue(cells)[3].min())
 
     def defect_terms(self):
         """`tabulate` of the level's defect symbol at the table rows."""
@@ -401,13 +340,17 @@ class _GreenTable:
     def _row_band(self, rows):
         """h_0 and |h_1| of the table rows `rows` of a closed-form table, so
         that a row's bulk band is [h_0 - 2|h_1|, h_0 + 2|h_1|]: the 4-point
-        discrete Fourier transform along k_1 of the stored eigenvalues of H
-        on the n = 4 grid (-pi, -pi/2, 0, pi/2), exact for the axis-1
-        offsets -1, 0 and 1."""
-        lam = self.eigenpairs(4)[0][:, rows, 0]
-        # the bits of lam.mean(axis=0), without its overhead
-        return lam.sum(axis=0) / 4, 0.25 * np.hypot(lam[2] - lam[0],
-                                                     lam[3] - lam[1])
+        discrete Fourier transform along k_1 of the eigenvalues of H on the
+        n = 4 grid (-pi, -pi/2, 0, pi/2), read from the stored term table,
+        exact for the axis-1 offsets -1, 0 and 1."""
+        if self._band is None:
+            mesh = node_mesh(4, 1, self.t_rows)
+            lam = eigvalsh(_terms(self.spec, 0, mesh.reshape(
+                -1, self.spec.lattice_dim))[0]).reshape(mesh.shape[:2])
+            # the bits of lam.mean(axis=0), without its overhead
+            self._band = (lam.sum(axis=0) / 4,
+                          0.25 * np.hypot(lam[2] - lam[0], lam[3] - lam[1]))
+        return self._band[0][rows], self._band[1][rows]
 
     def _closed_form(self, cells):
         """Level-1 values, averages P and failing distances of `cells` on a
@@ -433,6 +376,75 @@ class _GreenTable:
             values = sums if cell_a is None else 1.0 + sums * cell_a
         return values, sums, bad
 
+    def _residue(self, cells):
+        """Level-1 values, averages P, whether each is decided, and
+        witnesses of `cells` off the closed form, in one pass with no n.
+
+        B_0 = sum over |s| <= r of C_s e^{isk_1}, the blocks the FFT of the
+        stored term table on a grid of more than 2r nodes.  With
+        w = tan((k_1 - k_0) / 2), R(w) = B_0 (1 + w^2)^r has degree 2r and
+        leading block L = B_0(k_0 + pi), at the node of (-pi, -pi/2, 0,
+        pi/2) where sigma_min is largest (no eigenvalue runs off to w = inf
+        near a band edge).  G = mean B_0^{-1} is 1/pi times the integral of
+        (1 + w^2)^(r-1) R(w)^{-1}, and so the sum of its residues in the
+        upper half plane: 2i X V_in f(lambda_in) (V^{-1})_in Y L^{-1}, from
+        C = V diag(lambda) V^{-1} the monic companion matrix of L^{-1} R,
+        f(w) = (1 + w^2)^(r-1) and X, Y its first block row and last block
+        column.  Where eigenvalues meet the real axis at a band edge, G is
+        off by about eps ||C||_F^2 / sep^2, sep the distance of the nearest
+        eigenvalue from the real axis; a cell is decided when that is at
+        most quad_rel_tol and L passes the rank guard.  Its witness is
+        sigma_min of B_0 at the real k_1 below that eigenvalue, or of L.
+        P and values are as in `_closed_form`.
+        """
+        cell_t, cell_omega, cell_a = cells
+        spec, m = self.spec, self.spec.cell_size
+        reach = max(1, max(abs(off[0]) for poly in spec.bulk.terms.values()
+                           for off in poly.offsets))
+        nodes = 4
+        while nodes <= 2 * reach:
+            nodes *= 2
+        mesh = node_mesh(nodes, 1, self.t_rows)
+        tabs = _terms(spec, 0, mesh.reshape(-1, spec.lattice_dim))
+        omega = np.asarray(cell_omega, dtype=complex)[:, None, None]
+        vals = sum(omega ** p * t.reshape(mesh.shape[:2] + (m, m))[:, cell_t]
+                   for p, t in zip(spec.bulk.terms, tabs))
+        far = np.arange(4) * (nodes // 4)
+        sig = smallest_singular_value(vals[far])
+        k_far = mesh[far[sig.argmax(axis=0)], 0, 0]
+        shifts = np.arange(-reach, reach + 1)
+        # the blocks of B_0(k_far - pi + k), C_s e^{is(k_far - pi)}
+        blocks = np.fft.fft(vals, axis=0)[shifts % nodes].swapaxes(0, 1) \
+            * np.exp(1j * np.outer(k_far, shifts))[:, :, None, None] / nodes
+        poly = np.einsum("sd,csij->cdij", np.array([P.polymul(
+            P.polypow([1, 1j], reach + s), P.polypow([1, -1j], reach - s))
+            for s in shifts]), blocks)
+        lead = poly[:, -1]
+        ok = sig.max(axis=0) >= _rank_floor(np.linalg.norm(lead,
+                                                            axis=(-2, -1)))
+        inv_lead = np.linalg.inv(np.where(ok[:, None, None], lead, np.eye(m)))
+        size = 2 * reach * m
+        comp = np.zeros((len(lead), size, size), complex)
+        comp[:, :-m, m:] = np.eye(size - m)
+        comp[:, -m:] = -np.matmul(inv_lead[:, None], poly[:, :-1]).transpose(
+            0, 2, 1, 3).reshape(-1, m, size)
+        lam, vec = np.linalg.eig(comp)
+        near = lam[np.arange(len(lam)), np.abs(lam.imag).argmin(axis=1)]
+        decided = ok & (np.finfo(float).eps * np.sum(np.abs(comp) ** 2,
+                                                     axis=(1, 2))
+                        <= spec.tolerances.quad_rel_tol * near.imag ** 2)
+        vec = np.where(decided[:, None, None], vec, np.eye(size))
+        weight = np.where(lam.imag > 0, (1.0 + lam ** 2) ** (reach - 1), 0.0)
+        sums = np.sqrt(TWO_PI) * 2j * np.matmul(np.matmul(
+            vec[:, :m] * weight[:, None, :], np.linalg.inv(vec)[:, :, -m:]),
+            inv_lead)
+        values = sums if cell_a is None else np.eye(m) + np.matmul(sums,
+                                                                   cell_a)
+        phase = np.exp(2j * np.outer(np.arctan(near.real), shifts))
+        witness = np.where(ok, smallest_singular_value(np.einsum(
+            "cs,csij->cij", phase, blocks)), sig.max(axis=0))
+        return values, sums, decided, witness
+
     def piece_sign(self, n, row, edges):
         """How the omega piece between the two `edges` of a table row is
         counted, at the row's n-grid nodes: (sign, None) with sign +1 or -1
@@ -448,28 +460,35 @@ class _GreenTable:
         the piece.  For H(k) - omega*I, dB_0/domega = -I.  B_0 is then
         monotone at each node, so the piece is still refused when the
         inertia of B_0 at some node differs between the edges: a bulk band
-        lies inside it; on the eigen path, when one of `_bulk_bands` meets
-        [a, b).  A closed-form table reads no n: its defect slopes are taken
-        at the row.
+        lies inside it; where the level-1 table below is closed-form, when
+        one of its rows' bands meets [a, b).  A level-1 table reads no n:
+        its nodes are the WITNESS_POINTS grid of k_1, and its band test
+        needs the inertia at one node, since both edges were evaluated, so
+        neither lies in a row's band, and a band wholly inside the piece
+        changes the inertia at every node.
         """
         spec, dim = self.spec, self.spec.lattice_dim
         varying = [layer for layer in spec.defects
                    if layer.codim <= self.level and layer.symbol.max_power]
-        if self._closed:
-            mesh = np.zeros((1, dim))
-            mesh[:, self.level:] = self.t_rows[row]
-        elif varying or not self._eigen:
-            mesh = node_mesh(n, self.level,
+        bottom, rows = self._bottom(n, [row])
+        if self.level == 1 or varying or not bottom._closed:
+            mesh = node_mesh(n if self.level > 1 else WITNESS_POINTS,
+                             self.level,
                              self.t_rows[row:row + 1]).reshape(-1, dim)
-        if self._eigen:
-            least = {1.0: [1.0, 1.0], -1.0: [-1.0, -1.0]}
-            lo, hi = self._bulk_bands(n, [row])
-            banded = np.any((lo < edges[1]) & (hi >= edges[0]))
+        if bottom._closed:
+            h0, h1 = bottom._row_band(rows)
+            banded = np.any((h0 - 2.0 * h1 < edges[1])
+                            & (h0 + 2.0 * h1 >= edges[0]))
         else:
-            tabs = spec.bulk.tabulate(mesh)
-            negative = [(eigvalsh(spec.bulk.combine(w, tabs)) < 0).sum(axis=-1)
+            tabs = spec.bulk.tabulate(mesh if self.level > 1 or not self._eigen
+                                      else mesh[:1])
+            nodes = tabs if self.level > 1 else [t[:1] for t in tabs]
+            negative = [(eigvalsh(spec.bulk.combine(w, nodes)) < 0).sum(axis=-1)
                         for w in edges]
             banded = np.any(negative[0] != negative[1])
+        if self._eigen:
+            least = {1.0: [1.0, 1.0], -1.0: [-1.0, -1.0]}
+        else:
             slopes = [eigvalsh(-_slope(spec.bulk.terms, w, tabs))
                       for w in edges]
             least = {1.0: [s.min() for s in slopes],
@@ -496,19 +515,19 @@ class _GreenTable:
         Group g is the cells (omegas[g], row) for the table rows groups[g];
         `dispersion_branch` makes one group per cell, each chain one group.  A
         cell's value is B_j (P_j with no defect); with `carry`, the
-        integrand of the level above, B_j^{-1} P_j.  A closed-form table
-        evaluates every cell in one pass and ignores `pins`.  Elsewhere n
-        doubles on this level's axis, all live cells at once: on level 1 of
-        an eigenvalue-form bulk in chunks of at most CELL_CHUNK_ENTRIES node
-        entries, else one group at a time.  A group starts at N_QUAD_START
-        and converges at its first relative change below quad_rel_tol, in
-        B_j and with `carry` in P_j too (a small or rank-deficient A_j hides
-        P_j's error from B_j); a singular node fails it, and N_QUAD_MAX
-        stalls it.  `pins` holds per group a dict level -> n (fresh by
-        default), where it and the tables below it pin their n; a level
-        pinned for every group (or none) is evaluated at that n alone.
-        Returns per group its values or its `NonConvergence`, a lower
-        level's included.
+        integrand of the level above, B_j^{-1} P_j.  A level-1 table
+        evaluates every cell in one pass, exactly, and ignores `pins`; a
+        group fails there when one of its cells is not decided, with
+        n_reached 0.  Above level 1, n doubles on this level's axis, all
+        live groups at each n, one group at a time.  A group starts at
+        N_QUAD_START and converges at its first relative change below
+        quad_rel_tol, in B_j and with `carry` in P_j too (a small or
+        rank-deficient A_j hides P_j's error from B_j); a singular node
+        fails it, and N_QUAD_MAX stalls it.  `pins` holds per group a dict
+        level -> n (fresh by default), where it and the tables below it pin
+        their n; a level pinned for every group (or none) is evaluated at
+        that n alone.  Returns per group its values or its
+        `NonConvergence`, a lower level's included.
         """
         if len(groups) == 0:
             return []
@@ -529,54 +548,50 @@ class _GreenTable:
         cells = (cell_t, np.repeat(omegas, sizes), cell_a)
         outcome = [None] * len(groups)
         m_sz = self.spec.cell_size
-        if self._closed:
-            vals, sums, bad = self._closed_form(cells)
+        if j == 1:
+            if self._closed:
+                vals, sums, bad = self._closed_form(cells)
+            else:
+                vals, sums, decided, witness = self._residue(cells)
+                bad = np.where(decided, np.inf, witness)
             for g, s, e in live:
                 worst = bad[s:e].min()
                 outcome[g] = vals[s:e] if np.isinf(worst) else NonConvergence(
-                    f"level 1 closed form: omega={float(omegas[g])!r} is in a "
-                    "row's bulk band or within its rank guard", n_reached=0,
+                    f"level 1 {'closed form' if self._closed else 'residue'}: "
+                    f"omega={float(omegas[g])!r} is in a row's bulk band or "
+                    "within its rank guard", n_reached=0,
                     witness_sigma_min=float(worst))
             live = []
         else:
-            prev = np.zeros((1 + carry, cell_t.size, m_sz * m_sz), complex)
+            eye, prev = np.eye(m_sz, dtype=complex), {}
             sums = np.empty((cell_t.size, m_sz, m_sz), dtype=complex)
         n = pinned or N_QUAD_START
         while live:
-            if self._eigen and j == 1:
-                idx = np.concatenate([np.arange(s, e) for _, s, e in live])
-                per = max(1, CELL_CHUNK_ENTRIES // (n * m_sz * m_sz))
-                chunks = [idx[lo:lo + per] for lo in range(0, idx.size, per)]
-            else:
-                chunks = [np.arange(s, e) for _, s, e in live]
-                idx = np.concatenate(chunks)
-            curr, avg, worst, failed = self._cell_brackets(
-                n, cells, chunks, [pins[g] for g, _, _ in live], carry)
-            bounds = np.cumsum([0] + [e - s for _, s, e in live])[:-1]
-            change = 0.0
-            for part, old in zip((curr, avg), prev):
-                flat = part.reshape(idx.size, -1)
-                with np.errstate(invalid="ignore"):
-                    diff = np.abs(flat - old[idx]).max(axis=1)
-                    change = np.maximum(change, np.maximum.reduceat(
-                        diff, bounds) / np.maximum(1.0, np.maximum.reduceat(
-                            np.abs(flat).max(axis=1), bounds)))
-                old[idx] = flat
-            worst = np.minimum.reduceat(worst, bounds)
             still = []
-            for i, (group, g_change, g_worst, b) in enumerate(
-                    zip(live, change, worst, bounds)):
+            for group in live:
                 g, s, e = group
-                if i in failed:
-                    outcome[g] = failed[i]
-                elif np.isfinite(g_worst):
+                try:
+                    x = self._integrand(n, cell_t[s:e], omegas[g], pins[g])
+                except SingularMatrix as exc:
                     outcome[g] = NonConvergence(
                         f"level {j} integrand singular on the n={n} grid",
-                        n_reached=n, witness_sigma_min=float(g_worst))
-                elif pinned or (n > N_QUAD_START and g_change < tol):
-                    outcome[g] = curr[b:b + e - s]
+                        n_reached=n, witness_sigma_min=exc.min_sigma)
+                    continue
+                except NonConvergence as exc:
+                    outcome[g] = exc
+                    continue
+                with np.errstate(invalid="ignore", over="ignore"):
+                    avg = trapezoid_sum(x, n) if cell_a is None or carry \
+                        else None
+                    curr = avg if cell_a is None else eye + trapezoid_sum(
+                        np.matmul(x, cell_a[s:e]), n)
+                old, prev[g] = prev.get(g), (curr, avg)[:1 + carry]
+                if pinned or (old is not None and np.max([
+                        np.abs(a - b).max() / max(1.0, np.abs(a).max())
+                        for a, b in zip(prev[g], old)]) < tol):
+                    outcome[g] = curr
                     if carry:
-                        sums[s:e] = avg[b:b + e - s]
+                        sums[s:e] = avg
                     pins[g][j] = n
                 else:
                     still.append(group)
@@ -596,37 +611,6 @@ class _GreenTable:
         return [out if isinstance(out, NonConvergence)
                 else np.matmul(inverse(out), sums[s:e])
                 for out, s, e in zip(outcome, ends - sizes, ends)]
-
-    def _cell_brackets(self, n, cells, chunks, pins, carry):
-        """Fixed-n values of the cells in `chunks`, their sums P (with
-        `carry`, else None), their guard minima, and the
-        lower level's `NonConvergence` per chunk index where one was raised
-        (that chunk's values are then meaningless).  On levels >= 2 chunk i
-        is one group, evaluated with the pins pins[i]."""
-        cell_t, cell_omega, cell_a = cells
-        eye = np.eye(self.spec.cell_size, dtype=complex)
-        out, sums, worst, failed = [], [], [], {}
-        for i, part in enumerate(chunks):
-            if self.level == 1:
-                x, bad = self.level0_inverse(n, cell_t[part], cell_omega[part])
-            else:
-                x = np.full((n, len(part)) + eye.shape, np.nan)
-                bad = np.full(len(part), np.inf)
-                try:
-                    x = self._integrand(n, cell_t[part], cell_omega[part[0]],
-                                        pins[i])
-                except SingularMatrix as exc:
-                    bad[:] = exc.min_sigma
-                except NonConvergence as exc:
-                    failed[i] = exc
-            with np.errstate(invalid="ignore", over="ignore"):
-                avg = trapezoid_sum(x, n) if cell_a is None or carry else None
-                out.append(avg if cell_a is None else eye + trapezoid_sum(
-                    np.matmul(x, cell_a[part]), n))
-            sums.append(avg)
-            worst.append(bad)
-        return (np.concatenate(out), np.concatenate(sums) if carry else None,
-                np.concatenate(worst), failed)
 
     def _integrand(self, n, rows, omega, pins):
         """B_{j-1}^{-1} P_{j-1} at the n axis-j nodes x the table rows
@@ -1246,6 +1230,15 @@ class _Bracket:
         x = (self.a * fb - self.b * fa) / (fb - fa)
         return min(max(x, self.a + 0.5 * tol_omega), self.b - 0.5 * tol_omega)
 
+    def root(self):
+        """The root of a piece narrowed to tol_omega: the secant root of its
+        crossing eigenvalue's end values when it holds one root and no
+        pole, else its midpoint."""
+        if self.na - self.nb != 1 or self.da != self.db:
+            return 0.5 * (self.a + self.b)
+        fa, fb = self.ea[self.sb], self.eb[self.sb]
+        return (self.a * fb - self.b * fa) / (fb - fa)
+
     def split(self, x, ex, s, d):
         """The pieces at x, where the oriented values are ex, with s
         negative S values and d negative D values and a count s - d between
@@ -1281,7 +1274,7 @@ class _Bracket:
 def _search(pieces, evaluate, tol_omega):
     """Refine `_Bracket` pieces in lockstep, one call of
     `evaluate(omegas, gaps)` per step over every live piece, until each is
-    at most tol_omega wide; its root is then its midpoint (once, if it
+    at most tol_omega wide; its root is then `_Bracket.root` (once, if it
     still holds more than one).  `evaluate` gives the values at (omegas[i],
     the row of gap gaps[i]), NaN where a bracket does not converge, which
     ends that piece; a probe whose count lies outside [nb, na] loses its
@@ -1290,8 +1283,7 @@ def _search(pieces, evaluate, tol_omega):
     roots, lost = [], set()
     while True:
         live = [p for p in pieces if p.gap not in lost]
-        roots += [(p.gap, 0.5 * (p.a + p.b)) for p in live
-                  if p.b - p.a <= tol_omega]
+        roots += [(p.gap, p.root()) for p in live if p.b - p.a <= tol_omega]
         live = [p for p in live if p.b - p.a > tol_omega]
         if not live:
             return [(g, x) for g, x in roots if g not in lost], lost
@@ -1635,13 +1627,16 @@ def _grid_tabs(spec, omega, n):
         vals = layer.symbol.combine(omega, _terms(spec, layer.codim, mesh))
         a_tabs[(0, layer.codim)] = vals.reshape(grid_shape + (m_sz, m_sz))
 
-    rows = full_mesh(n_dim - 1, n)
-    green, bad = _GreenTable(spec, 1, rows).level0_inverse(
-        n, np.arange(len(rows)), np.full(len(rows), omega))
-    worst = bad.min()
-    if np.isfinite(worst):
-        raise SingularMatrix("matrix singular to working precision "
-                             f"(sigma_min={worst:.3e})", worst)
+    if _hermitian_linear_fast(spec):
+        lam, vec = _stored(spec, ("eigh", n_dim, n),
+                           lambda: eigh(spec.bulk.terms[0].eval(mesh)))
+        green, bad = lattice_green(lam, vec, omega)
+        worst = bad.min()
+        if np.isfinite(worst):
+            raise SingularMatrix("matrix singular to working precision "
+                                 f"(sigma_min={worst:.3e})", worst)
+    else:
+        green = inverse(spec.bulk.combine(omega, _terms(spec, 0, mesh)))
     inv_tabs = {0: green.reshape(grid_shape + (m_sz, m_sz))}
     eye = np.eye(m_sz, dtype=complex)
     for level in range(1, n_dim + 1):

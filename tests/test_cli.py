@@ -512,6 +512,19 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_next_nearest_point_config_spectrum(tmp_path):
+    # tools/next_nearest_point.json, the bulk 2 cos 2k - omega (axis-1
+    # hopping of range 2) with a unit point defect: 1 = <1/(omega - 2 cos
+    # 2k)> = 1/sqrt(omega^2 - 4) at omega = sqrt5 alone, which the exact
+    # level 1 finds to within 1e-12
+    path = Path(__file__).parents[1] / "tools" / "next_nearest_point.json"
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    points = [float(row[2]) for row in rows if row[0] == "isolated_point"]
+    assert len(points) == 1 and abs(points[0] - np.sqrt(5.0)) <= 1e-12
+
+
 def test_two_band_point_config_matches_builder():
     # tools/two_band_line_point.json, the M = 2 two-level model that
     # tools/compare_cli.py runs, holds the numbers of

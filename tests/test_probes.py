@@ -45,13 +45,14 @@ from hypothesis import strategies as st  # noqa: E402
 REPO = Path(__file__).resolve().parents[1]
 
 #: every bundled config, the nested model and the `tools/` models but the
-#: slow two-band point model, which has a test of its own below
+#: two-band point model, which has a test of its own below
 CONFIGS = [config_path(name) for name in (
     "bipartite_chain.json", "chain.json", "chain_point_defect.json",
     "square.json", "square_line_defect.json")] + [
-    str(REPO / "perfbench" / "nested_line_point.json"),
-    str(REPO / "tools" / "square_line_omega_defect.json"),
-    str(REPO / "tools" / "squared_frequency_line.json")]
+    str(REPO / "perfbench" / "nested_line_point.json")] + [
+    str(REPO / "tools" / name) for name in (
+        "square_line_omega_defect.json", "squared_frequency_line.json",
+        "next_nearest_point.json")]
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +200,13 @@ def test_batch_matches_one_at_a_time(path):
 
 @pytest.mark.parametrize("cap", [None, 256])
 def test_two_band_point_model_batch(monkeypatch, cap):
-    # M = 2 with two levels that double n: a level-1 root (-0.3823), the
-    # level-2 point (0.13136), the guard strip of the level-1 image
-    # (2.868), a bulk band (1.0) and omegas outside (0.0, 0.132, 5.0).
-    # With the n cap lowered to 256 the level-1 quadrature of -0.374
-    # stalls, while 0.0 and 0.132 still converge: one batch holds a probe
-    # whose level does not converge next to probes whose levels do
+    # M = 2 with an exact level 1 and a level 2 that doubles n: a level-1
+    # root (-0.3823), the level-2 point (0.13136), the guard strip of the
+    # level-1 image (2.868), a bulk band (1.0) and omegas outside (0.0,
+    # 0.132, 5.0).  With the n cap lowered to 256 the level-2 quadrature
+    # of -0.374, 0.008 from the level-1 root, stalls, while 0.0 and 0.132
+    # still converge: one batch holds a probe whose level does not
+    # converge next to probes whose levels do
     spec, grids = two_band_line(point=2.0)
     omegas = [-0.3823, 0.1313602953, 0.132, 2.868, 1.0, 0.0, 5.0, -0.374]
     if cap is None:
@@ -220,7 +222,7 @@ def test_two_band_point_model_batch(monkeypatch, cap):
         assert [cert["detected_at_step"] for cert in got[:2]] == [1, 2]
         assert "band_guard" in reasons[3]
     else:
-        assert reasons[-1].startswith("level 1 not evaluated: level 1 "
+        assert reasons[-1].startswith("level 2 not evaluated: level 2 "
                                       "quadrature stalled at n=256")
         assert [cert["status"] for cert in got[5:7]] == ["out", "out"]
 
@@ -260,26 +262,26 @@ def test_step_checks_match_step_check_per_probe(mode):
 
 
 def test_level_values_keep_each_chains_pins():
-    # chains pinned at different n on level 1, and two fresh ones,
+    # chains pinned at different n on level 2, and two fresh ones,
     # evaluated in one call: each at its own n, and each fresh one pins
-    # the n it converges at
-    spec, grids = two_band_line(point=2.0)
-    mesh = full_mesh(1, grids.k_points)
-    patch = mesh[3] + refine_patch(1, grids.k_points)
+    # the n it converges at; level 1 is exact and pins none
+    spec, _ = two_band_line(point=2.0)
+    point = np.zeros((1, 0))
 
     def chains():
         out = [Chain(spec, w) for w in (5.0, 0.0, -3.0, 0.132)]
         for chain in out[:2]:
-            chain.level_values(1, mesh)
+            chain.level_values(2, point)
         return out
 
     lone, together = chains(), chains()
-    want = [chain.level_values(1, patch) for chain in lone]
-    assert len({c._nquad[1] for c in lone[:2]}) == 2
-    assert len({c._nquad[1] for c in lone[2:]}) == 2
-    got = spectrum._level_values(together, 1, patch)
+    want = [chain.level_values(2, point) for chain in lone]
+    assert len({c._nquad[2] for c in lone[:2]}) == 2
+    assert len({c._nquad[2] for c in lone[2:]}) == 2
+    got = spectrum._level_values(together, 2, point)
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
     assert [c._nquad for c in together] == [c._nquad for c in lone]
+    assert all(set(c._nquad) == {2} for c in lone)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from defect_bands import spectrum
 from defect_bands.model import DefectLayer, ProblemSpec
 from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
+from defect_bands.quadrature import trapezoid_sum
 from defect_bands.spectrum import dispersion_branch
 from defect_bands.symbol import OmegaSymbol, TrigMatrixPolynomial, inverse
 
@@ -60,7 +62,10 @@ entries = st.floats(-1.0, 1.0)
 def test_green_function_matches_svd_path_m2(a, b, d, margin, sign):
     # a random M = 2 Hermitian nearest-neighbour chain
     # H(k) = A + B e^{ik} + B^H e^{-ik}, at an omega at least `margin`
-    # outside the bound |lambda| <= |A| + 2|B| on its bands
+    # outside the bound |lambda| <= |A| + 2|B| on its bands: the resolvent
+    # grid's B_0^{-1} from the eigenpairs of H against the SVD-guarded
+    # inverse, which a bulk not in eigenvalue form takes, and the exact
+    # level 1 against the trapezoid sum of that inverse at n = 256
     a_mat = _hermitian(a[:3], a[3])
     b_mat = np.array(b[:4]).reshape(2, 2) + 1j * np.array(b[4:]).reshape(2, 2)
     bulk = OmegaSymbol({
@@ -75,22 +80,23 @@ def test_green_function_matches_svd_path_m2(a, b, d, margin, sign):
     assert spectrum._hermitian_linear_fast(spec)
     omega = sign * (np.linalg.norm(a_mat, 2) + 2 * np.linalg.norm(b_mat, 2)
                     + margin)
-    t_rows = np.zeros((1, 0))
 
-    table = spectrum._GreenTable(spec, 1, t_rows)
+    bare = ProblemSpec(lattice_dim=1, cell_size=2, bulk=bulk)
     for n in (16, 64):
-        want = inverse(bulk.eval(omega, spectrum.node_mesh(n, 1, t_rows)
-                                 .reshape(-1, 1)))
-        got, worst = table.level0_inverse(n, [0], [omega])
-        assert np.isinf(worst[0])
-        assert np.max(np.abs(got.reshape(want.shape) - want)) <= \
-            1e-12 * np.max(np.abs(want))
+        want = inverse(bulk.eval(omega, spectrum.full_mesh(1, n)))
+        got = spectrum._grid_tabs(bare, omega, n)[2][0]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        with mock.patch.object(spectrum, "_hermitian_linear_fast",
+                               lambda spec: False):
+            svd = spectrum._grid_tabs(dataclasses.replace(bare), omega, n)[2]
+        assert np.array_equal(svd[0], want)
 
-    got = spectrum.Chain(spec, omega).level_values(1, t_rows)
-    with mock.patch.object(spectrum, "_hermitian_linear_fast",
-                           lambda spec: False):
-        want = spectrum.Chain(spec, omega).level_values(1, t_rows)
-    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    got = spectrum.Chain(spec, omega).level_values(1, np.zeros((1, 0)))
+    k = spectrum.full_mesh(1, 256)
+    want = np.eye(2) + trapezoid_sum(np.matmul(
+        inverse(bulk.eval(omega, k)), layer.symbol.eval(omega, k)), 256)
+    assert np.max(np.abs(got[0] - want)) <= \
+        1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 @settings(max_examples=24, deadline=None, database=None, derandomize=True)
@@ -170,3 +176,37 @@ def test_closed_form_level1_matches_references(c00, c01, axis1, kind, d0,
     assert np.max(np.abs(got - want) / scale) <= 1e-12
     residue = _residue_level1(spec, omega, t[:, None])[:, 0, 0]
     assert np.max(np.abs(got - residue) / scale) <= 1e-12
+
+
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(m=st.sampled_from([1, 2]), reach=st.sampled_from([1, 2]),
+       coeffs=st.lists(st.floats(-1.0, 1.0), min_size=20, max_size=20),
+       where=st.floats(0.0, 1.0))
+def test_residue_matches_trapezoid(m, reach, coeffs, where):
+    # a random Hermitian chain H(k) = sum over |s| <= r of H_s e^{isk},
+    # H_{-s} = H_s^H, M = 1 or 2 and r = 1 or 2, at an omega 0.05 or more
+    # from its bands (on a 4096-point grid): the level-1 residue, decided,
+    # against the mean of (H - omega)^{-1} over the n = 4096 trapezoid
+    # nodes, to 1e-11 relative
+    from hypothesis import assume
+    from defect_bands.spectrum import _GreenTable, full_mesh
+    vals = iter(coeffs)
+    h_0 = np.array([[next(vals) for _ in range(m)] for _ in range(m)])
+    hops = {(0,): h_0 + h_0.T}
+    for s in range(1, reach + 1):
+        h_s = np.array([[complex(next(vals), next(vals)) for _ in range(m)]
+                        for _ in range(m)])
+        hops[(s,)], hops[(-s,)] = h_s, h_s.conj().T
+    bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, hops),
+                        1: TrigMatrixPolynomial(1, {(0,): -np.eye(m)})})
+    spec = ProblemSpec(lattice_dim=1, cell_size=m, bulk=bulk)
+    k = full_mesh(1, 4096)
+    bands = np.linalg.eigvalsh(bulk.terms[0].eval(k)).ravel()
+    omega = bands.min() - 2.0 + where * (np.ptp(bands) + 4.0)
+    assume(np.min(np.abs(bands - omega)) >= 0.05)
+    want = inverse(bulk.eval(omega, k)).mean(axis=0)
+    _, sums, decided, _ = _GreenTable(spec, 1, np.zeros((1, 0)))._residue(
+        ([0], [omega], None))
+    assert decided[0]
+    got = sums[0] / np.sqrt(2.0 * np.pi)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))

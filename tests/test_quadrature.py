@@ -11,7 +11,7 @@ from defect_bands.quadrature import (
 )
 from defect_bands.spectrum import N_QUAD_START, Chain, node_mesh
 from defect_bands.symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
-from tests_util import two_site
+from tests_util import _square_bulk
 
 TWO_PI = 2.0 * np.pi
 SQRT_TWO_PI = np.sqrt(TWO_PI)
@@ -151,55 +151,76 @@ class TestBracket:
 class TestAdaptiveBracket:
     """The n-doubling `Chain` runs around the trapezoid sum.
 
-    M = 1 level-1 brackets are closed-form, so these run on
-    `tests_util.two_site` models, whose first site is the M = 1 model with
-    its numbers and whose brackets double n; `TestClosedFormBracket` holds
-    the closed-form counterparts."""
+    Level-1 brackets are exact residues with no n (`TestClosedFormBracket`
+    and `test_spectrum.TestResidueLevelOne`), so these run on level-2
+    brackets, which double n on axis 2 over an exact level 1."""
 
-    def test_smooth_integrand_converges_fast(self, chain_defect_model):
-        spec = two_site(chain_defect_model[0])
-        chain = Chain(spec, 3.0)
-        value = chain.level_values(1, POINT)[0]
-        assert chain._nquad[1] <= 64
-        assert value[0, 0] == pytest.approx(1.0 - 1.0 / np.sqrt(5.0),
-                                            abs=1e-10)
-        assert value[1, 1] == pytest.approx(1.0 + 1.0 / np.sqrt(45.0),
-                                            abs=1e-10)
+    def test_smooth_integrand_converges_fast(self):
+        # the square lattice's point defect v: B_2 = 1 - v G(omega), G the
+        # mean of 1/(omega - H) = (2/(pi omega)) K(16/omega^2) (mpmath)
+        import mpmath
+        v, omega = 1.5, 6.0
+        chain = Chain(plane_point(_square_bulk(), v), omega)
+        value = chain.level_values(2, POINT)[0, 0, 0]
+        assert chain._nquad == {2: 32}
+        w = mpmath.mpf(omega)
+        want = 1.0 - v * float(2 / (mpmath.pi * w) * mpmath.ellipk(16 / w**2))
+        assert value == pytest.approx(want, abs=1e-12)
 
-    def test_band_edge_pole_raises_with_witness(self, chain_defect_model):
-        # at omega = 2 the pole of 1/(2 cos k - 2) sits on the k = 0 node
-        spec = two_site(chain_defect_model[0])
+    def test_band_edge_pole_raises_with_witness(self):
+        # at omega = 4 the level-2 integrand has its pole at the k_2 = 0
+        # node, where omega is the edge of that row's band [0, 4]: the
+        # level-1 cell there fails the bracket on the first grid
         with pytest.raises(NonConvergence) as err:
-            Chain(spec, 2.0).level_values(1, POINT)
-        assert err.value.n_reached == N_QUAD_START
-        assert err.value.witness_sigma_min == pytest.approx(0.0, abs=1e-12)
+            Chain(plane_point(_square_bulk()), 4.0).level_values(2, POINT)
+        assert (err.value.n_reached, err.value.witness_sigma_min) == (0, 0.0)
+        assert str(err.value).startswith("level 1 closed form: omega=4.0 ")
 
-    def test_later_rows_use_pinned_n(self, square_line_model):
+    def test_later_rows_use_pinned_n(self):
         # the first call at a level pins its n; rows seen later are the
-        # trapezoid sum at that n alone, here built by hand for the line
-        # defect's 2 cos k1 + 2 cos k2 - omega bulk at n = 64
-        spec = two_site(square_line_model[0])
-        chain = Chain(spec, 2.0)
-        chain.level_values(1, [[np.pi]])
-        assert chain._nquad[1] == 64
-        got = chain.level_values(1, [[2.5]])[0]
-        assert chain._nquad[1] == 64
-        k1 = grid_nodes(64)
-        for site, shift in enumerate((0.0, 10.0)):
-            integrand = SQRT_TWO_PI ** -1 / (
-                2 * np.cos(k1) + 2 * np.cos(2.5) + shift - 2.0)
-            want = 1.0 + trapezoid_sum(integrand, 64)
-            assert abs(got[site, site] - want) <= 1e-12
-        assert got[0, 1] == got[1, 0] == 0.0
+        # trapezoid sum at that n alone, here built by hand for the cubic
+        # lattice's line defect along axis 3 over the exact level 1,
+        # P_1 = sqrt(2 pi) sign(h_0 - omega) / sqrt(d (d + 4)) with
+        # h_0 = 2 cos k_2 + 2 cos k_3 and d its row's distance to the band
+        bulk = OmegaSymbol({
+            0: TrigMatrixPolynomial(3, {off: [[1.0]] for off in (
+                (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1),
+                (0, 0, -1))}),
+            1: TrigMatrixPolynomial(3, {(0, 0, 0): [[-1.0]]})})
+        line = DefectLayer(2, 3, {0: TrigMatrixPolynomial(1, {(0,): [[1.0]]})})
+        spec = ProblemSpec(lattice_dim=3, cell_size=1, bulk=bulk,
+                           defects=(line,), omega_window=(-8.0, 8.0))
+        omega = 6.5
+        chain = Chain(spec, omega)
+        chain.level_values(2, [[np.pi]])
+        n = chain._nquad[2]
+        assert n > N_QUAD_START
+        got = chain.level_values(2, [[2.5]])[0, 0, 0]
+        assert chain._nquad == {2: n}
+        shift = 2 * np.cos(grid_nodes(n)) + 2 * np.cos(2.5) - omega
+        dist = np.abs(shift) - 2.0
+        p_1 = SQRT_TWO_PI * np.sign(shift) / np.sqrt(dist * (dist + 4.0))
+        a = line.symbol.eval(omega, np.zeros((1, 3)))[0, 0, 0]
+        want = 1.0 + trapezoid_sum(p_1 + 0j, n) * a
+        assert abs(got - want) <= 1e-12
 
     def test_constant_converges_immediately(self):
-        # a flat band 2.5 - omega makes the level-1 integrand constant in k
-        spec = two_site(flat_chain())
-        chain = Chain(spec, 0.0)
-        value = chain.level_values(1, POINT)[0]
-        assert chain._nquad[1] == 2 * N_QUAD_START
-        assert value[0, 0] == pytest.approx(1.0 + 1.0 / 2.5, abs=1e-13)
-        assert value[1, 1] == pytest.approx(1.0 + 1.0 / 12.5, abs=1e-13)
+        # the chain 2 cos k_1 on the plane makes the level-2 integrand
+        # constant in k_2: B_2 = 1 + v <1/(2 cos k_1 - omega)> = 1 - 1/sqrt5
+        bulk = OmegaSymbol({
+            0: TrigMatrixPolynomial(2, {(1, 0): [[1.0]], (-1, 0): [[1.0]]}),
+            1: TrigMatrixPolynomial(2, {(0, 0): [[-1.0]]})})
+        chain = Chain(plane_point(bulk), 3.0)
+        value = chain.level_values(2, POINT)[0, 0, 0]
+        assert chain._nquad == {2: 2 * N_QUAD_START}
+        assert value == pytest.approx(1.0 - 1.0 / np.sqrt(5.0), abs=1e-14)
+
+
+def plane_point(bulk, v=1.0):
+    """A plane bulk with a point defect v."""
+    point = DefectLayer(2, 2, {0: TrigMatrixPolynomial(0, {(): [[v]]})})
+    return ProblemSpec(lattice_dim=2, cell_size=1, bulk=bulk,
+                       defects=(point,), omega_window=(-8.0, 8.0))
 
 
 def flat_chain():

@@ -18,7 +18,7 @@ from defect_bands.model import (
     ProblemSpec,
     ToleranceSet,
 )
-from defect_bands.quadrature import NonConvergence, trapezoid_sum
+from defect_bands.quadrature import NonConvergence
 from defect_bands.spectrum import (
     N_QUAD_MAX,
     N_QUAD_START,
@@ -50,6 +50,7 @@ from defect_bands.spectrum import (
     trig_vector,
 )
 from defect_bands.symbol import (
+    TWO_PI,
     InputError,
     OmegaSymbol,
     SingularMatrix,
@@ -327,6 +328,113 @@ class TestLevelOneReference:
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
+class TestResidueLevelOne:
+    """Level 1 off the closed form: the companion-matrix residue
+    (`_GreenTable._residue`), exact with no n."""
+
+    #: the row k_2 of `tests_util.two_band_line` and its band edges
+    #: |b| and sqrt(|b|^2 + 4), b = 1 + e^{i k_2} / 2; the upper one is
+    #: reached at k_1 = 0 and k_1 = pi
+    ROW = 0.7
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-4, 1e-5, 1e-7, 1e-8])
+    @pytest.mark.parametrize("edge", ["low", "high"])
+    def test_near_band_edge_matches_mpmath(self, edge, delta):
+        # the two-band row's mean of (H - omega)^{-1} is
+        # I_0 [[-omega, -b], [-conj b, -omega]], I_0 = sign(c) /
+        # sqrt(c (c - 4)), c = omega^2 - |b|^2 (the cos k_1 terms average
+        # to 0), by mpmath at 50 digits for the same binary omega, just
+        # outside the band: a decided cell is within quad_rel_tol of it,
+        # any other fails with n_reached 0
+        import mpmath
+        from tests_util import two_band_line
+        spec, _ = two_band_line()
+        b = 1 + np.exp(1j * self.ROW) / 2
+        omega = (abs(b) - delta if edge == "low"
+                 else np.sqrt(abs(b) ** 2 + 4) + delta)
+        with mpmath.workdps(50):
+            w, bb = mpmath.mpf(omega), mpmath.mpc(b.real, b.imag)
+            c = w * w - abs(bb) ** 2
+            i_0 = mpmath.sign(c) / mpmath.sqrt(c * (c - 4))
+            want = np.array([[complex(-w * i_0), complex(-bb * i_0)],
+                             [complex(-mpmath.conj(bb) * i_0),
+                              complex(-w * i_0)]])
+        table = _GreenTable(spec, 1, [[self.ROW]])
+        assert not table._closed
+        out, = table._converge([omega], [[0]])
+        if isinstance(out, NonConvergence):
+            assert out.n_reached == 0 and delta <= 1e-5
+            assert out.witness_sigma_min == pytest.approx(delta, rel=1e-3)
+            return
+        _, sums, decided, _ = table._residue(([0], [omega], None))
+        assert decided[0]
+        got = sums[0] / np.sqrt(TWO_PI)
+        assert np.max(np.abs(got - want)) <= \
+            spec.tolerances.quad_rel_tol * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("omega, tol", [
+        (-4.5, 1e-14), (-2.5, 1e-14), (-2.001, 1e-12), (2.2, 1e-14),
+        (3.0, 1e-14)])
+    def test_singular_hopping_bipartite_chain(self, bipartite_model, omega,
+                                              tol):
+        # H(k) = [[0, 1 + e^{ik}], [1 + e^{-ik}, 0]]: its hopping block
+        # [[0, 1], [0, 0]] is singular, while B_0 at the far node k_1 = pi
+        # is -omega I.  Off the band [-2, 2] the mean of (H - omega)^{-1}
+        # is [[-omega g, h], [h, -omega g]] with g = 1 / (|omega|
+        # sqrt(omega^2 - 4)) and h = 1/2 - |omega| / (2 sqrt(omega^2 - 4));
+        # 0.001 from the band the residue is off by 1.4e-13 relative
+        spec, _ = bipartite_model
+        root = np.sqrt(omega ** 2 - 4.0)
+        g, h = 1.0 / (abs(omega) * root), 0.5 - abs(omega) / (2.0 * root)
+        want = np.sqrt(TWO_PI) * np.array([[-omega * g, h], [h, -omega * g]])
+        got, = _GreenTable(spec, 1, np.zeros((1, 0)))._converge([omega],
+                                                                [[0]])
+        assert np.max(np.abs(got[0] - want)) <= tol * np.max(np.abs(want))
+
+    def test_singular_hopping_band_cell_fails(self, bipartite_model):
+        spec, _ = bipartite_model
+        out, = _GreenTable(spec, 1, np.zeros((1, 0)))._converge([0.5], [[0]])
+        assert isinstance(out, NonConvergence)
+        assert out.n_reached == 0 and out.witness_sigma_min <= 1e-12
+        assert str(out).startswith("level 1 residue: omega=0.5 ")
+
+    @pytest.mark.parametrize("model", ["two-band", "next-nearest",
+                                       "quadratic", "two-site"])
+    def test_level_one_pins_and_doubles_nothing(self, monkeypatch, model):
+        # an M = 2 bulk, axis-1 hopping of range 2, a bulk quadratic in
+        # omega and a two-site cell, each with level 1 its top level: a
+        # spectrum with its probes and a membership query evaluate no
+        # trapezoid sum and pin no n, and the level-1 cells are evaluated
+        from tests_util import chain_with_defect, two_band_line
+        spec, grids = {
+            "two-band": lambda: two_band_line(),
+            "next-nearest": lambda: (next_nearest_chain(), GridConfig(64)),
+            "quadratic": lambda: (squared_frequency_point_defect(),
+                                  GridConfig(64)),
+            "two-site": lambda: (two_site(chain_with_defect(1.0)[0]),
+                                 GridConfig(64))}[model]()
+        assert spec.present_codims == (1,)
+        assert not _GreenTable(spec, 1, np.zeros((1, 0)))._closed
+
+        def no_sum(*args):
+            raise AssertionError("a trapezoid sum on level 1")
+
+        converge, pins = _GreenTable._converge, []
+
+        def spied(table, omegas, groups, pins_=None, carry=False):
+            pins_ = [{} for _ in groups] if pins_ is None else pins_
+            pins.extend(pins_)
+            return converge(table, omegas, groups, pins_, carry)
+
+        monkeypatch.setattr(spectrum, "trapezoid_sum", no_sum)
+        monkeypatch.setattr(_GreenTable, "_converge", spied)
+        result = full_spectrum(spec, grids, n_probes=8)
+        assert result.probe_report["disagreements"] == []
+        membership(spec, 3.5, grids)
+        assert pins and all(p == {} for p in pins)
+        assert result.branches[1].cells["edges"] > 0
+
+
 class TestClosedFormRootReference:
     @pytest.mark.parametrize("shift, eps, hop", [
         (0.0, 1.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.3, 0.0),
@@ -403,11 +511,9 @@ class TestLevelTwoReference:
                    - want) <= 1e-15
 
 
-def _direct_level0_inverse(spec, level, t_rows, omega, n):
-    """symbol.inverse of B_0 in the eigen table's node x row layout."""
-    k_full = node_mesh(n, level, t_rows)
-    vals = spec.bulk.eval(omega, k_full.reshape(-1, spec.lattice_dim))
-    return inverse(vals).reshape(k_full.shape[:2] + (spec.cell_size,) * 2)
+def _direct_level0_inverse(spec, omega, n):
+    """symbol.inverse of B_0 on the full n-grid mesh."""
+    return inverse(spec.bulk.eval(omega, full_mesh(spec.lattice_dim, n)))
 
 
 class TestGreenTable:
@@ -416,75 +522,83 @@ class TestGreenTable:
         ("bipartite_model", (-2.6, 2.3, 3.0)),     # M = 2, bands in [-2, 2]
     ])
     def test_matches_direct_inverse(self, request, model, omegas):
-        spec, _ = request.getfixturevalue(model)
-        t_rows = full_mesh(spec.lattice_dim - 1, 16)
-        rows = np.arange(t_rows.shape[0])
-        table = _GreenTable(spec, 1, t_rows)
-        for n in (16, 32, 64, 128, 256):
+        # the resolvent grid's B_0^{-1}, from the stored eigenpairs of H,
+        # against `inverse` of B_0 at the same nodes
+        spec = dataclasses.replace(request.getfixturevalue(model)[0],
+                                   defects=())
+        for n in (16, 32, 64, 128):
             for omega in omegas:
-                want = _direct_level0_inverse(spec, 1, t_rows, omega, n)
-                got, worst = table.level0_inverse(
-                    n, rows, np.full(rows.size, omega))
-                assert np.all(np.isinf(worst))
+                want = _direct_level0_inverse(spec, omega, n)
+                got = _grid_tabs(spec, omega, n)[2][0]
                 assert np.max(np.abs(got.reshape(want.shape) - want)) <= \
                     1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("omega", [2.0, -2.0])
     def test_exact_zero_raises_like_direct(self, chain_defect_model, omega):
-        # 2 cos k - omega vanishes exactly at the k = 0 and k = -pi nodes;
-        # on the chain's two-site model, whose brackets double n
+        # 2 cos k - omega vanishes exactly at the k = 0 and k = -pi nodes:
+        # on the chain's two-site model the resolvent grid fails as the
+        # direct inverse does, and its level-1 residue fails with n 0
         spec = two_site(chain_defect_model[0])
-        t_rows = np.zeros((1, 0))
         with pytest.raises(SingularMatrix) as direct:
-            _direct_level0_inverse(spec, 1, t_rows, omega, 16)
-        _, (green,) = _GreenTable(spec, 1, t_rows).level0_inverse(
-            16, [0], [omega])
-        table, = _GreenTable(spec, 1, t_rows)._converge([omega], [[0]])
+            _direct_level0_inverse(spec, omega, 16)
+        with pytest.raises(SingularMatrix) as grid:
+            _grid_tabs(spec, omega, 16)
+        table, = _GreenTable(spec, 1, np.zeros((1, 0)))._converge([omega],
+                                                                  [[0]])
         assert isinstance(table, NonConvergence)
-        assert table.n_reached == N_QUAD_START
-        assert direct.value.min_sigma == green == \
+        assert table.n_reached == 0
+        assert direct.value.min_sigma == grid.value.min_sigma == \
             table.witness_sigma_min == 0.0
 
     def test_rank_guard_near_zero_m1(self):
         # at omega = 0 the level-0 matrix 2 cos 2k_1 is 1.2e-16 at the
-        # k_1 = +-pi/4 nodes of the first grid: below 64 eps max(1, |lambda|),
-        # so both routes to the M = 1 level-1 bracket of the next-nearest
-        # chain, which doubles n, fail there instead of doubling n on values
-        # of 8e15.  A level-2 bracket over a closed-form level 1 (the chain
-        # along k_1 on the plane) fails inside that level 1 instead, where
-        # omega = 0 lies in every row's band
+        # k_1 = +-pi/4 nodes of the n = 16 grid: below 64 eps max(1,
+        # |lambda|), so the resolvent grid of the next-nearest chain fails
+        # there instead of inverting values of 8e15; its level-1 residue
+        # fails too, since omega = 0 lies in its band.  A level-2 bracket
+        # over a closed-form level 1 (the chain along k_1 on the plane)
+        # fails inside that level 1, where omega = 0 lies in every row's
+        # band
         spec = next_nearest_chain()
         t_rows = np.zeros((1, 0))
         assert not _GreenTable(spec, 1, t_rows)._closed
+        with pytest.raises(SingularMatrix) as grid:
+            _grid_tabs(spec, 0.0, 16)
+        assert grid.value.min_sigma == pytest.approx(
+            abs(2.0 * np.cos(np.pi / 2)), rel=1e-3)
         with pytest.raises(NonConvergence) as err:
             Chain(spec, 0.0).level_values(1, t_rows)
-        table, = _GreenTable(spec, 1, t_rows)._converge([0.0], [[0]])
-        for exc in (err.value, table):
-            assert isinstance(exc, NonConvergence)
-            assert exc.n_reached == N_QUAD_START
-            assert exc.witness_sigma_min == pytest.approx(
-                abs(2.0 * np.cos(np.pi / 2)), rel=1e-3)
+        assert err.value.n_reached == 0
+        assert str(err.value).startswith("level 1 residue: omega=0.0 ")
         plane = chain_in_plane()
         nested, = _GreenTable(plane, 2, t_rows)._converge([0.0], [[0]])
         assert isinstance(nested, NonConvergence)
         assert str(nested).startswith("level 1 closed form: omega=0.0 ")
         assert (nested.n_reached, nested.witness_sigma_min) == (0, 0.0)
 
-    def test_singular_node_at_pinned_n(self, square_line_model):
-        # k2 = pi pins level 1 at n = 64 for omega = 2; at k2 = 0 the node
-        # k1 = -pi/2 of every grid gives 2 cos k1 + 2 cos k2 = 2.0 exactly,
-        # so the pinned evaluation fails the guard as the first grid does;
-        # on the line model's two-site model, whose brackets double n
-        spec = two_site(square_line_model[0])
-        chain = Chain(spec, 2.0)
-        chain.level_values(1, [[np.pi]])
-        assert chain._nquad[1] == 64
+    def test_singular_node_at_pinned_n(self, monkeypatch):
+        # a level pinned at n evaluates its later rows at that n alone, so
+        # a singular node found there is reported at the pinned n, and on
+        # a fresh chain at the first grid: on the nested model's level 2,
+        # with every B_1 made singular to `inverse` once the level is pinned
+        from tests_util import square_line_and_point
+        spec, _ = square_line_and_point()
+        point = np.zeros((1, 0))
+        chain = Chain(spec, 6.5)
+        chain.level_values(2, point)
+        n = chain._nquad[2]
+        assert n > N_QUAD_START
+
+        def singular(a):
+            raise SingularMatrix("forced", 0.0)
+
+        monkeypatch.setattr(spectrum, "inverse", singular)
         with pytest.raises(NonConvergence) as pinned:
-            chain.level_values(1, [[0.0]])
+            chain.level_values(2, point)
         with pytest.raises(NonConvergence) as first:
-            Chain(spec, 2.0).level_values(1, [[0.0]])
+            Chain(spec, 6.5).level_values(2, point)
         assert (pinned.value.n_reached, pinned.value.witness_sigma_min) == \
-            (64, 0.0)
+            (n, 0.0)
         assert (first.value.n_reached, first.value.witness_sigma_min) == \
             (N_QUAD_START, 0.0)
 
@@ -504,42 +618,47 @@ class TestGreenTable:
             (N_QUAD_START, 0.5)
 
     def test_non_eigenform_groups_converge_together(self):
-        # one table evaluation over several omegas of a bulk that takes the
-        # SVD-guarded inverse, against brackets built by hand at the n each
-        # group pinned; at omega = 2 the k = 0 node is exactly on the
-        # spectrum, which fails that group alone on the first grid
-        spec = squared_frequency_point_defect()
+        # one level-2 table evaluation over several omegas of a bulk
+        # quadratic in omega, against each group evaluated alone: the same
+        # bits and pins, and the exact n = 256 solve's values; at
+        # omega = 2, inside the bands, a level-1 cell fails that group alone
+        spec = squared_frequency_line_and_point()
         assert not _hermitian_linear_fast(spec)
-        t_rows = np.zeros((1, 0))
-        omegas = [-3.5, -2.7, 2.0, 2.5, 3.0]
+        point = np.zeros((1, 0))
+        omegas = [-3.5, -3.2, 2.0, 3.2, 3.5]
         pins = [{} for _ in omegas]
-        outs = _GreenTable(spec, 1, t_rows)._converge(
+        outs = _GreenTable(spec, 2, point)._converge(
             omegas, [[0]] * len(omegas), pins)
         for omega, out, pin in zip(omegas, outs, pins):
+            alone = {}
+            want, = _GreenTable(spec, 2, point)._converge([omega], [[0]],
+                                                          [alone])
+            assert pin == alone
             if omega == 2.0:
                 assert isinstance(out, NonConvergence)
-                assert out.n_reached == N_QUAD_START
-                assert out.witness_sigma_min == 0.0
+                assert str(out) == str(want)
+                assert out.n_reached == 0
                 continue
-            vals, n = out, pin[1]
-            k = node_mesh(n, 1, t_rows).reshape(-1, 1)
-            a_vals = spec.defects[0].symbol.eval(omega, np.zeros((1, 1)))
-            want = 1.0 + trapezoid_sum(
-                np.matmul(inverse(spec.bulk.eval(omega, k)), a_vals), n)
-            assert np.max(np.abs(vals[0] - want[0])) <= 1e-12
+            assert np.array_equal(out, want)
+            _, _, inv_tabs = _grid_tabs(spec, omega, 256)
+            assert abs(out[0, 0, 0] - 1 / inv_tabs[2][0, 0]) <= 1e-12
 
     @pytest.mark.parametrize("delta", [1e-7, 1e-5])
-    def test_stall_matches_direct(self, chain_defect_model, delta):
-        # just above the band edge the level-1 integrand 1/(2 cos k - omega)
-        # is too sharp for N_QUAD_MAX nodes: the direct chain and a
-        # one-group table evaluation must stall alike, with witness ~ delta;
-        # on the chain's two-site model, whose brackets double n
-        spec = two_site(chain_defect_model[0])
-        omega, t_rows = 2.0 + delta, np.zeros((1, 0))
+    def test_stall_matches_direct(self, delta):
+        # just above the band edge 4, the level-2 integrand of the square
+        # lattice's point defect peaks at k_2 = 0 too sharply for
+        # N_QUAD_MAX nodes: the direct chain and a one-group table
+        # evaluation stall alike, with witness delta, the distance of the
+        # row k_2 = 0 to its band
+        from tests_util import _square_bulk
+        spec = ProblemSpec(lattice_dim=2, cell_size=1, bulk=_square_bulk(),
+                           defects=(DefectLayer(2, 2, {0: TrigMatrixPolynomial(
+                               0, {(): [[1.0]]})}),), omega_window=(-8.0, 8.0))
+        omega, point = 4.0 + delta, np.zeros((1, 0))
         with pytest.raises(NonConvergence) as err:
-            Chain(spec, omega).level_values(1, t_rows)
+            Chain(spec, omega).level_values(2, point)
         direct = err.value
-        cached, = _GreenTable(spec, 1, t_rows)._converge([omega], [[0]])
+        cached, = _GreenTable(spec, 2, point)._converge([omega], [[0]])
         assert isinstance(cached, NonConvergence)
         assert direct.n_reached == cached.n_reached == N_QUAD_MAX
         assert direct.witness_sigma_min == cached.witness_sigma_min
@@ -553,7 +672,7 @@ class TestGreenTable:
         spec, _ = chain_defect_model
         t_rows = np.zeros((1, 0))
         with pytest.raises(SingularMatrix) as direct:
-            _direct_level0_inverse(spec, 1, t_rows, omega, 16)
+            _direct_level0_inverse(spec, omega, 16)
         table = _GreenTable(spec, 1, t_rows)
         assert table._closed
         out, = table._converge([omega], [[0]])
@@ -610,9 +729,9 @@ class TestGreenTable:
         # no level value is memoized, because the same rows at the same
         # pinned n give the same bits whether they are computed alone,
         # inside a larger row set, or as the integrand B_1^{-1} P_1 that a
-        # level-2 bracket takes from its level-1 tables; only the
-        # omega-free eigenpairs of H are shared, through the spec's eigen
-        # store, while level values and pins stay per call
+        # level-2 bracket takes from its level-1 tables; only omega-free
+        # tables are shared, through the spec's eigen store, while level
+        # values and pins stay per call
         from tests_util import square_line_and_point, two_band_line
         spec = {"eigen-m1": lambda: square_line_and_point()[0],
                 "eigen-m2": lambda: two_band_line(point=2.0)[0],
@@ -633,51 +752,38 @@ class TestGreenTable:
         Chain(spec, omega).level_values(2, np.zeros((1, 0)))
         monkeypatch.undo()
 
-        def level1(t_rows, n):
-            # an M = 1 level-1 table is closed-form: it pins no n
-            pins = {} if n is None else {1: n}
+        def level1(t_rows):
+            # a level-1 table is exact: it pins no n
+            pins = {}
             vals, = _GreenTable(spec, 1, t_rows)._converge(
                 [omega], [np.arange(len(t_rows))], [pins], carry=True)
-            assert pins == ({} if n is None else {1: n})
+            assert pins == {}
             return vals
 
         assert len(factors) > 1
-        assert {n is None for _, _, n in factors} == {model == "eigen-m1"}
-        for t_rows, vals, n in factors:
-            assert np.array_equal(level1(t_rows, n), vals)
-            assert np.array_equal(level1(t_rows[-1:], n), vals[-1:])
+        assert {n for _, _, n in factors} == {None}
+        for t_rows, vals, _ in factors:
+            assert np.array_equal(level1(t_rows), vals)
+            assert np.array_equal(level1(t_rows[-1:]), vals[-1:])
             larger = np.concatenate([t_rows[::-1], t_rows + 0.25])
-            assert np.array_equal(level1(larger, n)[len(t_rows) - 1::-1], vals)
+            assert np.array_equal(level1(larger)[len(t_rows) - 1::-1], vals)
 
-    @pytest.mark.parametrize("model, level", [
-        ("square_line_model", 1), ("bipartite_model", 1)])
-    def test_doubling_reuses_coarse_nodes(self, request, model, level):
-        # each table reads a spec of its own, whose eigen store starts
-        # empty: the doubled pairs against a cold computation at the last n;
-        # only level-1 tables hold eigenpairs
-        spec, _ = request.getfixturevalue(model)
-        t_rows = full_mesh(spec.lattice_dim - level, 8)
-        warm, cold = dataclasses.replace(spec), dataclasses.replace(spec)
-        table = _GreenTable(warm, level, t_rows)
-        coarse = None
-        for n in (16, 32, 64, 128):
-            pairs = table.eigenpairs(n)
-            # an M = 1 table keeps no eigenvectors: U is 1
-            assert (pairs[1] is None) == (spec.cell_size == 1)
-            if coarse is not None:
-                for fine, old in zip(pairs, coarse):
-                    if fine is None:
-                        continue
-                    even = fine.reshape((n,) * level + fine.shape[1:])[
-                        (slice(None, None, 2),) * level]
-                    assert np.array_equal(even.reshape(old.shape), old)
-            coarse = pairs
-        assert not cold.eigen_store
-        fresh = _GreenTable(cold, level, t_rows).eigenpairs(n)
-        assert len(cold.eigen_store) == 1
-        for got, want in zip(coarse, fresh):
-            assert (got is None) == (want is None)
-            assert got is None or np.array_equal(got, want)
+    @pytest.mark.parametrize("model, omegas", [
+        ("square_line_model", (-5.3, 4.4, 6.0)),
+        ("bipartite_model", (-2.6, 2.3, 3.0))])
+    def test_grid_eigenpairs_are_stored_once(self, request, model, omegas):
+        # the resolvent grid keeps the eigenpairs of H as one store entry
+        # per n, which every later omega reads: its B_0^{-1} has the bits
+        # of a cold spec's
+        spec = dataclasses.replace(request.getfixturevalue(model)[0],
+                                   defects=())
+        warm = dataclasses.replace(spec)
+        for omega in omegas:
+            got = _grid_tabs(warm, omega, 32)[2][0]
+            cold = dataclasses.replace(spec)
+            assert np.array_equal(got, _grid_tabs(cold, omega, 32)[2][0])
+        key = ("eigh", spec.lattice_dim, 32)
+        assert [k for k in warm.eigen_store if k[0] == "eigh"] == [key]
 
 
 def _answers(spec, grids, omegas):
@@ -723,15 +829,14 @@ def _store_models():
                      (-6.0, -2.7, 2.2, 2.6, 3.5))}
 
 
-def _kind(key):
-    """'terms', 'mesh', 'patch' or, for eigenpairs, 'eigen': what a store
-    key holds."""
-    return key[0] if isinstance(key[0], str) else "eigen"
+#: what the stores of `_store_models` hold after `_answers`: term tables,
+#: meshes, refinement patches and the resolvent grid's eigenpairs
+STORED = {"terms", "mesh", "patch", "eigh"}
 
 
 class TestEigenStore:
-    """Bulk eigenpairs, term tables and meshes shared per spec leave every
-    answer's bits as a fresh spec gives them."""
+    """Omega-free tables shared per spec leave every answer's bits as a
+    fresh spec gives them."""
 
     @pytest.mark.parametrize("model", ["chain", "line", "nested", "two-band"])
     def test_warm_store_gives_cold_bits(self, model):
@@ -745,8 +850,8 @@ class TestEigenStore:
         spec, grids = build()
         assert _answers(spec, grids, omegas) == cold
         stored = list(spec.eigen_store)
-        assert {_kind(key) for key in stored} == \
-            {"eigen", "terms", "mesh", "patch"}
+        assert {key[0] for key in stored} == \
+            STORED
         assert _answers(spec, grids, omegas[::-1]) == cold
         # the reversed pass asked for no table the forward pass had not
         # stored, so every answer in it was computed from stored tables
@@ -783,23 +888,22 @@ class TestEigenStore:
         _answers(spec, grids, (-5.0, 2.0, 4.1))
         kinds = set()
         for key, entry in spec.eigen_store.items():
-            kinds.add(_kind(key))
+            kinds.add(key[0])
             for table in entry:
                 if table is None:
                     continue
                 with pytest.raises(ValueError):
                     table.flat[0] = 0.0
-        assert kinds == {"eigen", "terms", "mesh", "patch"}
+        assert kinds == STORED
 
     def test_rows_of_one_shape_share_no_table(self, square_line_model):
         # one row each, at k_2 = 0 and k_2 = 1: one key each, and each
-        # table's eigenvalues 2 cos k_1 + 2 cos k_2 at its own row
+        # table's band from its own row's terms, centre 2 cos k_2, width 4
         spec = dataclasses.replace(square_line_model[0])
-        k_1 = node_mesh(16, 1, np.zeros((1, 0)))[:, 0, 0]
         for k_2 in (0.0, 1.0):
-            lam, _ = _GreenTable(spec, 1, [[k_2]]).eigenpairs(16)
-            assert np.allclose(lam[:, 0, 0], 2 * np.cos(k_1) + 2 * np.cos(k_2),
-                               rtol=0, atol=1e-14)
+            h0, h1 = _GreenTable(spec, 1, [[k_2]])._row_band([0])
+            assert abs(h0[0] - 2 * np.cos(k_2)) <= 1e-15
+            assert abs(h1[0] - 1.0) <= 1e-15
         assert len(spec.eigen_store) == 2
 
     def test_specs_of_one_shape_share_no_table(self):
@@ -808,11 +912,12 @@ class TestEigenStore:
         unit, _ = chain_with_defect(1.0)
         half, _ = chain_with_defect(1.0, hopping=0.5)
         assert unit.eigen_store is not half.eigen_store
-        t_rows = np.zeros((1, 0))
-        lam_unit, _ = _GreenTable(unit, 1, t_rows).eigenpairs(16)
-        lam_half, _ = _GreenTable(half, 1, t_rows).eigenpairs(16)
+        _grid_tabs(unit, 3.0, 16)
+        _grid_tabs(half, 3.0, 16)
         assert list(unit.eigen_store) == list(half.eigen_store)
-        assert np.array_equal(0.5 * lam_unit, lam_half)
+        key = ("eigh", 1, 16)
+        assert np.array_equal(0.5 * unit.eigen_store[key][0],
+                              half.eigen_store[key][0])
         assert membership(unit, 2.1, GridConfig(16, 65)).status == "out"
         assert membership(half, 1.5, GridConfig(16, 65)).status == "out"
         assert membership(unit, 1.5, GridConfig(16, 65)).status == "in"
@@ -834,7 +939,7 @@ class TestEigenStore:
         def checked(store, key, pairs):
             before = list(store)
             remember(store, key, pairs)
-            kinds.add(_kind(key))
+            kinds.add(key[0])
             sizes.append(_entry_bytes(key, pairs))
             held.append(_store_bytes(store))
             assert held[-1] <= bound
@@ -849,22 +954,22 @@ class TestEigenStore:
         assert _answers(spec, grids, omegas) == cold
         assert max(sizes) > bound
         assert sum(s for s in sizes if s <= bound) > max(held)
-        assert kinds == {"eigen", "terms", "mesh", "patch"}
+        assert kinds == STORED
 
     @pytest.mark.parametrize("model", ["two-band", "nested"])
     def test_only_level_one_holds_eigenpairs(self, model):
-        # a level-j bracket sums over axis j alone and takes its integrand
-        # from the level below, so only level-1 tables form B_0^{-1}: after
-        # an in-gap query on the M = 2 point model (once 18 MB of level-1
-        # and level-2 eigenpairs), and after a nested query and a nested
-        # dispersion, every eigen key is at level 1, and the query leaves
-        # the store below half its bound
+        # no bracket forms B_0^{-1} on a grid: level 1 is an exact residue
+        # and a level-j bracket takes its integrand from the level below.
+        # After an in-gap query on the M = 2 point model, and after a
+        # nested query and a nested dispersion, the store holds only term
+        # tables and meshes, and the query leaves the store below a
+        # fiftieth of its bound
         from tests_util import square_line_and_point, two_band_line
         if model == "two-band":
             spec, grids = two_band_line(point=2.0)
             assert membership(spec, 0.3, grids).status == "out"
             assert _store_bytes(spec.eigen_store) < \
-                spectrum.EIGEN_STORE_BYTES // 2
+                spectrum.EIGEN_STORE_BYTES // 50
         else:
             spec, grids = square_line_and_point(k_points=16, omega_points=65)
             point = TestGreenRouting.NESTED_POINT
@@ -873,8 +978,8 @@ class TestEigenStore:
             (_, root, _), = dispersion_branch(spec, 2, grids,
                                               branches={1: line}).samples
             assert abs(root - point) <= 1e-8
-        eigen = [key for key in spec.eigen_store if _kind(key) == "eigen"]
-        assert eigen and {key[0] for key in eigen} == {1}
+        assert {key[0] for key in spec.eigen_store} <= \
+            {"terms", "mesh", "patch"}
 
     def test_m1_green_is_the_product(self):
         # 1/(lambda - omega) as complex against U diag(1/shift) U^H with
@@ -902,12 +1007,15 @@ class TestEigenStore:
 
 
 def _svd_reference(monkeypatch):
-    """Route every level-0 inverse through the SVD-guarded `inverse`."""
+    """Treat every bulk as not in eigenvalue form: level 1 through the
+    companion-matrix residue, the resolvent grid's B_0^{-1} through the
+    SVD-guarded `inverse`."""
     monkeypatch.setattr(spectrum, "_hermitian_linear_fast", lambda spec: False)
 
 
 class TestGreenRouting:
-    """The Green's function paths against the SVD reference path."""
+    """The eigenvalue-form paths (closed-form level 1, the resolvent grid
+    from eigenpairs) against the general ones."""
 
     #: isolated eigenvalue of `tests_util.square_line_and_point` (mpmath)
     NESTED_POINT = 5.180756781817904
@@ -988,9 +1096,17 @@ class TestGreenRouting:
         monkeypatch.setattr(spectrum, "inverse", counted)
         full_spectrum(spec, grids, n_probes=8)
         assert calls == []
+        # on the general path level 1 is the residue, which inverts no B_0
+        residue, cells = _GreenTable._residue, []
+
+        def spied(table, cells_):
+            cells.append(len(cells_[0]))
+            return residue(table, cells_)
+
         _svd_reference(monkeypatch)
+        monkeypatch.setattr(_GreenTable, "_residue", spied)
         full_spectrum(spec, grids, n_probes=8)
-        assert calls  # the counting patch sees the reference path
+        assert calls == [] and sum(cells) > 0
 
 
 class TestMembership:
@@ -1022,21 +1138,19 @@ class TestMembership:
             resolvent_apply(spec, lam, trig_vector(1, {(0,): [1.0]}), grids)
 
     def test_stalled_bracket_is_inconclusive(self, monkeypatch):
-        # with n capped at the first grid, the level-1 bracket at omega = 3
-        # cannot double, so it stalls; the verdict names the level and the
-        # witness min |2 cos k - 3| = 1; on the chain's two-site model,
-        # whose brackets double n
-        from tests_util import chain_with_defect
-        spec, grids = chain_with_defect(1.0)
-        spec = two_site(spec)
+        # with n capped at the first grid, the level-2 bracket of the
+        # nested model at omega = 6.5 cannot double, so it stalls; the
+        # verdict names the level and the witness, the distance 2.5 from
+        # omega to the bulk band [-4, 4] of the rows below
+        from tests_util import square_line_and_point
+        spec, grids = square_line_and_point()
         monkeypatch.setattr(spectrum, "N_QUAD_MAX", N_QUAD_START)
-        cert = membership(spec, 3.0, grids)
+        cert = membership(spec, 6.5, grids)
         assert cert.status == "inconclusive"
-        assert cert.reason.startswith("level 1 not evaluated: level 1 "
+        assert cert.reason.startswith("level 2 not evaluated: level 2 "
                                       "quadrature stalled at n=16")
-        assert "stalled at n=16" in cert.reason
-        assert cert.reason.endswith("(witness sigma_min 1.000e+00)")
-        assert [lv for lv, _ in cert.min_sigma_per_level] == [0]
+        assert cert.reason.endswith("(witness sigma_min 2.500e+00)")
+        assert [lv for lv, _ in cert.min_sigma_per_level] == [0, 1]
 
     def test_closed_form_failure_is_inconclusive(self, chain_defect_model,
                                                  monkeypatch):
@@ -2234,11 +2348,10 @@ class TestNestedDefects:
     def test_rank_deficient_lower_defect_matches_fixed_grid(self):
         # the block bulk diag(H, H - 10), H the square lattice, with a line
         # defect diag(1, 0) and a point defect 3 I: at omega = -5.9 the
-        # second block's level-1 bracket converges far more slowly than
-        # the first's, and B_1 = I + P_1 diag(1, 0) holds none of it, yet
-        # B_1^{-1} P_1 carries it to level 2.  Level 1 converges on P_1 as
-        # well as B_1, so level 2 is the exact n = 256 solve's; pinned
-        # where B_1 alone settled, n = 64, it was 4.6e-10 off
+        # second block's level-1 bracket, which B_1 = I + P_1 diag(1, 0)
+        # holds none of, reaches level 2 through B_1^{-1} P_1; with level 1
+        # exact, level 2 is the exact n = 256 solve's (9.3e-10 off the
+        # n = 64 solve's)
         one = np.eye(2)
         bulk = OmegaSymbol({
             0: TrigMatrixPolynomial(2, {
@@ -2253,7 +2366,7 @@ class TestNestedDefects:
                            defects=(line, point), omega_window=(-16.0, 9.0))
         chain = Chain(spec, -5.9)
         got = chain.level_values(2, np.zeros((1, 0)))
-        assert chain._nquad == {1: 256, 2: 256}
+        assert chain._nquad == {2: 256}
         _, _, inv_tabs = _grid_tabs(spec, -5.9, 256)
         want = np.linalg.inv(inv_tabs[2].reshape(2, 2))
         assert np.max(np.abs(got[0] - want)) <= 1e-12
@@ -2263,8 +2376,8 @@ class TestNestedDefects:
         # "in" at step 3, and the nearest eigenvalue of the open box of
         # half-width L approaches it as a bound state's does, with
         # truncation errors 4.6e-3, 1.1e-3 and 2.6e-4 at L = 6, 8 and 10
-        # (each step of 2 shrinks it about fourfold); every eigenpair the
-        # ladder stored belongs to a level-1 table
+        # (each step of 2 shrinks it about fourfold); the ladder stores no
+        # eigenpairs
         from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
         from tests_util import cubic_plane_line_point
         spec, grids = cubic_plane_line_point(k_points=8)
@@ -2276,8 +2389,7 @@ class TestNestedDefects:
         (_, point, _), = branches[3].samples
         cert = membership(spec, point, grids)
         assert cert.in_spectrum and cert.detected_at_step == 3
-        assert {key[0] for key in spec.eigen_store
-                if _kind(key) == "eigen"} == {1}
+        assert "eigh" not in {key[0] for key in spec.eigen_store}
         errors = []
         for half_width in (6, 8, 10):
             eigs = oracle_eigenvalues(assemble_truncated(spec, half_width))

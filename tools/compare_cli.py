@@ -5,18 +5,20 @@
 Each run is a fresh `python -m defect_bands.cli` process with PYTHONPATH set
 to the checkout's `src`.  The runs are `validate`, `bands --k-grid 8 --out`
 and `spectrum --out` on the five bundled configs,
-`perfbench/nested_line_point.json` and the three `tools/` models,
-`membership --json` at each of OMEGAS on the same nine models,
+`perfbench/nested_line_point.json` and the four `tools/` models,
+`membership --json` at each of OMEGAS on the same ten models,
 and `oracle --out`: with `--L 12`, open and periodic, on the five bundled
 configs, and with `--L 8`, open and periodic, on the nested model.  Two
 `tools/` models, an omega-dependent line defect and a bulk quadratic in
 omega, are counted in `dispersion_branch` through its checks of
 -dT/domega: the defect's slope and the bulk's, cut at omega = 0.  The
 third, `two_band_line_point.json` (`tests_util.two_band_line(point=2.0)`),
-has a two-site cell (M = 2) and a line and a point defect, so two levels
-that double n, and a level-1 image inside the bulk gap.  Both checkouts
-read these three configs from this script's directory, so a checkout that
-predates them runs them too.  For every run the CSVs it wrote
+has a two-site cell (M = 2) and a line and a point defect, so a level 1
+that is not closed-form and a level 2 that doubles n, and a level-1 image
+inside the bulk gap.  The fourth, `next_nearest_point.json`, is the chain
+2 cos 2k with a unit point defect, whose axis-1 hopping reaches two cells
+and whose one point is sqrt5.  Both checkouts read these four configs from
+this script's directory, so a checkout that predates them runs them too.  For every run the CSVs it wrote
 (the bands, the spectrum and one per branch, or the box eigenvalues), its
 stdout, its stderr and its exit code are compared byte for byte.  No
 subcommand reaches `resolvent_apply`, so one more fresh process per
@@ -60,7 +62,8 @@ CONFIGS = ["src/defect_bands/configs/bipartite_chain.json",
            "perfbench/nested_line_point.json",
            "tools/square_line_omega_defect.json",
            "tools/squared_frequency_line.json",
-           "tools/two_band_line_point.json"]
+           "tools/two_band_line_point.json",
+           "tools/next_nearest_point.json"]
 
 OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
           5.180756781817904]
@@ -72,7 +75,7 @@ OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
 #: The `tools/` models are there for their dispersion and run none
 ORACLE_BOXES = {"nested_line_point": [("8", "open"), ("8", "periodic")],
                 "square_line_omega_defect": [], "squared_frequency_line": [],
-                "two_band_line_point": []}
+                "two_band_line_point": [], "next_nearest_point": []}
 ORACLE_DEFAULT = [("12", "open"), ("12", "periodic")]
 
 #: (config, omegas outside its spectrum) of the `resolvent_apply` solves
