@@ -31,8 +31,7 @@ from .model import (
     validate,
 )
 from .quadrature import _product_nodes
-from .spectrum import full_spectrum, membership
-from .spectrum import bands as bands_at
+from .spectrum import bands_grid, full_spectrum, membership
 from .symbol import InputError, OmegaSymbol, TrigMatrixPolynomial
 
 logger = logging.getLogger("defect_bands.cli")
@@ -272,8 +271,8 @@ def cmd_bands(args):
     rows = _k_rows_for_bands(args, spec, grids)
     lines = [",".join([f"k_{i + 1}" for i in range(spec.lattice_dim)]
                       + ["band_index", "omega"])]
-    for row in rows:
-        for b_idx, omega in enumerate(bands_at(spec, row)):
+    for row, vals in zip(rows, bands_grid(spec, rows)):
+        for b_idx, omega in enumerate(vals):
             lines.append(",".join([_fmt(x) for x in row]
                                   + [str(b_idx), _fmt(omega)]))
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -338,7 +337,9 @@ def cmd_oracle(args):
         raise InputError(f"--tol must be finite and >= 0, got {args.tol}")
     half_width = args.L if args.L is not None else 20
     trunc = oracle_mod.assemble_truncated(spec, half_width, bc=args.bc)
-    if spec.defects and "open" in trunc.bcs:
+    if not spec.defects and args.bc == "periodic":
+        eigs, deviation = oracle_mod._box_identity(trunc)
+    elif spec.defects and "open" in trunc.bcs:
         eigs, vecs = oracle_mod.oracle_eigenpairs(trunc)
         fractions = oracle_mod.boundary_mass(trunc, vecs)
     else:
@@ -350,7 +351,6 @@ def cmd_oracle(args):
     _write_text(args.out, "\n".join(lines) + "\n")
 
     if not spec.defects and args.bc == "periodic":
-        deviation = oracle_mod.periodic_box_check(spec, half_width)
         print(f"periodic box identity: max deviation {_fmt(deviation)}")
         return EXIT_OK
     result = full_spectrum(spec, grids, n_probes=0)

@@ -52,7 +52,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .quadrature import _product_nodes
 from .spectrum import bands_grid, point_in_intervals
 from .symbol import InputError, TWO_PI, is_hermitian
 
@@ -365,14 +364,19 @@ def periodic_box_check(spec, half_width):
     """
     if spec.defects:
         raise InputError("periodic_box_check requires a defect-free spec")
-    l = int(half_width)
-    eigs = _eigenvalues(assemble_truncated(spec, l, bc="periodic"),
-                        ("mirror",))
-    axis_k = TWO_PI * (np.arange(l) + (l % 2) / 2) / l - np.pi
-    k_rows = _product_nodes(axis_k, spec.lattice_dim)
+    return _box_identity(assemble_truncated(spec, half_width, "periodic"))[1]
+
+
+def _box_identity(truncated):
+    """The ascending eigenvalues of a defect-free periodic truncation, from
+    one solve of its mirror halves, and `periodic_box_check`'s deviation
+    of them from the bands at k*, whose m are the box's cells."""
+    eigs = _eigenvalues(truncated, ("mirror",))
+    widths = np.asarray(truncated.half_widths)
+    k_rows = TWO_PI * (truncated.site_cells + widths % 2 / 2) / widths - np.pi
     # one row of bands per wavevector, ragged (a list) or not
-    model = np.sort(np.concatenate(bands_grid(spec, k_rows)))
-    return float(np.max(np.abs(eigs - model)))
+    model = np.sort(np.concatenate(bands_grid(truncated.spec, k_rows)))
+    return eigs, float(np.max(np.abs(eigs - model)))
 
 
 def compare_spectra(result, eigenvalues, tol, boundary_fraction=None):

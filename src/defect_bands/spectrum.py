@@ -158,6 +158,20 @@ def _rank_floor(scale):
     return 64.0 * np.finfo(float).eps * np.maximum(1.0, scale)
 
 
+def _companion(poly):
+    """Monic companion matrices of `poly` (batch, d + 1, m, m), coefficients
+    ascending, whose eigenvalues are the roots of det sum_s poly_s x^s, and
+    L^{-1} for the leading blocks L, which must be invertible."""
+    m = poly.shape[-1]
+    size = (poly.shape[1] - 1) * m
+    inv_lead = np.linalg.inv(poly[:, -1])
+    comp = np.zeros((len(poly), size, size), complex)
+    comp[:, :-m, m:] = np.eye(size - m)
+    comp[:, -m:] = -np.matmul(inv_lead[:, None], poly[:, :-1]).transpose(
+        0, 2, 1, 3).reshape(-1, m, size)
+    return comp, inv_lead
+
+
 def lattice_green(lam, vec, omega):
     """U diag(1/(lambda - omega)) U^H and its rank guard, per node.
 
@@ -419,21 +433,16 @@ class _GreenTable:
         poly = np.einsum("sd,csij->cdij", np.array([P.polymul(
             P.polypow([1, 1j], reach + s), P.polypow([1, -1j], reach - s))
             for s in shifts]), blocks)
-        lead = poly[:, -1]
-        ok = sig.max(axis=0) >= _rank_floor(np.linalg.norm(lead,
+        ok = sig.max(axis=0) >= _rank_floor(np.linalg.norm(poly[:, -1],
                                                             axis=(-2, -1)))
-        inv_lead = np.linalg.inv(np.where(ok[:, None, None], lead, np.eye(m)))
-        size = 2 * reach * m
-        comp = np.zeros((len(lead), size, size), complex)
-        comp[:, :-m, m:] = np.eye(size - m)
-        comp[:, -m:] = -np.matmul(inv_lead[:, None], poly[:, :-1]).transpose(
-            0, 2, 1, 3).reshape(-1, m, size)
+        poly[:, -1] = np.where(ok[:, None, None], poly[:, -1], np.eye(m))
+        comp, inv_lead = _companion(poly)
         lam, vec = np.linalg.eig(comp)
         near = lam[np.arange(len(lam)), np.abs(lam.imag).argmin(axis=1)]
         decided = ok & (np.finfo(float).eps * np.sum(np.abs(comp) ** 2,
                                                      axis=(1, 2))
                         <= spec.tolerances.quad_rel_tol * near.imag ** 2)
-        vec = np.where(decided[:, None, None], vec, np.eye(size))
+        vec = np.where(decided[:, None, None], vec, np.eye(comp.shape[-1]))
         weight = np.where(lam.imag > 0, (1.0 + lam ** 2) ** (reach - 1), 0.0)
         sums = np.sqrt(TWO_PI) * 2j * np.matmul(np.matmul(
             vec[:, :m] * weight[:, None, :], np.linalg.inv(vec)[:, :, -m:]),
@@ -720,8 +729,7 @@ def refine_patch(n_axes, k_points):
     return _product_nodes(np.linspace(-cell, cell, REFINE_POINTS), n_axes)
 
 
-def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None,
-               patch=None):
+def step_check(fn, n_axes, k_points, tolerances, mode="sigma"):
     """Decide whether det of a level matrix vanishes somewhere on its torus.
 
     Parameters
@@ -736,9 +744,6 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None,
         nodes (catches zeros the grid does not land on); "real-det" adds the
         analogous sign test on Re(det) when the imaginary part is dominated;
         "sigma" thresholds sigma_min only.
-    mesh, patch : arrays, optional
-        `full_mesh(n_axes, k_points)` and `refine_patch(n_axes, k_points)`
-        when the caller keeps them.
 
     A detection ends the search immediately; otherwise one local refinement
     pass around the sigma_min argmin is made before certifying.  This is
@@ -746,19 +751,20 @@ def step_check(fn, n_axes, k_points, tolerances, mode="sigma", mesh=None,
     its frequencies together.
     """
     res, = _step_checks(lambda rows, probes: [fn(rows)], 1, n_axes, k_points,
-                        tolerances, mode, mesh, patch)
+                        tolerances, mode, full_mesh(n_axes, k_points),
+                        refine_patch(n_axes, k_points))
     return res
 
 
-def _step_checks(values, n_probes, n_axes, k_points, tolerances,
-                 mode="sigma", mesh=None, patch=None):
+def _step_checks(values, n_probes, n_axes, k_points, tolerances, mode, rows,
+                 offsets):
     """`step_check` of `n_probes` level-matrix functions together.
 
     `values(rows, probes)` evaluates the probes listed in `probes` at the
     same wavevector rows, shape (m, n_axes): per probe its (m, M, M)
-    matrices or the `NonConvergence` that stopped them.  The mesh is
-    evaluated for all probes in one call and each refinement patch, whose
-    rows are its own probe's, in a call of its own; the rule runs on the
+    matrices or the `NonConvergence` that stopped them.  The mesh `rows`
+    is evaluated for all probes in one call and each refinement patch, its
+    probe's argmin + `offsets`, in a call of its own; the rule runs on the
     values of all probes stacked (`_examine`).  Returns per probe its
     `StepCheckResult`, or the `NonConvergence` of its mesh or its patch.
     """
@@ -775,7 +781,6 @@ def _step_checks(values, n_probes, n_axes, k_points, tolerances,
                                          float(s), (), "final-det")
         return out
 
-    rows = full_mesh(n_axes, k_points) if mesh is None else mesh
     live, vals = _stacked(values(rows, everyone), everyone, out)
     if not live:
         return out
@@ -793,7 +798,6 @@ def _step_checks(values, n_probes, n_axes, k_points, tolerances,
         return out
 
     # local refinement rows: +-1 coarse cell around each argmin, fine spacing
-    offsets = refine_patch(n_axes, k_points) if patch is None else patch
     patches = [argmin[i] + offsets for i in todo]
     probes = [live[i] for i in todo]
     kept, pvals = _stacked([values(rows_, [p])[0]
@@ -920,40 +924,8 @@ def _memberships(spec, lams, grids=None):
 
 
 def bands(spec, k):
-    """Dispersion frequencies at one wavevector, ascending.
-
-    Linear omega dependence with power-1 term -I reduces to the Hermitian
-    eigenvalues of the power-0 term; other linear and quadratic dependences
-    go through a companion-form generalized eigenvalue problem and keep the
-    real roots.  Non-self-adjoint bulks are unsupported.
-    """
-    if not spec.bulk.is_hermitian_family():
-        raise InputError("bands requires a Hermitian-family bulk symbol")
-    k = np.asarray(k, dtype=float).reshape(spec.lattice_dim)
-    terms = spec.bulk.terms
-    m_sz = spec.cell_size
-    if spec.bulk.max_power == 0:
-        raise InputError("bulk family does not depend on omega; no dispersion")
-    if spec.bulk.is_eigenvalue_form():
-        return np.linalg.eigvalsh(terms[0].eval(k))
-    t0 = terms[0].eval(k) if 0 in terms else np.zeros((m_sz, m_sz), complex)
-    t1 = terms[1].eval(k) if 1 in terms else np.zeros((m_sz, m_sz), complex)
-    # the one use of scipy: importing it here keeps it out of every run
-    # that never solves this generalized eigenproblem
-    import scipy.linalg
-    if spec.bulk.max_power == 1:
-        vals = scipy.linalg.eig(t0, -t1, right=False)
-    else:
-        t2 = terms[2].eval(k)
-        zero = np.zeros((m_sz, m_sz), complex)
-        eye = np.eye(m_sz, dtype=complex)
-        comp = np.block([[zero, eye], [-t0, -t1]])
-        mass = np.block([[eye, zero], [zero, t2]])
-        vals = scipy.linalg.eig(comp, mass, right=False)
-    vals = vals[np.isfinite(vals)]
-    scale = np.maximum(1.0, np.abs(vals))
-    real = vals[np.abs(vals.imag) <= 1e-9 * scale].real
-    return np.sort(real)
+    """`bands_grid` at the one wavevector `k`: its frequencies, ascending."""
+    return bands_grid(spec, np.reshape(k, (1, spec.lattice_dim)))[0]
 
 
 def _hermitian_linear_fast(spec):
@@ -962,15 +934,49 @@ def _hermitian_linear_fast(spec):
 
 
 def bands_grid(spec, k_rows):
-    """Bands at many wavevectors; (m, n_bands) when the count is uniform."""
+    """Dispersion frequencies per wavevector row, ascending: (m, n_bands),
+    or a list when the counts differ.  H(k) - omega*I: the eigenvalues of
+    H.  Other Hermitian T(omega) of degree d: the real roots of det T, one
+    batched solve of `_companion` matrices in omega = mu or s + 1/mu, d M
+    + 1 shifts s, per row the one whose leading block (T_d or T(s)) passes
+    the rank guard with the largest sigma_min / sigma_max, ties to mu; if
+    none does, det T = 0 for all omega: InputError."""
+    if not spec.bulk.is_hermitian_family():
+        raise InputError("bands requires a Hermitian-family bulk symbol")
+    if spec.bulk.max_power == 0:
+        raise InputError("bulk family does not depend on omega; no dispersion")
     k_rows = np.asarray(k_rows, dtype=float).reshape(-1, spec.lattice_dim)
-    if _hermitian_linear_fast(spec):
+    if spec.bulk.is_eigenvalue_form():
         return eigvalsh(spec.bulk.terms[0].eval(k_rows))
-    per_node = [bands(spec, row) for row in k_rows]
-    counts = {len(b) for b in per_node}
-    if len(counts) == 1:
-        return np.stack(per_node, axis=0)
-    return per_node
+    deg, m = spec.bulk.max_power, spec.cell_size
+    # s off the real axis: mu^d T(s + 1/mu) = sum_p T_p (1 + s mu)^p mu^(d - p)
+    shifts = (np.sqrt(2.0) + 1j / np.pi) * np.arange(deg * m + 2)
+    polys = np.zeros((len(k_rows), len(shifts), deg + 1, m, m), complex)
+    polys[:, 0, [*spec.bulk.terms]] = np.stack(spec.bulk.tabulate(k_rows), 1)
+    for c, s in enumerate(shifts[1:], 1):
+        for p in range(deg + 1):
+            polys[:, c, deg - p:] += (P.polypow([1, s], p)[:, None, None]
+                                      * polys[:, 0, p, None])
+    sig = np.linalg.svd(polys[:, :, -1], compute_uv=False)
+    low, high = sig[..., -1], sig[..., 0]
+    score = np.divide(low, high, out=np.full(low.shape, -1.0),
+                      where=low >= _rank_floor(high))
+    bad = score.max(axis=1) < 0
+    if bad.any():
+        raise InputError(f"det T = 0 for all omega at k = {k_rows[bad][0]}")
+    choice = score.argmax(axis=1)
+    comp, _ = _companion(polys[np.arange(len(k_rows)), choice])
+    mu = np.linalg.eigvals(comp)
+    # 1/mu; a shifted mu below the floor is omega = inf: NaN, never real
+    floor = _rank_floor(np.linalg.norm(comp, axis=(-2, -1)))[:, None]
+    inv = np.divide(1.0, mu, out=np.full_like(mu, np.nan),
+                    where=np.abs(mu) >= floor)
+    omega = np.where((choice > 0)[:, None], shifts[choice][:, None] + inv, mu)
+    real = np.abs(omega.imag) <= 1e-9 * np.maximum(1.0, np.abs(omega))
+    per_row = [np.sort(row.real[keep]) for row, keep in zip(omega, real)]
+    if len({len(row) for row in per_row}) == 1:
+        return np.stack(per_row)
+    return per_row
 
 
 # ---------------------------------------------------------------------------

@@ -501,8 +501,8 @@ class TestDeterminism:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy serves only the generalized eigenproblem of `bands` on a bulk
-    # that is not eigenvalue form, and is imported there
+    # the engine needs numpy alone; scipy is a test dependency, the tests'
+    # independent reference
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
@@ -510,6 +510,26 @@ def test_cli_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_quadratic_bulk_runs_load_no_scipy(tmp_path):
+    # bands and spectrum of a bulk quadratic in omega, whose bands are the
+    # real roots of det T (the companion solve of `bands_grid`), in a
+    # fresh process that then lists the scipy modules loaded
+    repo = Path(__file__).resolve().parents[1]
+    config = repo / "tools" / "squared_frequency_line.json"
+    script = (
+        "import sys\n"
+        "from defect_bands.cli import main\n"
+        "for cmd in ('bands', 'spectrum'):\n"
+        f"    assert main([cmd, '--config', {str(config)!r}, '--out',\n"
+        f"                 {str(tmp_path)!r} + '/' + cmd + '.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "spectrum.csv").read_text().startswith("kind,")
 
 
 def test_next_nearest_point_config_spectrum(tmp_path):

@@ -29,6 +29,7 @@ from defect_bands.spectrum import (
     StepCheckResult,
     _GreenTable,
     _memberships,
+    bands,
     bands_grid,
     full_mesh,
     full_spectrum,
@@ -254,7 +255,8 @@ def test_step_checks_match_step_check_per_probe(mode):
     for n_axes, fns in ((1, one), (2, two)):
         got = spectrum._step_checks(
             lambda rows, probes: [fns[p](rows) for p in probes], len(fns),
-            n_axes, 16, tols, mode)
+            n_axes, 16, tols, mode, full_mesh(n_axes, 16),
+            refine_patch(n_axes, 16))
         assert got == [step_check(fn, n_axes, 16, tols, mode=mode)
                        for fn in fns]
         if mode != "sigma":
@@ -362,3 +364,7 @@ def test_bands_grid_has_the_bits_of_lapack(path):
     got = bands_grid(spec, rows)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+    # `bands` at one wavevector, LAPACK's bits on a single matrix
+    for row in rows[::97]:
+        assert np.array_equal(bands(spec, row),
+                              np.linalg.eigvalsh(spec.bulk.terms[0].eval(row)))

@@ -210,3 +210,55 @@ def test_residue_matches_trapezoid(m, reach, coeffs, where):
     assert decided[0]
     got = sums[0] / np.sqrt(2.0 * np.pi)
     assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(1, 3), deg=st.integers(1, 2), massless=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pencil_bands_match_generalized_eig(m, deg, massless, seed):
+    # a Hermitian family T_0(k) + omega T_1 + omega^2 T_2 of degree d, its
+    # leading block of condition at most 1e3 or with a massless site (a
+    # zero row and column), at seven k: `bands_grid` against the
+    # generalized eigenproblem of the companion pencil, solved by scipy.
+    # scipy returns an infinite eigenvalue of a singular pencil as inf or
+    # as a huge finite number; the families' finite roots are below 1e3
+    import scipy.linalg
+    rng = np.random.default_rng(seed)
+
+    def hermitian():
+        a = rng.uniform(-2, 2, (m, m)) + 1j * rng.uniform(-2, 2, (m, m))
+        return (a + a.conj().T) / 2
+
+    hop = rng.uniform(-1, 1, (m, m)) + 1j * rng.uniform(-1, 1, (m, m))
+    terms = {0: {(0,): hermitian(), (1,): hop, (-1,): hop.conj().T}}
+    if deg == 2:
+        terms[1] = {(0,): hermitian()}
+    q, _ = np.linalg.qr(rng.normal(size=(m, m))
+                        + 1j * rng.normal(size=(m, m)))
+    sigma = rng.choice([-1.0, 1.0], m) * np.exp(rng.uniform(0, np.log(1e3), m))
+    sigma[np.argmin(np.abs(sigma))] = 1.0
+    lead = (q * sigma) @ q.conj().T
+    if massless:
+        site = rng.integers(m)
+        lead[site, :] = lead[:, site] = 0.0
+    terms[deg] = {(0,): (lead + lead.conj().T) / 2}
+    bulk = OmegaSymbol({p: TrigMatrixPolynomial(1, coeffs)
+                        for p, coeffs in terms.items()})
+    spec = ProblemSpec(lattice_dim=1, cell_size=m, bulk=bulk)
+    rows = np.linspace(-np.pi, np.pi, 7)[:, None]
+    got = spectrum.bands_grid(spec, rows)
+    zero, eye = np.zeros((m, m)), np.eye(m)
+    for row, roots in zip(rows, got):
+        t = [poly.eval(row) for poly in bulk.terms.values()]
+        if deg == 1:
+            vals = scipy.linalg.eig(t[0], -t[1], right=False)
+        else:
+            vals = scipy.linalg.eig(np.block([[zero, eye], [-t[0], -t[1]]]),
+                                    np.block([[eye, zero], [zero, t[2]]]),
+                                    right=False)
+        vals = vals[np.isfinite(vals) & (np.abs(vals) < 1e8)]
+        scale = np.maximum(1.0, np.abs(vals))
+        want = np.sort(vals[np.abs(vals.imag) <= 1e-9 * scale].real)
+        assert len(roots) == len(want)
+        assert np.all(np.abs(roots - want)
+                      <= 1e-10 * np.maximum(1.0, np.abs(want)))

@@ -97,6 +97,18 @@ def squared_frequency_ragged():
                        omega_window=(-3.0, 3.0))
 
 
+def massless_site_pair():
+    """Two sites coupled by 1 + e^{ik}, on-site 2 and 1, with masses 1 and
+    0: T_2 = -diag(1, 0) is singular, so every row takes a shift s.
+    det T = -2 cos k - omega^2, real roots where cos k <= 0 alone."""
+    hop = {(0,): [[2.0, 1.0], [1.0, 1.0]], (1,): [[0.0, 1.0], [0.0, 0.0]],
+           (-1,): [[0.0, 0.0], [1.0, 0.0]]}
+    mass = {(0,): -np.diag([1.0, 0.0])}
+    bulk = OmegaSymbol({0: TrigMatrixPolynomial(1, hop),
+                        2: TrigMatrixPolynomial(1, mass)})
+    return ProblemSpec(lattice_dim=1, cell_size=2, bulk=bulk)
+
+
 def squared_frequency_line_and_point():
     """(4 + 2 cos k_1 + 2 cos k_2) - omega^2 with a unit line defect and a
     unit point defect on it: every B_0^{-1} takes the SVD-guarded path."""
@@ -1260,6 +1272,46 @@ class TestBands:
         with pytest.raises(InputError):
             bands(spec, [0.0])
 
+    def test_squared_frequency_corner_is_exact_zero(self):
+        # tools/squared_frequency_line.json is (4 + 2 cos k_1 + 2 cos k_2)
+        # - omega^2: at (-pi, -pi) the double root 0, a band edge of the
+        # spectrum, comes out exactly, not at +-sqrt(eps)
+        spec, _ = spec_from_config(load_config(
+            Path(__file__).parents[1] / "tools" / "squared_frequency_line.json"))
+        assert bands(spec, [-np.pi, -np.pi]).tolist() == [0.0, 0.0]
+
+    def test_identically_singular_row_raises(self):
+        # (1 + cos k)(1 - omega^2): det T = 0 for every omega at k = pi,
+        # where no leading block passes the rank guard
+        stencil = {(0,): [[1.0]], (1,): [[0.5]], (-1,): [[0.5]]}
+        bulk = OmegaSymbol({
+            0: TrigMatrixPolynomial(1, stencil),
+            2: TrigMatrixPolynomial(1, {off: -np.asarray(c)
+                                        for off, c in stencil.items()})})
+        spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk)
+        assert np.allclose(bands(spec, [0.0]), [-1.0, 1.0], atol=1e-14)
+        with pytest.raises(InputError, match="det T = 0 for all omega"):
+            bands_grid(spec, [[0.0], [np.pi]])
+
+    @pytest.mark.parametrize("model", ["chain", "square", "ragged", "line",
+                                       "massless"])
+    def test_bands_is_a_row_of_bands_grid(self, model, request):
+        # eigenvalue form, ragged and uniform quadratic families, and an M
+        # = 2 quadratic one with a massless site, whose rows take shifted
+        # changes of variable
+        if model in ("chain", "square"):
+            spec, _ = request.getfixturevalue(f"{model}_model")
+        elif model == "ragged":
+            spec = squared_frequency_ragged()
+        elif model == "line":
+            spec = squared_frequency_line_and_point()
+        else:
+            spec = massless_site_pair()
+        rows = full_mesh(spec.lattice_dim, 8)
+        grid = bands_grid(spec, rows)
+        for row, want in zip(rows, grid):
+            assert np.array_equal(bands(spec, row), want)
+
     def test_ragged_band_count_is_a_list(self):
         rows = full_mesh(1, 16)
         got = bands_grid(squared_frequency_ragged(), rows)
@@ -2015,6 +2067,33 @@ class TestFullSpectrum:
         spec, grids = two_band_line()
         result = full_spectrum(spec, grids, n_probes=0)
         assert not result.contains(0.0)
+
+    @pytest.mark.parametrize("k_points", [32, 64])
+    @pytest.mark.parametrize("v", [3.0, -2.0, pytest.param(
+        1.5, marks=pytest.mark.xfail(strict=True, reason=(
+            "the point 4.00731 lies inside band_guard of the band edge 4, "
+            "so it is not reported")))])
+    def test_square_point_defect_matches_elliptic_integral(self, v,
+                                                           k_points):
+        # the square lattice with a point defect v alone: its one point
+        # solves 1 = v G(omega), G = (2/(pi omega)) K(16/omega^2), on the
+        # side of the band [-4, 4] that v's sign picks (G(-w) = -G(w));
+        # mpmath.ellipk and findroot at 30 digits give the reference
+        import mpmath
+        from test_quadrature import plane_point
+        from tests_util import _square_bulk
+        with mpmath.workdps(30):
+            root = mpmath.findroot(
+                lambda w: 1 - abs(v) * 2 / (mpmath.pi * w)
+                * mpmath.ellipk(16 / w ** 2), (4.001, 20),
+                solver="anderson")
+        want = np.sign(v) * float(root)
+        result = full_spectrum(plane_point(_square_bulk(), v),
+                               GridConfig(k_points=k_points, omega_points=129))
+        points = [c.lo for c in result.components
+                  if c.kind == "isolated_point"]
+        assert result.probe_report["disagreements"] == []
+        assert len(points) == 1 and abs(points[0] - want) <= 1e-12
 
 
 def _hand_branch(rows, codim=1):
