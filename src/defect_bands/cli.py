@@ -73,12 +73,18 @@ def _array(value, where):
     return value
 
 
+def _is_number(value):
+    """A JSON number: an int or a float that is finite as a float, not a
+    bool, NaN or infinity."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _number(value, where, integer=False):
     """A config number as float (or int), ConfigError when it is none."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+    if not _is_number(value):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    number = float(value)
     if not integer:
         return number
     if not number.is_integer():
@@ -87,13 +93,13 @@ def _number(value, where, integer=False):
 
 
 def _matrix_from(entry, m_sz, where):
-    try:
-        re_part = np.asarray(entry["re"], dtype=float)
-        im_part = np.asarray(entry.get("im", np.zeros_like(re_part)), dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: matrix entries must be numbers") from None
-    if re_part.shape != (m_sz, m_sz) or im_part.shape != (m_sz, m_sz):
+    parts = [np.asarray(entry.get(key, np.zeros((m_sz, m_sz))), dtype=object)
+             for key in ("re", "im")]
+    if not all(_is_number(x) for part in parts for x in part.flat):
+        raise ConfigError(f"{where}: matrix entries must be numbers")
+    if any(part.shape != (m_sz, m_sz) for part in parts):
         raise ConfigError(f"{where}: matrices must be {m_sz}x{m_sz}")
+    re_part, im_part = (part.astype(float) for part in parts)
     return re_part + 1j * im_part
 
 
@@ -168,7 +174,9 @@ def spec_from_config(doc):
     tol_doc = doc.get("tolerances", {})
     _require_keys(tol_doc, (), ("det_zero_tol", "quad_rel_tol", "band_guard",
                                 "root_tol_omega", "k_grid_base"), "tolerances")
-    tolerances = ToleranceSet(**tol_doc)
+    tolerances = ToleranceSet(**{
+        key: _number(value, f"tolerances {key}", integer=key == "k_grid_base")
+        for key, value in tol_doc.items()})
 
     window_doc = doc.get("omega_window", {"min": -10.0, "max": 10.0})
     _require_keys(window_doc, ("min", "max"), (), "omega_window")

@@ -28,6 +28,7 @@ from .symbol import (
     TWO_PI,
     InputError,
     SingularMatrix,
+    _rank_floor,
     det,
     eigh,
     eigvalsh,
@@ -152,12 +153,6 @@ def node_mesh(n, level, t_rows):
 # the level-0 inverse of a resolvent grid
 
 
-def _rank_floor(scale):
-    """The rank guard's floor 64 eps max(1, scale) for values of magnitude
-    up to `scale`: the rounding floor of those values themselves."""
-    return 64.0 * np.finfo(float).eps * np.maximum(1.0, scale)
-
-
 def _companion(poly):
     """Monic companion matrices of `poly` (batch, d + 1, m, m), coefficients
     ascending, whose eigenvalues are the roots of det sum_s poly_s x^s, and
@@ -208,13 +203,14 @@ class Chain:
     `level_values` evaluates a level's rows as one group of a `_GreenTable`
     built for them at this omega, which sums over the level's own axis the
     integrand from the levels below; `_level_values` does so for many
-    chains at the same rows in one table.  Each level above 1 pins in
-    `_nquad` the n its axis first converged at, for its later rows, inside
-    higher brackets too; a failing bracket raises `NonConvergence`.  No
-    level value is memoized: a row recomputed at its pinned n has the same
-    bits.  Only omega-free tables, the symbols' term tables, are shared
-    across chains, through the spec's `eigen_store`.  `membership` steps up
-    one chain per frequency, all of them together.
+    chains at the same rows in one `_converge` call, whatever n each has
+    pinned.  Each level above 1 pins in `_nquad` the n its axis first
+    converged at, for its later rows, inside higher brackets too; a failing
+    bracket raises `NonConvergence`.  No level value is memoized: a row
+    recomputed at its pinned n has the same bits.  Only omega-free tables,
+    the symbols' term tables, are shared across chains, through the spec's
+    `eigen_store`.  `membership` steps up one chain per frequency, all of
+    them together.
     """
 
     def __init__(self, spec, omega):
@@ -244,7 +240,8 @@ def _level_values(chains, level, t_rows):
     """`Chain.level_values` of chains of one spec at the same rows: per
     chain its (m, M, M) matrices or its `NonConvergence`.  Level 0 combines
     the one stored term table at each omega; a higher level evaluates one
-    table, one group per chain, in one `_converge` call per pinned n."""
+    table in one `_converge` call, one group per chain, each from its own
+    pins."""
     spec = chains[0].spec
     n_dim = spec.lattice_dim
     t_rows = np.asarray(t_rows, dtype=float)
@@ -255,19 +252,10 @@ def _level_values(chains, level, t_rows):
     if level == 0:
         tabs = _terms(spec, 0, t_rows)
         return [spec.bulk.combine(c.omega, tabs) for c in chains]
-    table = _GreenTable(spec, level, t_rows)
     rows = np.arange(t_rows.shape[0])
-    by_pin = {}
-    for i, c in enumerate(chains):
-        by_pin.setdefault(c._nquad.get(level), []).append(i)
-    out = [None] * len(chains)
-    for idx in by_pin.values():
-        got = table._converge([chains[i].omega for i in idx],
-                              [rows] * len(idx),
-                              [chains[i]._nquad for i in idx])
-        for i, res in zip(idx, got):
-            out[i] = res
-    return out
+    return _GreenTable(spec, level, t_rows)._converge(
+        [c.omega for c in chains], [rows] * len(chains),
+        [c._nquad for c in chains])
 
 
 class _GreenTable:
@@ -288,8 +276,8 @@ class _GreenTable:
       closed form (`_closed_form`) for an eigenvalue-form Hermitian M = 1
       bulk whose every axis-1 offset is -1, 0 or 1 (`_closed`), else from
       the eigenvalues of one companion matrix per cell (`_residue`).
-    - Level j >= 2: n doubles on axis j over B_{j-1}^{-1} P_{j-1}
-      (`_integrand`), taken from the one level-(j-1) table it owns per n
+    - Level j >= 2: each group's n doubles on axis j on its own, over
+      B_{j-1}^{-1} P_{j-1} from the one level-(j-1) table it owns per n
       (`_lower`).
     A_j at the rows is `combine` of the stored term tables at each omega.
     Level values, pinned n and verdicts stay with the call.
@@ -308,7 +296,6 @@ class _GreenTable:
                         and spec.cell_size == 1
                         and all(abs(off[0]) <= 1
                                 for off in spec.bulk.terms[0].offsets))
-        self._rows_key = self.t_rows.tobytes()
         self._below = {}        # n -> the level-(j-1) table it owns for n
         self._band = None       # h_0 and |h_1| of every row, closed form
 
@@ -333,17 +320,11 @@ class _GreenTable:
     def _witness(self, omega, rows):
         """How near omega lies to the level-0 spectrum over the
         WITNESS_POINTS grid of the integrated axes above axis 1 x the table
-        rows `rows`, from the level-1 table below: the least distance to a
-        row's band where it is closed-form, else the least `_residue`
-        witness."""
+        rows `rows`: the least `_level_one` witness of the level-1 table
+        below."""
         table, rows = self._bottom(WITNESS_POINTS, rows)
-        if table._closed:
-            h0, h1 = table._row_band(rows)
-            lo, hi = h0 - 2.0 * h1, h0 + 2.0 * h1
-            return float(np.maximum(np.maximum(lo - omega, omega - hi),
-                                    0.0).min())
         cells = (rows, np.full(len(rows), float(omega)), None)
-        return float(table._residue(cells)[3].min())
+        return float(table._level_one(cells)[3].min())
 
     def defect_terms(self):
         """`tabulate` of the level's defect symbol at the table rows."""
@@ -366,33 +347,39 @@ class _GreenTable:
                           0.25 * np.hypot(lam[2] - lam[0], lam[3] - lam[1]))
         return self._band[0][rows], self._band[1][rows]
 
+    def _level_one(self, cells):
+        """Level-1 values, averages P, whether each is decided, and
+        witnesses of `cells`: `_closed_form` on a closed-form table, else
+        `_residue`."""
+        return (self._closed_form if self._closed else self._residue)(cells)
+
     def _closed_form(self, cells):
-        """Level-1 values, averages P and failing distances of `cells` on a
-        closed-form table, in one vectorised pass.  A cell's omega at
-        distance d > 0 from its row's band puts one root z_in of Q inside
-        |z| = 1, and the residue there is the exact average
+        """`_level_one` of `cells` on a closed-form table, in one vectorised
+        pass.  A cell's omega at distance d > 0 from its row's band puts one
+        root z_in of Q inside |z| = 1, and the residue there is the exact
+        average
         G = 1/Q'(z_in) = 1/(2 h_1 z_in + h_0 - omega)
           = sign(h_0 - omega) / sqrt(d (d + 4|h_1|)),
         which is 1/(h_0 - omega) where h_1 = 0.  P = sqrt(2 pi) G is the
         limit of the scaled trapezoid sum, and the cell's value is 1 + P A,
-        A its defect term (P where the level has no defect).  A cell fails
-        when d is below `_rank_floor(|h_0| + 2|h_1|)` (d = 0 inside the
-        band); its failing distance is then d, else inf.
+        A its defect term (P where the level has no defect).  A cell is
+        decided when d is at least `_rank_floor(|h_0| + 2|h_1|)` (d = 0
+        inside the band); its witness is d.
         """
         cell_t, cell_omega, cell_a = cells
         h0, h1 = self._row_band(cell_t)
         shift = h0 - cell_omega
         dist = np.maximum(np.abs(shift) - 2.0 * h1, 0.0)
-        bad = np.where(dist < _rank_floor(np.abs(h0) + 2.0 * h1), dist, np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             sums = (np.sqrt(TWO_PI) * (np.sign(shift) / np.sqrt(
                 dist * (dist + 4.0 * h1))))[:, None, None]
             values = sums if cell_a is None else 1.0 + sums * cell_a
-        return values, sums, bad
+        return (values, sums, dist >= _rank_floor(np.abs(h0) + 2.0 * h1),
+                dist)
 
     def _residue(self, cells):
-        """Level-1 values, averages P, whether each is decided, and
-        witnesses of `cells` off the closed form, in one pass with no n.
+        """`_level_one` of `cells` off the closed form, in one pass with no
+        n.
 
         B_0 = sum over |s| <= r of C_s e^{isk_1}, the blocks the FFT of the
         stored term table on a grid of more than 2r nodes.  With
@@ -525,28 +512,28 @@ class _GreenTable:
         `dispersion_branch` makes one group per cell, each chain one group.  A
         cell's value is B_j (P_j with no defect); with `carry`, the
         integrand of the level above, B_j^{-1} P_j.  A level-1 table
-        evaluates every cell in one pass, exactly, and ignores `pins`; a
-        group fails there when one of its cells is not decided, with
-        n_reached 0.  Above level 1, n doubles on this level's axis, all
-        live groups at each n, one group at a time.  A group starts at
-        N_QUAD_START and converges at its first relative change below
-        quad_rel_tol, in B_j and with `carry` in P_j too (a small or
-        rank-deficient A_j hides P_j's error from B_j); a singular node
-        fails it, and N_QUAD_MAX stalls it.  `pins` holds per group a dict
-        level -> n (fresh by default), where it and the tables below it pin
-        their n; a level pinned for every group (or none) is evaluated at
-        that n alone.  Returns per group its values or its
-        `NonConvergence`, a lower level's included.
+        evaluates every cell in one pass, exactly (`_level_one`), and
+        ignores `pins`; a group fails there when one of its cells is not
+        decided, with n_reached 0.  Above level 1 each group doubles its own
+        n on this level's axis, over B_{j-1}^{-1} P_{j-1} from the
+        level-(j-1) table owned for that n (`_lower`).  It starts at its pin
+        (else N_QUAD_START) and converges at its pin or at its first
+        relative change below quad_rel_tol, in B_j and with `carry` in P_j
+        too (a small or rank-deficient A_j hides P_j's error from B_j); a
+        singular node fails it, and N_QUAD_MAX stalls it.  `pins` holds per
+        group a dict level -> n (fresh by default), where it and the tables
+        below it pin their n, so groups pinned at different n may share a
+        call.  Returns per group its values or its `NonConvergence`, a lower
+        level's included.
         """
         if len(groups) == 0:
             return []
         j = self.level
         pins = [{} for _ in groups] if pins is None else pins
-        pinned, = {p.get(j) for p in pins}
         tol = self.spec.tolerances.quad_rel_tol
         sizes = [len(rows) for rows in groups]
         ends = np.cumsum(sizes)
-        live = list(zip(range(len(groups)), ends - sizes, ends))
+        spans = list(zip(ends - sizes, ends))
         layer = self.spec.defect_by_codim(j)
         cell_t, cell_a = np.concatenate(groups), None
         if layer is not None:
@@ -557,80 +544,61 @@ class _GreenTable:
         cells = (cell_t, np.repeat(omegas, sizes), cell_a)
         outcome = [None] * len(groups)
         m_sz = self.spec.cell_size
+        eye = np.eye(m_sz, dtype=complex)
         if j == 1:
-            if self._closed:
-                vals, sums, bad = self._closed_form(cells)
-            else:
-                vals, sums, decided, witness = self._residue(cells)
-                bad = np.where(decided, np.inf, witness)
-            for g, s, e in live:
+            vals, sums, decided, witness = self._level_one(cells)
+            bad = np.where(decided, np.inf, witness)
+            for g, (s, e) in enumerate(spans):
                 worst = bad[s:e].min()
                 outcome[g] = vals[s:e] if np.isinf(worst) else NonConvergence(
                     f"level 1 {'closed form' if self._closed else 'residue'}: "
                     f"omega={float(omegas[g])!r} is in a row's bulk band or "
                     "within its rank guard", n_reached=0,
                     witness_sigma_min=float(worst))
-            live = []
         else:
-            eye, prev = np.eye(m_sz, dtype=complex), {}
             sums = np.empty((cell_t.size, m_sz, m_sz), dtype=complex)
-        n = pinned or N_QUAD_START
-        while live:
-            still = []
-            for group in live:
-                g, s, e = group
+        for g, (s, e) in enumerate(spans):    # at level 1 every g is done
+            pinned, old = j in pins[g], None
+            n = pins[g].get(j, N_QUAD_START)
+            while outcome[g] is None:
+                below, nodes = self._lower(n, cell_t[s:e])
                 try:
-                    x = self._integrand(n, cell_t[s:e], omegas[g], pins[g])
+                    x, = below._converge([omegas[g]], [nodes], [pins[g]],
+                                         carry=True)
                 except SingularMatrix as exc:
-                    outcome[g] = NonConvergence(
+                    x = NonConvergence(
                         f"level {j} integrand singular on the n={n} grid",
                         n_reached=n, witness_sigma_min=exc.min_sigma)
-                    continue
-                except NonConvergence as exc:
-                    outcome[g] = exc
-                    continue
+                if isinstance(x, NonConvergence):
+                    outcome[g] = x
+                    break
+                x = x.reshape((n, e - s) + x.shape[1:])
                 with np.errstate(invalid="ignore", over="ignore"):
                     avg = trapezoid_sum(x, n) if cell_a is None or carry \
                         else None
                     curr = avg if cell_a is None else eye + trapezoid_sum(
                         np.matmul(x, cell_a[s:e]), n)
-                old, prev[g] = prev.get(g), (curr, avg)[:1 + carry]
+                new = (curr, avg)[:1 + carry]
                 if pinned or (old is not None and np.max([
                         np.abs(a - b).max() / max(1.0, np.abs(a).max())
-                        for a, b in zip(prev[g], old)]) < tol):
+                        for a, b in zip(new, old)]) < tol):
                     outcome[g] = curr
                     if carry:
                         sums[s:e] = avg
                     pins[g][j] = n
-                else:
-                    still.append(group)
-            live = still
-            if live and 2 * n > N_QUAD_MAX:
-                for g, s, e in live:
+                elif 2 * n > N_QUAD_MAX:
                     omega = float(omegas[g])
                     outcome[g] = NonConvergence(
                         f"level {j} quadrature stalled at n={n} on axis {j} "
                         f"(omega={omega!r} is too close to a lower-level "
                         "spectrum projection)", n_reached=n,
                         witness_sigma_min=self._witness(omega, cell_t[s:e]))
-                live = []
-            n *= 2
+                old, n = new, 2 * n
         if not carry or cell_a is None:
             return outcome
         return [out if isinstance(out, NonConvergence)
                 else np.matmul(inverse(out), sums[s:e])
-                for out, s, e in zip(outcome, ends - sizes, ends)]
-
-    def _integrand(self, n, rows, omega, pins):
-        """B_{j-1}^{-1} P_{j-1} at the n axis-j nodes x the table rows
-        `rows`, node-major, shape (n, len(rows), M, M): one group at
-        `omega`, with `pins`, of the level-(j-1) table this table owns for
-        n (`_lower`)."""
-        below, nodes = self._lower(n, rows)
-        out, = below._converge([omega], [nodes], [pins], carry=True)
-        if isinstance(out, NonConvergence):
-            raise out
-        return out.reshape((n, len(rows)) + out.shape[1:])
+                for out, (s, e) in zip(outcome, spans)]
 
 
 # ---------------------------------------------------------------------------
@@ -1009,14 +977,17 @@ class ExclusionSet:
     intervals: list                   # per node: list of (lo, hi)
 
 
-def _band_ranges(spec, mesh, k_points):
-    """Per row of a (nodes, rows, N) wavevector mesh: the band ranges over
-    the row's nodes, as a list of (lo, hi) per row.
+def _band_ranges(spec, codim, t_rows, k_points):
+    """Per row of `t_rows`, coordinates N - codim: the band ranges over the
+    first `codim` axes, as a list of (lo, hi) per row, sampled on a grid
+    four times the `k_points` grid per axis (twice for N >= 3).
 
     With one band count everywhere each band gives its [min, max]; ragged
     real-root counts (quadratic families) split the row's sorted roots at
     jumps over `ragged_gap`, scaled by the `k_points` grid and the window.
     """
+    refine = 4 if spec.lattice_dim <= 2 else 2
+    mesh = node_mesh(refine * k_points, codim, t_rows)
     band_vals = bands_grid(spec, mesh.reshape(-1, spec.lattice_dim))
     n_rows = mesh.shape[1]
     if isinstance(band_vals, np.ndarray):
@@ -1053,8 +1024,7 @@ def exclusion_set(spec, codim, grids=None, branches=None):
         raise InputError(f"level {codim} needs every lower level's branch")
     n_dim, n = spec.lattice_dim, grids.k_points
     t_mesh = full_mesh(n_dim - codim, n)
-    per_node = _band_ranges(spec, node_mesh((4 if n_dim <= 2 else 2) * n,
-                                            codim, t_mesh), n)
+    per_node = _band_ranges(spec, codim, t_mesh, n)
     for lower in [c for c in branches if c < codim]:
         rows, los, his = _branch_image(branches[lower], n, codim - lower)
         for t, lo, hi in zip(rows.tolist(), los.tolist(), his.tolist()):
@@ -1553,10 +1523,8 @@ def full_spectrum(spec, grids=None, n_probes=32):
     grids = grids or GridConfig(k_points=spec.tolerances.k_grid_base)
     window = spec.omega_window
 
-    n_dim = spec.lattice_dim
-    refine = 4 if n_dim <= 2 else 1
-    ranges, = _band_ranges(spec, node_mesh(refine * grids.k_points, n_dim,
-                                           np.zeros((1, 0))), grids.k_points)
+    ranges, = _band_ranges(spec, spec.lattice_dim, np.zeros((1, 0)),
+                           grids.k_points)
     components = [OmegaComponent("band_interval", 0, lo, hi)
                   for lo, hi in ranges]
 

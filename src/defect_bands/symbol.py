@@ -325,6 +325,12 @@ def eigvalsh(a):
     return np.linalg.eigvalsh(a)
 
 
+def _rank_floor(scale):
+    """The rank guard's floor 64 eps max(1, scale) for values of magnitude
+    up to `scale`: the rounding floor of those values themselves."""
+    return 64.0 * np.finfo(float).eps * np.maximum(1.0, scale)
+
+
 def inverse(a):
     """Matrix inverse with a rank-deficiency guard.
 
@@ -334,15 +340,14 @@ def inverse(a):
     Raises
     ------
     SingularMatrix
-        When sigma_min < 64 * eps * sigma_max for some matrix in the batch,
-        carrying the offending smallest singular value.
+        When sigma_min < `_rank_floor(sigma_max)` for some matrix in the
+        batch, carrying the offending smallest singular value.
     numpy.linalg.LinAlgError
         When an entry is NaN.
     """
     a = np.asarray(a, dtype=complex)
     s_max, s_min = _singular_extremes(a)
-    floor = 64.0 * np.finfo(float).eps * np.maximum(s_max, 1e-300)
-    bad = s_min < floor
+    bad = s_min < _rank_floor(s_max)
     if np.any(bad):
         worst = float(np.min(s_min[bad] if s_min.ndim else s_min))
         raise SingularMatrix(

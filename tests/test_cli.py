@@ -188,6 +188,25 @@ class TestConfigNumbers:
          "defect 0: codim 2 outside 1..1"),
         (lambda doc: doc["defects"][0].update(codim=0),
          "defect 0: codim 0 outside 1..1"),
+        # JSON numbers only: no bools, no strings
+        (lambda doc: doc.update(tolerances={"quad_rel_tol": True}),
+         "tolerances quad_rel_tol: expected a number, got True"),
+        (lambda doc: doc.update(tolerances={"root_tol_omega": "1e-10"}),
+         "tolerances root_tol_omega: expected a number, got '1e-10'"),
+        (lambda doc: doc.update(tolerances={"k_grid_base": 32.5}),
+         "tolerances k_grid_base: expected an integer, got 32.5"),
+        (lambda doc: doc.update(dimension=True),
+         "dimension: expected a number, got True"),
+        (lambda doc: doc.update(omega_window={"min": False, "max": True}),
+         "omega_window min: expected a number, got False"),
+        (lambda doc: doc["grids"].update(k_points="64"),
+         "grids k_points: expected a number, got '64'"),
+        (lambda doc: doc["bulk"]["omega_powers"][0]["coefficients"][1]
+         .update(re=[["0"]]),
+         "bulk, power 0, coefficient 1: matrix entries must be numbers"),
+        (lambda doc: doc["defects"][0]["omega_powers"][0]["coefficients"][0]
+         .update(im=[[False]]),
+         "defect 0, power 0, coefficient 0: matrix entries must be numbers"),
     ])
     def test_malformed_entries(self, tmp_path, capsys, edit, message):
         # `edit` changes the document in place or returns its replacement
@@ -199,6 +218,19 @@ class TestConfigNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400])
+    def test_number_beyond_floats_refused(self, tmp_path, capsys, value):
+        # Python's json reads NaN, Infinity and integers too large for a
+        # float; none is a JSON number a float can hold
+        doc = json.loads(open(config_path("chain_point_defect.json")).read())
+        doc["tolerances"] = {"band_guard": value}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err == ("config error: tolerances "
+                                           f"band_guard: expected a number, "
+                                           f"got {value!r}\n")
 
 
 class TestKGridBase:
@@ -299,6 +331,13 @@ class TestNumericGuards:
         assert captured.out == ""
         assert captured.err == f"domain error: {message}\n"
         assert not out.exists()
+
+    def test_membership_without_omega(self, capsys):
+        code = main(["membership", "--config", config_path("chain.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "config error: membership requires --omega\n"
 
     @pytest.mark.parametrize("k_path", ["a,b", "0:1,2", "0:"])
     def test_k_path_parse_error(self, tmp_path, capsys, k_path):

@@ -431,6 +431,23 @@ class TestCompareSpectra:
         failure, = report["isolated_point_failures"]
         assert failure["nearest_eigenvalue"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("fraction", [None, oracle.EDGE_THRESHOLD,
+                                          oracle.EDGE_THRESHOLD + 0.1])
+    def test_eigenvalue_off_the_set(self, chain_model, fraction):
+        # 3.0 lies outside the band [-2, 2]: unmatched, so the check fails,
+        # unless its boundary fraction is above EDGE_THRESHOLD, which flags
+        # it as an open-boundary artifact instead
+        spec, grids = chain_model
+        result = full_spectrum(spec, grids, n_probes=0)
+        boundary = None if fraction is None else [0.0, fraction]
+        report = compare_spectra(result, [0.0, 3.0], tol=1e-6,
+                                 boundary_fraction=boundary)
+        flagged = fraction is not None and fraction > oracle.EDGE_THRESHOLD
+        assert report["ok"] == flagged
+        assert report["unmatched_eigenvalues"] == ([] if flagged else [3.0])
+        assert report["edge_flagged"] == ([(3.0, fraction)] if flagged
+                                          else [])
+
     def test_boundary_flagging(self, chain_defect_model):
         spec, _ = chain_defect_model
         trunc = assemble_truncated(spec, 30, bc="open")

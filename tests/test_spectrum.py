@@ -655,6 +655,26 @@ class TestGreenTable:
             _, _, inv_tabs = _grid_tabs(spec, omega, 256)
             assert abs(out[0, 0, 0] - 1 / inv_tabs[2][0, 0]) <= 1e-12
 
+    def test_groups_pinned_at_different_n_share_a_call(self):
+        # one level-2 evaluation on the nested model whose groups carry
+        # different pins, two of them fresh: each group runs at its own n,
+        # with the bits and pins of its chain evaluated alone; 5.0 alone
+        # converges at n = 64, so its group pinned at 32 has other bits
+        from tests_util import square_line_and_point
+        spec, _ = square_line_and_point()
+        point = np.zeros((1, 0))
+        omegas = [5.0, 7.5, -6.0, 5.0]
+        given = [{2: 32}, {}, {2: 128}, {}]
+        pins = [dict(p) for p in given]
+        outs = _GreenTable(spec, 2, point)._converge(
+            omegas, [[0]] * len(omegas), pins)
+        assert pins == [{2: 32}, {2: 32}, {2: 128}, {2: 64}]
+        for omega, pin, out in zip(omegas, given, outs):
+            chain = Chain(spec, omega)
+            chain._nquad.update(pin)
+            assert np.array_equal(out, chain.level_values(2, point))
+        assert not np.array_equal(outs[0], outs[3])
+
     @pytest.mark.parametrize("delta", [1e-7, 1e-5])
     def test_stall_matches_direct(self, delta):
         # just above the band edge 4, the level-2 integrand of the square
@@ -1243,6 +1263,14 @@ class TestBands:
         spec, _ = chain_model
         assert bands(spec, [0.0])[0] == pytest.approx(2.0)
 
+    def test_omega_free_bulk_has_no_dispersion(self):
+        bulk = OmegaSymbol({0: TrigMatrixPolynomial(
+            1, {(1,): [[1.0]], (-1,): [[1.0]]})})
+        spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
+                           defects=(), omega_window=(-3.0, 3.0))
+        with pytest.raises(InputError, match="does not depend on omega"):
+            bands_grid(spec, [[0.0]])
+
     def test_2d_corner(self, square_model):
         spec, _ = square_model
         assert bands(spec, [np.pi, np.pi])[0] == pytest.approx(-4.0)
@@ -1523,15 +1551,15 @@ class TestDispersionBranch:
     def test_nested_call_builds_one_point_level_table(self, monkeypatch):
         # one level-2 table per call serves every omega of the edges and
         # the search, and it owns one level-1 table per n that its brackets
-        # reach, on the n axis-2 nodes x its rows, not one per omega: every
-        # integrand it takes comes from one of those, and no other level-1
+        # sum at, on the n axis-2 nodes x its rows, not one per omega: every
+        # integrand it sums comes from one of those, and no other level-1
         # table is built in the call
         from tests_util import square_line_and_point
         spec, grids = square_line_and_point(k_points=16, omega_points=65)
         line = dispersion_branch(spec, 1, grids)
         tops, levels, level2_n, lower = [], [], set(), set()
-        init, integrand = _GreenTable.__init__, _GreenTable._integrand
-        converge = _GreenTable._converge
+        init, converge = _GreenTable.__init__, _GreenTable._converge
+        trapezoid = spectrum.trapezoid_sum
 
         def counted(table, spec, level, t_rows):
             levels.append(level)
@@ -1539,9 +1567,9 @@ class TestDispersionBranch:
                 tops.append(table)
             init(table, spec, level, t_rows)
 
-        def spied(table, n, rows, omega, pins):
+        def spied(values, n):
             level2_n.add(n)
-            return integrand(table, n, rows, omega, pins)
+            return trapezoid(values, n)
 
         def carried(table, omegas, groups, pins=None, carry=False):
             if carry:
@@ -1549,7 +1577,7 @@ class TestDispersionBranch:
             return converge(table, omegas, groups, pins, carry)
 
         monkeypatch.setattr(_GreenTable, "__init__", counted)
-        monkeypatch.setattr(_GreenTable, "_integrand", spied)
+        monkeypatch.setattr(spectrum, "trapezoid_sum", spied)
         monkeypatch.setattr(_GreenTable, "_converge", carried)
         point = dispersion_branch(spec, 2, grids, branches={1: line})
         assert [om for _, om, _ in point.samples] == \
@@ -2011,6 +2039,30 @@ class TestFullSpectrum:
         point = next(c for c in result.components if c.kind == "isolated_point")
         assert point.lo == pytest.approx(SQRT5, abs=1e-8)
         assert result.probe_report["disagreements"] == []
+
+    def test_band_interval_is_the_codim_n_exclusion(self):
+        # a 3D bulk 2 cos(k_1 + 0.3) + 2 cos k_2 + 2 cos k_3, whose maximum
+        # 6 no grid node reaches: the band interval and the bulk intervals
+        # that the point level excludes come from one sampling of the
+        # bands, so a probe at 5.99, which membership puts in the
+        # spectrum, lies in the band interval too
+        phase = np.exp(0.3j)
+        bulk = OmegaSymbol({
+            0: TrigMatrixPolynomial(3, {
+                (1, 0, 0): [[phase]], (-1, 0, 0): [[phase.conjugate()]],
+                (0, 1, 0): [[1.0]], (0, -1, 0): [[1.0]],
+                (0, 0, 1): [[1.0]], (0, 0, -1): [[1.0]]}),
+            1: TrigMatrixPolynomial(3, {(0, 0, 0): [[-1.0]]})})
+        point = DefectLayer(3, 3, {0: TrigMatrixPolynomial(0, {(): [[2.0]]})})
+        spec = ProblemSpec(lattice_dim=3, cell_size=1, bulk=bulk,
+                           defects=(point,), omega_window=(-8.0, 10.0))
+        grids = GridConfig(k_points=8)
+        band, = [c for c in full_spectrum(spec, grids, n_probes=0).components
+                 if c.kind == "band_interval"]
+        assert exclusion_set(spec, 3, grids).intervals == [[(band.lo,
+                                                             band.hi)]]
+        assert membership(spec, 5.99, grids).status == "in"
+        assert band.lo < -5.99 and 5.99 < band.hi < 6.0
 
     def test_negative_probe_count_refused(self, chain_defect_model):
         spec, grids = chain_defect_model

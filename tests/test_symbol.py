@@ -8,6 +8,7 @@ from defect_bands.symbol import (
     OmegaSymbol,
     SingularMatrix,
     TrigMatrixPolynomial,
+    as_complex_matrix,
     det,
     eigh,
     eigvalsh,
@@ -134,6 +135,33 @@ class TestOmegaSymbol:
                                   want.view(np.int64))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: as_complex_matrix([[1.0, 2.0]]),
+     r"expected a square matrix, got shape \(1, 2\)"),
+    (lambda: TrigMatrixPolynomial(-1, {(): [[1.0]]}),
+     "torus_dim must be >= 0"),
+    (lambda: TrigMatrixPolynomial(1, {(0, 0): [[1.0]]}),
+     r"offset \(0, 0\) has length 2, torus_dim is 1"),
+    (lambda: TrigMatrixPolynomial(1, {(0,): [[1.0]], 0: [[2.0]]}),
+     r"duplicate offset \(0,\)"),
+    (lambda: TrigMatrixPolynomial(1, {(0,): [[1.0]], (1,): np.eye(2)}),
+     "all coefficient matrices must share one size"),
+    (lambda: TrigMatrixPolynomial(1, {}),
+     "a trig polynomial needs at least one coefficient"),
+    (lambda: OmegaSymbol({-1: adjacency_1d()}),
+     "omega powers must be nonnegative"),
+    (lambda: OmegaSymbol({0: [[1.0]]}),
+     "terms must be TrigMatrixPolynomial instances"),
+    (lambda: OmegaSymbol({}), "an OmegaSymbol needs at least one term"),
+    (lambda: OmegaSymbol({0: adjacency_1d(), 1: TrigMatrixPolynomial(
+        2, {(0, 0): [[-1.0]]})}),
+     "all terms must share matrix size and torus_dim"),
+])
+def test_malformed_input_refused(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
 def scalar_batch(values):
     return np.asarray(values, dtype=complex).reshape(-1, 1, 1)
 
@@ -158,6 +186,7 @@ class TestLinearAlgebra:
         assert np.allclose(inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
         assert np.allclose(inverse(np.array([[1.0, 1.0], [0.0, 1.0]])),
                            np.array([[1.0, -1.0], [0.0, 1.0]]))
+        assert np.allclose(inverse([[1e-13]]), [[1e13]], rtol=1e-15, atol=0)
 
     def test_inverse_singular_raises(self):
         with pytest.raises(SingularMatrix) as err:
@@ -238,7 +267,10 @@ class TestLinearAlgebra:
         assert np.array_equal(inverse(a).view(np.int64),
                               np.linalg.inv(a).view(np.int64))
 
-    @pytest.mark.parametrize("a", [[[0.0]], [[[1.0]], [[0.0]]], [[1e-320]]])
+    # 1e-16 is below the floor 64 eps max(1, sigma_max), which a relative
+    # floor 64 eps sigma_max = 64 eps sigma_min never reaches for M = 1
+    @pytest.mark.parametrize("a", [[[0.0]], [[[1.0]], [[0.0]]], [[1e-320]],
+                                   [[[1e-16]]]])
     def test_inverse_singular_at_zero(self, a):
         with pytest.raises(SingularMatrix) as err:
             inverse(a)
