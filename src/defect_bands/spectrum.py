@@ -273,9 +273,9 @@ class _GreenTable:
     level-j table sums over axis j alone:
     - Level 1 is an exact residue sum, with no n, for every bulk (Lee &
       Joannopoulos, PRB 23, 4988, 1981; Umerski, PRB 55, 5266, 1997): in
-      closed form (`_closed_form`) for an eigenvalue-form Hermitian M = 1
-      bulk whose every axis-1 offset is -1, 0 or 1 (`_closed`), else from
-      the eigenvalues of one companion matrix per cell (`_residue`).
+      closed form (`_closed_form`) on a `_closed_bulk`, from each row's
+      h_0 and |h_1| (`_row_band`, kept per table), else from the
+      eigenvalues of one companion matrix per cell (`_residue`).
     - Level j >= 2: each group's n doubles on axis j on its own, over
       B_{j-1}^{-1} P_{j-1} from the one level-(j-1) table it owns per n
       (`_lower`).
@@ -292,12 +292,9 @@ class _GreenTable:
         self.level = int(level)
         self.t_rows = np.asarray(t_rows, dtype=float)   # (rows, N - level)
         self._eigen = _hermitian_linear_fast(spec)
-        self._closed = (self.level == 1 and self._eigen
-                        and spec.cell_size == 1
-                        and all(abs(off[0]) <= 1
-                                for off in spec.bulk.terms[0].offsets))
+        self._closed = self.level == 1 and _closed_bulk(spec)
         self._below = {}        # n -> the level-(j-1) table it owns for n
-        self._band = None       # h_0 and |h_1| of every row, closed form
+        self._band = _row_band(spec, self.t_rows) if self._closed else None
 
     def _lower(self, n, rows):
         """The level-(j-1) table owned for n, on the rows `node_mesh(n, 1,
@@ -333,18 +330,7 @@ class _GreenTable:
         return _terms(self.spec, self.level, k_t)
 
     def _row_band(self, rows):
-        """h_0 and |h_1| of the table rows `rows` of a closed-form table, so
-        that a row's bulk band is [h_0 - 2|h_1|, h_0 + 2|h_1|]: the 4-point
-        discrete Fourier transform along k_1 of the eigenvalues of H on the
-        n = 4 grid (-pi, -pi/2, 0, pi/2), read from the stored term table,
-        exact for the axis-1 offsets -1, 0 and 1."""
-        if self._band is None:
-            mesh = node_mesh(4, 1, self.t_rows)
-            lam = eigvalsh(_terms(self.spec, 0, mesh.reshape(
-                -1, self.spec.lattice_dim))[0]).reshape(mesh.shape[:2])
-            # the bits of lam.mean(axis=0), without its overhead
-            self._band = (lam.sum(axis=0) / 4,
-                          0.25 * np.hypot(lam[2] - lam[0], lam[3] - lam[1]))
+        """`_row_band` at the table rows `rows` of a closed-form table."""
         return self._band[0][rows], self._band[1][rows]
 
     def _level_one(self, cells):
@@ -901,6 +887,23 @@ def _hermitian_linear_fast(spec):
     return spec.bulk.is_eigenvalue_form() and spec.bulk.is_hermitian_family()
 
 
+def _closed_bulk(spec):
+    """An eigenvalue-form Hermitian M = 1 bulk, axis-1 offsets in -1..1."""
+    return (_hermitian_linear_fast(spec) and spec.cell_size == 1
+            and all(abs(off[0]) <= 1 for off in spec.bulk.term(0).offsets))
+
+
+def _row_band(spec, t_rows):
+    """h_0 and |h_1| at rows `t_rows` (..., N - 1) of k_2..k_N of a
+    `_closed_bulk`: h_s sums H's coefficients of axis-1 offset s times
+    e^{i k.off} on the other axes; the row's band is h_0 +- 2|h_1|."""
+    h = np.zeros((2,) + np.shape(t_rows)[:-1], complex)
+    for off, c in spec.bulk.term(0).items():
+        if off[0] >= 0:
+            h[off[0]] += c[0, 0] * np.exp(1j * np.dot(t_rows, off[1:]))
+    return h[0].real, np.abs(h[1])
+
+
 def bands_grid(spec, k_rows):
     """Dispersion frequencies per wavevector row, ascending: (m, n_bands),
     or a list when the counts differ.  H(k) - omega*I: the eigenvalues of
@@ -915,7 +918,7 @@ def bands_grid(spec, k_rows):
         raise InputError("bulk family does not depend on omega; no dispersion")
     k_rows = np.asarray(k_rows, dtype=float).reshape(-1, spec.lattice_dim)
     if spec.bulk.is_eigenvalue_form():
-        return eigvalsh(spec.bulk.terms[0].eval(k_rows))
+        return eigvalsh(spec.bulk.term(0).eval(k_rows))
     deg, m = spec.bulk.max_power, spec.cell_size
     # s off the real axis: mu^d T(s + 1/mu) = sum_p T_p (1 + s mu)^p mu^(d - p)
     shifts = (np.sqrt(2.0) + 1j / np.pi) * np.arange(deg * m + 2)
@@ -982,12 +985,18 @@ def _band_ranges(spec, codim, t_rows, k_points):
     first `codim` axes, as a list of (lo, hi) per row, sampled on a grid
     four times the `k_points` grid per axis (twice for N >= 3).
 
+    On a `_closed_bulk` axis 1 is exact, [h_0 - 2|h_1|, h_0 + 2|h_1|] at
+    each node of axes 2..codim (`_row_band`), and only those are sampled.
     With one band count everywhere each band gives its [min, max]; ragged
     real-root counts (quadratic families) split the row's sorted roots at
     jumps over `ragged_gap`, scaled by the `k_points` grid and the window.
     """
-    refine = 4 if spec.lattice_dim <= 2 else 2
-    mesh = node_mesh(refine * k_points, codim, t_rows)
+    n = (4 if spec.lattice_dim <= 2 else 2) * k_points
+    if _closed_bulk(spec):
+        h0, h1 = _row_band(spec, node_mesh(n, codim - 1, t_rows))
+        lo, hi = (h0 - 2.0 * h1).min(axis=0), (h0 + 2.0 * h1).max(axis=0)
+        return [[edges] for edges in zip(lo.tolist(), hi.tolist())]
+    mesh = node_mesh(n, codim, t_rows)
     band_vals = bands_grid(spec, mesh.reshape(-1, spec.lattice_dim))
     n_rows = mesh.shape[1]
     if isinstance(band_vals, np.ndarray):
@@ -1603,7 +1612,7 @@ def _grid_tabs(spec, omega, n):
 
     if _hermitian_linear_fast(spec):
         lam, vec = _stored(spec, ("eigh", n_dim, n),
-                           lambda: eigh(spec.bulk.terms[0].eval(mesh)))
+                           lambda: eigh(spec.bulk.term(0).eval(mesh)))
         green, bad = lattice_green(lam, vec, omega)
         worst = bad.min()
         if np.isfinite(worst):

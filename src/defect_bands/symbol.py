@@ -225,6 +225,11 @@ class OmegaSymbol:
         """
         return self._eigenvalue_form
 
+    def term(self, p):
+        """The power-`p` term, the zero polynomial where there is none."""
+        zero = {(0,) * self.torus_dim: np.zeros((self.dim, self.dim))}
+        return self.terms.get(p) or TrigMatrixPolynomial(self.torus_dim, zero)
+
     def tabulate(self, k):
         """The term values term_p(k), one array per power in `terms` order,
         each shaped as poly.eval's.  They do not depend on omega: a caller

@@ -179,6 +179,41 @@ def test_closed_form_level1_matches_references(c00, c01, axis1, kind, d0,
 
 
 @settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(dim=st.sampled_from([2, 3]),
+       hops=st.lists(st.tuples(st.integers(-1, 1), st.integers(-2, 2),
+                               st.integers(-2, 2), coefficients),
+                     min_size=1, max_size=6),
+       rows=st.lists(st.floats(-np.pi, np.pi), min_size=6, max_size=6))
+def test_row_band_bounds_sampled_eigenvalues(dim, hops, rows):
+    # a random Hermitian M = 1 bulk in 2D or 3D, axis-1 offsets -1, 0, 1
+    # and the others -2..2, complex coefficients: at three rows of
+    # k_2..k_N, h_0 - 2|h_1| and h_0 + 2|h_1| from the coefficients
+    # against the least and largest eigenvalue of H on 4096 nodes of k_1,
+    # which they bound, and which lie within 2|h_1| (pi/4096)^2 of the
+    # true extremes
+    from defect_bands.spectrum import _closed_bulk, _row_band, node_mesh
+    coeffs = {}
+    for *off, c in hops:
+        off, c = tuple(off[:dim]), complex(*c)
+        for o, v in ((off, c), (tuple(-a for a in off), c.conjugate())):
+            coeffs[o] = coeffs.get(o, 0.0) + v
+    bulk = OmegaSymbol({
+        0: TrigMatrixPolynomial(dim, {o: [[c]] for o, c in coeffs.items()}),
+        1: TrigMatrixPolynomial(dim, {(0,) * dim: [[-1.0]]})})
+    spec = ProblemSpec(lattice_dim=dim, cell_size=1, bulk=bulk)
+    assert _closed_bulk(spec)
+    t_rows = np.reshape(rows[:3 * (dim - 1)], (3, dim - 1))
+    h0, h1 = _row_band(spec, t_rows)
+    mesh = node_mesh(4096, 1, t_rows)
+    lam = np.linalg.eigvalsh(bulk.terms[0].eval(mesh))[..., 0]
+    slack = 2.0 * h1 * (np.pi / 4096) ** 2 + 1e-12
+    for edge, sampled in ((h0 + 2.0 * h1, lam.max(axis=0)),
+                          (-(h0 - 2.0 * h1), -lam.min(axis=0))):
+        assert np.all(edge >= sampled - 1e-12)
+        assert np.all(edge <= sampled + slack)
+
+
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
 @given(m=st.sampled_from([1, 2]), reach=st.sampled_from([1, 2]),
        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=20, max_size=20),
        where=st.floats(0.0, 1.0))

@@ -34,6 +34,7 @@ from defect_bands.spectrum import (
     _hermitian_linear_fast,
     _orient,
     _search,
+    _terms,
     bands,
     bands_grid,
     dispersion_branch,
@@ -929,13 +930,18 @@ class TestEigenStore:
         assert kinds == STORED
 
     def test_rows_of_one_shape_share_no_table(self, square_line_model):
-        # one row each, at k_2 = 0 and k_2 = 1: one key each, and each
-        # table's band from its own row's terms, centre 2 cos k_2, width 4
+        # one row each, at k_2 = 0 and k_2 = 1: each table's band from its
+        # own row, centre 2 cos k_2, width 4, read from the bulk's
+        # coefficients with no stored table; the term tables of the two
+        # rows, of one shape, are stored under one key each
         spec = dataclasses.replace(square_line_model[0])
         for k_2 in (0.0, 1.0):
             h0, h1 = _GreenTable(spec, 1, [[k_2]])._row_band([0])
             assert abs(h0[0] - 2 * np.cos(k_2)) <= 1e-15
             assert abs(h1[0] - 1.0) <= 1e-15
+        assert not spec.eigen_store
+        for k_2 in (0.0, 1.0):
+            _terms(spec, 0, np.array([[0.0, k_2]]))
         assert len(spec.eigen_store) == 2
 
     def test_specs_of_one_shape_share_no_table(self):
@@ -2040,29 +2046,95 @@ class TestFullSpectrum:
         assert point.lo == pytest.approx(SQRT5, abs=1e-8)
         assert result.probe_report["disagreements"] == []
 
-    def test_band_interval_is_the_codim_n_exclusion(self):
-        # a 3D bulk 2 cos(k_1 + 0.3) + 2 cos k_2 + 2 cos k_3, whose maximum
-        # 6 no grid node reaches: the band interval and the bulk intervals
-        # that the point level excludes come from one sampling of the
-        # bands, so a probe at 5.99, which membership puts in the
-        # spectrum, lies in the band interval too
-        phase = np.exp(0.3j)
+    @staticmethod
+    def _shifted_cubic(axis):
+        # the 3D bulk 2 cos k_1 + 2 cos k_2 + 2 cos k_3 with 0.3 added to
+        # k_`axis`, whose maximum 6 no grid node of k_`axis` reaches, and
+        # a point defect 2
+        phase, unit = np.exp(0.3j), np.eye(3, dtype=int)
+        coeffs = {}
+        for i in range(3):
+            shift = phase if i == axis else 1.0
+            coeffs[tuple(unit[i])] = [[shift]]
+            coeffs[tuple(-unit[i])] = [[np.conj(shift)]]
         bulk = OmegaSymbol({
-            0: TrigMatrixPolynomial(3, {
-                (1, 0, 0): [[phase]], (-1, 0, 0): [[phase.conjugate()]],
-                (0, 1, 0): [[1.0]], (0, -1, 0): [[1.0]],
-                (0, 0, 1): [[1.0]], (0, 0, -1): [[1.0]]}),
+            0: TrigMatrixPolynomial(3, coeffs),
             1: TrigMatrixPolynomial(3, {(0, 0, 0): [[-1.0]]})})
         point = DefectLayer(3, 3, {0: TrigMatrixPolynomial(0, {(): [[2.0]]})})
-        spec = ProblemSpec(lattice_dim=3, cell_size=1, bulk=bulk,
+        return ProblemSpec(lattice_dim=3, cell_size=1, bulk=bulk,
                            defects=(point,), omega_window=(-8.0, 10.0))
-        grids = GridConfig(k_points=8)
-        band, = [c for c in full_spectrum(spec, grids, n_probes=0).components
-                 if c.kind == "band_interval"]
+
+    def _check_band_edges_are_exact(self, axis):
+        # the band interval and the bulk intervals that the point level
+        # excludes come from one computation of the band edges, exact
+        # along k_1 (`_row_band`), so both are [-6, 6], and a probe at
+        # 5.995, which membership puts in the spectrum, lies in the
+        # assembled set
+        spec, grids = self._shifted_cubic(axis), GridConfig(k_points=8)
+        result = full_spectrum(spec, grids, n_probes=0)
+        band, = [c for c in result.components if c.kind == "band_interval"]
         assert exclusion_set(spec, 3, grids).intervals == [[(band.lo,
                                                              band.hi)]]
-        assert membership(spec, 5.99, grids).status == "in"
-        assert band.lo < -5.99 and 5.99 < band.hi < 6.0
+        assert membership(spec, 5.995, grids).status == "in"
+        assert result.contains(5.995)
+        assert abs(band.lo + 6.0) <= 1e-12 and abs(band.hi - 6.0) <= 1e-12
+
+    def test_band_interval_is_the_codim_n_exclusion(self):
+        self._check_band_edges_are_exact(0)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "axis 2 is still sampled on 16 nodes, so the band interval stops "
+        "at +-5.9914; exact extrema off axis 1 are ROADMAP item 2"))
+    def test_band_edges_exact_with_the_shift_on_axis_2(self):
+        self._check_band_edges_are_exact(1)
+
+    def test_closed_form_band_edges_tabulate_no_axis_1(self, monkeypatch):
+        # on a closed-form bulk the band and exclusion intervals sample no
+        # bands and tabulate the bulk on no axis-1 nodes: no symbol is
+        # evaluated on more rows than the k_points^2 resolvent grid or the
+        # step check's REFINE_POINTS^2 patch, where sampling the band
+        # interval took (4 k_points)^2 rows
+        spec, grids = load_model("square_line_defect.json")
+        grids = dataclasses.replace(grids, k_points=32)
+        sampled, rows = [], []
+        evaluate, band_grid = TrigMatrixPolynomial.eval, spectrum.bands_grid
+
+        def counted(poly, k):
+            rows.append(int(np.prod(np.shape(k)[:-1])))
+            return evaluate(poly, k)
+
+        def spied(*args):
+            sampled.append(args)
+            return band_grid(*args)
+
+        monkeypatch.setattr(TrigMatrixPolynomial, "eval", counted)
+        monkeypatch.setattr(spectrum, "bands_grid", spied)
+        exclusion_set(spec, 1, grids)
+        full_spectrum(spec, grids)
+        assert sampled == [] and rows
+        assert max(rows) <= max(32, spectrum.REFINE_POINTS) ** 2
+
+    def test_bulk_with_no_power_0_term(self):
+        # H = 0, a flat band at omega = 0, entered as the bulk -omega alone,
+        # with no power-0 term, and a unit point defect: the band [0, 0]
+        # and the point 1, the one nonzero eigenvalue of the open box
+        from defect_bands.model import validate
+        from defect_bands.oracle import assemble_truncated, oracle_eigenvalues
+        bulk = OmegaSymbol({1: TrigMatrixPolynomial(1, {(0,): [[-1.0]]})})
+        point = DefectLayer(1, 1, {0: TrigMatrixPolynomial(0, {(): [[1.0]]})})
+        spec = ProblemSpec(lattice_dim=1, cell_size=1, bulk=bulk,
+                           defects=(point,), omega_window=(-2.0, 2.0))
+        grids = GridConfig(k_points=16)
+        assert validate(spec).violations == []
+        result = full_spectrum(spec, grids)
+        band, = [c for c in result.components if c.kind == "band_interval"]
+        pt, = [c for c in result.components if c.kind == "isolated_point"]
+        assert (band.lo, band.hi) == (0.0, 0.0)
+        eigs = oracle_eigenvalues(assemble_truncated(spec, (10,), ("open",)))
+        nonzero, = eigs[np.abs(eigs) > 1e-12]
+        assert abs(pt.lo - nonzero) <= 1e-12
+        assert result.probe_report["disagreements"] == []
+        assert membership(spec, 0.5, grids).status == "out"
 
     def test_negative_probe_count_refused(self, chain_defect_model):
         spec, grids = chain_defect_model

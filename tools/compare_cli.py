@@ -5,8 +5,8 @@
 Each run is a fresh `python -m defect_bands.cli` process with PYTHONPATH set
 to the checkout's `src`.  The runs are `validate`, `bands --k-grid 8 --out`
 and `spectrum --out` on the five bundled configs,
-`perfbench/nested_line_point.json` and the four `tools/` models,
-`membership --json` at each of OMEGAS on the same ten models,
+`perfbench/nested_line_point.json` and the five `tools/` models,
+`membership --json` at each of OMEGAS on the same eleven models,
 and `oracle --out`: with `--L 12`, open and periodic, on the five bundled
 configs, and with `--L 8`, open and periodic, on the nested model.  Two
 `tools/` models, an omega-dependent line defect and a bulk quadratic in
@@ -17,7 +17,11 @@ has a two-site cell (M = 2) and a line and a point defect, so a level 1
 that is not closed-form and a level 2 that doubles n, and a level-1 image
 inside the bulk gap.  The fourth, `next_nearest_point.json`, is the chain
 2 cos 2k with a unit point defect, whose axis-1 hopping reaches two cells
-and whose one point is sqrt5.  Both checkouts read these four configs from
+and whose one point is sqrt5.  The fifth, `shifted_cubic_point.json`, is
+the cubic bulk 2 cos(k_1 + 0.3) + 2 cos k_2 + 2 cos k_3 with a point
+defect 2 at k_points 8, whose band maximum 6 no node of k_1 reaches: its
+band and exclusion edges are +-6 where k_1 is not sampled and about
++-5.9914 where it is.  Both checkouts read these five configs from
 this script's directory, so a checkout that predates them runs them too.  For every run the CSVs it wrote
 (the bands, the spectrum and one per branch, or the box eigenvalues), its
 stdout, its stderr and its exit code are compared byte for byte.  No
@@ -63,7 +67,8 @@ CONFIGS = ["src/defect_bands/configs/bipartite_chain.json",
            "tools/square_line_omega_defect.json",
            "tools/squared_frequency_line.json",
            "tools/two_band_line_point.json",
-           "tools/next_nearest_point.json"]
+           "tools/next_nearest_point.json",
+           "tools/shifted_cubic_point.json"]
 
 OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
           5.180756781817904]
@@ -75,7 +80,8 @@ OMEGAS = [-5.0, -2.5, 0.3, 2.02, math.sqrt(5.0), 4.1, 5.18,
 #: The `tools/` models are there for their dispersion and run none
 ORACLE_BOXES = {"nested_line_point": [("8", "open"), ("8", "periodic")],
                 "square_line_omega_defect": [], "squared_frequency_line": [],
-                "two_band_line_point": [], "next_nearest_point": []}
+                "two_band_line_point": [], "next_nearest_point": [],
+                "shifted_cubic_point": []}
 ORACLE_DEFAULT = [("12", "open"), ("12", "periodic")]
 
 #: (config, omegas outside its spectrum) of the `resolvent_apply` solves
